@@ -16,6 +16,18 @@
 // descent from the entry point, best-first beam search per layer
 // (efConstruction / efSearch), and the diversity-preserving neighbour
 // selection heuristic.
+//
+// Storage is slot-major and flat. A point's slot is its insertion rank; its
+// vector is row slot of one []float64 arena and its layer-0 neighbour list
+// is row slot of one []uint32 arena (a count, then room for 2*M+1 slots),
+// so a hop of the layer-0 search is two indexed loads and no pointer chase.
+// Only the upper layers, which one point in M reaches, keep a slice per
+// layer. Distances are computed for all unvisited neighbours of a node at
+// once, four rows per kernel call (kernel.go), and all working memory of a
+// search or an upsert comes from a pooled scratch: updating a point
+// allocates nothing and a search allocates only its result. None of this
+// changes a single result: every sum keeps its order, every heap sees the
+// same distances in the same sequence. TestGoldenTrace pins that down.
 package hnsw
 
 import (
@@ -61,13 +73,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// node is one indexed point.
+// node is one indexed point. Its vector lives in Index.vecs, not here, so
+// that walking the graph touches no per-node heap object.
 type node struct {
-	id    int       // external ID
-	vec   []float64 // owned copy of the vector
-	level int
-	// links[l] holds neighbour slot indexes at layer l, 0 <= l <= level.
-	links [][]uint32
+	id int // external ID
+	// upper[l-1] holds neighbour slot indexes at layer l, 1 <= l <= level;
+	// len(upper) is the node's level. Layer 0 lives in Index.links0.
+	upper [][]uint32
 }
 
 // Index is an HNSW approximate nearest-neighbour index. It is safe for
@@ -76,32 +88,60 @@ type node struct {
 // only against mutations. Search working memory comes from a scratch pool,
 // not the index, so concurrent searches never contend on shared state.
 type Index struct {
-	mu    sync.RWMutex
-	cfg   Config
-	ml    float64 // level normalisation factor 1/ln(M)
-	rng   *xrand.Rand
-	nodes []*node
-	byID  map[int]uint32 // external ID -> slot
-	entry int            // slot of entry point, -1 if empty
-	maxLv int
+	mu  sync.RWMutex
+	cfg Config
+	ml  float64 // level normalisation factor 1/ln(M)
+	rng *xrand.Rand
+	dim int // vector dimensionality, 0 while empty
+	// vecs is the vector arena, slot-major: slot s owns
+	// vecs[s*dim : (s+1)*dim]. It only ever grows, under the exclusive lock.
+	vecs []float64
+	// links0 is the layer-0 adjacency, slot-major like vecs: slot s owns
+	// stride0 words, a count followed by room for 2*M+1 neighbour slots (one
+	// over the cap, the longest a list gets before linkBack prunes it).
+	// Every search ends on layer 0 and most of its hops are there, so this
+	// is the list that is worth reaching without passing through the node.
+	links0  []uint32
+	stride0 int
+	nodes   []node
+	byID    map[int]uint32 // external ID -> slot
+	entry   int            // slot of entry point, -1 if empty
+	maxLv   int
 }
 
-// scratch is the visit-marking working set of one search or insert
-// operation: one epoch counter per slot, bumped per searchLayer call so the
-// array never needs clearing between calls.
+// scratch is the working memory of one search or upsert: every buffer the
+// operation would otherwise allocate. It is pooled, so an operation on a
+// warmed-up index allocates nothing but what it returns.
 type scratch struct {
+	// visited holds one epoch counter per slot, bumped per searchLayer call
+	// so the array never needs clearing between calls.
 	visited []uint32
 	epoch   uint32
+
+	frontier minHeap     // searchLayer: candidates still to expand
+	results  maxHeap     // searchLayer: the ef best so far
+	cands    []candidate // searchLayer's sorted output
+	sel      []candidate // neighbours selected for the point being linked
+	back     []candidate // linkBack: the overflowing list, sorted
+	backSel  []candidate // linkBack: what survives the pruning
+	nbrs     []uint32    // slots whose distances are about to be computed
+	dists    []float64   // their distances, same order
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch returns a scratch sized for the current node count.
+// getScratch returns a scratch sized for the current node count and for the
+// longest neighbour list the index can hold (a layer-0 list one over its
+// cap, just before linkBack prunes it).
 func (ix *Index) getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
 	if len(s.visited) < len(ix.nodes)+1 {
 		s.visited = make([]uint32, 2*len(ix.nodes)+16)
 		s.epoch = 0
+	}
+	if most := ix.layerCap(0) + 1; cap(s.nbrs) < most {
+		s.nbrs = make([]uint32, 0, most)
+		s.dists = make([]float64, most)
 	}
 	return s
 }
@@ -124,11 +164,12 @@ func New(cfg Config) (*Index, error) {
 		return nil, err
 	}
 	return &Index{
-		cfg:   cfg,
-		ml:    1 / math.Log(float64(cfg.M)),
-		rng:   xrand.New(cfg.Seed),
-		byID:  make(map[int]uint32),
-		entry: -1,
+		cfg:     cfg,
+		ml:      1 / math.Log(float64(cfg.M)),
+		rng:     xrand.New(cfg.Seed),
+		stride0: 2*cfg.M + 2,
+		byID:    make(map[int]uint32),
+		entry:   -1,
 	}, nil
 }
 
@@ -143,15 +184,13 @@ func (ix *Index) Len() int {
 func (ix *Index) Dim() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.dim()
+	return ix.dim
 }
 
-// dim is Dim without locking, for use under either lock mode.
-func (ix *Index) dim() int {
-	if len(ix.nodes) == 0 {
-		return 0
-	}
-	return len(ix.nodes[0].vec)
+// vec returns slot's row of the arena.
+func (ix *Index) vec(slot uint32) []float64 {
+	o := int(slot) * ix.dim
+	return ix.vecs[o : o+ix.dim : o+ix.dim]
 }
 
 // Contains reports whether id has been indexed.
@@ -170,22 +209,58 @@ func (ix *Index) Vector(id int) []float64 {
 	if !ok {
 		return nil
 	}
-	out := make([]float64, len(ix.nodes[slot].vec))
-	copy(out, ix.nodes[slot].vec)
-	return out
+	return append([]float64(nil), ix.vec(slot)...)
 }
 
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i, av := range a {
-		d := av - b[i]
-		s += d * d
+// links returns slot's neighbours at layer l, nil above the node's level.
+// The slice has room for one neighbour over the layer's cap: append to it,
+// then hand it to setLinks.
+func (ix *Index) links(slot uint32, l int) []uint32 {
+	if l == 0 {
+		row := ix.links0[int(slot)*ix.stride0:][:ix.stride0]
+		return row[1 : 1+row[0] : ix.stride0]
 	}
-	return s
+	if up := ix.nodes[slot].upper; l <= len(up) {
+		return up[l-1]
+	}
+	return nil
+}
+
+// setLinks stores links, which must be ix.links(slot, l) re-sliced or
+// appended to within its capacity, as slot's neighbours at layer l.
+func (ix *Index) setLinks(slot uint32, l int, links []uint32) {
+	if l == 0 {
+		ix.links0[int(slot)*ix.stride0] = uint32(len(links))
+		return
+	}
+	ix.nodes[slot].upper[l-1] = links
 }
 
 func (ix *Index) dist(slot uint32, q []float64) float64 {
-	return sqDist(ix.nodes[slot].vec, q)
+	return sqDist(ix.vec(slot), q)
+}
+
+// distsTo returns the squared distances from q to the vectors of slots, in
+// order, in a buffer that is valid until the next call on the same scratch.
+// Rows go through the kernel four at a time; a short last group repeats its
+// last row, which costs no more than the scalar loop would.
+func (ix *Index) distsTo(sc *scratch, slots []uint32, q []float64) []float64 {
+	out := sc.dists[:len(slots)]
+	i := 0
+	for ; i+4 <= len(slots); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = sqDist4(q,
+			ix.vec(slots[i]), ix.vec(slots[i+1]), ix.vec(slots[i+2]), ix.vec(slots[i+3]))
+	}
+	if rest := slots[i:]; len(rest) > 0 {
+		var g [4]uint32
+		for k := range g {
+			g[k] = rest[min(k, len(rest)-1)]
+		}
+		var d [4]float64
+		d[0], d[1], d[2], d[3] = sqDist4(q, ix.vec(g[0]), ix.vec(g[1]), ix.vec(g[2]), ix.vec(g[3]))
+		copy(out[i:], d[:])
+	}
+	return out
 }
 
 // Upsert inserts the vector under id, or replaces the stored vector when id
@@ -199,7 +274,7 @@ func (ix *Index) Upsert(id int, vec []float64) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if d := ix.dim(); d != 0 && len(vec) != d {
+	if d := ix.dim; d != 0 && len(vec) != d {
 		return fmt.Errorf("hnsw: vector dim %d != index dim %d", len(vec), d)
 	}
 	if slot, ok := ix.byID[id]; ok {
@@ -211,12 +286,17 @@ func (ix *Index) Upsert(id int, vec []float64) error {
 }
 
 func (ix *Index) insert(id int, vec []float64) {
-	owned := make([]float64, len(vec))
-	copy(owned, vec)
 	level := ix.randomLevel()
-	n := &node{id: id, vec: owned, level: level, links: make([][]uint32, level+1)}
 	slot := uint32(len(ix.nodes))
-	ix.nodes = append(ix.nodes, n)
+	ix.dim = len(vec)
+	ix.vecs = append(ix.vecs, vec...)
+	ix.links0 = append(ix.links0, make([]uint32, ix.stride0)...)
+	upper := make([][]uint32, level)
+	for i := range upper {
+		// One over the cap, as in links0, so that no append reallocates.
+		upper[i] = make([]uint32, 0, ix.cfg.M+1)
+	}
+	ix.nodes = append(ix.nodes, node{id: id, upper: upper})
 	ix.byID[id] = slot
 
 	if ix.entry < 0 {
@@ -227,22 +307,18 @@ func (ix *Index) insert(id int, vec []float64) {
 
 	sc := ix.getScratch()
 	defer putScratch(sc)
+	q := ix.vec(slot)
 	ep := uint32(ix.entry)
-	epDist := ix.dist(ep, vec)
+	epDist := ix.dist(ep, q)
 	// Greedy descent through layers above the new node's level.
 	for l := ix.maxLv; l > level; l-- {
-		ep, epDist = ix.greedyStep(ep, epDist, vec, l)
+		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
 	// Beam search + heuristic linking on each layer from min(level, maxLv)
 	// down to 0.
 	for l := min(level, ix.maxLv); l >= 0; l-- {
-		cands := ix.searchLayer(sc, ep, epDist, vec, ix.cfg.EfConstruction, l)
-		selected := ix.selectHeuristic(cands, ix.layerCap(l))
-		n.links[l] = make([]uint32, 0, len(selected))
-		for _, c := range selected {
-			n.links[l] = append(n.links[l], c.id)
-			ix.linkBack(c.id, slot, l)
-		}
+		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
+		ix.relink(sc, slot, l, cands)
 		if len(cands) > 0 {
 			ep, epDist = cands[0].id, cands[0].dist
 		}
@@ -257,24 +333,23 @@ func (ix *Index) insert(id int, vec []float64) {
 // links by re-running neighbour selection at each of its layers, mirroring
 // hnswlib's update_point repair. Movements below UpdateEps skip the repair.
 func (ix *Index) updateVector(slot uint32, vec []float64) {
-	n := ix.nodes[slot]
-	if eps := ix.cfg.UpdateEps; eps > 0 && sqDist(n.vec, vec) < eps*eps {
-		copy(n.vec, vec)
-		return
-	}
-	copy(n.vec, vec)
-	if len(ix.nodes) == 1 {
+	q := ix.vec(slot)
+	eps := ix.cfg.UpdateEps
+	stayed := eps > 0 && sqDistBelow(q, vec, eps*eps)
+	copy(q, vec)
+	if stayed || len(ix.nodes) == 1 {
 		return
 	}
 	sc := ix.getScratch()
 	defer putScratch(sc)
+	level := len(ix.nodes[slot].upper)
 	ep := uint32(ix.entry)
-	epDist := ix.dist(ep, n.vec)
-	for l := ix.maxLv; l > n.level; l-- {
-		ep, epDist = ix.greedyStep(ep, epDist, n.vec, l)
+	epDist := ix.dist(ep, q)
+	for l := ix.maxLv; l > level; l-- {
+		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
-	for l := min(n.level, ix.maxLv); l >= 0; l-- {
-		cands := ix.searchLayer(sc, ep, epDist, n.vec, ix.cfg.EfConstruction, l)
+	for l := min(level, ix.maxLv); l >= 0; l-- {
+		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
 		// Drop self-references before selecting.
 		filtered := cands[:0]
 		for _, c := range cands {
@@ -282,16 +357,23 @@ func (ix *Index) updateVector(slot uint32, vec []float64) {
 				filtered = append(filtered, c)
 			}
 		}
-		selected := ix.selectHeuristic(filtered, ix.layerCap(l))
-		n.links[l] = n.links[l][:0]
-		for _, c := range selected {
-			n.links[l] = append(n.links[l], c.id)
-			ix.linkBack(c.id, slot, l)
-		}
+		ix.relink(sc, slot, l, filtered)
 		if len(filtered) > 0 {
 			ep, epDist = filtered[0].id, filtered[0].dist
 		}
 	}
+}
+
+// relink replaces slot's layer-l neighbours with a selection from cands
+// (sorted ascending) and links each of them back.
+func (ix *Index) relink(sc *scratch, slot uint32, l int, cands []candidate) {
+	selected := ix.selectHeuristic(cands, ix.layerCap(l), &sc.sel)
+	links := ix.links(slot, l)[:0]
+	for _, c := range selected {
+		links = append(links, c.id)
+		ix.linkBack(sc, c.id, slot, l)
+	}
+	ix.setLinks(slot, l, links)
 }
 
 // layerCap returns the max neighbours per node at layer l.
@@ -304,39 +386,39 @@ func (ix *Index) layerCap(l int) int {
 
 // linkBack adds src as a neighbour of dst at layer l, pruning dst's list
 // with the selection heuristic when it overflows.
-func (ix *Index) linkBack(dst, src uint32, l int) {
-	d := ix.nodes[dst]
-	for _, existing := range d.links[l] {
+func (ix *Index) linkBack(sc *scratch, dst, src uint32, l int) {
+	links := ix.links(dst, l)
+	for _, existing := range links {
 		if existing == src {
 			return
 		}
 	}
-	d.links[l] = append(d.links[l], src)
-	if cap := ix.layerCap(l); len(d.links[l]) > cap {
-		cands := make([]candidate, 0, len(d.links[l]))
-		for _, nb := range d.links[l] {
-			cands = append(cands, candidate{id: nb, dist: ix.dist(nb, d.vec)})
+	links = append(links, src)
+	if m := ix.layerCap(l); len(links) > m {
+		dists := ix.distsTo(sc, links, ix.vec(dst))
+		cands := sc.back[:0]
+		for i, nb := range links {
+			cands = append(cands, candidate{id: nb, dist: dists[i]})
 		}
+		sc.back = cands
 		sortCandidates(cands)
-		selected := ix.selectHeuristic(cands, cap)
-		d.links[l] = d.links[l][:0]
-		for _, c := range selected {
-			d.links[l] = append(d.links[l], c.id)
+		links = links[:0]
+		for _, c := range ix.selectHeuristic(cands, m, &sc.backSel) {
+			links = append(links, c.id)
 		}
 	}
+	ix.setLinks(dst, l, links)
 }
 
 // greedyStep walks layer l greedily towards q, returning the local minimum.
-func (ix *Index) greedyStep(ep uint32, epDist float64, q []float64, l int) (uint32, float64) {
+func (ix *Index) greedyStep(sc *scratch, ep uint32, epDist float64, q []float64, l int) (uint32, float64) {
 	for {
 		improved := false
-		n := ix.nodes[ep]
-		if l < len(n.links) {
-			for _, nb := range n.links[l] {
-				if d := ix.dist(nb, q); d < epDist {
-					ep, epDist = nb, d
-					improved = true
-				}
+		nbrs := ix.links(ep, l)
+		for i, d := range ix.distsTo(sc, nbrs, q) {
+			if d < epDist {
+				ep, epDist = nbrs[i], d
+				improved = true
 			}
 		}
 		if !improved {
@@ -346,15 +428,21 @@ func (ix *Index) greedyStep(ep uint32, epDist float64, q []float64, l int) (uint
 }
 
 // searchLayer runs best-first beam search on layer l starting from ep and
-// returns up to ef candidates sorted by ascending distance. Visit marks live
-// in the caller's scratch, so concurrent searches are independent.
+// returns up to ef candidates sorted by ascending distance, in a buffer
+// that is valid until the next searchLayer on the same scratch. All working
+// memory lives in the caller's scratch, so concurrent searches are
+// independent.
+//
+// Each expansion first gathers the neighbours not yet visited and computes
+// their distances together (distsTo), then offers them to the heaps in list
+// order: the same distances reach the same heaps in the same order as if
+// each had been computed where it is used.
 func (ix *Index) searchLayer(sc *scratch, ep uint32, epDist float64, q []float64, ef int, l int) []candidate {
 	epoch := sc.nextEpoch()
 	visited := sc.visited
 	visited[ep] = epoch
 
-	var frontier minHeap
-	var results maxHeap
+	frontier, results := sc.frontier[:0], sc.results[:0]
 	frontier.push(candidate{id: ep, dist: epDist})
 	results.push(candidate{id: ep, dist: epDist})
 
@@ -363,51 +451,54 @@ func (ix *Index) searchLayer(sc *scratch, ep uint32, epDist float64, q []float64
 		if len(results) >= ef && cur.dist > results.top().dist {
 			break
 		}
-		n := ix.nodes[cur.id]
-		if l >= len(n.links) {
-			continue
-		}
-		for _, nb := range n.links[l] {
-			if visited[nb] == epoch {
-				continue
+		nbrs := sc.nbrs[:0]
+		for _, nb := range ix.links(cur.id, l) {
+			if visited[nb] != epoch {
+				visited[nb] = epoch
+				nbrs = append(nbrs, nb)
 			}
-			visited[nb] = epoch
-			d := ix.dist(nb, q)
+		}
+		for i, d := range ix.distsTo(sc, nbrs, q) {
 			if len(results) < ef || d < results.top().dist {
-				frontier.push(candidate{id: nb, dist: d})
-				results.push(candidate{id: nb, dist: d})
+				c := candidate{id: nbrs[i], dist: d}
+				frontier.push(c)
+				results.push(c)
 				if len(results) > ef {
 					results.pop()
 				}
 			}
 		}
 	}
-	out := make([]candidate, len(results))
-	copy(out, results)
+	out := append(sc.cands[:0], results...)
 	sortCandidates(out)
+	sc.frontier, sc.results, sc.cands = frontier, results, out
 	return out
 }
 
 // selectHeuristic implements the diversity-preserving neighbour selection of
 // the HNSW paper (Algorithm 4): a candidate is kept only if it is closer to
 // the query than to every already-selected neighbour. cands must be sorted
-// ascending by distance.
-func (ix *Index) selectHeuristic(cands []candidate, m int) []candidate {
+// ascending by distance. The result is cands itself or lives in *buf.
+func (ix *Index) selectHeuristic(cands []candidate, m int, buf *[]candidate) []candidate {
 	if len(cands) <= m {
 		return cands
 	}
-	selected := make([]candidate, 0, m)
+	selected := (*buf)[:0]
 	for _, c := range cands {
 		if len(selected) >= m {
 			break
 		}
+		// Whether some selected neighbour is closer to c than q is does not
+		// depend on the order they are asked in: ask four at a time, a short
+		// last group repeating its last row.
 		keep := true
-		cv := ix.nodes[c.id].vec
-		for _, s := range selected {
-			if sqDist(cv, ix.nodes[s.id].vec) < c.dist {
-				keep = false
-				break
+		cv := ix.vec(c.id)
+		for i := 0; i < len(selected) && keep; i += 4 {
+			var g [4]uint32
+			for k := range g {
+				g[k] = selected[min(i+k, len(selected)-1)].id
 			}
+			keep = !anyBelow4(cv, ix.vec(g[0]), ix.vec(g[1]), ix.vec(g[2]), ix.vec(g[3]), c.dist)
 		}
 		if keep {
 			selected = append(selected, c)
@@ -432,6 +523,7 @@ func (ix *Index) selectHeuristic(cands []candidate, m int) []candidate {
 			}
 		}
 	}
+	*buf = selected
 	return selected
 }
 
@@ -471,12 +563,13 @@ func (ix *Index) SearchKNNEf(q []float64, k, ef int) []Result {
 	if ef < k {
 		ef = k
 	}
+	q = q[:ix.dim] // as ever: a short query panics, a long one is cut
 	sc := ix.getScratch()
 	defer putScratch(sc)
 	ep := uint32(ix.entry)
 	epDist := ix.dist(ep, q)
 	for l := ix.maxLv; l > 0; l-- {
-		ep, epDist = ix.greedyStep(ep, epDist, q, l)
+		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
 	cands := ix.searchLayer(sc, ep, epDist, q, ef, 0)
 	if len(cands) > k {
@@ -500,19 +593,20 @@ func (ix *Index) randomLevel() int {
 	return lv
 }
 
-// MemoryBytes estimates the resident size of the index: vectors plus link
-// lists plus per-node overhead. Used by the Table 2 storage-efficiency
-// experiment.
+// MemoryBytes estimates the resident size of the index: 8 bytes per vector
+// component in the arena, 4 per link, and 48 of per-node bookkeeping (id,
+// level, list headers). It counts links held, not list capacity, so the
+// figure depends on the graph alone and not on how it is laid out. Used by
+// the Table 2 storage-efficiency experiment.
 func (ix *Index) MemoryBytes() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var total int64
-	for _, n := range ix.nodes {
-		total += int64(len(n.vec)) * 8
-		for _, l := range n.links {
+	total := int64(len(ix.nodes)) * int64(ix.dim*8+48)
+	for i := range ix.nodes {
+		total += int64(len(ix.links(uint32(i), 0))) * 4
+		for _, l := range ix.nodes[i].upper {
 			total += int64(len(l)) * 4
 		}
-		total += 48 // struct overhead: id, level, slice headers
 	}
 	return total
 }

@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"fmt"
 	"testing"
 
 	"spidercache/internal/xrand"
@@ -19,30 +20,82 @@ func benchVecs(n, dim int) [][]float64 {
 	return out
 }
 
-func BenchmarkInsert(b *testing.B) {
-	vecs := benchVecs(b.N+1, 32)
-	ix, _ := New(DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ix.Upsert(i, vecs[i]); err != nil {
-			b.Fatal(err)
+// clusteredVecs draws n unit-norm vectors around 64 unit-norm centroids
+// (sigma 0.08 per coordinate, vector i in cluster i%64): the embedding space
+// spiderload and the wire_nget workload feed the server's index.
+func clusteredVecs(n, dim int) [][]float64 {
+	const clusters, sigma = 64, 0.08
+	rng := xrand.New(2)
+	cent := make([][]float64, clusters)
+	for c := range cent {
+		cent[c] = unitVec(dim, rng)
+	}
+	out := make([][]float64, n)
+	for i := range out {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = cent[i%clusters][j] + sigma*rng.NormFloat64()
 		}
+		normalize(v)
+		out[i] = v
+	}
+	return out
+}
+
+// benchShapes are the two index shapes the repository runs: the trainer's
+// (dim-32 Gaussian embeddings) and the wire tier's (dim-16 clustered
+// unit-norm embeddings behind NGET/ESET).
+var benchShapes = []struct {
+	name string
+	vecs func(n int) [][]float64
+}{
+	{"dim=32", func(n int) [][]float64 { return benchVecs(n, 32) }},
+	{"dim=16", func(n int) [][]float64 { return clusteredVecs(n, 16) }},
+}
+
+func BenchmarkInsert(b *testing.B) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			vecs := shape.vecs(b.N + 1)
+			ix, _ := New(DefaultConfig())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ix.Upsert(i, vecs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// Sinks keep the compiler from dropping a benchmark's measured call.
+var (
+	sinkResults []Result
+	sinkFloat   float64
+)
 
 func BenchmarkSearchKNN(b *testing.B) {
-	const n = 8000
-	vecs := benchVecs(n, 32)
-	ix, _ := New(DefaultConfig())
-	for i, v := range vecs {
-		ix.Upsert(i, v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.SearchKNN(vecs[i%n], 24)
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			const n = 8000
+			vecs := shape.vecs(n)
+			ix, _ := New(DefaultConfig())
+			for i, v := range vecs {
+				ix.Upsert(i, v)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkResults = ix.SearchKNN(vecs[i%n], 24)
+			}
+		})
 	}
 }
 
+// BenchmarkUpdate replaces each point with another point's un-normalised
+// Gaussian vector: every update teleports across the space, so none takes
+// the UpdateEps shortcut and every one pays the full re-link.
 func BenchmarkUpdate(b *testing.B) {
 	const n = 4000
 	vecs := benchVecs(n, 32)
@@ -50,10 +103,73 @@ func BenchmarkUpdate(b *testing.B) {
 	for i, v := range vecs {
 		ix.Upsert(i, v)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ix.Upsert(i%n, vecs[(i+1)%n]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUpdateDrift is the update the trainer issues: unit-norm dim-32
+// points that each move a little per step. The step sizes reproduce the
+// movement histogram of the train_local workload's later epochs (4 000
+// points; about a sixth of the moves fall under UpdateEps = 0.02 and only
+// copy the vector, a third lie in 0.02-0.08, most of the rest in 0.08-0.32).
+// The drift is applied in place inside the timed loop (about 1% of an
+// update) so that the loop allocates nothing of its own.
+func BenchmarkUpdateDrift(b *testing.B) {
+	const n, dim = 4000, 32
+	rng := xrand.New(3)
+	vecs := make([][]float64, n)
+	ix, _ := New(DefaultConfig())
+	for i := range vecs {
+		vecs[i] = unitVec(dim, rng)
+		ix.Upsert(i, vecs[i])
+	}
+	// sigma*sqrt(dim) is the expected step length.
+	sigmas := [...]float64{0.002, 0.007, 0.014, 0.028, 0.028, 0.05}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, sigma := vecs[i%n], sigmas[rng.Intn(len(sigmas))]
+		for j := range v {
+			v[j] += sigma * rng.NormFloat64()
+		}
+		normalize(v)
+		if err := ix.Upsert(i%n, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernels times one distance row three ways: the scalar loop, a
+// quarter of the four-row kernel, and the early-abandoning compare against
+// a bound the distance exceeds three times over (the common case in
+// selectHeuristic, where the candidate is far from the selected neighbour).
+func BenchmarkKernels(b *testing.B) {
+	for _, dim := range []int{16, 32} {
+		vecs := benchVecs(5, dim)
+		q, r0, r1, r2, r3 := vecs[0], vecs[1], vecs[2], vecs[3], vecs[4]
+		b.Run(fmt.Sprintf("sqDist/dim=%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkFloat += sqDist(q, r0)
+			}
+		})
+		b.Run(fmt.Sprintf("sqDist4/dim=%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i += 4 {
+				s0, s1, s2, s3 := sqDist4(q, r0, r1, r2, r3)
+				sinkFloat += s0 + s1 + s2 + s3
+			}
+		})
+		b.Run(fmt.Sprintf("sqDistBelow/dim=%d", dim), func(b *testing.B) {
+			bound := sqDist(q, r0) / 3
+			for i := 0; i < b.N; i++ {
+				if sqDistBelow(q, r0, bound) {
+					sinkFloat++
+				}
+			}
+		})
 	}
 }

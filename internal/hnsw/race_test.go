@@ -81,6 +81,83 @@ func TestConcurrentUpsertSearch(t *testing.T) {
 	}
 }
 
+// TestSearchWhileArenasGrow has readers searching and reading vectors while
+// one writer grows an index from a handful of points to over a thousand, so
+// that the vector arena, the layer-0 adjacency and the node slice are each
+// reallocated several times under them. A search that kept a row of an old
+// arena across the writer's lock would show up under -race, or as a result
+// that is unsorted, has the wrong length or names an id never inserted.
+func TestSearchWhileArenasGrow(t *testing.T) {
+	ix, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		dim     = 16
+		seeded  = 8
+		total   = 1200
+		readers = 4
+		k       = 8
+	)
+	rng := xrand.New(7)
+	for i := 0; i < seeded; i++ {
+		if err := ix.Upsert(i, randomVec(dim, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(3000 + r))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				res := ix.SearchKNN(randomVec(dim, rng), k)
+				if len(res) != k {
+					t.Errorf("reader %d: %d results, want %d", r, len(res), k)
+					return
+				}
+				for j, hit := range res {
+					if hit.ID < 0 || hit.ID >= total || (j > 0 && hit.Dist < res[j-1].Dist) {
+						t.Errorf("reader %d: bad result list %+v", r, res)
+						return
+					}
+				}
+				if v := ix.Vector(i % seeded); len(v) != dim {
+					t.Errorf("reader %d: Vector has %d components, want %d", r, len(v), dim)
+					return
+				}
+			}
+		}(r)
+	}
+	grown, lastCap := 0, 0
+	for i := seeded; i < total; i++ {
+		if err := ix.Upsert(i, randomVec(dim, rng)); err != nil {
+			t.Error(err)
+			break
+		}
+		ix.mu.RLock()
+		if c := cap(ix.vecs); c != lastCap {
+			grown, lastCap = grown+1, c
+		}
+		ix.mu.RUnlock()
+	}
+	close(done)
+	wg.Wait()
+	if grown < 4 {
+		t.Fatalf("vector arena reallocated %d times; the test wants several", grown)
+	}
+	if got := ix.Len(); got != total {
+		t.Fatalf("Len = %d, want %d", got, total)
+	}
+}
+
 func randomVec(dim int, rng *xrand.Rand) []float64 {
 	v := make([]float64, dim)
 	for i := range v {

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"sort"
 	"sync"
 
 	"spidercache/internal/hnsw"
@@ -109,23 +110,27 @@ func (x *semIndex) unlink(key string) {
 // rebuild reindexes the live points into a fresh HNSW graph, shedding
 // every tombstone. Caller holds x.mu. O(live · insert); amortized by
 // the dead > live trigger, the same argument as arena compaction.
+//
+// Points go in by ascending id, the order they first arrived in: an HNSW
+// graph is a function of its insertion order, so walking a map here would
+// make every later NEAR reply depend on Go's map iteration order.
 func (x *semIndex) rebuild() {
 	fresh, err := hnsw.New(hnsw.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
-	for key, id := range x.byKey {
+	ids := make([]int, 0, len(x.byID))
+	for id := range x.byID {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		// A missing vector cannot happen (ids are only mapped after a
+		// successful Upsert), but must not nuke the mapping's invariants:
+		// drop the key instead.
 		vec := x.ix.Vector(id)
-		if vec == nil {
-			// Cannot happen (ids are only mapped after a successful
-			// Upsert), but a missing vector must not nuke the mapping's
-			// invariants — drop the key instead.
-			delete(x.byKey, key)
-			delete(x.byID, id)
-			continue
-		}
-		if err := fresh.Upsert(id, vec); err != nil {
-			delete(x.byKey, key)
+		if vec == nil || fresh.Upsert(id, vec) != nil {
+			delete(x.byKey, x.byID[id])
 			delete(x.byID, id)
 		}
 	}
