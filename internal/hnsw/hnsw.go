@@ -4,12 +4,13 @@
 // embeddings.
 //
 // The index supports dynamic insertion and in-place vector updates — the two
-// operations SpiderCache's per-batch IS loop performs — plus k-NN search
-// with a tunable ef parameter. Distances are Euclidean (the paper's Eq. 1).
-// The index is safe for concurrent use: an RWMutex gives Upsert exclusive
-// access while any number of searches proceed in parallel under the shared
-// lock, matching hnswlib's concurrent read / exclusive write model the paper
-// relies on.
+// operations SpiderCache's per-batch IS loop performs — in-place deletion
+// with slot reuse, for the cache tier whose eviction runs beside its index,
+// and k-NN search with a tunable ef parameter. Distances are Euclidean (the
+// paper's Eq. 1). The index is safe for concurrent use: an RWMutex gives
+// Upsert and Delete exclusive access while any number of searches proceed in
+// parallel under the shared lock, matching hnswlib's concurrent read /
+// exclusive write model the paper relies on.
 //
 // The implementation follows the paper's Algorithms 1-5: multi-layer
 // proximity graphs with exponentially decaying layer population, greedy
@@ -17,7 +18,8 @@
 // (efConstruction / efSearch), and the diversity-preserving neighbour
 // selection heuristic.
 //
-// Storage is slot-major and flat. A point's slot is its insertion rank; its
+// Storage is slot-major and flat. A point's slot is its insertion rank, or
+// the slot a deleted point left behind (see Delete); its
 // vector is row slot of one []float64 arena and its layer-0 neighbour list
 // is row slot of one []uint32 arena (a count, then room for 2*M+1 slots),
 // so a hop of the layer-0 search is two indexed loads and no pointer chase.
@@ -33,6 +35,7 @@ package hnsw
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"spidercache/internal/xrand"
@@ -73,10 +76,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// node is one indexed point. Its vector lives in Index.vecs, not here, so
-// that walking the graph touches no per-node heap object.
+// node is one slot: an indexed point, or what a deleted point left behind.
+// Its vector lives in Index.vecs, not here, so that walking the graph
+// touches no per-node heap object.
 type node struct {
-	id int // external ID
+	id int // external ID; of a free slot, the ID it was deleted under
+	// free marks a slot whose point was deleted and that no new point has
+	// taken yet. It keeps its vector, its level and its links, so a search
+	// that still reaches it passes through; it is never a result and never
+	// becomes anyone's new neighbour.
+	free bool
 	// upper[l-1] holds neighbour slot indexes at layer l, 1 <= l <= level;
 	// len(upper) is the node's level. Layer 0 lives in Index.links0.
 	upper [][]uint32
@@ -104,8 +113,9 @@ type Index struct {
 	links0  []uint32
 	stride0 int
 	nodes   []node
-	byID    map[int]uint32 // external ID -> slot
-	entry   int            // slot of entry point, -1 if empty
+	free    []uint32       // slots Delete emptied, reused last-in first-out
+	byID    map[int]uint32 // external ID -> slot, live points only
+	entry   int            // slot of entry point (always live), -1 if empty
 	maxLv   int
 }
 
@@ -130,16 +140,16 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch returns a scratch sized for the current node count and for the
-// longest neighbour list the index can hold (a layer-0 list one over its
-// cap, just before linkBack prunes it).
+// getScratch returns a scratch sized for the current slot count and for the
+// longest list of slots whose distances are wanted at once: two full layer-0
+// lists, a neighbour's and a deleted point's, merged by dropLink.
 func (ix *Index) getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
 	if len(s.visited) < len(ix.nodes)+1 {
 		s.visited = make([]uint32, 2*len(ix.nodes)+16)
 		s.epoch = 0
 	}
-	if most := ix.layerCap(0) + 1; cap(s.nbrs) < most {
+	if most := 2 * ix.layerCap(0); cap(s.nbrs) < most {
 		s.nbrs = make([]uint32, 0, most)
 		s.dists = make([]float64, most)
 	}
@@ -177,7 +187,17 @@ func New(cfg Config) (*Index, error) {
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.nodes)
+	return len(ix.byID)
+}
+
+// Free returns the number of slots deleted points left behind that no new
+// point has taken yet. Len() + Free() is the number of slots the index
+// holds, which never exceeds the largest Len() it has had since it was last
+// empty.
+func (ix *Index) Free() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.free)
 }
 
 // Dim returns the dimensionality of the indexed vectors (0 when empty).
@@ -267,7 +287,8 @@ func (ix *Index) distsTo(sc *scratch, slots []uint32, q []float64) []float64 {
 // is already indexed (re-linking the point at every layer it occupies). This
 // is the per-batch "ANN_index.update" operation of the paper's Algorithm 1.
 // Upsert takes the exclusive lock and may run concurrently with SearchKNN
-// callers, which serialise against it.
+// callers, which serialise against it. A call that returns an error has
+// changed nothing.
 func (ix *Index) Upsert(id int, vec []float64) error {
 	if len(vec) == 0 {
 		return fmt.Errorf("hnsw: empty vector for id %d", id)
@@ -279,6 +300,12 @@ func (ix *Index) Upsert(id int, vec []float64) error {
 	}
 	if slot, ok := ix.byID[id]; ok {
 		ix.updateVector(slot, vec)
+		return nil
+	}
+	if n := len(ix.free); n > 0 {
+		slot := ix.free[n-1]
+		ix.free = ix.free[:n-1]
+		ix.reuse(slot, id, vec)
 		return nil
 	}
 	ix.insert(id, vec)
@@ -315,7 +342,8 @@ func (ix *Index) insert(id int, vec []float64) {
 		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
 	// Beam search + heuristic linking on each layer from min(level, maxLv)
-	// down to 0.
+	// down to 0. No slot is free here (Upsert would have reused it), so
+	// every candidate is a point.
 	for l := min(level, ix.maxLv); l >= 0; l-- {
 		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
 		ix.relink(sc, slot, l, cands)
@@ -324,6 +352,27 @@ func (ix *Index) insert(id int, vec []float64) {
 		}
 	}
 	if level > ix.maxLv {
+		ix.maxLv = level
+		ix.entry = int(slot)
+	}
+}
+
+// reuse puts a new point into a free slot: hnswlib's allow_replace_deleted.
+// The slot keeps the level it was drawn when first filled, so the layer
+// populations stay what randomLevel made them, and is linked in the way an
+// update that moved the point a long way links it.
+func (ix *Index) reuse(slot uint32, id int, vec []float64) {
+	nd := &ix.nodes[slot]
+	nd.id, nd.free = id, false
+	ix.byID[id] = slot
+	copy(ix.vec(slot), vec)
+	ix.relinkAll(slot)
+	// The entry point may have passed to a lower point while the slot was
+	// free. Above maxLv there are only free slots: link to none of them.
+	if level := len(nd.upper); level > ix.maxLv {
+		for l := ix.maxLv + 1; l <= level; l++ {
+			ix.setLinks(slot, l, ix.links(slot, l)[:0])
+		}
 		ix.maxLv = level
 		ix.entry = int(slot)
 	}
@@ -340,20 +389,29 @@ func (ix *Index) updateVector(slot uint32, vec []float64) {
 	if stayed || len(ix.nodes) == 1 {
 		return
 	}
+	ix.relinkAll(slot)
+}
+
+// relinkAll searches for slot's vector from the entry point and replaces
+// the point's neighbours, at every layer it shares with the graph, by a
+// selection from what the search found.
+func (ix *Index) relinkAll(slot uint32) {
 	sc := ix.getScratch()
 	defer putScratch(sc)
+	q := ix.vec(slot)
 	level := len(ix.nodes[slot].upper)
 	ep := uint32(ix.entry)
 	epDist := ix.dist(ep, q)
 	for l := ix.maxLv; l > level; l-- {
 		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
+	anyFree := len(ix.free) > 0
 	for l := min(level, ix.maxLv); l >= 0; l-- {
 		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
-		// Drop self-references before selecting.
+		// Drop self-references and free slots before selecting.
 		filtered := cands[:0]
 		for _, c := range cands {
-			if c.id != slot {
+			if c.id != slot && !(anyFree && ix.nodes[c.id].free) {
 				filtered = append(filtered, c)
 			}
 		}
@@ -362,6 +420,119 @@ func (ix *Index) updateVector(slot uint32, vec []float64) {
 			ep, epDist = filtered[0].id, filtered[0].dist
 		}
 	}
+}
+
+// Delete removes id from the index and reports whether it was there. It
+// takes the exclusive lock, like Upsert, and allocates nothing.
+//
+// Every neighbour of the point that links back to it loses that link and
+// re-selects its list from what is left of it and the deleted point's own
+// neighbours, with the heuristic that built the list: the paths that led
+// through the point now lead around it. The entry point and the top layer
+// pass to the highest point left. The slot goes on the free list, and the
+// next Upsert of a new id takes it instead of growing the arenas, so the
+// index holds no more slots than it has held points at once.
+//
+// Links are not symmetric, and a point that linked to the deleted one
+// without being linked from it is not found here. Until the slot is reused
+// its vector, level and links are therefore left as they are: a search that
+// reaches it continues through it as before, SearchKNN leaves it out of
+// what it returns, and Upsert picks no free slot as a neighbour. Once
+// reused, such a leftover link leads to the new point: a long edge, like
+// those an update that moves a point far leaves behind. Deleting the last
+// point empties the index, after which it takes vectors of any one
+// dimensionality again.
+func (ix *Index) Delete(id int) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	slot, ok := ix.byID[id]
+	if !ok {
+		return false
+	}
+	delete(ix.byID, id)
+	if len(ix.byID) == 0 {
+		ix.reset()
+		return true
+	}
+	ix.nodes[slot].free = true
+	ix.free = append(ix.free, slot)
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	for l := len(ix.nodes[slot].upper); l >= 0; l-- {
+		heirs := ix.links(slot, l)
+		for _, nb := range heirs {
+			ix.dropLink(sc, nb, slot, l, heirs)
+		}
+	}
+	if ix.entry == int(slot) {
+		ix.electEntry()
+	}
+	return true
+}
+
+// reset returns the index to the state New left it in, keeping the arenas'
+// capacity and the level generator's position.
+func (ix *Index) reset() {
+	clear(ix.nodes) // lets go of the upper-layer lists
+	ix.nodes, ix.free = ix.nodes[:0], ix.free[:0]
+	ix.vecs, ix.links0 = ix.vecs[:0], ix.links0[:0]
+	ix.dim, ix.entry, ix.maxLv = 0, -1, 0
+}
+
+// electEntry makes the highest point the entry point, the earliest slot
+// among equals. It looks at every slot: only a deleted entry point brings
+// it here, one Delete in Len() on average.
+func (ix *Index) electEntry() {
+	best := -1
+	for i := range ix.nodes {
+		if nd := &ix.nodes[i]; !nd.free && (best < 0 || len(nd.upper) > len(ix.nodes[best].upper)) {
+			best = i
+		}
+	}
+	ix.entry, ix.maxLv = best, len(ix.nodes[best].upper)
+}
+
+// dropLink removes gone, a slot just freed, from nb's layer-l neighbours,
+// if it is among them, and refills the list from the rest of it and from
+// heirs, the neighbours gone had at that layer.
+func (ix *Index) dropLink(sc *scratch, nb, gone uint32, l int, heirs []uint32) {
+	if ix.nodes[nb].free {
+		return
+	}
+	links := ix.links(nb, l)
+	if !slices.Contains(links, gone) {
+		return
+	}
+	// Other free slots nb still links to go out on the same occasion.
+	pool := sc.nbrs[:0]
+	for _, s := range links {
+		if !ix.nodes[s].free {
+			pool = append(pool, s)
+		}
+	}
+	for _, s := range heirs {
+		if s != nb && !ix.nodes[s].free && !slices.Contains(pool, s) {
+			pool = append(pool, s)
+		}
+	}
+	ix.reselect(sc, nb, l, pool)
+}
+
+// reselect makes slot's layer-l neighbours the heuristic's selection from
+// pool, which may be the list itself with additions.
+func (ix *Index) reselect(sc *scratch, slot uint32, l int, pool []uint32) {
+	dists := ix.distsTo(sc, pool, ix.vec(slot))
+	cands := sc.back[:0]
+	for i, nb := range pool {
+		cands = append(cands, candidate{id: nb, dist: dists[i]})
+	}
+	sc.back = cands
+	sortCandidates(cands)
+	links := ix.links(slot, l)[:0]
+	for _, c := range ix.selectHeuristic(cands, ix.layerCap(l), &sc.backSel) {
+		links = append(links, c.id)
+	}
+	ix.setLinks(slot, l, links)
 }
 
 // relink replaces slot's layer-l neighbours with a selection from cands
@@ -394,18 +565,9 @@ func (ix *Index) linkBack(sc *scratch, dst, src uint32, l int) {
 		}
 	}
 	links = append(links, src)
-	if m := ix.layerCap(l); len(links) > m {
-		dists := ix.distsTo(sc, links, ix.vec(dst))
-		cands := sc.back[:0]
-		for i, nb := range links {
-			cands = append(cands, candidate{id: nb, dist: dists[i]})
-		}
-		sc.back = cands
-		sortCandidates(cands)
-		links = links[:0]
-		for _, c := range ix.selectHeuristic(cands, m, &sc.backSel) {
-			links = append(links, c.id)
-		}
+	if len(links) > ix.layerCap(l) {
+		ix.reselect(sc, dst, l, links)
+		return
 	}
 	ix.setLinks(dst, l, links)
 }
@@ -553,17 +715,19 @@ func (ix *Index) SearchKNN(q []float64, k int) []Result {
 }
 
 // SearchKNNEf is SearchKNN with an explicit beam width ef (>= k recommended).
-// Safe for concurrent use; parallel searches share only the read lock.
+// Safe for concurrent use; parallel searches share only the read lock. A
+// query of another dimensionality than the index's finds nothing: Delete can
+// empty the index and another dimensionality can move in between a caller's
+// check and its search.
 func (ix *Index) SearchKNNEf(q []float64, k, ef int) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.entry < 0 || k <= 0 {
+	if ix.entry < 0 || k <= 0 || len(q) != ix.dim {
 		return nil
 	}
 	if ef < k {
 		ef = k
 	}
-	q = q[:ix.dim] // as ever: a short query panics, a long one is cut
 	sc := ix.getScratch()
 	defer putScratch(sc)
 	ep := uint32(ix.entry)
@@ -572,12 +736,16 @@ func (ix *Index) SearchKNNEf(q []float64, k, ef int) []Result {
 		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
 	cands := ix.searchLayer(sc, ep, epDist, q, ef, 0)
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]Result, len(cands))
-	for i, c := range cands {
-		out[i] = Result{ID: ix.nodes[c.id].id, Dist: math.Sqrt(c.dist)}
+	// Free slots the search passed through are left out here, once per
+	// result, and not where it hops.
+	out := make([]Result, 0, min(k, len(cands)))
+	for _, c := range cands {
+		if len(out) == k {
+			break
+		}
+		if nd := &ix.nodes[c.id]; !nd.free {
+			out = append(out, Result{ID: nd.id, Dist: math.Sqrt(c.dist)})
+		}
 	}
 	return out
 }

@@ -144,6 +144,65 @@ func BenchmarkUpdateDrift(b *testing.B) {
 	}
 }
 
+// churnIndex returns an index of the n points with ids 0..n-1 and the pool
+// of 2n vectors the churn benchmarks cycle through: id i holds vecs[i%2n],
+// so deleting the oldest id and inserting the next keeps n points of one
+// distribution, none of them at the place of the one that left.
+func churnIndex(b *testing.B, n int, shape func(n int) [][]float64) (*Index, [][]float64) {
+	vecs := shape(2 * n)
+	ix, _ := New(DefaultConfig())
+	for i := 0; i < n; i++ {
+		if err := ix.Upsert(i, vecs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ix, vecs
+}
+
+// BenchmarkDelete times Delete alone at N = 4096, the wire tier's index
+// size: the insert that refills the slot runs with the clock stopped.
+func BenchmarkDelete(b *testing.B) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			const n = 4096
+			ix, vecs := churnIndex(b, n, shape.vecs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !ix.Delete(i) {
+					b.Fatalf("id %d was not there", i)
+				}
+				b.StopTimer()
+				if err := ix.Upsert(i+n, vecs[(i+n)%len(vecs)]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkChurn is one eviction as the index sees it: the oldest point
+// out, a new one into the slot it left, at a steady N = 4096.
+func BenchmarkChurn(b *testing.B) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			const n = 4096
+			ix, vecs := churnIndex(b, n, shape.vecs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !ix.Delete(i) {
+					b.Fatalf("id %d was not there", i)
+				}
+				if err := ix.Upsert(i+n, vecs[(i+n)%len(vecs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkKernels times one distance row three ways: the scalar loop, a
 // quarter of the four-row kernel, and the early-abandoning compare against
 // a bound the distance exceeds three times over (the common case in

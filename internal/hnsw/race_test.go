@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spidercache/internal/xrand"
@@ -155,6 +156,91 @@ func TestSearchWhileArenasGrow(t *testing.T) {
 	}
 	if got := ix.Len(); got != total {
 		t.Fatalf("Len = %d, want %d", got, total)
+	}
+}
+
+// TestDeleteWhileSearching has readers searching while one writer turns the
+// index over: it deletes the oldest point and inserts a new one into the
+// slot, and twice on the way deletes everything and starts again in another
+// dimensionality. A search must never return an id that was deleted before
+// it began or was never inserted, whatever free slots it passes through,
+// and -race must see no search reading what Delete writes outside the lock.
+func TestDeleteWhileSearching(t *testing.T) {
+	ix, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		live    = 128
+		rounds  = 3
+		perRnd  = 300
+		readers = 4
+		k       = 8
+	)
+	// Ids only grow, so one number bounds what a search may return: ids
+	// below oldest were deleted before the search began.
+	var oldest, next atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(4000 + r))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lo := oldest.Load()
+				// Dimensionalities the writer uses, and one it never does.
+				res := ix.SearchKNN(randomVec(8+4*(i%4), rng), k)
+				hi := next.Load()
+				for j, hit := range res {
+					if int64(hit.ID) < lo || int64(hit.ID) >= hi || (j > 0 && hit.Dist < res[j-1].Dist) {
+						t.Errorf("reader %d: bad result list %+v with ids [%d, %d) live", r, res, lo, hi)
+						return
+					}
+				}
+				_ = ix.Len() + ix.Free()
+				_ = ix.Vector(int(lo))
+			}
+		}(r)
+	}
+	rng := xrand.New(8)
+	for round := 0; round < rounds; round++ {
+		dim := 8 + 4*round
+		insert := func() {
+			id := next.Load()
+			// Readers may see the id as soon as Upsert returns.
+			next.Store(id + 1)
+			if err := ix.Upsert(int(id), randomVec(dim, rng)); err != nil {
+				t.Error(err)
+			}
+		}
+		remove := func() {
+			id := oldest.Load()
+			if !ix.Delete(int(id)) {
+				t.Errorf("id %d was not there to delete", id)
+			}
+			oldest.Store(id + 1)
+		}
+		for i := 0; i < live; i++ {
+			insert()
+		}
+		for i := 0; i < perRnd; i++ {
+			remove()
+			insert()
+		}
+		for ix.Len() > 0 {
+			remove()
+		}
+	}
+	close(done)
+	wg.Wait()
+	if ix.Len() != 0 || ix.Free() != 0 || ix.Dim() != 0 {
+		t.Fatalf("emptied index holds %d points, %d free slots, dim %d", ix.Len(), ix.Free(), ix.Dim())
 	}
 }
 

@@ -153,6 +153,8 @@ type serverTelemetry struct {
 	rdelHit, rdelMiss          *telemetry.Counter
 	semExact, semNear, semMiss *telemetry.Counter   // NGET outcomes
 	semDist                    *telemetry.Histogram // cosine distance of served NEAR substitutes
+	semLive, semFree           *telemetry.Gauge     // semantic index slots: holding an embedding, awaiting reuse
+	semUnlink                  *telemetry.Histogram // cost of removing one embedding, on the SET/DEL path
 	getLat, setLat, delLat     *telemetry.Histogram
 	mgetLat, msetLat           *telemetry.Histogram
 	rsetLat, ngetLat, esetLat  *telemetry.Histogram
@@ -171,6 +173,8 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	reg.Describe("kv_pipeline_depth", "requests served per network flush")
 	reg.Describe("kv_semantic_hits_total", "NGET outcomes: exact hit, near (semantic substitute served), miss")
 	reg.Describe("kv_semantic_dist", "cosine distance of served NEAR substitutes")
+	reg.Describe("kv_semantic_index_points", "semantic index slots: live embeddings, and free slots deleted ones left for reuse")
+	reg.Describe("kv_semantic_unlink_seconds", "time a DEL or an eviction spent removing the key's embedding from the index")
 	tel := serverTelemetry{
 		getHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "hit"}),
 		getMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "miss"}),
@@ -184,6 +188,9 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 		semNear:       reg.Counter("kv_semantic_hits_total", telemetry.Labels{"result": "near"}),
 		semMiss:       reg.Counter("kv_semantic_hits_total", telemetry.Labels{"result": "miss"}),
 		semDist:       reg.Histogram("kv_semantic_dist", nil),
+		semLive:       reg.Gauge("kv_semantic_index_points", telemetry.Labels{"state": "live"}),
+		semFree:       reg.Gauge("kv_semantic_index_points", telemetry.Labels{"state": "free"}),
+		semUnlink:     reg.Histogram("kv_semantic_unlink_seconds", nil),
 		delHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "del", "result": "deleted"}),
 		delMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "del", "result": "miss"}),
 		rdelHit:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "rdel", "result": "deleted"}),
@@ -306,8 +313,18 @@ func newServerCore(st store, reg *telemetry.Registry) *Server {
 		reg:   reg,
 		tel:   newServerTelemetry(reg, st.numShards()),
 	}
-	st.setEvictHook(srv.sem.unlink)
+	st.setEvictHook(srv.unlinkEmbedding)
 	return srv
+}
+
+// unlinkEmbedding removes key's embedding from the semantic index, if it
+// has one, and times the removal, wait for sem.mu included: it runs inline
+// on the SET path (eviction) and the DEL path, so its cost is theirs.
+func (s *Server) unlinkEmbedding(key string) {
+	start := time.Now()
+	if s.sem.unlink(key) {
+		s.tel.semUnlink.Observe(time.Since(start).Seconds())
+	}
 }
 
 // Metrics returns the server's telemetry registry (never nil).
@@ -666,7 +683,7 @@ func (s *Server) doDel(sess *session, args [][]byte) error {
 	// must clear the index even when the value itself was never stored
 	// (or already evicted), or the dead key would keep winning NEAR
 	// candidacies it can no longer serve.
-	s.sem.unlink(key)
+	s.unlinkEmbedding(key)
 	// Deletes fan out even on a local miss: a replica may hold the value
 	// this node already evicted, and a DEL must not resurrect it.
 	if s.cluster != nil {
@@ -689,7 +706,7 @@ func (s *Server) doRDel(sess *session, args [][]byte) error {
 		return errBadArgs
 	}
 	key := string(args[0])
-	defer s.sem.unlink(key) // see doDel
+	defer s.unlinkEmbedding(key) // see doDel
 	if s.store.del(key) {
 		s.tel.rdelHit.Inc()
 		_, err := sess.w.WriteString("DELETED\r\n")
@@ -880,8 +897,8 @@ func parseLength(b []byte) (int, error) {
 	return n, nil
 }
 
-// metricsText refreshes the store-level and per-shard gauges and renders
-// the registry in the Prometheus text exposition format.
+// metricsText refreshes the store-level, per-shard and semantic-index
+// gauges and renders the registry in the Prometheus text exposition format.
 func (s *Server) metricsText() string {
 	items, hits, misses := s.store.stats()
 	s.tel.items.Set(float64(items))
@@ -891,5 +908,8 @@ func (s *Server) metricsText() string {
 		n, _, _, _ := s.store.shardStats(i)
 		g.Set(float64(n))
 	}
+	live, free := s.sem.size()
+	s.tel.semLive.Set(float64(live))
+	s.tel.semFree.Set(float64(free))
 	return s.reg.Prometheus()
 }

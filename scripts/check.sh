@@ -56,11 +56,13 @@ echo "$alloc_out" | awk '
     END { exit bad }'
 
 # Same reasoning one layer up: the trainer upserts and searches the HNSW
-# index once per sample per batch, and the index's hot path is built to take
-# its working memory from a pooled scratch. An update of an existing point
-# must allocate nothing, a search only the slice it returns.
-echo "== hnsw alloc regression (update Upsert 0 allocs/op, SearchKNN <= 1)"
-hnsw_out="$(go test -run '^$' -bench '^Benchmark(Update|UpdateDrift|SearchKNN)$' \
+# index once per sample per batch, the cache tier deletes from it once per
+# eviction, and the index's hot path is built to take its working memory
+# from a pooled scratch. An update of an existing point and a delete must
+# allocate nothing, a search only the slice it returns. The line count is
+# checked so that a benchmark going missing cannot pass the gate.
+echo "== hnsw alloc regression (update Upsert and Delete 0 allocs/op, SearchKNN <= 1)"
+hnsw_out="$(go test -run '^$' -bench '^Benchmark(Update|UpdateDrift|SearchKNN|Delete)$' \
     -benchtime 2000x -benchmem ./internal/hnsw/)"
 echo "$hnsw_out"
 echo "$hnsw_out" | awk '
@@ -68,12 +70,16 @@ echo "$hnsw_out" | awk '
         seen++
         if ($(NF-1)+0 != 0) { print "hnsw update allocates: " $0 > "/dev/stderr"; bad = 1 }
     }
+    /^BenchmarkDelete/ && / allocs\/op/ {
+        seen++
+        if ($(NF-1)+0 != 0) { print "hnsw delete allocates: " $0 > "/dev/stderr"; bad = 1 }
+    }
     /^BenchmarkSearchKNN/ && / allocs\/op/ {
         seen++
         if ($(NF-1)+0 > 1) { print "hnsw search allocates more than its result: " $0 > "/dev/stderr"; bad = 1 }
     }
     END {
-        if (seen != 4) { print "expected 4 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
+        if (seen != 6) { print "expected 6 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
         exit bad
     }'
 
