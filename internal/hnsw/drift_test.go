@@ -1,0 +1,165 @@
+package hnsw
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"spidercache/internal/xrand"
+)
+
+// meanDegree0 is the mean length of the layer-0 neighbour lists.
+func meanDegree0(ix *Index) float64 {
+	total := 0
+	for i := range ix.nodes {
+		total += len(ix.links(uint32(i), 0))
+	}
+	return float64(total) / float64(len(ix.nodes))
+}
+
+// recallOf is the share of the exact k nearest of vecs (index = id) that
+// searches at beam width ef return, over the given queries.
+func recallOf(ix *Index, vecs [][]float64, queries [][]float64, k, ef int) float64 {
+	found := 0
+	for _, q := range queries {
+		got := map[int]bool{}
+		for _, r := range ix.SearchKNNEf(q, k, ef) {
+			got[r.ID] = true
+		}
+		for _, id := range bruteKNN(vecs, q, k) {
+			if got[id] {
+				found++
+			}
+		}
+	}
+	return float64(found) / float64(k*len(queries))
+}
+
+// TestCreepingPointIsRelinked walks one point across a 2 000-point index in
+// 200 steps of half an UpdateEps. No single step calls for a re-link; the
+// path does, a hundred times over.
+func TestCreepingPointIsRelinked(t *testing.T) {
+	const n, dim, steps, walker = 2000, 32, 200, 0
+	cfg := DefaultConfig()
+	rng := xrand.New(32)
+	vecs := unitVecs(n, dim, 31)
+	ix, _ := New(cfg)
+	for i, v := range vecs {
+		if err := ix.Upsert(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Towards the point farthest away, so that the walk leaves the
+	// neighbourhood it started in.
+	far := 1
+	for i := range vecs {
+		if sqDist(vecs[i], vecs[walker]) > sqDist(vecs[far], vecs[walker]) {
+			far = i
+		}
+	}
+	dir := make([]float64, dim)
+	for j := range dir {
+		dir[j] = vecs[far][j] - vecs[walker][j]
+	}
+	normalize(dir)
+	pos := slices.Clone(vecs[walker])
+	for s := 0; s < steps; s++ {
+		for j := range pos {
+			pos[j] += cfg.UpdateEps / 2 * dir[j]
+		}
+		if err := ix.Upsert(walker, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vecs[walker] = pos
+	checkGraph(t, ix)
+
+	others := make([][]float64, n) // the walker itself out of reach
+	copy(others, vecs)
+	others[walker] = make([]float64, dim)
+	for j := range others[walker] {
+		others[walker][j] = math.Inf(1)
+	}
+	nearest := bruteKNN(others, pos, 2*cfg.M)
+	links := ix.links(ix.byID[walker], 0)
+	among := 0
+	for _, nb := range links {
+		if slices.Contains(nearest, ix.nodes[nb].id) {
+			among++
+		}
+	}
+	if 2*among < len(links) || len(links) == 0 {
+		t.Fatalf("%d of the walker's %d links are among the %d nearest of where it stands", among, len(links), 2*cfg.M)
+	}
+	for i := 0; i < 20; i++ {
+		q := slices.Clone(pos)
+		for j := range q {
+			q[j] += 0.01 * rng.NormFloat64()
+		}
+		if res := ix.SearchKNN(q, 1); len(res) != 1 || res[0].ID != walker {
+			t.Fatalf("query beside the walker returned %v", res)
+		}
+	}
+}
+
+// TestRecallAfterDrift is the quality bar for link lists that hold what the
+// heuristic kept and no more: every point of each shape the repository
+// indexes drifts for six rounds by the step mix of BenchmarkUpdateDrift,
+// and each point's 24 nearest are then asked for at the default beam.
+func TestRecallAfterDrift(t *testing.T) {
+	if raceBuild() {
+		t.Skip("one goroutine, and minutes of it under -race")
+	}
+	const n, k, ef, rounds = 4000, 24, 64, 6
+	shapes := []struct {
+		name    string
+		vecs    func() [][]float64
+		unit    bool // points live on the unit sphere
+		uniform bool // nothing for the heuristic to thin out
+	}{
+		{"unit-32", func() [][]float64 { return unitVecs(n, 32, 3) }, true, true},
+		{"gaussian-32", func() [][]float64 { return benchVecs(n, 32) }, false, false},
+		{"clustered-16", func() [][]float64 { return clusteredVecs(n, 16) }, true, false},
+	}
+	sigmas := [...]float64{0.002, 0.007, 0.014, 0.028, 0.028, 0.05}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			vecs := shape.vecs()
+			cfg := DefaultConfig()
+			ix, _ := New(cfg)
+			for i, v := range vecs {
+				if err := ix.Upsert(i, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := xrand.New(4)
+			for r := 0; r < rounds; r++ {
+				for i, v := range vecs {
+					sigma := sigmas[rng.Intn(len(sigmas))]
+					for j := range v {
+						v[j] += sigma * rng.NormFloat64()
+					}
+					if shape.unit {
+						normalize(v)
+					}
+					if err := ix.Upsert(i, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkGraph(t, ix)
+			queries := make([][]float64, 400)
+			for i := range queries {
+				queries[i] = vecs[rng.Intn(n)]
+			}
+			recall, degree := recallOf(ix, vecs, queries, k, ef), meanDegree0(ix)
+			t.Logf("recall@%d at ef %d: %.4f, mean layer-0 degree %.1f of %d", k, ef, recall, degree, 2*cfg.M)
+			if recall < 0.98 {
+				t.Fatalf("recall@%d at ef %d after %d rounds of drift: %.4f", k, ef, rounds, recall)
+			}
+			if !shape.uniform && degree >= float64(2*cfg.M) {
+				t.Fatalf("mean layer-0 degree %.2f: every list is full", degree)
+			}
+		})
+	}
+}

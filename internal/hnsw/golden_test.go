@@ -10,15 +10,20 @@ import (
 	"spidercache/internal/xrand"
 )
 
-// Hashes of goldenTrace recorded on the commit before the vector arena and
-// the four-row kernel landed (PR 11, per-node heap vectors and scalar
-// sqDist). Search results and link lists are a function of every rounding
-// and every tie-break in the package, and training trajectories are a
-// function of them, so a change that moves either constant has changed the
-// reproduction's numbers: explain it in DESIGN.md and re-record, or fix it.
+// Hashes of goldenTrace. Search results and link lists are a function of
+// every rounding and every tie-break in the package, and training
+// trajectories are a function of them, so a change that moves either
+// constant has changed the reproduction's numbers: explain it in DESIGN.md
+// and re-record, or fix it. History: 0x9405774874bb4765 / 0xc6824fde6f085507
+// were recorded on PR 11's per-node vectors and scalar sqDist and held
+// through the arena, the four-row kernel, in-place delete and the switch
+// from two heaps to one sorted beam; the constants below were recorded when
+// selectHeuristic stopped refilling lists to their cap and UpdateEps began
+// to count the path a point has moved (DESIGN.md section 10, with the
+// recall measurements that justify them).
 const (
-	goldenSearchHash = 0x9405774874bb4765
-	goldenLinksHash  = 0xc6824fde6f085507
+	goldenSearchHash = 0x8f4afb5bfbba7607
+	goldenLinksHash  = 0x7a1872c9a7b7723c
 )
 
 // normalize scales v to unit length in place.

@@ -16,7 +16,9 @@
 // proximity graphs with exponentially decaying layer population, greedy
 // descent from the entry point, best-first beam search per layer
 // (efConstruction / efSearch), and the diversity-preserving neighbour
-// selection heuristic.
+// selection heuristic. As in hnswlib, a neighbour list holds what the
+// heuristic kept and no more: a list below its cap takes a back-link by
+// appending it, and only one that overflows is selected again.
 //
 // Storage is slot-major and flat. A point's slot is its insertion rank, or
 // the slot a deleted point left behind (see Delete); its
@@ -25,11 +27,13 @@
 // so a hop of the layer-0 search is two indexed loads and no pointer chase.
 // Only the upper layers, which one point in M reaches, keep a slice per
 // layer. Distances are computed for all unvisited neighbours of a node at
-// once, four rows per kernel call (kernel.go), and all working memory of a
-// search or an upsert comes from a pooled scratch: updating a point
-// allocates nothing and a search allocates only its result. None of this
-// changes a single result: every sum keeps its order, every heap sees the
-// same distances in the same sequence. TestGoldenTrace pins that down.
+// once, four rows per kernel call (kernel.go), the beam of a layer search is
+// one sorted array (searchLayer), and all working memory of a search or an
+// upsert comes from a pooled scratch: updating a point allocates nothing and
+// a search allocates only its result. Every sum keeps its order and every
+// search meets its candidates in one defined order, so results, link lists
+// and through them training runs are a function of the input alone.
+// TestGoldenTrace pins them down.
 package hnsw
 
 import (
@@ -86,6 +90,10 @@ type node struct {
 	// that still reaches it passes through; it is never a result and never
 	// becomes anyone's new neighbour.
 	free bool
+	// moved is how far the point has travelled, step by step, since its
+	// links were last selected: an upper bound on how far it is from where
+	// they were selected for.
+	moved float64
 	// upper[l-1] holds neighbour slot indexes at layer l, 1 <= l <= level;
 	// len(upper) is the node's level. Layer 0 lives in Index.links0.
 	upper [][]uint32
@@ -128,14 +136,12 @@ type scratch struct {
 	visited []uint32
 	epoch   uint32
 
-	frontier minHeap     // searchLayer: candidates still to expand
-	results  maxHeap     // searchLayer: the ef best so far
-	cands    []candidate // searchLayer's sorted output
-	sel      []candidate // neighbours selected for the point being linked
-	back     []candidate // linkBack: the overflowing list, sorted
-	backSel  []candidate // linkBack: what survives the pruning
-	nbrs     []uint32    // slots whose distances are about to be computed
-	dists    []float64   // their distances, same order
+	cands   []candidate // searchLayer's beam, which is also its output
+	sel     []candidate // neighbours selected for the point being linked
+	back    []candidate // linkBack: the overflowing list, sorted
+	backSel []candidate // linkBack: what survives the pruning
+	nbrs    []uint32    // slots whose distances are about to be computed
+	dists   []float64   // their distances, same order
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -378,15 +384,17 @@ func (ix *Index) reuse(slot uint32, id int, vec []float64) {
 	}
 }
 
-// updateVector replaces the stored vector and repairs the point's outgoing
-// links by re-running neighbour selection at each of its layers, mirroring
-// hnswlib's update_point repair. Movements below UpdateEps skip the repair.
+// updateVector replaces the stored vector and, once the point has moved
+// UpdateEps since its links were last selected, repairs them by re-running
+// neighbour selection at each of its layers, mirroring hnswlib's
+// update_point repair. The steps of successive calls add up, so a point
+// that creeps is re-linked every UpdateEps of path at the latest.
 func (ix *Index) updateVector(slot uint32, vec []float64) {
-	q := ix.vec(slot)
-	eps := ix.cfg.UpdateEps
-	stayed := eps > 0 && sqDistBelow(q, vec, eps*eps)
+	q, nd := ix.vec(slot), &ix.nodes[slot]
+	nd.moved += math.Sqrt(sqDist(q, vec))
 	copy(q, vec)
-	if stayed || len(ix.nodes) == 1 {
+	// A NaN step compares false and re-links, as does any step at eps 0.
+	if nd.moved < ix.cfg.UpdateEps || len(ix.nodes) == 1 {
 		return
 	}
 	ix.relinkAll(slot)
@@ -399,6 +407,7 @@ func (ix *Index) relinkAll(slot uint32) {
 	sc := ix.getScratch()
 	defer putScratch(sc)
 	q := ix.vec(slot)
+	ix.nodes[slot].moved = 0
 	level := len(ix.nodes[slot].upper)
 	ep := uint32(ix.entry)
 	epDist := ix.dist(ep, q)
@@ -589,58 +598,89 @@ func (ix *Index) greedyStep(sc *scratch, ep uint32, epDist float64, q []float64,
 	}
 }
 
+// candidate pairs a slot with its distance to the current query.
+type candidate struct {
+	id       uint32
+	expanded bool // searchLayer: the slot's neighbours have been looked at
+	dist     float64
+}
+
 // searchLayer runs best-first beam search on layer l starting from ep and
-// returns up to ef candidates sorted by ascending distance, in a buffer
-// that is valid until the next searchLayer on the same scratch. All working
-// memory lives in the caller's scratch, so concurrent searches are
-// independent.
+// returns up to ef candidates sorted by ascending distance, equal distances
+// in the order the search met them, in a buffer that is valid until the next
+// searchLayer on the same scratch. All working memory lives in the caller's
+// scratch, so concurrent searches are independent.
 //
-// Each expansion first gathers the neighbours not yet visited and computes
-// their distances together (distsTo), then offers them to the heaps in list
-// order: the same distances reach the same heaps in the same order as if
-// each had been computed where it is used.
+// The beam is one array: the ef nearest candidates met so far, ascending,
+// each marked once expanded, with cur at or before the nearest one not yet
+// marked. A step expands that one: it gathers its neighbours not yet
+// visited, computes their distances together (distsTo) and inserts, in list
+// order, those below bound, the distance of the last entry of a full beam.
+// The search ends when every entry is marked. This is the textbook's loop
+// over a min-heap of candidates and a max-heap of results, which stops at
+// the first candidate farther than the ef-th result: an entry pushed off
+// the end of the beam is such a candidate, so forgetting it skips nothing
+// (beam_test.go holds the two to each other). A distance that is not below
+// +Inf never enters; the entry point's counts as +Inf.
 func (ix *Index) searchLayer(sc *scratch, ep uint32, epDist float64, q []float64, ef int, l int) []candidate {
 	epoch := sc.nextEpoch()
 	visited := sc.visited
 	visited[ep] = epoch
 
-	frontier, results := sc.frontier[:0], sc.results[:0]
-	frontier.push(candidate{id: ep, dist: epDist})
-	results.push(candidate{id: ep, dist: epDist})
-
-	for len(frontier) > 0 {
-		cur := frontier.pop()
-		if len(results) >= ef && cur.dist > results.top().dist {
-			break
+	bound := math.Inf(1)
+	if !(epDist < bound) {
+		epDist = bound
+	}
+	beam := append(sc.cands[:0], candidate{id: ep, dist: epDist})
+	if ef == 1 { // full from the start
+		bound = epDist
+	}
+	for cur := 0; cur < len(beam); {
+		if beam[cur].expanded {
+			cur++
+			continue
 		}
+		beam[cur].expanded = true
 		nbrs := sc.nbrs[:0]
-		for _, nb := range ix.links(cur.id, l) {
+		for _, nb := range ix.links(beam[cur].id, l) {
 			if visited[nb] != epoch {
 				visited[nb] = epoch
 				nbrs = append(nbrs, nb)
 			}
 		}
 		for i, d := range ix.distsTo(sc, nbrs, q) {
-			if len(results) < ef || d < results.top().dist {
-				c := candidate{id: nbrs[i], dist: d}
-				frontier.push(c)
-				results.push(c)
-				if len(results) > ef {
-					results.pop()
+			if !(d < bound) {
+				continue
+			}
+			// The first entry farther than d: equal ones stay ahead of it.
+			at, hi := 0, len(beam)
+			for at < hi {
+				if mid := int(uint(at+hi) >> 1); d < beam[mid].dist {
+					hi = mid
+				} else {
+					at = mid + 1
 				}
 			}
+			if len(beam) < ef {
+				beam = append(beam, candidate{})
+			}
+			copy(beam[at+1:], beam[at:])
+			beam[at] = candidate{id: nbrs[i], dist: d}
+			if len(beam) == ef {
+				bound = beam[ef-1].dist
+			}
+			cur = min(cur, at)
 		}
 	}
-	out := append(sc.cands[:0], results...)
-	sortCandidates(out)
-	sc.frontier, sc.results, sc.cands = frontier, results, out
-	return out
+	sc.cands = beam
+	return beam
 }
 
 // selectHeuristic implements the diversity-preserving neighbour selection of
 // the HNSW paper (Algorithm 4): a candidate is kept only if it is closer to
 // the query than to every already-selected neighbour. cands must be sorted
-// ascending by distance. The result is cands itself or lives in *buf.
+// ascending by distance. What the rule turns away stays out, so the result
+// may hold fewer than m; it is cands itself or lives in *buf.
 func (ix *Index) selectHeuristic(cands []candidate, m int, buf *[]candidate) []candidate {
 	if len(cands) <= m {
 		return cands
@@ -666,31 +706,13 @@ func (ix *Index) selectHeuristic(cands []candidate, m int, buf *[]candidate) []c
 			selected = append(selected, c)
 		}
 	}
-	// Backfill with nearest remaining candidates when the heuristic was too
-	// aggressive (keepPrunedConnections in hnswlib terms).
-	if len(selected) < m {
-		for _, c := range cands {
-			if len(selected) >= m {
-				break
-			}
-			dup := false
-			for _, s := range selected {
-				if s.id == c.id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				selected = append(selected, c)
-			}
-		}
-	}
 	*buf = selected
 	return selected
 }
 
+// sortCandidates orders a pool of at most two neighbour lists by ascending
+// distance, equal distances staying in list order.
 func sortCandidates(cands []candidate) {
-	// Insertion sort: candidate lists are small (<= ef).
 	for i := 1; i < len(cands); i++ {
 		c := cands[i]
 		j := i - 1
@@ -761,6 +783,27 @@ func (ix *Index) randomLevel() int {
 	return lv
 }
 
+// Links returns the number of links the index holds, all layers and free
+// slots included. Lists are as long as the selection heuristic left them,
+// so Links over Len is the graph's mean degree, the first number to read
+// when recall or search time moves.
+func (ix *Index) Links() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.countLinks()
+}
+
+func (ix *Index) countLinks() int {
+	total := 0
+	for i := range ix.nodes {
+		total += len(ix.links(uint32(i), 0))
+		for _, l := range ix.nodes[i].upper {
+			total += len(l)
+		}
+	}
+	return total
+}
+
 // MemoryBytes estimates the resident size of the index: 8 bytes per vector
 // component in the arena, 4 per link, and 48 of per-node bookkeeping (id,
 // level, list headers). It counts links held, not list capacity, so the
@@ -769,12 +812,5 @@ func (ix *Index) randomLevel() int {
 func (ix *Index) MemoryBytes() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	total := int64(len(ix.nodes)) * int64(ix.dim*8+48)
-	for i := range ix.nodes {
-		total += int64(len(ix.links(uint32(i), 0))) * 4
-		for _, l := range ix.nodes[i].upper {
-			total += int64(len(l)) * 4
-		}
-	}
-	return total
+	return int64(len(ix.nodes))*int64(ix.dim*8+48) + int64(ix.countLinks())*4
 }

@@ -20,6 +20,16 @@ func benchVecs(n, dim int) [][]float64 {
 	return out
 }
 
+// unitVecs draws n vectors uniformly from the unit sphere.
+func unitVecs(n, dim int, seed uint64) [][]float64 {
+	rng := xrand.New(seed)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = unitVec(dim, rng)
+	}
+	return out
+}
+
 // clusteredVecs draws n unit-norm vectors around 64 unit-norm centroids
 // (sigma 0.08 per coordinate, vector i in cluster i%64): the embedding space
 // spiderload and the wire_nget workload feed the server's index.
@@ -204,9 +214,10 @@ func BenchmarkChurn(b *testing.B) {
 }
 
 // BenchmarkKernels times one distance row three ways: the scalar loop, a
-// quarter of the four-row kernel, and the early-abandoning compare against
-// a bound the distance exceeds three times over (the common case in
-// selectHeuristic, where the candidate is far from the selected neighbour).
+// quarter of the four-row kernel, and a quarter of the early-abandoning
+// compare against a bound the distances exceed three times over (the common
+// case in selectHeuristic, where the candidate is far from the selected
+// neighbours).
 func BenchmarkKernels(b *testing.B) {
 	for _, dim := range []int{16, 32} {
 		vecs := benchVecs(5, dim)
@@ -222,10 +233,11 @@ func BenchmarkKernels(b *testing.B) {
 				sinkFloat += s0 + s1 + s2 + s3
 			}
 		})
-		b.Run(fmt.Sprintf("sqDistBelow/dim=%d", dim), func(b *testing.B) {
-			bound := sqDist(q, r0) / 3
-			for i := 0; i < b.N; i++ {
-				if sqDistBelow(q, r0, bound) {
+		b.Run(fmt.Sprintf("anyBelow4/dim=%d", dim), func(b *testing.B) {
+			s0, s1, s2, s3 := sqDist4(q, r0, r1, r2, r3)
+			bound := min(s0, s1, s2, s3) / 3
+			for i := 0; i < b.N; i += 4 {
+				if anyBelow4(q, r0, r1, r2, r3, bound) {
 					sinkFloat++
 				}
 			}

@@ -261,4 +261,10 @@ func TestMemoryBytes(t *testing.T) {
 	if got < 100*16*8 {
 		t.Fatalf("MemoryBytes %d below raw vector size", got)
 	}
+	// 100 points is more than one full list: every point has links, none
+	// more than its caps, and the bytes charge four for each.
+	links := ix.Links()
+	if links < 100 || links > 100*3*DefaultConfig().M || got != 100*(16*8+48)+4*int64(links) {
+		t.Fatalf("Links %d, MemoryBytes %d", links, got)
+	}
 }

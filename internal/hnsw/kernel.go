@@ -4,8 +4,8 @@ package hnsw
 // at a time, exactly as sqDist does: floating-point addition is not
 // associative, and search results, link lists and from them whole training
 // runs are a function of every distance's last bit. Speed comes from
-// running several such sums side by side (sqDist4) or from stopping one
-// early when only a comparison is wanted (sqDistBelow), never from
+// running several such sums side by side (sqDist4) or from stopping them
+// early when only a comparison is wanted (anyBelow4), never from
 // re-associating a sum. The float64 conversions forbid the compiler from
 // fusing the multiply into the add on architectures with FMA, which would
 // round once where amd64 rounds twice.
@@ -36,35 +36,13 @@ func sqDist4(q, a, b, c, d []float64) (sa, sb, sc, sd float64) {
 	return
 }
 
-// sqDistBelow reports sqDist(a, b) < bound without always finishing the
-// sum. Every term is a square, so it is >= 0 or NaN, and rounding is
-// monotone, so a partial sum never exceeds a later one unless that one is
-// NaN. Once a partial sum reaches bound the full sum is therefore >= bound
-// or NaN, and either way not below it: stopping there gives sqDist's answer.
-// The bound is tested once per eight components.
-func sqDistBelow(a, b []float64, bound float64) bool {
-	b = b[:len(a)]
-	var s float64
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		for j := i; j < i+8; j++ {
-			d := a[j] - b[j]
-			s += float64(d * d)
-		}
-		if s >= bound {
-			return false
-		}
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s += float64(d * d)
-	}
-	return s < bound
-}
-
 // anyBelow4 reports whether any of sqDist(a, q), sqDist(b, q), sqDist(c, q),
-// sqDist(d, q) is below bound: sqDist4's four chains with sqDistBelow's
-// early exit, taken once every row has reached the bound.
+// sqDist(d, q) is below bound, without always finishing the sums. Every term
+// is a square, so it is >= 0 or NaN, and rounding is monotone, so a partial
+// sum never exceeds a later one unless that one is NaN. Once a partial sum
+// reaches bound the full sum is therefore >= bound or NaN, and either way
+// not below it: stopping once all four have got there gives sqDist's
+// answer. The bound is tested once per eight components.
 func anyBelow4(q, a, b, c, d []float64, bound float64) bool {
 	a, b, c, d = a[:len(q)], b[:len(q)], c[:len(q)], d[:len(q)]
 	var sa, sb, sc, sd float64

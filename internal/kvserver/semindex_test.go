@@ -239,12 +239,13 @@ func TestESetDimFollowsTheIndex(t *testing.T) {
 }
 
 // TestMetricsSemanticIndex: METRICS shows how many slots the index holds
-// and in which state, and what removing an embedding cost on the path of
-// the SET or DEL that caused it.
+// and in which state, how many links its graph holds (a free slot keeps
+// its own until it is reused; the links to it go at once), and what
+// removing an embedding cost on the path of the SET or DEL that caused it.
 func TestMetricsSemanticIndex(t *testing.T) {
 	srv := startServer(t, 3) // one shard, strict LRU
 	c := dial(t, srv)
-	scrape := func(wantLive, wantFree, wantUnlinks float64) {
+	scrape := func(wantLive, wantFree, wantLinks, wantUnlinks float64) {
 		t.Helper()
 		text, err := c.Metrics()
 		if err != nil {
@@ -253,19 +254,20 @@ func TestMetricsSemanticIndex(t *testing.T) {
 		for series, want := range map[string]float64{
 			`kv_semantic_index_points{state="live"}`: wantLive,
 			`kv_semantic_index_points{state="free"}`: wantFree,
+			`kv_semantic_index_links`:                wantLinks,
 			`kv_semantic_unlink_seconds_count`:       wantUnlinks,
 		} {
 			if got, ok := scrapeGauge(text, series); !ok || got != want {
 				t.Fatalf("%s = %v (present %v), want %v:\n%s", series, got, ok, want, text)
 			}
 		}
-		for _, help := range []string{"# HELP kv_semantic_index_points ", "# HELP kv_semantic_unlink_seconds "} {
+		for _, help := range []string{"# HELP kv_semantic_index_points ", "# HELP kv_semantic_index_links ", "# HELP kv_semantic_unlink_seconds "} {
 			if !strings.Contains(text, help) {
 				t.Fatalf("METRICS has no %q", help)
 			}
 		}
 	}
-	scrape(0, 0, 0)
+	scrape(0, 0, 0, 0)
 	for i, k := range []string{"a", "b", "c"} {
 		if err := c.Set(k, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -274,21 +276,21 @@ func TestMetricsSemanticIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scrape(3, 0, 0)
+	scrape(3, 0, 6, 0)
 	if err := c.Set("d", []byte("v")); err != nil { // evicts a and its embedding
 		t.Fatal(err)
 	}
-	scrape(2, 1, 1)
+	scrape(2, 1, 4, 1)
 	if err := c.ESet("d", unit(1, 3)); err != nil { // takes the slot
 		t.Fatal(err)
 	}
-	scrape(3, 0, 1)
+	scrape(3, 0, 6, 1)
 	if _, err := c.Del("a"); err != nil { // nothing left of a to unlink
 		t.Fatal(err)
 	}
-	scrape(3, 0, 1)
+	scrape(3, 0, 6, 1)
 	if _, err := c.Del("b"); err != nil {
 		t.Fatal(err)
 	}
-	scrape(2, 1, 2)
+	scrape(2, 1, 4, 2)
 }

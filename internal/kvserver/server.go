@@ -154,6 +154,7 @@ type serverTelemetry struct {
 	semExact, semNear, semMiss *telemetry.Counter   // NGET outcomes
 	semDist                    *telemetry.Histogram // cosine distance of served NEAR substitutes
 	semLive, semFree           *telemetry.Gauge     // semantic index slots: holding an embedding, awaiting reuse
+	semLinks                   *telemetry.Gauge     // links the semantic index's graph holds
 	semUnlink                  *telemetry.Histogram // cost of removing one embedding, on the SET/DEL path
 	getLat, setLat, delLat     *telemetry.Histogram
 	mgetLat, msetLat           *telemetry.Histogram
@@ -174,6 +175,7 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	reg.Describe("kv_semantic_hits_total", "NGET outcomes: exact hit, near (semantic substitute served), miss")
 	reg.Describe("kv_semantic_dist", "cosine distance of served NEAR substitutes")
 	reg.Describe("kv_semantic_index_points", "semantic index slots: live embeddings, and free slots deleted ones left for reuse")
+	reg.Describe("kv_semantic_index_links", "links held by the semantic index's graph, all layers; over the slot count it is the mean degree")
 	reg.Describe("kv_semantic_unlink_seconds", "time a DEL or an eviction spent removing the key's embedding from the index")
 	tel := serverTelemetry{
 		getHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "hit"}),
@@ -190,6 +192,7 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 		semDist:       reg.Histogram("kv_semantic_dist", nil),
 		semLive:       reg.Gauge("kv_semantic_index_points", telemetry.Labels{"state": "live"}),
 		semFree:       reg.Gauge("kv_semantic_index_points", telemetry.Labels{"state": "free"}),
+		semLinks:      reg.Gauge("kv_semantic_index_links", nil),
 		semUnlink:     reg.Histogram("kv_semantic_unlink_seconds", nil),
 		delHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "del", "result": "deleted"}),
 		delMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "del", "result": "miss"}),
@@ -911,5 +914,6 @@ func (s *Server) metricsText() string {
 	live, free := s.sem.size()
 	s.tel.semLive.Set(float64(live))
 	s.tel.semFree.Set(float64(free))
+	s.tel.semLinks.Set(float64(s.sem.ix.Links()))
 	return s.reg.Prometheus()
 }

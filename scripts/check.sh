@@ -1,7 +1,8 @@
 #!/bin/sh
 # One-shot verification gate: formatting, module hygiene, build, vet with an
 # explicit check list, the project's own static analysis (spiderlint), the
-# full test suite, and the race-sensitive subset under -race. Everything CI
+# full test suite, the allocation gates, the bench module's vet and short
+# tests, and the race-sensitive subset under -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -82,6 +83,13 @@ echo "$hnsw_out" | awk '
         if (seen != 6) { print "expected 6 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
         exit bad
     }'
+
+# bench/ is its own module, so nothing above compiles it. Its decorators
+# wrap product types method for method (timedSearcher = Upsert/SearchKNN/Len,
+# checkedRemote): a product change that breaks them should fail here and not
+# in the benchmark pipeline.
+echo "== bench module (go vet, go test -short)"
+(cd bench && go vet ./... && go test -short ./...)
 
 if [ "${RACE_FULL:-0}" = "1" ]; then
     # Opt-in: every package under the race detector, not just the curated
