@@ -7,9 +7,6 @@
 //	spiderkv                                  # single-node cluster on :7461
 //	spiderkv -listen :7462 -join host:7461    # join an existing cluster
 //	spiderkv -replicas 3 -capacity 1000000    # wider replication, bigger store
-//	spiderkv -store-mode arena -admission tinylfu
-//	                                          # GC-free arena store with
-//	                                          # TinyLFU admission filtering
 //	spiderkv -advertise 10.0.0.5:7461         # routable address behind NAT
 //
 // The first daemon bootstraps a cluster of one; each further daemon is

@@ -34,20 +34,17 @@ type clusterParams struct {
 	timeout       time.Duration
 	retries       int
 	jsonOut       string
-	storeMode     string
-	admission     string
+	store         kvserver.Config // -capacity, -shards of the booted daemons
 }
 
 // loadResult is the JSON summary the -json flag persists, with one schema
 // for both the single-node and cluster paths so A/B tooling (BENCH_6.json,
-// BENCH_7.json, scripts/bench.sh) can diff runs field-for-field: mode
-// tells them apart ("single" vs "cluster"), throughput/latency/hit-rate
-// fields mean the same thing in both, and the cluster-only resilience
-// counters are simply zero in a single-node run.
+// scripts/bench.sh) can diff runs field-for-field: mode tells them apart
+// ("single" vs "cluster"), throughput/latency/hit-rate fields mean the
+// same thing in both, and the cluster-only resilience counters are simply
+// zero in a single-node run.
 type loadResult struct {
 	Mode          string   `json:"mode"`
-	StoreMode     string   `json:"store_mode"`
-	Admission     string   `json:"admission"`
 	Nodes         []string `json:"nodes"`
 	Replicas      int      `json:"replicas"`
 	Ops           int      `json:"ops"`
@@ -93,15 +90,9 @@ func clusterMain(p clusterParams) int {
 		}
 	}()
 	if p.nodes > 0 {
-		cfg := kvserver.DefaultConfig()
+		cfg := p.store
 		cfg.Timeout = p.timeout
 		cfg.Retries = p.retries
-		if p.storeMode != "" {
-			cfg.StoreMode = p.storeMode
-		}
-		if p.admission != "" {
-			cfg.Admission = p.admission
-		}
 		for i := 0; i < p.nodes; i++ {
 			opts := cluster.NodeOptions{
 				Listen:      "127.0.0.1:0",
@@ -220,8 +211,6 @@ func clusterMain(p clusterParams) int {
 	}
 	res := loadResult{
 		Mode:          "cluster",
-		StoreMode:     orDefault(p.storeMode, kvserver.StoreModeMutex),
-		Admission:     orDefault(p.admission, kvserver.AdmissionNone),
 		Nodes:         seeds,
 		Replicas:      p.replicas,
 		P50Ms:         snap.P50 * 1000,
@@ -263,13 +252,6 @@ func clusterMain(p clusterParams) int {
 		return 3
 	}
 	return 0
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 func writeJSON(path string, v any) error {

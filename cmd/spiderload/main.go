@@ -13,10 +13,7 @@
 //	                                         # pre-batching serving path)
 //	spiderload -batch 16                     # MGET/MSET batch verbs
 //	spiderload -get 0.5 -value 8192 -zipf 0  # write-heavy, uniform keys
-//	spiderload -store-mode arena -admission tinylfu
-//	                                         # GC-free arena store with
-//	                                         # TinyLFU admission in the
-//	                                         # in-process server
+//	spiderload -capacity 4096 -shards 1      # smaller store, strict LRU
 //	spiderload -json out.json                # persist the run summary
 //	                                         # (same schema as cluster mode)
 //	spiderload -metrics                      # server METRICS dump at exit
@@ -55,10 +52,10 @@ import (
 )
 
 func main() {
-	// The server-side knobs (-capacity, -shards, -store-mode, -admission)
-	// come from the canonical kvserver.Config so spiderload accepts exactly
-	// the flags spiderkv does; they configure the in-process server
-	// (single-node mode) or the booted daemons (-nodes cluster mode).
+	// The server-side knobs (-capacity, -shards) come from the canonical
+	// kvserver.Config so spiderload accepts exactly the flags spiderkv
+	// does; they configure the in-process server (single-node mode) or the
+	// booted daemons (-nodes cluster mode).
 	storeCfg := kvserver.DefaultConfig()
 	storeCfg.BindStoreFlags(flag.CommandLine)
 	var (
@@ -147,8 +144,7 @@ func main() {
 			timeout:       *timeout,
 			retries:       *retries,
 			jsonOut:       *jsonOut,
-			storeMode:     storeCfg.StoreMode,
-			admission:     storeCfg.Admission,
+			store:         storeCfg,
 		}))
 	}
 
@@ -192,8 +188,8 @@ func main() {
 		}
 		defer srv.Close()
 		target = srv.Addr()
-		fmt.Printf("in-process server on %s (capacity=%d shards=%d store-mode=%s admission=%s)\n",
-			target, storeCfg.Capacity, srv.Shards(), storeCfg.StoreMode, storeCfg.Admission)
+		fmt.Printf("in-process server on %s (capacity=%d shards=%d)\n",
+			target, storeCfg.Capacity, srv.Shards())
 		if faultsOn {
 			fmt.Printf("fault injection: reset=%.3f partial=%.3f read-err=%.3f write-err=%.3f latency=%v seed=%d\n",
 				*faultReset, *faultPartial, *faultReadErr, *faultWriteErr, *faultLatency, *faultSeed)
@@ -296,8 +292,6 @@ func main() {
 	// lines and the -json file, so the division guards live in one place.
 	res := loadResult{
 		Mode:          "single",
-		StoreMode:     storeCfg.StoreMode,
-		Admission:     storeCfg.Admission,
 		Nodes:         []string{target},
 		Replicas:      1,
 		PoolRetries:   poolRetries(clientReg),

@@ -12,6 +12,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -97,6 +98,9 @@ func (r *Ring) Nodes() []string {
 	sort.Strings(out)
 	return out
 }
+
+// key is sample id's wire key.
+func key(id int) string { return "sample:" + strconv.Itoa(id) }
 
 // Owner returns the node owning sample id, or "" when the ring is empty.
 // It is OwnerKey over the id's wire key, so id- and key-based routing can

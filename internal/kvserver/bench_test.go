@@ -3,7 +3,6 @@ package kvserver
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -178,10 +177,8 @@ func BenchmarkServerSetPipelined(b *testing.B) {
 
 // BenchmarkStoreGet isolates the store from the network: shards=1 is the
 // old single-mutex arrangement, larger counts show the sharding win under
-// parallel load (visible on multi-core runners). The mode dimension A/Bs
-// the two store implementations over the identical pinned GET discipline
-// the server uses; run with -benchmem, mode=arena must report 0 allocs/op
-// (scripts/check.sh enforces this).
+// parallel load (visible on multi-core runners). Run with -benchmem it
+// reports 0 allocs/op; TestStoreGetZeroAlloc holds that in go test.
 //
 // Shard-stat padding note: the per-shard hit/miss counters live in one
 // contiguous []shardStat. Before padding each element to a cache line,
@@ -195,87 +192,9 @@ func BenchmarkStoreGet(b *testing.B) {
 	for i := range keys {
 		keys[i] = []byte(benchKey(i))
 	}
-	for _, mode := range []string{StoreModeMutex, StoreModeArena} {
-		for _, shards := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("mode=%s/shards=%d", mode, shards), func(b *testing.B) {
-				st, err := newStoreFor(Options{Capacity: 4096, Shards: shards, Mode: mode}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < benchKeySpace; i++ {
-					st.set(benchKey(i), payload)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := 0
-					for pb.Next() {
-						pin := st.pin()
-						if _, ok := st.getBytes(keys[i%benchKeySpace]); !ok {
-							b.Fatal("miss")
-						}
-						pin.Unpin()
-						i++
-					}
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkStoreResidentGC measures what the arena exists to eliminate:
-// the garbage collector's cost of scanning a large resident cache. Each
-// iteration is one forced GC cycle over a store holding 100k values. In
-// mutex mode those are ~200k scannable heap objects (list node + value
-// slice per key) plus a string-keyed map; in arena mode they collapse
-// into a few hundred pointer-free chunks and pointer-free index
-// structures the collector never scans, so ns/op drops by more than an
-// order of magnitude (measured ~49x at 100k x 512B on the reference
-// runner) even though both modes hold identical bytes.
-func BenchmarkStoreResidentGC(b *testing.B) {
-	const resident = 100_000
-	payload := bytes.Repeat([]byte("x"), 512)
-	for _, mode := range []string{StoreModeMutex, StoreModeArena} {
-		b.Run(fmt.Sprintf("mode=%s", mode), func(b *testing.B) {
-			// 2x capacity headroom: per-shard budgets are exact slices of
-			// the total, so a store sized exactly to the key count would
-			// evict wherever FNV overfills a shard.
-			st, err := newStoreFor(Options{Capacity: 2 * resident, Mode: mode}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < resident; i++ {
-				st.set(fmt.Sprintf("gc-%d", i), payload)
-			}
-			runtime.GC()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runtime.GC()
-			}
-			b.StopTimer()
-			if items, _, _ := st.stats(); items != resident {
-				b.Fatalf("resident set shrank to %d", items)
-			}
-		})
-	}
-}
-
-// BenchmarkStoreGetWithWriters is the contended mix: every parallel
-// worker issues one SET per 64 GETs against a single shard, the
-// arrangement where mutex-mode readers must queue behind every writer's
-// lock hold while arena readers sail past it lock-free.
-func BenchmarkStoreGetWithWriters(b *testing.B) {
-	payload := bytes.Repeat([]byte("x"), 512)
-	keys := make([][]byte, benchKeySpace)
-	for i := range keys {
-		keys[i] = []byte(benchKey(i))
-	}
-	for _, mode := range []string{StoreModeMutex, StoreModeArena} {
-		b.Run(fmt.Sprintf("mode=%s", mode), func(b *testing.B) {
-			st, err := newStoreFor(Options{Capacity: 4096, Shards: 1, Mode: mode}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, shards := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			st := newStoreShards(4096, shards)
 			for i := 0; i < benchKeySpace; i++ {
 				st.set(benchKey(i), payload)
 			}
@@ -284,18 +203,40 @@ func BenchmarkStoreGetWithWriters(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if i%64 == 63 {
-						st.set(benchKey(i), payload)
-					} else {
-						pin := st.pin()
-						if _, ok := st.getBytes(keys[i%benchKeySpace]); !ok {
-							b.Fatal("miss")
-						}
-						pin.Unpin()
+					if _, ok := st.getBytes(keys[i%benchKeySpace]); !ok {
+						b.Fatal("miss")
 					}
 					i++
 				}
 			})
 		})
 	}
+}
+
+// BenchmarkStoreGetWithWriters is the contended mix: every parallel
+// worker issues one SET per 64 GETs against a single shard, so readers
+// queue behind every writer's lock hold.
+func BenchmarkStoreGetWithWriters(b *testing.B) {
+	payload := bytes.Repeat([]byte("x"), 512)
+	keys := make([][]byte, benchKeySpace)
+	for i := range keys {
+		keys[i] = []byte(benchKey(i))
+	}
+	st := newStoreShards(4096, 1)
+	for i := 0; i < benchKeySpace; i++ {
+		st.set(benchKey(i), payload)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if i%64 == 63 {
+				st.set(benchKey(i), payload)
+			} else if _, ok := st.getBytes(keys[i%benchKeySpace]); !ok {
+				b.Fatal("miss")
+			}
+			i++
+		}
+	})
 }

@@ -24,12 +24,6 @@ type Config struct {
 	Capacity int
 	// Shards overrides the store's automatic shard count (0 = automatic).
 	Shards int
-	// StoreMode selects the store implementation: "mutex" (default) or
-	// "arena" (GC-free chunked arenas with epoch-protected lock-free GETs).
-	StoreMode string
-	// Admission selects the insert admission policy: "none" (default) or
-	// "tinylfu" (frequency-sketch admission in front of eviction).
-	Admission string
 	// PoolSize is the client connection pool size (default 4).
 	PoolSize int
 	// Timeout bounds each dial, reply read and request flush on client
@@ -48,24 +42,19 @@ type Config struct {
 // DefaultConfig returns the shared defaults every binary starts from.
 func DefaultConfig() Config {
 	return Config{
-		Capacity:  1 << 16,
-		Shards:    0,
-		StoreMode: StoreModeMutex,
-		Admission: AdmissionNone,
-		PoolSize:  4,
-		Timeout:   10 * time.Second,
-		Retries:   8,
+		Capacity: 1 << 16,
+		Shards:   0,
+		PoolSize: 4,
+		Timeout:  10 * time.Second,
+		Retries:  8,
 	}
 }
 
 // BindStoreFlags registers the server-side knobs on fs (-capacity,
-// -shards, -store-mode, -admission), using the Config's current values as
-// defaults.
+// -shards), using the Config's current values as defaults.
 func (c *Config) BindStoreFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Capacity, "capacity", c.Capacity, "item capacity of the LRU store")
 	fs.IntVar(&c.Shards, "shards", c.Shards, "store shards (0 = auto)")
-	fs.StringVar(&c.StoreMode, "store-mode", c.StoreMode, "store implementation: mutex or arena")
-	fs.StringVar(&c.Admission, "admission", c.Admission, "insert admission policy: none or tinylfu")
 }
 
 // BindPoolFlags registers the client-side knobs on fs (-conns, -timeout,
@@ -84,16 +73,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("kvserver: -shards must be >= 0, got %d", c.Shards)
-	}
-	switch c.StoreMode {
-	case "", StoreModeMutex, StoreModeArena:
-	default:
-		return fmt.Errorf("kvserver: -store-mode must be mutex or arena, got %q", c.StoreMode)
-	}
-	switch c.Admission {
-	case "", AdmissionNone, AdmissionTinyLFU:
-	default:
-		return fmt.Errorf("kvserver: -admission must be none or tinylfu, got %q", c.Admission)
 	}
 	if c.PoolSize < 1 {
 		return fmt.Errorf("kvserver: -conns must be >= 1, got %d", c.PoolSize)
@@ -126,7 +105,7 @@ func (c Config) Retry() RetryOptions {
 // ServeWith/ServeOn accept; reg may be nil (the server then owns a private
 // registry).
 func (c Config) ServerOptions(reg *telemetry.Registry) Options {
-	return Options{Capacity: c.Capacity, Shards: c.Shards, Mode: c.StoreMode, Admission: c.Admission, Registry: reg}
+	return Options{Capacity: c.Capacity, Shards: c.Shards, Registry: reg}
 }
 
 // PoolOptions converts the Config's client-side knobs into the options

@@ -6,9 +6,11 @@ package kvserver
 //	ESET <key> <dim>\r\n<dim little-endian float32s>\r\n
 //	NGET <key> <threshold> <dim>\r\n<dim little-endian float32s>\r\n
 //
-// ESET attaches an embedding to a key in the node-local semantic index
-// (semindex.go). NGET is GET with a fallback: an exact hit answers
-// VALUE exactly like GET; on a miss, the index is consulted and the
+// ESET attaches an embedding to a resident key in the node-local semantic
+// index (semindex.go); an ESET of a key the store does not hold is
+// answered STORED and unlinked at once, as an eviction would. NGET is
+// GET with a fallback: an exact hit answers VALUE exactly like GET; on a
+// miss, the index is consulted and the
 // nearest *resident* neighbor within the cosine-distance threshold is
 // served as "NEAR <key> <dist> <nbytes>" so the client can tell a
 // substitute from the real thing. Embeddings are unit-normalized at
@@ -92,7 +94,8 @@ func (sess *session) readEmbedding(dimField []byte) ([]float64, error) {
 	return vec, nil
 }
 
-// doESet handles "ESET <key> <dim>": index the embedding under key.
+// doESet handles "ESET <key> <dim>": index the embedding under key, for
+// as long as key is resident.
 func (s *Server) doESet(sess *session, args [][]byte) error {
 	if len(args) != 2 {
 		return errBadArgs
@@ -110,6 +113,13 @@ func (s *Server) doESet(sess *session, args [][]byte) error {
 	}
 	if err := s.sem.upsert(key, vec); err != nil {
 		return err
+	}
+	// Eviction and DEL are the only other unlink paths, and neither fires
+	// for a key that is not resident: without this check such an ESET
+	// would stay indexed for good. An eviction before the probe is caught
+	// here, one after it by the evict hook.
+	if _, ok := s.store.peek(key); !ok {
+		s.unlinkEmbedding(key)
 	}
 	_, err = sess.w.WriteString("STORED\r\n")
 	s.tel.esetOps.Inc()
@@ -136,15 +146,8 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 	if err != nil {
 		return err
 	}
-	// One pin brackets the exact probe, the neighbor probes, and the
-	// reply write: in arena mode every value slice returned below
-	// aliases arena memory that compaction may recycle, and the epoch
-	// keeps those bytes intact until they have left for the bufio
-	// writer (the same argument as doGet, extended to the NEAR reply).
-	pin := s.store.pin()
 	if value, ok := s.store.get(key); ok {
 		err := sess.writeValueOrMiss(value, true)
-		pin.Unpin()
 		s.tel.semExact.Inc()
 		s.tel.ngetLat.Observe(time.Since(start).Seconds())
 		return err
@@ -164,7 +167,6 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 				continue // indexed but evicted; try the next-nearest
 			}
 			err := sess.writeNear(nb.key, nb.dist, value)
-			pin.Unpin()
 			s.tel.semNear.Inc()
 			s.tel.semDist.Observe(nb.dist)
 			s.tel.ngetLat.Observe(time.Since(start).Seconds())
@@ -172,7 +174,6 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 		}
 	}
 	err = sess.writeValueOrMiss(nil, false)
-	pin.Unpin()
 	s.tel.semMiss.Inc()
 	s.tel.ngetLat.Observe(time.Since(start).Seconds())
 	return err

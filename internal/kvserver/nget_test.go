@@ -66,44 +66,36 @@ func readReply(t *testing.T, r *bufio.Reader) []byte {
 
 // TestNGetThresholdZeroMatchesGet: with threshold 0 an NGET must behave
 // as a GET with extra bytes on the request — byte-identical replies for
-// hits and misses alike, in both store modes.
+// hits and misses alike.
 func TestNGetThresholdZeroMatchesGet(t *testing.T) {
-	for _, mode := range []string{StoreModeMutex, StoreModeArena} {
-		t.Run(mode, func(t *testing.T) {
-			srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 64, Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
+	srv := startServer(t, 64)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
 
-			emb := embedPayload(unit(1, 0, 0, 0))
-			fmt.Fprint(conn, "SET k 5\r\nhello\r\n")
-			if got := readReply(t, r); string(got) != "STORED\r\n" {
-				t.Fatalf("SET reply %q", got)
-			}
-			conn.Write([]byte("ESET k 4\r\n"))
-			conn.Write(emb)
-			if got := readReply(t, r); string(got) != "STORED\r\n" {
-				t.Fatalf("ESET reply %q", got)
-			}
+	emb := embedPayload(unit(1, 0, 0, 0))
+	fmt.Fprint(conn, "SET k 5\r\nhello\r\n")
+	if got := readReply(t, r); string(got) != "STORED\r\n" {
+		t.Fatalf("SET reply %q", got)
+	}
+	conn.Write([]byte("ESET k 4\r\n"))
+	conn.Write(emb)
+	if got := readReply(t, r); string(got) != "STORED\r\n" {
+		t.Fatalf("ESET reply %q", got)
+	}
 
-			for _, key := range []string{"k", "missing"} {
-				fmt.Fprintf(conn, "GET %s\r\n", key)
-				getReply := readReply(t, r)
-				fmt.Fprintf(conn, "NGET %s 0 4\r\n", key)
-				conn.Write(emb)
-				ngetReply := readReply(t, r)
-				if !bytes.Equal(getReply, ngetReply) {
-					t.Fatalf("key %q: GET %q != NGET(threshold 0) %q", key, getReply, ngetReply)
-				}
-			}
-		})
+	for _, key := range []string{"k", "missing"} {
+		fmt.Fprintf(conn, "GET %s\r\n", key)
+		getReply := readReply(t, r)
+		fmt.Fprintf(conn, "NGET %s 0 4\r\n", key)
+		conn.Write(emb)
+		ngetReply := readReply(t, r)
+		if !bytes.Equal(getReply, ngetReply) {
+			t.Fatalf("key %q: GET %q != NGET(threshold 0) %q", key, getReply, ngetReply)
+		}
 	}
 }
 
@@ -225,21 +217,15 @@ func TestNGetTelemetry(t *testing.T) {
 	}
 }
 
-// TestNGetArenaPinnedAcrossChurn hammers an arena store with evicting,
-// compacting SET traffic while NGETs serve NEAR replies from it. The
-// reply write happens under the epoch pin taken before the neighbor
-// lookup, so every served payload must be intact — a torn read here
-// means a span was reclaimed or compacted away mid-reply. Run with
-// -race this also shakes out index/store interleavings.
-func TestNGetArenaPinnedAcrossChurn(t *testing.T) {
-	// Capacity below the churned key count (48) so SET traffic both
-	// evicts and, via overwrites, leaves dead bytes that trigger shard
-	// compaction under the readers.
-	srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 32, Mode: StoreModeArena})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// TestNGetPayloadIntactUnderChurn serves NEAR replies while another
+// connection overwrites, evicts and re-embeds the keys they are served
+// from. Every served payload must be exactly the bytes of the neighbor it
+// names, and run with -race this shakes out the interleavings of the
+// index (ESET, the evict hook, NGET's lookup) with the store.
+func TestNGetPayloadIntactUnderChurn(t *testing.T) {
+	// Capacity below the churned key count (48), so the SET traffic both
+	// overwrites and evicts under the readers.
+	srv := startServer(t, 32)
 
 	payloadFor := func(i int) []byte {
 		b := make([]byte, 256)
@@ -265,9 +251,9 @@ func TestNGetArenaPinnedAcrossChurn(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // churn: overwrites and evictions force compaction
+	c := dial(t, srv)
+	go func() { // churn: overwrites and evictions
 		defer wg.Done()
-		c := dial(t, srv)
 		for i := 0; i < 3000; i++ {
 			key := fmt.Sprintf("seed:%d", i%48)
 			if err := c.Set(key, payloadFor(i%48)); err != nil {

@@ -19,7 +19,8 @@ import (
 // the lock graph stays acyclic (spiderlint lockorder verifies this
 // module-wide).
 //
-// Deletion: DEL and eviction delete the point from the graph in place
+// Deletion: DEL, eviction and the ESET of a key that is not resident
+// delete the point from the graph in place
 // (hnsw.Index.Delete), at about the price of an upsert, and the next
 // new key takes the slot. The graph therefore holds the live
 // embeddings and nothing else: no search result needs filtering for

@@ -238,6 +238,82 @@ func TestESetDimFollowsTheIndex(t *testing.T) {
 	refused(unit(1, 0, 0, 0))
 }
 
+// TestSemIndexNeverOutgrowsStore: the index holds an embedding only while
+// its key is resident, whatever order a client sends SET, ESET and DEL in.
+// A seeded single-connection history over 48 keys at capacity 16 ESETs
+// keys that are resident, keys never SET, keys evicted since their SET and
+// keys just deleted. After every op the live index points may not exceed
+// kv_items, and every indexed key must be resident: otherwise a client
+// could grow a node's memory past -capacity without bound.
+func TestSemIndexNeverOutgrowsStore(t *testing.T) {
+	srv := startServer(t, 16) // one shard, strict LRU
+	c := dial(t, srv)
+	rng := xrand.New(11)
+	key := func() string { return fmt.Sprintf("k%d", rng.Intn(48)) }
+	emb := func() []float32 {
+		v := make([]float32, 4)
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		return v
+	}
+	set, deleted := map[string]bool{}, map[string]bool{}
+	var esetNever, esetEvicted, esetDeleted int
+	for op := 0; op < 1500; op++ {
+		var err error
+		switch r := rng.Intn(10); {
+		case r < 4:
+			k := key()
+			err = c.Set(k, []byte(k))
+			set[k], deleted[k] = true, false
+		case r < 8:
+			k := key()
+			if _, resident := srv.Peek(k); !resident && set[k] {
+				if deleted[k] {
+					esetDeleted++
+				} else {
+					esetEvicted++
+				}
+			}
+			err = c.ESet(k, emb())
+		case r < 9:
+			k := key()
+			_, err = c.Del(k)
+			deleted[k] = true
+		default:
+			esetNever++
+			err = c.ESet(fmt.Sprintf("never-set-%d", op), emb())
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		text, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, _ := scrapeGauge(text, `kv_semantic_index_points{state="live"}`)
+		items, _ := scrapeGauge(text, "kv_items")
+		if live > items {
+			t.Fatalf("op %d: %v live index points for %v resident items", op, live, items)
+		}
+		srv.sem.mu.Lock()
+		indexed := make([]string, 0, len(srv.sem.byKey))
+		for k := range srv.sem.byKey {
+			indexed = append(indexed, k)
+		}
+		srv.sem.mu.Unlock()
+		for _, k := range indexed {
+			if _, resident := srv.Peek(k); !resident {
+				t.Fatalf("op %d: %s is indexed but not resident", op, k)
+			}
+		}
+	}
+	if esetNever == 0 || esetEvicted == 0 || esetDeleted == 0 {
+		t.Fatalf("history too narrow: %d ESETs of never-SET keys, %d of evicted, %d of deleted",
+			esetNever, esetEvicted, esetDeleted)
+	}
+}
+
 // TestMetricsSemanticIndex: METRICS shows how many slots the index holds
 // and in which state, how many links its graph holds (a free slot keeps
 // its own until it is reused; the links to it go at once), and what

@@ -26,7 +26,7 @@
 //	                                       -> VALUE <nbytes>\r\n<payload>\r\n   (exact hit)
 //	                                        | NEAR <key> <dist> <nbytes>\r\n<payload>\r\n
 //	                                        | NOT_FOUND
-//	ESET <key> <dim>\r\n<embedding>\r\n    -> STORED
+//	ESET <key> <dim>\r\n<embedding>\r\n    -> STORED (indexed only while <key> is resident)
 //	STATS\r\n                              -> STATS <items> <hits> <misses>\r\n
 //	METRICS\r\n                            -> METRICS <nbytes>\r\n<payload>\r\n
 //	QUIT\r\n                               -> connection closed
@@ -38,6 +38,10 @@
 // <threshold> is a decimal cosine-distance bound in [0, 2] and its NEAR
 // fallback serves the nearest still-resident neighbor inside it — see
 // nget.go for the full semantics (threshold 0 is byte-identical to GET).
+// The index holds an embedding only while its key is resident: eviction
+// and DEL unlink it, and an ESET of a key the store does not hold is
+// answered STORED and unlinked at once, as if the key had been evicted
+// right after it, so the index can never outgrow the store. SET first.
 //
 // Cluster verbs (see clusterverbs.go; standalone servers answer them too):
 //
@@ -128,7 +132,7 @@ const (
 
 // Server is the TCP cache server.
 type Server struct {
-	store    store
+	store    *store
 	sem      *semIndex // node-local semantic index behind NGET/ESET
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -176,7 +180,7 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	reg.Describe("kv_semantic_dist", "cosine distance of served NEAR substitutes")
 	reg.Describe("kv_semantic_index_points", "semantic index slots: live embeddings, and free slots deleted ones left for reuse")
 	reg.Describe("kv_semantic_index_links", "links held by the semantic index's graph, all layers; over the slot count it is the mean degree")
-	reg.Describe("kv_semantic_unlink_seconds", "time a DEL or an eviction spent removing the key's embedding from the index")
+	reg.Describe("kv_semantic_unlink_seconds", "time a DEL, an eviction or the ESET of a non-resident key spent removing the key's embedding from the index")
 	tel := serverTelemetry{
 		getHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "hit"}),
 		getMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "miss"}),
@@ -229,16 +233,6 @@ type Options struct {
 	// stores keep strict global LRU order and large ones spread lock
 	// contention.
 	Shards int
-	// Mode selects the store implementation: StoreModeMutex (default,
-	// also selected by "") or StoreModeArena — per-shard []byte arenas
-	// with an epoch-protected lock-free GET path and sampled LRU
-	// eviction; see arena.go.
-	Mode string
-	// Admission selects the insert admission policy: AdmissionNone
-	// (default, also selected by "") or AdmissionTinyLFU — a frequency
-	// sketch that only lets a new key displace an eviction victim it
-	// out-scores; see admission.go.
-	Admission string
 	// Registry receives the server's telemetry and backs the METRICS verb.
 	// Nil means a private registry owned by the server — METRICS always
 	// works. Passing a shared registry lets a host process fold kvserver
@@ -288,11 +282,7 @@ func ServeOn(ln net.Listener, opts Options) (*Server, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	st, err := newStoreFor(opts, reg)
-	if err != nil {
-		return nil, err
-	}
-	srv := newServerCore(st, reg)
+	srv := newServerCore(newStoreFor(opts), reg)
 	srv.listener = ln
 	srv.cluster = opts.Cluster
 	srv.wg.Add(1)
@@ -308,7 +298,7 @@ func ServeOn(ln net.Listener, opts Options) (*Server, error) {
 // check would drop them anyway, but they would crowd the top-k). The
 // hook is invoked after the shard mutex is released (see store.go), so
 // the sem.mu acquisition here never nests inside a shard lock.
-func newServerCore(st store, reg *telemetry.Registry) *Server {
+func newServerCore(st *store, reg *telemetry.Registry) *Server {
 	srv := &Server{
 		store: st,
 		sem:   newSemIndex(),
@@ -316,13 +306,14 @@ func newServerCore(st store, reg *telemetry.Registry) *Server {
 		reg:   reg,
 		tel:   newServerTelemetry(reg, st.numShards()),
 	}
-	st.setEvictHook(srv.unlinkEmbedding)
+	st.onEvict = srv.unlinkEmbedding
 	return srv
 }
 
 // unlinkEmbedding removes key's embedding from the semantic index, if it
 // has one, and times the removal, wait for sem.mu included: it runs inline
-// on the SET path (eviction) and the DEL path, so its cost is theirs.
+// on the SET path (eviction), the DEL path and the ESET of a key that is
+// not resident, so its cost is theirs.
 func (s *Server) unlinkEmbedding(key string) {
 	start := time.Now()
 	if s.sem.unlink(key) {
@@ -365,9 +356,8 @@ func (s *Server) Keys() []string { return s.store.keys() }
 
 // Peek returns the value under key without touching LRU recency or the
 // hit/miss counters, so migration reads never distort eviction order or
-// serving stats. In mutex mode the returned slice is the store's live
-// value (callers must not modify it); in arena mode it is a copy, since a
-// live arena slice could be recycled under an unpinned caller.
+// serving stats. The returned slice is the store's live value: callers
+// must not modify it.
 func (s *Server) Peek(key string) ([]byte, bool) { return s.store.peek(key) }
 
 func (s *Server) acceptLoop() {
@@ -536,14 +526,8 @@ func (s *Server) doGet(sess *session, args [][]byte) error {
 		return errBadArgs
 	}
 	start := time.Now()
-	// The pin brackets both the lookup and the reply write: in arena mode
-	// the value slice aliases arena memory that compaction may recycle,
-	// and the epoch keeps it intact until the bytes have left for the
-	// bufio writer. Mutex mode returns a nil (no-op) slot.
-	pin := s.store.pin()
 	value, ok := s.store.getBytes(args[0])
 	err := sess.writeValueOrMiss(value, ok)
-	pin.Unpin()
 	if ok {
 		s.tel.getHit.Inc()
 	} else {
@@ -566,8 +550,6 @@ func (s *Server) doMGet(sess *session, args [][]byte) error {
 	}
 	start := time.Now()
 	var hits, misses int64
-	// One pin covers the whole batch (bounded by MaxBatchOps); see doGet.
-	pin := s.store.pin()
 	for _, key := range args {
 		value, ok := s.store.getBytes(key)
 		if ok {
@@ -576,11 +558,9 @@ func (s *Server) doMGet(sess *session, args [][]byte) error {
 			misses++
 		}
 		if err := sess.writeValueOrMiss(value, ok); err != nil {
-			pin.Unpin()
 			return err
 		}
 	}
-	pin.Unpin()
 	_, err := sess.w.WriteString("END\r\n")
 	s.tel.mgetHit.Add(hits)
 	s.tel.mgetMiss.Add(misses)

@@ -1,29 +1,15 @@
 package kvserver
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
-
-	"spidercache/internal/epoch"
-	"spidercache/internal/telemetry"
 )
 
 // The value store is N-way sharded: keys are FNV-1a-hashed to a shard and
-// shards never contend with each other. Two implementations sit behind the
-// store interface:
-//
-//   - mutexStore (this file): each shard is a mutex-guarded exact LRU whose
-//     values are individual GC-managed allocations. Simple, strictly
-//     ordered, and the reference semantics the arena store is tested
-//     against.
-//   - arenaStore (arena.go): each shard keeps its payload bytes in a
-//     chunked []byte arena with an epoch-protected lock-free GET path and
-//     approximate (sampled) LRU eviction.
-//
-// Both optionally take a TinyLFU admission filter (admission.go): on
-// insert-at-capacity the arriving key must out-score the eviction victim's
-// estimated frequency or the insert is dropped.
+// shards never contend with each other. Each shard is a mutex-guarded
+// exact LRU whose values are individual GC-managed allocations, and every
+// insert is admitted, evicting the shard's tail when it is full (DESIGN.md
+// §6 has the measurements behind that choice).
 //
 // Shard count is a power of two chosen from the capacity: one shard per
 // minShardItems items, capped at maxAutoShards. Small stores (capacity <
@@ -41,53 +27,6 @@ const (
 	MaxShards = 256
 )
 
-// Store modes selectable via Options.Mode / Config.StoreMode.
-const (
-	// StoreModeMutex is the classic arrangement: per-shard mutex, exact
-	// LRU, one GC allocation per value.
-	StoreModeMutex = "mutex"
-	// StoreModeArena keeps values in per-shard []byte arenas with
-	// epoch-based lock-free GETs and sampled LRU eviction (see arena.go).
-	StoreModeArena = "arena"
-)
-
-// Admission policies selectable via Options.Admission / Config.Admission.
-const (
-	// AdmissionNone admits every insert (evicting per policy when full).
-	AdmissionNone = "none"
-	// AdmissionTinyLFU gates insert-at-capacity behind the TinyLFU
-	// frequency sketch (see admission.go).
-	AdmissionTinyLFU = "tinylfu"
-)
-
-// store is the interface the server drives; see the package comment above
-// for the two implementations.
-type store interface {
-	// pin opens an epoch read-side critical section guarding any value
-	// slice later returned by get/getBytes, until Unpin. The mutex store
-	// returns nil (Unpin on nil is a no-op): its values are GC-owned and
-	// never recycled.
-	pin() *epoch.Slot
-	get(key string) ([]byte, bool)
-	getBytes(key []byte) ([]byte, bool)
-	// peek reads without touching recency, hit/miss counters or the
-	// admission sketch. The arena store returns a copy (migration callers
-	// hold no pin); the mutex store returns the live value.
-	peek(key string) ([]byte, bool)
-	keys() []string
-	set(key string, value []byte)
-	del(key string) bool
-	// setEvictHook registers fn to be called with each key the store
-	// evicts to make room (NOT keys removed by del — the caller already
-	// knows those). Must be set before the store serves traffic; fn is
-	// invoked after the owning shard's mutex is released, so it may take
-	// locks of its own without ordering against shard locks.
-	setEvictHook(fn func(key string))
-	stats() (items int, hits, misses int64)
-	shardStats(i int) (items int, hits, misses int64, capacity int)
-	numShards() int
-}
-
 // shardStat is one shard's hit/miss counters, padded out to a full cache
 // line. The counters for all shards live in one contiguous slice; without
 // the padding, two neighbouring shards' counters share a 64-byte line and
@@ -101,42 +40,26 @@ type shardStat struct {
 	_      [48]byte
 }
 
-// newStoreFor builds the store Options describe. reg may be nil.
-func newStoreFor(opts Options, reg *telemetry.Registry) (store, error) {
+// newStoreFor builds the store Options describe.
+func newStoreFor(opts Options) *store {
 	shards := autoShards(opts.Capacity)
 	if opts.Shards != 0 {
-		shards = opts.Shards
-		if shards > MaxShards {
-			shards = MaxShards
-		}
+		shards = min(opts.Shards, MaxShards)
 	}
-	var adm *admission
-	switch opts.Admission {
-	case "", AdmissionNone:
-	case AdmissionTinyLFU:
-		adm = newAdmission(opts.Capacity, reg)
-	default:
-		return nil, errors.New("kvserver: unknown admission policy " + opts.Admission + " (want none or tinylfu)")
-	}
-	switch opts.Mode {
-	case "", StoreModeMutex:
-		st := newStoreShards(opts.Capacity, shards)
-		st.adm = adm
-		return st, nil
-	case StoreModeArena:
-		return newArenaStore(opts.Capacity, shards, adm, reg), nil
-	default:
-		return nil, errors.New("kvserver: unknown store mode " + opts.Mode + " (want mutex or arena)")
-	}
+	return newStoreShards(opts.Capacity, shards)
 }
 
-// mutexStore routes keys across mutex-LRU shards.
-type mutexStore struct {
-	shards  []*shard
-	stats_  []shardStat // contiguous padded per-shard counters
-	mask    uint32
-	adm     *admission   // nil: admit everything
-	onEvict func(string) // eviction notification; set before serving, nil ok
+// store routes keys across mutex-LRU shards.
+type store struct {
+	shards []*shard
+	stats_ []shardStat // contiguous padded per-shard counters
+	mask   uint32
+	// onEvict is called with each key the store evicts to make room (not
+	// keys removed by del: the caller already knows those). It is set
+	// before the store serves traffic, may be nil, and runs after the
+	// owning shard's mutex is released, so it may take locks of its own
+	// without ordering against shard locks.
+	onEvict func(string)
 }
 
 // shard is one independent LRU partition.
@@ -197,15 +120,15 @@ func shardCaps(capacity, n int) []int {
 	return caps
 }
 
-// newStore builds a mutex store with the automatic shard count.
-func newStore(capacity int) *mutexStore {
+// newStore builds a store with the automatic shard count.
+func newStore(capacity int) *store {
 	return newStoreShards(capacity, autoShards(capacity))
 }
 
-// newStoreShards builds a mutex store with an explicit shard count.
-func newStoreShards(capacity, shards int) *mutexStore {
+// newStoreShards builds a store with an explicit shard count.
+func newStoreShards(capacity, shards int) *store {
 	caps := shardCaps(capacity, shards)
-	s := &mutexStore{
+	s := &store{
 		shards: make([]*shard, len(caps)),
 		stats_: make([]shardStat, len(caps)),
 		mask:   uint32(len(caps) - 1),
@@ -243,18 +166,12 @@ func fnv1aBytes(key []byte) uint32 {
 	return h
 }
 
-// pin is a no-op: mutex-store values are GC-owned, never recycled.
-func (s *mutexStore) pin() *epoch.Slot { return nil }
-
-func (s *mutexStore) shardFor(key string) (int, *shard) {
+func (s *store) shardFor(key string) (int, *shard) {
 	i := int(fnv1a(key) & s.mask)
 	return i, s.shards[i]
 }
 
-func (s *mutexStore) get(key string) ([]byte, bool) {
-	if s.adm != nil {
-		s.adm.touch(fnv1a64String(key))
-	}
+func (s *store) get(key string) ([]byte, bool) {
 	i, sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -271,10 +188,7 @@ func (s *mutexStore) get(key string) ([]byte, bool) {
 // getBytes is get with a []byte key: the map lookup via string(key)
 // compiles to an allocation-free conversion, so the hot GET path never
 // copies the key.
-func (s *mutexStore) getBytes(key []byte) ([]byte, bool) {
-	if s.adm != nil {
-		s.adm.touch(fnv1a64(key))
-	}
+func (s *store) getBytes(key []byte) ([]byte, bool) {
 	i := int(fnv1aBytes(key) & s.mask)
 	sh := s.shards[i]
 	sh.mu.Lock()
@@ -292,8 +206,9 @@ func (s *mutexStore) getBytes(key []byte) ([]byte, bool) {
 // peek returns the value under key without bumping LRU recency or the
 // hit/miss counters — the migration scan's read primitive, so pushing keys
 // to a new replica owner neither distorts eviction order nor pollutes the
-// serving hit ratio.
-func (s *mutexStore) peek(key string) ([]byte, bool) {
+// serving hit ratio. The slice returned is the live value: callers must
+// not modify it.
+func (s *store) peek(key string) ([]byte, bool) {
 	_, sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -307,7 +222,7 @@ func (s *mutexStore) peek(key string) ([]byte, bool) {
 // keys returns every resident key. Each shard is snapshotted under its own
 // lock, so the result is a consistent per-shard view (keys inserted or
 // evicted mid-scan may or may not appear, as with stats).
-func (s *mutexStore) keys() []string {
+func (s *store) keys() []string {
 	out := make([]string, 0, 256)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -319,12 +234,7 @@ func (s *mutexStore) keys() []string {
 	return out
 }
 
-func (s *mutexStore) setEvictHook(fn func(string)) { s.onEvict = fn }
-
-func (s *mutexStore) set(key string, value []byte) {
-	if s.adm != nil {
-		s.adm.touch(fnv1a64String(key))
-	}
+func (s *store) set(key string, value []byte) {
 	_, sh := s.shardFor(key)
 	var evicted string
 	hasEvicted := false
@@ -336,14 +246,6 @@ func (s *mutexStore) set(key string, value []byte) {
 		return
 	}
 	if len(sh.entries) >= sh.capacity && sh.tail != nil {
-		// At capacity: the tail is the victim. With admission on, the
-		// newcomer must out-score it or the insert is dropped (the touch
-		// above still recorded the access, so a key that keeps arriving
-		// eventually earns its slot).
-		if s.adm != nil && !s.adm.admit(fnv1a64String(key), fnv1a64String(sh.tail.key)) {
-			sh.mu.Unlock()
-			return
-		}
 		victim := sh.tail
 		sh.unlink(victim)
 		delete(sh.entries, victim.key)
@@ -354,13 +256,13 @@ func (s *mutexStore) set(key string, value []byte) {
 	sh.pushFront(n)
 	sh.mu.Unlock()
 	// The hook runs outside the shard lock so it can take its own locks
-	// without entering the shard-lock ordering (see the store interface).
+	// without entering the shard-lock ordering (see onEvict).
 	if hasEvicted && s.onEvict != nil {
 		s.onEvict(evicted)
 	}
 }
 
-func (s *mutexStore) del(key string) bool {
+func (s *store) del(key string) bool {
 	_, sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -377,7 +279,7 @@ func (s *mutexStore) del(key string) bool {
 // read per shard under that shard's lock, so the totals are a consistent
 // sum of per-shard snapshots (not a single global snapshot — concurrent
 // ops may land between shard reads, as with any sharded counter).
-func (s *mutexStore) stats() (items int, hits, misses int64) {
+func (s *store) stats() (items int, hits, misses int64) {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		items += len(sh.entries)
@@ -389,14 +291,14 @@ func (s *mutexStore) stats() (items int, hits, misses int64) {
 }
 
 // shardStats reports (items, hits, misses, capacity) for shard i.
-func (s *mutexStore) shardStats(i int) (items int, hits, misses int64, capacity int) {
+func (s *store) shardStats(i int) (items int, hits, misses int64, capacity int) {
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return len(sh.entries), s.stats_[i].hits.Load(), s.stats_[i].misses.Load(), sh.capacity
 }
 
-func (s *mutexStore) numShards() int { return len(s.shards) }
+func (s *store) numShards() int { return len(s.shards) }
 
 func (sh *shard) pushFront(n *kvNode) {
 	n.prev = nil

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -132,6 +133,33 @@ func TestSingleShardStrictLRU(t *testing.T) {
 	}
 	if _, ok := st.get("a"); !ok {
 		t.Fatal("recently used a evicted")
+	}
+}
+
+// TestStoreGetZeroAlloc: the server's GET reads the store through
+// getBytes, and neither a hit nor a miss may allocate there.
+func TestStoreGetZeroAlloc(t *testing.T) {
+	st := newStoreShards(4096, 4)
+	payload := bytes.Repeat([]byte("z"), 512)
+	keys := make([][]byte, 256)
+	for i := range keys {
+		k := fmt.Sprintf("za-%d", i)
+		st.set(k, payload)
+		keys[i] = []byte(k)
+	}
+	missing := []byte("za-missing")
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		if v, ok := st.getBytes(keys[i%len(keys)]); !ok || len(v) != len(payload) {
+			t.Fatal("unexpected miss")
+		}
+		if _, ok := st.getBytes(missing); ok {
+			t.Fatal("unexpected hit")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("store GET path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

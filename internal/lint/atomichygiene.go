@@ -9,9 +9,8 @@ import (
 // atomicHygieneCheck enforces all-or-nothing atomicity per struct field: a
 // field that is accessed through sync/atomic functions anywhere in the
 // module must never be read or written plainly. One plain store next to a
-// CAS loop silently forfeits every guarantee the loop bought — exactly the
-// bug class around the admission sketch's packed counter words and the
-// doorkeeper bitset.
+// CAS loop silently forfeits every guarantee the loop bought — the bug
+// class around packed counter words and bitsets updated with CAS.
 //
 // The check is module-wide and two-pass. Pass one walks every function,
 // resolves `&x.f`, `&x.f[i]` and `&alias[i]` arguments of sync/atomic

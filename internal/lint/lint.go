@@ -91,14 +91,8 @@ func DefaultConfig() Config {
 		// cluster and faultnet sit on the failover hot path: a dropped
 		// write error there silently corrupts the retry/breaker accounting.
 		ErrcheckPkgs: []string{"internal/kvserver", "internal/cluster", "internal/faultnet"},
-		// A leaked epoch pin stalls arena reclamation forever; a leaked
-		// pool client starves every other caller. The `store` interface
-		// rule covers the server's GET path, the concrete `arenaStore`
-		// rule any direct use of the implementation.
+		// A leaked pool client starves every other caller.
 		PairRules: []PairRule{
-			{Pkg: "internal/epoch", Type: "Reclaimer", Acquire: "Pin", Releases: []string{"Unpin"}},
-			{Pkg: "internal/kvserver", Type: "store", Acquire: "pin", Releases: []string{"Unpin"}},
-			{Pkg: "internal/kvserver", Type: "arenaStore", Acquire: "pin", Releases: []string{"Unpin"}},
 			{Pkg: "internal/kvserver", Type: "Pool", Acquire: "Acquire", Releases: []string{"Release", "Discard"}},
 		},
 	}

@@ -9,10 +9,9 @@ import (
 
 // pairHygieneCheck enforces acquire/release protocols declared in
 // Config.PairRules: the resource returned by an acquire method
-// (epoch.Reclaimer.Pin, kvserver.Pool.Acquire, ...) must reach one of its
-// release methods on every path out of the acquiring function —
-// lostcancel-style, but for project resources. A leaked epoch pin blocks
-// reclamation forever; a leaked pool client starves every other caller.
+// (kvserver.Pool.Acquire, ...) must reach one of its release methods on
+// every path out of the acquiring function — lostcancel-style, but for
+// project resources. A leaked pool client starves every other caller.
 //
 // The analysis is intraprocedural over the CFG (cfg.go): the acquired
 // local is traced as a three-valued "live" fact; releasing it (as the
@@ -25,7 +24,7 @@ import (
 func pairHygieneCheck() *Check {
 	c := &Check{
 		Name: "pairhygiene",
-		Doc:  "Acquired resources (epoch pins, pool clients) must be released or handed off on every path",
+		Doc:  "Acquired resources (such as pool clients) must be released or handed off on every path",
 	}
 	c.Run = func(p *Pass) {
 		if len(p.Cfg.PairRules) == 0 {
@@ -47,11 +46,11 @@ func pairHygieneCheck() *Check {
 // package whose import path matches the Pkg suffix, so the rule table is
 // independent of the module path.
 type PairRule struct {
-	// Pkg is an import-path suffix ("internal/epoch") selecting the
+	// Pkg is an import-path suffix ("internal/kvserver") selecting the
 	// package that defines the receiver type.
 	Pkg string
 	// Type is the receiver type's name; interface types match too, so a
-	// rule can cover `store.pin` as well as the concrete implementation.
+	// rule can cover an interface method as well as its implementations.
 	Type string
 	// Acquire is the method whose first result is the tracked resource.
 	Acquire string

@@ -24,7 +24,7 @@ BENCHTIME="${BENCHTIME:-1x}"
 go test -run '^$' -bench 'BenchmarkMatMul' -benchtime "$BENCHTIME" ./internal/tensor/
 go test -run '^$' -bench 'BenchmarkScoreBatch' -benchtime "$BENCHTIME" ./internal/semgraph/
 go test -run '^$' -bench 'BenchmarkEpoch' -benchtime "$BENCHTIME" ./internal/trainer/
-go test -run '^$' -bench 'BenchmarkServerGet|BenchmarkStoreGet|BenchmarkStoreResidentGC' -benchmem -benchtime "$BENCHTIME" ./internal/kvserver/
+go test -run '^$' -bench 'BenchmarkServerGet|BenchmarkStoreGet' -benchmem -benchtime "$BENCHTIME" ./internal/kvserver/
 
 # kvserver throughput smoke: an in-process server driven by the spiderload
 # closed-loop generator, once at one-op-per-round-trip and once pipelined.
@@ -33,27 +33,6 @@ LOAD_OPS="${LOAD_OPS:-20000}"
 go run ./cmd/spiderload -ops "$LOAD_OPS" -conns 2 -pipeline 1
 go run ./cmd/spiderload -ops "$LOAD_OPS" -conns 2 -pipeline 16
 go run ./cmd/spiderload -ops "$LOAD_OPS" -conns 2 -batch 16
-
-# Store-mode A/B under eviction pressure: the same zipfian workload against
-# the mutex+LRU store and the arena+TinyLFU store (capacity deliberately a
-# quarter of the key population so admission and eviction quality show up
-# in the hit ratio). Persists both run summaries as BENCH_7.json.
-AB_OPS="${AB_OPS:-60000}"
-ab_mutex="$(mktemp)"
-ab_arena="$(mktemp)"
-trap 'rm -f "$ab_mutex" "$ab_arena"' EXIT
-go run ./cmd/spiderload -ops "$AB_OPS" -conns 2 -capacity 4096 -keys 16384 -zipf 0.99 \
-    -json "$ab_mutex"
-go run ./cmd/spiderload -ops "$AB_OPS" -conns 2 -capacity 4096 -keys 16384 -zipf 0.99 \
-    -store-mode arena -admission tinylfu -json "$ab_arena"
-{
-    printf '{\n"mutex_lru": '
-    cat "$ab_mutex"
-    printf ',\n"arena_tinylfu": '
-    cat "$ab_arena"
-    printf '}\n'
-} > BENCH_7.json
-echo "wrote BENCH_7.json (mutex+LRU vs arena+TinyLFU A/B)"
 
 # Neighborhood-snapshot A/B: ScoreBatch on a repeated-epoch workload with the
 # snapshot cache off vs on at the default drift budget. Persists ns/op,
@@ -66,9 +45,10 @@ go run ./cmd/spiderbench -snapshot-ab BENCH_8.json
 # ceiling semantic serving can recover from; the NGET run's summary
 # carries the exact/near/miss split and the mean served distance.
 # Persists both summaries as BENCH_10.json.
+AB_OPS="${AB_OPS:-60000}"
 nget_exact="$(mktemp)"
 nget_sem="$(mktemp)"
-trap 'rm -f "$ab_mutex" "$ab_arena" "$nget_exact" "$nget_sem"' EXIT
+trap 'rm -f "$nget_exact" "$nget_sem"' EXIT
 go run ./cmd/spiderload -ops "$AB_OPS" -conns 2 -capacity 4096 -keys 16384 -zipf 0.99 \
     -json "$nget_exact"
 go run ./cmd/spiderload -ops "$AB_OPS" -conns 2 -capacity 4096 -keys 16384 -zipf 0.99 \
