@@ -34,18 +34,11 @@ func main() {
 		outDir  = flag.String("out", "", "also write each experiment's CSV to <dir>/<id>.csv")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		metrics = flag.Bool("metrics", false, "print the aggregated telemetry snapshot (Prometheus text) at exit")
-		snapAB  = flag.String("snapshot-ab", "", "run the snapshot-off vs snapshot-on scoring A/B and write the JSON comparison to this file, then exit")
 	)
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(spidercache.Experiments(), "\n"))
-		return
-	}
-	if *snapAB != "" {
-		if err := runSnapshotAB(*snapAB); err != nil {
-			fatal("snapshot-ab", err)
-		}
 		return
 	}
 	outFormat, err := spidercache.ParseFormat(*format)

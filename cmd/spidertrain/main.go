@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"time"
@@ -65,7 +66,13 @@ func main() {
 		reg = telemetry.NewRegistry()
 	}
 	if *metricsListen != "" {
-		srv, err := kvserver.ServeWith(*metricsListen, kvserver.Options{Capacity: 1, Registry: reg})
+		ln, err := net.Listen("tcp", *metricsListen)
+		if err != nil {
+			fatal(err)
+		}
+		cfg := kvserver.DefaultConfig()
+		cfg.Capacity = 1
+		srv, err := kvserver.Serve(ln, cfg, reg, nil)
 		if err != nil {
 			fatal(err)
 		}

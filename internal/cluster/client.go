@@ -15,51 +15,6 @@ import (
 // unavailable (breaker open or transport failure on each).
 var ErrNoNodes = errors.New("cluster: no reachable node for key")
 
-// ClientOptions configures a ring-aware cluster client.
-//
-// ClientOptions remains the carrier for the static-list constructor
-// NewClient; new code should use New with functional options (WithSeeds,
-// WithReplicas, WithBreaker, WithRetry, WithDiscovery, ...), which cover
-// everything here plus gossip-driven topology discovery.
-type ClientOptions struct {
-	// PoolSize is the per-node connection pool size (default 2: the
-	// client fans out across nodes, so per-node pools stay small).
-	PoolSize int
-	// Dial applies to every pooled connection.
-	Dial kvserver.DialOptions
-	// Retry is the per-node retry policy (see kvserver.Pool). The zero
-	// value disables in-node retries; cross-node failover still applies.
-	Retry kvserver.RetryOptions
-	// Breaker is the per-node circuit breaker template; nil installs a
-	// default breaker (the failover path needs breaker state to route
-	// around dead nodes without paying a dial timeout per request).
-	Breaker *kvserver.BreakerOptions
-	// Replicas is how many distinct ring owners are candidates for each
-	// key — the failover width (default 2).
-	Replicas int
-	// RingPoints is the virtual points per node on the ring (default 128).
-	RingPoints int
-	// Registry receives telemetry from the client and its per-node pools;
-	// nil records nothing.
-	Registry *telemetry.Registry
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.PoolSize <= 0 {
-		o.PoolSize = 2
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
-	if o.RingPoints <= 0 {
-		o.RingPoints = 128
-	}
-	if o.Breaker == nil {
-		o.Breaker = &kvserver.BreakerOptions{}
-	}
-	return o
-}
-
 // NodeHealth reports one node's serving state as seen by the client.
 type NodeHealth struct {
 	// Breaker is the node's circuit breaker state machine position.
@@ -118,8 +73,10 @@ func newClientTelemetry(reg *telemetry.Registry) clientTelemetry {
 // the value on a secondary owner can at worst duplicate a cache entry,
 // never corrupt one.
 type Client struct {
-	opts ClientOptions
-	tel  clientTelemetry
+	pool     kvserver.Config // per-node pool template
+	replicas int
+	reg      *telemetry.Registry
+	tel      clientTelemetry
 
 	mu    sync.RWMutex
 	ring  *Ring
@@ -132,51 +89,6 @@ type Client struct {
 	closeOnce     sync.Once
 }
 
-// NewClient builds a client over the given static node addresses.
-// Construction never dials: pools are lazy, so a client can be built while
-// some (or all) nodes are down and traffic flows as they come up.
-//
-// Deprecated: NewClient cannot express dynamic topology — the node list it
-// is handed is the node list it dies with. Use New with WithSeeds (and
-// WithDiscovery for gossip-driven membership); this constructor is kept
-// working, verified by compat tests, for existing callers.
-func NewClient(nodes []string, opts ClientOptions) (*Client, error) {
-	return newClient(nodes, opts, 0)
-}
-
-// newClient is the shared constructor behind New and NewClient.
-func newClient(seeds []string, opts ClientOptions, discoverEvery time.Duration) (*Client, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("cluster: client needs at least one seed node")
-	}
-	opts = opts.withDefaults()
-	ring, err := NewRing(opts.RingPoints)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{
-		opts:          opts,
-		tel:           newClientTelemetry(opts.Registry),
-		ring:          ring,
-		pools:         make(map[string]*kvserver.Pool, len(seeds)),
-		discoverEvery: discoverEvery,
-		discoveryDone: make(chan struct{}),
-	}
-	for _, node := range seeds {
-		if _, dup := c.pools[node]; dup {
-			return nil, fmt.Errorf("cluster: duplicate node %q", node)
-		}
-		if err := c.addNode(node); err != nil {
-			return nil, err
-		}
-	}
-	if discoverEvery > 0 {
-		c.discoveryWG.Add(1)
-		go c.discoverLoop()
-	}
-	return c, nil
-}
-
 // addNode places node on the ring and gives it a pool. No-op if present.
 func (c *Client) addNode(node string) error {
 	c.mu.Lock()
@@ -187,21 +99,7 @@ func (c *Client) addNode(node string) error {
 	if err := c.ring.Add(node); err != nil {
 		return err
 	}
-	breaker := *c.opts.Breaker // each node gets its own breaker instance
-	pool, err := kvserver.NewPool(node, kvserver.PoolOptions{
-		Size:        c.opts.PoolSize,
-		DialOptions: c.opts.Dial,
-		LazyDial:    true,
-		Retry:       c.opts.Retry,
-		Breaker:     &breaker,
-		Name:        node,
-		Registry:    c.opts.Registry,
-	})
-	if err != nil {
-		c.ring.Remove(node)
-		return err // unreachable with LazyDial, kept for safety
-	}
-	c.pools[node] = pool
+	c.pools[node] = kvserver.NewPool(node, c.pool, c.reg)
 	c.nodes = append(c.nodes, node)
 	sort.Strings(c.nodes)
 	c.tel.nodes.Set(float64(len(c.nodes)))
@@ -246,7 +144,7 @@ func (c *Client) Nodes() []string {
 
 // candidates returns the pools owning id, in placement order.
 func (c *Client) candidates(id int) []*kvserver.Pool {
-	owners := c.ring.Owners(id, c.opts.Replicas)
+	owners := c.ring.Owners(id, c.replicas)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	pools := make([]*kvserver.Pool, 0, len(owners))

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,9 +12,17 @@ import (
 	"spidercache/internal/telemetry"
 )
 
+// startNode serves a standalone kvserver on a loopback port, closed at
+// cleanup.
 func startNode(t *testing.T) *kvserver.Server {
 	t.Helper()
-	srv, err := kvserver.Serve("127.0.0.1:0", 1<<20)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := kvserver.DefaultConfig()
+	cfg.Capacity = 1 << 20
+	srv, err := kvserver.Serve(ln, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,29 +33,36 @@ func startNode(t *testing.T) *kvserver.Server {
 	return srv
 }
 
-func testOptions(reg *telemetry.Registry) ClientOptions {
-	return ClientOptions{
-		PoolSize: 1,
-		Dial:     kvserver.DialOptions{DialTimeout: 200 * time.Millisecond},
-		Breaker: &kvserver.BreakerOptions{
+// newTestClient builds a static client over nodes with one connection per
+// node, a short timeout and a breaker that stays open for the whole test.
+func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Client {
+	t.Helper()
+	c, err := New(
+		WithSeeds(nodes...),
+		WithPoolSize(1),
+		WithTimeout(200*time.Millisecond),
+		WithBreaker(kvserver.BreakerOptions{
 			Window:           8,
 			FailureThreshold: 0.5,
 			MinSamples:       2,
-			OpenFor:          time.Minute, // stays open for the whole test
-		},
-		Replicas: 2,
-		Registry: reg,
+			OpenFor:          time.Minute,
+		}),
+		WithMetrics(reg),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		//lint:ignore errcheck test cleanup
+		c.Close()
+	})
+	return c
 }
 
 func TestClientBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startNode(t), startNode(t)
-	c, err := NewClient([]string{a.Addr(), b.Addr()}, testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newTestClient(t, nil, a.Addr(), b.Addr())
 
 	for id := 0; id < 64; id++ {
 		payload := []byte{byte(id), byte(id >> 8), 0xCC}
@@ -77,15 +94,33 @@ func TestClientBasicOps(t *testing.T) {
 	}
 }
 
+// TestNewClientStillServes: a client built from a static seed list (no
+// WithDiscovery) serves Set/Get and keeps exactly the seeds as its nodes.
+func TestNewClientStillServes(t *testing.T) {
+	leakcheck.Check(t)
+	a, b := startNode(t), startNode(t)
+	c := newTestClient(t, nil, a.Addr(), b.Addr())
+
+	for id := 0; id < 32; id++ {
+		if err := c.Set(id, []byte{byte(id)}); err != nil {
+			t.Fatalf("Set(%d): %v", id, err)
+		}
+		v, found, err := c.Get(id)
+		if err != nil || !found || v[0] != byte(id) {
+			t.Fatalf("Get(%d) = %v, %v, %v", id, v, found, err)
+		}
+	}
+	// Without WithDiscovery the node set is the seeds, fixed.
+	if got := c.Nodes(); len(got) != 2 {
+		t.Fatalf("static client nodes = %v", got)
+	}
+}
+
 func TestClientFailsOverAroundDeadNode(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startNode(t), startNode(t)
 	reg := telemetry.NewRegistry()
-	c, err := NewClient([]string{a.Addr(), b.Addr()}, testOptions(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newTestClient(t, reg, a.Addr(), b.Addr())
 
 	// Seed values while both nodes are up.
 	const n = 32
@@ -129,11 +164,7 @@ func TestClientAllNodesDown(t *testing.T) {
 	leakcheck.Check(t)
 	reg := telemetry.NewRegistry()
 	// Ports from the TCP reserved range: nothing listens there.
-	c, err := NewClient([]string{"127.0.0.1:1", "127.0.0.1:2"}, testOptions(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newTestClient(t, reg, "127.0.0.1:1", "127.0.0.1:2")
 
 	if err := c.Set(1, []byte("v")); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("Set with cluster down: %v, want ErrNoNodes", err)
@@ -160,10 +191,68 @@ func TestClientAllNodesDown(t *testing.T) {
 }
 
 func TestClientValidation(t *testing.T) {
-	if _, err := NewClient(nil, ClientOptions{}); err == nil {
-		t.Fatal("NewClient(nil) succeeded")
+	if _, err := New(); err == nil {
+		t.Fatal("New without seeds succeeded")
 	}
-	if _, err := NewClient([]string{"n1", "n1"}, ClientOptions{}); err == nil {
-		t.Fatal("NewClient with duplicate nodes succeeded")
+	if _, err := New(WithSeeds("n1", "n1")); err == nil {
+		t.Fatal("New with duplicate seeds succeeded")
+	}
+}
+
+func TestNewOptionValidation(t *testing.T) {
+	leakcheck.Check(t)
+	cases := map[string][]Option{
+		"no seeds":           {},
+		"empty WithSeeds":    {WithSeeds()},
+		"bad replicas":       {WithSeeds("x:1"), WithReplicas(0)},
+		"bad discovery":      {WithSeeds("x:1"), WithDiscovery(0)},
+		"bad pool size":      {WithSeeds("x:1"), WithPoolSize(0)},
+		"bad ring points":    {WithSeeds("x:1"), WithRingPoints(-1)},
+		"bad retries":        {WithSeeds("x:1"), WithRetries(0)},
+		"bad timeout":        {WithSeeds("x:1"), WithTimeout(-time.Second)},
+		"duplicate seeds":    {WithSeeds("x:1", "x:1")},
+		"first error sticks": {WithReplicas(-1), WithSeeds()},
+	}
+	for name, opts := range cases {
+		if c, err := New(opts...); err == nil {
+			//lint:ignore errcheck the test is about construction, not teardown
+			c.Close()
+			t.Fatalf("New(%s) did not error", name)
+		}
+	}
+}
+
+// TestNewAppliesOptions: every option lands, and without options New has
+// the defaults the trainer's remote path relies on.
+func TestNewAppliesOptions(t *testing.T) {
+	leakcheck.Check(t)
+	srv := startNode(t)
+	c, err := New(WithSeeds(srv.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := kvserver.Config{PoolSize: 2, Retries: 1, Breaker: &kvserver.BreakerOptions{}}
+	if c.replicas != 2 || c.ring.replicas != 128 || !reflect.DeepEqual(c.pool, want) {
+		t.Fatalf("defaults: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
+	}
+	//lint:ignore errcheck nothing was dialled
+	c.Close()
+
+	c, err = New(
+		WithSeeds(srv.Addr()),
+		WithReplicas(3),
+		WithPoolSize(5),
+		WithRingPoints(64),
+		WithTimeout(time.Second),
+		WithRetries(4),
+		WithBreaker(kvserver.BreakerOptions{Window: 16}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want = kvserver.Config{PoolSize: 5, Timeout: time.Second, Retries: 4, Breaker: &kvserver.BreakerOptions{Window: 16}}
+	if c.replicas != 3 || c.ring.replicas != 64 || !reflect.DeepEqual(c.pool, want) {
+		t.Fatalf("options not applied: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -18,7 +19,13 @@ var _ trainer.RemoteCache = (*cluster.Client)(nil)
 
 func startNode(t *testing.T) *kvserver.Server {
 	t.Helper()
-	srv, err := kvserver.Serve("127.0.0.1:0", 1<<20)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := kvserver.DefaultConfig()
+	cfg.Capacity = 1 << 20
+	srv, err := kvserver.Serve(ln, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func trainOnce(t *testing.T, rc trainer.RemoteCache, reg *telemetry.Registry) {
 func TestTrainerThroughCluster(t *testing.T) {
 	a, b := startNode(t), startNode(t)
 	reg := telemetry.NewRegistry()
-	c, err := cluster.NewClient([]string{a.Addr(), b.Addr()}, cluster.ClientOptions{Registry: reg})
+	c, err := cluster.New(cluster.WithSeeds(a.Addr(), b.Addr()), cluster.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +88,14 @@ func TestTrainerThroughCluster(t *testing.T) {
 // them.
 func TestTrainerDegradesWithClusterDown(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c, err := cluster.NewClient([]string{"127.0.0.1:1", "127.0.0.1:2"}, cluster.ClientOptions{
-		Dial: kvserver.DialOptions{DialTimeout: 100 * time.Millisecond},
-		Breaker: &kvserver.BreakerOptions{
+	c, err := cluster.New(
+		cluster.WithSeeds("127.0.0.1:1", "127.0.0.1:2"),
+		cluster.WithTimeout(100*time.Millisecond),
+		cluster.WithBreaker(kvserver.BreakerOptions{
 			Window: 8, FailureThreshold: 0.5, MinSamples: 2, OpenFor: time.Minute,
-		},
-		Registry: reg,
-	})
+		}),
+		cluster.WithMetrics(reg),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,9 +141,6 @@ type Node struct {
 // and learns the rest of the cluster through gossip with its seeds.
 func StartNode(opts NodeOptions) (*Node, error) {
 	opts = opts.withDefaults()
-	if err := opts.Store.Validate(); err != nil {
-		return nil, err
-	}
 	ring, err := NewRing(opts.RingPoints)
 	if err != nil {
 		return nil, err
@@ -172,12 +169,8 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	n.tel.members.Set(1)
-	sopts := opts.Store.ServerOptions(opts.Registry)
-	sopts.Cluster = n
-	srv, err := kvserver.ServeOn(ln, sopts)
+	srv, err := kvserver.Serve(ln, opts.Store, opts.Registry, n)
 	if err != nil {
-		//lint:ignore errcheck the serve error is what the caller sees
-		ln.Close()
 		return nil, err
 	}
 	n.srv = srv
@@ -294,11 +287,7 @@ func (n *Node) addMember(addr string) {
 		n.mu.Unlock()
 		return
 	}
-	pool, err := kvserver.NewPool(addr, n.opts.Store.PoolOptions(addr, true, n.opts.Registry))
-	if err != nil {
-		n.mu.Unlock()
-		return // unreachable with lazy dial, kept for safety
-	}
+	pool := kvserver.NewPool(addr, n.opts.Store, n.opts.Registry)
 	//lint:ignore errcheck Add only fails on an empty name, which validNodeAddr already rejected
 	n.ring.Add(addr)
 	n.peers[addr] = pool

@@ -1,12 +1,17 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spidercache/internal/kvserver"
 	"spidercache/internal/leakcheck"
+	"spidercache/internal/xrand"
 )
 
 // startTestNode boots a daemon with fast gossip so membership converges
@@ -70,8 +75,8 @@ func testClusterClient(t *testing.T, seed string) *Client {
 		WithSeeds(seed),
 		WithReplicas(2),
 		WithPoolSize(2),
-		WithDial(kvserver.DialOptions{DialTimeout: 2 * time.Second, ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second}),
-		WithRetry(kvserver.RetryOptions{Attempts: 2}),
+		WithTimeout(2*time.Second),
+		WithRetries(2),
 		WithBreaker(kvserver.BreakerOptions{}),
 		WithDiscovery(25*time.Millisecond),
 	)
@@ -93,14 +98,7 @@ func TestNodeGossipMembershipConverges(t *testing.T) {
 	waitMembers(t, 3, n1, n2, n3)
 
 	// A discovery client seeded with only n1 learns the full topology.
-	c := testClusterClient(t, n1.Addr())
-	deadline := time.Now().Add(10 * time.Second)
-	for len(c.Nodes()) != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("client discovered %v, want 3 nodes", c.Nodes())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitClientNodes(t, testClusterClient(t, n1.Addr()), 3)
 }
 
 func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
@@ -189,6 +187,117 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	readAll("after join")
 }
 
+// TestKillNodeMidRun is the kill-a-node fault schedule: three daemons at
+// replicas 2, four goroutines running mixed Set/Get over 2 000 ids through
+// one discovering client for about a second, and one daemon closed in the
+// middle of it. Synchronous replication, breaker-gated failover and gossip
+// discovery must absorb the death: no op may return an error, every hit
+// must carry exactly its id's payload, and once the cluster has converged
+// every id acknowledged before the kill must still be found. After the
+// kill, Sets go to the upper half of the ids only, so the lower half keeps
+// what the kill left: a later Set would write an id to the survivors
+// anyway and hide a lost write.
+func TestKillNodeMidRun(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		ids     = 2000
+		workers = 4
+		run     = time.Second
+	)
+	payload := func(id int) []byte {
+		return bytes.Repeat([]byte(strconv.Itoa(id)+";"), 1+id%32)
+	}
+	n1 := startTestNode(t)
+	n2 := startTestNode(t, n1.Addr())
+	n3 := startTestNode(t, n1.Addr())
+	waitMembers(t, 3, n1, n2, n3)
+	c := testClusterClient(t, n1.Addr())
+	waitClientNodes(t, c, 3)
+
+	var (
+		killing     atomic.Bool
+		ackedBefore [ids]atomic.Bool // a Set returned nil before the kill began
+		setAfter    [ids]atomic.Bool // a Set returned after the kill began
+		wg          sync.WaitGroup
+	)
+	errs := make(chan error, workers)
+	stop := time.Now().Add(run)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(rng *xrand.Rand) {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				id := rng.Intn(ids)
+				if rng.Intn(2) == 0 {
+					if killing.Load() {
+						id = ids/2 + id/2
+					}
+					err := c.Set(id, payload(id))
+					if killing.Load() {
+						setAfter[id].Store(true)
+					} else if err == nil {
+						ackedBefore[id].Store(true)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("Set(%d): %w", id, err)
+						return
+					}
+					continue
+				}
+				v, found, err := c.Get(id)
+				if err != nil {
+					errs <- fmt.Errorf("Get(%d): %w", id, err)
+					return
+				}
+				if found && !bytes.Equal(v, payload(id)) {
+					errs <- fmt.Errorf("Get(%d) = %q, want %q", id, v, payload(id))
+					return
+				}
+			}
+		}(xrand.New(uint64(w + 1)))
+	}
+	time.Sleep(run / 2)
+	killing.Store(true)
+	if err := n3.Close(); err != nil {
+		t.Errorf("closing n3: %v", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error("client-visible error:", err)
+	}
+
+	waitMembers(t, 2, n1, n2)
+	waitClientNodes(t, c, 2)
+	acked := 0
+	for id := range ackedBefore {
+		if !ackedBefore[id].Load() || setAfter[id].Load() {
+			continue
+		}
+		acked++
+		v, found, err := c.Get(id)
+		if err != nil || !found || !bytes.Equal(v, payload(id)) {
+			t.Fatalf("Get(%d) after the kill = %q, %v, %v; acknowledged before it", id, v, found, err)
+		}
+	}
+	if acked == 0 {
+		t.Fatal("no id was acknowledged before the kill and left alone after it")
+	}
+	t.Logf("%d ids acknowledged before the kill, all found after it", acked)
+}
+
+// waitClientNodes polls until the client routes to exactly want nodes.
+func waitClientNodes(t *testing.T, c *Client, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.Nodes()) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("client routes to %v, want %d nodes", c.Nodes(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
 	leakcheck.Check(t)
 	const keys = 200
@@ -210,14 +319,7 @@ func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
 		t.Fatalf("closing n3: %v", err)
 	}
 	waitMembers(t, 2, n1, n2)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for len(c.Nodes()) != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("client still routes to %v after node death", c.Nodes())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitClientNodes(t, c, 2)
 	for id := 0; id < keys; id++ {
 		v, found, err := c.Get(id)
 		if err != nil {

@@ -18,7 +18,10 @@ type Option func(*clientSettings)
 type clientSettings struct {
 	seeds         []string
 	discoverEvery time.Duration
-	opts          ClientOptions
+	pool          kvserver.Config // per-node pool template
+	replicas      int
+	ringPoints    int
+	reg           *telemetry.Registry
 	err           error
 }
 
@@ -50,25 +53,47 @@ func WithReplicas(n int) Option {
 			s.fail(fmt.Errorf("cluster: WithReplicas needs n >= 1, got %d", n))
 			return
 		}
-		s.opts.Replicas = n
+		s.replicas = n
 	}
 }
 
 // WithBreaker sets the per-node circuit breaker template. Each node gets
-// its own breaker instance cloned from it.
+// its own breaker built from it (default: kvserver.BreakerOptions{}, the
+// breaker defaults — the failover path needs breaker state to route around
+// dead nodes without paying a dial timeout per request).
 func WithBreaker(b kvserver.BreakerOptions) Option {
-	return func(s *clientSettings) { s.opts.Breaker = &b }
+	return func(s *clientSettings) { s.pool.Breaker = &b }
 }
 
-// WithRetry sets the per-node retry policy (see kvserver.RetryOptions).
-func WithRetry(r kvserver.RetryOptions) Option {
-	return func(s *clientSettings) { s.opts.Retry = r }
+// WithRetries sets the per-node attempt budget for idempotent ops (see
+// kvserver.Pool; default 1, a single attempt). Cross-node failover applies
+// either way.
+func WithRetries(n int) Option {
+	return func(s *clientSettings) {
+		if n < 1 {
+			s.fail(fmt.Errorf("cluster: WithRetries needs n >= 1, got %d", n))
+			return
+		}
+		s.pool.Retries = n
+	}
+}
+
+// WithTimeout bounds each dial, reply read and request flush on every
+// pooled connection (default 0: no deadline).
+func WithTimeout(d time.Duration) Option {
+	return func(s *clientSettings) {
+		if d < 0 {
+			s.fail(fmt.Errorf("cluster: WithTimeout needs d >= 0, got %v", d))
+			return
+		}
+		s.pool.Timeout = d
+	}
 }
 
 // WithDiscovery enables gossip-driven membership: the client polls the
 // cluster's NODES verb every interval and adds/removes nodes as the
 // daemons' member lists change. Without this option the node set is
-// static, exactly like the deprecated NewClient.
+// static: the seeds.
 func WithDiscovery(every time.Duration) Option {
 	return func(s *clientSettings) {
 		if every <= 0 {
@@ -79,20 +104,16 @@ func WithDiscovery(every time.Duration) Option {
 	}
 }
 
-// WithPoolSize sets the per-node connection pool size (default 2).
+// WithPoolSize sets the per-node connection pool size (default 2: the
+// client fans out across nodes, so per-node pools stay small).
 func WithPoolSize(n int) Option {
 	return func(s *clientSettings) {
 		if n < 1 {
 			s.fail(fmt.Errorf("cluster: WithPoolSize needs n >= 1, got %d", n))
 			return
 		}
-		s.opts.PoolSize = n
+		s.pool.PoolSize = n
 	}
-}
-
-// WithDial sets dial/read/write deadlines for every pooled connection.
-func WithDial(d kvserver.DialOptions) Option {
-	return func(s *clientSettings) { s.opts.Dial = d }
 }
 
 // WithRingPoints sets the virtual points per node on the placement ring
@@ -103,24 +124,30 @@ func WithRingPoints(n int) Option {
 			s.fail(fmt.Errorf("cluster: WithRingPoints needs n >= 1, got %d", n))
 			return
 		}
-		s.opts.RingPoints = n
+		s.ringPoints = n
 	}
 }
 
 // WithMetrics routes the client's (and its pools') telemetry into reg.
 func WithMetrics(reg *telemetry.Registry) Option {
-	return func(s *clientSettings) { s.opts.Registry = reg }
+	return func(s *clientSettings) { s.reg = reg }
 }
 
 // New builds a cluster client from functional options. The minimal call is
 //
 //	c, err := cluster.New(cluster.WithSeeds("host:7461"))
 //
-// which behaves like the deprecated NewClient over a one-node list; add
-// WithDiscovery to track live membership, WithReplicas / WithBreaker /
-// WithRetry to tune placement and resilience. Construction never dials.
+// which routes to that one node; add WithDiscovery to track live
+// membership, WithReplicas / WithBreaker / WithRetries / WithTimeout to
+// tune placement and resilience. Construction never dials: pools are
+// lazy, so a client can be built while some (or all) nodes are down and
+// traffic flows as they come up.
 func New(opts ...Option) (*Client, error) {
-	var s clientSettings
+	s := clientSettings{
+		pool:       kvserver.Config{PoolSize: 2, Retries: 1, Breaker: &kvserver.BreakerOptions{}},
+		replicas:   2,
+		ringPoints: 128,
+	}
 	for _, opt := range opts {
 		opt(&s)
 	}
@@ -130,5 +157,31 @@ func New(opts ...Option) (*Client, error) {
 	if len(s.seeds) == 0 {
 		return nil, fmt.Errorf("cluster: New requires WithSeeds")
 	}
-	return newClient(s.seeds, s.opts, s.discoverEvery)
+	ring, err := NewRing(s.ringPoints)
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{
+		pool:          s.pool,
+		replicas:      s.replicas,
+		reg:           s.reg,
+		tel:           newClientTelemetry(s.reg),
+		ring:          ring,
+		pools:         make(map[string]*kvserver.Pool, len(s.seeds)),
+		discoverEvery: s.discoverEvery,
+		discoveryDone: make(chan struct{}),
+	}
+	for _, node := range s.seeds {
+		if _, dup := c.pools[node]; dup {
+			return nil, fmt.Errorf("cluster: duplicate node %q", node)
+		}
+		if err := c.addNode(node); err != nil {
+			return nil, err
+		}
+	}
+	if s.discoverEvery > 0 {
+		c.discoveryWG.Add(1)
+		go c.discoverLoop()
+	}
+	return c, nil
 }

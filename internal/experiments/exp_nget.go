@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"net"
 
 	"spidercache/internal/kvserver"
 	"spidercache/internal/metrics"
@@ -37,12 +38,18 @@ func NGet(opt Options) (*Report, error) {
 	}
 	embs := ngetEmbeddings(opt.Seed, keys, dim, clusters)
 
-	srv, err := kvserver.ServeWith("127.0.0.1:0", kvserver.Options{Capacity: capacity})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	cfg := kvserver.DefaultConfig()
+	cfg.Capacity = capacity
+	srv, err := kvserver.Serve(ln, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	c, err := kvserver.Dial(srv.Addr())
+	c, err := kvserver.Dial(srv.Addr(), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package faultnet wraps net.Conn and net.Listener with seed-deterministic
 // fault injection, so the serving tier's failure handling (retry, circuit
-// breaking, failover) can be exercised from ordinary tests and from the
-// spiderload generator without a packet-mangling proxy.
+// breaking, failover) can be exercised from ordinary tests and fuzzers
+// without a packet-mangling proxy.
 //
 // Faults are drawn per operation from an xrand stream derived from
 // Config.Seed, so a given (seed, op sequence) always injects the same
@@ -18,8 +18,8 @@
 //     so every later op on the conn fails too.
 //
 // Every injected fault increments kv_faults_injected_total{kind=...} when a
-// telemetry registry is supplied, so load runs can report how much abuse
-// the client layer absorbed.
+// telemetry registry is supplied, so a run can report how much abuse the
+// client layer absorbed.
 package faultnet
 
 import (

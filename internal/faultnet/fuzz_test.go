@@ -27,7 +27,13 @@ var fuzzCase atomic.Int64
 // the key/value payload, so the corpus explores different interleavings of
 // injected faults against protocol state.
 func FuzzClientFraming(f *testing.F) {
-	srv, err := kvserver.ServeWith("127.0.0.1:0", kvserver.Options{Shards: 4, Capacity: 1 << 20})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := kvserver.DefaultConfig()
+	cfg.Capacity, cfg.Shards = 1<<20, 4
+	srv, err := kvserver.Serve(ln, cfg, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,12 +65,9 @@ func FuzzClientFraming(f *testing.F) {
 			t.Fatal(err)
 		}
 		fc := faultnet.Wrap(raw, cfg)
-		// ReadTimeout keeps a desynced framing bug from hanging the fuzzer
+		// The timeout keeps a desynced framing bug from hanging the fuzzer
 		// instead of failing it.
-		c := kvserver.NewClient(fc, kvserver.DialOptions{
-			ReadTimeout:  500 * time.Millisecond,
-			WriteTimeout: 500 * time.Millisecond,
-		})
+		c := kvserver.NewClient(fc, 500*time.Millisecond)
 		defer c.Close()
 
 		k := sanitizeKey(key) + "-" + strconv.FormatInt(fuzzCase.Add(1), 10)

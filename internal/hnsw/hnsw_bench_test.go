@@ -32,7 +32,7 @@ func unitVecs(n, dim int, seed uint64) [][]float64 {
 
 // clusteredVecs draws n unit-norm vectors around 64 unit-norm centroids
 // (sigma 0.08 per coordinate, vector i in cluster i%64): the embedding space
-// spiderload and the wire_nget workload feed the server's index.
+// the wire_nget workload feeds the server's index.
 func clusteredVecs(n, dim int) [][]float64 {
 	const clusters, sigma = 64, 0.08
 	rng := xrand.New(2)

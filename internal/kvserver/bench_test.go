@@ -27,14 +27,9 @@ func benchKey(i int) string { return fmt.Sprintf("k%d", i%benchKeySpace) }
 
 func startBenchServer(b *testing.B) *Server {
 	b.Helper()
-	srv, err := Serve("127.0.0.1:0", 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { srv.Close() })
-
+	srv := startServer(b, 4096)
 	payload := bytes.Repeat([]byte("x"), benchPayloadSize)
-	c, err := Dial(srv.Addr())
+	c, err := Dial(srv.Addr(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +61,7 @@ func runConns(b *testing.B, srv *Server, conns int, loop func(c *Client, ops int
 		wg.Add(1)
 		go func(ops int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			c, err := Dial(srv.Addr(), 0)
 			if err != nil {
 				errs <- err
 				return

@@ -2,32 +2,18 @@ package kvserver
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// DialOptions tunes a client connection. The zero value means no timeouts
-// (block indefinitely), matching Dial.
-type DialOptions struct {
-	// DialTimeout bounds the TCP connect. Zero means no timeout.
-	DialTimeout time.Duration
-	// ReadTimeout bounds each reply read (the deadline is re-armed per
-	// protocol read). Zero means no timeout.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each request flush. Zero means no timeout.
-	WriteTimeout time.Duration
-}
-
 // errBadRequest tags client-side validation failures (invalid key,
-// mismatched MSet arity): the request never formed, so retrying it
-// verbatim can only fail the same way.
+// embedding or threshold, mismatched MSet arity): the request never
+// formed, so retrying it verbatim can only fail the same way.
 var errBadRequest = errors.New("kvserver: bad request")
 
 // countingConn counts the bytes actually handed to the socket, so the pool
@@ -48,38 +34,43 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // Client is a connection to a kvserver. It is not safe for concurrent use;
 // open one client per goroutine (the server handles each connection
 // independently), or share connections through a Pool.
+//
+// Every keyed request goes through the pipeline code: a single Get, Set,
+// Del, NGet, ESet, RSet or RDel is a pipeline of one on a Pipeline the
+// client owns and reuses, so each verb has exactly one frame writer (which
+// validates before writing a byte) and each reply shape one reader.
 type Client struct {
-	conn *countingConn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	opts DialOptions
+	conn    *countingConn
+	r       *bufio.Reader
+	w       *bufio.Writer
+	timeout time.Duration
+	one     Pipeline
 }
 
-// Dial connects to a kvserver at addr.
-func Dial(addr string) (*Client, error) {
-	return DialWith(addr, DialOptions{})
-}
-
-// DialWith is Dial with explicit timeouts.
-func DialWith(addr string, opts DialOptions) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+// Dial connects to a kvserver at addr. timeout bounds the connect and,
+// afterwards, each request flush and each reply read; zero means no
+// timeout.
+func Dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(conn, opts), nil
+	return NewClient(conn, timeout), nil
 }
 
 // NewClient wraps an already-established connection — a net.Pipe end, a
-// faultnet-wrapped conn, a TLS session — in a Client. The Client owns conn
-// and closes it on Close.
-func NewClient(conn net.Conn, opts DialOptions) *Client {
+// faultnet-wrapped conn, a TLS session — in a Client with Dial's per-flush
+// and per-read timeout. The Client owns conn and closes it on Close.
+func NewClient(conn net.Conn, timeout time.Duration) *Client {
 	cc := &countingConn{Conn: conn}
-	return &Client{
-		conn: cc,
-		r:    bufio.NewReaderSize(cc, connBufSize),
-		w:    bufio.NewWriterSize(cc, connBufSize),
-		opts: opts,
+	c := &Client{
+		conn:    cc,
+		r:       bufio.NewReaderSize(cc, connBufSize),
+		w:       bufio.NewWriterSize(cc, connBufSize),
+		timeout: timeout,
 	}
+	c.one.c = c
+	return c
 }
 
 // wroteBytes reports the cumulative bytes delivered to the socket; the
@@ -90,7 +81,7 @@ func (c *Client) wroteBytes() int64 { return c.conn.n }
 // Close sends QUIT and closes the connection.
 func (c *Client) Close() error {
 	//lint:ignore errcheck QUIT is a best-effort courtesy; Close reports the real failure
-	fmt.Fprint(c.w, "QUIT\r\n")
+	c.w.WriteString("QUIT\r\n")
 	//lint:ignore errcheck QUIT is a best-effort courtesy; Close reports the real failure
 	c.flush()
 	return c.conn.Close()
@@ -99,8 +90,8 @@ func (c *Client) Close() error {
 // flush arms the write deadline (if configured) and flushes the request
 // buffer.
 func (c *Client) flush() error {
-	if c.opts.WriteTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout)); err != nil {
+	if c.timeout > 0 {
+		if err := c.conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 			return err
 		}
 	}
@@ -109,8 +100,8 @@ func (c *Client) flush() error {
 
 // armRead arms the read deadline (if configured) before a reply read.
 func (c *Client) armRead() error {
-	if c.opts.ReadTimeout > 0 {
-		return c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
+	if c.timeout > 0 {
+		return c.conn.SetReadDeadline(time.Now().Add(c.timeout))
 	}
 	return nil
 }
@@ -137,19 +128,8 @@ func (c *Client) readFull(buf []byte) error {
 	return err
 }
 
-// readTrailingCRLF consumes the \r\n that terminates a payload.
-func (c *Client) readTrailingCRLF() error {
-	var b [2]byte
-	if err := c.readFull(b[:]); err != nil {
-		return err
-	}
-	if b[0] != '\r' || b[1] != '\n' {
-		return fmt.Errorf("kvserver: payload not CRLF-terminated")
-	}
-	return nil
-}
-
-// validKey rejects keys the wire protocol cannot carry.
+// validKey rejects keys the wire protocol cannot carry — in particular any
+// space or line break, which would let a key smuggle a second command.
 func validKey(key string) error {
 	if key == "" || len(key) > MaxKeyLen || strings.ContainsAny(key, " \r\n") {
 		return fmt.Errorf("%w: invalid key %q", errBadRequest, key)
@@ -157,85 +137,61 @@ func validKey(key string) error {
 	return nil
 }
 
-// writeSetFrame appends one "<verb...> <key> <nbytes>\r\n<payload>\r\n"
-// request to the write buffer without flushing.
-func (c *Client) writeSetFrame(prefix, key string, value []byte) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if prefix != "" {
-		if _, err := c.w.WriteString(prefix); err != nil {
-			return err
-		}
-	}
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.Itoa(len(value)))
-	c.w.WriteString("\r\n")
-	c.w.Write(value)
-	_, err := c.w.WriteString("\r\n")
-	return err
-}
-
-// readValueReply parses one "VALUE <n>\r\n<payload>\r\n" or "NOT_FOUND"
-// reply; any other line is reported as a protocol failure of op.
-func (c *Client) readValueReply(op string) (value []byte, ok bool, err error) {
-	line, err := c.readLine()
-	if err != nil {
-		return nil, false, err
-	}
-	switch {
-	case line == "NOT_FOUND":
-		return nil, false, nil
-	case strings.HasPrefix(line, "VALUE "):
-		n, err := strconv.Atoi(strings.TrimPrefix(line, "VALUE "))
-		if err != nil || n < 0 || n > MaxValueSize {
-			return nil, false, fmt.Errorf("kvserver: bad VALUE header %q", line)
-		}
-		value := make([]byte, n)
-		if err := c.readFull(value); err != nil {
-			return nil, false, err
-		}
-		if err := c.readTrailingCRLF(); err != nil {
-			return nil, false, err
-		}
-		return value, true, nil
-	default:
-		return nil, false, fmt.Errorf("kvserver: %s failed: %s", op, line)
-	}
-}
-
-// Set stores value under key.
-func (c *Client) Set(key string, value []byte) error {
-	if err := c.writeSetFrame("SET ", key, value); err != nil {
-		return err
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	return c.readStoredReply("SET")
-}
-
-func (c *Client) readStoredReply(op string) error {
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	if line != "STORED" {
-		return fmt.Errorf("kvserver: %s failed: %s", op, line)
+// validEmbedding rejects embeddings the wire protocol cannot carry.
+func validEmbedding(emb []float32) error {
+	if len(emb) < 1 || len(emb) > MaxEmbedDim {
+		return fmt.Errorf("%w: embedding dim %d (want 1..%d)", errBadRequest, len(emb), MaxEmbedDim)
 	}
 	return nil
 }
 
+// Near identifies the substitute behind a semantic (NEAR) hit: which
+// resident neighbor's value was served and how far its embedding sits
+// from the query, in cosine distance.
+type Near struct {
+	Key  string
+	Dist float64
+}
+
 // Get fetches the value under key; ok is false on a miss.
 func (c *Client) Get(key string) (value []byte, ok bool, err error) {
-	if _, err := fmt.Fprintf(c.w, "GET %s\r\n", key); err != nil {
-		return nil, false, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, false, err
-	}
-	return c.readValueReply("GET")
+	c.one.Get(key)
+	r, err := c.one.execOne()
+	return r.Value, r.Found, err
+}
+
+// Set stores value under key.
+func (c *Client) Set(key string, value []byte) error {
+	c.one.Set(key, value)
+	_, err := c.one.execOne()
+	return err
+}
+
+// Del removes key; ok reports whether it was present.
+func (c *Client) Del(key string) (bool, error) {
+	c.one.Del(key)
+	r, err := c.one.execOne()
+	return r.Found, err
+}
+
+// NGet is Get with a semantic fallback (the NGET verb): an exact hit
+// returns (value, nil, true); a near hit — the nearest resident
+// neighbor within the cosine-distance threshold — returns its value
+// with a non-nil near; a miss returns found == false. threshold 0
+// requests exact-only (GET) semantics.
+func (c *Client) NGet(key string, emb []float32, threshold float64) (value []byte, near *Near, found bool, err error) {
+	c.one.NGet(key, emb, threshold)
+	r, err := c.one.execOne()
+	return r.Value, r.Near, r.Found, err
+}
+
+// ESet attaches emb as key's embedding in the server's node-local
+// semantic index (the ESET verb). The index and the value store are
+// independent: ESet neither requires nor creates a stored value.
+func (c *Client) ESet(key string, emb []float32) error {
+	c.one.ESet(key, emb)
+	_, err := c.one.execOne()
+	return err
 }
 
 // MGet fetches many keys in one round trip (the MGET verb). values[i] and
@@ -250,35 +206,27 @@ func (c *Client) MGet(keys ...string) (values [][]byte, found []bool, err error)
 			return nil, nil, err
 		}
 	}
-	var batches []int // keys per MGET command
 	for start := 0; start < len(keys); start += MaxBatchOps {
-		end := start + MaxBatchOps
-		if end > len(keys) {
-			end = len(keys)
-		}
 		c.w.WriteString("MGET")
-		for _, key := range keys[start:end] {
+		for _, key := range keys[start:min(start+MaxBatchOps, len(keys))] {
 			c.w.WriteByte(' ')
 			c.w.WriteString(key)
 		}
 		if _, err := c.w.WriteString("\r\n"); err != nil {
 			return nil, nil, err
 		}
-		batches = append(batches, end-start)
 	}
 	if err := c.flush(); err != nil {
 		return nil, nil, err
 	}
-	values = make([][]byte, 0, len(keys))
-	found = make([]bool, 0, len(keys))
-	for _, n := range batches {
-		for i := 0; i < n; i++ {
-			v, ok, err := c.readValueReply("MGET")
-			if err != nil {
-				return nil, nil, err
-			}
-			values = append(values, v)
-			found = append(found, ok)
+	values = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	for i := range keys {
+		if values[i], _, found[i], err = c.readValue("MGET"); err != nil {
+			return nil, nil, err
+		}
+		if (i+1)%MaxBatchOps != 0 && i+1 != len(keys) {
+			continue
 		}
 		line, err := c.readLine()
 		if err != nil {
@@ -298,24 +246,28 @@ func (c *Client) MSet(keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("%w: MSet got %d keys, %d values", errBadRequest, len(keys), len(values))
 	}
-	if len(keys) == 0 {
-		return nil
+	// Every key is checked before the first byte is buffered, so a bad key
+	// leaves no half-written batch behind to desync the next request.
+	for _, key := range keys {
+		if err := validKey(key); err != nil {
+			return err
+		}
 	}
 	batches := 0
 	for start := 0; start < len(keys); start += MaxBatchOps {
-		end := start + MaxBatchOps
-		if end > len(keys) {
-			end = len(keys)
-		}
-		if _, err := fmt.Fprintf(c.w, "MSET %d\r\n", end-start); err != nil {
-			return err
-		}
+		end := min(start+MaxBatchOps, len(keys))
+		c.w.WriteString("MSET ")
+		c.w.WriteString(strconv.Itoa(end - start))
+		c.w.WriteString("\r\n")
 		for i := start; i < end; i++ {
 			if err := c.writeSetFrame("", keys[i], values[i]); err != nil {
 				return err
 			}
 		}
 		batches++
+	}
+	if batches == 0 {
+		return nil
 	}
 	if err := c.flush(); err != nil {
 		return err
@@ -332,185 +284,10 @@ func (c *Client) MSet(keys []string, values [][]byte) error {
 	return nil
 }
 
-// Near identifies the substitute behind a semantic (NEAR) hit: which
-// resident neighbor's value was served and how far its embedding sits
-// from the query, in cosine distance.
-type Near struct {
-	Key  string
-	Dist float64
-}
-
-// validEmbedding rejects embeddings the wire protocol cannot carry.
-func validEmbedding(emb []float32) error {
-	if len(emb) < 1 || len(emb) > MaxEmbedDim {
-		return fmt.Errorf("%w: embedding dim %d (want 1..%d)", errBadRequest, len(emb), MaxEmbedDim)
-	}
-	return nil
-}
-
-// writeEmbedPayload appends the raw little-endian float32 payload.
-func (c *Client) writeEmbedPayload(emb []float32) error {
-	var b [4]byte
-	for _, f := range emb {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
-		if _, err := c.w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	_, err := c.w.WriteString("\r\n")
-	return err
-}
-
-// writeESetFrame appends one "ESET <key> <dim>\r\n<embedding>\r\n"
-// request without flushing.
-func (c *Client) writeESetFrame(key string, emb []float32) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if err := validEmbedding(emb); err != nil {
-		return err
-	}
-	c.w.WriteString("ESET ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.Itoa(len(emb)))
-	c.w.WriteString("\r\n")
-	return c.writeEmbedPayload(emb)
-}
-
-// writeNGetFrame appends one "NGET <key> <threshold> <dim>\r\n
-// <embedding>\r\n" request without flushing.
-func (c *Client) writeNGetFrame(key string, emb []float32, threshold float64) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if err := validEmbedding(emb); err != nil {
-		return err
-	}
-	if math.IsNaN(threshold) || math.IsInf(threshold, 0) || threshold < 0 {
-		return fmt.Errorf("%w: invalid NGET threshold %v", errBadRequest, threshold)
-	}
-	c.w.WriteString("NGET ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatFloat(threshold, 'f', -1, 64))
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.Itoa(len(emb)))
-	c.w.WriteString("\r\n")
-	return c.writeEmbedPayload(emb)
-}
-
-// readNGetReply parses VALUE (exact hit), NEAR (semantic substitute)
-// or NOT_FOUND. found covers both hit kinds; near is non-nil only for
-// NEAR.
-func (c *Client) readNGetReply() (value []byte, near *Near, found bool, err error) {
-	line, err := c.readLine()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	switch {
-	case line == "NOT_FOUND":
-		return nil, nil, false, nil
-	case strings.HasPrefix(line, "VALUE "):
-		n, err := strconv.Atoi(strings.TrimPrefix(line, "VALUE "))
-		if err != nil || n < 0 || n > MaxValueSize {
-			return nil, nil, false, fmt.Errorf("kvserver: bad VALUE header %q", line)
-		}
-		value := make([]byte, n)
-		if err := c.readFull(value); err != nil {
-			return nil, nil, false, err
-		}
-		if err := c.readTrailingCRLF(); err != nil {
-			return nil, nil, false, err
-		}
-		return value, nil, true, nil
-	case strings.HasPrefix(line, "NEAR "):
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			return nil, nil, false, fmt.Errorf("kvserver: bad NEAR header %q", line)
-		}
-		dist, derr := strconv.ParseFloat(fields[2], 64)
-		n, nerr := strconv.Atoi(fields[3])
-		if derr != nil || nerr != nil || dist < 0 || n < 0 || n > MaxValueSize {
-			return nil, nil, false, fmt.Errorf("kvserver: bad NEAR header %q", line)
-		}
-		value := make([]byte, n)
-		if err := c.readFull(value); err != nil {
-			return nil, nil, false, err
-		}
-		if err := c.readTrailingCRLF(); err != nil {
-			return nil, nil, false, err
-		}
-		return value, &Near{Key: fields[1], Dist: dist}, true, nil
-	default:
-		return nil, nil, false, fmt.Errorf("kvserver: NGET failed: %s", line)
-	}
-}
-
-// ESet attaches emb as key's embedding in the server's node-local
-// semantic index (the ESET verb). The index and the value store are
-// independent: ESet neither requires nor creates a stored value.
-func (c *Client) ESet(key string, emb []float32) error {
-	if err := c.writeESetFrame(key, emb); err != nil {
-		return err
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	return c.readStoredReply("ESET")
-}
-
-// NGet is Get with a semantic fallback (the NGET verb): an exact hit
-// returns (value, nil, true); a near hit — the nearest resident
-// neighbor within the cosine-distance threshold — returns its value
-// with a non-nil near; a miss returns found == false. threshold 0
-// requests exact-only (GET) semantics.
-func (c *Client) NGet(key string, emb []float32, threshold float64) (value []byte, near *Near, found bool, err error) {
-	if err := c.writeNGetFrame(key, emb, threshold); err != nil {
-		return nil, nil, false, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, nil, false, err
-	}
-	return c.readNGetReply()
-}
-
-// Del removes key; ok reports whether it was present.
-func (c *Client) Del(key string) (bool, error) {
-	if _, err := fmt.Fprintf(c.w, "DEL %s\r\n", key); err != nil {
-		return false, err
-	}
-	if err := c.flush(); err != nil {
-		return false, err
-	}
-	return c.readDelReply()
-}
-
-func (c *Client) readDelReply() (bool, error) {
-	line, err := c.readLine()
-	if err != nil {
-		return false, err
-	}
-	switch line {
-	case "DELETED":
-		return true, nil
-	case "NOT_FOUND":
-		return false, nil
-	default:
-		return false, fmt.Errorf("kvserver: DEL failed: %s", line)
-	}
-}
-
 // Metrics fetches the server's telemetry snapshot as Prometheus exposition
 // text (the METRICS verb).
 func (c *Client) Metrics() (string, error) {
-	if _, err := fmt.Fprint(c.w, "METRICS\r\n"); err != nil {
-		return "", err
-	}
-	if err := c.flush(); err != nil {
-		return "", err
-	}
-	line, err := c.readLine()
+	line, err := c.command("METRICS\r\n")
 	if err != nil {
 		return "", err
 	}
@@ -521,32 +298,30 @@ func (c *Client) Metrics() (string, error) {
 	if err != nil || n < 0 || n > MaxValueSize {
 		return "", fmt.Errorf("kvserver: bad METRICS header %q", line)
 	}
-	payload := make([]byte, n)
-	if err := c.readFull(payload); err != nil {
-		return "", err
-	}
-	if err := c.readTrailingCRLF(); err != nil {
-		return "", err
-	}
-	return string(payload), nil
+	payload, err := c.readBody(n)
+	return string(payload), err
 }
 
 // Stats returns (items, hits, misses) from the server.
 func (c *Client) Stats() (items int, hits, misses int64, err error) {
-	if _, err := fmt.Fprint(c.w, "STATS\r\n"); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := c.flush(); err != nil {
-		return 0, 0, 0, err
-	}
-	line, err := c.readLine()
+	line, err := c.command("STATS\r\n")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	var i int
-	var h, m int64
-	if _, err := fmt.Sscanf(line, "STATS %d %d %d", &i, &h, &m); err != nil {
+	if _, err := fmt.Sscanf(line, "STATS %d %d %d", &items, &hits, &misses); err != nil {
 		return 0, 0, 0, fmt.Errorf("kvserver: bad STATS reply %q", line)
 	}
-	return i, h, m, nil
+	return items, hits, misses, nil
+}
+
+// command sends one argument-free request line and returns the first reply
+// line.
+func (c *Client) command(req string) (string, error) {
+	if _, err := c.w.WriteString(req); err != nil {
+		return "", err
+	}
+	if err := c.flush(); err != nil {
+		return "", err
+	}
+	return c.readLine()
 }

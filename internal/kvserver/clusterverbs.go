@@ -4,9 +4,9 @@ package kvserver
 // replica writes. A standalone Server answers all four (HELLO and NODES
 // report an empty node set; RSET/RDEL behave like SET/DEL), so clients and
 // peers never need to know whether an address is a bare cache or a
-// cluster daemon. A daemon wires Options.Cluster to its membership and
-// replication machinery, and the server becomes one node of a replicated
-// tier:
+// cluster daemon. A daemon passes Serve its ClusterHooks, wired to its
+// membership and replication machinery, and the server becomes one node of
+// a replicated tier:
 //
 //   - a client-initiated SET/MSET/DEL is stored locally and then handed to
 //     ClusterHooks for synchronous fan-out to the key's other ring owners
@@ -105,33 +105,21 @@ func (sess *session) writeNodes(nodes []string) error {
 // node set the server knows afterwards. Against a standalone server the
 // reply is empty.
 func (c *Client) Hello(addr string) ([]string, error) {
-	if addr == "" || len(addr) > MaxKeyLen || strings.ContainsAny(addr, " \r\n") {
+	if validKey(addr) != nil {
 		return nil, fmt.Errorf("%w: invalid node address %q", errBadRequest, addr)
 	}
-	if _, err := fmt.Fprintf(c.w, "HELLO %s\r\n", addr); err != nil {
-		return nil, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, err
-	}
-	return c.readNodesReply()
+	return c.readNodes(c.command("HELLO " + addr + "\r\n"))
 }
 
 // Nodes returns the node set the server knows (the NODES verb). An empty
 // reply means the server carries no topology — a standalone cache, not an
 // empty cluster.
 func (c *Client) Nodes() ([]string, error) {
-	if _, err := fmt.Fprint(c.w, "NODES\r\n"); err != nil {
-		return nil, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, err
-	}
-	return c.readNodesReply()
+	return c.readNodes(c.command("NODES\r\n"))
 }
 
-func (c *Client) readNodesReply() ([]string, error) {
-	line, err := c.readLine()
+// readNodes parses a NODES reply whose header line is line.
+func (c *Client) readNodes(line string, err error) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -156,22 +144,14 @@ func (c *Client) readNodesReply() ([]string, error) {
 // RSet stores value under key as a replica write: the server never fans it
 // back out, which is what keeps daemon-to-daemon replication acyclic.
 func (c *Client) RSet(key string, value []byte) error {
-	if err := c.writeSetFrame("RSET ", key, value); err != nil {
-		return err
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	return c.readStoredReply("RSET")
+	c.one.rset(key, value)
+	_, err := c.one.execOne()
+	return err
 }
 
 // RDel removes key as a replica delete (no fan-out); ok reports presence.
 func (c *Client) RDel(key string) (bool, error) {
-	if _, err := fmt.Fprintf(c.w, "RDEL %s\r\n", key); err != nil {
-		return false, err
-	}
-	if err := c.flush(); err != nil {
-		return false, err
-	}
-	return c.readDelReply()
+	c.one.rdel(key)
+	r, err := c.one.execOne()
+	return r.Found, err
 }

@@ -64,23 +64,8 @@ func (f *fakeHooks) snapshot() (sets map[string][]byte, dels, hello []string) {
 
 func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
 	t.Helper()
-	srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 1 << 10, Cluster: hooks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
-		srv.Close()
-	})
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
-		c.Close()
-	})
-	return srv, c
+	srv := serve(t, storeConfig(1<<10, 0), nil, hooks)
+	return srv, dial(t, srv)
 }
 
 func TestStandaloneServerAnswersClusterVerbs(t *testing.T) {
@@ -209,21 +194,20 @@ func TestConfigFlagBindingAndDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	so := cfg.ServerOptions(nil)
-	if so.Capacity != 512 || so.Shards != 2 {
-		t.Fatalf("ServerOptions = %+v", so)
+	// Serve and NewPool take the Config as it is.
+	if srv := serve(t, cfg, nil, nil); srv.Shards() != 2 {
+		t.Fatalf("server built %d shards from -shards 2", srv.Shards())
 	}
 	cfg.Breaker = &BreakerOptions{Window: 4}
-	po := cfg.PoolOptions("n1", true, nil)
-	if po.Size != 7 || !po.LazyDial || po.Name != "n1" ||
-		po.DialTimeout != 3*time.Second || po.Retry.Attempts != 5 {
-		t.Fatalf("PoolOptions = %+v", po)
+	p1 := NewPool("127.0.0.1:1", cfg, nil)
+	defer p1.Close()
+	p2 := NewPool("127.0.0.1:2", cfg, nil)
+	defer p2.Close()
+	if cap(p1.conns) != 7 || p1.timeout != 3*time.Second || p1.retries != 5 {
+		t.Fatalf("pool built size %d, timeout %v, retries %d from the Config", cap(p1.conns), p1.timeout, p1.retries)
 	}
-	if po.Breaker == cfg.Breaker {
-		t.Fatal("PoolOptions shared the breaker template instead of cloning it")
-	}
-	if po.Breaker.Window != 4 {
-		t.Fatalf("cloned breaker lost its settings: %+v", po.Breaker)
+	if p1.Breaker() == nil || p1.Breaker() == p2.Breaker() {
+		t.Fatal("pools must each build their own breaker from the template")
 	}
 
 	for _, bad := range []Config{

@@ -4,38 +4,33 @@ import (
 	"flag"
 	"fmt"
 	"time"
-
-	"spidercache/internal/telemetry"
 )
 
-// Config is the canonical kvserver option set: every knob a deployment
-// tunes, server side (store capacity, shard count) and client side (pool
-// size, timeouts, retry budget), in one struct with one set of defaults.
-//
-// Server, Pool and the daemons all derive their option structs from a
-// Config — ServerOptions() and PoolOptions() are the only conversion
-// points — and the binaries bind their command-line flags through
-// BindStoreFlags/BindPoolFlags, so spiderkv flags, spiderload flags and Go
-// callers share names, defaults and validation by construction instead of
-// by convention. Options and PoolOptions remain the constructor argument
-// types for compatibility; new code should start from a Config.
+// Config is the one kvserver option set: every knob a deployment tunes,
+// server side (store capacity, shard count) and client side (pool size,
+// timeout, retry budget, breaker), with one set of defaults and one
+// validation site. Serve and NewPool take a Config, and the binaries bind
+// their flags through BindStoreFlags/BindPoolFlags, so spiderkv flags and
+// Go callers share names, defaults and validation by construction.
 type Config struct {
 	// Capacity is the item budget of the server's LRU store (default 1<<16).
 	Capacity int
-	// Shards overrides the store's automatic shard count (0 = automatic).
+	// Shards overrides the store's automatic shard count: rounded down to a
+	// power of two and clamped to [1, min(Capacity, MaxShards)]. Zero means
+	// automatic, one shard per 64 items and at most 16, so small stores keep
+	// strict global LRU order and large ones spread lock contention.
 	Shards int
 	// PoolSize is the client connection pool size (default 4).
 	PoolSize int
 	// Timeout bounds each dial, reply read and request flush on client
 	// connections (default 10s; 0 means block indefinitely).
 	Timeout time.Duration
-	// Retries is the total attempt budget for idempotent pool ops; 1 or 0
-	// means a single attempt (default 8). Mutations keep their provably-safe
+	// Retries is the total attempt budget for idempotent pool ops; 1 means
+	// a single attempt (default 8). Mutations keep their provably-safe
 	// retry rule regardless (see Pool).
 	Retries int
-	// RetrySeed drives the deterministic retry-jitter stream.
-	RetrySeed uint64
 	// Breaker is the per-node circuit breaker template; nil disables it.
+	// Every pool builds its own breaker from it.
 	Breaker *BreakerOptions
 }
 
@@ -66,7 +61,7 @@ func (c *Config) BindPoolFlags(fs *flag.FlagSet) {
 }
 
 // Validate rejects values no Server or Pool would accept, with the flag
-// names in the message so binaries can report it verbatim.
+// names in the message so binaries can report it verbatim. Serve calls it.
 func (c Config) Validate() error {
 	if c.Capacity < 1 {
 		return fmt.Errorf("kvserver: -capacity must be >= 1, got %d", c.Capacity)
@@ -84,46 +79,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("kvserver: -timeout must be >= 0, got %v", c.Timeout)
 	}
 	return nil
-}
-
-// Dial returns the DialOptions the Config describes: one Timeout applied
-// to dial, read and write.
-func (c Config) Dial() DialOptions {
-	return DialOptions{DialTimeout: c.Timeout, ReadTimeout: c.Timeout, WriteTimeout: c.Timeout}
-}
-
-// Retry returns the RetryOptions the Config describes.
-func (c Config) Retry() RetryOptions {
-	attempts := c.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	return RetryOptions{Attempts: attempts, Seed: c.RetrySeed}
-}
-
-// ServerOptions converts the Config's server-side knobs into the Options
-// ServeWith/ServeOn accept; reg may be nil (the server then owns a private
-// registry).
-func (c Config) ServerOptions(reg *telemetry.Registry) Options {
-	return Options{Capacity: c.Capacity, Shards: c.Shards, Registry: reg}
-}
-
-// PoolOptions converts the Config's client-side knobs into the options
-// NewPool accepts. Each node's breaker gets its own instance cloned from
-// the template, so pools never share trip state.
-func (c Config) PoolOptions(name string, lazy bool, reg *telemetry.Registry) PoolOptions {
-	var breaker *BreakerOptions
-	if c.Breaker != nil {
-		b := *c.Breaker
-		breaker = &b
-	}
-	return PoolOptions{
-		Size:        c.PoolSize,
-		DialOptions: c.Dial(),
-		LazyDial:    lazy,
-		Retry:       c.Retry(),
-		Breaker:     breaker,
-		Name:        name,
-		Registry:    reg,
-	}
 }

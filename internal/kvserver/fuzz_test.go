@@ -93,16 +93,7 @@ func FuzzClientRoundTrip(f *testing.F) {
 	f.Add("a:b:c", []byte{})
 	f.Add(strings.Repeat("k", MaxKeyLen), bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, key string, value []byte) {
-		srv, err := Serve("127.0.0.1:0", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+		c := dial(t, startServer(t, 8))
 		if err := c.Set(key, value); err != nil {
 			// The client rejects invalid keys locally; that is fine.
 			if validKey(key) != nil {

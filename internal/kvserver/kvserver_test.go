@@ -2,17 +2,33 @@ package kvserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+
+	"spidercache/internal/telemetry"
 )
 
-func startServer(t *testing.T, capacity int) *Server {
+// storeConfig is DefaultConfig with the given store size (shards 0 =
+// automatic).
+func storeConfig(capacity, shards int) Config {
+	cfg := DefaultConfig()
+	cfg.Capacity, cfg.Shards = capacity, shards
+	return cfg
+}
+
+// serve starts a server on a loopback port, closed at cleanup.
+func serve(t testing.TB, cfg Config, reg *telemetry.Registry, hooks ClusterHooks) *Server {
 	t.Helper()
-	srv, err := Serve("127.0.0.1:0", capacity)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(ln, cfg, reg, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,9 +36,14 @@ func startServer(t *testing.T, capacity int) *Server {
 	return srv
 }
 
-func dial(t *testing.T, srv *Server) *Client {
+func startServer(t testing.TB, capacity int) *Server {
 	t.Helper()
-	c, err := Dial(srv.Addr())
+	return serve(t, storeConfig(capacity, 0), nil, nil)
+}
+
+func dial(t testing.TB, srv *Server) *Client {
+	t.Helper()
+	c, err := Dial(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +51,18 @@ func dial(t *testing.T, srv *Server) *Client {
 	return c
 }
 
+// TestServeValidation: Serve rejects an invalid Config and, owning the
+// listener from the call on, closes it.
 func TestServeValidation(t *testing.T) {
-	if _, err := Serve("127.0.0.1:0", 0); err == nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Serve(ln, storeConfig(0, 0), nil, nil); err == nil {
 		t.Fatal("zero capacity accepted")
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("Serve left a rejected listener open")
 	}
 }
 
@@ -117,13 +147,40 @@ func TestStatsOverWire(t *testing.T) {
 	}
 }
 
+// TestInvalidClientKey: every key-taking verb rejects a key the protocol
+// cannot carry before writing a byte — so a key with a line break cannot
+// smuggle a second command — and the client stays in step afterwards.
 func TestInvalidClientKey(t *testing.T) {
 	srv := startServer(t, 8)
 	c := dial(t, srv)
-	for _, key := range []string{"", "has space", "has\nnewline"} {
-		if err := c.Set(key, []byte("v")); err == nil {
-			t.Errorf("key %q accepted", key)
+	if err := c.Set("kept", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	emb := []float32{1, 0}
+	verbs := map[string]func(key string) error{
+		"Get":  func(k string) error { _, _, err := c.Get(k); return err },
+		"Set":  func(k string) error { return c.Set(k, []byte("v")) },
+		"Del":  func(k string) error { _, err := c.Del(k); return err },
+		"RSet": func(k string) error { return c.RSet(k, []byte("v")) },
+		"RDel": func(k string) error { _, err := c.RDel(k); return err },
+		"NGet": func(k string) error { _, _, _, err := c.NGet(k, emb, 0.3); return err },
+		"ESet": func(k string) error { return c.ESet(k, emb) },
+		"MGet": func(k string) error { _, _, err := c.MGet("kept", k); return err },
+		"MSet": func(k string) error { return c.MSet([]string{"kept", k}, [][]byte{[]byte("v"), []byte("w")}) },
+	}
+	for name, verb := range verbs {
+		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nDEL kept"} {
+			before := c.wroteBytes()
+			if err := verb(key); !errors.Is(err, errBadRequest) {
+				t.Errorf("%s(%q) = %v, want errBadRequest", name, key, err)
+			}
+			if after := c.wroteBytes(); after != before {
+				t.Errorf("%s(%q) wrote %d bytes before failing", name, key, after-before)
+			}
 		}
+	}
+	if v, ok, err := c.Get("kept"); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after rejected keys = %q, %v, %v; want the stored value", v, ok, err)
 	}
 }
 
@@ -247,7 +304,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			c, err := Dial(srv.Addr(), 0)
 			if err != nil {
 				errs <- err
 				return
@@ -295,30 +352,18 @@ func TestUpdateExistingKey(t *testing.T) {
 }
 
 func TestCloseStopsServer(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startServer(t, 4)
 	addr := srv.Addr()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Dial(addr); err == nil {
+	if _, err := Dial(addr, 0); err == nil {
 		t.Fatal("dial succeeded after Close")
 	}
 }
 
 func BenchmarkSetGet(b *testing.B) {
-	srv, err := Serve("127.0.0.1:0", 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(b, startServer(b, 4096))
 	payload := bytes.Repeat([]byte("x"), 3<<10) // CIFAR-sized sample
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()

@@ -54,11 +54,7 @@ func TestMetricsVerbOverWire(t *testing.T) {
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Gauge("host_custom_gauge", nil).Set(42)
-	srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 4, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	srv := serve(t, storeConfig(4, 0), reg, nil)
 	if srv.Metrics() != reg {
 		t.Fatal("server did not adopt the shared registry")
 	}
@@ -80,12 +76,7 @@ func TestMetricsSharedRegistry(t *testing.T) {
 // TestMetricsShardGauges: METRICS exports one kv_shard_items gauge per
 // store shard, and their sum equals kv_items — shard balance is visible.
 func TestMetricsShardGauges(t *testing.T) {
-	srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 1024, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c := dial(t, srv)
+	c := dial(t, serve(t, storeConfig(1024, 4), nil, nil))
 	for i := 0; i < 64; i++ {
 		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

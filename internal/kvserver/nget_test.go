@@ -180,16 +180,7 @@ func TestNGetEvictionUnlinks(t *testing.T) {
 // bucket of kv_semantic_hits_total, and near hits feed kv_semantic_dist.
 func TestNGetTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 64, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, serve(t, storeConfig(64, 0), reg, nil))
 
 	vecA := unit(1, 0)
 	if err := c.Set("a", []byte("v")); err != nil {

@@ -1,8 +1,16 @@
 package kvserver
 
-import "fmt"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
-// opKind discriminates queued pipeline operations for reply parsing.
+// opKind is a queued keyed request; it picks the frame writer, the reply
+// reader and the verb named in errors.
 type opKind uint8
 
 const (
@@ -11,7 +19,14 @@ const (
 	opDel
 	opNGet
 	opESet
+	opRSet
+	opRDel
 )
+
+var verbs = [...]string{
+	opGet: "GET", opSet: "SET", opDel: "DEL", opNGet: "NGET",
+	opESet: "ESET", opRSet: "RSET", opRDel: "RDEL",
+}
 
 // Result is the outcome of one pipelined operation, in queue order.
 type Result struct {
@@ -30,12 +45,18 @@ type Result struct {
 
 // Pipeline queues operations on a client and sends them all in one network
 // flush; the server answers back to back, so N operations cost one round
-// trip instead of N. Build with Client.Pipeline, queue with Get/Set/Del,
-// send with Exec. Like Client, a Pipeline is single-goroutine.
+// trip instead of N. Build with Client.Pipeline, queue with Get/Set/Del/
+// NGet/ESet, send with Exec. Like Client, a Pipeline is single-goroutine.
 //
 // Queued requests are written into the client's buffer immediately (a full
 // buffer drains to the socket early, which is harmless — replies are only
 // expected after Exec). After Exec the pipeline is empty and reusable.
+//
+// A request that fails validation (bad key, embedding or threshold) is
+// never written; Exec then reports that error and drops every frame queued
+// with it unsent. A pipeline large enough to have drained part of its
+// frames before the bad one leaves the connection out of step: discard the
+// client then (Pool.Do does).
 type Pipeline struct {
 	c    *Client
 	ops  []opKind
@@ -53,74 +74,60 @@ func (p *Pipeline) Len() int { return len(p.ops) }
 
 // Get queues a GET.
 func (p *Pipeline) Get(key string) {
-	if p.werr != nil {
-		return
+	if p.werr == nil {
+		p.add(opGet, p.c.writeKeyFrame(opGet, key))
 	}
-	if err := validKey(key); err != nil {
-		p.werr = err
-		return
-	}
-	p.c.w.WriteString("GET ")
-	p.c.w.WriteString(key)
-	if _, err := p.c.w.WriteString("\r\n"); err != nil {
-		p.werr = err
-		return
-	}
-	p.ops = append(p.ops, opGet)
 }
 
 // Set queues a SET.
 func (p *Pipeline) Set(key string, value []byte) {
-	if p.werr != nil {
-		return
+	if p.werr == nil {
+		p.add(opSet, p.c.writeSetFrame("SET ", key, value))
 	}
-	if err := p.c.writeSetFrame("SET ", key, value); err != nil {
-		p.werr = err
-		return
-	}
-	p.ops = append(p.ops, opSet)
 }
 
 // Del queues a DEL.
 func (p *Pipeline) Del(key string) {
-	if p.werr != nil {
-		return
+	if p.werr == nil {
+		p.add(opDel, p.c.writeKeyFrame(opDel, key))
 	}
-	if err := validKey(key); err != nil {
-		p.werr = err
-		return
-	}
-	p.c.w.WriteString("DEL ")
-	p.c.w.WriteString(key)
-	if _, err := p.c.w.WriteString("\r\n"); err != nil {
-		p.werr = err
-		return
-	}
-	p.ops = append(p.ops, opDel)
 }
 
 // NGet queues an NGET (see Client.NGet).
 func (p *Pipeline) NGet(key string, emb []float32, threshold float64) {
-	if p.werr != nil {
-		return
+	if p.werr == nil {
+		p.add(opNGet, p.c.writeNGetFrame(key, emb, threshold))
 	}
-	if err := p.c.writeNGetFrame(key, emb, threshold); err != nil {
-		p.werr = err
-		return
-	}
-	p.ops = append(p.ops, opNGet)
 }
 
 // ESet queues an ESET (see Client.ESet).
 func (p *Pipeline) ESet(key string, emb []float32) {
-	if p.werr != nil {
-		return
+	if p.werr == nil {
+		p.add(opESet, p.c.writeESetFrame(key, emb))
 	}
-	if err := p.c.writeESetFrame(key, emb); err != nil {
+}
+
+// rset queues an RSET (see Client.RSet).
+func (p *Pipeline) rset(key string, value []byte) {
+	if p.werr == nil {
+		p.add(opRSet, p.c.writeSetFrame("RSET ", key, value))
+	}
+}
+
+// rdel queues an RDEL (see Client.RDel).
+func (p *Pipeline) rdel(key string) {
+	if p.werr == nil {
+		p.add(opRDel, p.c.writeKeyFrame(opRDel, key))
+	}
+}
+
+// add records a queued op whose frame writer returned err.
+func (p *Pipeline) add(kind opKind, err error) {
+	if err != nil {
 		p.werr = err
 		return
 	}
-	p.ops = append(p.ops, opESet)
+	p.ops = append(p.ops, kind)
 }
 
 // Exec flushes every queued operation in one write and collects their
@@ -128,71 +135,64 @@ func (p *Pipeline) ESet(key string, emb []float32) {
 // (the connection should be discarded); per-op protocol errors land in the
 // matching Result.Err. Exec on an empty pipeline is a no-op.
 func (p *Pipeline) Exec() ([]Result, error) {
-	ops := p.ops
-	p.ops = p.ops[:0]
-	if p.werr != nil {
-		err := p.werr
-		p.werr = nil
+	var results []Result
+	if len(p.ops) > 0 {
+		results = make([]Result, len(p.ops))
+	}
+	if err := p.exec(results); err != nil {
 		return nil, err
-	}
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	if err := p.c.flush(); err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(ops))
-	for i, kind := range ops {
-		switch kind {
-		case opGet:
-			v, ok, err := p.c.readValueReply("GET")
-			if err != nil {
-				if isTransportErr(err) {
-					return nil, err
-				}
-				results[i].Err = err
-				continue
-			}
-			results[i].Value, results[i].Found = v, ok
-		case opSet:
-			if err := p.c.readStoredReply("SET"); err != nil {
-				if isTransportErr(err) {
-					return nil, err
-				}
-				results[i].Err = err
-			}
-		case opDel:
-			ok, err := p.c.readDelReply()
-			if err != nil {
-				if isTransportErr(err) {
-					return nil, err
-				}
-				results[i].Err = err
-				continue
-			}
-			results[i].Found = ok
-		case opNGet:
-			v, near, ok, err := p.c.readNGetReply()
-			if err != nil {
-				if isTransportErr(err) {
-					return nil, err
-				}
-				results[i].Err = err
-				continue
-			}
-			results[i].Value, results[i].Near, results[i].Found = v, near, ok
-		case opESet:
-			if err := p.c.readStoredReply("ESET"); err != nil {
-				if isTransportErr(err) {
-					return nil, err
-				}
-				results[i].Err = err
-			}
-		default:
-			return nil, fmt.Errorf("kvserver: unknown pipeline op %d", kind)
-		}
 	}
 	return results, nil
+}
+
+// execOne is Exec for the client's own pipeline of one: the result comes
+// back by value, so a single op allocates no result slice, and its per-op
+// error is returned as the error.
+func (p *Pipeline) execOne() (Result, error) {
+	var res [1]Result
+	if err := p.exec(res[:len(p.ops)]); err != nil {
+		return Result{}, err
+	}
+	return res[0], res[0].Err
+}
+
+// exec sends the queued ops and reads one reply per op into results, which
+// has one slot per queued op. The pipeline is empty afterwards.
+func (p *Pipeline) exec(results []Result) error {
+	ops := p.ops
+	p.ops = p.ops[:0]
+	if err := p.werr; err != nil {
+		p.werr = nil
+		if errors.Is(err, errBadRequest) {
+			p.c.w.Reset(p.c.conn) // drop the frames queued before the bad one
+		}
+		return err
+	}
+	if len(ops) == 0 {
+		return nil
+	}
+	if err := p.c.flush(); err != nil {
+		return err
+	}
+	for i, kind := range ops {
+		r := &results[i]
+		var err error
+		switch kind {
+		case opGet, opNGet:
+			r.Value, r.Near, r.Found, err = p.c.readValue(verbs[kind])
+		case opDel, opRDel:
+			r.Found, err = p.c.readDeleted(verbs[kind])
+		default:
+			err = p.c.readStored(verbs[kind])
+		}
+		if err != nil {
+			if isTransportErr(err) {
+				return err
+			}
+			r.Err = err
+		}
+	}
+	return nil
 }
 
 // isTransportErr distinguishes connection-level failures (the reply stream
@@ -204,4 +204,169 @@ func (p *Pipeline) Exec() ([]Result, error) {
 func isTransportErr(err error) bool {
 	s := err.Error()
 	return !(len(s) >= 9 && s[:9] == "kvserver:")
+}
+
+// The frame writers: one per verb, each validating its arguments before it
+// writes a byte, so an invalid request never reaches the buffer.
+
+// writeKeyFrame appends "<verb> <key>\r\n" (GET, DEL, RDEL).
+func (c *Client) writeKeyFrame(kind opKind, key string) error {
+	if err := validKey(key); err != nil {
+		return err
+	}
+	c.w.WriteString(verbs[kind])
+	c.w.WriteByte(' ')
+	c.w.WriteString(key)
+	_, err := c.w.WriteString("\r\n")
+	return err
+}
+
+// writeSetFrame appends "<prefix><key> <nbytes>\r\n<payload>\r\n": a SET
+// or RSET with prefix "SET " or "RSET ", an MSET item with prefix "".
+func (c *Client) writeSetFrame(prefix, key string, value []byte) error {
+	if err := validKey(key); err != nil {
+		return err
+	}
+	c.w.WriteString(prefix)
+	c.w.WriteString(key)
+	c.w.WriteByte(' ')
+	c.w.WriteString(strconv.Itoa(len(value)))
+	c.w.WriteString("\r\n")
+	c.w.Write(value)
+	_, err := c.w.WriteString("\r\n")
+	return err
+}
+
+// writeESetFrame appends "ESET <key> <dim>\r\n<embedding>\r\n".
+func (c *Client) writeESetFrame(key string, emb []float32) error {
+	if err := validKey(key); err != nil {
+		return err
+	}
+	if err := validEmbedding(emb); err != nil {
+		return err
+	}
+	c.w.WriteString("ESET ")
+	c.w.WriteString(key)
+	c.w.WriteByte(' ')
+	c.w.WriteString(strconv.Itoa(len(emb)))
+	c.w.WriteString("\r\n")
+	return c.writeEmbedding(emb)
+}
+
+// writeNGetFrame appends "NGET <key> <threshold> <dim>\r\n<embedding>\r\n".
+func (c *Client) writeNGetFrame(key string, emb []float32, threshold float64) error {
+	if err := validKey(key); err != nil {
+		return err
+	}
+	if err := validEmbedding(emb); err != nil {
+		return err
+	}
+	if math.IsNaN(threshold) || math.IsInf(threshold, 0) || threshold < 0 {
+		return fmt.Errorf("%w: invalid NGET threshold %v", errBadRequest, threshold)
+	}
+	c.w.WriteString("NGET ")
+	c.w.WriteString(key)
+	c.w.WriteByte(' ')
+	c.w.WriteString(strconv.FormatFloat(threshold, 'f', -1, 64))
+	c.w.WriteByte(' ')
+	c.w.WriteString(strconv.Itoa(len(emb)))
+	c.w.WriteString("\r\n")
+	return c.writeEmbedding(emb)
+}
+
+// writeEmbedding appends the raw little-endian float32 payload and its
+// terminating CRLF.
+func (c *Client) writeEmbedding(emb []float32) error {
+	var b [4]byte
+	for _, f := range emb {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
+		c.w.Write(b[:])
+	}
+	_, err := c.w.WriteString("\r\n")
+	return err
+}
+
+// The reply readers: one per reply shape.
+
+// readValue reads one reply to GET, to each key of an MGET, or to NGET:
+// "VALUE <nbytes>" or NOT_FOUND, and for NGET also
+// "NEAR <key> <dist> <nbytes>". found covers both hit kinds; near is
+// non-nil only for NEAR. Any other line is a protocol failure of verb.
+func (c *Client) readValue(verb string) (value []byte, near *Near, found bool, err error) {
+	line, err := c.readLine()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	switch {
+	case line == "NOT_FOUND":
+		return nil, nil, false, nil
+	case strings.HasPrefix(line, "VALUE "):
+		n, err := strconv.Atoi(strings.TrimPrefix(line, "VALUE "))
+		if err != nil || n < 0 || n > MaxValueSize {
+			return nil, nil, false, fmt.Errorf("kvserver: bad VALUE header %q", line)
+		}
+		value, err := c.readBody(n)
+		return value, nil, err == nil, err
+	case verb == "NGET" && strings.HasPrefix(line, "NEAR "):
+		fields := strings.Fields(line)
+		if len(fields) != 4 {
+			return nil, nil, false, fmt.Errorf("kvserver: bad NEAR header %q", line)
+		}
+		dist, derr := strconv.ParseFloat(fields[2], 64)
+		n, nerr := strconv.Atoi(fields[3])
+		if derr != nil || nerr != nil || dist < 0 || n < 0 || n > MaxValueSize {
+			return nil, nil, false, fmt.Errorf("kvserver: bad NEAR header %q", line)
+		}
+		value, err := c.readBody(n)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		return value, &Near{Key: fields[1], Dist: dist}, true, nil
+	default:
+		return nil, nil, false, fmt.Errorf("kvserver: %s failed: %s", verb, line)
+	}
+}
+
+// readStored reads the STORED reply to SET, RSET or ESET.
+func (c *Client) readStored(verb string) error {
+	line, err := c.readLine()
+	if err != nil {
+		return err
+	}
+	if line != "STORED" {
+		return fmt.Errorf("kvserver: %s failed: %s", verb, line)
+	}
+	return nil
+}
+
+// readDeleted reads the DELETED or NOT_FOUND reply to DEL or RDEL.
+func (c *Client) readDeleted(verb string) (bool, error) {
+	line, err := c.readLine()
+	if err != nil {
+		return false, err
+	}
+	switch line {
+	case "DELETED":
+		return true, nil
+	case "NOT_FOUND":
+		return false, nil
+	default:
+		return false, fmt.Errorf("kvserver: %s failed: %s", verb, line)
+	}
+}
+
+// readBody reads an n-byte payload and the CRLF that terminates it.
+func (c *Client) readBody(n int) ([]byte, error) {
+	body := make([]byte, n)
+	if err := c.readFull(body); err != nil {
+		return nil, err
+	}
+	var crlf [2]byte
+	if err := c.readFull(crlf[:]); err != nil {
+		return nil, err
+	}
+	if crlf != [2]byte{'\r', '\n'} {
+		return nil, fmt.Errorf("kvserver: payload not CRLF-terminated")
+	}
+	return body, nil
 }

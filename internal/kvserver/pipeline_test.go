@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -73,12 +74,17 @@ func TestPipelineInvalidKeyAborts(t *testing.T) {
 	p.Set("ok", []byte("v"))
 	p.Get("has space")
 	p.Get("ok")
-	if _, err := p.Exec(); err == nil {
-		t.Fatal("invalid queued key did not fail Exec")
+	if _, err := p.Exec(); !errors.Is(err, errBadRequest) {
+		t.Fatalf("invalid queued key: Exec = %v, want errBadRequest", err)
 	}
-	// The client connection survives a queue-time error only if nothing
-	// was flushed; the first Set WAS buffered, so the connection state is
-	// undefined — dial a fresh client to keep testing.
+	// Nothing of the aborted pipeline was sent, not even the valid Set
+	// queued before the bad key, so the client is still in step.
+	if c.wroteBytes() != 0 {
+		t.Fatalf("aborted pipeline wrote %d bytes", c.wroteBytes())
+	}
+	if _, found, err := c.Get("ok"); err != nil || found {
+		t.Fatalf("Get after aborted pipeline = %v, %v; want a clean miss", found, err)
+	}
 }
 
 func TestPipelineDeep(t *testing.T) {

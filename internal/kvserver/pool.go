@@ -2,7 +2,6 @@ package kvserver
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -20,62 +19,14 @@ var ErrPoolClosed = errors.New("kvserver: pool is closed")
 // route around the node rather than retry.
 var ErrBreakerOpen = errors.New("kvserver: circuit breaker open")
 
-// RetryOptions tunes the pool's retry layer. The zero value disables
-// retries, preserving the historical single-attempt behaviour.
-type RetryOptions struct {
-	// Attempts is the total tries for idempotent ops (Get/MGet); 1 or 0
-	// means a single attempt. Mutations (Set/MSet/Del) never use the full
-	// budget: they retry at most once, and only when the failure was
-	// provably pre-write (see Pool docs).
-	Attempts int
-	// BaseBackoff is the delay before the first retry; each further retry
-	// doubles it (default 2ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 100ms).
-	MaxBackoff time.Duration
-	// JitterFrac randomises each backoff by ±JitterFrac of itself, in
-	// [0,1) (default 0.2), so synchronised clients do not retry in lockstep.
-	JitterFrac float64
-	// Seed drives the deterministic jitter stream.
-	Seed uint64
-}
-
-func (o RetryOptions) withDefaults() RetryOptions {
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 2 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 100 * time.Millisecond
-	}
-	if o.JitterFrac < 0 || o.JitterFrac >= 1 {
-		o.JitterFrac = 0.2
-	}
-	return o
-}
-
-// PoolOptions configures a connection pool.
-type PoolOptions struct {
-	// Size is the fixed number of pooled connections (default 4).
-	Size int
-	// DialOptions apply to every pooled connection (dial/read/write
-	// deadlines).
-	DialOptions
-	// LazyDial skips the up-front dials: every slot starts marked for
-	// redial, so NewPool succeeds even while the node is down and the first
-	// Acquire of each slot pays the dial. This is the right mode for
-	// failover clients that must construct against unreachable nodes.
-	LazyDial bool
-	// Retry enables retry with exponential backoff + jitter on the
-	// convenience ops. Zero value = single attempt.
-	Retry RetryOptions
-	// Breaker enables a per-node circuit breaker; nil disables it.
-	Breaker *BreakerOptions
-	// Name labels this pool's telemetry series (kv_retries_total,
-	// kv_breaker_state); empty means the dial address.
-	Name string
-	// Registry receives the pool's telemetry; nil records nothing.
-	Registry *telemetry.Registry
-}
+// The retry backoff: exponential from retryBase, capped at retryMax, each
+// delay randomised by ±retryJitter of itself so synchronised clients do
+// not retry in lockstep.
+const (
+	retryBase   = 2 * time.Millisecond
+	retryMax    = 100 * time.Millisecond
+	retryJitter = 0.2
+)
 
 // poolTelemetry groups the pool's instruments, resolved once at NewPool.
 // This is the single registration site for the kv_retries_total and
@@ -104,10 +55,10 @@ func newPoolTelemetry(reg *telemetry.Registry, node string) poolTelemetry {
 //
 // # Retry semantics
 //
-// With PoolOptions.Retry configured, the idempotent reads Get and MGet are
-// retried up to Retry.Attempts times with exponential backoff + jitter,
-// acquiring a fresh connection each time (the failed one is discarded).
-// The mutations Set, MSet and Del retry at most ONCE, and only when the
+// The idempotent reads Get, MGet and NGet are tried up to Config.Retries
+// times with exponential backoff + jitter, acquiring a fresh connection
+// each time (the failed one is discarded). The mutations Set, MSet, Del
+// and ESet retry at most ONCE, only with Retries >= 2, and only when the
 // failure is provably pre-write: not a single byte of the request reached
 // the socket (tracked per connection), so the server cannot have executed
 // or partially received it. Any failure after bytes hit the wire is
@@ -116,21 +67,21 @@ func newPoolTelemetry(reg *telemetry.Registry, node string) poolTelemetry {
 //
 // # Circuit breaker
 //
-// With PoolOptions.Breaker set, transport-level failures feed a per-node
+// With Config.Breaker set, transport-level failures feed a per-node
 // breaker; while it is open every op fails fast with ErrBreakerOpen and no
 // connection is touched, giving the node time to recover and callers an
 // immediate signal to fail over. Protocol-level errors (the node answered,
 // just not what we expected) do not count against the breaker.
 type Pool struct {
-	addr  string
-	opts  PoolOptions
-	conns chan *Client // nil entry = slot needs a redial
-	done  chan struct{}
+	addr    string
+	timeout time.Duration
+	retries int
+	conns   chan *Client // nil entry = slot needs a redial
+	done    chan struct{}
 
 	mu     sync.Mutex
 	closed bool
 
-	retry   RetryOptions
 	breaker *Breaker
 	tel     poolTelemetry
 
@@ -138,47 +89,31 @@ type Pool struct {
 	rng   *xrand.Rand
 }
 
-// NewPool dials opts.Size connections to addr up front, failing fast if
-// the server is unreachable — or, with opts.LazyDial, marks every slot for
-// on-demand dialing and never fails.
-func NewPool(addr string, opts PoolOptions) (*Pool, error) {
-	if opts.Size <= 0 {
-		opts.Size = 4
-	}
-	name := opts.Name
-	if name == "" {
-		name = addr
-	}
+// NewPool builds a pool of cfg.PoolSize connections to addr with cfg's
+// timeout, retry budget and breaker. Every slot is dialled on first use,
+// so NewPool never fails, even while the node is down — failover clients
+// construct against unreachable nodes. A PoolSize or Retries below 1 is
+// taken as 1. reg receives the pool's telemetry, labelled with addr; nil
+// records nothing. The backoff jitter stream is seeded from addr.
+func NewPool(addr string, cfg Config, reg *telemetry.Registry) *Pool {
+	size := max(cfg.PoolSize, 1)
 	p := &Pool{
-		addr:  addr,
-		opts:  opts,
-		conns: make(chan *Client, opts.Size),
-		done:  make(chan struct{}),
-		retry: opts.Retry.withDefaults(),
-		tel:   newPoolTelemetry(opts.Registry, name),
-		rng:   xrand.New(opts.Retry.Seed),
+		addr:    addr,
+		timeout: cfg.Timeout,
+		retries: max(cfg.Retries, 1),
+		conns:   make(chan *Client, size),
+		done:    make(chan struct{}),
+		tel:     newPoolTelemetry(reg, addr),
+		rng:     xrand.New(uint64(fnv1a(addr))),
 	}
-	if opts.Breaker != nil {
-		p.breaker = NewBreaker(*opts.Breaker)
+	if cfg.Breaker != nil {
+		p.breaker = NewBreaker(*cfg.Breaker)
 	}
-	for i := 0; i < opts.Size; i++ {
-		if opts.LazyDial {
-			p.conns <- nil
-			continue
-		}
-		c, err := DialWith(addr, opts.DialOptions)
-		if err != nil {
-			//lint:ignore errcheck the dial error is what the caller sees; Close here cannot fail usefully
-			p.Close()
-			return nil, fmt.Errorf("kvserver: pool dial %d/%d: %w", i+1, opts.Size, err)
-		}
-		p.conns <- c
+	for i := 0; i < size; i++ {
+		p.conns <- nil
 	}
-	return p, nil
+	return p
 }
-
-// Size reports the pool's fixed connection count.
-func (p *Pool) Size() int { return p.opts.Size }
 
 // Breaker returns the pool's circuit breaker, or nil when disabled.
 func (p *Pool) Breaker() *Breaker { return p.breaker }
@@ -198,7 +133,7 @@ func (p *Pool) Acquire() (*Client, error) {
 	if c == nil {
 		// Slot was discarded; redial it now. On failure the slot stays
 		// marked so the pool never shrinks.
-		c2, err := DialWith(p.addr, p.opts.DialOptions)
+		c2, err := Dial(p.addr, p.timeout)
 		if err != nil {
 			p.conns <- nil
 			return nil, err
@@ -312,28 +247,21 @@ func (p *Pool) record(err error) {
 // backoff sleeps before retry number n (1-based) with exponential growth
 // and deterministic jitter.
 func (p *Pool) backoff(n int) {
-	d := p.retry.BaseBackoff << (n - 1)
-	if d > p.retry.MaxBackoff || d <= 0 {
-		d = p.retry.MaxBackoff
+	d := retryBase << (n - 1)
+	if d > retryMax || d <= 0 {
+		d = retryMax
 	}
-	if j := p.retry.JitterFrac; j > 0 {
-		p.rngMu.Lock()
-		f := p.rng.Float64()
-		p.rngMu.Unlock()
-		d = time.Duration(float64(d) * (1 + (2*f-1)*j))
-	}
-	time.Sleep(d)
+	p.rngMu.Lock()
+	f := p.rng.Float64()
+	p.rngMu.Unlock()
+	time.Sleep(time.Duration(float64(d) * (1 + (2*f-1)*retryJitter)))
 }
 
 // doIdempotent runs f with the full retry budget: the op is read-only, so
 // re-sending after any failure is safe.
 func (p *Pool) doIdempotent(op string, f func(*Client) error) error {
-	attempts := p.retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < p.retries; i++ {
 		if i > 0 {
 			p.tel.retries[op].Inc()
 			p.backoff(i)
@@ -366,7 +294,7 @@ func (p *Pool) doMutate(op string, f func(*Client) error) error {
 	}
 	err, preWrite := p.attempt(f)
 	p.record(err)
-	if err == nil || !preWrite || p.retry.Attempts < 2 ||
+	if err == nil || !preWrite || p.retries < 2 ||
 		errors.Is(err, ErrPoolClosed) || errors.Is(err, errBadRequest) {
 		return err
 	}

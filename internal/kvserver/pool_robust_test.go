@@ -20,10 +20,7 @@ func TestPoolAcquireCloseRace(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
 	for iter := 0; iter < 1000; iter++ {
-		pool, err := NewPool(srv.Addr(), PoolOptions{Size: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
 		// Check out the only connection so the concurrent Acquire blocks
 		// on the empty channel — the exact shape of the original deadlock.
 		held, err := pool.Acquire()
@@ -114,11 +111,8 @@ func TestPoolCloseMidRedial(t *testing.T) {
 		}
 	}()
 
-	pool, err := NewPool(proxy.Addr().String(), PoolOptions{Size: 1, LazyDial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The slot starts nil (LazyDial), so this Acquire redials through the
+	pool := NewPool(proxy.Addr().String(), Config{PoolSize: 1}, nil)
+	// The slot starts undialled, so this Acquire dials through the
 	// gated proxy. TCP connect succeeds immediately (the proxy accepted);
 	// the pool is then closed before Acquire's post-redial check runs.
 	done := make(chan struct{})
@@ -147,10 +141,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 func TestPoolReleaseNilPanics(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool, err := NewPool(srv.Addr(), PoolOptions{Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
 	defer pool.Close()
 	defer func() {
 		if recover() == nil {
@@ -162,11 +153,8 @@ func TestPoolReleaseNilPanics(t *testing.T) {
 
 func TestPoolLazyDial(t *testing.T) {
 	leakcheck.Check(t)
-	// NewPool must succeed against a node that is down...
-	pool, err := NewPool("127.0.0.1:1", PoolOptions{Size: 2, LazyDial: true})
-	if err != nil {
-		t.Fatalf("LazyDial pool failed against a down node: %v", err)
-	}
+	// A pool against a node that is down is built all the same...
+	pool := NewPool("127.0.0.1:1", Config{PoolSize: 2}, nil)
 	if _, _, err := pool.Get("k"); err == nil {
 		t.Fatal("Get against a down node succeeded")
 	}
@@ -174,10 +162,7 @@ func TestPoolLazyDial(t *testing.T) {
 
 	// ...and work normally once the node exists.
 	srv := startServer(t, 16)
-	pool, err = NewPool(srv.Addr(), PoolOptions{Size: 2, LazyDial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool = NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
 	defer pool.Close()
 	if err := pool.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -193,15 +178,7 @@ func TestPoolRetriesIdempotent(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
 	reg := telemetry.NewRegistry()
-	pool, err := NewPool(srv.Addr(), PoolOptions{
-		Size:     1,
-		Retry:    RetryOptions{Attempts: 3, BaseBackoff: time.Millisecond},
-		Registry: reg,
-		Name:     "n0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Retries: 3}, reg)
 	defer pool.Close()
 	if err := pool.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -218,7 +195,7 @@ func TestPoolRetriesIdempotent(t *testing.T) {
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("Get over poisoned conn: %q %v %v", v, found, err)
 	}
-	if got := reg.Counter("kv_retries_total", telemetry.Labels{"op": "get", "node": "n0"}).Value(); got < 1 {
+	if got := reg.Counter("kv_retries_total", telemetry.Labels{"op": "get", "node": srv.Addr()}).Value(); got < 1 {
 		t.Fatalf("kv_retries_total{op=get} = %d, want >= 1", got)
 	}
 }
@@ -229,13 +206,7 @@ func TestPoolRetriesIdempotent(t *testing.T) {
 func TestPoolMutationRetry(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool, err := NewPool(srv.Addr(), PoolOptions{
-		Size:  1,
-		Retry: RetryOptions{Attempts: 3, BaseBackoff: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Retries: 3}, nil)
 	defer pool.Close()
 
 	// Pre-write failure: close the pooled conn locally. The write to the
@@ -267,20 +238,15 @@ func TestPoolBreakerFailsFast(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
 	reg := telemetry.NewRegistry()
-	pool, err := NewPool(srv.Addr(), PoolOptions{
-		Size: 1,
+	pool := NewPool(srv.Addr(), Config{
+		PoolSize: 1,
 		Breaker: &BreakerOptions{
 			Window:           8,
 			FailureThreshold: 0.5,
 			MinSamples:       2,
 			OpenFor:          50 * time.Millisecond,
 		},
-		Registry: reg,
-		Name:     "n0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, reg)
 	defer pool.Close()
 	if err := pool.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -306,7 +272,7 @@ func TestPoolBreakerFailsFast(t *testing.T) {
 	if _, _, err := pool.Get("k"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open-breaker Get error = %v, want ErrBreakerOpen", err)
 	}
-	if g := reg.Gauge("kv_breaker_state", telemetry.Labels{"node": "n0"}).Value(); g != float64(BreakerOpen) {
+	if g := reg.Gauge("kv_breaker_state", telemetry.Labels{"node": srv.Addr()}).Value(); g != float64(BreakerOpen) {
 		t.Fatalf("kv_breaker_state gauge = %g, want %g", g, float64(BreakerOpen))
 	}
 

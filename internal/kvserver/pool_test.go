@@ -13,10 +13,7 @@ import (
 func TestPoolBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool, err := NewPool(srv.Addr(), PoolOptions{Size: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
 	defer pool.Close()
 
 	if err := pool.Set("k", []byte("v")); err != nil {
@@ -41,10 +38,7 @@ func TestPoolBasicOps(t *testing.T) {
 func TestPoolConcurrent(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4096)
-	pool, err := NewPool(srv.Addr(), PoolOptions{Size: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 4}, nil)
 	defer pool.Close()
 
 	const goroutines = 16 // 4x oversubscribed: exercises Acquire blocking
@@ -81,10 +75,7 @@ func TestPoolConcurrent(t *testing.T) {
 func TestPoolRecoversFromBrokenConn(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool, err := NewPool(srv.Addr(), PoolOptions{Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
 	defer pool.Close()
 
 	// Break the pooled connection from inside a Do: close the raw conn so
@@ -106,13 +97,10 @@ func TestPoolRecoversFromBrokenConn(t *testing.T) {
 func TestPoolPipeline(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool, err := NewPool(srv.Addr(), PoolOptions{Size: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
 	defer pool.Close()
 
-	err = pool.Do(func(c *Client) error {
+	err := pool.Do(func(c *Client) error {
 		p := c.Pipeline()
 		p.Set("p1", []byte("a"))
 		p.Set("p2", []byte("b"))
@@ -134,10 +122,7 @@ func TestPoolPipeline(t *testing.T) {
 func TestPoolClose(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4)
-	pool, err := NewPool(srv.Addr(), PoolOptions{Size: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +137,7 @@ func TestPoolClose(t *testing.T) {
 func TestPoolDeadlines(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool, err := NewPool(srv.Addr(), PoolOptions{
-		Size: 1,
-		DialOptions: DialOptions{
-			DialTimeout:  time.Second,
-			ReadTimeout:  time.Second,
-			WriteTimeout: time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Timeout: time.Second}, nil)
 	defer pool.Close()
 	// Deadlines are re-armed per op: two ops with a pause between them must
 	// both succeed even with a short window relative to total test time.
@@ -175,13 +150,13 @@ func TestPoolDeadlines(t *testing.T) {
 	}
 }
 
-// TestDialTimeoutIsApplied: a deadline-configured client times out reading
-// from a server that never replies, instead of blocking forever.
+// TestReadTimeout: a deadline-configured client times out reading from a
+// server that never replies, instead of blocking forever.
 func TestReadTimeout(t *testing.T) {
 	leakcheck.Check(t)
 	// A listener that accepts and then stays silent.
 	srv := startServer(t, 4)
-	c, err := DialWith(srv.Addr(), DialOptions{ReadTimeout: 50 * time.Millisecond})
+	c, err := Dial(srv.Addr(), 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,75 +223,37 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	return tel
 }
 
-// Options configures a server beyond the listen address.
-type Options struct {
-	// Capacity is the item budget of the LRU store (required, >= 1).
-	Capacity int
-	// Shards overrides the automatic store shard count (power of two;
-	// rounded down otherwise, clamped to [1, min(Capacity, MaxShards)]).
-	// Zero means automatic: one shard per 64 items, at most 16, so small
-	// stores keep strict global LRU order and large ones spread lock
-	// contention.
-	Shards int
-	// Registry receives the server's telemetry and backs the METRICS verb.
-	// Nil means a private registry owned by the server — METRICS always
-	// works. Passing a shared registry lets a host process fold kvserver
-	// metrics into its own exposition (and vice versa: anything else
-	// registered there is served by METRICS too).
-	Registry *telemetry.Registry
-	// Cluster connects the server to a cluster daemon's membership and
-	// replication machinery (see ClusterHooks). Nil means standalone:
-	// HELLO/NODES answer with an empty node set and mutations are never
-	// fanned out.
-	Cluster ClusterHooks
-}
-
-// Serve starts a server on addr (e.g. "127.0.0.1:0") holding up to capacity
-// items. It returns once the listener is bound; connections are handled in
-// background goroutines until Close.
-func Serve(addr string, capacity int) (*Server, error) {
-	return ServeWith(addr, Options{Capacity: capacity})
-}
-
-// ServeWith is Serve with full Options.
-func ServeWith(addr string, opts Options) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := ServeOn(ln, opts)
-	if err != nil {
-		//lint:ignore errcheck the options error is what the caller sees; the listener close is cleanup
+// Serve starts a server on ln holding the store cfg describes and returns
+// at once; connections are handled in background goroutines until Close.
+// The server owns ln from the call on: Close closes it, and so does Serve
+// itself when cfg is invalid (see Config.Validate).
+//
+// reg receives the server's telemetry and backs the METRICS verb; nil
+// means a private registry, so METRICS always works. A shared registry
+// lets a host process fold kvserver metrics into its own exposition, and
+// anything else registered there is served by METRICS too. hooks connects
+// the server to a cluster daemon's membership and replication machinery
+// (see ClusterHooks); nil means standalone: HELLO/NODES answer with an
+// empty node set and mutations are never fanned out.
+func Serve(ln net.Listener, cfg Config, reg *telemetry.Registry, hooks ClusterHooks) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		//lint:ignore errcheck the config error is what the caller sees; the listener close is cleanup
 		ln.Close()
 		return nil, err
 	}
-	return srv, nil
-}
-
-// ServeOn is ServeWith over an already-bound listener — e.g. one wrapped
-// by internal/faultnet for fault-injection runs. The server owns ln and
-// closes it on Close.
-func ServeOn(ln net.Listener, opts Options) (*Server, error) {
-	if opts.Capacity < 1 {
-		return nil, errors.New("kvserver: capacity must be >= 1, got " + strconv.Itoa(opts.Capacity))
-	}
-	if opts.Shards < 0 {
-		return nil, errors.New("kvserver: shards must be >= 0, got " + strconv.Itoa(opts.Shards))
-	}
-	reg := opts.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	srv := newServerCore(newStoreFor(opts), reg)
+	srv := newServerCore(newStoreFor(cfg), reg)
 	srv.listener = ln
-	srv.cluster = opts.Cluster
+	srv.cluster = hooks
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	return srv, nil
 }
 
 // newServerCore assembles the serving state over an already-built store
-// — everything but the listener plumbing, shared by ServeOn and the
+// — everything but the listener plumbing, shared by Serve and the
 // in-process tests/fuzzers that drive serveOne directly. It wires the
 // store's eviction notifications into the semantic index: an evicted
 // key's embedding must stop producing NEAR candidates (the residency

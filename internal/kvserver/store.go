@@ -23,7 +23,7 @@ const (
 	minShardItems = 64
 	// maxAutoShards caps the automatic shard count.
 	maxAutoShards = 16
-	// MaxShards caps an explicit Options.Shards request.
+	// MaxShards caps an explicit Config.Shards request.
 	MaxShards = 256
 )
 
@@ -40,13 +40,13 @@ type shardStat struct {
 	_      [48]byte
 }
 
-// newStoreFor builds the store Options describe.
-func newStoreFor(opts Options) *store {
-	shards := autoShards(opts.Capacity)
-	if opts.Shards != 0 {
-		shards = min(opts.Shards, MaxShards)
+// newStoreFor builds the store cfg describes.
+func newStoreFor(cfg Config) *store {
+	shards := autoShards(cfg.Capacity)
+	if cfg.Shards != 0 {
+		shards = min(cfg.Shards, MaxShards)
 	}
-	return newStoreShards(opts.Capacity, shards)
+	return newStoreShards(cfg.Capacity, shards)
 }
 
 // store routes keys across mutex-LRU shards.

@@ -201,11 +201,7 @@ func TestStoreRaceStress(t *testing.T) {
 // wire-level -race stress for the sharded data plane, including the batch
 // verbs and pipelines.
 func TestServerRaceStress(t *testing.T) {
-	srv, err := ServeWith("127.0.0.1:0", Options{Capacity: 512, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, storeConfig(512, 8), nil, nil)
 	const conns = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
@@ -213,7 +209,7 @@ func TestServerRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			c, err := Dial(srv.Addr(), 0)
 			if err != nil {
 				errs <- err
 				return
@@ -265,7 +261,7 @@ func TestServerRaceStress(t *testing.T) {
 	}
 }
 
-// TestShardsOption: explicit Options.Shards is honoured (rounded to a
+// TestShardsOption: an explicit Config.Shards is honoured (rounded to a
 // power of two, clamped to capacity).
 func TestShardsOption(t *testing.T) {
 	cases := []struct {
@@ -278,14 +274,10 @@ func TestShardsOption(t *testing.T) {
 		{1024, 1, 1},
 	}
 	for _, tc := range cases {
-		srv, err := ServeWith("127.0.0.1:0", Options{Capacity: tc.capacity, Shards: tc.shards})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := serve(t, storeConfig(tc.capacity, tc.shards), nil, nil)
 		if got := srv.Shards(); got != tc.want {
 			t.Errorf("capacity=%d shards=%d: got %d shards, want %d",
 				tc.capacity, tc.shards, got, tc.want)
 		}
-		srv.Close()
 	}
 }

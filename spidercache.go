@@ -9,8 +9,8 @@
 //   - Train: run one (dataset, model, policy) training configuration —
 //     SpiderCache or any of the paper's baselines — and receive per-epoch
 //     hit ratios, simulated times, accuracies and elastic-manager state.
-//   - RunExperiment / Experiments: regenerate any table or figure of the
-//     paper's evaluation.
+//   - RenderExperiment / Experiments: regenerate any table or figure of
+//     the paper's evaluation.
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for paper-vs-
 // measured results.
@@ -416,18 +416,4 @@ func RenderExperiment(id string, scale float64, epochs int, seed uint64, format 
 	default:
 		return "", fmt.Errorf("spidercache: unknown format %v", format)
 	}
-}
-
-// RunExperiment regenerates one paper table/figure and returns the rendered
-// report; csv switches the output format.
-//
-// Deprecated: the boolean flag reads poorly at call sites; use
-// RenderExperiment with FormatText or FormatCSV instead. This wrapper is
-// kept so existing callers compile and behave identically.
-func RunExperiment(id string, scale float64, epochs int, seed uint64, csv bool) (string, error) {
-	format := FormatText
-	if csv {
-		format = FormatCSV
-	}
-	return RenderExperiment(id, scale, epochs, seed, format)
 }

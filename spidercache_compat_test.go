@@ -1,8 +1,8 @@
 package spidercache
 
-// API-compat tests for the v1 entry points: Train(TrainConfig) and the
-// 5-arg RunExperiment must keep compiling and behave identically to the
-// redesigned TrainWith / RenderExperiment APIs.
+// API-compat tests for the v1 entry points: Train(TrainConfig) must keep
+// compiling and behave identically to the redesigned TrainWith API, and the
+// string format names must render exactly as the typed Format values.
 
 import (
 	"math"
@@ -49,32 +49,37 @@ func TestTrainConfigCompat(t *testing.T) {
 	}
 }
 
-// TestRunExperimentCompat pins the deprecated boolean-flag wrapper against
-// RenderExperiment.
+// TestRunExperimentCompat pins the string format names (what the CLI's
+// -format flag passes through ParseFormat) against the typed Format values,
+// and checks the two renderings differ.
 func TestRunExperimentCompat(t *testing.T) {
-	oldText, err := RunExperiment("fig11", 0.1, 2, 1, false)
+	render := func(name string) string {
+		t.Helper()
+		f, err := ParseFormat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := RenderExperiment("fig11", 0.1, 2, 1, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	text, err := RenderExperiment("fig11", 0.1, 2, 1, FormatText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newText, err := RenderExperiment("fig11", 0.1, 2, 1, FormatText)
+	if render("text") != text {
+		t.Fatal(`ParseFormat("text") rendering != RenderExperiment(FormatText)`)
+	}
+	csv, err := RenderExperiment("fig11", 0.1, 2, 1, FormatCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oldText != newText {
-		t.Fatal("RunExperiment(csv=false) != RenderExperiment(FormatText)")
+	if render("csv") != csv {
+		t.Fatal(`ParseFormat("csv") rendering != RenderExperiment(FormatCSV)`)
 	}
-	oldCSV, err := RunExperiment("fig11", 0.1, 2, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCSV, err := RenderExperiment("fig11", 0.1, 2, 1, FormatCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldCSV != newCSV {
-		t.Fatal("RunExperiment(csv=true) != RenderExperiment(FormatCSV)")
-	}
-	if oldCSV == oldText {
+	if csv == text {
 		t.Fatal("csv and text renderings should differ")
 	}
 }

@@ -107,21 +107,21 @@ func TestTrainElasticKnobs(t *testing.T) {
 }
 
 func TestRunExperimentFacade(t *testing.T) {
-	out, err := RunExperiment("fig11", 0.1, 2, 1, false)
+	out, err := RenderExperiment("fig11", 0.1, 2, 1, FormatText)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "fig11") {
 		t.Fatalf("rendered report lacks id:\n%s", out)
 	}
-	csv, err := RunExperiment("fig11", 0.1, 2, 1, true)
+	csv, err := RenderExperiment("fig11", 0.1, 2, 1, FormatCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv, ",") {
 		t.Fatal("CSV output has no commas")
 	}
-	if _, err := RunExperiment("bogus", 1, 0, 1, false); err == nil {
+	if _, err := RenderExperiment("bogus", 1, 0, 1, FormatText); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
