@@ -109,14 +109,19 @@ func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 //
 // # Membership and migration
 //
-// Nodes gossip by sending HELLO <self> to each peer every GossipEvery and
-// merging the replied member lists; a peer that fails DeadAfter
-// consecutive rounds is expelled. Every membership change kicks a
-// rebalance round: the node scans its keys and pushes each to the key's
-// current owners. Keys are never deleted by migration — an old owner
-// keeps its copy until LRU evicts it — so a key readable before a join
-// stays readable throughout (the client reads through all owners and an
-// old owner remains one for any single join at Replicas >= 2).
+// Nodes gossip by sending HELLO <self> to each peer and merging the
+// replied member lists. A round greets every member it first learns of
+// from a reply before it ends, so a joiner's first round (run as soon as
+// it starts) registers it with every member its seed transitively knows:
+// the cluster has converged when that round ends. Rounds repeat every
+// GossipEvery, which governs failure detection — a peer that fails
+// DeadAfter consecutive rounds is expelled — and retries a lost greeting.
+// Every membership change kicks a rebalance round: the node scans its keys
+// and pushes each to the key's current owners. Keys are never deleted by
+// migration — an old owner keeps its copy until LRU evicts it — so a key
+// readable before a join stays readable throughout (the client reads
+// through all owners and an old owner remains one for any single join at
+// Replicas >= 2).
 type Node struct {
 	opts NodeOptions
 	self string
@@ -280,15 +285,16 @@ func (n *Node) peerPool(addr string) *kvserver.Pool {
 }
 
 // addMember registers a newly heard-of member: ring points, a lazy peer
-// pool, a join event and a rebalance kick. No-op for known members.
-func (n *Node) addMember(addr string) {
+// pool, a join event and a rebalance kick. It returns the new member's
+// pool, or nil for a known member (a no-op).
+func (n *Node) addMember(addr string) *kvserver.Pool {
 	n.mu.Lock()
 	if _, ok := n.peers[addr]; ok || addr == n.self {
 		n.mu.Unlock()
-		return
+		return nil
 	}
 	pool := kvserver.NewPool(addr, n.opts.Store, n.opts.Registry)
-	//lint:ignore errcheck Add only fails on an empty name, which validNodeAddr already rejected
+	//lint:ignore errcheck Add only fails on an empty name, which validNodeAddr rejects on HELLO and readNodes in a NODES reply
 	n.ring.Add(addr)
 	n.peers[addr] = pool
 	n.fails[addr] = 0
@@ -296,6 +302,7 @@ func (n *Node) addMember(addr string) {
 	n.mu.Unlock()
 	n.tel.joins.Inc()
 	n.kickRebalance()
+	return pool
 }
 
 // expelMember drops a peer that failed too many gossip rounds.
@@ -335,8 +342,10 @@ func (n *Node) gossipLoop() {
 }
 
 // gossipOnce sends HELLO <self> to every peer, merges replied member
-// lists, and expels peers that keep failing. Network I/O happens outside
-// the node mutex: membership is snapshotted first.
+// lists, and expels peers that keep failing. A member first learned from a
+// reply is greeted within the same round (see the Node doc); the round
+// ends because a member is appended only when addMember adds it. Network
+// I/O happens outside the node mutex: membership is snapshotted first.
 func (n *Node) gossipOnce() {
 	n.mu.RLock()
 	addrs := make([]string, 0, len(n.peers))
@@ -347,7 +356,8 @@ func (n *Node) gossipOnce() {
 	}
 	n.mu.RUnlock()
 
-	for i, addr := range addrs {
+	for i := 0; i < len(addrs); i++ {
+		addr := addrs[i]
 		var members []string
 		err := pools[i].Do(func(c *kvserver.Client) error {
 			var e error
@@ -362,8 +372,9 @@ func (n *Node) gossipOnce() {
 		}
 		n.clearFail(addr)
 		for _, m := range members {
-			if m != n.self {
-				n.addMember(m)
+			if pool := n.addMember(m); pool != nil {
+				addrs = append(addrs, m)
+				pools = append(pools, pool)
 			}
 		}
 	}

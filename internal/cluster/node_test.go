@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,10 +18,17 @@ import (
 	"spidercache/internal/xrand"
 )
 
-// startTestNode boots a daemon with fast gossip so membership converges
-// within test-friendly deadlines.
+// startTestNode boots a daemon with fast gossip, so a lost greeting or a
+// dead peer is handled within test-friendly deadlines.
 func startTestNode(t *testing.T, seeds ...string) *Node {
 	t.Helper()
+	return startGossipNode(t, 25*time.Millisecond, seeds...)
+}
+
+// startGossipNode boots a daemon that gossips every `every`; it is closed
+// when tb ends.
+func startGossipNode(tb testing.TB, every time.Duration, seeds ...string) *Node {
+	tb.Helper()
 	cfg := kvserver.DefaultConfig()
 	cfg.Capacity = 1 << 12
 	cfg.PoolSize = 2
@@ -28,13 +39,13 @@ func startTestNode(t *testing.T, seeds ...string) *Node {
 		Seeds:       seeds,
 		Replicas:    2,
 		Store:       cfg,
-		GossipEvery: 25 * time.Millisecond,
+		GossipEvery: every,
 		DeadAfter:   3,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		//lint:ignore errcheck test cleanup
 		n.Close()
 	})
@@ -42,10 +53,16 @@ func startTestNode(t *testing.T, seeds ...string) *Node {
 }
 
 // waitMembers polls until every node's member list has exactly want
-// entries, failing the test at the deadline.
+// entries, failing the test after 10s.
 func waitMembers(t *testing.T, want int, nodes ...*Node) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	waitMembersWithin(t, 10*time.Second, want, nodes...)
+}
+
+// waitMembersWithin is waitMembers with the deadline given.
+func waitMembersWithin(tb testing.TB, within time.Duration, want int, nodes ...*Node) {
+	tb.Helper()
+	deadline := time.Now().Add(within)
 	for {
 		converged := true
 		for _, n := range nodes {
@@ -62,9 +79,9 @@ func waitMembers(t *testing.T, want int, nodes ...*Node) {
 			for i, n := range nodes {
 				lists[i] = n.Members()
 			}
-			t.Fatalf("membership did not converge to %d nodes: %v", want, lists)
+			tb.Fatalf("membership did not converge to %d nodes within %v: %v", want, within, lists)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -90,15 +107,100 @@ func testClusterClient(t *testing.T, seed string) *Client {
 	return c
 }
 
+// TestNodeGossipMembershipConverges joins four nodes as a chain, each
+// through the one before it, so every node but the second learns most
+// members from HELLO replies rather than from its seed. Membership must
+// converge without a gossip tick: at a one-hour interval, every node lists
+// all four members within 2s of the last StartNode.
 func TestNodeGossipMembershipConverges(t *testing.T) {
-	leakcheck.Check(t)
-	n1 := startTestNode(t)
-	n2 := startTestNode(t, n1.Addr())
-	n3 := startTestNode(t, n1.Addr()) // joins via n1; must still learn n2
-	waitMembers(t, 3, n1, n2, n3)
+	for _, every := range []time.Duration{25 * time.Millisecond, time.Hour} {
+		t.Run(every.String(), func(t *testing.T) {
+			leakcheck.Check(t)
+			n1 := startGossipNode(t, every)
+			n2 := startGossipNode(t, every, n1.Addr())
+			n3 := startGossipNode(t, every, n2.Addr())
+			n4 := startGossipNode(t, every, n3.Addr())
+			waitMembersWithin(t, 2*time.Second, 4, n1, n2, n3, n4)
 
-	// A discovery client seeded with only n1 learns the full topology.
-	waitClientNodes(t, testClusterClient(t, n1.Addr()), 3)
+			// A discovery client seeded with only n1 learns the full topology.
+			waitClientNodes(t, testClusterClient(t, n1.Addr()), 4)
+		})
+	}
+}
+
+// BenchmarkNodeJoinConvergence forms three-node clusters the way the
+// benchmark harness does (both joiners seeded with the first node, 100ms
+// gossip) and reports the mean time from the third StartNode returning to
+// every node listing all three members.
+func BenchmarkNodeJoinConvergence(b *testing.B) {
+	const every = 100 * time.Millisecond
+	var wait time.Duration
+	for i := 0; i < b.N; i++ {
+		n1 := startGossipNode(b, every)
+		n2 := startGossipNode(b, every, n1.Addr())
+		n3 := startGossipNode(b, every, n1.Addr())
+		start := time.Now()
+		waitMembersWithin(b, 10*time.Second, 3, n1, n2, n3)
+		wait += time.Since(start)
+		for _, n := range []*Node{n3, n2, n1} {
+			if err := n.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(wait.Microseconds())/1e3/float64(b.N), "converge-ms/op")
+}
+
+// TestNodeRejectsInvalidMemberFromReply points a node at a seed that
+// answers every request with a NODES list holding an empty address. The
+// reply must fail as a whole: an accepted "" would be dialled every round
+// and listed in this node's own replies, spreading to every member.
+func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := ln.Addr().String()
+	reply := "NODES 2\r\n" + seed + "\r\n\r\n"
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		//lint:ignore errcheck test cleanup
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				//lint:ignore errcheck the peer hung up or the test ended
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for {
+					if _, err := r.ReadString('\n'); err != nil {
+						return
+					}
+					if _, err := io.WriteString(conn, reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	n := startTestNode(t, seed)
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if members := n.Members(); slices.Contains(members, "") {
+			t.Fatalf("Members() = %q: a NODES reply planted an empty address", members)
+		}
+	}
 }
 
 func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {

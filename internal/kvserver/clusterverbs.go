@@ -51,12 +51,13 @@ func (s *Server) doHello(sess *session, args [][]byte) error {
 	if len(args) != 1 {
 		return errBadArgs
 	}
-	if !validNodeAddr(args[0]) {
+	addr := string(args[0])
+	if !validNodeAddr(addr) {
 		return errBadNodeAddr
 	}
 	var nodes []string
 	if s.cluster != nil {
-		nodes = s.cluster.Hello(string(args[0]))
+		nodes = s.cluster.Hello(addr)
 	}
 	return sess.writeNodes(nodes)
 }
@@ -74,16 +75,10 @@ func (s *Server) doNodes(sess *session, args [][]byte) error {
 
 // validNodeAddr accepts anything the line protocol can carry as a single
 // field; real dialability is the gossip layer's problem, not the parser's.
-func validNodeAddr(addr []byte) bool {
-	if len(addr) == 0 || len(addr) > MaxKeyLen {
-		return false
-	}
-	for _, c := range addr {
-		if c == ' ' || c == '\r' || c == '\n' {
-			return false
-		}
-	}
-	return true
+// Both ends apply it: the server to a HELLO address, the client to each
+// address in a NODES reply.
+func validNodeAddr(addr string) bool {
+	return addr != "" && len(addr) <= MaxKeyLen && !strings.ContainsAny(addr, " \r\n")
 }
 
 // writeNodes writes "NODES <n>\r\n" followed by one address per line.
@@ -105,7 +100,7 @@ func (sess *session) writeNodes(nodes []string) error {
 // node set the server knows afterwards. Against a standalone server the
 // reply is empty.
 func (c *Client) Hello(addr string) ([]string, error) {
-	if validKey(addr) != nil {
+	if !validNodeAddr(addr) {
 		return nil, fmt.Errorf("%w: invalid node address %q", errBadRequest, addr)
 	}
 	return c.readNodes(c.command("HELLO " + addr + "\r\n"))
@@ -118,7 +113,9 @@ func (c *Client) Nodes() ([]string, error) {
 	return c.readNodes(c.command("NODES\r\n"))
 }
 
-// readNodes parses a NODES reply whose header line is line.
+// readNodes parses a NODES reply whose header line is line. An address the
+// server would refuse on HELLO fails the whole reply: a peer must not be
+// able to plant a member that every gossip round would dial and spread.
 func (c *Client) readNodes(line string, err error) ([]string, error) {
 	if err != nil {
 		return nil, err
@@ -135,6 +132,9 @@ func (c *Client) readNodes(line string, err error) ([]string, error) {
 		addr, err := c.readLine()
 		if err != nil {
 			return nil, err
+		}
+		if !validNodeAddr(addr) {
+			return nil, fmt.Errorf("kvserver: bad NODES address %q", addr)
 		}
 		nodes = append(nodes, addr)
 	}

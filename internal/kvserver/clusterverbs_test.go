@@ -142,6 +142,22 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 	}
 }
 
+// TestNodesReplyRejectsInvalidAddress: a NODES or HELLO reply listing an
+// address HELLO itself would refuse fails as a whole, so a peer cannot
+// plant a member the line protocol cannot carry.
+func TestNodesReplyRejectsInvalidAddress(t *testing.T) {
+	for _, bad := range []string{"", "has space", "has\rcarriage"} {
+		_, c := serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
+		if nodes, err := c.Nodes(); err == nil {
+			t.Errorf("NODES listing %q = %q, want an error", bad, nodes)
+		}
+		_, c = serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
+		if nodes, err := c.Hello("127.0.0.1:2"); err == nil {
+			t.Errorf("HELLO reply listing %q = %q, want an error", bad, nodes)
+		}
+	}
+}
+
 func TestBreakerServingTracksProbeQuota(t *testing.T) {
 	clock := &simclock.Clock{}
 	b := newTestBreaker(clock)
