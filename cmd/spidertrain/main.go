@@ -42,7 +42,6 @@ func main() {
 		rStart  = flag.Float64("rstart", 0.90, "SpiderCache initial imp-ratio")
 		rEnd    = flag.Float64("rend", 0.80, "SpiderCache final imp-ratio")
 		static  = flag.Bool("static-ratio", false, "freeze the imp-ratio (disable the elastic manager)")
-		snapD   = flag.Float64("snapshot-drift", 0, "neighborhood-snapshot drift budget for the scoring path (0 = always-fresh)")
 		noPipe  = flag.Bool("no-pipeline", false, "disable IS pipeline overlap")
 		quiet   = flag.Bool("quiet", false, "print only the summary line")
 		csvOut  = flag.String("csv", "", "write per-epoch records to this CSV file")
@@ -96,9 +95,6 @@ func main() {
 	}
 	if *prefet {
 		opts = append(opts, spidercache.WithPrefetch())
-	}
-	if *snapD > 0 {
-		opts = append(opts, spidercache.WithSnapshotDrift(*snapD))
 	}
 	if *static {
 		opts = append(opts, spidercache.WithStaticRatio())

@@ -58,12 +58,6 @@ type Options struct {
 	// SamplerSmoothing mixes the score weights with their mean before
 	// drawing (see sampler.Multinomial); 0 means the default 0.75.
 	SamplerSmoothing float64
-	// SnapshotDrift enables the grapher's neighborhood-snapshot cache when
-	// positive: per-sample scoring is served from cached kNN snapshots
-	// while the sample's embedding stays within this distance of its
-	// indexed position (see semgraph.Config.SnapshotDrift). 0 keeps the
-	// always-fresh path. Overrides Graph.SnapshotDrift when set.
-	SnapshotDrift float64
 	// Searcher overrides the ANN index (nil = HNSW built from Options.HNSW);
 	// tests inject the exact brute-force searcher here.
 	Searcher semgraph.NeighborSearcher
@@ -80,9 +74,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.Graph == (semgraph.Config{}) {
 		o.Graph = semgraph.DefaultConfig()
-	}
-	if o.SnapshotDrift > 0 {
-		o.Graph.SnapshotDrift = o.SnapshotDrift
 	}
 	if o.HNSW == (hnsw.Config{}) {
 		o.HNSW = hnsw.DefaultConfig()
@@ -404,10 +395,10 @@ func (s *SpiderCache) HomophilyInstalls() int { return s.homInstalls }
 // CacheLens reports current resident counts (importance, homophily).
 func (s *SpiderCache) CacheLens() (imp, hom int) { return s.imp.Len(), s.hom.Len() }
 
-// SearchStats reports the cumulative number of real ANN SearchKNN calls the
-// scoring path has issued and how many scoring requests were served from
-// neighborhood snapshots instead (0 when snapshots are disabled). The
-// trainer diffs these per epoch into EpochStats.
+// SearchStats reports the cumulative number of ANN SearchKNN calls the
+// scoring path has issued; the trainer diffs it per epoch into
+// EpochStats.SearchKNN. snapshotHits is always 0, kept for bench/ until
+// the benchmark-only PR.
 func (s *SpiderCache) SearchStats() (searches, snapshotHits int64) {
-	return s.grapher.SearchCalls(), s.grapher.SnapshotStats().Hits
+	return s.grapher.SearchCalls(), 0
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"testing"
 
+	"spidercache/internal/dataset"
+	"spidercache/internal/nn"
 	"spidercache/internal/policy"
 	"spidercache/internal/semgraph"
+	"spidercache/internal/trainer"
 )
 
 // fixture builds a SpiderCache over n samples (alternating 2-class labels,
@@ -285,5 +288,43 @@ func TestGrapherAccessor(t *testing.T) {
 	s := fixture(t, 10, 4, nil)
 	if s.Grapher() == nil || s.Grapher().Len() != 10 {
 		t.Fatal("Grapher accessor broken")
+	}
+}
+
+// TestSearchKNNCountsEveryScoredSample drives the spider policy through the
+// trainer and checks the search accounting the benchmark harness compares
+// between its traced and untraced runs: scoring is always fresh, so every
+// sample an epoch scores is exactly one SearchKNN, and no epoch reports a
+// snapshot hit.
+func TestSearchKNNCountsEveryScoredSample(t *testing.T) {
+	ds, err := dataset.New(dataset.Config{
+		Name: "tiny", Classes: 4, TrainSize: 300, TestSize: 100, Dim: 8,
+		ClusterStd: 0.8, BoundaryFrac: 0.1, IsolatedFrac: 0.02, HardFrac: 0.05,
+		PayloadMean: 6144, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Capacity: 60, Labels: ds.Labels, Payloads: ds.Payload, TotalEpochs: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := trainer.Run(trainer.Config{
+		Dataset: ds, Model: nn.ResNet18, Epochs: 3, BatchSize: 64, Workers: 1, PipelineIS: true, Seed: 7,
+	}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var searches, scored int64
+	for _, e := range res.Epochs {
+		if e.SearchKNN != int64(e.Requests) || e.SnapshotHits != 0 {
+			t.Errorf("epoch %d: SearchKNN %d for %d scored samples, SnapshotHits %d",
+				e.Epoch, e.SearchKNN, e.Requests, e.SnapshotHits)
+		}
+		searches += e.SearchKNN
+		scored += int64(e.Requests)
+	}
+	if total, hits := s.SearchStats(); searches != scored || total != scored || hits != 0 {
+		t.Fatalf("SearchKNN sum %d, SearchStats (%d, %d), %d samples scored", searches, total, hits, scored)
 	}
 }

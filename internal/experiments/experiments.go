@@ -116,11 +116,9 @@ var registry = map[string]runner{
 	"table4": Table4,
 	"table6": Table6,
 	"fig17":  Fig17,
-	// Beyond the paper: design-choice ablations (DESIGN.md §5), the
-	// neighborhood-snapshot staleness-vs-accuracy sweep (DESIGN.md §7),
-	// and the wire-protocol semantic-serving threshold sweep (DESIGN.md §9).
+	// Beyond the paper: design-choice ablations (DESIGN.md §5) and the
+	// wire-protocol semantic-serving threshold sweep (DESIGN.md §9).
 	"ablation": Ablation,
-	"snapshot": Snapshot,
 	"nget":     NGet,
 }
 

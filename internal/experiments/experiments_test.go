@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -22,6 +25,40 @@ func TestListAndAliases(t *testing.T) {
 	}
 	if _, err := Run("nope", tinyOptions()); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestResultsNameLiveExperiments keeps results/ in step with the registry:
+// a deleted experiment takes its outputs with it, so every report header
+// and every per-experiment file name must resolve to a registered id.
+func TestResultsNameLiveExperiments(t *testing.T) {
+	files, err := filepath.Glob("../../results/*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no results/*.txt found")
+	}
+	known := func(id string) bool {
+		_, reg := registry[id]
+		_, alias := aliases[id]
+		return reg || alias
+	}
+	header := regexp.MustCompile(`(?m)^=== ([^:\s]+):`)
+	fileID := regexp.MustCompile(`^results_(.+)_scale[^_]*\.txt$`)
+	for _, f := range files {
+		if m := fileID.FindStringSubmatch(filepath.Base(f)); m != nil && !known(m[1]) {
+			t.Errorf("%s names unknown experiment %q", f, m[1])
+		}
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range header.FindAllStringSubmatch(string(body), -1) {
+			if !known(m[1]) {
+				t.Errorf("%s: section %q names no registered experiment", f, m[1])
+			}
+		}
 	}
 }
 

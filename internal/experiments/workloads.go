@@ -7,10 +7,8 @@ import (
 	"spidercache/internal/core"
 	"spidercache/internal/dataset"
 	"spidercache/internal/elastic"
-	"spidercache/internal/hnsw"
 	"spidercache/internal/nn"
 	"spidercache/internal/policy"
-	"spidercache/internal/semgraph"
 	"spidercache/internal/telemetry"
 	"spidercache/internal/trainer"
 )
@@ -35,13 +33,6 @@ type PolicyParams struct {
 	// Workers bounds the SpiderCache per-batch scoring fan-out: 0 uses
 	// GOMAXPROCS, 1 forces serial scoring. Results are identical either way.
 	Workers int
-
-	// SnapshotDrift enables the grapher's neighborhood-snapshot cache for
-	// the spider/spider-imp/graphaware-sem policies (see
-	// semgraph.Config.SnapshotDrift); 0 keeps always-fresh scoring, except
-	// for graphaware-sem which needs snapshots and defaults to
-	// semgraph.DefaultSnapshotDrift.
-	SnapshotDrift float64
 }
 
 // ValidatePolicy reports nil when name is buildable, or a descriptive
@@ -57,7 +48,7 @@ func ValidatePolicy(name string) error {
 
 // PolicyNames lists every buildable policy in evaluation order.
 func PolicyNames() []string {
-	return []string{"baseline", "lfu", "coordl", "graphaware", "graphaware-sem", "shade", "icache-imp", "icache", "spider-imp", "spider"}
+	return []string{"baseline", "lfu", "coordl", "shade", "icache-imp", "icache", "spider-imp", "spider"}
 }
 
 // BuildPolicy constructs a policy by its lowercase registry name.
@@ -70,10 +61,6 @@ func BuildPolicy(name string, p PolicyParams) (policy.Policy, error) {
 		return policy.NewLFU(n, p.Capacity, p.Seed)
 	case "coordl":
 		return policy.NewCoorDL(n, p.Capacity, p.Seed)
-	case "graphaware":
-		return policy.NewGraphAware(n, p.Capacity, p.Seed, labelNeighbors(p.Dataset.Labels, 8))
-	case "graphaware-sem":
-		return buildGraphAwareSem(p)
 	case "shade":
 		return policy.NewShade(n, p.Capacity, p.Seed)
 	case "icache-imp":
@@ -111,74 +98,8 @@ func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
 		DisableElastic:   p.DisableElastic,
 		Metrics:          p.Metrics,
 		Workers:          p.Workers,
-		SnapshotDrift:    p.SnapshotDrift,
 		Seed:             p.Seed,
 	})
-}
-
-// buildGraphAwareSem wires the GraphAware cache to the learned semantic
-// graph: a fresh grapher (HNSW index + snapshot cache) replaces the
-// label-ring proxy as the neighbour source. Snapshots are mandatory here —
-// CloseNeighbors lists are read from them between batches — so a zero
-// SnapshotDrift falls back to the calibrated default budget.
-func buildGraphAwareSem(p PolicyParams) (policy.Policy, error) {
-	drift := p.SnapshotDrift
-	if drift == 0 {
-		drift = semgraph.DefaultSnapshotDrift
-	}
-	hc := hnsw.DefaultConfig()
-	hc.Seed = p.Seed + 101
-	idx, err := hnsw.New(hc)
-	if err != nil {
-		return nil, err
-	}
-	gc := semgraph.DefaultConfig()
-	gc.SnapshotDrift = drift
-	g, err := semgraph.New(gc, p.Dataset.Labels, idx)
-	if err != nil {
-		return nil, err
-	}
-	g.SetWorkers(p.Workers)
-	g.SetMetrics(p.Metrics)
-	return policy.NewGraphAwareSem(p.Dataset.Len(), p.Capacity, p.Seed, g)
-}
-
-// labelNeighbors derives a bounded-degree neighbour function from class
-// labels: each sample's neighbours are the next k members of its class in
-// a deterministic ring. The label graph is the coarsest proxy for the
-// semantic similarity graph SpiderCache builds — samples of one class
-// form a homophilous cluster — which is exactly the structure the
-// graph-aware cache's score propagation exploits.
-func labelNeighbors(labels []int, k int) func(id int) []int {
-	byClass := map[int][]int{}
-	for id, lab := range labels {
-		byClass[lab] = append(byClass[lab], id)
-	}
-	ringPos := make([]int, len(labels))
-	//lint:ignore determinism each id is in exactly one class list, so ringPos is independent of class iteration order
-	for _, members := range byClass {
-		for pos, id := range members {
-			ringPos[id] = pos
-		}
-	}
-	return func(id int) []int {
-		if id < 0 || id >= len(labels) {
-			return nil
-		}
-		members := byClass[labels[id]]
-		deg := k
-		if deg > len(members)-1 {
-			deg = len(members) - 1
-		}
-		if deg <= 0 {
-			return nil
-		}
-		out := make([]int, deg)
-		for j := 0; j < deg; j++ {
-			out[j] = members[(ringPos[id]+1+j)%len(members)]
-		}
-		return out
-	}
 }
 
 // displayName maps registry names to the labels used in the paper's tables.
@@ -190,10 +111,6 @@ func displayName(name string) string {
 		return "LFU"
 	case "coordl":
 		return "CoorDL"
-	case "graphaware":
-		return "GraphAware"
-	case "graphaware-sem":
-		return "GraphAware-sem"
 	case "shade":
 		return "SHADE"
 	case "icache-imp":

@@ -36,16 +36,6 @@ func NewCoorDL(n, capacity int, seed uint64) (Policy, error) {
 	return newSimple("CoorDL", n, seed, cache.NewStatic(capacity))
 }
 
-// NewGraphAware pairs the graph-aware GreedyDual cache with random
-// sampling: eviction priority spills to a touched sample's graph
-// neighbours, so semantically clustered access (the homophily the paper's
-// datasets exhibit) keeps whole neighbourhoods resident. neighbors
-// supplies each sample's bounded neighbour list and may be nil (plain
-// GreedyDual).
-func NewGraphAware(n, capacity int, seed uint64, neighbors func(id int) []int) (Policy, error) {
-	return newSimple("GraphAware", n, seed, cache.NewGraphAware(capacity, neighbors))
-}
-
 func newSimple(name string, n int, seed uint64, c cache.Basic) (Policy, error) {
 	u, err := sampler.NewUniform(n, seed)
 	if err != nil {

@@ -89,10 +89,9 @@ type RatioReporter interface {
 }
 
 // SearchStatsReporter is implemented by policies whose scoring path queries
-// an ANN index. Searches is the cumulative count of real SearchKNN calls;
-// SnapshotHits is how many scoring requests were served from the
-// drift-bounded neighborhood-snapshot cache instead (0 when disabled). The
-// trainer diffs both per epoch so SearchKNN-calls/epoch is reportable.
+// an ANN index. Searches is the cumulative count of SearchKNN calls; the
+// trainer diffs it per epoch so SearchKNN-calls/epoch is reportable.
+// snapshotHits is always 0, kept for bench/ until the benchmark-only PR.
 type SearchStatsReporter interface {
 	SearchStats() (searches, snapshotHits int64)
 }

@@ -41,13 +41,8 @@ const minParallelBatch = 4
 // scoring — Algorithm 1 semantics and determinism are preserved. Score
 // recording happens serially in input order after the parallel phase.
 //
-// With Config.SnapshotDrift > 0 the call additionally consults the
-// neighborhood-snapshot cache: samples whose normalised embedding stayed
-// within the drift budget of their indexed position skip both the upsert
-// and the SearchKNN, serving their cached ScoreResult instead (see
-// scoreBatchSnapshot). With the budget at 0 this path is compiled out of
-// the call entirely and behaviour is bit-identical to the always-fresh
-// code below.
+// Every sample is upserted and searched fresh on every call, as Algorithm
+// 1 does: no neighbourhood outlives the batch that computed it.
 //
 // ScoreBatch must not run concurrently with other Grapher calls; it is the
 // batch-level replacement for an Update+Score loop, not a thread-safe API.
@@ -59,9 +54,6 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 		if id < 0 || id >= len(g.labels) {
 			return nil, fmt.Errorf("semgraph: id %d out of range [0,%d)", id, len(g.labels))
 		}
-	}
-	if g.snaps != nil {
-		return g.scoreBatchSnapshot(ids, embeddings)
 	}
 	// Phase 1 — serial upserts (the ANN_index.update of Algorithm 1 line
 	// 15). The normalisation buffer is reused across samples; searchers
@@ -99,144 +91,10 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 	return results, nil
 }
 
-// scoreBatchSnapshot is ScoreBatch's drift-gated variant. Its phases:
-//
-//  0. parallel: normalise every embedding and run the drift check, so
-//     samples still within budget of their indexed position are known
-//     before any index mutation;
-//  1. serial: upsert only the drift-exceeding samples, in input order,
-//     moving their anchors and dirtying dependent snapshots;
-//  2. serial: classify each sample hit/fresh against the post-upsert
-//     snapshot state (so a batch-mate's movement invalidates same-batch
-//     hits too);
-//  3. parallel: serve hits from snapshots, search fresh samples over the
-//     now-frozen index;
-//  4. serial, input order: install fresh results as snapshots and record
-//     scores, so duplicates resolve last-wins exactly like sequential
-//     Score calls.
-//
-// Why the remaining upserts in phase 1 stay ordered even though the HNSW
-// index is concurrency-safe: the graph an HNSW insert builds depends on
-// which points were already indexed, so insertion order is part of the
-// reproducibility contract — reordering upserts across runs would change
-// search results for ties and thus scores. Duplicated ids in one batch
-// must also resolve last-wins, which only input order guarantees. There is
-// no throughput left on the table either: Upsert takes the index's
-// exclusive lock, so "parallel" upserts would serialise on it and only add
-// scheduling overhead. The drift gate instead removes upserts wholesale,
-// which is where the real win is.
-func (g *Grapher) scoreBatchSnapshot(ids []int, embeddings [][]float64) ([]ScoreResult, error) {
-	n := len(ids)
-	rows := g.batchRows(n)
-	w := g.Workers()
-	if n < minParallelBatch {
-		w = 1
-	}
-
-	// Phase 0 — parallel normalise + drift pre-check. Each slot is written
-	// by exactly one worker; the snapshot store is read-only here.
-	exceeded := g.batchServeFlags(n) // reused scratch: true = must upsert
-	par.For(w, n, func(start, end int) {
-		for i := start; i < end; i++ {
-			rows[i] = NormalizeInto(rows[i], embeddings[i])
-			exceeded[i] = g.driftExceeded(ids[i], rows[i])
-		}
-	})
-
-	// Phase 1 — serial, ordered upserts of the drift-exceeding samples
-	// only (see the function comment for why these stay ordered). For
-	// duplicate ids the pre-check used the batch-start anchor for both
-	// occurrences; re-checking against the current anchor keeps the later
-	// occurrence from re-upserting when the earlier one already moved the
-	// anchor to within its budget.
-	for i, id := range ids {
-		if !exceeded[i] || !g.driftExceeded(id, rows[i]) {
-			continue
-		}
-		if err := g.searcher.Upsert(id, rows[i]); err != nil {
-			return nil, fmt.Errorf("semgraph: upsert id %d: %w", id, err)
-		}
-		g.snaps.setAnchor(id, rows[i])
-		g.snaps.invalidateDependents(id)
-	}
-
-	// Phase 2 — serial classification against the post-upsert state:
-	// serve[i] means sample i's snapshot is valid, not dirtied by any
-	// upsert above (its own or a member's), and its embedding is within
-	// budget of its anchor.
-	serve := exceeded // reuse the same scratch slice under its real meaning
-	hits := 0
-	for i, id := range ids {
-		serve[i] = g.snaps.serveable(id, rows[i])
-		if serve[i] {
-			hits++
-		}
-	}
-
-	// Phase 3 — parallel serve/search over the frozen index. Workers only
-	// read the snapshot store and write disjoint result slots.
-	results := make([]ScoreResult, n)
-	par.For(w, n, func(start, end int) {
-		for i := start; i < end; i++ {
-			if serve[i] {
-				results[i] = g.snaps.serve(ids[i])
-			} else {
-				results[i] = g.computeScore(ids[i], rows[i])
-			}
-		}
-	})
-
-	// Phase 4 — serial install + record in input order. Fresh results
-	// refresh their sample's snapshot (lists recomputed at a query within
-	// budget of the anchor, dirty cleared); duplicates resolve last-wins.
-	refreshes := 0
-	for i := range results {
-		if !serve[i] {
-			g.snaps.install(ids[i], &results[i])
-			refreshes++
-		}
-		g.recordScore(results[i])
-	}
-	g.snaps.hits += int64(hits)
-	g.snaps.refreshes += int64(refreshes)
-	g.flushBatchTelemetry(hits, refreshes)
-	return results, nil
-}
-
-// batchRows returns the reusable normalised-row scratch sized for n.
-func (g *Grapher) batchRows(n int) [][]float64 {
-	if cap(g.rowsBuf) < n {
-		g.rowsBuf = make([][]float64, n)
-	}
-	g.rowsBuf = g.rowsBuf[:n]
-	return g.rowsBuf
-}
-
-// batchServeFlags returns the reusable per-sample flag scratch sized for n.
-func (g *Grapher) batchServeFlags(n int) []bool {
-	if cap(g.serveBuf) < n {
-		g.serveBuf = make([]bool, n)
-	}
-	g.serveBuf = g.serveBuf[:n]
-	return g.serveBuf
-}
-
-// flushBatchTelemetry pushes one batch's snapshot activity into the
-// attached registry (no-ops when none is attached). The invalidation and
-// search counters are flushed as deltas against their last-flushed marks.
-func (g *Grapher) flushBatchTelemetry(hits, refreshes int) {
-	g.tel.snapHit.Add(int64(hits))
-	g.tel.snapRefresh.Add(int64(refreshes))
-	g.tel.snapInvalid.Add(g.snaps.invalidated - g.telInvalidated)
-	g.telInvalidated = g.snaps.invalidated
-	g.tel.snapBytes.Set(float64(g.snaps.bytes))
-	g.flushSearchTelemetry()
-}
-
 // flushSearchTelemetry advances the SearchKNN counter by the calls issued
-// since the last flush; it runs on both the fresh and snapshot paths.
+// since the last flush.
 func (g *Grapher) flushSearchTelemetry() {
 	searches := g.searchCalls.Load()
-	g.tel.searches.Add(searches - g.telSearches)
+	g.searches.Add(searches - g.telSearches)
 	g.telSearches = searches
 }

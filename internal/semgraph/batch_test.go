@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spidercache/internal/hnsw"
+	"spidercache/internal/telemetry"
 	"spidercache/internal/xrand"
 )
 
@@ -127,6 +128,33 @@ func TestScoreBatchMatchesSequentialScoreCalls(t *testing.T) {
 	for id := 0; id < n; id++ {
 		if a.ScoreOf(id) != b.ScoreOf(id) {
 			t.Fatalf("id %d: ScoreBatch %v vs sequential %v", id, a.ScoreOf(id), b.ScoreOf(id))
+		}
+	}
+}
+
+// TestScoreBatchCountsSearches checks the search accounting the trainer and
+// the harness read: every id of a batch, duplicates included, is one
+// SearchKNN, counted once in SearchCalls and once in
+// semgraph_searchknn_total (flushed as deltas, so batches do not double
+// count).
+func TestScoreBatchCountsSearches(t *testing.T) {
+	const n, dim = 64, 8
+	g := testGrapher(t, n, 17)
+	reg := telemetry.NewRegistry()
+	g.SetMetrics(reg)
+	counter := reg.Counter("semgraph_searchknn_total", nil)
+	ids, embs := testBatches(n, dim, 19)
+	var want int64
+	for b := range ids {
+		if _, err := g.ScoreBatch(ids[b], embs[b]); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(ids[b]))
+		if got := g.SearchCalls(); got != want {
+			t.Fatalf("batch %d of %d ids: SearchCalls %d, want %d", b, len(ids[b]), got, want)
+		}
+		if got := counter.Value(); got != want {
+			t.Fatalf("batch %d of %d ids: semgraph_searchknn_total %d, want %d", b, len(ids[b]), got, want)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"spidercache/internal/hnsw"
+	"spidercache/internal/telemetry"
 )
 
 // NeighborSearcher abstracts the ANN index so exact brute-force search can
@@ -51,13 +52,6 @@ type Config struct {
 	// similarity, per the paper's argument that replacing a sample is safe
 	// only for "duplicate or highly similar" counterparts.
 	HomAlpha float64
-	// SnapshotDrift enables the neighborhood-snapshot cache when positive:
-	// a sample whose normalised embedding moved less than this Euclidean
-	// distance since it was last indexed skips both the index upsert and
-	// the SearchKNN, serving scoring from its cached snapshot instead.
-	// 0 (the default) disables snapshots entirely — every batch upserts
-	// and searches fresh, bit-identical to the pre-snapshot behaviour.
-	SnapshotDrift float64
 }
 
 // DefaultConfig matches the paper's described settings, with K sized for the
@@ -87,8 +81,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("semgraph: K must be >= 1, got %d", c.K)
 	case c.HomAlpha < c.Alpha || c.HomAlpha >= 1:
 		return fmt.Errorf("semgraph: HomAlpha must be in [Alpha,1), got %g", c.HomAlpha)
-	case c.SnapshotDrift < 0 || c.SnapshotDrift >= 2:
-		return fmt.Errorf("semgraph: SnapshotDrift must be in [0,2) for unit-normalised embeddings, got %g", c.SnapshotDrift)
 	}
 	return nil
 }
@@ -135,22 +127,14 @@ type Grapher struct {
 	// Update/Score path, so per-sample scoring stops allocating.
 	normBuf []float64
 
-	// snaps is the drift-bounded neighborhood-snapshot cache; nil when
-	// Config.SnapshotDrift is 0 (snapshots disabled).
-	snaps *snapshotStore
-	// rowsBuf/serveBuf are ScoreBatch's reusable per-batch scratch: the
-	// normalised embedding rows and the served-from-snapshot flags.
-	rowsBuf  [][]float64
-	serveBuf []bool
-	// searchCalls counts real SearchKNN calls; atomic because the scoring
+	// searchCalls counts SearchKNN calls; atomic because the scoring
 	// fan-out increments it from worker goroutines.
 	searchCalls atomic.Int64
-	// tel holds the grapher's telemetry instruments (shared no-ops until
-	// SetMetrics attaches a registry). telSearches/telInvalidated are the
-	// last-flushed marks so per-batch flushes add deltas, not totals.
-	tel            grapherTelemetry
-	telSearches    int64
-	telInvalidated int64
+	// searches is the semgraph_searchknn_total counter (a shared no-op until
+	// SetMetrics attaches a registry); telSearches is the last-flushed
+	// searchCalls mark, so per-batch flushes add deltas, not totals.
+	searches    *telemetry.Counter
+	telSearches int64
 
 	// Incrementally maintained score statistics: the elastic manager reads
 	// σ every epoch and the substitution gate reads the mean, so keeping
@@ -185,13 +169,22 @@ func New(cfg Config, labels []int, searcher NeighborSearcher) (*Grapher, error) 
 		scored:        make([]bool, len(labels)),
 		distThresh:    -math.Log(cfg.Alpha) / cfg.Lambda,
 		homDistThresh: -math.Log(cfg.HomAlpha) / cfg.Lambda,
-		tel:           newGrapherTelemetry(nil),
 	}
-	if cfg.SnapshotDrift > 0 {
-		g.snaps = newSnapshotStore(len(labels), cfg.SnapshotDrift)
-	}
+	g.SetMetrics(nil)
 	return g, nil
 }
+
+// SetMetrics attaches a telemetry registry: the grapher counts its
+// SearchKNN calls into semgraph_searchknn_total. Nil detaches (a no-op
+// counter).
+func (g *Grapher) SetMetrics(reg *telemetry.Registry) {
+	reg.Describe("semgraph_searchknn_total", "ANN SearchKNN calls issued by the scoring path")
+	g.searches = reg.Counter("semgraph_searchknn_total", nil)
+}
+
+// SearchCalls reports the cumulative number of SearchKNN calls this grapher
+// has issued. Safe for concurrent reads.
+func (g *Grapher) SearchCalls() int64 { return g.searchCalls.Load() }
 
 // Similarity computes Eq. 2 for a given Euclidean distance.
 func (g *Grapher) Similarity(dist float64) float64 {
@@ -235,11 +228,7 @@ func NormalizeInto(dst, vec []float64) []float64 {
 
 // Update inserts or refreshes the embedding of sample id in the ANN index
 // (line 15 of the paper's Algorithm 1). The embedding is L2-normalised
-// before indexing. With snapshots enabled the same drift gate ScoreBatch
-// applies holds here: an embedding still within the drift budget of the
-// indexed position skips the upsert (the index already represents it), and
-// one that moved past the budget re-indexes, which also dirties every
-// snapshot whose neighbour list contains id.
+// before indexing.
 func (g *Grapher) Update(id int, embedding []float64) error {
 	if id < 0 || id >= len(g.labels) {
 		return fmt.Errorf("semgraph: id %d out of range [0,%d)", id, len(g.labels))
@@ -247,25 +236,7 @@ func (g *Grapher) Update(id int, embedding []float64) error {
 	// Searchers copy the vector on Upsert, so the reusable buffer is safe
 	// to hand over and immediately reuse.
 	g.normBuf = NormalizeInto(g.normBuf, embedding)
-	if g.snaps != nil {
-		if !g.driftExceeded(id, g.normBuf) {
-			return nil
-		}
-		if err := g.searcher.Upsert(id, g.normBuf); err != nil {
-			return err
-		}
-		g.snaps.setAnchor(id, g.normBuf)
-		g.snaps.invalidateDependents(id)
-		return nil
-	}
 	return g.searcher.Upsert(id, g.normBuf)
-}
-
-// driftExceeded reports whether id must be re-indexed for the normalised
-// embedding q: it has no anchor yet, or q moved past the drift budget.
-func (g *Grapher) driftExceeded(id int, q []float64) bool {
-	anchor := g.snaps.entries[id].anchor
-	return anchor == nil || distTo(q, anchor) > g.snaps.budget
 }
 
 // Score computes the global importance of sample id from its current

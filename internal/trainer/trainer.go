@@ -172,10 +172,11 @@ type EpochStats struct {
 	ScoreStd  float64 // σ of importance scores (0 if not reported)
 	ImpRatio  float64 // Importance Cache share (0 if not reported)
 
-	// SearchKNN and SnapshotHits are this epoch's ANN search count and
-	// snapshot-served scoring count (both 0 if the policy does not report
-	// search statistics; SnapshotHits is 0 with snapshots disabled).
-	SearchKNN    int64
+	// SearchKNN is this epoch's ANN search count (0 if the policy does
+	// not report search statistics).
+	SearchKNN int64
+	// SnapshotHits is always 0, kept for bench/ until the benchmark-only
+	// PR.
 	SnapshotHits int64
 }
 
@@ -364,7 +365,7 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 
 	tel := newRunTelemetry(cfg.Metrics)
 	baseLR := cfg.MLP.LR
-	var lastSearches, lastSnapHits int64
+	var lastSearches int64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Cosine learning-rate decay to 10% of the base rate, the standard
 		// schedule for the paper's fixed-epoch training runs; it keeps late
@@ -386,10 +387,9 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 			st.ImpRatio = rep.ImpRatio()
 		}
 		if rep, ok := pol.(policy.SearchStatsReporter); ok {
-			searches, snapHits := rep.SearchStats()
+			searches, _ := rep.SearchStats()
 			st.SearchKNN = searches - lastSearches
-			st.SnapshotHits = snapHits - lastSnapHits
-			lastSearches, lastSnapHits = searches, snapHits
+			lastSearches = searches
 		}
 		res.Epochs = append(res.Epochs, st)
 		if st.Accuracy > res.BestAcc {

@@ -33,16 +33,14 @@ import (
 
 // Policy names accepted by TrainConfig.Policy.
 const (
-	PolicyBaseline       = "baseline"       // LRU cache + random sampling
-	PolicyLFU            = "lfu"            // LFU cache + random sampling
-	PolicyCoorDL         = "coordl"         // static MinIO cache + random sampling
-	PolicyGraphAware     = "graphaware"     // GreedyDual cache with label-ring neighbour spill
-	PolicyGraphAwareSem  = "graphaware-sem" // GraphAware wired to the learned semantic graph
-	PolicySHADE          = "shade"          // loss-based IS + importance cache
-	PolicyICacheImp      = "icache-imp"     // iCache, importance region only
-	PolicyICache         = "icache"         // full iCache with random replacement
-	PolicySpiderCacheImp = "spider-imp"     // SpiderCache, Importance Cache only
-	PolicySpiderCache    = "spider"         // full SpiderCache
+	PolicyBaseline       = "baseline"   // LRU cache + random sampling
+	PolicyLFU            = "lfu"        // LFU cache + random sampling
+	PolicyCoorDL         = "coordl"     // static MinIO cache + random sampling
+	PolicySHADE          = "shade"      // loss-based IS + importance cache
+	PolicyICacheImp      = "icache-imp" // iCache, importance region only
+	PolicyICache         = "icache"     // full iCache with random replacement
+	PolicySpiderCacheImp = "spider-imp" // SpiderCache, Importance Cache only
+	PolicySpiderCache    = "spider"     // full SpiderCache
 )
 
 // Policies lists every accepted policy name in evaluation order.
@@ -148,13 +146,6 @@ type TrainConfig struct {
 	// goroutine. Deterministic; see trainer.Config.Prefetch for the
 	// one-batch staleness caveat. Default off.
 	Prefetch bool
-	// SnapshotDrift enables SpiderCache's neighborhood-snapshot cache when
-	// positive: per-sample scoring is served from cached kNN results while
-	// the sample's embedding stays within this distance of its indexed
-	// position, and only drift past the budget triggers a fresh ANN search.
-	// 0 (the default) keeps the always-fresh scoring path. Applies to the
-	// spider/spider-imp/graphaware-sem policies only.
-	SnapshotDrift float64
 	// Metrics receives live serving-path and cache telemetry (per-tier
 	// lookup counters, fetch-latency histograms, elastic imp_ratio/σ
 	// gauges); nil disables recording. See internal/telemetry and the
@@ -258,10 +249,17 @@ func Train(cfg TrainConfig) (*Result, error) {
 	return train(cfg)
 }
 
-// train runs a fully resolved configuration: no defaulting happens here.
+// train runs a fully resolved configuration. It applies no defaults, and it
+// makes the range checks that Train and TrainWith share.
 func train(cfg TrainConfig) (*Result, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("spidercache: TrainConfig.Dataset must be set")
+	}
+	if cfg.CacheFraction < 0 || cfg.CacheFraction > 1 {
+		return nil, fmt.Errorf("spidercache: cache fraction %v: want a fraction in [0, 1]", cfg.CacheFraction)
+	}
+	if cfg.Threads < 0 {
+		return nil, fmt.Errorf("spidercache: threads %d: want >= 0 (0 = all cores)", cfg.Threads)
 	}
 	if err := ValidatePolicy(cfg.Policy); err != nil {
 		return nil, err
@@ -284,7 +282,6 @@ func train(cfg TrainConfig) (*Result, error) {
 		DisableElastic: cfg.StaticRatio,
 		Metrics:        cfg.Metrics,
 		Workers:        cfg.Threads,
-		SnapshotDrift:  cfg.SnapshotDrift,
 	})
 	if err != nil {
 		return nil, err

@@ -26,7 +26,6 @@ type trainSettings struct {
 	workersSet       bool
 	seedSet          bool
 	threadsSet       bool
-	snapshotDriftSet bool
 }
 
 // WithPolicy selects the caching/sampling policy (one of the Policy*
@@ -108,17 +107,6 @@ func WithPrefetch() Option {
 	return func(s *trainSettings) { s.cfg.Prefetch = true }
 }
 
-// WithSnapshotDrift enables the neighborhood-snapshot cache with the given
-// drift budget: SpiderCache's scoring path serves cached kNN results while
-// a sample's embedding stays within d (Euclidean, on unit-normalised
-// embeddings) of its indexed position, searching fresh only past the
-// budget. d must be positive; use semgraph.DefaultSnapshotDrift (0.15) for
-// the calibrated default. Applies to the spider/spider-imp/graphaware-sem
-// policies only.
-func WithSnapshotDrift(d float64) Option {
-	return func(s *trainSettings) { s.cfg.SnapshotDrift = d; s.snapshotDriftSet = true }
-}
-
 // WithMetrics attaches a telemetry registry: the run records per-tier
 // lookup counters, simulated fetch/compute latency histograms and the
 // elastic imp_ratio/σ trajectory into it. The same registry may be shared
@@ -173,14 +161,8 @@ func TrainWith(ds *Dataset, opts ...Option) (*Result, error) {
 	if s.cfg.Workers < 1 {
 		return nil, fmt.Errorf("spidercache: WithWorkers(%d): workers must be >= 1", s.cfg.Workers)
 	}
-	if s.cfg.CacheFraction < 0 || s.cfg.CacheFraction > 1 {
-		return nil, fmt.Errorf("spidercache: WithCacheFraction(%v): want a fraction in [0, 1]", s.cfg.CacheFraction)
-	}
 	if s.threadsSet && s.cfg.Threads < 1 {
 		return nil, fmt.Errorf("spidercache: WithThreads(%d): threads must be >= 1", s.cfg.Threads)
-	}
-	if s.snapshotDriftSet && (s.cfg.SnapshotDrift <= 0 || s.cfg.SnapshotDrift >= 2) {
-		return nil, fmt.Errorf("spidercache: WithSnapshotDrift(%v): want a budget in (0, 2) for unit-normalised embeddings", s.cfg.SnapshotDrift)
 	}
 	return train(s.cfg)
 }

@@ -31,7 +31,7 @@ func TestDatasetConstructors(t *testing.T) {
 }
 
 func TestRegistries(t *testing.T) {
-	if len(Policies()) != 10 {
+	if len(Policies()) != 8 {
 		t.Fatalf("Policies() = %v", Policies())
 	}
 	if len(Models()) != 4 {
@@ -91,6 +91,21 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := Train(TrainConfig{Dataset: tinyCIFAR(t), Model: "LeNet", Epochs: 1}); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+	// Out-of-range values are errors for every policy, on Train as on
+	// TrainWith, never a panic from deep inside a cache constructor.
+	ds := tinyCIFAR(t)
+	for _, pol := range Policies() {
+		for _, bad := range []TrainConfig{
+			{CacheFraction: -0.5},
+			{CacheFraction: 1.5},
+			{Threads: -3},
+		} {
+			bad.Dataset, bad.Policy, bad.Epochs = ds, pol, 1
+			if _, err := Train(bad); err == nil {
+				t.Errorf("%s: Train accepted CacheFraction %v Threads %d", pol, bad.CacheFraction, bad.Threads)
+			}
+		}
 	}
 }
 
