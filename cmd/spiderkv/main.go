@@ -48,7 +48,7 @@ func main() {
 	)
 	cfg.BindStoreFlags(fs)
 	cfg.BindPoolFlags(fs)
-	//lint:ignore errcheck ExitOnError makes Parse terminate the process on bad flags
+	// ExitOnError makes Parse terminate the process on bad flags.
 	fs.Parse(os.Args[1:])
 
 	var seeds []string

@@ -1,28 +1,24 @@
 // Command spiderlint runs the repository's project-specific static
 // analysis suite (internal/lint) over the module: determinism, mutex
-// hygiene, protocol-string, metric-name and unchecked-write checks, all
-// built on the standard library's go/parser + go/types with the source
-// importer — no external tooling, works offline.
+// hygiene, lock order, protocol-string, metric-name and unchecked-write
+// checks, all built on the standard library's go/parser + go/types with
+// the source importer — no external tooling, works offline.
 //
 // Usage:
 //
 //	go run ./cmd/spiderlint ./...                 # whole module (the tier-1 gate)
 //	go run ./cmd/spiderlint ./internal/kvserver   # one package
 //	go run ./cmd/spiderlint -checks determinism,mutexhygiene ./...
-//	go run ./cmd/spiderlint -disable errcheck ./...
-//	go run ./cmd/spiderlint -json ./...           # machine-readable findings
 //	go run ./cmd/spiderlint -list
 //
-// Findings print as file:line:col: [check] message, or with -json as a
-// JSON array of {file, line, col, check, message} objects (always an
-// array, `[]` when clean, so CI can diff results across runs). Exit
-// status: 0 clean, 1 findings, 2 load or usage failure. Suppress an
-// intentional finding in place with `//lint:ignore <check> <reason>` on,
-// or directly above, the flagged line.
+// The module is the one whose go.mod encloses the working directory.
+// Findings print as file:line:col: [check] message. Exit status: 0 clean,
+// 1 findings, 2 load or usage failure. Suppress an intentional finding in
+// place with `//lint:ignore <check> <reason>` on, or directly above, the
+// flagged line.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,15 +28,6 @@ import (
 	"spidercache/internal/lint"
 )
 
-// jsonFinding is the -json wire shape of one diagnostic.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -49,11 +36,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("spiderlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		checksFlag  = fs.String("checks", "", "comma-separated checks to run (default: all)")
-		disableFlag = fs.String("disable", "", "comma-separated checks to skip")
-		jsonFlag    = fs.Bool("json", false, "emit findings as a JSON array instead of text")
-		listFlag    = fs.Bool("list", false, "list available checks and exit")
-		dirFlag     = fs.String("C", "", "module root (default: locate go.mod from the working directory)")
+		checksFlag = fs.String("checks", "", "comma-separated checks to run (default: all)")
+		listFlag   = fs.Bool("list", false, "list available checks and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: spiderlint [flags] [packages]\n\npackages are ./... (default), ./path/dir or import-path suffixes\n\n")
@@ -70,125 +54,59 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	checks, err := selectChecks(*checksFlag, *disableFlag)
+	checks, err := selectChecks(*checksFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "spiderlint:", err)
 		return 2
 	}
-
-	root := *dirFlag
-	if root == "" {
-		root, err = findModuleRoot()
-		if err != nil {
-			fmt.Fprintln(stderr, "spiderlint:", err)
-			return 2
-		}
+	root, err := findModuleRoot()
+	if err != nil {
+		fmt.Fprintln(stderr, "spiderlint:", err)
+		return 2
 	}
-
 	m, err := lint.LoadDir(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "spiderlint:", err)
 		return 2
 	}
 
-	diags := lint.Run(m, lint.DefaultConfig(), checks)
-	diags = filterByPatterns(m, diags, fs.Args())
-
+	diags := filterByPatterns(m, lint.Run(m, lint.DefaultConfig(), checks), fs.Args())
 	cwd, _ := os.Getwd()
-	relName := func(name string) string {
-		if cwd == "" {
-			return name
-		}
-		if rel, relErr := filepath.Rel(cwd, name); relErr == nil && !strings.HasPrefix(rel, "..") {
-			return rel
-		}
-		return name
-	}
-
-	if *jsonFlag {
-		findings := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			findings = append(findings, jsonFinding{
-				File:    relName(d.Pos.Filename),
-				Line:    d.Pos.Line,
-				Col:     d.Pos.Column,
-				Check:   d.Check,
-				Message: d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(stderr, "spiderlint:", err)
-			return 2
-		}
-		if len(findings) > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	bad := 0
 	for _, d := range diags {
-		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
-		bad++
+		name := d.Pos.Filename
+		if rel, relErr := filepath.Rel(cwd, name); relErr == nil && !strings.HasPrefix(rel, "..") {
+			name = rel
+		}
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", name, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 	}
-	if bad > 0 {
-		fmt.Fprintf(stderr, "spiderlint: %d finding(s)\n", bad)
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "spiderlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
 }
 
-// selectChecks resolves the -checks / -disable flags against the suite.
-func selectChecks(enable, disable string) ([]*lint.Check, error) {
+// selectChecks resolves the -checks flag against the suite: every check
+// when csv is empty, else exactly the named ones.
+func selectChecks(csv string) ([]*lint.Check, error) {
 	all := lint.Checks()
+	if csv == "" {
+		return all, nil
+	}
 	byName := map[string]*lint.Check{}
 	for _, c := range all {
 		byName[c.Name] = c
 	}
-	validate := func(csv string) ([]string, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		var names []string
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("unknown check %q (known: %s)", n, strings.Join(lint.CheckNames(), ", "))
-			}
-			names = append(names, n)
-		}
-		return names, nil
-	}
-	enabled, err := validate(enable)
-	if err != nil {
-		return nil, err
-	}
-	disabled, err := validate(disable)
-	if err != nil {
-		return nil, err
-	}
-	off := map[string]bool{}
-	for _, n := range disabled {
-		off[n] = true
-	}
 	var out []*lint.Check
-	if enabled == nil {
-		for _, c := range all {
-			if !off[c.Name] {
-				out = append(out, c)
-			}
+	for _, n := range strings.Split(csv, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			continue
 		}
-	} else {
-		for _, n := range enabled {
-			if !off[n] {
-				out = append(out, byName[n])
-			}
+		if byName[n] == nil {
+			return nil, fmt.Errorf("unknown check %q (known: %s)", n, strings.Join(lint.CheckNames(), ", "))
 		}
+		out = append(out, byName[n])
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no checks selected")

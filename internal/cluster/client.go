@@ -125,7 +125,7 @@ func (c *Client) removeNode(node string) {
 	}
 	c.mu.Unlock()
 	if ok {
-		//lint:ignore errcheck the pool is being retired; its close error is noise
+		// The pool is being retired; its close error is noise.
 		pool.Close()
 	}
 }

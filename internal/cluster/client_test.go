@@ -27,7 +27,6 @@ func startNode(t *testing.T) *kvserver.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		srv.Close()
 	})
 	return srv
@@ -53,7 +52,6 @@ func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Clie
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		c.Close()
 	})
 	return c
@@ -133,7 +131,7 @@ func TestClientFailsOverAroundDeadNode(t *testing.T) {
 	// Kill node b. Every op must still succeed: ids owned by b fail over
 	// to a (reads of b-owned values miss — the replica never had them —
 	// but reads must not error).
-	//lint:ignore errcheck shutting the node down is the point
+	// Shutting the node down is the point.
 	b.Close()
 	for id := 0; id < n; id++ {
 		if err := c.Set(id+n, []byte("w")); err != nil {
@@ -178,7 +176,7 @@ func TestClientAllNodesDown(t *testing.T) {
 
 	// Once breakers open, ops keep failing fast (ErrNoNodes, not a hang).
 	for i := 0; i < 8; i++ {
-		//lint:ignore errcheck failures are the point
+		// Failures are the point.
 		c.Set(i, []byte("v"))
 	}
 	start := time.Now()
@@ -215,7 +213,7 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 	for name, opts := range cases {
 		if c, err := New(opts...); err == nil {
-			//lint:ignore errcheck the test is about construction, not teardown
+			// The test is about construction, not teardown.
 			c.Close()
 			t.Fatalf("New(%s) did not error", name)
 		}
@@ -235,7 +233,7 @@ func TestNewAppliesOptions(t *testing.T) {
 	if c.replicas != 2 || c.ring.replicas != 128 || !reflect.DeepEqual(c.pool, want) {
 		t.Fatalf("defaults: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
 	}
-	//lint:ignore errcheck nothing was dialled
+	// Nothing was dialled.
 	c.Close()
 
 	c, err = New(

@@ -30,7 +30,6 @@ func startNode(t *testing.T) *kvserver.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		srv.Close()
 	})
 	return srv

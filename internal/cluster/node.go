@@ -294,7 +294,8 @@ func (n *Node) addMember(addr string) *kvserver.Pool {
 		return nil
 	}
 	pool := kvserver.NewPool(addr, n.opts.Store, n.opts.Registry)
-	//lint:ignore errcheck Add only fails on an empty name, which validNodeAddr rejects on HELLO and readNodes in a NODES reply
+	// Add only fails on an empty name, which validNodeAddr rejects on
+	// HELLO and readNodes in a NODES reply.
 	n.ring.Add(addr)
 	n.peers[addr] = pool
 	n.fails[addr] = 0
@@ -319,7 +320,7 @@ func (n *Node) expelMember(addr string) {
 	if !ok {
 		return
 	}
-	//lint:ignore errcheck the pool is being retired; its close error is noise
+	// The pool is being retired; its close error is noise.
 	pool.Close()
 	n.tel.leaves.Inc()
 	n.kickRebalance()

@@ -46,7 +46,6 @@ func startGossipNode(tb testing.TB, every time.Duration, seeds ...string) *Node 
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		n.Close()
 	})
 	return n
@@ -101,7 +100,6 @@ func testClusterClient(t *testing.T, seed string) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		c.Close()
 	})
 	return c
@@ -165,7 +163,6 @@ func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
 	reply := "NODES 2\r\n" + seed + "\r\n\r\n"
 	var wg sync.WaitGroup
 	t.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		ln.Close()
 		wg.Wait()
 	})
@@ -180,7 +177,7 @@ func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				//lint:ignore errcheck the peer hung up or the test ended
+				// The peer hung up or the test ended.
 				defer conn.Close()
 				r := bufio.NewReader(conn)
 				for {

@@ -38,7 +38,6 @@ func FuzzClientFraming(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() {
-		//lint:ignore errcheck test cleanup
 		srv.Close()
 	})
 
@@ -108,7 +107,7 @@ func FuzzClientFraming(f *testing.F) {
 			case 2:
 				// Faults may surface as errors; a clean STORED means the
 				// embedding frame survived the wire intact.
-				//lint:ignore errcheck fault-injected ESet may fail; framing is checked by the NGet below
+				// A fault-injected ESet may fail; framing is checked by the NGet below.
 				c.ESet(k, emb)
 			default:
 				got, near, found, err := c.NGet(k, emb, 0)

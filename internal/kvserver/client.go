@@ -80,7 +80,6 @@ func (c *Client) wroteBytes() int64 { return c.conn.n }
 
 // Close sends QUIT and closes the connection.
 func (c *Client) Close() error {
-	//lint:ignore errcheck QUIT is a best-effort courtesy; Close reports the real failure
 	c.w.WriteString("QUIT\r\n")
 	//lint:ignore errcheck QUIT is a best-effort courtesy; Close reports the real failure
 	c.flush()

@@ -10,7 +10,7 @@ import (
 )
 
 // ErrPoolClosed is returned by pool operations after Close. It fails fast:
-// an Acquire blocked on a busy pool is woken, never left hanging.
+// an op blocked waiting for a free connection is woken, never left hanging.
 var ErrPoolClosed = errors.New("kvserver: pool is closed")
 
 // ErrBreakerOpen is returned without touching the network when the pool's
@@ -48,10 +48,10 @@ func newPoolTelemetry(reg *telemetry.Registry, node string) poolTelemetry {
 }
 
 // Pool is a fixed-size pool of client connections, safe for concurrent
-// use: goroutines Acquire a connection, use it (including Pipeline/MGet),
-// and Release it. Convenience wrappers (Get/Set/Del/MGet/MSet/Do) do the
-// acquire/release dance and retire broken connections, redialling lazily
-// so one failed op doesn't shrink the pool.
+// use. Do and the typed ops (Get/Set/Del/MGet/MSet/NGet/ESet) are the only
+// way in: each checks a connection out, runs the op, and hands the
+// connection back on every way out, retiring a broken one so its slot
+// redials lazily and one failed op never shrinks the pool.
 //
 // # Retry semantics
 //
@@ -118,12 +118,11 @@ func NewPool(addr string, cfg Config, reg *telemetry.Registry) *Pool {
 // Breaker returns the pool's circuit breaker, or nil when disabled.
 func (p *Pool) Breaker() *Breaker { return p.breaker }
 
-// Acquire checks a connection out of the pool, blocking until one is free.
+// acquire checks a connection out of the pool, blocking until one is free.
 // It fails fast with ErrPoolClosed on a closed pool — including a close
-// that lands while the caller is blocked waiting for a slot. Pass the
-// connection back with Release (always, even after errors) — or, if the
-// connection is broken, with Discard so the slot redials.
-func (p *Pool) Acquire() (*Client, error) {
+// that lands while the caller is blocked waiting for a slot. Only attempt
+// calls it, and hands the connection back with release or discard.
+func (p *Pool) acquire() (*Client, error) {
 	var c *Client
 	select {
 	case <-p.done:
@@ -146,7 +145,7 @@ func (p *Pool) Acquire() (*Client, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		//lint:ignore errcheck the pool-closed error is what the caller sees
+		// The pool-closed error is what the caller sees.
 		c.Close()
 		return nil, ErrPoolClosed
 	}
@@ -154,23 +153,23 @@ func (p *Pool) Acquire() (*Client, error) {
 	return c, nil
 }
 
-// Release returns a healthy connection to the pool. Release(nil) panics:
-// a nil connection has no slot to restore — callers with a broken
-// connection want Discard.
+// release returns a healthy connection to the pool. release(nil) panics:
+// a nil connection has no slot to restore — a broken connection wants
+// discard.
 //
 // The channel send happens under the pool mutex so it serialises with
 // Close: either Close sees the connection in the channel and closes it, or
-// Release observes the closed flag and closes it directly. Either way no
+// release observes the closed flag and closes it directly. Either way no
 // connection leaks. The send cannot block: every checked-out connection
 // owns a buffered slot.
-func (p *Pool) Release(c *Client) {
+func (p *Pool) release(c *Client) {
 	if c == nil {
-		panic("kvserver: Pool.Release(nil); use Discard to retire a broken connection")
+		panic("kvserver: Pool.release(nil); use discard to retire a broken connection")
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		//lint:ignore errcheck nothing can act on a close failure of a retired connection
+		// Nothing can act on a close failure of a retired connection.
 		c.Close()
 		return
 	}
@@ -178,13 +177,10 @@ func (p *Pool) Release(c *Client) {
 	p.mu.Unlock()
 }
 
-// Discard closes a broken connection and marks its slot for lazy redial.
-// Discard(nil) only restores the slot marker (the redial already failed).
-func (p *Pool) Discard(c *Client) {
-	if c != nil {
-		//lint:ignore errcheck the connection is already broken; its close error is noise
-		c.Close()
-	}
+// discard closes a broken connection and marks its slot for lazy redial.
+func (p *Pool) discard(c *Client) {
+	// The connection is already broken; its close error is noise.
+	c.Close()
 	p.conns <- nil
 }
 
@@ -205,18 +201,29 @@ func (p *Pool) Do(f func(*Client) error) error {
 // attempt runs f over one acquired connection and reports whether a
 // failure was provably pre-write: no byte of this op reached the socket,
 // so the server cannot have seen any of it.
+//
+// The connection goes back in a defer placed right after the acquire, so
+// no return (or panic) between here and the end can leak its slot: it is
+// released when f succeeded and discarded otherwise.
 func (p *Pool) attempt(f func(*Client) error) (err error, preWrite bool) {
-	c, err := p.Acquire()
+	c, err := p.acquire()
 	if err != nil {
 		// Dial/closed failures happen before any request bytes exist.
 		return err, true
 	}
+	ok := false
+	defer func() {
+		if ok {
+			p.release(c)
+		} else {
+			p.discard(c)
+		}
+	}()
 	mark := c.wroteBytes()
 	if err := f(c); err != nil {
-		p.Discard(c)
 		return err, c.wroteBytes() == mark
 	}
-	p.Release(c)
+	ok = true
 	return nil, false
 }
 
@@ -366,9 +373,9 @@ func (p *Pool) ESet(key string, emb []float32) error {
 	return p.doMutate("eset", func(c *Client) error { return c.ESet(key, emb) })
 }
 
-// Close closes every pooled connection and wakes blocked Acquires, which
-// fail with ErrPoolClosed; connections released later are closed on
-// return. Close is idempotent.
+// Close closes every pooled connection and wakes ops blocked waiting for
+// one, which fail with ErrPoolClosed; connections checked out at the time
+// are closed when their op hands them back. Close is idempotent.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {

@@ -2,18 +2,20 @@ package kvserver
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"spidercache/internal/leakcheck"
+	"spidercache/internal/simclock"
 	"spidercache/internal/telemetry"
 )
 
-// TestPoolAcquireCloseRace is the regression test for the Acquire/Close
-// deadlock: Close drains the conns channel, so an Acquire that passed the
-// closed check used to block forever on an empty channel. Acquire must now
+// TestPoolAcquireCloseRace is the regression test for the acquire/Close
+// deadlock: Close drains the conns channel, so an acquire that passed the
+// closed check used to block forever on an empty channel. acquire must now
 // fail fast with ErrPoolClosed. 1000 iterations (run under -race) cover
 // the interleavings; a hang fails the test via the suite timeout.
 func TestPoolAcquireCloseRace(t *testing.T) {
@@ -21,17 +23,17 @@ func TestPoolAcquireCloseRace(t *testing.T) {
 	srv := startServer(t, 16)
 	for iter := 0; iter < 1000; iter++ {
 		pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
-		// Check out the only connection so the concurrent Acquire blocks
+		// Check out the only connection so the concurrent acquire blocks
 		// on the empty channel — the exact shape of the original deadlock.
-		held, err := pool.Acquire()
+		held, err := pool.acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
 		go func() {
-			c, err := pool.Acquire()
+			c, err := pool.acquire()
 			if err == nil {
-				pool.Release(c)
+				pool.release(c)
 			}
 			done <- err
 		}()
@@ -39,9 +41,9 @@ func TestPoolAcquireCloseRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := <-done; err != nil && !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("iter %d: Acquire returned %v, want nil or ErrPoolClosed", iter, err)
+			t.Fatalf("iter %d: acquire returned %v, want nil or ErrPoolClosed", iter, err)
 		}
-		pool.Release(held) // late release: pool must close the conn, not leak it
+		pool.release(held) // late release: pool must close the conn, not leak it
 	}
 }
 
@@ -112,22 +114,22 @@ func TestPoolCloseMidRedial(t *testing.T) {
 	}()
 
 	pool := NewPool(proxy.Addr().String(), Config{PoolSize: 1}, nil)
-	// The slot starts undialled, so this Acquire dials through the
+	// The slot starts undialled, so this acquire dials through the
 	// gated proxy. TCP connect succeeds immediately (the proxy accepted);
-	// the pool is then closed before Acquire's post-redial check runs.
+	// the pool is then closed before acquire's post-redial check runs.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c, err := pool.Acquire()
+		c, err := pool.acquire()
 		if err == nil {
 			// If the redial won the race, the conn must still be usable
 			// and returned cleanly.
-			pool.Release(c)
+			pool.release(c)
 		} else if !errors.Is(err, ErrPoolClosed) {
-			t.Errorf("Acquire after close-mid-redial: %v", err)
+			t.Errorf("acquire after close-mid-redial: %v", err)
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // let Acquire reach the dial
+	time.Sleep(10 * time.Millisecond) // let acquire reach the dial
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +147,10 @@ func TestPoolReleaseNilPanics(t *testing.T) {
 	defer pool.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Release(nil) did not panic")
+			t.Fatal("release(nil) did not panic")
 		}
 	}()
-	pool.Release(nil)
+	pool.release(nil)
 }
 
 func TestPoolLazyDial(t *testing.T) {
@@ -185,12 +187,12 @@ func TestPoolRetriesIdempotent(t *testing.T) {
 	}
 	// Poison the pooled connection from the client side; the next Get's
 	// first attempt fails mid-protocol and the retry redials.
-	c, err := pool.Acquire()
+	c, err := pool.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.conn.Close()
-	pool.Release(c)
+	pool.release(c)
 	v, found, err := pool.Get("k")
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("Get over poisoned conn: %q %v %v", v, found, err)
@@ -212,12 +214,12 @@ func TestPoolMutationRetry(t *testing.T) {
 	// Pre-write failure: close the pooled conn locally. The write to the
 	// closed conn fails with 0 bytes delivered -> provably pre-write ->
 	// one redial-and-retry -> success.
-	c, err := pool.Acquire()
+	c, err := pool.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.conn.Close()
-	pool.Release(c)
+	pool.release(c)
 	if err := pool.Set("k", []byte("v")); err != nil {
 		t.Fatalf("pre-write Set did not retry: %v", err)
 	}
@@ -254,16 +256,16 @@ func TestPoolBreakerFailsFast(t *testing.T) {
 
 	// Close the pooled conn client-side first so the server's handler
 	// exits and srv.Close (which waits for in-flight conns) returns.
-	c, err := pool.Acquire()
+	c, err := pool.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.conn.Close()
-	pool.Release(c)
+	pool.release(c)
 	// Stop the server: transport failures accumulate.
 	srv.Close()
 	for i := 0; i < 4; i++ {
-		//lint:ignore errcheck failures are the point; the breaker observes them
+		// Failures are the point; the breaker observes them.
 		pool.Get("k")
 	}
 	if state := pool.Breaker().State(); state != BreakerOpen {
@@ -286,5 +288,83 @@ func TestPoolBreakerFailsFast(t *testing.T) {
 	}
 	if state := pool.Breaker().State(); state != BreakerOpen {
 		t.Fatalf("breaker state after failed probe = %v, want open (reopened)", state)
+	}
+}
+
+// TestPoolAttemptConservesSlots drives attempt through each of its outcomes
+// on a one-slot pool and checks that the slot always comes back: the
+// channel is full again and a follow-up op is served before a deadline. A
+// closed pool must instead answer the follow-up with ErrPoolClosed, fast,
+// and never take a connection back in.
+func TestPoolAttemptConservesSlots(t *testing.T) {
+	leakcheck.Check(t)
+	srv := startServer(t, 16)
+	clock := &simclock.Clock{}
+	set := func(c *Client) error { return c.Set("k", []byte("v")) }
+	for _, tc := range []struct {
+		name                      string
+		run                       func(*Pool) (err error, preWrite bool)
+		wantErr, preWrite, closed bool
+	}{
+		{name: "success", run: func(p *Pool) (error, bool) { return p.attempt(set) }},
+		{name: "f fails after writing", wantErr: true, run: func(p *Pool) (error, bool) {
+			return p.attempt(func(c *Client) error {
+				if err := set(c); err != nil {
+					return err
+				}
+				return errors.New("poisoned after the write")
+			})
+		}},
+		{name: "pre-write dial failure", wantErr: true, preWrite: true, run: func(p *Pool) (error, bool) {
+			p.addr = "127.0.0.1:1"
+			defer func() { p.addr = srv.Addr() }()
+			return p.attempt(set)
+		}},
+		{name: "closed pool", wantErr: true, preWrite: true, closed: true, run: func(p *Pool) (error, bool) {
+			// Closed while the connection is checked out, so the first
+			// hand-back must close it; then attempted again.
+			if err, _ := p.attempt(func(*Client) error { return p.Close() }); err != nil {
+				return err, false
+			}
+			return p.attempt(set)
+		}},
+		{name: "half-open probe", run: func(p *Pool) (error, bool) {
+			p.breaker.Record(false)
+			p.breaker.Record(false)
+			clock.Advance(time.Second)
+			if s := p.breaker.State(); s != BreakerHalfOpen {
+				return fmt.Errorf("breaker %v, want half-open", s), false
+			}
+			return p.Set("k", []byte("v")), false
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(srv.Addr(), Config{PoolSize: 1, Breaker: &BreakerOptions{
+				Window: 2, MinSamples: 2, OpenFor: time.Millisecond, Now: clock.Now,
+			}}, nil)
+			defer p.Close()
+			err, preWrite := tc.run(p)
+			want, wantFollowUp := cap(p.conns), error(nil)
+			if tc.closed {
+				want, wantFollowUp = 0, ErrPoolClosed
+			}
+			if len(p.conns) != want {
+				t.Fatalf("%d slots in the pool, want %d", len(p.conns), want)
+			}
+			if (err != nil) != tc.wantErr || (err != nil && preWrite != tc.preWrite) ||
+				(tc.closed && !errors.Is(err, ErrPoolClosed)) {
+				t.Fatalf("attempt = (%v, preWrite %v)", err, preWrite)
+			}
+			done := make(chan error, 1)
+			go func() { done <- p.Set("follow-up", []byte("v")) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, wantFollowUp) {
+					t.Fatalf("follow-up op: %v, want %v", err, wantFollowUp)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("follow-up op blocked: attempt leaked the slot")
+			}
+		})
 	}
 }

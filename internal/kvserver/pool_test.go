@@ -41,7 +41,7 @@ func TestPoolConcurrent(t *testing.T) {
 	pool := NewPool(srv.Addr(), Config{PoolSize: 4}, nil)
 	defer pool.Close()
 
-	const goroutines = 16 // 4x oversubscribed: exercises Acquire blocking
+	const goroutines = 16 // 4x oversubscribed: exercises acquire blocking
 	const ops = 50
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -129,8 +129,8 @@ func TestPoolClose(t *testing.T) {
 	if err := pool.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := pool.Acquire(); err == nil {
-		t.Fatal("Acquire succeeded on closed pool")
+	if _, err := pool.acquire(); err == nil {
+		t.Fatal("acquire succeeded on closed pool")
 	}
 }
 

@@ -2,8 +2,8 @@ package lint
 
 // Intraprocedural control-flow graphs over go/ast, plus the generic
 // forward worklist solver the path-sensitive checks (mutexhygiene,
-// pairhygiene, lockorder) run on. Built on the standard library only,
-// like the rest of the framework.
+// lockorder) run on. Built on the standard library only, like the rest of
+// the framework.
 //
 // The graph decomposes one function body into basic blocks of
 // straight-line nodes. Composite control statements never appear as
@@ -27,13 +27,6 @@ package lint
 // is an ordinary node in source order. Function literals are opaque
 // values: their bodies get their own graphs, never nodes in the
 // enclosing one.
-//
-// Branch targets carry an optional entry assumption: the then-block of
-// `if cond` records (cond, true), the else-block (cond, false), a
-// for-loop's body (cond, true) and its follow block (cond, false).
-// Analyzers that understand particular predicate shapes (pairhygiene's
-// `err != nil` guard) refine their facts with it; everyone else ignores
-// it.
 
 import (
 	"bytes"
@@ -51,13 +44,6 @@ type cfgBlock struct {
 	nodes []ast.Node
 	succs []*cfgBlock
 	preds []*cfgBlock
-
-	// Entry assumption: when assumeOK, the branch condition assumeCond
-	// evaluated to assumeVal on every edge into this block from its
-	// branching predecessor. Only set on dedicated branch-entry blocks.
-	assumeCond ast.Expr
-	assumeVal  bool
-	assumeOK   bool
 }
 
 func (b *cfgBlock) addSucc(s *cfgBlock) {
@@ -123,13 +109,9 @@ func (b *cfgBuilder) newBlock() *cfgBlock {
 	return blk
 }
 
-// branchBlock opens a dedicated branch-entry block carrying an entry
-// assumption, reachable from `from`.
-func (b *cfgBuilder) branchBlock(from *cfgBlock, cond ast.Expr, val bool) *cfgBlock {
+// branchBlock opens a fresh block entered from `from`.
+func (b *cfgBuilder) branchBlock(from *cfgBlock) *cfgBlock {
 	blk := b.newBlock()
-	if cond != nil {
-		blk.assumeCond, blk.assumeVal, blk.assumeOK = cond, val, true
-	}
 	from.addSucc(blk)
 	return blk
 }
@@ -195,81 +177,24 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.add(s.Cond)
 		head := b.here()
 		follow := b.newBlock()
-		then := b.branchBlock(head, s.Cond, true)
-		b.cur = then
+		b.cur = b.branchBlock(head)
 		b.stmt(s.Body)
 		if b.cur != nil {
 			b.cur.addSucc(follow)
 		}
 		if s.Else != nil {
-			els := b.branchBlock(head, s.Cond, false)
-			b.cur = els
+			b.cur = b.branchBlock(head)
 			b.stmt(s.Else)
 			if b.cur != nil {
 				b.cur.addSucc(follow)
 			}
 		} else {
 			head.addSucc(follow)
-			follow.assumeCond, follow.assumeVal, follow.assumeOK = s.Cond, false, true
-			// The assumption only holds if the then-branch cannot also
-			// reach follow (then it would be a merge point, not a pure
-			// else-edge).
-			if len(follow.preds) > 1 {
-				follow.assumeOK = false
-			}
 		}
 		b.cur = follow
 
-	case *ast.ForStmt:
-		if s.Init != nil {
-			b.add(s.Init)
-		}
-		head := b.newBlock()
-		b.here().addSucc(head)
-		if s.Cond != nil {
-			head.nodes = append(head.nodes, s.Cond)
-		}
-		follow := b.newBlock()
-		post := b.newBlock()
-		var body *cfgBlock
-		if s.Cond != nil {
-			body = b.branchBlock(head, s.Cond, true)
-			head.addSucc(follow)
-			follow.assumeCond, follow.assumeVal, follow.assumeOK = s.Cond, false, true
-		} else {
-			body = b.branchBlock(head, nil, false)
-		}
-		b.pushLoop(follow, post)
-		b.cur = body
-		b.stmt(s.Body)
-		b.popLoop()
-		if b.cur != nil {
-			b.cur.addSucc(post)
-		}
-		if s.Post != nil {
-			post.nodes = append(post.nodes, s.Post)
-		}
-		post.addSucc(head)
-		if len(follow.preds) > 1 {
-			follow.assumeOK = false
-		}
-		b.cur = follow
-
-	case *ast.RangeStmt:
-		b.add(s.X)
-		head := b.newBlock()
-		b.here().addSucc(head)
-		follow := b.newBlock()
-		head.addSucc(follow)
-		body := b.branchBlock(head, nil, false)
-		b.pushLoop(follow, head)
-		b.cur = body
-		b.stmt(s.Body)
-		b.popLoop()
-		if b.cur != nil {
-			b.cur.addSucc(head)
-		}
-		b.cur = follow
+	case *ast.ForStmt, *ast.RangeStmt:
+		b.loop(s, nil)
 
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -297,7 +222,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			if !ok {
 				continue
 			}
-			clause := b.branchBlock(head, nil, false)
+			clause := b.branchBlock(head)
 			if cc.Comm != nil {
 				clause.nodes = append(clause.nodes, cc.Comm)
 			}
@@ -350,7 +275,7 @@ func (b *cfgBuilder) switchBody(body *ast.BlockStmt, allowFallthrough bool) {
 		if !ok {
 			continue
 		}
-		blk := b.branchBlock(head, nil, false)
+		blk := b.branchBlock(head)
 		for _, e := range cc.List {
 			blk.nodes = append(blk.nodes, e)
 		}
@@ -481,12 +406,7 @@ func (b *cfgBuilder) labeled(s *ast.LabeledStmt) {
 
 	switch inner := s.Stmt.(type) {
 	case *ast.ForStmt, *ast.RangeStmt:
-		// Pre-wire the labeled loop's break/continue: build the loop with
-		// the label's targets patched in afterwards. We lower the loop
-		// normally, but need its follow/continue blocks registered under
-		// the label before the body (which may contain `break L`) is
-		// built. Easiest: wrap stmt lowering with label hooks.
-		b.labeledLoop(l, inner)
+		b.loop(inner, l)
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		b.labeledSwitch(l, inner)
 	default:
@@ -494,62 +414,53 @@ func (b *cfgBuilder) labeled(s *ast.LabeledStmt) {
 	}
 }
 
-// labeledLoop lowers a labeled for/range so `break L` / `continue L`
-// resolve while the body is being built.
-func (b *cfgBuilder) labeledLoop(l *cfgLabel, s ast.Stmt) {
+// loop lowers a for/range statement. A labeled loop passes its label, so
+// `break L` / `continue L` resolve while the body is being built.
+func (b *cfgBuilder) loop(s ast.Stmt, l *cfgLabel) {
+	var head, follow, cont, body *cfgBlock
+	var stmtBody *ast.BlockStmt
 	switch s := s.(type) {
 	case *ast.ForStmt:
 		if s.Init != nil {
 			b.add(s.Init)
 		}
-		head := b.newBlock()
+		head = b.newBlock()
 		b.here().addSucc(head)
 		if s.Cond != nil {
 			head.nodes = append(head.nodes, s.Cond)
 		}
-		follow := b.newBlock()
-		post := b.newBlock()
-		var body *cfgBlock
+		follow = b.newBlock()
+		cont = b.newBlock()
+		body = b.branchBlock(head)
 		if s.Cond != nil {
-			body = b.branchBlock(head, s.Cond, true)
 			head.addSucc(follow)
-			follow.assumeCond, follow.assumeVal, follow.assumeOK = s.Cond, false, true
-		} else {
-			body = b.branchBlock(head, nil, false)
-		}
-		l.breakTo, l.continueTo = follow, post
-		b.pushLoop(follow, post)
-		b.cur = body
-		b.stmt(s.Body)
-		b.popLoop()
-		if b.cur != nil {
-			b.cur.addSucc(post)
 		}
 		if s.Post != nil {
-			post.nodes = append(post.nodes, s.Post)
+			cont.nodes = append(cont.nodes, s.Post)
 		}
-		post.addSucc(head)
-		if len(follow.preds) > 1 {
-			follow.assumeOK = false
-		}
-		b.cur = follow
+		cont.addSucc(head)
+		stmtBody = s.Body
 	case *ast.RangeStmt:
 		b.add(s.X)
-		head := b.newBlock()
+		head = b.newBlock()
 		b.here().addSucc(head)
-		follow := b.newBlock()
+		follow = b.newBlock()
 		head.addSucc(follow)
-		body := b.branchBlock(head, nil, false)
-		l.breakTo, l.continueTo = follow, head
-		b.pushLoop(follow, head)
-		b.cur = body
-		b.stmt(s.Body)
-		b.popLoop()
-		if b.cur != nil {
-			b.cur.addSucc(head)
-		}
-		b.cur = follow
+		body = b.branchBlock(head)
+		cont = head
+		stmtBody = s.Body
 	}
+	if l != nil {
+		l.breakTo, l.continueTo = follow, cont
+	}
+	b.pushLoop(follow, cont)
+	b.cur = body
+	b.stmt(stmtBody)
+	b.popLoop()
+	if b.cur != nil {
+		b.cur.addSucc(cont)
+	}
+	b.cur = follow
 }
 
 // labeledSwitch lowers a labeled switch/select so `break L` resolves.

@@ -233,31 +233,6 @@ b6: {x = 30} -> b3
 `)
 }
 
-func TestCFGBranchAssumptions(t *testing.T) {
-	fset, g := buildFixtureCFG(t, `package p
-func f(err error) error {
-	if err != nil {
-		return err
-	}
-	return nil
-}`, "f")
-	_ = fset
-	// then-block assumes cond true; with no else and a returning then
-	// branch, the follow block keeps the cond-false assumption.
-	var then, follow *cfgBlock
-	for _, b := range g.blocks {
-		if b.assumeOK && b.assumeVal {
-			then = b
-		}
-		if b.assumeOK && !b.assumeVal {
-			follow = b
-		}
-	}
-	if then == nil || follow == nil {
-		t.Fatalf("missing branch assumptions: then=%v follow=%v", then, follow)
-	}
-}
-
 // TestCFGSolverReachesFixpointOnLoops drives the generic solver with a
 // reaching-state fact over a looping graph and checks it terminates with
 // the merged fact, exercising the worklist's convergence rather than any

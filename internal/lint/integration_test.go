@@ -1,9 +1,10 @@
 package lint
 
 import (
-	"go/ast"
 	"go/types"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -34,35 +35,55 @@ func TestRealModuleClean(t *testing.T) {
 }
 
 // TestRealModuleAnalyzersSeeFacts guards against the analyzers silently
-// going blind: a refactor that renames Pool.Acquire or breaks type
-// resolution would turn them into no-ops that still pass
-// TestRealModuleClean.
-//
-// atomichygiene has no assertion here: since the TinyLFU sketch went, no
-// non-test code in the module calls sync/atomic functions (atomic types
-// such as atomic.Int64 are not its subject), so there is no real field for
-// it to track. Its fixtures (atomichygiene_test.go) still cover it.
+// going blind: a package rename or broken type resolution would turn a
+// check into a no-op that still passes TestRealModuleClean. Every check
+// asserts at least one fact about the real module; a check with nothing
+// left to assert here has nothing left to guard and goes.
 func TestRealModuleAnalyzersSeeFacts(t *testing.T) {
 	m := loadRealModule(t)
-	p := &Pass{Cfg: DefaultConfig(), Module: m}
+	cfg := DefaultConfig()
+	newPass := func(name string) (*Pass, *[]Diagnostic) {
+		diags := &[]Diagnostic{}
+		return &Pass{Cfg: cfg, Module: m, check: &Check{Name: name}, diags: diags}, diags
+	}
+	// raw runs one check with no suppression applied.
+	raw := func(c *Check) []Diagnostic {
+		p, diags := newPass(c.Name)
+		c.Run(p)
+		return *diags
+	}
+	p, _ := newPass("")
 
-	// pairhygiene: the pool client acquire sites must resolve.
-	acquires := map[string]int{}
-	for _, pkg := range m.Packages {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if e, isExpr := n.(ast.Expr); isExpr {
-					if _, rule, ok := acquireCall(p, pkg, e); ok {
-						acquires[rule.Type+"."+rule.Acquire]++
-					}
-				}
-				return true
-			})
+	for _, paths := range [][]string{cfg.DeterministicPkgs, cfg.ProtoPkgs, cfg.ErrcheckPkgs} {
+		for _, path := range paths {
+			if len(p.PackagesMatching([]string{path})) == 0 {
+				t.Errorf("DefaultConfig path %q matches no package of the module", path)
+			}
 		}
 	}
-	t.Logf("pairhygiene acquire sites: %v", acquires)
-	if acquires["Pool.Acquire"] == 0 {
-		t.Errorf("no Pool.Acquire sites resolved; pairhygiene is blind to the client pool")
+
+	// determinism: the suppressed telemetry timing and order-insensitive
+	// collect are still seen.
+	det := raw(determinismCheck())
+	for _, file := range []string{"internal/experiments/experiments.go", "internal/trainer/prefetch.go"} {
+		if !slices.ContainsFunc(det, func(d Diagnostic) bool { return strings.HasSuffix(d.Pos.Filename, "/"+file) }) {
+			t.Errorf("determinism reports nothing in %s; it is blind to its packages", file)
+		}
+	}
+
+	// mutexhygiene: the Lock/RLock statements it traces.
+	locks := 0
+	for _, pkg := range m.Packages {
+		for _, f := range pkg.Files {
+			for _, fb := range fileFuncBodies(f) {
+				a := &mutexAnalyzer{pass: p, pkg: pkg, funcBody: fb.body}
+				locks += len(a.lockSites(buildCFG(fb.body)))
+			}
+		}
+	}
+	t.Logf("mutexhygiene: %d Lock/RLock sites", locks)
+	if locks < 50 {
+		t.Errorf("mutexhygiene sees only %d Lock/RLock sites; lock resolution is broken", locks)
 	}
 
 	// lockorder: the module's mutexes must resolve into graph nodes.
@@ -84,5 +105,46 @@ func TestRealModuleAnalyzersSeeFacts(t *testing.T) {
 	}
 	if len(la.names) < 5 {
 		t.Errorf("lockorder resolved only %d locks (%v); lock resolution is broken", len(la.names), lockNames)
+	}
+
+	// protostrings: the wire-error vocabulary resolves in kvserver.
+	consts := 0
+	for _, pkg := range p.PackagesMatching(cfg.ProtoPkgs) {
+		scope := pkg.Types.Scope()
+		if proto := scope.Lookup(protoErrTypeName); proto != nil && pkg.RelPath(m) == "internal/kvserver" {
+			for _, name := range scope.Names() {
+				if c, ok := scope.Lookup(name).(*types.Const); ok && types.Identical(c.Type(), proto.Type()) {
+					consts++
+				}
+			}
+		}
+	}
+	t.Logf("protostrings: %d protoErr constants", consts)
+	if consts < 10 {
+		t.Errorf("protostrings resolves %d protoErr constants in internal/kvserver, want >= 10", consts)
+	}
+
+	// metricnames: the registry calls it audits.
+	families, _ := collectMetricSites(p)
+	t.Logf("metricnames: %d registered families", len(families))
+	if len(families) < 30 {
+		t.Errorf("metricnames sees only %d registered families; registry resolution is broken", len(families))
+	}
+
+	// errcheck: each scoped package has at least one (suppressed) dropped
+	// write error.
+	errs := raw(errcheckCheck())
+	for _, path := range cfg.ErrcheckPkgs {
+		n := 0
+		for _, pkg := range p.PackagesMatching([]string{path}) {
+			for _, d := range errs {
+				if filepath.Dir(d.Pos.Filename) == pkg.Dir {
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("errcheck reports nothing in %s; it is blind to the package", path)
+		}
 	}
 }

@@ -8,12 +8,14 @@
 //     in the packages whose outputs must be bitwise-reproducible
 //   - mutexhygiene   — Lock without a reachable Unlock on every return path;
 //     RWMutex write-lock held across channel ops or blocking calls
+//   - lockorder      — cycles in the module-wide lock-acquisition order
+//     (potential deadlocks)
 //   - protostrings   — kvserver SERVER_ERROR payloads only from the declared
 //     stable constant set (server, client and fuzzers stay in lockstep)
 //   - metricnames    — telemetry names are snake_case, counters end _total,
 //     each family is registered from exactly one function
-//   - errcheck       — ignored error returns from io/net writes on the
-//     kvserver hot path
+//   - errcheck       — ignored error returns from io/net writes in the
+//     serving and failover packages
 //
 // Findings are file:line diagnostics; a finding that is intentional is
 // suppressed in place with
@@ -21,9 +23,9 @@
 //	//lint:ignore <check> <reason>
 //
 // on, or on the line above, the flagged line. The reason is mandatory — an
-// annotation without one is itself a diagnostic. `go run ./cmd/spiderlint
-// ./...` exits nonzero on any finding and is part of the tier-1 verify
-// recipe (see scripts/check.sh).
+// annotation without one is itself a diagnostic, and so is one that
+// suppresses nothing. `go run ./cmd/spiderlint ./...` exits nonzero on any
+// finding and is part of the tier-1 verify recipe (see scripts/check.sh).
 package lint
 
 import (
@@ -67,8 +69,6 @@ type Config struct {
 	// ErrcheckPkgs are the packages where ignored io/net write errors are
 	// findings.
 	ErrcheckPkgs []string
-	// PairRules are the acquire/release protocols enforced by pairhygiene.
-	PairRules []PairRule
 }
 
 // DefaultConfig scopes the checks to this repository's invariants.
@@ -91,10 +91,6 @@ func DefaultConfig() Config {
 		// cluster and faultnet sit on the failover hot path: a dropped
 		// write error there silently corrupts the retry/breaker accounting.
 		ErrcheckPkgs: []string{"internal/kvserver", "internal/cluster", "internal/faultnet"},
-		// A leaked pool client starves every other caller.
-		PairRules: []PairRule{
-			{Pkg: "internal/kvserver", Type: "Pool", Acquire: "Acquire", Releases: []string{"Release", "Discard"}},
-		},
 	}
 }
 
@@ -103,8 +99,6 @@ func Checks() []*Check {
 	return []*Check{
 		determinismCheck(),
 		mutexHygieneCheck(),
-		pairHygieneCheck(),
-		atomicHygieneCheck(),
 		lockOrderCheck(),
 		protoStringsCheck(),
 		metricNamesCheck(),
@@ -159,22 +153,23 @@ func pathMatches(rel string, patterns []string) bool {
 	return false
 }
 
-// directiveCheck names the framework's own diagnostics about malformed
-// //lint: comments.
+// directiveCheck names the framework's own diagnostics about malformed or
+// unused //lint: comments.
 const directiveCheck = "lintdirective"
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
-	pos    token.Position
-	check  string
-	reason string
+	pos   token.Position
+	check string
+	used  bool // matched a finding in this run
 }
 
 // Run executes the given checks over the module and returns the surviving
 // diagnostics sorted by position. Findings carrying a matching
-// //lint:ignore annotation are dropped; malformed annotations surface as
-// "lintdirective" findings so a typoed suppression can never silently turn
-// a check off.
+// //lint:ignore annotation are dropped; malformed annotations, and
+// annotations for a check that ran but matched no finding, surface as
+// "lintdirective" findings, so a typoed or stale suppression can never
+// silently turn a check off.
 func Run(m *Module, cfg Config, checks []*Check) []Diagnostic {
 	var diags []Diagnostic
 
@@ -200,19 +195,30 @@ func Run(m *Module, cfg Config, checks []*Check) []Diagnostic {
 	ignores, dirDiags := collectDirectives(m, known)
 	diags = append(diags, dirDiags...)
 
+	ran := map[string]bool{}
 	for _, c := range checks {
 		pass := &Pass{Cfg: cfg, Module: m, check: c, diags: &diags}
 		c.Run(pass)
+		ran[c.Name] = true
 	}
 
 	kept := diags[:0]
 	for _, d := range diags {
-		if d.Check != directiveCheck && suppressed(ignores, d) {
+		if ig := matchIgnore(ignores, d); ig != nil {
+			ig.used = true
 			continue
 		}
 		kept = append(kept, d)
 	}
 	diags = kept
+	for _, igs := range ignores {
+		for _, ig := range igs {
+			if ran[ig.check] && !ig.used {
+				diags = append(diags, Diagnostic{Pos: ig.pos, Check: directiveCheck,
+					Message: fmt.Sprintf("//lint:ignore %s suppresses nothing on this line or the next; delete it", ig.check)})
+			}
+		}
+	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -263,7 +269,7 @@ func collectDirectives(m *Module, known map[string]bool) (map[string][]ignoreDir
 						diags = append(diags, Diagnostic{Pos: pos, Check: directiveCheck,
 							Message: fmt.Sprintf("//lint:ignore %s needs a reason", checkName)})
 					default:
-						ignores[pos.Filename] = append(ignores[pos.Filename], ignoreDirective{pos: pos, check: checkName, reason: reason})
+						ignores[pos.Filename] = append(ignores[pos.Filename], ignoreDirective{pos: pos, check: checkName})
 					}
 				}
 			}
@@ -272,18 +278,16 @@ func collectDirectives(m *Module, known map[string]bool) (map[string][]ignoreDir
 	return ignores, diags
 }
 
-// suppressed reports whether d carries an ignore annotation: a matching
-// directive on the same line or the line directly above.
-func suppressed(ignores map[string][]ignoreDirective, d Diagnostic) bool {
-	for _, ig := range ignores[d.Pos.Filename] {
-		if ig.check != d.Check {
-			continue
-		}
-		if ig.pos.Line == d.Pos.Line || ig.pos.Line == d.Pos.Line-1 {
-			return true
+// matchIgnore returns the ignore annotation d carries — a matching
+// directive on the same line or the line directly above — or nil.
+func matchIgnore(ignores map[string][]ignoreDirective, d Diagnostic) *ignoreDirective {
+	igs := ignores[d.Pos.Filename]
+	for i := range igs {
+		if ig := &igs[i]; ig.check == d.Check && (ig.pos.Line == d.Pos.Line || ig.pos.Line == d.Pos.Line-1) {
+			return ig
 		}
 	}
-	return false
+	return nil
 }
 
 // enclosingFuncs maps every source position interval of a file's top-level

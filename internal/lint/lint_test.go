@@ -138,6 +138,39 @@ func TooFar() time.Time {
 	wantDiag(t, diags, "determinism", "time.Now", 1)
 }
 
+// TestUnusedDirectiveIsReported: an ignore for a check that ran but matched
+// no finding is itself a finding, so a stale suppression cannot outlive the
+// code it excused; one for a check that did not run is left alone.
+func TestUnusedDirectiveIsReported(t *testing.T) {
+	cfg := Config{DeterministicPkgs: []string{"det"}}
+	m := fixture(t, map[string]map[string]string{
+		"det": {"det.go": `package det
+
+import "time"
+
+func Used() time.Time {
+	//lint:ignore determinism fixture models telemetry-only timing
+	return time.Now()
+}
+
+func Stale() int {
+	//lint:ignore determinism the time.Now this excused is gone
+	return 1
+}
+
+func NotRun() int {
+	//lint:ignore errcheck errcheck does not run here
+	return 2
+}
+`},
+	})
+	diags := runNamed(t, m, cfg, "determinism")
+	wantDiag(t, diags, "lintdirective", "//lint:ignore determinism suppresses nothing", 1)
+	if len(diags) != 1 {
+		t.Errorf("want only the stale directive reported, got:\n%s", formatDiags(diags))
+	}
+}
+
 func TestSuppressionIsPerCheck(t *testing.T) {
 	cfg := Config{DeterministicPkgs: []string{"det"}, ErrcheckPkgs: []string{"det"}}
 	m := fixture(t, map[string]map[string]string{

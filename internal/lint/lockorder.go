@@ -131,6 +131,22 @@ func resolveLockCall(pkg *Package, stmt ast.Stmt) (lockCall, bool) {
 	return lc, true
 }
 
+// recvDisplayName names the struct type of the selector receiver x.
+func recvDisplayName(pkg *Package, x ast.Expr) string {
+	tv, hasType := pkg.Info.Types[x]
+	if !hasType {
+		return "?"
+	}
+	t := tv.Type
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	if named, isNamed := t.(*types.Named); isNamed {
+		return named.Obj().Name()
+	}
+	return t.String()
+}
+
 // --- call summaries -------------------------------------------------------
 
 // buildSummaries computes, for every module function, the transitive set

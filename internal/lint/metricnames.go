@@ -44,68 +44,7 @@ func metricNamesCheck() *Check {
 		Doc:  "telemetry names snake_case, counters _total, one registration site per family",
 	}
 	c.Run = func(p *Pass) {
-		type regSite struct {
-			pos  ast.Node
-			pkg  *Package
-			fn   string // "pkgpath.FuncName"
-			kind string
-		}
-		registrations := map[string][]regSite{}
-		describes := map[string][]regSite{}
-
-		for _, pkg := range p.Module.Packages {
-			// The telemetry package itself passes names through variables
-			// (Histogram forwarding to HistogramWindow); the convention
-			// binds call sites, not the registry internals.
-			if pkg.Name == "telemetry" {
-				continue
-			}
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) < 1 {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					kind, isReg := registryMethods[sel.Sel.Name]
-					if !isReg || !isTelemetryRegistry(pkg, sel) {
-						return true
-					}
-					nameArg := call.Args[0]
-					tv, hasTV := pkg.Info.Types[nameArg]
-					if !hasTV || tv.Value == nil || tv.Value.Kind() != constant.String {
-						p.Reportf(nameArg.Pos(), "metric name must be a compile-time string constant")
-						return true
-					}
-					name := constant.StringVal(tv.Value)
-					site := regSite{
-						pos:  nameArg,
-						pkg:  pkg,
-						fn:   pkg.Path + "." + enclosingFunc(f, call.Pos()),
-						kind: kind,
-					}
-					if !metricNameRE.MatchString(name) {
-						p.Reportf(nameArg.Pos(), "metric name %q is not snake_case (want %s)", name, metricNameRE)
-					}
-					switch {
-					case kind == "counter" && !strings.HasSuffix(name, "_total"):
-						p.Reportf(nameArg.Pos(), "counter %q must end in _total", name)
-					case kind != "counter" && kind != "" && strings.HasSuffix(name, "_total"):
-						p.Reportf(nameArg.Pos(), "%s %q must not end in _total (reserved for counters)", kind, name)
-					}
-					if kind == "" {
-						describes[name] = append(describes[name], site)
-					} else {
-						registrations[name] = append(registrations[name], site)
-					}
-					return true
-				})
-			}
-		}
-
+		registrations, describes := collectMetricSites(p)
 		for name, sites := range registrations {
 			kinds := map[string]bool{}
 			fns := map[string]bool{}
@@ -133,6 +72,68 @@ func metricNamesCheck() *Check {
 		}
 	}
 	return c
+}
+
+// metricSite is one registry call naming a metric family.
+type metricSite struct {
+	pos  ast.Node
+	fn   string // "pkgpath.FuncName"
+	kind string
+}
+
+// collectMetricSites finds every registry call in the module, keyed by
+// family name (registrations and Describe calls apart), and reports the
+// per-site naming findings on the way.
+func collectMetricSites(p *Pass) (registrations, describes map[string][]metricSite) {
+	registrations, describes = map[string][]metricSite{}, map[string][]metricSite{}
+	for _, pkg := range p.Module.Packages {
+		// The telemetry package itself passes names through variables
+		// (Histogram forwarding to HistogramWindow); the convention
+		// binds call sites, not the registry internals.
+		if pkg.Name == "telemetry" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) < 1 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				kind, isReg := registryMethods[sel.Sel.Name]
+				if !isReg || !isTelemetryRegistry(pkg, sel) {
+					return true
+				}
+				nameArg := call.Args[0]
+				tv, hasTV := pkg.Info.Types[nameArg]
+				if !hasTV || tv.Value == nil || tv.Value.Kind() != constant.String {
+					p.Reportf(nameArg.Pos(), "metric name must be a compile-time string constant")
+					return true
+				}
+				name := constant.StringVal(tv.Value)
+				site := metricSite{pos: nameArg, fn: pkg.Path + "." + enclosingFunc(f, call.Pos()), kind: kind}
+				if !metricNameRE.MatchString(name) {
+					p.Reportf(nameArg.Pos(), "metric name %q is not snake_case (want %s)", name, metricNameRE)
+				}
+				switch {
+				case kind == "counter" && !strings.HasSuffix(name, "_total"):
+					p.Reportf(nameArg.Pos(), "counter %q must end in _total", name)
+				case kind != "counter" && kind != "" && strings.HasSuffix(name, "_total"):
+					p.Reportf(nameArg.Pos(), "%s %q must not end in _total (reserved for counters)", kind, name)
+				}
+				if kind == "" {
+					describes[name] = append(describes[name], site)
+				} else {
+					registrations[name] = append(registrations[name], site)
+				}
+				return true
+			})
+		}
+	}
+	return registrations, describes
 }
 
 // isTelemetryRegistry reports whether sel's receiver is a Registry declared

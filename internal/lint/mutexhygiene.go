@@ -99,30 +99,14 @@ func (a *mutexAnalyzer) analyze() {
 	})
 
 	// Collect the distinct acquisitions and their sites.
-	type site struct {
-		ref lockRef
-		at  ast.Expr
-	}
-	var sites []site
+	sites := a.lockSites(g)
 	seen := map[lockRef]bool{}
 	var refs []lockRef
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			stmt, ok := n.(ast.Stmt)
-			if !ok {
-				continue
-			}
-			if ref, at, ok := a.stmtLock(stmt); ok {
-				sites = append(sites, site{ref, at})
-				if !seen[ref] {
-					seen[ref] = true
-					refs = append(refs, ref)
-				}
-			}
+	for _, s := range sites {
+		if !seen[s.ref] {
+			seen[s.ref] = true
+			refs = append(refs, s.ref)
 		}
-	}
-	if len(refs) == 0 {
-		return
 	}
 
 	for _, ref := range refs {
@@ -141,6 +125,27 @@ func (a *mutexAnalyzer) analyze() {
 		}
 		a.trace(g, ref)
 	}
+}
+
+// lockSite is one Lock/RLock statement of the function.
+type lockSite struct {
+	ref lockRef
+	at  ast.Expr
+}
+
+// lockSites returns every Lock/RLock statement in g, in block order.
+func (a *mutexAnalyzer) lockSites(g *funcCFG) []lockSite {
+	var sites []lockSite
+	for _, blk := range g.blocks {
+		for _, n := range blk.nodes {
+			if stmt, ok := n.(ast.Stmt); ok {
+				if ref, at, ok := a.stmtLock(stmt); ok {
+					sites = append(sites, lockSite{ref, at})
+				}
+			}
+		}
+	}
+	return sites
 }
 
 // trace solves the (held, deferred) dataflow for ref over g and reports
