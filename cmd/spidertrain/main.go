@@ -37,7 +37,6 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
 		workers = flag.Int("workers", 1, "simulated data-parallel GPU count")
 		threads = flag.Int("threads", 0, "CPU threads for tensor kernels and batch scoring (0 = all cores, 1 = serial)")
-		prefet  = flag.Bool("prefetch", false, "serve the next batch on a goroutine while the current one computes")
 		seed    = flag.Uint64("seed", 42, "random seed")
 		rStart  = flag.Float64("rstart", 0.90, "SpiderCache initial imp-ratio")
 		rEnd    = flag.Float64("rend", 0.80, "SpiderCache final imp-ratio")
@@ -92,9 +91,6 @@ func main() {
 	}
 	if *threads > 0 {
 		opts = append(opts, spidercache.WithThreads(*threads))
-	}
-	if *prefet {
-		opts = append(opts, spidercache.WithPrefetch())
 	}
 	if *static {
 		opts = append(opts, spidercache.WithStaticRatio())

@@ -80,12 +80,11 @@ func (l *linear) forward(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// backward consumes dOut (batch x out), returns dX (batch x in) and applies
-// the SGD+momentum update with learning rate lr and weight decay wd.
-func (l *linear) backward(x, dOut *tensor.Matrix, lr, mom, wd float64) *tensor.Matrix {
+// update applies the SGD+momentum step for dOut (batch x out) on input x
+// with learning rate lr and weight decay wd.
+func (l *linear) update(x, dOut *tensor.Matrix, lr, mom, wd float64) {
 	dW := tensor.MatMulATB(nil, x, dOut)
 	dB := dOut.ColSums()
-	dX := tensor.MatMulABT(nil, dOut, l.w)
 
 	for i, g := range dW.Data {
 		g += wd * l.w.Data[i]
@@ -96,7 +95,6 @@ func (l *linear) backward(x, dOut *tensor.Matrix, lr, mom, wd float64) *tensor.M
 		l.vb.Data[j] = mom*l.vb.Data[j] + g
 		l.b.Data[j] -= lr * l.vb.Data[j]
 	}
-	return dX
 }
 
 // MLP is a 3-layer classifier: input -> ReLU(hidden) -> ReLU(embed) -> logits.
@@ -178,19 +176,29 @@ func (m *MLP) Forward(x *tensor.Matrix, labels []int) ForwardResult {
 // Backward applies one SGD step using the cached forward state. weights is
 // an optional per-sample loss weight (nil = uniform mean); a zero weight
 // reproduces iCache's compute-bound "skip backprop for this sample"
-// behaviour. Backward panics if no forward pass is cached.
+// behaviour. Backward panics if no forward pass is cached, or if weights is
+// neither nil nor one per row of the cached batch.
 func (m *MLP) Backward(weights []float64) {
 	if m.probs == nil {
 		panic("nn: Backward called before Forward")
 	}
+	if weights != nil && len(weights) != m.probs.Rows {
+		panic(fmt.Sprintf("nn: %d backprop weights for a batch of %d", len(weights), m.probs.Rows))
+	}
 	dLogits := m.probs // consumed in place
 	tensor.SoftmaxCrossEntropyGrad(dLogits, m.labels, weights)
 
-	dEmb := m.l3.backward(m.emb, dLogits, m.cfg.LR, m.cfg.Momentum, m.cfg.WeightDec)
+	// Each layer's input gradient dX = dOut·wᵀ is taken before its update
+	// moves w. The first layer's would have nowhere to go, so it is not
+	// computed.
+	lr, mom, wd := m.cfg.LR, m.cfg.Momentum, m.cfg.WeightDec
+	dEmb := tensor.MatMulABT(nil, dLogits, m.l3.w)
+	m.l3.update(m.emb, dLogits, lr, mom, wd)
 	tensor.ReLUBackward(dEmb, m.emb)
-	dH1 := m.l2.backward(m.h1, dEmb, m.cfg.LR, m.cfg.Momentum, m.cfg.WeightDec)
+	dH1 := tensor.MatMulABT(nil, dEmb, m.l2.w)
+	m.l2.update(m.h1, dEmb, lr, mom, wd)
 	tensor.ReLUBackward(dH1, m.h1)
-	m.l1.backward(m.x, dH1, m.cfg.LR, m.cfg.Momentum, m.cfg.WeightDec)
+	m.l1.update(m.x, dH1, lr, mom, wd)
 
 	m.probs = nil // forward state consumed
 }

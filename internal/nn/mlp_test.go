@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -71,6 +74,25 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 		}
 	}()
 	m.Backward(nil)
+}
+
+// TestBackwardWeightsLengthPanics: a short weight slice used to die with an
+// index error deep in the softmax gradient, and a long one was silently
+// truncated.
+func TestBackwardWeightsLengthPanics(t *testing.T) {
+	for _, n := range []int{0, 2, 4} {
+		m, _ := NewMLP(testConfig(), xrand.New(1))
+		m.Forward(tensor.New(3, 4), []int{0, 1, 2})
+		func() {
+			defer func() {
+				want := fmt.Sprintf("nn: %d backprop weights for a batch of 3", n)
+				if r := recover(); r != want {
+					t.Errorf("%d weights: recovered %v, want %q", n, r, want)
+				}
+			}()
+			m.Backward(make([]float64, n))
+		}()
+	}
 }
 
 // makeBlobs builds a trivially separable 2-class problem.
@@ -180,6 +202,61 @@ func TestSetLR(t *testing.T) {
 	m.SetLR(-1) // ignored
 	if m.Config().LR != 0.01 {
 		t.Fatal("negative LR applied")
+	}
+}
+
+// TestBackwardGolden pins training bit for bit: FNV-64a over the
+// Float64bits of every weight and bias after 20 Forward+Backward steps on
+// the benchmark shape, with uniform and with per-sample weights (zeros
+// included). The hashes were recorded before Backward stopped computing
+// the first layer's input gradient, which no weight depends on.
+func TestBackwardGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		weighted bool
+		want     uint64
+	}{
+		{"uniform", false, 0xc26d58ea26ca1fa6},
+		{"per-sample", true, 0x977eb42c635dfc66},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(11)
+			cfg := MLPConfig{InputDim: 32, HiddenDim: 128, EmbedDim: 32, Classes: 10, LR: 0.05, Momentum: 0.9, WeightDec: 1e-4}
+			m, err := NewMLP(cfg, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.New(64, 32)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			labels := make([]int, 64)
+			var weights []float64
+			if tc.weighted {
+				weights = make([]float64, 64)
+			}
+			for i := range labels {
+				labels[i] = i % 10
+				if tc.weighted {
+					weights[i] = float64(i%4) / 96 // every fourth sample skipped
+				}
+			}
+			for step := 0; step < 20; step++ {
+				m.Forward(x, labels)
+				m.Backward(weights)
+			}
+			h := fnv.New64a()
+			var buf [8]byte
+			for _, data := range [][]float64{m.l1.w.Data, m.l1.b.Data, m.l2.w.Data, m.l2.b.Data, m.l3.w.Data, m.l3.b.Data} {
+				for _, v := range data {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Fatalf("weights hash %#x, want %#x", got, tc.want)
+			}
+		})
 	}
 }
 

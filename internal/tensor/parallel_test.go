@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"spidercache/internal/xrand"
@@ -68,6 +69,51 @@ func TestParallelKernelsBitwiseIdenticalToSerial(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestKernelsConcurrentCallers: the trainer runs backward's kernels on one
+// goroutine while batch scoring runs par.For on another, so two callers
+// share the worker pool at once. Each must still get the serial result bit
+// for bit.
+func TestKernelsConcurrentCallers(t *testing.T) {
+	rng := xrand.New(13)
+	type job struct{ a, b, at, bt, mm, atb, abt *Matrix }
+	jobs := make([]job, 2)
+	for i := range jobs {
+		j := &jobs[i]
+		j.a, j.b = sparseMatrix(128+8*i, 64, rng), sparseMatrix(64, 96, rng)
+		j.at, j.bt = sparseMatrix(64, 128+8*i, rng), sparseMatrix(96, 64, rng)
+		withWorkers(1, func() {
+			j.mm, j.atb, j.abt = MatMul(nil, j.a, j.b), MatMulATB(nil, j.at, j.b), MatMulABT(nil, j.a, j.bt)
+		})
+	}
+	same := func(got, want *Matrix) bool {
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			return false
+		}
+		for i := range got.Data {
+			if got.Data[i] != want.Data[i] {
+				return false
+			}
+		}
+		return true
+	}
+	withWorkers(4, func() {
+		var wg sync.WaitGroup
+		for i := range jobs {
+			wg.Add(1)
+			go func(j job) {
+				defer wg.Done()
+				for it := 0; it < 20; it++ {
+					if !same(MatMul(nil, j.a, j.b), j.mm) || !same(MatMulATB(nil, j.at, j.b), j.atb) || !same(MatMulABT(nil, j.a, j.bt), j.abt) {
+						t.Errorf("concurrent caller %d, iteration %d: result differs from serial", i, it)
+						return
+					}
+				}
+			}(jobs[i])
+		}
+		wg.Wait()
+	})
 }
 
 func TestSetWorkersAndDefaults(t *testing.T) {

@@ -2,7 +2,6 @@ package trainer
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"spidercache/internal/policy"
@@ -10,10 +9,8 @@ import (
 )
 
 // flakyCache is a RemoteCache double whose every Nth op fails with a
-// transport-style error, exercising the degrade-to-storage path. It is
-// mutex-guarded because the prefetching loader calls it off-thread.
+// transport-style error, exercising the degrade-to-storage path.
 type flakyCache struct {
-	mu      sync.Mutex
 	data    map[int][]byte
 	every   int // 0 = never fail
 	ops     int
@@ -39,8 +36,6 @@ func (f *flakyCache) fail() bool {
 }
 
 func (f *flakyCache) Get(id int) ([]byte, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.gets++
 	if f.fail() {
 		return nil, false, errFlaky
@@ -50,8 +45,6 @@ func (f *flakyCache) Get(id int) ([]byte, bool, error) {
 }
 
 func (f *flakyCache) Set(id int, payload []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.sets++
 	if f.setFail && f.fail() {
 		return errFlaky
@@ -121,26 +114,5 @@ func TestRemoteCacheDegradesOnErrors(t *testing.T) {
 	}
 	if rc.errs == 0 {
 		t.Fatal("fake cache never injected a failure; test is vacuous")
-	}
-}
-
-// TestRemoteCachePrefetchPath: the remote tier is exercised from the
-// prefetch goroutine too (run under -race to pin concurrency safety).
-func TestRemoteCachePrefetchPath(t *testing.T) {
-	cfg := tinyConfig(t, 2)
-	cfg.Prefetch = true
-	rc := newFlakyCache(5, true)
-	cfg.RemoteCache = rc
-	pol, err := policy.NewBaselineLRU(cfg.Dataset.Len(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(cfg, pol); err != nil {
-		t.Fatal(err)
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.gets == 0 || rc.sets == 0 {
-		t.Fatalf("remote cache untouched: gets=%d sets=%d", rc.gets, rc.sets)
 	}
 }

@@ -39,8 +39,7 @@ import (
 // sample to a backing-storage fetch, and a failed Set is dropped, so an
 // unreachable cluster slows training but never fails it.
 //
-// Implementations must be safe for concurrent use: with Config.Prefetch
-// the serving path runs on a background goroutine.
+// Run calls it only from its own goroutine, one call at a time.
 type RemoteCache interface {
 	// Get returns the cached payload for a sample ID. found=false with a
 	// nil error is a clean miss.
@@ -74,15 +73,6 @@ type Config struct {
 	// max(loading, compute), and removing I/O stalls translates almost 1:1
 	// into wall-clock savings, as in the paper's end-to-end numbers.
 	SerialLoading bool
-	// Prefetch overlaps the real (host CPU) work too: while batch t runs
-	// its forward pass, a goroutine serves batch t+1 (cache lookups, miss
-	// fetches, substitution, tensor build). The pipeline is one deep and
-	// joins before any further policy call, so policies stay effectively
-	// single-threaded and runs are deterministic. Note the serving of batch
-	// t+1 then observes cache state from before batch t's IS stage (the
-	// usual one-batch staleness of a prefetching loader), so per-epoch hit
-	// counts can differ slightly from the non-prefetching loop. Default off.
-	Prefetch bool
 	// PreprocessCost is the per-batch decode/collate charge (the paper's
 	// lightweight Preprocessing stage, Fig 3a).
 	PreprocessCost time.Duration
@@ -252,9 +242,7 @@ type runTelemetry struct {
 	loss     *telemetry.Gauge
 	epochs   *telemetry.Counter
 
-	prefetchHit   *telemetry.Counter   // next batch was ready when needed
-	prefetchStall *telemetry.Counter   // training waited on the loader
-	prefetchWait  *telemetry.Histogram // real seconds spent waiting per stall
+	backwardWait *telemetry.Histogram // real seconds training waited at the backward join
 
 	rcHit  *telemetry.Counter // policy miss served by the remote cache tier
 	rcMiss *telemetry.Counter // remote cache answered, value absent
@@ -279,9 +267,8 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 	reg.Describe("epoch_seconds", "simulated wall time per epoch (p50/p95/p99)")
 	reg.Describe("train_accuracy", "held-out Top-1 accuracy after the last epoch")
 	reg.Describe("train_loss", "mean training loss of the last epoch")
-	reg.Describe("prefetch_batches_total", "prefetched batch joins by outcome (hit = ready in time, stall = training waited)")
 	reg.Describe("remote_cache_total", "policy-miss consultations of the remote cache tier by outcome (hit/miss/error)")
-	reg.Describe("prefetch_stall_seconds", "real time spent waiting on the prefetch loader per stall")
+	reg.Describe("backward_wait_seconds", "real time training waited at the join for the previous batch's backward pass: the part of backward the IS stage and the next batch's serving did not hide")
 	reg.Describe("pool_tasks_total", "CPU worker-pool task blocks by execution site (pooled/inline)")
 	reg.Describe("tensor_kernels_total", "tensor kernel dispatches by mode (parallel/serial)")
 	reg.Describe("pool_utilization", "pooled share of the last epoch's worker-pool task blocks")
@@ -299,9 +286,7 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 		loss:        reg.Gauge("train_loss", nil),
 		epochs:      reg.Counter("epochs_total", nil),
 
-		prefetchHit:   reg.Counter("prefetch_batches_total", telemetry.Labels{"result": "hit"}),
-		prefetchStall: reg.Counter("prefetch_batches_total", telemetry.Labels{"result": "stall"}),
-		prefetchWait:  reg.Histogram("prefetch_stall_seconds", nil),
+		backwardWait: reg.Histogram("backward_wait_seconds", nil),
 
 		rcHit:  reg.Counter("remote_cache_total", telemetry.Labels{"result": "hit"}),
 		rcMiss: reg.Counter("remote_cache_total", telemetry.Labels{"result": "miss"}),
@@ -407,12 +392,14 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 // runEpoch executes one epoch and returns its stats (accuracy filled by the
 // caller).
 //
-// With cfg.Prefetch the epoch loop is a one-deep pipeline: while batch t's
-// forward pass runs, a goroutine serves batch t+1. The pipeline joins
-// before BackpropWeights, so Lookup/OnMiss for batch t+1 never run
-// concurrently with any other policy call — the policy remains effectively
-// single-threaded, and the policy-call order (hence the result) is
-// deterministic.
+// Batch t's backward pass runs on a goroutine while this one runs batch
+// t's IS stage (OnBatchEnd) and serves batch t+1, the most overlap exact
+// semantics allow: Forward(t+1) needs Backward(t)'s weights, serving t+1
+// needs the policy state OnBatchEnd(t) leaves, and Backward touches only
+// the MLP while the policy touches only its own state and the Feedback
+// copies. Every policy call stays on this goroutine in the serial order,
+// so results are bit-equal to running the stages one after the other. The
+// last Backward is joined before runEpoch returns, so Evaluate sees it.
 func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, clock *simclock.Clock, epoch int, tel *runTelemetry) EpochStats {
 	ds := cfg.Dataset
 	st := EpochStats{Epoch: epoch}
@@ -432,33 +419,23 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 	var lossN int
 	span := clock.Start()
 
-	pf := prefetcher{hit: tel.prefetchHit, stall: tel.prefetchStall, stallSec: tel.prefetchWait}
-	var pending *batchData
+	bw := backwardStep{wait: tel.backwardWait}
+	// Also reaps a Backward still running when serving panics.
+	defer bw.join()
 	for b := 0; b < len(batches); b++ {
-		// --- Data Loading: serve each requested sample, either prefetched
-		// during the previous iteration or inline. Misses share the remote
-		// link across workers; hits are served from worker-local memory
-		// tiers and scale with the worker count.
-		data := pending
-		pending = nil
-		if data == nil {
-			data = serveBatch(pol, store, ds, batches[b], cfg.RemoteCache, tel)
-		}
+		// --- Data Loading: serve each requested sample. Misses share the
+		// remote link across workers; hits are served from worker-local
+		// memory tiers and scale with the worker count.
+		data := serveBatch(pol, store, ds, batches[b], cfg.RemoteCache, tel)
 		st.Requests += data.requests
 		st.Misses += data.misses
 		st.HitCache += data.hitCache
 		st.HitSub += data.hitSub
 		load := data.missLoad + time.Duration(float64(data.hitLoad)/w)
 
-		// Start serving the next batch; it overlaps only the forward pass
-		// below, which makes no policy calls.
-		if cfg.Prefetch && b+1 < len(batches) {
-			next := batches[b+1]
-			pf.spawn(func() *batchData { return serveBatch(pol, store, ds, next, cfg.RemoteCache, tel) })
-		}
-
 		// --- Preprocessing + Computation (forward/backward on the real
 		// learner; virtual costs from the model profile).
+		bw.join()
 		fr := mlp.Forward(data.x, data.labels)
 		fb := make([]policy.Feedback, len(data.served))
 		for i, id := range data.served {
@@ -471,11 +448,8 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 			lossSum += fr.Losses[i]
 			lossN++
 		}
-		if cfg.Prefetch && b+1 < len(batches) {
-			pending = pf.join()
-		}
 		weights := pol.BackpropWeights(fb)
-		mlp.Backward(weights)
+		bw.start(mlp, weights)
 
 		backward := cfg.Model.BackwardCost
 		if frac := keptFraction(weights); frac < 1 {
@@ -506,7 +480,7 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 
 		// Wall-clock charge: loading is shared-bottleneck, compute stages
 		// divide across workers, communication is added per batch round.
-		// With the prefetch pipeline (default), loading of the next batch
+		// With the DataLoader prefetch (default), loading of the next batch
 		// overlaps this batch's preprocessing and compute, so the visible
 		// cost is the maximum of the two tracks; serial mode sums them.
 		preproc := cfg.PreprocessCost / time.Duration(cfg.Workers)

@@ -92,6 +92,7 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
     go test -race \
         ./internal/telemetry/... ./internal/kvserver/... ./internal/cache/... \
         ./internal/hnsw/... ./internal/semgraph/... ./internal/trainer/... \
+        ./internal/tensor/... ./internal/nn/... \
         ./internal/par/... ./internal/leakcheck/... \
         ./internal/faultnet/... ./internal/cluster/...
 fi

@@ -141,11 +141,6 @@ type TrainConfig struct {
 	// only trades wall-clock for cores. Distinct from Workers, which
 	// simulates GPUs inside the cost model.
 	Threads int
-	// Prefetch overlaps the serving of batch t+1 (cache lookups, miss
-	// fetches, tensor build) with batch t's forward pass on a host
-	// goroutine. Deterministic; see trainer.Config.Prefetch for the
-	// one-batch staleness caveat. Default off.
-	Prefetch bool
 	// Metrics receives live serving-path and cache telemetry (per-tier
 	// lookup counters, fetch-latency histograms, elastic imp_ratio/σ
 	// gauges); nil disables recording. See internal/telemetry and the
@@ -294,7 +289,6 @@ func train(cfg TrainConfig) (*Result, error) {
 		Workers:       cfg.Workers,
 		PipelineIS:    !cfg.DisablePipeline,
 		SerialLoading: cfg.SerialLoading,
-		Prefetch:      cfg.Prefetch,
 		Metrics:       cfg.Metrics,
 		Seed:          cfg.Seed,
 	}

@@ -99,14 +99,6 @@ func WithThreads(n int) Option {
 	return func(s *trainSettings) { s.cfg.Threads = n; s.threadsSet = true }
 }
 
-// WithPrefetch overlaps the serving of the next batch (cache lookups, miss
-// fetches, tensor build) with the current batch's forward pass on a host
-// goroutine. Deterministic; see trainer.Config.Prefetch for the one-batch
-// staleness caveat.
-func WithPrefetch() Option {
-	return func(s *trainSettings) { s.cfg.Prefetch = true }
-}
-
 // WithMetrics attaches a telemetry registry: the run records per-tier
 // lookup counters, simulated fetch/compute latency histograms and the
 // elastic imp_ratio/σ trajectory into it. The same registry may be shared
