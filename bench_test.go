@@ -71,9 +71,9 @@ func benchTrain(b *testing.B, pol string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spidercache.Train(spidercache.TrainConfig{
-			Dataset: ds, Policy: pol, Epochs: 3, Seed: 42,
-		}); err != nil {
+		if _, err := spidercache.TrainWith(ds,
+			spidercache.WithPolicy(pol), spidercache.WithEpochs(3), spidercache.WithSeed(42),
+		); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,6 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "random seed")
 		threads = flag.Int("threads", 0, "CPU threads for tensor kernels and batch scoring (0 = all cores, 1 = serial)")
 		format  = flag.String("format", "text", "output format: text or csv")
-		csv     = flag.Bool("csv", false, "emit CSV instead of tables (deprecated: use -format csv)")
 		outDir  = flag.String("out", "", "also write each experiment's CSV to <dir>/<id>.csv")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		metrics = flag.Bool("metrics", false, "print the aggregated telemetry snapshot (Prometheus text) at exit")
@@ -41,12 +40,13 @@ func main() {
 		fmt.Println(strings.Join(spidercache.Experiments(), "\n"))
 		return
 	}
-	outFormat, err := spidercache.ParseFormat(*format)
-	if err != nil {
-		fatal("", err)
-	}
-	if *csv {
-		outFormat = spidercache.FormatCSV
+	asCSV := false
+	switch strings.ToLower(*format) {
+	case "text":
+	case "csv":
+		asCSV = true
+	default:
+		fatal("", fmt.Errorf("unknown format %q (want text or csv)", *format))
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -70,7 +70,7 @@ func main() {
 		if err != nil {
 			fatal(id, err)
 		}
-		if outFormat == spidercache.FormatCSV {
+		if asCSV {
 			fmt.Print(rep.CSV())
 		} else {
 			fmt.Print(rep.String())

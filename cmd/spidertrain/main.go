@@ -87,10 +87,8 @@ func main() {
 		spidercache.WithWorkers(*workers),
 		spidercache.WithSeed(*seed),
 		spidercache.WithElasticRange(*rStart, *rEnd),
+		spidercache.WithThreads(*threads),
 		spidercache.WithMetrics(reg),
-	}
-	if *threads > 0 {
-		opts = append(opts, spidercache.WithThreads(*threads))
 	}
 	if *static {
 		opts = append(opts, spidercache.WithStaticRatio())

@@ -36,16 +36,17 @@ func main() {
 
 	fmt.Printf("%-12s %10s %10s %10s %12s\n", "strategy", "avgHit%", "lateHit%", "bestAcc%", "trainTime")
 	for _, s := range strategies {
-		res, err := spidercache.Train(spidercache.TrainConfig{
-			Dataset:       ds,
-			Policy:        spidercache.PolicySpiderCache,
-			Epochs:        20,
-			CacheFraction: 0.2,
-			RStart:        s.rStart,
-			REnd:          s.rEnd,
-			StaticRatio:   s.static,
-			Seed:          42,
-		})
+		opts := []spidercache.Option{
+			spidercache.WithPolicy(spidercache.PolicySpiderCache),
+			spidercache.WithEpochs(20),
+			spidercache.WithCacheFraction(0.2),
+			spidercache.WithElasticRange(s.rStart, s.rEnd),
+			spidercache.WithSeed(42),
+		}
+		if s.static {
+			opts = append(opts, spidercache.WithStaticRatio())
+		}
+		res, err := spidercache.TrainWith(ds, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}

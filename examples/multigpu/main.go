@@ -24,18 +24,17 @@ func main() {
 	fmt.Printf("%-6s %16s %16s %8s\n", "GPUs", "Baseline/epoch", "SpiderCache/epoch", "gap")
 	for workers := 1; workers <= 4; workers++ {
 		perEpoch := func(policy string) time.Duration {
-			res, err := spidercache.Train(spidercache.TrainConfig{
-				Dataset:       ds,
-				Policy:        policy,
-				Epochs:        epochs,
-				CacheFraction: 0.2,
-				Workers:       workers,
+			res, err := spidercache.TrainWith(ds,
+				spidercache.WithPolicy(policy),
+				spidercache.WithEpochs(epochs),
+				spidercache.WithCacheFraction(0.2),
+				spidercache.WithWorkers(workers),
 				// Stall accounting, as in the paper's Fig 17: the question
 				// is how long each policy stays blocked on the shared
 				// remote link as compute scales out.
-				SerialLoading: true,
-				Seed:          42,
-			})
+				spidercache.WithSerialLoading(),
+				spidercache.WithSeed(42),
+			)
 			if err != nil {
 				log.Fatal(err)
 			}

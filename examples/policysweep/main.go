@@ -48,13 +48,12 @@ func main() {
 		ds.Name(), ds.Len(), int(*cache*100), *epochs)
 	fmt.Printf("%-16s %8s %8s %9s %12s\n", "policy", "hit%", "sub%", "bestAcc%", "trainTime")
 	for _, pol := range spidercache.Policies() {
-		res, err := spidercache.Train(spidercache.TrainConfig{
-			Dataset:       ds,
-			Policy:        pol,
-			Epochs:        *epochs,
-			CacheFraction: *cache,
-			Seed:          *seed,
-		})
+		res, err := spidercache.TrainWith(ds,
+			spidercache.WithPolicy(pol),
+			spidercache.WithEpochs(*epochs),
+			spidercache.WithCacheFraction(*cache),
+			spidercache.WithSeed(*seed),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

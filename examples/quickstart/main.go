@@ -22,14 +22,13 @@ func main() {
 
 	var results []*spidercache.Result
 	for _, policy := range []string{spidercache.PolicySpiderCache, spidercache.PolicyBaseline} {
-		res, err := spidercache.Train(spidercache.TrainConfig{
-			Dataset:       ds,
-			Policy:        policy,
-			Model:         "ResNet18",
-			Epochs:        15,
-			CacheFraction: 0.2,
-			Seed:          42,
-		})
+		res, err := spidercache.TrainWith(ds,
+			spidercache.WithPolicy(policy),
+			spidercache.WithModel("ResNet18"),
+			spidercache.WithEpochs(15),
+			spidercache.WithCacheFraction(0.2),
+			spidercache.WithSeed(42),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

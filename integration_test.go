@@ -14,15 +14,14 @@ import (
 
 func train(t *testing.T, ds *spidercache.Dataset, pol string, epochs int) *spidercache.Result {
 	t.Helper()
-	res, err := spidercache.Train(spidercache.TrainConfig{
-		Dataset:       ds,
-		Policy:        pol,
-		Epochs:        epochs,
-		CacheFraction: 0.2,
-		Seed:          42,
-	})
+	res, err := spidercache.TrainWith(ds,
+		spidercache.WithPolicy(pol),
+		spidercache.WithEpochs(epochs),
+		spidercache.WithCacheFraction(0.2),
+		spidercache.WithSeed(42),
+	)
 	if err != nil {
-		t.Fatalf("Train(%s): %v", pol, err)
+		t.Fatalf("TrainWith(%s): %v", pol, err)
 	}
 	return res
 }
@@ -91,17 +90,17 @@ func TestElasticManagerShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	const epochs = 14
-	static, err := spidercache.Train(spidercache.TrainConfig{
-		Dataset: ds, Policy: "spider", Epochs: epochs, CacheFraction: 0.2,
-		RStart: 0.9, REnd: 0.9, StaticRatio: true, Seed: 42,
-	})
+	static, err := spidercache.TrainWith(ds,
+		spidercache.WithPolicy("spider"), spidercache.WithEpochs(epochs), spidercache.WithCacheFraction(0.2),
+		spidercache.WithElasticRange(0.9, 0.9), spidercache.WithStaticRatio(), spidercache.WithSeed(42),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := spidercache.Train(spidercache.TrainConfig{
-		Dataset: ds, Policy: "spider", Epochs: epochs, CacheFraction: 0.2,
-		RStart: 0.9, REnd: 0.5, Seed: 42,
-	})
+	deep, err := spidercache.TrainWith(ds,
+		spidercache.WithPolicy("spider"), spidercache.WithEpochs(epochs), spidercache.WithCacheFraction(0.2),
+		spidercache.WithElasticRange(0.9, 0.5), spidercache.WithSeed(42),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +182,10 @@ func TestMultiWorkerGapWidens(t *testing.T) {
 	gap := func(workers int) float64 {
 		var times [2]float64
 		for i, pol := range []string{"baseline", "spider"} {
-			res, err := spidercache.Train(spidercache.TrainConfig{
-				Dataset: ds, Policy: pol, Epochs: 4, CacheFraction: 0.2,
-				Workers: workers, SerialLoading: true, Seed: 42,
-			})
+			res, err := spidercache.TrainWith(ds,
+				spidercache.WithPolicy(pol), spidercache.WithEpochs(4), spidercache.WithCacheFraction(0.2),
+				spidercache.WithWorkers(workers), spidercache.WithSerialLoading(), spidercache.WithSeed(42),
+			)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,10 +6,10 @@ import (
 
 	"spidercache/internal/core"
 	"spidercache/internal/elastic"
-	"spidercache/internal/metrics"
 	"spidercache/internal/nn"
 	"spidercache/internal/pq"
 	"spidercache/internal/semgraph"
+	"spidercache/internal/table"
 	"spidercache/internal/trainer"
 )
 
@@ -46,7 +46,7 @@ func Ablation(opt Options) (*Report, error) {
 		}, true},
 	}
 
-	t := metrics.NewTable("Ablation: SpiderCache design choices (CIFAR10-like, ResNet18, 20% cache)",
+	t := table.New("Ablation: SpiderCache design choices (CIFAR10-like, ResNet18, 20% cache)",
 		"Variant", "AvgHit%", "SubHit%", "BestAcc%", "TrainTime")
 	for i, v := range variants {
 		opts := core.Options{
@@ -86,7 +86,7 @@ func Ablation(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "ablation",
 		Title:  "Design-choice ablations",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes: []string{
 			"no homophily: hit ratio falls (substitute hits vanish) with accuracy roughly unchanged",
 			"no elastic: late-stage hit ratio sags (see table6 for the per-epoch curves)",

@@ -6,9 +6,9 @@ import (
 
 	"spidercache/internal/elastic"
 	"spidercache/internal/hnsw"
-	"spidercache/internal/metrics"
 	"spidercache/internal/nn"
 	"spidercache/internal/pq"
+	"spidercache/internal/table"
 	"spidercache/internal/trainer"
 	"spidercache/internal/xrand"
 )
@@ -18,20 +18,20 @@ import (
 // stabilised) the ratio adjustment shifts from slow to fast.
 func Fig11(opt Options) (*Report, error) {
 	us := []float64{1.0, 0.75, 0.5, 0.25, 0.0}
-	series := make([]metrics.Series, len(us))
+	series := make([]table.Series, len(us))
 	const steps = 10
 	for i, u := range us {
 		pts := make([]float64, steps+1)
 		for s := 0; s <= steps; s++ {
 			pts[s] = elastic.RatioAt(0.90, 0.80, float64(s)/steps, u, true)
 		}
-		series[i] = metrics.Series{Name: fmt.Sprintf("u=%.2f", u), Points: pts}
+		series[i] = table.Series{Name: fmt.Sprintf("u=%.2f", u), Points: pts}
 	}
 	header := []string{"t/T"}
 	for _, s := range series {
 		header = append(header, s.Name)
 	}
-	t := metrics.NewTable("Fig 11: imp-ratio(t) for r_start=0.90, r_end=0.80", header...)
+	t := table.New("Fig 11: imp-ratio(t) for r_start=0.90, r_end=0.80", header...)
 	for s := 0; s <= steps; s++ {
 		row := []string{fmt.Sprintf("%.1f", float64(s)/steps)}
 		for _, ser := range series {
@@ -42,7 +42,7 @@ func Fig11(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "fig11",
 		Title:  "Ratio Controller trajectories",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes:  []string{"u→1 slows the shift (protect accuracy); u→0 accelerates it (chase hit ratio)"},
 	}, nil
 }
@@ -57,7 +57,7 @@ func Table1(opt Options) (*Report, error) {
 		return nil, err
 	}
 	epochs := opt.epochs(2)
-	t := metrics.NewTable("Table 1 / Fig 12: per-batch stage times and pipeline hiding",
+	t := table.New("Table 1 / Fig 12: per-batch stage times and pipeline hiding",
 		"Model", "Stage1", "Stage2", "IS", "VisibleIS", "Hidden%", "Epoch(pipe)", "Epoch(no-pipe)")
 	var notes []string
 	for i, model := range nn.AllProfiles() {
@@ -99,7 +99,7 @@ func Table1(opt Options) (*Report, error) {
 	if notes == nil {
 		notes = []string{"pipeline hides the IS stage completely for all models, matching the paper"}
 	}
-	return &Report{ID: "table1", Title: "Overhead analysis and pipeline mitigation", Tables: []*metrics.Table{t}, Notes: notes}, nil
+	return &Report{ID: "table1", Title: "Overhead analysis and pipeline mitigation", Tables: []*table.Table{t}, Notes: notes}, nil
 }
 
 // paperDataset describes the geometry of one row of the paper's Table 2.
@@ -159,7 +159,7 @@ func Table2(opt Options) (*Report, error) {
 		{"LAION-400M", 400e6, 240e12},
 		{"LAION-5B", 5e9, 2.5e15},
 	}
-	t := metrics.NewTable(
+	t := table.New(
 		fmt.Sprintf("Table 2: HNSW+PQ index efficiency (measured %.0f B/vector on %d synthetic embeddings)", perVector, n),
 		"Dataset", "Images", "Raw", "Index(est)", "Compression")
 	for _, r := range rows {
@@ -173,7 +173,7 @@ func Table2(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "table2",
 		Title:  "ANN index storage efficiency",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes: []string{
 			"paper measures ~112 B/image for ImageNet-1K (134 MB / 1.2M); the measured per-vector cost here lands in the same order",
 			"compression ratios scale with per-image raw size exactly as in the paper (larger images -> larger ratios)",

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"spidercache/internal/dataset"
-	"spidercache/internal/metrics"
 	"spidercache/internal/nn"
+	"spidercache/internal/table"
 	"spidercache/internal/trainer"
 )
 
@@ -31,9 +31,9 @@ func Table3(opt Options) (*Report, error) {
 	}
 	epochs := opt.epochs(30)
 	names := []string{"spider", "shade", "icache", "coordl"}
-	acc := metrics.NewTable("Table 3: Top-1 accuracy (%), cache disabled",
+	acc := table.New("Table 3: Top-1 accuracy (%), cache disabled",
 		"Dataset", "SpiderCache", "SHADE", "iCache", "CoorDL")
-	loss := metrics.NewTable("Fig 13(d-f): final training loss, cache disabled",
+	loss := table.New("Fig 13(d-f): final training loss, cache disabled",
 		"Dataset", "SpiderCache", "SHADE", "iCache", "CoorDL")
 	for _, ds := range dss {
 		accRow := []string{ds.Config.Name}
@@ -52,7 +52,7 @@ func Table3(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "table3",
 		Title:  "Effectiveness of the graph-based IS algorithm",
-		Tables: []*metrics.Table{acc, loss},
+		Tables: []*table.Table{acc, loss},
 		Notes: []string{
 			"paper: SpiderCache > SHADE > CoorDL >= iCache on accuracy across all three datasets",
 			"paper: loss gaps are largest on CIFAR100 (hardest task) and smallest on ImageNet",
@@ -72,11 +72,11 @@ func Fig14(opt Options) (*Report, error) {
 	fracs := []float64{0.10, 0.25, 0.50, 0.75}
 	names := []string{"baseline", "coordl", "shade", "icache-imp", "icache", "spider-imp", "spider"}
 
-	tables := make([]*metrics.Table, 0, len(nn.AllProfiles()))
+	tables := make([]*table.Table, 0, len(nn.AllProfiles()))
 	var bestAmp float64
 	var ampSum, ampN float64
 	for _, model := range nn.AllProfiles() {
-		t := metrics.NewTable(
+		t := table.New(
 			fmt.Sprintf("Fig 14: avg epoch hit ratio (%%), %s on CIFAR10-like", model.Name),
 			append([]string{"Policy"}, "10%", "25%", "50%", "75%")...)
 		base := make([]float64, len(fracs))
@@ -130,9 +130,9 @@ func Table4(opt Options) (*Report, error) {
 	}
 	epochs := opt.epochs(40)
 	names := []string{"spider", "shade", "icache", "coordl", "baseline"}
-	timeT := metrics.NewTable("Table 4: total training time (simulated)",
+	timeT := table.New("Table 4: total training time (simulated)",
 		"Dataset", "SpiderCache", "SHADE", "iCache", "CoorDL", "Baseline", "Speedup")
-	accT := metrics.NewTable("Table 5: end-to-end Top-1 accuracy (%)",
+	accT := table.New("Table 5: end-to-end Top-1 accuracy (%)",
 		"Dataset", "SpiderCache", "SHADE", "iCache", "CoorDL", "Baseline")
 	var maxSpeed, sumSpeed float64
 	for _, ds := range dss {
@@ -162,7 +162,7 @@ func Table4(opt Options) (*Report, error) {
 		fmt.Sprintf("SpiderCache speedup over Baseline: up to %.2fx, avg %.2fx (paper: up to 2.33x, avg 2.21x)", maxSpeed, sumSpeed/float64(len(dss))),
 		"paper ordering on time: SpiderCache < iCache < SHADE < CoorDL < Baseline; on accuracy: SpiderCache highest, iCache lowest",
 	}
-	return &Report{ID: "table4", Title: "End-to-end performance (20% cache)", Tables: []*metrics.Table{timeT, accT}, Notes: notes}, nil
+	return &Report{ID: "table4", Title: "End-to-end performance (20% cache)", Tables: []*table.Table{timeT, accT}, Notes: notes}, nil
 }
 
 // Table6 reproduces the elastic-manager study (Fig 16 + Table 6): a static
@@ -186,9 +186,9 @@ func Table6(opt Options) (*Report, error) {
 		{"90%-50%", 0.90, 0.50, false},
 	}
 
-	summary := metrics.NewTable("Table 6: end-to-end comparison under different Imp-Ratio",
+	summary := table.New("Table 6: end-to-end comparison under different Imp-Ratio",
 		"Strategy", "Top-1 Acc%", "TrainTime", "AvgHit%", "LateHit%")
-	series := make([]metrics.Series, 0, len(strategies))
+	series := make([]table.Series, 0, len(strategies))
 	for i, s := range strategies {
 		pol, err := BuildPolicy("spider", PolicyParams{
 			Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + uint64(i),
@@ -206,17 +206,17 @@ func Table6(opt Options) (*Report, error) {
 		for e, st := range res.Epochs {
 			hits[e] = st.HitRatio()
 		}
-		late := metrics.Mean(hits[len(hits)*3/4:])
+		late := table.Mean(hits[len(hits)*3/4:])
 		summary.AddRow(s.label, percent(res.BestAcc),
 			res.TotalTime.Round(time.Millisecond).String(),
 			percent(res.AvgHitRatio()), percent(late))
-		series = append(series, metrics.Series{Name: s.label, Points: hits})
+		series = append(series, table.Series{Name: s.label, Points: hits})
 	}
 	hitCurves := seriesTable("Fig 16(a): per-epoch total hit ratio", "Epoch", series)
 	return &Report{
 		ID:     "table6",
 		Title:  "Effectiveness of the Elastic Cache Manager",
-		Tables: []*metrics.Table{summary, hitCurves},
+		Tables: []*table.Table{summary, hitCurves},
 		Notes: []string{
 			"paper: static 90% hit ratio sags in late epochs; 90-80 stabilises it; 90-50 lifts it further at a small accuracy cost",
 			"paper Table 6: acc 81.63 / 81.44 / 78.87, time 165 / 125 / 109 min — same monotone trade-off expected here",
@@ -235,7 +235,7 @@ func Fig17(opt Options) (*Report, error) {
 	}
 	epochs := opt.epochs(4)
 	capacity := capacityFor(ds, 0.2)
-	t := metrics.NewTable("Fig 17: avg per-epoch time vs simulated GPU count (CIFAR10-like, ResNet18)",
+	t := table.New("Fig 17: avg per-epoch time vs simulated GPU count (CIFAR10-like, ResNet18)",
 		"GPUs", "Baseline", "SpiderCache", "Gap")
 	for workers := 1; workers <= 4; workers++ {
 		var times [2]time.Duration
@@ -264,7 +264,7 @@ func Fig17(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "fig17",
 		Title:  "Multi-GPU training",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes:  []string{"paper: SpiderCache's advantage grows with GPU count because it removes the shared I/O bottleneck"},
 	}, nil
 }

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"spidercache/internal/metrics"
+	"spidercache/internal/dataset"
 	"spidercache/internal/nn"
 	"spidercache/internal/semgraph"
+	"spidercache/internal/table"
 	"spidercache/internal/tensor"
 	"spidercache/internal/trainer"
 )
@@ -20,6 +21,10 @@ import (
 // Deterministic same-seed runs share their epoch prefix, so snapshots at
 // increasing depths are taken by re-running to 3 different epoch counts and
 // analysing each final model's embeddings.
+//
+// A second table is the accuracy half of the figure's story: held-out
+// accuracy per planted population, for the last checkpoint's SpiderCache
+// model beside a Baseline model trained as long.
 func Fig8(opt Options) (*Report, error) {
 	ds, err := cifar10(opt)
 	if err != nil {
@@ -28,10 +33,11 @@ func Fig8(opt Options) (*Report, error) {
 	total := opt.epochs(20)
 	checkpoints := []int{1, (total + 1) / 2, total}
 
-	t := metrics.NewTable("Fig 8: embedding geometry and sample states over training",
+	t := table.New("Fig 8: embedding geometry and sample states over training",
 		"Epoch", "IntraDist", "InterDist", "Separation", "Well%", "Boundary%", "Isolated%", "Misclass%")
 	var seps []float64
 	var misShares []float64
+	var spider *trainer.Result
 	for _, e := range checkpoints {
 		pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: e, Seed: opt.Seed, Metrics: opt.Metrics, Workers: opt.Threads})
 		if err != nil {
@@ -53,6 +59,26 @@ func Fig8(opt Options) (*Report, error) {
 			percent(stats.isolated), percent(stats.misclassified))
 		seps = append(seps, stats.inter/stats.intra)
 		misShares = append(misShares, stats.misclassified)
+		spider = res
+	}
+	pol, err := BuildPolicy("baseline", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: total, Seed: opt.Seed, Metrics: opt.Metrics, Workers: opt.Threads})
+	if err != nil {
+		return nil, err
+	}
+	baseline, err := trainer.Run(runConfig(opt, ds, nn.ResNet18, total, opt.Seed), pol)
+	if err != nil {
+		return nil, err
+	}
+	pt := table.New(fmt.Sprintf("Fig 8: held-out accuracy per planted population (epoch %d)", total),
+		"Population", "n", "SpiderCache%", "Baseline%")
+	spiderAcc, n := populationAccuracy(spider, ds)
+	baseAcc, _ := populationAccuracy(baseline, ds)
+	for _, k := range populations {
+		if n[k] == 0 {
+			pt.AddRow(k.String(), "0", "-", "-")
+			continue
+		}
+		pt.AddRow(k.String(), fmt.Sprintf("%d", n[k]), percent(spiderAcc[k]), percent(baseAcc[k]))
 	}
 	notes := []string{
 		"paper: intra-class clustering and inter-class separation strengthen over training (Fig 8a)",
@@ -64,7 +90,29 @@ func Fig8(opt Options) (*Report, error) {
 	if misShares[len(misShares)-1] >= misShares[0] {
 		notes = append(notes, fmt.Sprintf("deviation: misclassified share did not fall (%.1f%% -> %.1f%%)", misShares[0]*100, misShares[len(misShares)-1]*100))
 	}
-	return &Report{ID: "fig8", Title: "Embeddings in DNN training", Tables: []*metrics.Table{t}, Notes: notes}, nil
+	return &Report{ID: "fig8", Title: "Embeddings in DNN training", Tables: []*table.Table{t, pt}, Notes: notes}, nil
+}
+
+// populations are the dataset's planted sample populations, in table order.
+var populations = []dataset.Kind{dataset.Easy, dataset.Boundary, dataset.Isolated, dataset.Hard}
+
+// populationAccuracy evaluates a run's final model on the held-out set,
+// one batch per planted population, and returns the accuracy and sample
+// count of each.
+func populationAccuracy(res *trainer.Result, ds *dataset.Dataset) (acc map[dataset.Kind]float64, n map[dataset.Kind]int) {
+	rows := map[dataset.Kind][][]float64{}
+	labels := map[dataset.Kind][]int{}
+	for i, k := range ds.TestKinds {
+		rows[k] = append(rows[k], ds.TestFeatures[i])
+		labels[k] = append(labels[k], ds.TestLabels[i])
+	}
+	acc, n = map[dataset.Kind]float64{}, map[dataset.Kind]int{}
+	for _, k := range populations {
+		if n[k] = len(rows[k]); n[k] > 0 {
+			acc[k], _ = res.FinalModel.Evaluate(featureMatrix(rows[k]), labels[k])
+		}
+	}
+	return acc, n
 }
 
 type embStats struct {

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"spidercache/internal/dataset"
-	"spidercache/internal/metrics"
 	"spidercache/internal/nn"
 	"spidercache/internal/policy"
+	"spidercache/internal/table"
 	"spidercache/internal/trainer"
 )
 
@@ -21,7 +21,7 @@ func Fig3a(opt Options) (*Report, error) {
 		return nil, err
 	}
 	epochs := opt.epochs(2)
-	t := metrics.NewTable("Fig 3(a): epoch time breakdown, no cache (CIFAR10-like)",
+	t := table.New("Fig 3(a): epoch time breakdown, no cache (CIFAR10-like)",
 		"Model", "Loading%", "Preproc%", "Compute%", "Epoch")
 	var notes []string
 	for i, model := range nn.AllProfiles() {
@@ -50,7 +50,7 @@ func Fig3a(opt Options) (*Report, error) {
 	if notes == nil {
 		notes = []string{"all models: loading > 60% of epoch time, matching the paper"}
 	}
-	return &Report{ID: "fig3a", Title: "I/O dominates DNN training time", Tables: []*metrics.Table{t}, Notes: notes}, nil
+	return &Report{ID: "fig3a", Title: "I/O dominates DNN training time", Tables: []*table.Table{t}, Notes: notes}, nil
 }
 
 // Fig3b reproduces the conventional-policy study: LRU and LFU hit ratios
@@ -62,7 +62,7 @@ func Fig3b(opt Options) (*Report, error) {
 	}
 	epochs := opt.epochs(4)
 	fracs := []float64{0.10, 0.25, 0.50, 0.75}
-	t := metrics.NewTable("Fig 3(b): LRU/LFU hit ratio (%) vs cache size, random sampling, ResNet18",
+	t := table.New("Fig 3(b): LRU/LFU hit ratio (%) vs cache size, random sampling, ResNet18",
 		"CacheSize", "LRU", "LFU")
 	for _, frac := range fracs {
 		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
@@ -78,7 +78,7 @@ func Fig3b(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "fig3b",
 		Title:  "Conventional caching fails under random sampling",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes:  []string{"paper: hit ratio tracks cache size with no amplification; same shape expected here"},
 	}, nil
 }
@@ -102,7 +102,7 @@ func Fig5(opt Options) (*Report, error) {
 	}
 
 	picks := []int{0, epochs / 2, epochs - 1}
-	t := metrics.NewTable("Fig 5: per-sample access-count distribution (% of dataset)",
+	t := table.New("Fig 5: per-sample access-count distribution (% of dataset)",
 		"Sampler", "Epoch", "0x", "1x", "2x", "3x", ">=4x")
 	t.AddRow("default", "any", "0.0", "100.0", "0.0", "0.0", "0.0")
 	for _, e := range picks {
@@ -115,7 +115,7 @@ func Fig5(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "fig5",
 		Title:  "Importance sampling skews per-epoch access frequency",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes:  []string{"paper: IS yields 0x..4x spread that shifts across epochs; default sampling is uniform 1x"},
 	}, nil
 }
@@ -174,7 +174,7 @@ func Fig6a(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable("Fig 6(a): training-loss distribution over epochs",
+	t := table.New("Fig 6(a): training-loss distribution over epochs",
 		"Epoch", "MeanLoss", "LossStd", "P90/P10 drift")
 	step := epochs / 5
 	if step < 1 {
@@ -191,7 +191,7 @@ func Fig6a(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "fig6a",
 		Title:  "Losses are incomparable across training periods",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes:  []string{"paper: the whole loss distribution shifts over time, so loss thresholds don't transfer across epochs"},
 	}, nil
 }
@@ -214,7 +214,7 @@ func (r *lossRecorder) OnBatchEnd(epoch int, fb []policy.Feedback) {
 
 // OnEpochEnd closes the epoch's loss window before delegating.
 func (r *lossRecorder) OnEpochEnd(epoch int, acc float64) {
-	r.stds = append(r.stds, metrics.Std(r.cur))
+	r.stds = append(r.stds, table.Std(r.cur))
 	r.cur = r.cur[:0]
 	r.Policy.OnEpochEnd(epoch, acc)
 }
@@ -229,7 +229,7 @@ func Fig6b(opt Options) (*Report, error) {
 	}
 	epochs := opt.epochs(25)
 	capacity := capacityFor(ds, 0.2)
-	t := metrics.NewTable("Fig 6(b): random replacement hurts accuracy (CIFAR10-like, ResNet18, 20% cache)",
+	t := table.New("Fig 6(b): random replacement hurts accuracy (CIFAR10-like, ResNet18, 20% cache)",
 		"Policy", "FinalAcc%", "BestAcc%", "AvgHit%")
 	for _, name := range []string{"baseline", "icache"} {
 		res, err := runPolicy(name, ds, nn.ResNet18, epochs, capacity, opt)
@@ -241,7 +241,7 @@ func Fig6b(opt Options) (*Report, error) {
 	return &Report{
 		ID:     "fig6b",
 		Title:  "iCache's random replacement degrades accuracy",
-		Tables: []*metrics.Table{t},
+		Tables: []*table.Table{t},
 		Notes:  []string{"paper: iCache's hit ratio exceeds baseline but final accuracy falls below it"},
 	}, nil
 }
@@ -265,7 +265,7 @@ func Fig6c(opt Options) (*Report, error) {
 	}{
 		{nn.ResNet18, c10}, {nn.ResNet50, c10}, {nn.ResNet18, c100}, {nn.ResNet50, c100},
 	}
-	series := make([]metrics.Series, 0, len(configs))
+	series := make([]table.Series, 0, len(configs))
 	notes := []string{}
 	for i, c := range configs {
 		pol, err := BuildPolicy("spider", PolicyParams{Dataset: c.ds, Capacity: capacityFor(c.ds, 0.2), Epochs: epochs, Seed: opt.Seed + uint64(i), Metrics: opt.Metrics, Workers: opt.Threads})
@@ -281,12 +281,12 @@ func Fig6c(opt Options) (*Report, error) {
 			sigmas[e] = st.ScoreStd
 		}
 		name := fmt.Sprintf("%s/%s", c.model.Name, c.ds.Config.Name)
-		series = append(series, metrics.Series{Name: name, Points: sigmas})
+		series = append(series, table.Series{Name: name, Points: sigmas})
 		peak := argmax(sigmas)
 		notes = append(notes, fmt.Sprintf("%s: σ peaks at epoch %d then declines (paper: rise-then-fall)", name, peak+1))
 	}
 	t := seriesTable("Fig 6(c): std of importance scores per epoch", "Epoch", series)
-	return &Report{ID: "fig6c", Title: "Importance-score variance rises then converges", Tables: []*metrics.Table{t}, Notes: notes}, nil
+	return &Report{ID: "fig6c", Title: "Importance-score variance rises then converges", Tables: []*table.Table{t}, Notes: notes}, nil
 }
 
 func argmax(xs []float64) int {
@@ -300,7 +300,7 @@ func argmax(xs []float64) int {
 }
 
 // seriesTable renders per-epoch series as a table with epoch rows.
-func seriesTable(title, xlabel string, series []metrics.Series) *metrics.Table {
+func seriesTable(title, xlabel string, series []table.Series) *table.Table {
 	header := []string{xlabel}
 	n := 0
 	for _, s := range series {
@@ -309,7 +309,7 @@ func seriesTable(title, xlabel string, series []metrics.Series) *metrics.Table {
 			n = len(s.Points)
 		}
 	}
-	t := metrics.NewTable(title, header...)
+	t := table.New(title, header...)
 	for i := 0; i < n; i++ {
 		row := []string{fmt.Sprintf("%d", i+1)}
 		for _, s := range series {

@@ -6,7 +6,7 @@ import (
 	"net"
 
 	"spidercache/internal/kvserver"
-	"spidercache/internal/metrics"
+	"spidercache/internal/table"
 	"spidercache/internal/xrand"
 )
 
@@ -25,7 +25,6 @@ var ngetThresholds = []float64{0, 0.05, 0.10, 0.20, 0.30, 0.50, 0.80}
 // semantic cluster boundary — the failure mode a calibrated threshold
 // must keep at zero. The threshold-0 row is the exact-GET baseline.
 func NGet(opt Options) (*Report, error) {
-	opt.fillDefaults()
 	keys := int(4000 * opt.Scale)
 	if keys < 64 {
 		keys = 64
@@ -71,7 +70,7 @@ func NGet(opt Options) (*Report, error) {
 		}
 	}
 
-	t := metrics.NewTable("NGET threshold calibration: semantic serving on a half-resident clustered key space",
+	t := table.New("NGET threshold calibration: semantic serving on a half-resident clustered key space",
 		"Threshold", "Exact%", "Near%", "Miss%", "EffHit%", "MeanDist", "Cross%")
 
 	var baseHit, defaultEff, defaultCross float64
@@ -160,7 +159,7 @@ func NGet(opt Options) (*Report, error) {
 			baseHit*100, defaultEff*100, defaultCross*100),
 	}
 	notes = append(notes, deviations...)
-	return &Report{ID: "nget", Title: "Semantic-hit threshold calibration over the wire", Tables: []*metrics.Table{t}, Notes: notes}, nil
+	return &Report{ID: "nget", Title: "Semantic-hit threshold calibration over the wire", Tables: []*table.Table{t}, Notes: notes}, nil
 }
 
 // execAll flushes a pipeline and surfaces the first per-op error.

@@ -18,20 +18,21 @@ import (
 	"sort"
 	"strings"
 
-	"spidercache/internal/metrics"
+	"spidercache/internal/table"
 	"spidercache/internal/telemetry"
 	"spidercache/internal/tensor"
 )
 
 // Options tunes the scale of every experiment.
 type Options struct {
-	// Scale multiplies dataset sizes; 1.0 is the repository default
-	// (thousands of samples), tests run smaller.
+	// Scale multiplies dataset sizes and must be positive; 1.0 is the
+	// repository default (thousands of samples), tests run smaller.
 	Scale float64
 	// EpochOverride replaces each experiment's default epoch count when
-	// positive.
+	// positive; 0 keeps the defaults and a negative value is an error.
 	EpochOverride int
-	// Seed randomises the whole experiment deterministically.
+	// Seed randomises the whole experiment deterministically; every value,
+	// 0 included, is used as given.
 	Seed uint64
 	// Metrics receives serving-path and cache telemetry from every
 	// training run the experiment performs; nil disables recording.
@@ -41,18 +42,6 @@ type Options struct {
 	// 0 keeps the defaults (GOMAXPROCS); 1 forces fully serial execution.
 	// Parallel and serial runs produce identical numbers.
 	Threads int
-}
-
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 42} }
-
-func (o *Options) fillDefaults() {
-	if o.Scale <= 0 {
-		o.Scale = 1.0
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 }
 
 // epochs resolves an experiment's default epoch count against the override.
@@ -67,7 +56,7 @@ func (o Options) epochs(def int) int {
 type Report struct {
 	ID     string
 	Title  string
-	Tables []*metrics.Table
+	Tables []*table.Table
 	// Notes records the paper's expected shape next to what was measured,
 	// for EXPERIMENTS.md.
 	Notes []string
@@ -146,7 +135,12 @@ func List() []string {
 // A positive opt.Threads caps process-wide tensor-kernel parallelism for
 // the duration of the run (and beyond: tensor.SetWorkers is global state).
 func Run(id string, opt Options) (*Report, error) {
-	opt.fillDefaults()
+	if !(opt.Scale > 0) {
+		return nil, fmt.Errorf("experiments: scale %v: want > 0", opt.Scale)
+	}
+	if opt.EpochOverride < 0 {
+		return nil, fmt.Errorf("experiments: epoch override %d: want >= 0 (0 = each experiment's default)", opt.EpochOverride)
+	}
 	if opt.Threads > 0 {
 		tensor.SetWorkers(opt.Threads)
 	}
@@ -159,18 +153,4 @@ func Run(id string, opt Options) (*Report, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(List(), ", "))
 	}
 	return fn(opt)
-}
-
-// RunAll executes every canonical experiment in order.
-func RunAll(opt Options) ([]*Report, error) {
-	opt.fillDefaults()
-	var out []*Report
-	for _, id := range List() {
-		r, err := Run(id, opt)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -164,14 +166,11 @@ func TestRunAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	reps, err := RunAll(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(registry) {
-		t.Fatalf("RunAll returned %d reports", len(reps))
-	}
-	for _, rep := range reps {
+	for _, id := range List() {
+		rep, err := Run(id, tinyOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 		if len(rep.Tables) == 0 {
 			t.Errorf("%s: no tables", rep.ID)
 		}
@@ -196,5 +195,76 @@ func TestCapacityFor(t *testing.T) {
 	}
 	if c := capacityFor(ds, 0.000001); c != 1 {
 		t.Fatalf("capacity floor = %d", c)
+	}
+}
+
+// TestRunHonoursExplicitOptions: Run uses every seed as given, 0 included,
+// and refuses a scale or epoch override it cannot honour instead of
+// silently running the defaults.
+func TestRunHonoursExplicitOptions(t *testing.T) {
+	render := func(seed uint64) string {
+		t.Helper()
+		rep, err := Run("table2", Options{Scale: 0.1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.String()
+	}
+	if render(0) == render(42) {
+		t.Error("seed 0 rendered seed 42's report")
+	}
+	for _, bad := range []Options{
+		{Scale: 0, Seed: 1},
+		{Scale: -1, Seed: 1},
+		{Scale: math.NaN(), Seed: 1},
+		{Scale: 0.1, EpochOverride: -5, Seed: 1},
+	} {
+		if _, err := Run("table2", bad); err == nil {
+			t.Errorf("Run accepted scale %v, epoch override %d", bad.Scale, bad.EpochOverride)
+		}
+	}
+}
+
+// TestFig8PopulationTable checks Fig 8's accuracy table: one row per
+// planted population, counts that cover the held-out set, and accuracies
+// that are percentages (or "-" for a population the held-out set lacks).
+func TestFig8PopulationTable(t *testing.T) {
+	opt := tinyOptions()
+	rep, err := Run("fig8", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Tables) != 2 {
+		t.Fatalf("fig8 has %d tables, want 2", len(rep.Tables))
+	}
+	ds, err := cifar10(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rep.Tables[1].Rows
+	if len(rows) != len(populations) {
+		t.Fatalf("%d population rows, want %d", len(rows), len(populations))
+	}
+	total := 0
+	for i, row := range rows {
+		if row[0] != populations[i].String() {
+			t.Errorf("row %d is %q, want %q", i, row[0], populations[i])
+		}
+		n, err := strconv.Atoi(row[1])
+		if err != nil {
+			t.Fatalf("%s: n %q", row[0], row[1])
+		}
+		total += n
+		for _, cell := range row[2:] {
+			if n == 0 && cell == "-" {
+				continue
+			}
+			if v, err := strconv.ParseFloat(cell, 64); err != nil || v < 0 || v > 100 {
+				t.Errorf("%s: accuracy %q not in [0, 100]", row[0], cell)
+			}
+		}
+	}
+	if total != len(ds.TestLabels) {
+		t.Errorf("population n sums to %d, want the held-out size %d", total, len(ds.TestLabels))
 	}
 }

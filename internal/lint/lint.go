@@ -76,7 +76,7 @@ func DefaultConfig() Config {
 	return Config{
 		// The parallel kernels, batch scorer, policy core, trainer and
 		// elastic controller must stay bitwise-identical run to run (and
-		// parallel-vs-serial); metrics and experiments render tables whose
+		// parallel-vs-serial); table and experiments render tables whose
 		// row order must be stable across runs.
 		DeterministicPkgs: []string{
 			"internal/tensor",
@@ -84,7 +84,7 @@ func DefaultConfig() Config {
 			"internal/core",
 			"internal/trainer",
 			"internal/elastic",
-			"internal/metrics",
+			"internal/table",
 			"internal/experiments",
 		},
 		ProtoPkgs: []string{"internal/kvserver"},

@@ -190,8 +190,8 @@ type Result struct {
 	FinalAcc  float64
 	BestAcc   float64
 
-	// FinalModel is the trained learner, exposed for post-run diagnostics
-	// (e.g. per-population accuracy breakdowns).
+	// FinalModel is the trained learner. Fig 8 reads it for the embedding
+	// geometry and the held-out accuracy per planted population.
 	FinalModel *nn.MLP
 }
 

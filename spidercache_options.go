@@ -3,100 +3,108 @@ package spidercache
 import (
 	"fmt"
 
+	"spidercache/internal/experiments"
+	"spidercache/internal/nn"
 	"spidercache/internal/telemetry"
+	"spidercache/internal/tensor"
+	"spidercache/internal/trainer"
 )
 
-// Option configures a TrainWith run. Options exist alongside TrainConfig
-// because struct literals cannot distinguish "field left at zero" from
-// "field explicitly set to zero": Train silently maps Epochs 0 to 30 and
-// CacheFraction 0 to 0.2, so a genuinely cache-less or zero-epoch request
-// is unexpressible there. An applied Option is always an explicit setting
-// — WithCacheFraction(0) really trains without a cache, and WithEpochs(0)
-// is rejected with a descriptive error instead of being reinterpreted.
-type Option func(*trainSettings)
+// Option configures a TrainWith run. An applied Option is always an explicit
+// setting: WithCacheFraction(0) really trains without a cache, WithSeed(0)
+// really seeds with 0, and an out-of-range value such as WithEpochs(0) is
+// rejected with a descriptive error instead of being reinterpreted.
+type Option func(*settings)
 
-// trainSettings tracks which fields an Option explicitly set, so TrainWith
-// only applies defaults to untouched ones.
-type trainSettings struct {
-	cfg TrainConfig
-
-	epochsSet        bool
-	batchSet         bool
-	cacheFractionSet bool
-	workersSet       bool
-	seedSet          bool
-	threadsSet       bool
+// settings is one run's configuration. TrainWith starts it at the defaults
+// and lets each Option overwrite a field.
+type settings struct {
+	policy          string
+	model           string
+	epochs          int
+	batchSize       int
+	cacheFraction   float64
+	workers         int
+	threads         int
+	rStart, rEnd    float64
+	staticRatio     bool
+	disablePipeline bool
+	serialLoading   bool
+	metrics         *telemetry.Registry
+	seed            uint64
 }
 
 // WithPolicy selects the caching/sampling policy (one of the Policy*
 // constants; default PolicySpiderCache).
 func WithPolicy(name string) Option {
-	return func(s *trainSettings) { s.cfg.Policy = name }
+	return func(s *settings) { s.policy = name }
 }
 
 // WithModel selects the model cost profile by name (default "ResNet18").
 func WithModel(name string) Option {
-	return func(s *trainSettings) { s.cfg.Model = name }
+	return func(s *settings) { s.model = name }
 }
 
-// WithEpochs sets the training length (default 30). Unlike
-// TrainConfig.Epochs, an explicit 0 is an error, not "use the default".
+// WithEpochs sets the training length (default 30; must be >= 1).
 func WithEpochs(n int) Option {
-	return func(s *trainSettings) { s.cfg.Epochs = n; s.epochsSet = true }
+	return func(s *settings) { s.epochs = n }
 }
 
-// WithBatchSize sets the mini-batch size (default 64).
+// WithBatchSize sets the mini-batch size (default 64; must be >= 1).
 func WithBatchSize(n int) Option {
-	return func(s *trainSettings) { s.cfg.BatchSize = n; s.batchSet = true }
+	return func(s *settings) { s.batchSize = n }
 }
 
 // WithCacheFraction sizes the cache as a fraction of the dataset (default
-// 0.2). An explicit 0 trains with no cache at all — the ablation Train's
-// zero-value defaulting cannot express.
+// 0.2, the paper's end-to-end setting; must be in [0, 1]). An explicit 0
+// trains with no cache at all.
 func WithCacheFraction(f float64) Option {
-	return func(s *trainSettings) { s.cfg.CacheFraction = f; s.cacheFractionSet = true }
+	return func(s *settings) { s.cacheFraction = f }
 }
 
-// WithWorkers sets the simulated data-parallel GPU count (default 1).
+// WithWorkers sets the simulated data-parallel GPU count (default 1; must
+// be >= 1).
 func WithWorkers(n int) Option {
-	return func(s *trainSettings) { s.cfg.Workers = n; s.workersSet = true }
+	return func(s *settings) { s.workers = n }
 }
 
-// WithSeed sets the run's random seed (default 42). An explicit 0 is kept,
-// unlike TrainConfig.Seed's zero-means-42 defaulting.
+// WithSeed sets the run's random seed (default 42). Every value, 0
+// included, is used as given.
 func WithSeed(seed uint64) Option {
-	return func(s *trainSettings) { s.cfg.Seed = seed; s.seedSet = true }
+	return func(s *settings) { s.seed = seed }
 }
 
 // WithElasticRange overrides SpiderCache's elastic imp-ratio endpoints
 // (paper defaults 0.90 / 0.80).
 func WithElasticRange(rStart, rEnd float64) Option {
-	return func(s *trainSettings) { s.cfg.RStart, s.cfg.REnd = rStart, rEnd }
+	return func(s *settings) { s.rStart, s.rEnd = rStart, rEnd }
 }
 
-// WithStaticRatio freezes the imp-ratio at RStart (Table 6's static mode).
+// WithStaticRatio freezes the imp-ratio at its start value (Table 6's
+// static mode).
 func WithStaticRatio() Option {
-	return func(s *trainSettings) { s.cfg.StaticRatio = true }
+	return func(s *settings) { s.staticRatio = true }
 }
 
 // WithoutPipeline charges the full IS cost on the critical path (the
 // pipeline-overlap ablation).
 func WithoutPipeline() Option {
-	return func(s *trainSettings) { s.cfg.DisablePipeline = true }
+	return func(s *settings) { s.disablePipeline = true }
 }
 
 // WithSerialLoading disables the DataLoader prefetch overlap, charging
 // loading and compute sequentially (stall accounting).
 func WithSerialLoading() Option {
-	return func(s *trainSettings) { s.cfg.SerialLoading = true }
+	return func(s *settings) { s.serialLoading = true }
 }
 
 // WithThreads caps real CPU parallelism for the run: tensor kernels and
-// SpiderCache batch scoring use at most n OS threads. 1 forces serial
-// execution; results are identical either way. Distinct from WithWorkers,
-// which simulates GPUs inside the cost model.
+// SpiderCache batch scoring use at most n OS threads. 0 (the default) uses
+// all cores and 1 forces serial execution; results are identical either
+// way. Distinct from WithWorkers, which simulates GPUs inside the cost
+// model.
 func WithThreads(n int) Option {
-	return func(s *trainSettings) { s.cfg.Threads = n; s.threadsSet = true }
+	return func(s *settings) { s.threads = n }
 }
 
 // WithMetrics attaches a telemetry registry: the run records per-tier
@@ -105,56 +113,84 @@ func WithThreads(n int) Option {
 // across runs (counters accumulate) or served live by a kvserver METRICS
 // endpoint.
 func WithMetrics(reg *telemetry.Registry) Option {
-	return func(s *trainSettings) { s.cfg.Metrics = reg }
+	return func(s *settings) { s.metrics = reg }
 }
 
-// TrainWith runs one training configuration described by functional
-// options. It behaves exactly like Train(TrainConfig{...}) for anything an
-// Option does not touch, but explicit settings are never reinterpreted:
-// invalid explicit values (Epochs 0, Workers 0) are rejected with
-// descriptive errors rather than silently replaced by defaults.
+// TrainWith runs one training configuration and returns its full record.
+// Settings no Option touches keep their defaults: PolicySpiderCache,
+// ResNet18, 30 epochs, batch 64, cache fraction 0.2, 1 worker, all cores,
+// seed 42. Out-of-range values are rejected with descriptive errors.
 func TrainWith(ds *Dataset, opts ...Option) (*Result, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("spidercache: TrainWith requires a dataset")
+	s := settings{
+		policy:        PolicySpiderCache,
+		model:         "ResNet18",
+		epochs:        30,
+		batchSize:     64,
+		cacheFraction: 0.2,
+		workers:       1,
+		seed:          42,
 	}
-	s := trainSettings{cfg: TrainConfig{Dataset: ds}}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&s)
 		}
 	}
-	if s.cfg.Policy == "" {
-		s.cfg.Policy = PolicySpiderCache
+	return train(ds, s)
+}
+
+// train range-checks s and runs it.
+func train(ds *Dataset, s settings) (*Result, error) {
+	switch {
+	case ds == nil:
+		return nil, fmt.Errorf("spidercache: TrainWith requires a dataset")
+	case s.epochs < 1:
+		return nil, fmt.Errorf("spidercache: WithEpochs(%d): epochs must be >= 1", s.epochs)
+	case s.batchSize < 1:
+		return nil, fmt.Errorf("spidercache: WithBatchSize(%d): batch size must be >= 1", s.batchSize)
+	case s.workers < 1:
+		return nil, fmt.Errorf("spidercache: WithWorkers(%d): workers must be >= 1", s.workers)
+	case s.threads < 0:
+		return nil, fmt.Errorf("spidercache: WithThreads(%d): want >= 0 (0 = all cores)", s.threads)
+	case s.cacheFraction < 0 || s.cacheFraction > 1:
+		return nil, fmt.Errorf("spidercache: cache fraction %v: want a fraction in [0, 1]", s.cacheFraction)
 	}
-	if s.cfg.Model == "" {
-		s.cfg.Model = "ResNet18"
+	if err := ValidatePolicy(s.policy); err != nil {
+		return nil, err
 	}
-	if !s.epochsSet {
-		s.cfg.Epochs = 30
+	model, err := nn.ProfileByName(s.model)
+	if err != nil {
+		return nil, err
 	}
-	if !s.batchSet {
-		s.cfg.BatchSize = 64
+	if s.threads > 0 {
+		tensor.SetWorkers(s.threads)
 	}
-	if !s.cacheFractionSet {
-		s.cfg.CacheFraction = 0.2
+	pol, err := experiments.BuildPolicy(s.policy, experiments.PolicyParams{
+		Dataset:        ds.ds,
+		Capacity:       int(float64(ds.Len()) * s.cacheFraction),
+		Epochs:         s.epochs,
+		Seed:           s.seed,
+		RStart:         s.rStart,
+		REnd:           s.rEnd,
+		DisableElastic: s.staticRatio,
+		Metrics:        s.metrics,
+		Workers:        s.threads,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !s.workersSet {
-		s.cfg.Workers = 1
+	res, err := trainer.Run(trainer.Config{
+		Dataset:       ds.ds,
+		Model:         model,
+		Epochs:        s.epochs,
+		BatchSize:     s.batchSize,
+		Workers:       s.workers,
+		PipelineIS:    !s.disablePipeline,
+		SerialLoading: s.serialLoading,
+		Metrics:       s.metrics,
+		Seed:          s.seed,
+	}, pol)
+	if err != nil {
+		return nil, err
 	}
-	if !s.seedSet {
-		s.cfg.Seed = 42
-	}
-	if s.cfg.Epochs < 1 {
-		return nil, fmt.Errorf("spidercache: WithEpochs(%d): epochs must be >= 1", s.cfg.Epochs)
-	}
-	if s.cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("spidercache: WithBatchSize(%d): batch size must be >= 1", s.cfg.BatchSize)
-	}
-	if s.cfg.Workers < 1 {
-		return nil, fmt.Errorf("spidercache: WithWorkers(%d): workers must be >= 1", s.cfg.Workers)
-	}
-	if s.threadsSet && s.cfg.Threads < 1 {
-		return nil, fmt.Errorf("spidercache: WithThreads(%d): threads must be >= 1", s.cfg.Threads)
-	}
-	return train(s.cfg)
+	return convertResult(res), nil
 }

@@ -1,8 +1,11 @@
 package spidercache
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"spidercache/internal/telemetry"
 )
 
 func tinyCIFAR(t *testing.T) *Dataset {
@@ -43,7 +46,7 @@ func TestRegistries(t *testing.T) {
 }
 
 func TestTrainDefaults(t *testing.T) {
-	res, err := Train(TrainConfig{Dataset: tinyCIFAR(t), Epochs: 3})
+	res, err := TrainWith(tinyCIFAR(t), WithEpochs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +75,9 @@ func TestTrainDefaults(t *testing.T) {
 func TestTrainEveryPolicy(t *testing.T) {
 	ds := tinyCIFAR(t)
 	for _, pol := range Policies() {
-		res, err := Train(TrainConfig{Dataset: ds, Policy: pol, Epochs: 2, Seed: 9})
+		res, err := TrainWith(ds, WithPolicy(pol), WithEpochs(2), WithSeed(9))
 		if err != nil {
-			t.Fatalf("Train(%s): %v", pol, err)
+			t.Fatalf("TrainWith(%s): %v", pol, err)
 		}
 		if len(res.Epochs) != 2 {
 			t.Fatalf("%s: epochs %d", pol, len(res.Epochs))
@@ -83,36 +86,37 @@ func TestTrainEveryPolicy(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(TrainConfig{}); err == nil {
+	if _, err := TrainWith(nil); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
-	if _, err := Train(TrainConfig{Dataset: tinyCIFAR(t), Policy: "bogus", Epochs: 1}); err == nil {
+	ds := tinyCIFAR(t)
+	if _, err := TrainWith(ds, WithPolicy("bogus"), WithEpochs(1)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := Train(TrainConfig{Dataset: tinyCIFAR(t), Model: "LeNet", Epochs: 1}); err == nil {
+	if _, err := TrainWith(ds, WithModel("LeNet"), WithEpochs(1)); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	// Out-of-range values are errors for every policy, on Train as on
-	// TrainWith, never a panic from deep inside a cache constructor.
-	ds := tinyCIFAR(t)
+	// Out-of-range values are errors for every policy, never a panic from
+	// deep inside a cache constructor and never a silent default.
+	bad := map[string]Option{
+		"WithCacheFraction(-0.5)": WithCacheFraction(-0.5),
+		"WithCacheFraction(1.5)":  WithCacheFraction(1.5),
+		"WithEpochs(0)":           WithEpochs(0),
+		"WithBatchSize(0)":        WithBatchSize(0),
+		"WithWorkers(0)":          WithWorkers(0),
+		"WithThreads(-1)":         WithThreads(-1),
+	}
 	for _, pol := range Policies() {
-		for _, bad := range []TrainConfig{
-			{CacheFraction: -0.5},
-			{CacheFraction: 1.5},
-			{Threads: -3},
-		} {
-			bad.Dataset, bad.Policy, bad.Epochs = ds, pol, 1
-			if _, err := Train(bad); err == nil {
-				t.Errorf("%s: Train accepted CacheFraction %v Threads %d", pol, bad.CacheFraction, bad.Threads)
+		for name, opt := range bad {
+			if _, err := TrainWith(ds, WithPolicy(pol), WithEpochs(1), opt); err == nil {
+				t.Errorf("%s: TrainWith accepted %s", pol, name)
 			}
 		}
 	}
 }
 
 func TestTrainElasticKnobs(t *testing.T) {
-	res, err := Train(TrainConfig{
-		Dataset: tinyCIFAR(t), Epochs: 2, RStart: 0.85, REnd: 0.6, StaticRatio: true,
-	})
+	res, err := TrainWith(tinyCIFAR(t), WithEpochs(2), WithElasticRange(0.85, 0.6), WithStaticRatio())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,28 +126,27 @@ func TestTrainElasticKnobs(t *testing.T) {
 }
 
 func TestRunExperimentFacade(t *testing.T) {
-	out, err := RenderExperiment("fig11", 0.1, 2, 1, FormatText)
+	rep, err := GetExperiment("fig11", 0.1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "fig11") {
-		t.Fatalf("rendered report lacks id:\n%s", out)
+	if rep.ID() != "fig11" || !strings.Contains(rep.Text(), "fig11") {
+		t.Fatalf("report lacks id:\n%s", rep.Text())
 	}
-	csv, err := RenderExperiment("fig11", 0.1, 2, 1, FormatCSV)
-	if err != nil {
-		t.Fatal(err)
+	if csv := rep.CSV(); !strings.Contains(csv, ",") || csv == rep.Text() {
+		t.Fatalf("CSV rendering wrong:\n%s", csv)
 	}
-	if !strings.Contains(csv, ",") {
-		t.Fatal("CSV output has no commas")
-	}
-	if _, err := RenderExperiment("bogus", 1, 0, 1, FormatText); err == nil {
+	if _, err := GetExperiment("bogus", 1, 0, 1); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if _, err := GetExperiment("fig11", 0, 0, 1); err == nil {
+		t.Fatal("scale 0 accepted")
 	}
 }
 
 func TestDeterministicFacadeRuns(t *testing.T) {
 	run := func() *Result {
-		res, err := Train(TrainConfig{Dataset: tinyCIFAR(t), Epochs: 2, Seed: 11})
+		res, err := TrainWith(tinyCIFAR(t), WithEpochs(2), WithSeed(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +159,7 @@ func TestDeterministicFacadeRuns(t *testing.T) {
 }
 
 func TestResultWriteCSV(t *testing.T) {
-	res, err := Train(TrainConfig{Dataset: tinyCIFAR(t), Epochs: 2, Seed: 5})
+	res, err := TrainWith(tinyCIFAR(t), WithEpochs(2), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +180,106 @@ func TestResultWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[2], "0,") || !strings.HasPrefix(lines[3], "1,") {
 		t.Fatalf("rows wrong:\n%s", out)
+	}
+}
+
+func TestValidatePolicy(t *testing.T) {
+	for _, name := range Policies() {
+		if err := ValidatePolicy(name); err != nil {
+			t.Fatalf("ValidatePolicy(%s): %v", name, err)
+		}
+	}
+	err := ValidatePolicy("bogus")
+	if err == nil {
+		t.Fatal("bogus policy accepted")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, `unknown policy "bogus"`) || !strings.Contains(msg, "want one of") || !strings.Contains(msg, PolicySpiderCache) {
+		t.Fatalf("unhelpful error: %v", err)
+	}
+}
+
+// TestTrainRejectsUnknownPolicyEarly verifies TrainWith fails with the
+// helpful top-level error instead of a deep-layer one.
+func TestTrainRejectsUnknownPolicyEarly(t *testing.T) {
+	_, err := TrainWith(tinyCIFAR(t), WithPolicy("no-such-policy"), WithEpochs(1))
+	if err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	if !strings.Contains(err.Error(), "want one of") {
+		t.Fatalf("error does not list accepted names: %v", err)
+	}
+}
+
+// TestExplicitZeroExpressible: an explicit zero is honoured (or rejected),
+// never silently replaced by a default.
+func TestExplicitZeroExpressible(t *testing.T) {
+	ds := tinyCIFAR(t)
+
+	// Explicit zero cache: a genuine no-cache run — every lookup misses,
+	// for every policy. Two epochs, because even a caching run misses
+	// everything on first touch; the cache only pays off from epoch 2.
+	for _, pol := range Policies() {
+		res, err := TrainWith(ds, WithPolicy(pol), WithEpochs(2), WithCacheFraction(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr := res.AvgHitRatio(); hr != 0 {
+			t.Errorf("%s: cache-less run hit ratio = %v, want 0", pol, hr)
+		}
+	}
+
+	// Explicit zero seed: a run of its own, not the default seed's.
+	zero, err := TrainWith(ds, WithEpochs(2), WithSeed(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := TrainWith(ds, WithEpochs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.TotalTime == def.TotalTime && zero.FinalAcc == def.FinalAcc {
+		t.Error("WithSeed(0) reproduced the default seed's run")
+	}
+
+	// Explicit zero threads: all cores, not an error.
+	if _, err := TrainWith(ds, WithEpochs(1), WithThreads(0)); err != nil {
+		t.Errorf("WithThreads(0) rejected: %v", err)
+	}
+}
+
+// TestTrainWithMetrics verifies the registry option records the serving
+// path and elastic trajectory.
+func TestTrainWithMetrics(t *testing.T) {
+	ds := tinyCIFAR(t)
+	reg := telemetry.NewRegistry()
+	res, err := TrainWith(ds,
+		WithPolicy(PolicySpiderCache),
+		WithEpochs(2),
+		WithSeed(5),
+		WithMetrics(reg),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	var lookups int64
+	for _, src := range []string{"cache", "substitute", "miss"} {
+		lookups += snap.Counters[`lookups_total{source="`+src+`"}`]
+	}
+	wantRequests := int64(2 * ds.Len())
+	if lookups != wantRequests {
+		t.Fatalf("lookups_total sum = %d, want %d", lookups, wantRequests)
+	}
+	if got := snap.Gauges["imp_ratio"]; math.Abs(got-res.Epochs[len(res.Epochs)-1].ImpRatio) > 1e-12 {
+		t.Fatalf("imp_ratio gauge %v != final epoch ImpRatio %v", got, res.Epochs[len(res.Epochs)-1].ImpRatio)
+	}
+	remote, ok := snap.Histograms[`fetch_seconds{tier="remote"}`]
+	if !ok || remote.Count == 0 || remote.P50 <= 0 || remote.P99 < remote.P50 {
+		t.Fatalf("remote fetch histogram wrong: %+v", remote)
+	}
+	text := reg.Prometheus()
+	if !strings.Contains(text, `lookups_total{source="cache"}`) || !strings.Contains(text, "imp_ratio") {
+		t.Fatalf("exposition missing serving-path series:\n%s", text)
 	}
 }
