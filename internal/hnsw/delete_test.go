@@ -56,6 +56,20 @@ func checkGraph(t testing.TB, ix *Index) {
 			t.Fatalf("free list %v holds slot %d wrongly", ix.free, slot)
 		}
 	}
+	due := 0
+	for i := range ix.nodes {
+		if ix.nodes[i].due {
+			due++
+		}
+	}
+	if due != len(ix.due) || ix.unsettled.Load() != (due > 0) {
+		t.Fatalf("%d points marked due, %d on the due list, unsettled=%v", due, len(ix.due), ix.unsettled.Load())
+	}
+	for _, slot := range ix.due {
+		if !ix.nodes[slot].due || ix.nodes[slot].free {
+			t.Fatalf("due list %v holds slot %d wrongly", ix.due, slot)
+		}
+	}
 	switch {
 	case live == 0:
 		if ix.entry != -1 || ix.dim != 0 || len(ix.nodes) != 0 {

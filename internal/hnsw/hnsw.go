@@ -12,6 +12,17 @@
 // parallel under the shared lock, matching hnswlib's concurrent read /
 // exclusive write model the paper relies on.
 //
+// An update is batch-shaped, as the paper's one ANN_index.update per
+// mini-batch is. Upsert of an indexed point stores the vector and, once the
+// point has moved far enough to want new links, puts it on a due list; it
+// searches nothing. The next operation that reads or changes the graph
+// settles the list first: every due point's search and neighbour selection
+// runs against the graph as it stands, on all cores at once, and the
+// selections are then installed one after another in due order. A search
+// therefore never sees a point whose links are older than its vector by
+// more than UpdateEps, and the graph after a settle depends on the calls
+// made and their order, not on how many cores ran it.
+//
 // The implementation follows the paper's Algorithms 1-5: multi-layer
 // proximity graphs with exponentially decaying layer population, greedy
 // descent from the entry point, best-first beam search per layer
@@ -29,18 +40,21 @@
 // layer. Distances are computed for all unvisited neighbours of a node at
 // once, four rows per kernel call (kernel.go), the beam of a layer search is
 // one sorted array (searchLayer), and all working memory of a search or an
-// upsert comes from a pooled scratch: updating a point allocates nothing and
-// a search allocates only its result. Every sum keeps its order and every
-// search meets its candidates in one defined order, so results, link lists
-// and through them training runs are a function of the input alone.
-// TestGoldenTrace pins them down.
+// upsert comes from a pooled scratch, and that of a settle from buffers the
+// index keeps: updating a point allocates nothing, a settle only the
+// goroutines it forks, and a search only its result. Every sum keeps its
+// order and every search meets its candidates in one defined order, so
+// results, link lists and through them training runs are a function of the
+// input alone, on any number of cores. TestGoldenTrace pins them down.
 package hnsw
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"spidercache/internal/xrand"
 )
@@ -50,11 +64,13 @@ type Config struct {
 	M              int // max neighbours per node on upper layers (layer 0 gets 2*M)
 	EfConstruction int // beam width during insertion
 	EfSearch       int // default beam width during search
-	// UpdateEps is the Euclidean movement below which an Upsert of an
-	// existing point only replaces its stored vector without repairing
-	// graph links. Embedding drift between consecutive scoring passes is
-	// tiny once training stabilises, so this avoids paying the full
-	// re-link cost every batch; 0 always re-links.
+	// UpdateEps is the Euclidean path an existing point travels, over
+	// however many Upserts, before its graph links are repaired; below it
+	// an Upsert only replaces the stored vector. Embedding drift between
+	// consecutive scoring passes is tiny once training stabilises, so this
+	// avoids paying the full re-link cost every batch; 0 always re-links.
+	// The repair itself waits for the next settling operation (see the
+	// package doc), which makes the updates of one batch in parallel.
 	UpdateEps float64
 	Seed      uint64
 }
@@ -90,6 +106,8 @@ type node struct {
 	// that still reaches it passes through; it is never a result and never
 	// becomes anyone's new neighbour.
 	free bool
+	// due marks a point on Index.due: its links wait for the next settle.
+	due bool
 	// moved is how far the point has travelled, step by step, since its
 	// links were last selected: an upper bound on how far it is from where
 	// they were selected for.
@@ -102,8 +120,9 @@ type node struct {
 // Index is an HNSW approximate nearest-neighbour index. It is safe for
 // concurrent use: Upsert takes an exclusive lock, searches take a shared
 // lock, so any number of SearchKNN calls proceed in parallel and serialise
-// only against mutations. Search working memory comes from a scratch pool,
-// not the index, so concurrent searches never contend on shared state.
+// only against mutations and against the settle of pending updates. Search
+// working memory comes from a scratch pool, not the index, so concurrent
+// searches never contend on shared state.
 type Index struct {
 	mu  sync.RWMutex
 	cfg Config
@@ -125,6 +144,24 @@ type Index struct {
 	byID    map[int]uint32 // external ID -> slot, live points only
 	entry   int            // slot of entry point (always live), -1 if empty
 	maxLv   int
+	// due lists, each once and in the order they became due, the live
+	// points an Upsert moved UpdateEps or more since their links were
+	// selected. settle empties it.
+	due []uint32
+	// unsettled is len(due) > 0, written under the exclusive lock and read
+	// without any, so that a search of a settled index takes the shared
+	// lock once and nothing else.
+	unsettled atomic.Bool
+	// picks holds relinkAll's selections, reused from one call to the
+	// next: due[i]'s layer-l row is row pickAt[i]+l, pickRow words, a count
+	// and then the selected slots.
+	picks  []uint32
+	pickAt []int
+	// pickers are the working memory of relinkAll's selecting goroutines,
+	// one each, kept here rather than pooled so that a settle takes the
+	// same buffers every time, whichever cores its goroutines land on. Each
+	// holds a visit mark of 8 bytes per slot, up to GOMAXPROCS of them.
+	pickers []*scratch
 }
 
 // scratch is the working memory of one search or upsert: every buffer the
@@ -151,6 +188,12 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // lists, a neighbour's and a deleted point's, merged by dropLink.
 func (ix *Index) getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
+	ix.fit(s)
+	return s
+}
+
+// fit grows s to what an operation on the index may need of it.
+func (ix *Index) fit(s *scratch) {
 	if len(s.visited) < len(ix.nodes)+1 {
 		s.visited = make([]uint32, 2*len(ix.nodes)+16)
 		s.epoch = 0
@@ -159,7 +202,6 @@ func (ix *Index) getScratch() *scratch {
 		s.nbrs = make([]uint32, 0, most)
 		s.dists = make([]float64, most)
 	}
-	return s
 }
 
 func putScratch(s *scratch) { scratchPool.Put(s) }
@@ -290,11 +332,13 @@ func (ix *Index) distsTo(sc *scratch, slots []uint32, q []float64) []float64 {
 }
 
 // Upsert inserts the vector under id, or replaces the stored vector when id
-// is already indexed (re-linking the point at every layer it occupies). This
-// is the per-batch "ANN_index.update" operation of the paper's Algorithm 1.
-// Upsert takes the exclusive lock and may run concurrently with SearchKNN
-// callers, which serialise against it. A call that returns an error has
-// changed nothing.
+// is already indexed. The updates of a batch are the "ANN_index.update" of
+// the paper's Algorithm 1: an update searches nothing, and a point that has
+// moved UpdateEps since its links were selected is re-linked, at every layer
+// it occupies, by the next operation that settles (see the package doc). An
+// insert settles first and links the new point at once. Upsert takes the
+// exclusive lock and may run concurrently with SearchKNN callers, which
+// serialise against it. A call that returns an error has changed nothing.
 func (ix *Index) Upsert(id int, vec []float64) error {
 	if len(vec) == 0 {
 		return fmt.Errorf("hnsw: empty vector for id %d", id)
@@ -308,6 +352,7 @@ func (ix *Index) Upsert(id int, vec []float64) error {
 		ix.updateVector(slot, vec)
 		return nil
 	}
+	ix.settle()
 	if n := len(ix.free); n > 0 {
 		slot := ix.free[n-1]
 		ix.free = ix.free[:n-1]
@@ -337,45 +382,30 @@ func (ix *Index) insert(id int, vec []float64) {
 		ix.maxLv = level
 		return
 	}
-
-	sc := ix.getScratch()
-	defer putScratch(sc)
-	q := ix.vec(slot)
-	ep := uint32(ix.entry)
-	epDist := ix.dist(ep, q)
-	// Greedy descent through layers above the new node's level.
-	for l := ix.maxLv; l > level; l-- {
-		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
-	}
-	// Beam search + heuristic linking on each layer from min(level, maxLv)
-	// down to 0. No slot is free here (Upsert would have reused it), so
-	// every candidate is a point.
-	for l := min(level, ix.maxLv); l >= 0; l-- {
-		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
-		ix.relink(sc, slot, l, cands)
-		if len(cands) > 0 {
-			ep, epDist = cands[0].id, cands[0].dist
-		}
-	}
-	if level > ix.maxLv {
-		ix.maxLv = level
-		ix.entry = int(slot)
-	}
+	ix.link(slot)
 }
 
 // reuse puts a new point into a free slot: hnswlib's allow_replace_deleted.
 // The slot keeps the level it was drawn when first filled, so the layer
-// populations stay what randomLevel made them, and is linked in the way an
-// update that moved the point a long way links it.
+// populations stay what randomLevel made them.
 func (ix *Index) reuse(slot uint32, id int, vec []float64) {
 	nd := &ix.nodes[slot]
 	nd.id, nd.free = id, false
 	ix.byID[id] = slot
 	copy(ix.vec(slot), vec)
-	ix.relinkAll(slot)
-	// The entry point may have passed to a lower point while the slot was
-	// free. Above maxLv there are only free slots: link to none of them.
-	if level := len(nd.upper); level > ix.maxLv {
+	ix.link(slot)
+}
+
+// link links a new point into a non-empty, settled graph the way a settle
+// re-links a point an update moved, and makes it the entry point if no
+// other point reaches its level.
+func (ix *Index) link(slot uint32) {
+	ix.due = append(ix.due, slot)
+	ix.relinkAll()
+	// A reused slot may lie above the entry point, which passed to a lower
+	// point while the slot was free. Above maxLv there are only free
+	// slots: link to none of them.
+	if level := len(ix.nodes[slot].upper); level > ix.maxLv {
 		for l := ix.maxLv + 1; l <= level; l++ {
 			ix.setLinks(slot, l, ix.links(slot, l)[:0])
 		}
@@ -385,29 +415,137 @@ func (ix *Index) reuse(slot uint32, id int, vec []float64) {
 }
 
 // updateVector replaces the stored vector and, once the point has moved
-// UpdateEps since its links were last selected, repairs them by re-running
-// neighbour selection at each of its layers, mirroring hnswlib's
-// update_point repair. The steps of successive calls add up, so a point
-// that creeps is re-linked every UpdateEps of path at the latest.
+// UpdateEps since its links were last selected, puts it on the due list, so
+// that the next settle repairs them by re-running neighbour selection at
+// each of its layers, mirroring hnswlib's update_point repair. The steps of
+// successive calls add up, so a point that creeps is re-linked every
+// UpdateEps of path at the latest.
 func (ix *Index) updateVector(slot uint32, vec []float64) {
 	q, nd := ix.vec(slot), &ix.nodes[slot]
 	nd.moved += math.Sqrt(sqDist(q, vec))
 	copy(q, vec)
 	// A NaN step compares false and re-links, as does any step at eps 0.
-	if nd.moved < ix.cfg.UpdateEps || len(ix.nodes) == 1 {
+	if nd.due || nd.moved < ix.cfg.UpdateEps || len(ix.nodes) == 1 {
 		return
 	}
-	ix.relinkAll(slot)
+	nd.due = true
+	ix.due = append(ix.due, slot)
+	ix.unsettled.Store(true)
 }
 
-// relinkAll searches for slot's vector from the entry point and replaces
-// the point's neighbours, at every layer it shares with the graph, by a
-// selection from what the search found.
-func (ix *Index) relinkAll(slot uint32) {
-	sc := ix.getScratch()
-	defer putScratch(sc)
+// settle re-links every point on the due list. It runs under the exclusive
+// lock.
+func (ix *Index) settle() {
+	if len(ix.due) == 0 {
+		return
+	}
+	ix.relinkAll()
+	ix.unsettled.Store(false)
+}
+
+// readSettled runs read under the shared lock on a settled index, settling
+// it first if it is not. An Upsert that slips in between the settle and the
+// shared lock sends it round again, so read sees the graph after every call
+// that came before it.
+func (ix *Index) readSettled(read func()) {
+	for {
+		if ix.unsettled.Load() {
+			ix.mu.Lock()
+			ix.settle()
+			ix.mu.Unlock()
+		}
+		ix.mu.RLock()
+		if !ix.unsettled.Load() {
+			break
+		}
+		ix.mu.RUnlock()
+	}
+	defer ix.mu.RUnlock()
+	read()
+}
+
+// pickRow is the width of one row of Index.picks: a count and room for the
+// longest selection, layer 0's.
+func (ix *Index) pickRow() int { return 1 + ix.layerCap(0) }
+
+// relinkAll replaces the links of every point on the due list, and empties
+// it, in two steps. First each point's search and neighbour selection runs
+// against the graph as it stands, which none of them changes, spread over
+// all cores. Then the selections are installed, with their back-links, one
+// point after another in due order. A point's selection depends on the
+// graph and its own vector alone, so the result is the same whichever core
+// selected what. For one point it is what searching and linking layer by
+// layer gives: a layer's search reads that layer's links only.
+func (ix *Index) relinkAll() {
+	due := ix.due
+	ix.pickAt = ix.pickAt[:0]
+	rows := 0
+	for _, slot := range due {
+		ix.pickAt = append(ix.pickAt, rows)
+		rows += min(len(ix.nodes[slot].upper), ix.maxLv) + 1
+	}
+	w := ix.pickRow()
+	if cap(ix.picks) < rows*w {
+		ix.picks = make([]uint32, rows*w)
+	}
+	picks := ix.picks[:rows*w]
+	workers := min(runtime.GOMAXPROCS(0), len(due))
+	for len(ix.pickers) < workers {
+		ix.pickers = append(ix.pickers, new(scratch))
+	}
+	for _, sc := range ix.pickers[:workers] {
+		ix.fit(sc)
+	}
+	if workers > 1 {
+		// Goroutines of their own, not the training pool's: the pool lends
+		// a block only to a worker that is parked, and the caller of a
+		// search that settles often holds the pool's other workers blocked
+		// on this very lock.
+		var f fork
+		f.wg.Add(workers - 1)
+		for _, sc := range ix.pickers[1:workers] {
+			go func() {
+				defer f.wg.Done()
+				ix.pickFrom(sc, &f.next, picks)
+			}()
+		}
+		ix.pickFrom(ix.pickers[0], &f.next, picks)
+		f.wg.Wait()
+	} else {
+		var next atomic.Int64
+		ix.pickFrom(ix.pickers[0], &next, picks)
+	}
+	sc := ix.pickers[0]
+	for i, slot := range due {
+		ix.install(sc, slot, picks[ix.pickAt[i]*w:])
+	}
+	ix.due = due[:0]
+}
+
+// fork is what relinkAll's goroutines share.
+type fork struct {
+	wg   sync.WaitGroup
+	next atomic.Int64 // the next due point to select for
+}
+
+// pickFrom selects for due points, taking the next one from next until
+// none is left.
+func (ix *Index) pickFrom(sc *scratch, next *atomic.Int64, picks []uint32) {
+	w := ix.pickRow()
+	for {
+		i := int(next.Add(1) - 1)
+		if i >= len(ix.due) {
+			return
+		}
+		ix.pick(sc, ix.due[i], picks[ix.pickAt[i]*w:])
+	}
+}
+
+// pick searches for slot's vector from the entry point and writes, into
+// rows, the neighbours it selects from what the search found at every layer
+// the point shares with the graph. It only reads the index.
+func (ix *Index) pick(sc *scratch, slot uint32, rows []uint32) {
 	q := ix.vec(slot)
-	ix.nodes[slot].moved = 0
 	level := len(ix.nodes[slot].upper)
 	ep := uint32(ix.entry)
 	epDist := ix.dist(ep, q)
@@ -415,6 +553,7 @@ func (ix *Index) relinkAll(slot uint32) {
 		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
 	anyFree := len(ix.free) > 0
+	w := ix.pickRow()
 	for l := min(level, ix.maxLv); l >= 0; l-- {
 		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
 		// Drop self-references and free slots before selecting.
@@ -424,10 +563,32 @@ func (ix *Index) relinkAll(slot uint32) {
 				filtered = append(filtered, c)
 			}
 		}
-		ix.relink(sc, slot, l, filtered)
+		row := rows[l*w : (l+1)*w]
+		selected := ix.selectHeuristic(filtered, ix.layerCap(l), &sc.sel)
+		row[0] = uint32(len(selected))
+		for i, c := range selected {
+			row[1+i] = c.id
+		}
 		if len(filtered) > 0 {
 			ep, epDist = filtered[0].id, filtered[0].dist
 		}
+	}
+}
+
+// install makes the selections pick wrote into rows slot's neighbours, top
+// layer first, and links each of them back.
+func (ix *Index) install(sc *scratch, slot uint32, rows []uint32) {
+	nd := &ix.nodes[slot]
+	nd.moved, nd.due = 0, false
+	w := ix.pickRow()
+	for l := min(len(nd.upper), ix.maxLv); l >= 0; l-- {
+		row := rows[l*w:]
+		links := ix.links(slot, l)[:0]
+		for _, nb := range row[1 : 1+row[0]] {
+			links = append(links, nb)
+			ix.linkBack(sc, nb, slot, l)
+		}
+		ix.setLinks(slot, l, links)
 	}
 }
 
@@ -454,6 +615,7 @@ func (ix *Index) relinkAll(slot uint32) {
 func (ix *Index) Delete(id int) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.settle()
 	slot, ok := ix.byID[id]
 	if !ok {
 		return false
@@ -540,18 +702,6 @@ func (ix *Index) reselect(sc *scratch, slot uint32, l int, pool []uint32) {
 	links := ix.links(slot, l)[:0]
 	for _, c := range ix.selectHeuristic(cands, ix.layerCap(l), &sc.backSel) {
 		links = append(links, c.id)
-	}
-	ix.setLinks(slot, l, links)
-}
-
-// relink replaces slot's layer-l neighbours with a selection from cands
-// (sorted ascending) and links each of them back.
-func (ix *Index) relink(sc *scratch, slot uint32, l int, cands []candidate) {
-	selected := ix.selectHeuristic(cands, ix.layerCap(l), &sc.sel)
-	links := ix.links(slot, l)[:0]
-	for _, c := range selected {
-		links = append(links, c.id)
-		ix.linkBack(sc, c.id, slot, l)
 	}
 	ix.setLinks(slot, l, links)
 }
@@ -741,9 +891,12 @@ func (ix *Index) SearchKNN(q []float64, k int) []Result {
 // query of another dimensionality than the index's finds nothing: Delete can
 // empty the index and another dimensionality can move in between a caller's
 // check and its search.
-func (ix *Index) SearchKNNEf(q []float64, k, ef int) []Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+func (ix *Index) SearchKNNEf(q []float64, k, ef int) (out []Result) {
+	ix.readSettled(func() { out = ix.searchKNN(q, k, ef) })
+	return out
+}
+
+func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 	if ix.entry < 0 || k <= 0 || len(q) != ix.dim {
 		return nil
 	}
@@ -787,10 +940,9 @@ func (ix *Index) randomLevel() int {
 // slots included. Lists are as long as the selection heuristic left them,
 // so Links over Len is the graph's mean degree, the first number to read
 // when recall or search time moves.
-func (ix *Index) Links() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.countLinks()
+func (ix *Index) Links() (n int) {
+	ix.readSettled(func() { n = ix.countLinks() })
+	return n
 }
 
 func (ix *Index) countLinks() int {
@@ -809,8 +961,7 @@ func (ix *Index) countLinks() int {
 // level, list headers). It counts links held, not list capacity, so the
 // figure depends on the graph alone and not on how it is laid out. Used by
 // the Table 2 storage-efficiency experiment.
-func (ix *Index) MemoryBytes() int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return int64(len(ix.nodes))*int64(ix.dim*8+48) + int64(ix.countLinks())*4
+func (ix *Index) MemoryBytes() (n int64) {
+	ix.readSettled(func() { n = int64(len(ix.nodes))*int64(ix.dim*8+48) + int64(ix.countLinks())*4 })
+	return n
 }

@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"spidercache/internal/xrand"
@@ -103,6 +104,18 @@ func BenchmarkSearchKNN(b *testing.B) {
 	}
 }
 
+// settleBatch is the trainer's mini-batch: the update benchmarks settle
+// after every settleBatch updates, as its first search of a batch does, so
+// that an op is an update and its share of the re-linking it causes.
+const settleBatch = 64
+
+// settleNow settles ix as any read would, without the read's own work.
+func settleNow(ix *Index) {
+	ix.mu.Lock()
+	ix.settle()
+	ix.mu.Unlock()
+}
+
 // BenchmarkUpdate replaces each point with another point's un-normalised
 // Gaussian vector: every update teleports across the space, so none takes
 // the UpdateEps shortcut and every one pays the full re-link.
@@ -119,7 +132,11 @@ func BenchmarkUpdate(b *testing.B) {
 		if err := ix.Upsert(i%n, vecs[(i+1)%n]); err != nil {
 			b.Fatal(err)
 		}
+		if (i+1)%settleBatch == 0 {
+			settleNow(ix)
+		}
 	}
+	settleNow(ix)
 }
 
 // BenchmarkUpdateDrift is the update the trainer issues: unit-norm dim-32
@@ -151,6 +168,62 @@ func BenchmarkUpdateDrift(b *testing.B) {
 		if err := ix.Upsert(i%n, v); err != nil {
 			b.Fatal(err)
 		}
+		if (i+1)%settleBatch == 0 {
+			settleNow(ix)
+		}
+	}
+	settleNow(ix)
+}
+
+// TestSettleAllocs bounds what one settle allocates, once its buffers have
+// grown: nothing on one core, and on four only the fork: the state its
+// goroutines share, and for each core beyond the first a goroutine's
+// closure and, when the runtime has no exited goroutine at hand to reuse,
+// the goroutine itself. testing.AllocsPerRun measures on one core whatever
+// GOMAXPROCS is, so the four-core count reads the allocator's statistics
+// around the same loop itself.
+func TestSettleAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n, runs = 2000, 50
+	vecs := benchVecs(2*n, 32)
+	ix, _ := New(DefaultConfig())
+	for i := 0; i < n; i++ {
+		ix.Upsert(i, vecs[i])
+	}
+	next := 0
+	batch := func() {
+		for range settleBatch {
+			// A point takes a vector it has not held just before: a far
+			// move, due a re-link.
+			if err := ix.Upsert(next%n, vecs[(7*next+1)%len(vecs)]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if len(ix.due) != settleBatch {
+			t.Fatalf("%d of %d updates due a re-link", len(ix.due), settleBatch)
+		}
+		settleNow(ix)
+	}
+	if allocs := testing.AllocsPerRun(runs, batch); allocs != 0 {
+		t.Fatalf("a settle of %d updates on one core allocates %v times", settleBatch, allocs)
+	}
+
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	batch() // warm-up, as AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		batch()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%v allocations per settle on %d cores", allocs, procs)
+	if allocs > 1+2*(procs-1) {
+		t.Fatalf("a settle of %d updates on %d cores allocates %v times", settleBatch, procs, allocs)
 	}
 }
 

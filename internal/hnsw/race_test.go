@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,4 +251,84 @@ func randomVec(dim int, rng *xrand.Rand) []float64 {
 		v[i] = rng.NormFloat64()
 	}
 	return v
+}
+
+// TestUpdatesRaceReads has writers moving existing points far enough to be
+// due a re-link while readers search and one goroutine deletes and
+// re-inserts points: every search and delete first settles whatever the
+// writers left due, the readers decide on the unlocked unsettled flag
+// whether to, and a settle selects on several goroutines of its own. Under
+// -race this checks that the flag, the fork and the install are ordered by
+// the index's lock; the graph must come out whole.
+func TestUpdatesRaceReads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ix, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		dim     = 16
+		points  = 256
+		writers = 3
+		readers = 3
+		rounds  = 200
+	)
+	rng := xrand.New(11)
+	for i := 0; i < points; i++ {
+		if err := ix.Upsert(i, randomVec(dim, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(5000 + w))
+			for i := 0; i < rounds; i++ {
+				// Ids of the writer's own third: an update of a live point,
+				// or an insert when the deleter has the id out.
+				if err := ix.Upsert(w+writers*rng.Intn(points/writers), randomVec(dim, rng)); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(6000 + r))
+			for i := 0; i < rounds; i++ {
+				res := ix.SearchKNN(randomVec(dim, rng), 8)
+				for j, hit := range res {
+					if hit.ID < 0 || hit.ID >= points || (j > 0 && hit.Dist < res[j-1].Dist) {
+						t.Errorf("reader %d: bad result list %+v", r, res)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := xrand.New(7000)
+		for i := 0; i < rounds/4; i++ {
+			id := rng.Intn(points)
+			if ix.Delete(id) {
+				if err := ix.Upsert(id, randomVec(dim, rng)); err != nil {
+					t.Errorf("re-insert %d: %v", id, err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	ix.Links()
+	checkGraph(t, ix)
+	if ix.Len() != points {
+		t.Fatalf("Len = %d, want %d", ix.Len(), points)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"spidercache/internal/telemetry"
+	"spidercache/internal/xrand"
 )
 
 // embedPayload renders emb as the wire embedding frame (little-endian
@@ -281,4 +282,116 @@ func TestNGetPayloadIntactUnderChurn(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// clusterVecs returns n unit dim-16 embeddings around 8 centroids (vector i
+// in cluster i%8), and the centroids.
+func clusterVecs(n int) (vecs, centroids [][]float32) {
+	const dim, clusters, sigma = 16, 8, 0.05
+	rng := xrand.New(9)
+	centroids = make([][]float32, clusters)
+	for c := range centroids {
+		v := make([]float32, dim)
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		centroids[c] = unit(v...)
+	}
+	vecs = make([][]float32, n)
+	for i := range vecs {
+		v := make([]float32, dim)
+		for j := range v {
+			v[j] = centroids[i%clusters][j] + float32(sigma*rng.NormFloat64())
+		}
+		vecs[i] = unit(v...)
+	}
+	return vecs, centroids
+}
+
+// TestNGetFindsMovedKey: an ESET of a resident key moves its embedding from
+// one cluster to another, and the index re-links it only when a read needs
+// the graph. The NGET right after it, of an absent key at the new place,
+// must be served from the moved key: a search over the links it had in its
+// old cluster would not reach it from the new one: a cluster holds twice
+// as many keys as an NGET's beam.
+func TestNGetFindsMovedKey(t *testing.T) {
+	const n = 8 * 2 * semSearchEf
+	srv := startServer(t, 2*n)
+	c := dial(t, srv)
+	vecs, centroids := clusterVecs(n)
+	for i, v := range vecs {
+		key := fmt.Sprintf("k%d", i)
+		if err := c.Set(key, []byte("v-"+key)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ESet(key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// k1 lives in cluster 1; move it onto cluster 5's centroid.
+	to := centroids[5]
+	if err := c.ESet("k1", to); err != nil {
+		t.Fatal(err)
+	}
+	v, near, found, err := c.NGet("absent", to, 0.05)
+	if err != nil || !found || near == nil {
+		t.Fatalf("NGet at the moved key's place = %v %v %v", near, found, err)
+	}
+	if near.Key != "k1" || string(v) != "v-k1" || near.Dist > 1e-6 {
+		t.Fatalf("NGet at the moved key's place served %q from %q at %v, want v-k1 from k1 at 0", v, near.Key, near.Dist)
+	}
+}
+
+// TestDelOfPendingRelink: a DEL that lands while the key's last ESET still
+// waits to be re-linked must leave the index as a DEL after a settling
+// read does. METRICS reads the same live and free slots and the same
+// links either way.
+func TestDelOfPendingRelink(t *testing.T) {
+	vecs, centroids := clusterVecs(64)
+	history := func(readFirst bool) (live, free, links float64) {
+		srv := startServer(t, 128)
+		c := dial(t, srv)
+		for i, v := range vecs {
+			key := fmt.Sprintf("k%d", i)
+			if err := c.Set(key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ESet(key, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.ESet("k0", centroids[5]); err != nil { // due a re-link
+			t.Fatal(err)
+		}
+		if readFirst {
+			if _, _, _, err := c.NGet("absent", centroids[5], 0.05); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Del("k0"); err != nil {
+			t.Fatal(err)
+		}
+		text, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for series, dst := range map[string]*float64{
+			`kv_semantic_index_points{state="live"}`: &live,
+			`kv_semantic_index_points{state="free"}`: &free,
+			`kv_semantic_index_links`:                &links,
+		} {
+			var ok bool
+			if *dst, ok = scrapeGauge(text, series); !ok {
+				t.Fatalf("METRICS has no %s:\n%s", series, text)
+			}
+		}
+		return live, free, links
+	}
+	live, free, links := history(false)
+	if live != 63 || free != 1 || links == 0 {
+		t.Fatalf("after DEL of a key due a re-link: live %v, free %v, links %v; want 63, 1, some", live, free, links)
+	}
+	if l, f, k := history(true); l != live || f != free || k != links {
+		t.Fatalf("DEL after a settling read leaves live %v, free %v, links %v; without the read %v, %v, %v", l, f, k, live, free, links)
+	}
 }

@@ -24,10 +24,14 @@ import (
 // (hnsw.Index.Delete), at about the price of an upsert, and the next
 // new key takes the slot. The graph therefore holds the live
 // embeddings and nothing else: no search result needs filtering for
-// staleness beyond the one race below, and no maintenance ever runs
-// longer than one delete. Ids are never reused, so a search racing an
-// unlink can at worst surface a freshly-unmapped id, which the byID
-// lookup (and the caller's store-residency check) drops.
+// staleness beyond the one race below, and there is no rebuild. An
+// ESET that moves a resident key's embedding only stores the vector;
+// the re-link waits for the next operation that reads or changes the
+// graph (hnsw package doc), so one NGET, DEL or insert may first
+// re-link the keys of every ESET before it, spread over all cores.
+// Ids are never reused, so a search racing an unlink can at worst
+// surface a freshly-unmapped id, which the byID lookup (and the
+// caller's store-residency check) drops.
 type semIndex struct {
 	mu    sync.Mutex
 	ix    *hnsw.Index // set once; the embedding dimensionality is its Dim()

@@ -57,7 +57,9 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 	}
 	// Phase 1 — serial upserts (the ANN_index.update of Algorithm 1 line
 	// 15). The normalisation buffer is reused across samples; searchers
-	// copy on Upsert.
+	// copy on Upsert. The HNSW index only copies the vectors here: the
+	// first search of Phase 2 re-links the batch's moved points, on all
+	// cores, before any search reads the graph (hnsw package doc).
 	for i, id := range ids {
 		g.normBuf = NormalizeInto(g.normBuf, embeddings[i])
 		if err := g.searcher.Upsert(id, g.normBuf); err != nil {

@@ -49,9 +49,11 @@ go test ./...
 # hot path is built to take its working memory from a pooled scratch: an
 # allocation there would silently reintroduce per-op garbage, and nothing
 # else in the suite would notice. Gate on the benchmarks' own -benchmem
-# accounting. An update of an existing point and a delete must
-# allocate nothing, a search only the slice it returns. The line count is
-# checked so that a benchmark going missing cannot pass the gate.
+# accounting. An update of an existing point, with its share of the settle
+# that re-links the batch (the update benchmarks settle every 64 updates),
+# and a delete must allocate nothing, a search only the slice it returns.
+# The line count is checked so that a benchmark going missing cannot pass
+# the gate.
 echo "== hnsw alloc regression (update Upsert and Delete 0 allocs/op, SearchKNN <= 1)"
 hnsw_out="$(go test -run '^$' -bench '^Benchmark(Update|UpdateDrift|SearchKNN|Delete)$' \
     -benchtime 2000x -benchmem ./internal/hnsw/)"

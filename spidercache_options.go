@@ -101,8 +101,9 @@ func WithSerialLoading() Option {
 // WithThreads caps real CPU parallelism for the run: tensor kernels and
 // SpiderCache batch scoring use at most n OS threads. 0 (the default) uses
 // all cores and 1 forces serial execution; results are identical either
-// way. Distinct from WithWorkers, which simulates GPUs inside the cost
-// model.
+// way. The ANN index re-links a batch's moved points on GOMAXPROCS
+// goroutines of its own, which this does not cap; GOMAXPROCS does.
+// Distinct from WithWorkers, which simulates GPUs inside the cost model.
 func WithThreads(n int) Option {
 	return func(s *settings) { s.threads = n }
 }
