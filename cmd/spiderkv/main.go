@@ -12,7 +12,9 @@
 // The first daemon bootstraps a cluster of one; each further daemon is
 // pointed at any live member with -join and gossips its way in. Every
 // member must agree on -replicas and -ring-points for placement to
-// converge. Clients connect with cluster.New(cluster.WithSeeds(...),
+// converge. -conns and -timeout size the peer pools that carry
+// replication, rebalance and gossip; every peer op is one attempt, and a
+// failed push is counted, not retried. Clients connect with cluster.New(cluster.WithSeeds(...),
 // cluster.WithDiscovery(...)) and discover the rest of the topology from
 // any one member.
 //

@@ -2,7 +2,6 @@
 // policy in the repository:
 //
 //   - LRU / LFU:        the conventional baselines of the paper's Fig 3(b)
-//   - FIFO:             update strategy of the Homophily Cache
 //   - Static:           CoorDL's MinIO cache (fill once, never evict)
 //   - RandomReplace:    iCache's L-sample cache (evict a random victim)
 //   - Importance:       min-heap keyed by importance score (SHADE, iCache
@@ -24,8 +23,8 @@ type Item struct {
 	Size int
 }
 
-// Basic is the interface shared by the simple caches (LRU, LFU, FIFO,
-// Static, RandomReplace). The Importance and Homophily caches have richer
+// Basic is the interface shared by the simple caches (LRU, LFU, Static,
+// RandomReplace). The Importance and Homophily caches have richer
 // APIs and are used directly.
 type Basic interface {
 	// Get reports whether id is cached and, for recency-based policies,

@@ -77,32 +77,6 @@ func TestLFUTieBreaksByAge(t *testing.T) {
 	}
 }
 
-func TestFIFOEvictsOldest(t *testing.T) {
-	c := NewFIFO(2)
-	c.Put(Item{ID: 1})
-	c.Put(Item{ID: 2})
-	c.Get(1) // FIFO ignores recency
-	c.Put(Item{ID: 3})
-	if _, ok := c.Get(1); ok {
-		t.Fatal("FIFO kept oldest item despite Get")
-	}
-}
-
-func TestFIFOCompaction(t *testing.T) {
-	c := NewFIFO(4)
-	for i := 0; i < 1000; i++ {
-		c.Put(Item{ID: i})
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	for i := 996; i < 1000; i++ {
-		if _, ok := c.Get(i); !ok {
-			t.Fatalf("latest item %d missing", i)
-		}
-	}
-}
-
 func TestStaticNeverEvicts(t *testing.T) {
 	c := NewStatic(2)
 	if !c.Put(Item{ID: 1}) || !c.Put(Item{ID: 2}) {
@@ -330,7 +304,6 @@ func TestCapacityInvariant(t *testing.T) {
 		caches := []Basic{
 			NewLRU(capacity),
 			NewLFU(capacity),
-			NewFIFO(capacity),
 			NewStatic(capacity),
 			NewRandomReplace(capacity, xrand.New(uint64(seed)+1)),
 		}

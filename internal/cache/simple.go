@@ -2,57 +2,6 @@ package cache
 
 import "spidercache/internal/xrand"
 
-// FIFO evicts in insertion order.
-type FIFO struct {
-	capacity int
-	entries  map[int]Item
-	order    []int // ring buffer of IDs in insertion order
-	headIdx  int
-}
-
-// NewFIFO returns an empty FIFO cache holding up to capacity items.
-func NewFIFO(capacity int) *FIFO {
-	checkCap(capacity)
-	return &FIFO{capacity: capacity, entries: make(map[int]Item, capacity)}
-}
-
-// Get reports whether id is cached (no recency effect).
-func (c *FIFO) Get(id int) (Item, bool) {
-	it, ok := c.entries[id]
-	return it, ok
-}
-
-// Put admits item, evicting the oldest entry when full. Re-putting a
-// resident item refreshes its payload but not its queue position.
-func (c *FIFO) Put(item Item) bool {
-	if c.capacity == 0 {
-		return false
-	}
-	if _, ok := c.entries[item.ID]; ok {
-		c.entries[item.ID] = item
-		return true
-	}
-	if len(c.entries) >= c.capacity {
-		victim := c.order[c.headIdx]
-		c.headIdx++
-		delete(c.entries, victim)
-	}
-	c.entries[item.ID] = item
-	c.order = append(c.order, item.ID)
-	// Compact the consumed prefix occasionally to bound memory.
-	if c.headIdx > len(c.order)/2 && c.headIdx > 64 {
-		c.order = append([]int(nil), c.order[c.headIdx:]...)
-		c.headIdx = 0
-	}
-	return true
-}
-
-// Len returns the number of cached items.
-func (c *FIFO) Len() int { return len(c.entries) }
-
-// Cap returns the item capacity.
-func (c *FIFO) Cap() int { return c.capacity }
-
 // Static is CoorDL's MinIO cache: items are admitted until the cache fills
 // and are never replaced, so across epochs the same subset always hits.
 type Static struct {

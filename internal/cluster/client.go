@@ -15,23 +15,15 @@ import (
 // unavailable (breaker open or transport failure on each).
 var ErrNoNodes = errors.New("cluster: no reachable node for key")
 
-// NodeHealth reports one node's serving state as seen by the client.
-type NodeHealth struct {
-	// Breaker is the node's circuit breaker state machine position.
-	Breaker kvserver.BreakerState
-	// Serving reports whether the client would actually send this node a
-	// request right now. It is false not only when the breaker is open but
-	// also when it is half-open with the probe quota exhausted — a state
-	// in which every op fails fast exactly like open, which the bare
-	// Breaker field used to paper over. Ops dashboards should alert on
-	// !Serving, not on Breaker != BreakerClosed.
-	Serving bool
-}
+// errBreakerOpen is a candidate's failure when its breaker denied the op:
+// the node was skipped without touching the network.
+var errBreakerOpen = errors.New("cluster: circuit breaker open")
 
 // clientTelemetry is the single registration site for the
 // kv_failover_total and cluster_discovery_total families and the
-// cluster_client_nodes gauge.
+// cluster_client_nodes and kv_breaker_state gauges.
 type clientTelemetry struct {
+	reg       *telemetry.Registry
 	rerouted  *telemetry.Counter
 	exhausted *telemetry.Counter
 	added     *telemetry.Counter
@@ -43,7 +35,9 @@ func newClientTelemetry(reg *telemetry.Registry) clientTelemetry {
 	reg.Describe("kv_failover_total", "cluster ops rerouted to a replica (rerouted) or failed on every candidate (exhausted)")
 	reg.Describe("cluster_discovery_total", "client topology changes learned from gossip (nodes added/removed)")
 	reg.Describe("cluster_client_nodes", "nodes the client currently routes to")
+	reg.Describe("kv_breaker_state", "per-node circuit breaker state (0=closed 1=half-open 2=open)")
 	return clientTelemetry{
+		reg:       reg,
 		rerouted:  reg.Counter("kv_failover_total", telemetry.Labels{"result": "rerouted"}),
 		exhausted: reg.Counter("kv_failover_total", telemetry.Labels{"result": "exhausted"}),
 		added:     reg.Counter("cluster_discovery_total", telemetry.Labels{"result": "added"}),
@@ -52,13 +46,41 @@ func newClientTelemetry(reg *telemetry.Registry) clientTelemetry {
 	}
 }
 
+// breakerState returns node's kv_breaker_state gauge.
+func (t clientTelemetry) breakerState(node string) *telemetry.Gauge {
+	return t.reg.Gauge("kv_breaker_state", telemetry.Labels{"node": node})
+}
+
+// replica is one node as the client sees it: the pool its ops go through
+// and the breaker that decides whether they are sent at all.
+type replica struct {
+	pool    *kvserver.Pool
+	breaker *breaker
+}
+
+// call runs op against the node unless its breaker is open, and feeds the
+// outcome back. Only transport failures count against the node: one that
+// answered, however oddly, is up, and a pool closed under the op (the
+// node was removed) says nothing about the node's health.
+func (r *replica) call(op func(*kvserver.Pool) error) error {
+	if !r.breaker.allow() {
+		return errBreakerOpen
+	}
+	err := op(r.pool)
+	if !errors.Is(err, kvserver.ErrPoolClosed) {
+		r.breaker.record(err != nil && kvserver.IsTransportErr(err))
+	}
+	return err
+}
+
 // Client is a ring-aware multi-node cache client: sample IDs map to nodes
-// via a consistent-hash Ring, each node is served by its own
-// kvserver.Pool (lazy-dialled, retrying, breaker-guarded), and operations
-// fail over along the key's replica owners when a node is down or its
-// breaker is open. It satisfies the trainer's RemoteCache contract, so a
-// training run degrades to backing storage — never errors out — when the
-// whole cluster is unreachable.
+// via a consistent-hash Ring, each node is served by its own lazy-dialled
+// kvserver.Pool behind its own circuit breaker, and operations fail over
+// along the key's replica owners when a node is down or its breaker is
+// open. Each op makes one attempt per owner; the breaker is what keeps a
+// dead node from costing every op a failed dial. It satisfies the
+// trainer's RemoteCache contract, so a training run degrades to backing
+// storage — never errors out — when the whole cluster is unreachable.
 //
 // Membership is live: with WithDiscovery enabled the client polls the
 // cluster's NODES gossip verb and adds/removes nodes (and their pools and
@@ -67,21 +89,20 @@ func newClientTelemetry(reg *telemetry.Registry) clientTelemetry {
 // changes: an op racing a node removal sees its pool close underneath it
 // and fails over like any other node failure.
 //
-// Failing over a Set to a replica is safe even though the pool layer is
-// conservative about mutation retries: cache population is idempotent by
+// Failing over a Set to a replica is safe even though the first owner may
+// have applied it before failing: cache population is idempotent by
 // construction (a sample ID always maps to the same payload), so landing
 // the value on a secondary owner can at worst duplicate a cache entry,
 // never corrupt one.
 type Client struct {
 	pool     kvserver.Config // per-node pool template
 	replicas int
-	reg      *telemetry.Registry
 	tel      clientTelemetry
 
 	mu    sync.RWMutex
 	ring  *Ring
 	nodes []string // sorted
-	pools map[string]*kvserver.Pool
+	peers map[string]*replica
 
 	discoverEvery time.Duration
 	discoveryDone chan struct{}
@@ -89,17 +110,21 @@ type Client struct {
 	closeOnce     sync.Once
 }
 
-// addNode places node on the ring and gives it a pool. No-op if present.
+// addNode places node on the ring and gives it a pool and a breaker.
+// No-op if present.
 func (c *Client) addNode(node string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pools[node]; ok {
+	if _, ok := c.peers[node]; ok {
 		return nil
 	}
 	if err := c.ring.Add(node); err != nil {
 		return err
 	}
-	c.pools[node] = kvserver.NewPool(node, c.pool, c.reg)
+	c.peers[node] = &replica{
+		pool:    kvserver.NewPool(node, c.pool),
+		breaker: newBreaker(c.tel.breakerState(node)),
+	}
 	c.nodes = append(c.nodes, node)
 	sort.Strings(c.nodes)
 	c.tel.nodes.Set(float64(len(c.nodes)))
@@ -110,10 +135,10 @@ func (c *Client) addNode(node string) error {
 // the pool fail with ErrPoolClosed and fail over normally.
 func (c *Client) removeNode(node string) {
 	c.mu.Lock()
-	pool, ok := c.pools[node]
+	r, ok := c.peers[node]
 	if ok {
 		c.ring.Remove(node)
-		delete(c.pools, node)
+		delete(c.peers, node)
 		kept := c.nodes[:0]
 		for _, n := range c.nodes {
 			if n != node {
@@ -126,7 +151,7 @@ func (c *Client) removeNode(node string) {
 	c.mu.Unlock()
 	if ok {
 		// The pool is being retired; its close error is noise.
-		pool.Close()
+		r.pool.Close()
 	}
 }
 
@@ -142,18 +167,18 @@ func (c *Client) Nodes() []string {
 	return out
 }
 
-// candidates returns the pools owning id, in placement order.
-func (c *Client) candidates(id int) []*kvserver.Pool {
+// candidates returns the replicas owning id, in placement order.
+func (c *Client) candidates(id int) []*replica {
 	owners := c.ring.Owners(id, c.replicas)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	pools := make([]*kvserver.Pool, 0, len(owners))
+	out := make([]*replica, 0, len(owners))
 	for _, node := range owners {
-		if pool, ok := c.pools[node]; ok {
-			pools = append(pools, pool)
+		if r, ok := c.peers[node]; ok {
+			out = append(out, r)
 		}
 	}
-	return pools
+	return out
 }
 
 // Get fetches the cached payload for a sample ID, trying each replica
@@ -164,8 +189,13 @@ func (c *Client) candidates(id int) []*kvserver.Pool {
 func (c *Client) Get(id int) (value []byte, found bool, err error) {
 	var lastErr error
 	reachable, failedBefore := false, false
-	for _, pool := range c.candidates(id) {
-		v, ok, err := pool.Get(key(id))
+	for _, r := range c.candidates(id) {
+		var v []byte
+		var ok bool
+		err := r.call(func(p *kvserver.Pool) (err error) {
+			v, ok, err = p.Get(key(id))
+			return err
+		})
 		if err == nil {
 			if failedBefore {
 				c.tel.rerouted.Inc()
@@ -200,8 +230,14 @@ func (c *Client) Get(id int) (value []byte, found bool, err error) {
 func (c *Client) NGet(id int, emb []float32, threshold float64) (value []byte, near *kvserver.Near, found bool, err error) {
 	var lastErr error
 	reachable, failedBefore := false, false
-	for _, pool := range c.candidates(id) {
-		v, nr, ok, err := pool.NGet(key(id), emb, threshold)
+	for _, r := range c.candidates(id) {
+		var v []byte
+		var nr *kvserver.Near
+		var ok bool
+		err := r.call(func(p *kvserver.Pool) (err error) {
+			v, nr, ok, err = p.NGet(key(id), emb, threshold)
+			return err
+		})
 		if err == nil {
 			if failedBefore {
 				c.tel.rerouted.Inc()
@@ -235,8 +271,8 @@ func (c *Client) NGet(id int, emb []float32, threshold float64) (value []byte, n
 func (c *Client) ESet(id int, emb []float32) error {
 	var lastErr error
 	landed := 0
-	for _, pool := range c.candidates(id) {
-		if err := pool.ESet(key(id), emb); err != nil {
+	for _, r := range c.candidates(id) {
+		if err := r.call(func(p *kvserver.Pool) error { return p.ESet(key(id), emb) }); err != nil {
 			lastErr = err
 			continue
 		}
@@ -256,8 +292,8 @@ func (c *Client) ESet(id int, emb []float32) error {
 // owner. See the Client doc for why rerouting a cache Set is safe.
 func (c *Client) Set(id int, payload []byte) error {
 	var lastErr error
-	for i, pool := range c.candidates(id) {
-		err := pool.Set(key(id), payload)
+	for i, r := range c.candidates(id) {
+		err := r.call(func(p *kvserver.Pool) error { return p.Set(key(id), payload) })
 		if err == nil {
 			if i > 0 {
 				c.tel.rerouted.Inc()
@@ -273,19 +309,6 @@ func (c *Client) Set(id int, payload []byte) error {
 	return fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
 }
 
-// Health reports each node's breaker state and whether it is actually
-// taking traffic (see NodeHealth.Serving).
-func (c *Client) Health() map[string]NodeHealth {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]NodeHealth, len(c.nodes))
-	for _, node := range c.nodes {
-		b := c.pools[node].Breaker()
-		out[node] = NodeHealth{Breaker: b.State(), Serving: b.Serving()}
-	}
-	return out
-}
-
 // Close stops discovery and shuts every per-node pool. Idempotent.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() { close(c.discoveryDone) })
@@ -294,7 +317,7 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	var first error
 	for _, node := range c.nodes {
-		if err := c.pools[node].Close(); err != nil && first == nil {
+		if err := c.peers[node].pool.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

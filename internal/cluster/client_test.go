@@ -33,19 +33,13 @@ func startNode(t *testing.T) *kvserver.Server {
 }
 
 // newTestClient builds a static client over nodes with one connection per
-// node, a short timeout and a breaker that stays open for the whole test.
+// node and a short timeout.
 func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Client {
 	t.Helper()
 	c, err := New(
 		WithSeeds(nodes...),
 		WithPoolSize(1),
 		WithTimeout(200*time.Millisecond),
-		WithBreaker(kvserver.BreakerOptions{
-			Window:           8,
-			FailureThreshold: 0.5,
-			MinSamples:       2,
-			OpenFor:          time.Minute,
-		}),
 		WithMetrics(reg),
 	)
 	if err != nil {
@@ -57,10 +51,16 @@ func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Clie
 	return c
 }
 
+// breakerGauge reads node's kv_breaker_state gauge from reg.
+func breakerGauge(reg *telemetry.Registry, node string) breakerState {
+	return breakerState(reg.Gauge("kv_breaker_state", telemetry.Labels{"node": node}).Value())
+}
+
 func TestClientBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startNode(t), startNode(t)
-	c := newTestClient(t, nil, a.Addr(), b.Addr())
+	reg := telemetry.NewRegistry()
+	c := newTestClient(t, reg, a.Addr(), b.Addr())
 
 	for id := 0; id < 64; id++ {
 		payload := []byte{byte(id), byte(id >> 8), 0xCC}
@@ -85,9 +85,9 @@ func TestClientBasicOps(t *testing.T) {
 	if itemsA == 0 || itemsB == 0 {
 		t.Fatalf("placement did not spread: node items %d/%d", itemsA, itemsB)
 	}
-	for node, h := range c.Health() {
-		if h.Breaker != kvserver.BreakerClosed {
-			t.Fatalf("healthy node %s reports breaker %v", node, h.Breaker)
+	for _, node := range c.Nodes() {
+		if s := breakerGauge(reg, node); s != breakerClosed {
+			t.Fatalf("healthy node %s reports breaker %v", node, s)
 		}
 	}
 }
@@ -130,25 +130,26 @@ func TestClientFailsOverAroundDeadNode(t *testing.T) {
 
 	// Kill node b. Every op must still succeed: ids owned by b fail over
 	// to a (reads of b-owned values miss — the replica never had them —
-	// but reads must not error).
+	// but reads must not error). Four times as many ops as were seeded
+	// give b's breaker enough failures to outweigh the seeding successes
+	// in its window, whichever share of the ids b owns.
 	// Shutting the node down is the point.
 	b.Close()
-	for id := 0; id < n; id++ {
-		if err := c.Set(id+n, []byte("w")); err != nil {
-			t.Fatalf("Set(%d) with one node down: %v", id+n, err)
+	for id := n; id < 5*n; id++ {
+		if err := c.Set(id, []byte("w")); err != nil {
+			t.Fatalf("Set(%d) with one node down: %v", id, err)
 		}
-		if _, _, err := c.Get(id + n); err != nil {
-			t.Fatalf("Get(%d) with one node down: %v", id+n, err)
+		if _, _, err := c.Get(id); err != nil {
+			t.Fatalf("Get(%d) with one node down: %v", id, err)
 		}
 	}
 
 	// The dead node's breaker opened and failovers were counted.
-	health := c.Health()
-	if health[b.Addr()].Breaker != kvserver.BreakerOpen {
-		t.Fatalf("dead node breaker = %v, want open", health[b.Addr()].Breaker)
+	if s := breakerGauge(reg, b.Addr()); s != breakerOpen {
+		t.Fatalf("dead node breaker = %v, want open", s)
 	}
-	if health[a.Addr()].Breaker != kvserver.BreakerClosed {
-		t.Fatalf("live node breaker = %v, want closed", health[a.Addr()].Breaker)
+	if s := breakerGauge(reg, a.Addr()); s != breakerClosed {
+		t.Fatalf("live node breaker = %v, want closed", s)
 	}
 	if v := reg.Counter("kv_failover_total", telemetry.Labels{"result": "rerouted"}).Value(); v == 0 {
 		t.Fatal("kv_failover_total{result=rerouted} = 0, want > 0")
@@ -206,7 +207,6 @@ func TestNewOptionValidation(t *testing.T) {
 		"bad discovery":      {WithSeeds("x:1"), WithDiscovery(0)},
 		"bad pool size":      {WithSeeds("x:1"), WithPoolSize(0)},
 		"bad ring points":    {WithSeeds("x:1"), WithRingPoints(-1)},
-		"bad retries":        {WithSeeds("x:1"), WithRetries(0)},
 		"bad timeout":        {WithSeeds("x:1"), WithTimeout(-time.Second)},
 		"duplicate seeds":    {WithSeeds("x:1", "x:1")},
 		"first error sticks": {WithReplicas(-1), WithSeeds()},
@@ -221,7 +221,8 @@ func TestNewOptionValidation(t *testing.T) {
 }
 
 // TestNewAppliesOptions: every option lands, and without options New has
-// the defaults the trainer's remote path relies on.
+// the defaults the trainer's remote path relies on, a breaker per node
+// among them.
 func TestNewAppliesOptions(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startNode(t)
@@ -229,9 +230,12 @@ func TestNewAppliesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := kvserver.Config{PoolSize: 2, Retries: 1, Breaker: &kvserver.BreakerOptions{}}
+	want := kvserver.Config{PoolSize: 2}
 	if c.replicas != 2 || c.ring.replicas != 128 || !reflect.DeepEqual(c.pool, want) {
 		t.Fatalf("defaults: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
+	}
+	if r := c.peers[srv.Addr()]; r == nil || r.breaker == nil || r.breaker.current() != breakerClosed {
+		t.Fatalf("node %s has no closed breaker: %+v", srv.Addr(), r)
 	}
 	// Nothing was dialled.
 	c.Close()
@@ -242,14 +246,12 @@ func TestNewAppliesOptions(t *testing.T) {
 		WithPoolSize(5),
 		WithRingPoints(64),
 		WithTimeout(time.Second),
-		WithRetries(4),
-		WithBreaker(kvserver.BreakerOptions{Window: 16}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	want = kvserver.Config{PoolSize: 5, Timeout: time.Second, Retries: 4, Breaker: &kvserver.BreakerOptions{Window: 16}}
+	want = kvserver.Config{PoolSize: 5, Timeout: time.Second}
 	if c.replicas != 3 || c.ring.replicas != 64 || !reflect.DeepEqual(c.pool, want) {
 		t.Fatalf("options not applied: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
 	}

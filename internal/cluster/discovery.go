@@ -36,20 +36,22 @@ func (c *Client) discoverLoop() {
 func (c *Client) discoverOnce() {
 	c.mu.RLock()
 	known := append([]string(nil), c.nodes...)
-	pools := make([]*kvserver.Pool, len(known))
+	peers := make([]*replica, len(known))
 	for i, n := range known {
-		pools[i] = c.pools[n]
+		peers[i] = c.peers[n]
 	}
 	c.mu.RUnlock()
 
 	union := make(map[string]struct{})
 	heard := false
-	for _, pool := range pools {
+	for _, r := range peers {
 		var members []string
-		err := pool.Do(func(kc *kvserver.Client) error {
-			var e error
-			members, e = kc.Nodes()
-			return e
+		err := r.call(func(p *kvserver.Pool) error {
+			return p.Do(func(kc *kvserver.Client) error {
+				var e error
+				members, e = kc.Nodes()
+				return e
+			})
 		})
 		if err != nil || len(members) == 0 {
 			continue

@@ -90,9 +90,6 @@ func TestTrainerDegradesWithClusterDown(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithSeeds("127.0.0.1:1", "127.0.0.1:2"),
 		cluster.WithTimeout(100*time.Millisecond),
-		cluster.WithBreaker(kvserver.BreakerOptions{
-			Window: 8, FailureThreshold: 0.5, MinSamples: 2, OpenFor: time.Minute,
-		}),
 		cluster.WithMetrics(reg),
 	)
 	if err != nil {
@@ -104,9 +101,10 @@ func TestTrainerDegradesWithClusterDown(t *testing.T) {
 	if errs := reg.Counter("remote_cache_total", telemetry.Labels{"result": "error"}).Value(); errs == 0 {
 		t.Fatal("remote_cache_total{result=error} = 0 with the cluster down")
 	}
-	for node, h := range c.Health() {
-		if h.Breaker != kvserver.BreakerOpen {
-			t.Fatalf("unreachable node %s breaker = %v, want open", node, h.Breaker)
+	// 2 is kv_breaker_state's open.
+	for _, node := range c.Nodes() {
+		if s := reg.Gauge("kv_breaker_state", telemetry.Labels{"node": node}).Value(); s != 2 {
+			t.Fatalf("unreachable node %s breaker state = %g, want 2 (open)", node, s)
 		}
 	}
 }

@@ -26,8 +26,8 @@ type NodeOptions struct {
 	// All members must agree on this for placement to converge.
 	Replicas int
 	// Store carries the canonical store/pool tuning shared with the
-	// standalone server and the client (capacity, shards, pool size,
-	// timeouts, retries, breaker template).
+	// standalone server (capacity, shards) and the peer pools (pool size,
+	// timeout).
 	Store kvserver.Config
 	// GossipEvery is the membership gossip interval (default 500ms).
 	GossipEvery time.Duration
@@ -293,7 +293,7 @@ func (n *Node) addMember(addr string) *kvserver.Pool {
 		n.mu.Unlock()
 		return nil
 	}
-	pool := kvserver.NewPool(addr, n.opts.Store, n.opts.Registry)
+	pool := kvserver.NewPool(addr, n.opts.Store)
 	// Add only fails on an empty name, which validNodeAddr rejects on
 	// HELLO and readNodes in a NODES reply.
 	n.ring.Add(addr)

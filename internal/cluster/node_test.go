@@ -15,6 +15,7 @@ import (
 
 	"spidercache/internal/kvserver"
 	"spidercache/internal/leakcheck"
+	"spidercache/internal/telemetry"
 	"spidercache/internal/xrand"
 )
 
@@ -33,7 +34,6 @@ func startGossipNode(tb testing.TB, every time.Duration, seeds ...string) *Node 
 	cfg.Capacity = 1 << 12
 	cfg.PoolSize = 2
 	cfg.Timeout = 2 * time.Second
-	cfg.Retries = 2
 	n, err := StartNode(NodeOptions{
 		Listen:      "127.0.0.1:0",
 		Seeds:       seeds,
@@ -92,8 +92,6 @@ func testClusterClient(t *testing.T, seed string) *Client {
 		WithReplicas(2),
 		WithPoolSize(2),
 		WithTimeout(2*time.Second),
-		WithRetries(2),
-		WithBreaker(kvserver.BreakerOptions{}),
 		WithDiscovery(25*time.Millisecond),
 	)
 	if err != nil {
@@ -286,18 +284,62 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	readAll("after join")
 }
 
-// TestKillNodeMidRun is the kill-a-node fault schedule: three daemons at
-// replicas 2, four goroutines running mixed Set/Get over 2 000 ids through
-// one discovering client for about a second, and one daemon closed in the
-// middle of it. Synchronous replication, breaker-gated failover and gossip
-// discovery must absorb the death: no op may return an error, every hit
-// must carry exactly its id's payload, and once the cluster has converged
-// every id acknowledged before the kill must still be found. After the
-// kill, Sets go to the upper half of the ids only, so the lower half keeps
-// what the kill left: a later Set would write an id to the survivors
-// anyway and hide a lost write.
+// TestKillNodeMidRun is the kill-a-node fault schedule (see
+// runKillSchedule) through one discovering client: gossip discovery drops
+// the dead node from the client's ring once the survivors expel it.
 func TestKillNodeMidRun(t *testing.T) {
 	leakcheck.Check(t)
+	n1, n2, n3 := startKillCluster(t)
+	c := testClusterClient(t, n1.Addr())
+	waitClientNodes(t, c, 3)
+	runKillSchedule(t, c, n1, n2, n3, func() { waitClientNodes(t, c, 2) })
+}
+
+// TestKillNodeMidRunStaticSeeds runs the same schedule through the client
+// the train_remote and cluster_rw benchmarks build: every node a seed,
+// replicas 2, every other setting at its default and no discovery. The
+// dead node stays on the client's ring for good, so its breaker is what
+// routes around it, and must read open at the end.
+func TestKillNodeMidRunStaticSeeds(t *testing.T) {
+	leakcheck.Check(t)
+	n1, n2, n3 := startKillCluster(t)
+	reg := telemetry.NewRegistry()
+	c, err := New(WithSeeds(n1.Addr(), n2.Addr(), n3.Addr()), WithReplicas(2), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+	})
+	runKillSchedule(t, c, n1, n2, n3, func() {})
+	if s := breakerGauge(reg, n3.Addr()); s != breakerOpen {
+		t.Fatalf("dead node's breaker = %v, want open", s)
+	}
+}
+
+// startKillCluster boots the three daemons of the kill schedule and waits
+// for their membership to converge.
+func startKillCluster(t *testing.T) (n1, n2, n3 *Node) {
+	t.Helper()
+	n1 = startTestNode(t)
+	n2 = startTestNode(t, n1.Addr())
+	n3 = startTestNode(t, n1.Addr())
+	waitMembers(t, 3, n1, n2, n3)
+	return n1, n2, n3
+}
+
+// runKillSchedule runs the kill-a-node fault schedule on c: three daemons
+// at replicas 2, four goroutines running mixed Set/Get over 2 000 ids for
+// about a second, and n3 closed in the middle of it. Synchronous
+// replication, breaker-gated failover and (for a discovering client)
+// gossip discovery must absorb the death: no op may return an error,
+// every hit must carry exactly its id's payload, and once the survivors
+// have expelled n3 and settle has returned, every id acknowledged before
+// the kill must still be found. After the kill, Sets go to the upper half
+// of the ids only, so the lower half keeps what the kill left: a later Set
+// would write an id to the survivors anyway and hide a lost write.
+func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node, settle func()) {
+	t.Helper()
 	const (
 		ids     = 2000
 		workers = 4
@@ -306,12 +348,6 @@ func TestKillNodeMidRun(t *testing.T) {
 	payload := func(id int) []byte {
 		return bytes.Repeat([]byte(strconv.Itoa(id)+";"), 1+id%32)
 	}
-	n1 := startTestNode(t)
-	n2 := startTestNode(t, n1.Addr())
-	n3 := startTestNode(t, n1.Addr())
-	waitMembers(t, 3, n1, n2, n3)
-	c := testClusterClient(t, n1.Addr())
-	waitClientNodes(t, c, 3)
 
 	var (
 		killing     atomic.Bool
@@ -367,7 +403,7 @@ func TestKillNodeMidRun(t *testing.T) {
 	}
 
 	waitMembers(t, 2, n1, n2)
-	waitClientNodes(t, c, 2)
+	settle()
 	acked := 0
 	for id := range ackedBefore {
 		if !ackedBefore[id].Load() || setAfter[id].Load() {

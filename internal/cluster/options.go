@@ -57,27 +57,6 @@ func WithReplicas(n int) Option {
 	}
 }
 
-// WithBreaker sets the per-node circuit breaker template. Each node gets
-// its own breaker built from it (default: kvserver.BreakerOptions{}, the
-// breaker defaults — the failover path needs breaker state to route around
-// dead nodes without paying a dial timeout per request).
-func WithBreaker(b kvserver.BreakerOptions) Option {
-	return func(s *clientSettings) { s.pool.Breaker = &b }
-}
-
-// WithRetries sets the per-node attempt budget for idempotent ops (see
-// kvserver.Pool; default 1, a single attempt). Cross-node failover applies
-// either way.
-func WithRetries(n int) Option {
-	return func(s *clientSettings) {
-		if n < 1 {
-			s.fail(fmt.Errorf("cluster: WithRetries needs n >= 1, got %d", n))
-			return
-		}
-		s.pool.Retries = n
-	}
-}
-
 // WithTimeout bounds each dial, reply read and request flush on every
 // pooled connection (default 0: no deadline).
 func WithTimeout(d time.Duration) Option {
@@ -128,7 +107,8 @@ func WithRingPoints(n int) Option {
 	}
 }
 
-// WithMetrics routes the client's (and its pools') telemetry into reg.
+// WithMetrics routes the client's telemetry, per-node breaker states
+// included, into reg.
 func WithMetrics(reg *telemetry.Registry) Option {
 	return func(s *clientSettings) { s.reg = reg }
 }
@@ -138,13 +118,13 @@ func WithMetrics(reg *telemetry.Registry) Option {
 //	c, err := cluster.New(cluster.WithSeeds("host:7461"))
 //
 // which routes to that one node; add WithDiscovery to track live
-// membership, WithReplicas / WithBreaker / WithRetries / WithTimeout to
-// tune placement and resilience. Construction never dials: pools are
-// lazy, so a client can be built while some (or all) nodes are down and
-// traffic flows as they come up.
+// membership, WithReplicas / WithTimeout to tune placement and
+// resilience. Every node gets a circuit breaker; it is always on.
+// Construction never dials: pools are lazy, so a client can be built
+// while some (or all) nodes are down and traffic flows as they come up.
 func New(opts ...Option) (*Client, error) {
 	s := clientSettings{
-		pool:       kvserver.Config{PoolSize: 2, Retries: 1, Breaker: &kvserver.BreakerOptions{}},
+		pool:       kvserver.Config{PoolSize: 2},
 		replicas:   2,
 		ringPoints: 128,
 	}
@@ -164,15 +144,14 @@ func New(opts ...Option) (*Client, error) {
 	c := &Client{
 		pool:          s.pool,
 		replicas:      s.replicas,
-		reg:           s.reg,
 		tel:           newClientTelemetry(s.reg),
 		ring:          ring,
-		pools:         make(map[string]*kvserver.Pool, len(s.seeds)),
+		peers:         make(map[string]*replica, len(s.seeds)),
 		discoverEvery: s.discoverEvery,
 		discoveryDone: make(chan struct{}),
 	}
 	for _, node := range s.seeds {
-		if _, dup := c.pools[node]; dup {
+		if _, dup := c.peers[node]; dup {
 			return nil, fmt.Errorf("cluster: duplicate node %q", node)
 		}
 		if err := c.addNode(node); err != nil {

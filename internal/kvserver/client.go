@@ -13,23 +13,8 @@ import (
 
 // errBadRequest tags client-side validation failures (invalid key,
 // embedding or threshold, mismatched MSet arity): the request never
-// formed, so retrying it verbatim can only fail the same way.
+// formed, so no byte of it reached the socket.
 var errBadRequest = errors.New("kvserver: bad request")
-
-// countingConn counts the bytes actually handed to the socket, so the pool
-// can prove a failed mutation never reached the wire (and is therefore
-// safe to retry). Client is single-goroutine, so a plain counter suffices;
-// cross-goroutine handoff through the pool's channel orders the accesses.
-type countingConn struct {
-	net.Conn
-	n int64
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.n += int64(n)
-	return n, err
-}
 
 // Client is a connection to a kvserver. It is not safe for concurrent use;
 // open one client per goroutine (the server handles each connection
@@ -40,7 +25,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // client owns and reuses, so each verb has exactly one frame writer (which
 // validates before writing a byte) and each reply shape one reader.
 type Client struct {
-	conn    *countingConn
+	conn    net.Conn
 	r       *bufio.Reader
 	w       *bufio.Writer
 	timeout time.Duration
@@ -62,21 +47,15 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // faultnet-wrapped conn, a TLS session — in a Client with Dial's per-flush
 // and per-read timeout. The Client owns conn and closes it on Close.
 func NewClient(conn net.Conn, timeout time.Duration) *Client {
-	cc := &countingConn{Conn: conn}
 	c := &Client{
-		conn:    cc,
-		r:       bufio.NewReaderSize(cc, connBufSize),
-		w:       bufio.NewWriterSize(cc, connBufSize),
+		conn:    conn,
+		r:       bufio.NewReaderSize(conn, connBufSize),
+		w:       bufio.NewWriterSize(conn, connBufSize),
 		timeout: timeout,
 	}
 	c.one.c = c
 	return c
 }
-
-// wroteBytes reports the cumulative bytes delivered to the socket; the
-// pool diffs marks around an op to classify failures as pre- or
-// post-write.
-func (c *Client) wroteBytes() int64 { return c.conn.n }
 
 // Close sends QUIT and closes the connection.
 func (c *Client) Close() error {

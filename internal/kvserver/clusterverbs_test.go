@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"spidercache/internal/simclock"
 )
 
 // fakeHooks records ClusterHooks calls so tests can assert exactly what
@@ -158,52 +156,17 @@ func TestNodesReplyRejectsInvalidAddress(t *testing.T) {
 	}
 }
 
-func TestBreakerServingTracksProbeQuota(t *testing.T) {
-	clock := &simclock.Clock{}
-	b := newTestBreaker(clock)
-
-	if !b.Serving() {
-		t.Fatal("closed breaker reports not serving")
-	}
-	for i := 0; i < 4; i++ {
-		b.Allow()
-		b.Record(false)
-	}
-	if b.Serving() {
-		t.Fatal("open breaker reports serving")
-	}
-
-	// Half-open: serving only while probe quota (2) remains.
-	clock.Advance(100 * time.Millisecond)
-	if !b.Serving() {
-		t.Fatal("half-open breaker with free probe quota reports not serving")
-	}
-	b.Allow()
-	if !b.Serving() {
-		t.Fatal("half-open breaker with one probe left reports not serving")
-	}
-	b.Allow()
-	if b.Serving() {
-		t.Fatal("half-open breaker with exhausted probe quota reports serving — ops would see fail-fast errors while Health claims healthy")
-	}
-	b.Record(true)
-	b.Record(true)
-	if !b.Serving() {
-		t.Fatal("re-closed breaker reports not serving")
-	}
-}
-
 func TestConfigFlagBindingAndDerivation(t *testing.T) {
 	cfg := DefaultConfig()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	cfg.BindStoreFlags(fs)
 	cfg.BindPoolFlags(fs)
-	err := fs.Parse([]string{"-capacity", "512", "-shards", "2", "-conns", "7", "-timeout", "3s", "-retries", "5"})
+	err := fs.Parse([]string{"-capacity", "512", "-shards", "2", "-conns", "7", "-timeout", "3s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Capacity != 512 || cfg.Shards != 2 || cfg.PoolSize != 7 ||
-		cfg.Timeout != 3*time.Second || cfg.Retries != 5 {
+		cfg.Timeout != 3*time.Second {
 		t.Fatalf("flag binding produced %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -214,24 +177,17 @@ func TestConfigFlagBindingAndDerivation(t *testing.T) {
 	if srv := serve(t, cfg, nil, nil); srv.Shards() != 2 {
 		t.Fatalf("server built %d shards from -shards 2", srv.Shards())
 	}
-	cfg.Breaker = &BreakerOptions{Window: 4}
-	p1 := NewPool("127.0.0.1:1", cfg, nil)
-	defer p1.Close()
-	p2 := NewPool("127.0.0.1:2", cfg, nil)
-	defer p2.Close()
-	if cap(p1.conns) != 7 || p1.timeout != 3*time.Second || p1.retries != 5 {
-		t.Fatalf("pool built size %d, timeout %v, retries %d from the Config", cap(p1.conns), p1.timeout, p1.retries)
-	}
-	if p1.Breaker() == nil || p1.Breaker() == p2.Breaker() {
-		t.Fatal("pools must each build their own breaker from the template")
+	p := NewPool("127.0.0.1:1", cfg)
+	defer p.Close()
+	if cap(p.conns) != 7 || p.timeout != 3*time.Second {
+		t.Fatalf("pool built size %d, timeout %v from the Config", cap(p.conns), p.timeout)
 	}
 
 	for _, bad := range []Config{
-		{Capacity: 0, PoolSize: 1, Retries: 1},
-		{Capacity: 1, PoolSize: 0, Retries: 1},
-		{Capacity: 1, PoolSize: 1, Retries: 0},
-		{Capacity: 1, PoolSize: 1, Retries: 1, Shards: -1},
-		{Capacity: 1, PoolSize: 1, Retries: 1, Timeout: -time.Second},
+		{Capacity: 0, PoolSize: 1},
+		{Capacity: 1, PoolSize: 0},
+		{Capacity: 1, PoolSize: 1, Shards: -1},
+		{Capacity: 1, PoolSize: 1, Timeout: -time.Second},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("Validate accepted %+v", bad)

@@ -8,8 +8,7 @@ import (
 
 // Config is the one kvserver option set: every knob a deployment tunes,
 // server side (store capacity, shard count) and client side (pool size,
-// timeout, retry budget, breaker), with one set of defaults and one
-// validation site. Serve and NewPool take a Config, and the binaries bind
+// timeout), with one set of defaults and one validation site. Serve and NewPool take a Config, and the binaries bind
 // their flags through BindStoreFlags/BindPoolFlags, so spiderkv flags and
 // Go callers share names, defaults and validation by construction.
 type Config struct {
@@ -25,13 +24,6 @@ type Config struct {
 	// Timeout bounds each dial, reply read and request flush on client
 	// connections (default 10s; 0 means block indefinitely).
 	Timeout time.Duration
-	// Retries is the total attempt budget for idempotent pool ops; 1 means
-	// a single attempt (default 8). Mutations keep their provably-safe
-	// retry rule regardless (see Pool).
-	Retries int
-	// Breaker is the per-node circuit breaker template; nil disables it.
-	// Every pool builds its own breaker from it.
-	Breaker *BreakerOptions
 }
 
 // DefaultConfig returns the shared defaults every binary starts from.
@@ -41,7 +33,6 @@ func DefaultConfig() Config {
 		Shards:   0,
 		PoolSize: 4,
 		Timeout:  10 * time.Second,
-		Retries:  8,
 	}
 }
 
@@ -52,12 +43,11 @@ func (c *Config) BindStoreFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Shards, "shards", c.Shards, "store shards (0 = auto)")
 }
 
-// BindPoolFlags registers the client-side knobs on fs (-conns, -timeout,
-// -retries), using the Config's current values as defaults.
+// BindPoolFlags registers the client-side knobs on fs (-conns, -timeout),
+// using the Config's current values as defaults.
 func (c *Config) BindPoolFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.PoolSize, "conns", c.PoolSize, "concurrent client connections per node")
 	fs.DurationVar(&c.Timeout, "timeout", c.Timeout, "per-connection dial/read/write timeout")
-	fs.IntVar(&c.Retries, "retries", c.Retries, "attempts per idempotent op (1 = no retries)")
 }
 
 // Validate rejects values no Server or Pool would accept, with the flag
@@ -71,9 +61,6 @@ func (c Config) Validate() error {
 	}
 	if c.PoolSize < 1 {
 		return fmt.Errorf("kvserver: -conns must be >= 1, got %d", c.PoolSize)
-	}
-	if c.Retries < 1 {
-		return fmt.Errorf("kvserver: -retries must be >= 1, got %d", c.Retries)
 	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("kvserver: -timeout must be >= 0, got %v", c.Timeout)

@@ -51,6 +51,33 @@ func dial(t testing.TB, srv *Server) *Client {
 	return c
 }
 
+// countingConn counts the bytes a client hands to its socket, so a test
+// can prove a rejected request never reached the wire.
+type countingConn struct {
+	net.Conn
+	n int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// dialCounting is dial over a countingConn, which it returns beside the
+// client.
+func dialCounting(t testing.TB, srv *Server) (*Client, *countingConn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: conn}
+	c := NewClient(cc, 0)
+	t.Cleanup(func() { c.Close() })
+	return c, cc
+}
+
 // TestServeValidation: Serve rejects an invalid Config and, owning the
 // listener from the call on, closes it.
 func TestServeValidation(t *testing.T) {
@@ -152,7 +179,7 @@ func TestStatsOverWire(t *testing.T) {
 // smuggle a second command — and the client stays in step afterwards.
 func TestInvalidClientKey(t *testing.T) {
 	srv := startServer(t, 8)
-	c := dial(t, srv)
+	c, conn := dialCounting(t, srv)
 	if err := c.Set("kept", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +197,11 @@ func TestInvalidClientKey(t *testing.T) {
 	}
 	for name, verb := range verbs {
 		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nDEL kept"} {
-			before := c.wroteBytes()
+			before := conn.n
 			if err := verb(key); !errors.Is(err, errBadRequest) {
 				t.Errorf("%s(%q) = %v, want errBadRequest", name, key, err)
 			}
-			if after := c.wroteBytes(); after != before {
+			if after := conn.n; after != before {
 				t.Errorf("%s(%q) wrote %d bytes before failing", name, key, after-before)
 			}
 		}

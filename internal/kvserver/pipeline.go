@@ -186,7 +186,7 @@ func (p *Pipeline) exec(results []Result) error {
 			err = p.c.readStored(verbs[kind])
 		}
 		if err != nil {
-			if isTransportErr(err) {
+			if IsTransportErr(err) {
 				return err
 			}
 			r.Err = err
@@ -195,13 +195,15 @@ func (p *Pipeline) exec(results []Result) error {
 	return nil
 }
 
-// isTransportErr distinguishes connection-level failures (the reply stream
-// is unusable, remaining replies will never arrive — abort the Exec) from
-// unexpected-reply parses, which the client wraps with a "kvserver:"
-// prefix and which consume exactly one reply (safe to report per-op and
-// keep reading). A SERVER_ERROR reply also closes the server side, so the
-// next read aborts as a transport error anyway.
-func isTransportErr(err error) bool {
+// IsTransportErr distinguishes connection-level failures (a dial, read or
+// write that failed: the reply stream is unusable, remaining replies will
+// never arrive — abort the Exec) from errors the client raises itself with
+// a "kvserver:" prefix: unexpected-reply parses, which consume exactly one
+// reply (safe to report per-op and keep reading), rejected requests and
+// ErrPoolClosed. Only a transport error says the node may be down; a node
+// that answered, however oddly, is up. A SERVER_ERROR reply also closes
+// the server side, so the next read aborts as a transport error anyway.
+func IsTransportErr(err error) bool {
 	s := err.Error()
 	return !(len(s) >= 9 && s[:9] == "kvserver:")
 }

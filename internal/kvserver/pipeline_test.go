@@ -69,7 +69,7 @@ func TestPipelineEmptyExec(t *testing.T) {
 
 func TestPipelineInvalidKeyAborts(t *testing.T) {
 	srv := startServer(t, 4)
-	c := dial(t, srv)
+	c, conn := dialCounting(t, srv)
 	p := c.Pipeline()
 	p.Set("ok", []byte("v"))
 	p.Get("has space")
@@ -79,8 +79,8 @@ func TestPipelineInvalidKeyAborts(t *testing.T) {
 	}
 	// Nothing of the aborted pipeline was sent, not even the valid Set
 	// queued before the bad key, so the client is still in step.
-	if c.wroteBytes() != 0 {
-		t.Fatalf("aborted pipeline wrote %d bytes", c.wroteBytes())
+	if conn.n != 0 {
+		t.Fatalf("aborted pipeline wrote %d bytes", conn.n)
 	}
 	if _, found, err := c.Get("ok"); err != nil || found {
 		t.Fatalf("Get after aborted pipeline = %v, %v; want a clean miss", found, err)

@@ -2,15 +2,12 @@ package kvserver
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"spidercache/internal/leakcheck"
-	"spidercache/internal/simclock"
-	"spidercache/internal/telemetry"
 )
 
 // TestPoolAcquireCloseRace is the regression test for the acquire/Close
@@ -22,7 +19,7 @@ func TestPoolAcquireCloseRace(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
 	for iter := 0; iter < 1000; iter++ {
-		pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
+		pool := NewPool(srv.Addr(), Config{PoolSize: 1})
 		// Check out the only connection so the concurrent acquire blocks
 		// on the empty channel — the exact shape of the original deadlock.
 		held, err := pool.acquire()
@@ -113,7 +110,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 		}
 	}()
 
-	pool := NewPool(proxy.Addr().String(), Config{PoolSize: 1}, nil)
+	pool := NewPool(proxy.Addr().String(), Config{PoolSize: 1})
 	// The slot starts undialled, so this acquire dials through the
 	// gated proxy. TCP connect succeeds immediately (the proxy accepted);
 	// the pool is then closed before acquire's post-redial check runs.
@@ -143,7 +140,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 func TestPoolReleaseNilPanics(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
 	defer pool.Close()
 	defer func() {
 		if recover() == nil {
@@ -156,7 +153,7 @@ func TestPoolReleaseNilPanics(t *testing.T) {
 func TestPoolLazyDial(t *testing.T) {
 	leakcheck.Check(t)
 	// A pool against a node that is down is built all the same...
-	pool := NewPool("127.0.0.1:1", Config{PoolSize: 2}, nil)
+	pool := NewPool("127.0.0.1:1", Config{PoolSize: 2})
 	if _, _, err := pool.Get("k"); err == nil {
 		t.Fatal("Get against a down node succeeded")
 	}
@@ -164,7 +161,7 @@ func TestPoolLazyDial(t *testing.T) {
 
 	// ...and work normally once the node exists.
 	srv := startServer(t, 16)
-	pool = NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
+	pool = NewPool(srv.Addr(), Config{PoolSize: 2})
 	defer pool.Close()
 	if err := pool.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -174,124 +171,38 @@ func TestPoolLazyDial(t *testing.T) {
 	}
 }
 
-// TestPoolRetriesIdempotent: a Get over a connection the server has reset
-// succeeds transparently via the retry layer, and the retry is counted.
-func TestPoolRetriesIdempotent(t *testing.T) {
+// TestPoolRedialsBrokenSlot: an op over a connection that broke while it
+// sat in the pool fails once — the pool does not retry — and its slot
+// redials lazily, so the next op succeeds on a fresh connection.
+func TestPoolRedialsBrokenSlot(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	reg := telemetry.NewRegistry()
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Retries: 3}, reg)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
 	defer pool.Close()
 	if err := pool.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	// Poison the pooled connection from the client side; the next Get's
-	// first attempt fails mid-protocol and the retry redials.
+	// Poison the pooled connection from the client side.
 	c, err := pool.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.conn.Close()
 	pool.release(c)
+	if _, _, err := pool.Get("k"); err == nil || !IsTransportErr(err) {
+		t.Fatalf("Get over a broken conn = %v, want one transport error", err)
+	}
 	v, found, err := pool.Get("k")
 	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("Get over poisoned conn: %q %v %v", v, found, err)
+		t.Fatalf("Get after the redial: %q %v %v", v, found, err)
 	}
-	if got := reg.Counter("kv_retries_total", telemetry.Labels{"op": "get", "node": srv.Addr()}).Value(); got < 1 {
-		t.Fatalf("kv_retries_total{op=get} = %d, want >= 1", got)
-	}
-}
-
-// TestPoolMutationRetriesOnlyPreWrite: a Set whose connection dies before
-// any byte reaches the wire retries once; a Set that failed after bytes
-// were written must NOT be retried and surfaces the error.
-func TestPoolMutationRetry(t *testing.T) {
-	leakcheck.Check(t)
-	srv := startServer(t, 16)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Retries: 3}, nil)
-	defer pool.Close()
-
-	// Pre-write failure: close the pooled conn locally. The write to the
-	// closed conn fails with 0 bytes delivered -> provably pre-write ->
-	// one redial-and-retry -> success.
-	c, err := pool.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.conn.Close()
-	pool.release(c)
-	if err := pool.Set("k", []byte("v")); err != nil {
-		t.Fatalf("pre-write Set did not retry: %v", err)
-	}
-
-	// Post-write failure: a protocol error after a successful write (bad
-	// reply injected by driving the conn directly) must not be retried.
-	// Simulate by exhausting: an invalid key fails client-side without
-	// retry and without consuming attempts.
-	if err := pool.Set("bad key", []byte("v")); !errors.Is(err, errBadRequest) {
+	// A request rejected before it formed is not a transport error.
+	if err := pool.Set("bad key", []byte("v")); !errors.Is(err, errBadRequest) || IsTransportErr(err) {
 		t.Fatalf("invalid-key Set error = %v, want errBadRequest", err)
 	}
 }
 
-// TestPoolBreakerFailsFast: enough transport failures open the breaker;
-// further ops fail with ErrBreakerOpen without touching the network, and
-// after OpenFor the half-open probe closes it again.
-func TestPoolBreakerFailsFast(t *testing.T) {
-	leakcheck.Check(t)
-	srv := startServer(t, 16)
-	reg := telemetry.NewRegistry()
-	pool := NewPool(srv.Addr(), Config{
-		PoolSize: 1,
-		Breaker: &BreakerOptions{
-			Window:           8,
-			FailureThreshold: 0.5,
-			MinSamples:       2,
-			OpenFor:          50 * time.Millisecond,
-		},
-	}, reg)
-	defer pool.Close()
-	if err := pool.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Close the pooled conn client-side first so the server's handler
-	// exits and srv.Close (which waits for in-flight conns) returns.
-	c, err := pool.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.conn.Close()
-	pool.release(c)
-	// Stop the server: transport failures accumulate.
-	srv.Close()
-	for i := 0; i < 4; i++ {
-		// Failures are the point; the breaker observes them.
-		pool.Get("k")
-	}
-	if state := pool.Breaker().State(); state != BreakerOpen {
-		t.Fatalf("breaker state after failures = %v, want open", state)
-	}
-	if _, _, err := pool.Get("k"); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open-breaker Get error = %v, want ErrBreakerOpen", err)
-	}
-	if g := reg.Gauge("kv_breaker_state", telemetry.Labels{"node": srv.Addr()}).Value(); g != float64(BreakerOpen) {
-		t.Fatalf("kv_breaker_state gauge = %g, want %g", g, float64(BreakerOpen))
-	}
-
-	// Recovery: restart a server on a fresh addr is not possible (addr is
-	// baked into the pool), so verify the half-open probe path by waiting
-	// out OpenFor and observing the probe attempt (which fails, reopening).
-	time.Sleep(60 * time.Millisecond)
-	_, _, err = pool.Get("k")
-	if errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("half-open breaker denied the probe: %v", err)
-	}
-	if state := pool.Breaker().State(); state != BreakerOpen {
-		t.Fatalf("breaker state after failed probe = %v, want open (reopened)", state)
-	}
-}
-
-// TestPoolAttemptConservesSlots drives attempt through each of its outcomes
+// TestPoolAttemptConservesSlots drives Do through each of its outcomes
 // on a one-slot pool and checks that the slot always comes back: the
 // channel is full again and a follow-up op is served before a deadline. A
 // closed pool must instead answer the follow-up with ErrPoolClosed, fast,
@@ -299,51 +210,39 @@ func TestPoolBreakerFailsFast(t *testing.T) {
 func TestPoolAttemptConservesSlots(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	clock := &simclock.Clock{}
 	set := func(c *Client) error { return c.Set("k", []byte("v")) }
 	for _, tc := range []struct {
-		name                      string
-		run                       func(*Pool) (err error, preWrite bool)
-		wantErr, preWrite, closed bool
+		name            string
+		run             func(*Pool) error
+		wantErr, closed bool
 	}{
-		{name: "success", run: func(p *Pool) (error, bool) { return p.attempt(set) }},
-		{name: "f fails after writing", wantErr: true, run: func(p *Pool) (error, bool) {
-			return p.attempt(func(c *Client) error {
+		{name: "success", run: func(p *Pool) error { return p.Do(set) }},
+		{name: "f fails after writing", wantErr: true, run: func(p *Pool) error {
+			return p.Do(func(c *Client) error {
 				if err := set(c); err != nil {
 					return err
 				}
 				return errors.New("poisoned after the write")
 			})
 		}},
-		{name: "pre-write dial failure", wantErr: true, preWrite: true, run: func(p *Pool) (error, bool) {
+		{name: "pre-write dial failure", wantErr: true, run: func(p *Pool) error {
 			p.addr = "127.0.0.1:1"
 			defer func() { p.addr = srv.Addr() }()
-			return p.attempt(set)
+			return p.Do(set)
 		}},
-		{name: "closed pool", wantErr: true, preWrite: true, closed: true, run: func(p *Pool) (error, bool) {
+		{name: "closed pool", wantErr: true, closed: true, run: func(p *Pool) error {
 			// Closed while the connection is checked out, so the first
 			// hand-back must close it; then attempted again.
-			if err, _ := p.attempt(func(*Client) error { return p.Close() }); err != nil {
-				return err, false
+			if err := p.Do(func(*Client) error { return p.Close() }); err != nil {
+				return err
 			}
-			return p.attempt(set)
-		}},
-		{name: "half-open probe", run: func(p *Pool) (error, bool) {
-			p.breaker.Record(false)
-			p.breaker.Record(false)
-			clock.Advance(time.Second)
-			if s := p.breaker.State(); s != BreakerHalfOpen {
-				return fmt.Errorf("breaker %v, want half-open", s), false
-			}
-			return p.Set("k", []byte("v")), false
+			return p.Do(set)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewPool(srv.Addr(), Config{PoolSize: 1, Breaker: &BreakerOptions{
-				Window: 2, MinSamples: 2, OpenFor: time.Millisecond, Now: clock.Now,
-			}}, nil)
+			p := NewPool(srv.Addr(), Config{PoolSize: 1})
 			defer p.Close()
-			err, preWrite := tc.run(p)
+			err := tc.run(p)
 			want, wantFollowUp := cap(p.conns), error(nil)
 			if tc.closed {
 				want, wantFollowUp = 0, ErrPoolClosed
@@ -351,9 +250,8 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 			if len(p.conns) != want {
 				t.Fatalf("%d slots in the pool, want %d", len(p.conns), want)
 			}
-			if (err != nil) != tc.wantErr || (err != nil && preWrite != tc.preWrite) ||
-				(tc.closed && !errors.Is(err, ErrPoolClosed)) {
-				t.Fatalf("attempt = (%v, preWrite %v)", err, preWrite)
+			if (err != nil) != tc.wantErr || (tc.closed && !errors.Is(err, ErrPoolClosed)) {
+				t.Fatalf("Do = %v", err)
 			}
 			done := make(chan error, 1)
 			go func() { done <- p.Set("follow-up", []byte("v")) }()
@@ -363,7 +261,7 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 					t.Fatalf("follow-up op: %v, want %v", err, wantFollowUp)
 				}
 			case <-time.After(2 * time.Second):
-				t.Fatal("follow-up op blocked: attempt leaked the slot")
+				t.Fatal("follow-up op blocked: Do leaked the slot")
 			}
 		})
 	}

@@ -13,7 +13,7 @@ import (
 func TestPoolBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
 	defer pool.Close()
 
 	if err := pool.Set("k", []byte("v")); err != nil {
@@ -38,7 +38,7 @@ func TestPoolBasicOps(t *testing.T) {
 func TestPoolConcurrent(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4096)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 4}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 4})
 	defer pool.Close()
 
 	const goroutines = 16 // 4x oversubscribed: exercises acquire blocking
@@ -75,7 +75,7 @@ func TestPoolConcurrent(t *testing.T) {
 func TestPoolRecoversFromBrokenConn(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
 	defer pool.Close()
 
 	// Break the pooled connection from inside a Do: close the raw conn so
@@ -97,7 +97,7 @@ func TestPoolRecoversFromBrokenConn(t *testing.T) {
 func TestPoolPipeline(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
 	defer pool.Close()
 
 	err := pool.Do(func(c *Client) error {
@@ -122,7 +122,7 @@ func TestPoolPipeline(t *testing.T) {
 func TestPoolClose(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 2}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPoolClose(t *testing.T) {
 func TestPoolDeadlines(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Timeout: time.Second}, nil)
+	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Timeout: time.Second})
 	defer pool.Close()
 	// Deadlines are re-armed per op: two ops with a pause between them must
 	// both succeed even with a short window relative to total test time.

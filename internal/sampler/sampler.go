@@ -6,8 +6,6 @@
 //   - Multinomial: biased sampling with replacement from a weight vector,
 //     the torch.multinomial analogue SpiderCache uses over its
 //     graph-based global scores
-//   - LossBased:   SHADE-style loss-driven weighting — weights track each
-//     sample's most recent loss
 //   - Selective:   the compute-bound IS of Jiang et al. adopted by iCache —
 //     per-batch backprop skipping for low-loss samples
 //
@@ -136,55 +134,6 @@ func (m *Multinomial) EpochOrder(int) []int {
 	}
 	return out
 }
-
-// LossBased is the SHADE-style sampler: per-sample weights follow the most
-// recent observed loss (higher loss -> sampled more often). Unobserved
-// samples keep a prior weight equal to the running mean loss so they stay in
-// rotation.
-type LossBased struct {
-	inner    *Multinomial
-	seen     []bool
-	lossSum  float64
-	lossObs  float64
-	priorSet bool
-}
-
-// NewLossBased returns a loss-weighted multinomial sampler over n samples.
-func NewLossBased(n int, seed uint64) (*LossBased, error) {
-	inner, err := NewMultinomial(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &LossBased{inner: inner, seen: make([]bool, n)}, nil
-}
-
-// ObserveLoss records the loss of sample id from the latest forward pass.
-func (l *LossBased) ObserveLoss(id int, loss float64) {
-	l.inner.SetWeight(id, loss)
-	if !l.seen[id] {
-		l.seen[id] = true
-	}
-	l.lossSum += loss
-	l.lossObs++
-	l.priorSet = false
-}
-
-// EpochOrder refreshes the unseen-sample prior then draws the epoch order.
-func (l *LossBased) EpochOrder(epoch int) []int {
-	if !l.priorSet && l.lossObs > 0 {
-		prior := l.lossSum / l.lossObs
-		for id, s := range l.seen {
-			if !s {
-				l.inner.SetWeight(id, prior)
-			}
-		}
-		l.priorSet = true
-	}
-	return l.inner.EpochOrder(epoch)
-}
-
-// Weight exposes the current weight of id (tests and diagnostics).
-func (l *LossBased) Weight(id int) float64 { return l.inner.Weights()[id] }
 
 // Selective implements the compute-bound IS adopted by iCache (Jiang et
 // al.'s selective backprop): the epoch order stays uniform — which is why

@@ -160,34 +160,6 @@ func TestAliasNegativeWeightsClamped(t *testing.T) {
 	}
 }
 
-func TestLossBasedPrioritisesHighLoss(t *testing.T) {
-	lb, err := NewLossBased(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb.ObserveLoss(0, 0.01)
-	lb.ObserveLoss(1, 5.0)
-	lb.ObserveLoss(2, 0.01)
-	counts := make([]int, 3)
-	for e := 0; e < 3000; e++ {
-		for _, id := range lb.EpochOrder(e) {
-			counts[id]++
-		}
-	}
-	if counts[1] <= counts[0] || counts[1] <= counts[2] {
-		t.Fatalf("high-loss sample not prioritised: %v", counts)
-	}
-}
-
-func TestLossBasedUnseenPrior(t *testing.T) {
-	lb, _ := NewLossBased(2, 10)
-	lb.ObserveLoss(0, 2.0)
-	lb.EpochOrder(0) // triggers prior refresh
-	if w := lb.Weight(1); math.Abs(w-2.0) > 1e-9 {
-		t.Fatalf("unseen prior weight %g, want 2.0 (mean observed loss)", w)
-	}
-}
-
 func TestSelectiveUniformOrder(t *testing.T) {
 	s, err := NewSelective(50, 0.4, 11)
 	if err != nil {

@@ -2,7 +2,8 @@
 # One-shot verification gate: formatting, module hygiene, build, vet with an
 # explicit check list, the project's own static analysis (spiderlint), the
 # full test suite, the hnsw allocation gate, the bench module's vet and short
-# tests, and the race-sensitive subset under -race. Everything CI
+# tests, the race-sensitive subset under -race, and the kill-a-node schedule
+# five times under -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -98,5 +99,12 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
         ./internal/par/... ./internal/leakcheck/... \
         ./internal/faultnet/... ./internal/cluster/...
 fi
+
+# The failure path's only behavioural gate: a daemon killed under load,
+# through a discovering client and through the static-seed client the
+# benchmarks build. One pass can get lucky with timing, so run each five
+# times under the race detector.
+echo "== kill-a-node (-race -count=5)"
+go test -race -count=5 -run '^TestKillNodeMidRun' ./internal/cluster/
 
 echo "check.sh: all gates passed"
