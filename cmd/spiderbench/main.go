@@ -7,6 +7,8 @@
 //	spiderbench -exp fig14 -format csv     # machine-readable output
 //	spiderbench -exp table3 -metrics       # telemetry snapshot after the runs
 //	spiderbench -list
+//
+// Runs use up to GOMAXPROCS cores; the tables are the same at any value.
 package main
 
 import (
@@ -28,7 +30,6 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
 		epochs  = flag.Int("epochs", 0, "override each experiment's default epoch count (0 = defaults)")
 		seed    = flag.Uint64("seed", 42, "random seed")
-		threads = flag.Int("threads", 0, "CPU threads for tensor kernels and batch scoring (0 = all cores, 1 = serial)")
 		format  = flag.String("format", "text", "output format: text or csv")
 		outDir  = flag.String("out", "", "also write each experiment's CSV to <dir>/<id>.csv")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
@@ -65,7 +66,7 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		rep, err := experiments.Run(id, experiments.Options{
-			Scale: *scale, EpochOverride: *epochs, Seed: *seed, Metrics: reg, Threads: *threads,
+			Scale: *scale, EpochOverride: *epochs, Seed: *seed, Metrics: reg,
 		})
 		if err != nil {
 			fatal(id, err)

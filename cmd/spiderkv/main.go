@@ -11,12 +11,13 @@
 //
 // The first daemon bootstraps a cluster of one; each further daemon is
 // pointed at any live member with -join and gossips its way in. Every
-// member must agree on -replicas and -ring-points for placement to
-// converge. -conns and -timeout size the peer pools that carry
-// replication, rebalance and gossip; every peer op is one attempt, and a
-// failed push is counted, not retried. Clients connect with cluster.New(cluster.WithSeeds(...),
-// cluster.WithDiscovery(...)) and discover the rest of the topology from
-// any one member.
+// member must agree on -replicas for placement to converge; the ring's 128
+// virtual points per node are a constant that members and clients share.
+// -conns and -timeout size the peer pools that carry replication,
+// rebalance and gossip; every peer op is one attempt, and a failed push is
+// counted, not retried. Clients connect with
+// cluster.New(cluster.WithSeeds(...), cluster.WithDiscovery(...)) and
+// discover the rest of the topology from any one member.
 //
 // The daemon exits on SIGINT/SIGTERM after a graceful close: gossip and
 // migration stop, in-flight sessions drain, peer pools shut down.
@@ -40,13 +41,12 @@ func main() {
 	cfg := kvserver.DefaultConfig()
 	fs := flag.NewFlagSet("spiderkv", flag.ExitOnError)
 	var (
-		listen     = fs.String("listen", "127.0.0.1:7461", "address to bind")
-		advertise  = fs.String("advertise", "", "address peers and clients dial to reach this node (default: the bound address)")
-		join       = fs.String("join", "", "comma-separated addresses of existing members to join through")
-		replicas   = fs.Int("replicas", 2, "distinct ring owners per key (replication factor; must match across the cluster)")
-		gossip     = fs.Duration("gossip", 500*time.Millisecond, "membership gossip interval")
-		deadAfter  = fs.Int("dead-after", 3, "consecutive failed gossip rounds before a peer is expelled")
-		ringPoints = fs.Int("ring-points", 128, "virtual ring points per node (must match across the cluster)")
+		listen    = fs.String("listen", "127.0.0.1:7461", "address to bind")
+		advertise = fs.String("advertise", "", "address peers and clients dial to reach this node (default: the bound address)")
+		join      = fs.String("join", "", "comma-separated addresses of existing members to join through")
+		replicas  = fs.Int("replicas", 2, "distinct ring owners per key (replication factor; must match across the cluster)")
+		gossip    = fs.Duration("gossip", 500*time.Millisecond, "membership gossip interval")
+		deadAfter = fs.Int("dead-after", 3, "consecutive failed gossip rounds before a peer is expelled")
 	)
 	cfg.BindStoreFlags(fs)
 	cfg.BindPoolFlags(fs)
@@ -69,7 +69,6 @@ func main() {
 		Store:       cfg,
 		GossipEvery: *gossip,
 		DeadAfter:   *deadAfter,
-		RingPoints:  *ringPoints,
 		Registry:    reg,
 	})
 	if err != nil {

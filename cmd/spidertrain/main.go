@@ -6,6 +6,8 @@
 //	spidertrain -dataset cifar10 -model ResNet18 -policy spider \
 //	    -epochs 30 -cache 0.2 -scale 1.0 -workers 1 -seed 42
 //
+// The run uses up to GOMAXPROCS cores; its output is the same at any value.
+//
 // Observability:
 //
 //	spidertrain -metrics                  # dump telemetry at exit (Prometheus text)
@@ -36,7 +38,6 @@ func main() {
 		cache   = flag.Float64("cache", 0.2, "cache size as a fraction of the dataset")
 		scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
 		workers = flag.Int("workers", 1, "simulated data-parallel GPU count")
-		threads = flag.Int("threads", 0, "CPU threads for tensor kernels and batch scoring (0 = all cores, 1 = serial)")
 		seed    = flag.Uint64("seed", 42, "random seed")
 		rStart  = flag.Float64("rstart", 0.90, "SpiderCache initial imp-ratio")
 		rEnd    = flag.Float64("rend", 0.80, "SpiderCache final imp-ratio")
@@ -87,7 +88,6 @@ func main() {
 		spidercache.WithWorkers(*workers),
 		spidercache.WithSeed(*seed),
 		spidercache.WithElasticRange(*rStart, *rEnd),
-		spidercache.WithThreads(*threads),
 		spidercache.WithMetrics(reg),
 	}
 	if *static {

@@ -206,7 +206,6 @@ func TestNewOptionValidation(t *testing.T) {
 		"bad replicas":       {WithSeeds("x:1"), WithReplicas(0)},
 		"bad discovery":      {WithSeeds("x:1"), WithDiscovery(0)},
 		"bad pool size":      {WithSeeds("x:1"), WithPoolSize(0)},
-		"bad ring points":    {WithSeeds("x:1"), WithRingPoints(-1)},
 		"bad timeout":        {WithSeeds("x:1"), WithTimeout(-time.Second)},
 		"duplicate seeds":    {WithSeeds("x:1", "x:1")},
 		"first error sticks": {WithReplicas(-1), WithSeeds()},
@@ -231,8 +230,8 @@ func TestNewAppliesOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := kvserver.Config{PoolSize: 2}
-	if c.replicas != 2 || c.ring.replicas != 128 || !reflect.DeepEqual(c.pool, want) {
-		t.Fatalf("defaults: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
+	if c.replicas != 2 || c.ring.points != ringPoints || !reflect.DeepEqual(c.pool, want) {
+		t.Fatalf("defaults: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.points, c.pool)
 	}
 	if r := c.peers[srv.Addr()]; r == nil || r.breaker == nil || r.breaker.current() != breakerClosed {
 		t.Fatalf("node %s has no closed breaker: %+v", srv.Addr(), r)
@@ -244,7 +243,6 @@ func TestNewAppliesOptions(t *testing.T) {
 		WithSeeds(srv.Addr()),
 		WithReplicas(3),
 		WithPoolSize(5),
-		WithRingPoints(64),
 		WithTimeout(time.Second),
 	)
 	if err != nil {
@@ -252,7 +250,7 @@ func TestNewAppliesOptions(t *testing.T) {
 	}
 	defer c.Close()
 	want = kvserver.Config{PoolSize: 5, Timeout: time.Second}
-	if c.replicas != 3 || c.ring.replicas != 64 || !reflect.DeepEqual(c.pool, want) {
-		t.Fatalf("options not applied: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.replicas, c.pool)
+	if c.replicas != 3 || !reflect.DeepEqual(c.pool, want) {
+		t.Fatalf("options not applied: replicas %d, pool %+v", c.replicas, c.pool)
 	}
 }

@@ -34,9 +34,6 @@ type NodeOptions struct {
 	// DeadAfter is how many consecutive failed gossip rounds expel a peer
 	// (default 3).
 	DeadAfter int
-	// RingPoints is the virtual points per node on the placement ring
-	// (default 128). All members must agree on this too.
-	RingPoints int
 	// Registry receives the node's telemetry (and the embedded server's,
 	// so METRICS exposes both); nil means the server keeps a private
 	// registry and the node records nothing.
@@ -52,9 +49,6 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3
-	}
-	if o.RingPoints <= 0 {
-		o.RingPoints = 128
 	}
 	return o
 }
@@ -146,7 +140,7 @@ type Node struct {
 // and learns the rest of the cluster through gossip with its seeds.
 func StartNode(opts NodeOptions) (*Node, error) {
 	opts = opts.withDefaults()
-	ring, err := NewRing(opts.RingPoints)
+	ring, err := NewRing(ringPoints)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,6 @@ type clientSettings struct {
 	discoverEvery time.Duration
 	pool          kvserver.Config // per-node pool template
 	replicas      int
-	ringPoints    int
 	reg           *telemetry.Registry
 	err           error
 }
@@ -95,18 +94,6 @@ func WithPoolSize(n int) Option {
 	}
 }
 
-// WithRingPoints sets the virtual points per node on the placement ring
-// (default 128; higher = smoother balance, larger ring).
-func WithRingPoints(n int) Option {
-	return func(s *clientSettings) {
-		if n < 1 {
-			s.fail(fmt.Errorf("cluster: WithRingPoints needs n >= 1, got %d", n))
-			return
-		}
-		s.ringPoints = n
-	}
-}
-
 // WithMetrics routes the client's telemetry, per-node breaker states
 // included, into reg.
 func WithMetrics(reg *telemetry.Registry) Option {
@@ -124,9 +111,8 @@ func WithMetrics(reg *telemetry.Registry) Option {
 // while some (or all) nodes are down and traffic flows as they come up.
 func New(opts ...Option) (*Client, error) {
 	s := clientSettings{
-		pool:       kvserver.Config{PoolSize: 2},
-		replicas:   2,
-		ringPoints: 128,
+		pool:     kvserver.Config{PoolSize: 2},
+		replicas: 2,
 	}
 	for _, opt := range opts {
 		opt(&s)
@@ -137,7 +123,7 @@ func New(opts ...Option) (*Client, error) {
 	if len(s.seeds) == 0 {
 		return nil, fmt.Errorf("cluster: New requires WithSeeds")
 	}
-	ring, err := NewRing(s.ringPoints)
+	ring, err := NewRing(ringPoints)
 	if err != nil {
 		return nil, err
 	}

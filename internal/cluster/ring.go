@@ -16,12 +16,17 @@ import (
 	"sync"
 )
 
+// ringPoints is the number of virtual points each node takes on the
+// placement ring. Every member and client of a cluster must place keys
+// alike, so it is a constant, not a setting.
+const ringPoints = 128
+
 // Ring is a consistent-hash ring. It is safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []ringPoint // sorted by hash
-	nodes    map[string]struct{}
+	mu     sync.RWMutex
+	points int         // virtual points per node
+	circle []ringPoint // every node's points, sorted by hash
+	nodes  map[string]struct{}
 }
 
 type ringPoint struct {
@@ -29,13 +34,14 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing creates a ring placing each node at `replicas` virtual points
-// (typical values 64-512; higher = smoother balance, larger ring).
-func NewRing(replicas int) (*Ring, error) {
-	if replicas < 1 {
-		return nil, fmt.Errorf("cluster: replicas must be >= 1, got %d", replicas)
+// NewRing creates a ring placing each node at `points` virtual points
+// (higher = smoother balance, larger ring). Nodes and clients use
+// ringPoints; tests build smaller rings.
+func NewRing(points int) (*Ring, error) {
+	if points < 1 {
+		return nil, fmt.Errorf("cluster: ring points must be >= 1, got %d", points)
 	}
-	return &Ring{replicas: replicas, nodes: make(map[string]struct{})}, nil
+	return &Ring{points: points, nodes: make(map[string]struct{})}, nil
 }
 
 // hash64 is FNV-1a over the string, mixed through SplitMix64's finaliser for
@@ -63,10 +69,10 @@ func (r *Ring) Add(node string) error {
 		return nil
 	}
 	r.nodes[node] = struct{}{}
-	for v := 0; v < r.replicas; v++ {
-		r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, v)), node: node})
+	for v := 0; v < r.points; v++ {
+		r.circle = append(r.circle, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, v)), node: node})
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	sort.Slice(r.circle, func(i, j int) bool { return r.circle[i].hash < r.circle[j].hash })
 	return nil
 }
 
@@ -78,13 +84,13 @@ func (r *Ring) Remove(node string) {
 		return
 	}
 	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
+	kept := r.circle[:0]
+	for _, p := range r.circle {
 		if p.node != node {
 			kept = append(kept, p)
 		}
 	}
-	r.points = kept
+	r.circle = kept
 }
 
 // Nodes returns the current node set (sorted).
@@ -113,15 +119,15 @@ func (r *Ring) Owner(id int) string { return r.OwnerKey(key(id)) }
 func (r *Ring) OwnerKey(k string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
+	if len(r.circle) == 0 {
 		return ""
 	}
 	h := hash64(k)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
+	i := sort.Search(len(r.circle), func(i int) bool { return r.circle[i].hash >= h })
+	if i == len(r.circle) {
 		i = 0
 	}
-	return r.points[i].node
+	return r.circle[i].node
 }
 
 // Owners returns the distinct nodes owning the first `n` replicas-worth of
@@ -133,15 +139,15 @@ func (r *Ring) Owners(id, n int) []string { return r.OwnersKey(key(id), n) }
 func (r *Ring) OwnersKey(k string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.points) == 0 || n < 1 {
+	if len(r.circle) == 0 || n < 1 {
 		return nil
 	}
 	h := hash64(k)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := sort.Search(len(r.circle), func(i int) bool { return r.circle[i].hash >= h })
 	seen := make(map[string]struct{}, n)
 	out := make([]string, 0, n)
-	for steps := 0; steps < len(r.points) && len(out) < n; steps++ {
-		p := r.points[(i+steps)%len(r.points)]
+	for steps := 0; steps < len(r.circle) && len(out) < n; steps++ {
+		p := r.circle[(i+steps)%len(r.circle)]
 		if _, dup := seen[p.node]; dup {
 			continue
 		}

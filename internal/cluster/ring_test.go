@@ -7,7 +7,7 @@ import (
 
 func ringWith(t *testing.T, nodes ...string) *Ring {
 	t.Helper()
-	r, err := NewRing(128)
+	r, err := NewRing(ringPoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func ringWith(t *testing.T, nodes ...string) *Ring {
 
 func TestNewRingValidation(t *testing.T) {
 	if _, err := NewRing(0); err == nil {
-		t.Fatal("zero replicas accepted")
+		t.Fatal("zero points accepted")
 	}
 	r, _ := NewRing(4)
 	if err := r.Add(""); err == nil {

@@ -29,7 +29,10 @@ import (
 	"spidercache/internal/telemetry"
 )
 
-// Options configures a SpiderCache instance.
+// Options configures a SpiderCache instance. The algorithm's constants are
+// not among them: scoring runs at semgraph.DefaultConfig (λ, α and
+// neighborMax of Eqs. 2-4), the ANN index at hnsw.DefaultConfig and the
+// sampler at samplerMixing, and batch scoring uses up to GOMAXPROCS cores.
 type Options struct {
 	// Capacity is the total cache budget in items, split between the two
 	// sections by the imp-ratio.
@@ -38,11 +41,6 @@ type Options struct {
 	Labels []int
 	// Payloads are per-sample stored sizes in bytes.
 	Payloads []int
-	// Graph tunes the importance-score algorithm; zero value means
-	// semgraph.DefaultConfig.
-	Graph semgraph.Config
-	// HNSW tunes the ANN index; zero value means hnsw.DefaultConfig.
-	HNSW hnsw.Config
 	// Elastic tunes the cache manager; zero value means
 	// elastic.DefaultConfig(TotalEpochs).
 	Elastic elastic.Config
@@ -55,30 +53,22 @@ type Options struct {
 	// DisableElastic freezes the imp-ratio at Elastic.RStart — the static
 	// strategy of Table 6's "90%" column.
 	DisableElastic bool
-	// SamplerSmoothing mixes the score weights with their mean before
-	// drawing (see sampler.Multinomial); 0 means the default 0.75.
-	SamplerSmoothing float64
-	// Searcher overrides the ANN index (nil = HNSW built from Options.HNSW);
-	// tests inject the exact brute-force searcher here.
+	// Searcher overrides the ANN index (nil = HNSW at hnsw.DefaultConfig,
+	// seeded Seed+101); tests inject the exact brute-force searcher here.
 	Searcher semgraph.NeighborSearcher
 	// Metrics receives cache-internals telemetry (evictions, substitutions,
 	// elastic imp_ratio/σ trajectories); nil disables recording.
 	Metrics *telemetry.Registry
-	// Workers bounds the per-batch scoring fan-out (Grapher.ScoreBatch):
-	// 0 uses GOMAXPROCS, 1 forces serial scoring. Results are identical
-	// either way; this only trades wall-clock for cores.
-	Workers int
 	Seed    uint64
 }
 
+// samplerMixing is the sampler's mean-mixing coefficient: each sample is
+// drawn with weight score + samplerMixing·mean(score), so hard samples are
+// drawn more often while no region of easy samples starves (see
+// sampler.Multinomial). Every run uses 1.0.
+const samplerMixing = 1.0
+
 func (o *Options) fillDefaults() {
-	if o.Graph == (semgraph.Config{}) {
-		o.Graph = semgraph.DefaultConfig()
-	}
-	if o.HNSW == (hnsw.Config{}) {
-		o.HNSW = hnsw.DefaultConfig()
-		o.HNSW.Seed = o.Seed + 101
-	}
 	if o.Elastic == (elastic.Config{}) {
 		epochs := o.TotalEpochs
 		if epochs < 1 {
@@ -189,27 +179,24 @@ func New(opts Options) (*SpiderCache, error) {
 
 	searcher := opts.Searcher
 	if searcher == nil {
-		idx, err := hnsw.New(opts.HNSW)
+		hc := hnsw.DefaultConfig()
+		hc.Seed = opts.Seed + 101
+		idx, err := hnsw.New(hc)
 		if err != nil {
 			return nil, err
 		}
 		searcher = idx
 	}
-	grapher, err := semgraph.New(opts.Graph, opts.Labels, searcher)
+	grapher, err := semgraph.New(semgraph.DefaultConfig(), opts.Labels, searcher)
 	if err != nil {
 		return nil, err
 	}
-	grapher.SetWorkers(opts.Workers)
 	grapher.SetMetrics(opts.Metrics)
 	smp, err := sampler.NewMultinomial(len(opts.Labels), opts.Seed+7)
 	if err != nil {
 		return nil, err
 	}
-	smoothing := opts.SamplerSmoothing
-	if smoothing == 0 {
-		smoothing = 1.0
-	}
-	if err := smp.SetSmoothing(smoothing); err != nil {
+	if err := smp.SetSmoothing(samplerMixing); err != nil {
 		return nil, err
 	}
 	mgr, err := elastic.New(opts.Elastic)

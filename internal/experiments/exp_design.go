@@ -62,7 +62,7 @@ func Table1(opt Options) (*Report, error) {
 	var notes []string
 	for i, model := range nn.AllProfiles() {
 		run := func(pipeline bool) (*trainer.Result, error) {
-			pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: epochs, Seed: opt.Seed + uint64(i), Metrics: opt.Metrics, Workers: opt.Threads})
+			pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: epochs, Seed: opt.Seed + uint64(i), Metrics: opt.Metrics})
 			if err != nil {
 				return nil, err
 			}

@@ -193,7 +193,7 @@ func Table6(opt Options) (*Report, error) {
 		pol, err := BuildPolicy("spider", PolicyParams{
 			Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + uint64(i),
 			RStart: s.rStart, REnd: s.rEnd, DisableElastic: s.disableElastic,
-			Metrics: opt.Metrics, Workers: opt.Threads,
+			Metrics: opt.Metrics,
 		})
 		if err != nil {
 			return nil, err
@@ -240,7 +240,7 @@ func Fig17(opt Options) (*Report, error) {
 	for workers := 1; workers <= 4; workers++ {
 		var times [2]time.Duration
 		for i, name := range []string{"baseline", "spider"} {
-			pol, err := BuildPolicy(name, PolicyParams{Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + uint64(workers), Metrics: opt.Metrics, Workers: opt.Threads})
+			pol, err := BuildPolicy(name, PolicyParams{Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + uint64(workers), Metrics: opt.Metrics})
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,7 @@ func Fig8(opt Options) (*Report, error) {
 	var misShares []float64
 	var spider *trainer.Result
 	for _, e := range checkpoints {
-		pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: e, Seed: opt.Seed, Metrics: opt.Metrics, Workers: opt.Threads})
+		pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: e, Seed: opt.Seed, Metrics: opt.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func Fig8(opt Options) (*Report, error) {
 		misShares = append(misShares, stats.misclassified)
 		spider = res
 	}
-	pol, err := BuildPolicy("baseline", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: total, Seed: opt.Seed, Metrics: opt.Metrics, Workers: opt.Threads})
+	pol, err := BuildPolicy("baseline", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: total, Seed: opt.Seed, Metrics: opt.Metrics})
 	if err != nil {
 		return nil, err
 	}

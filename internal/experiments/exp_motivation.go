@@ -92,7 +92,7 @@ func Fig5(opt Options) (*Report, error) {
 		return nil, err
 	}
 	epochs := opt.epochs(12)
-	pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: epochs, Seed: opt.Seed, Metrics: opt.Metrics, Workers: opt.Threads})
+	pol, err := BuildPolicy("spider", PolicyParams{Dataset: ds, Capacity: capacityFor(ds, 0.2), Epochs: epochs, Seed: opt.Seed, Metrics: opt.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +268,7 @@ func Fig6c(opt Options) (*Report, error) {
 	series := make([]table.Series, 0, len(configs))
 	notes := []string{}
 	for i, c := range configs {
-		pol, err := BuildPolicy("spider", PolicyParams{Dataset: c.ds, Capacity: capacityFor(c.ds, 0.2), Epochs: epochs, Seed: opt.Seed + uint64(i), Metrics: opt.Metrics, Workers: opt.Threads})
+		pol, err := BuildPolicy("spider", PolicyParams{Dataset: c.ds, Capacity: capacityFor(c.ds, 0.2), Epochs: epochs, Seed: opt.Seed + uint64(i), Metrics: opt.Metrics})
 		if err != nil {
 			return nil, err
 		}

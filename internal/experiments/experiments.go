@@ -20,7 +20,6 @@ import (
 
 	"spidercache/internal/table"
 	"spidercache/internal/telemetry"
-	"spidercache/internal/tensor"
 )
 
 // Options tunes the scale of every experiment.
@@ -37,11 +36,6 @@ type Options struct {
 	// Metrics receives serving-path and cache telemetry from every
 	// training run the experiment performs; nil disables recording.
 	Metrics *telemetry.Registry
-	// Threads caps CPU parallelism for the run: it is applied to the
-	// tensor kernels (tensor.SetWorkers) and to SpiderCache batch scoring.
-	// 0 keeps the defaults (GOMAXPROCS); 1 forces fully serial execution.
-	// Parallel and serial runs produce identical numbers.
-	Threads int
 }
 
 // epochs resolves an experiment's default epoch count against the override.
@@ -132,17 +126,12 @@ func List() []string {
 }
 
 // Run executes the experiment with the given (possibly aliased) ID.
-// A positive opt.Threads caps process-wide tensor-kernel parallelism for
-// the duration of the run (and beyond: tensor.SetWorkers is global state).
 func Run(id string, opt Options) (*Report, error) {
 	if !(opt.Scale > 0) {
 		return nil, fmt.Errorf("experiments: scale %v: want > 0", opt.Scale)
 	}
 	if opt.EpochOverride < 0 {
 		return nil, fmt.Errorf("experiments: epoch override %d: want >= 0 (0 = each experiment's default)", opt.EpochOverride)
-	}
-	if opt.Threads > 0 {
-		tensor.SetWorkers(opt.Threads)
 	}
 	canonical := id
 	if a, ok := aliases[id]; ok {

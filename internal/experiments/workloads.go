@@ -29,10 +29,6 @@ type PolicyParams struct {
 	// Metrics receives cache-internals telemetry (SpiderCache policies
 	// only); nil disables recording.
 	Metrics *telemetry.Registry
-
-	// Workers bounds the SpiderCache per-batch scoring fan-out: 0 uses
-	// GOMAXPROCS, 1 forces serial scoring. Results are identical either way.
-	Workers int
 }
 
 // ValidatePolicy reports nil when name is buildable, or a descriptive
@@ -97,7 +93,6 @@ func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
 		DisableHomophily: impOnly,
 		DisableElastic:   p.DisableElastic,
 		Metrics:          p.Metrics,
-		Workers:          p.Workers,
 		Seed:             p.Seed,
 	})
 }
@@ -166,7 +161,7 @@ func runConfig(opt Options, ds *dataset.Dataset, model nn.Profile, epochs int, s
 
 // runPolicy builds and trains one named policy, returning the run record.
 func runPolicy(name string, ds *dataset.Dataset, model nn.Profile, epochs, capacity int, opt Options) (*trainer.Result, error) {
-	pol, err := BuildPolicy(name, PolicyParams{Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + 99, Metrics: opt.Metrics, Workers: opt.Threads})
+	pol, err := BuildPolicy(name, PolicyParams{Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + 99, Metrics: opt.Metrics})
 	if err != nil {
 		return nil, err
 	}

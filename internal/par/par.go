@@ -1,6 +1,8 @@
 // Package par provides the repository's shared CPU worker pool: a small,
 // dependency-free fork/join primitive used by the parallel hot paths
-// (tensor kernels, semantic-graph batch scoring).
+// (tensor kernels, semantic-graph batch scoring). Callers pass
+// runtime.GOMAXPROCS(0), read where they fork, as the width, so GOMAXPROCS
+// is the one cap on host parallelism.
 //
 // Design points:
 //
@@ -18,7 +20,6 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -107,7 +108,3 @@ func For(workers, n int, fn func(start, end int)) {
 	inlineRun.Add(1)
 	wg.Wait()
 }
-
-// DefaultWorkers returns the default parallel width: the number of CPUs the
-// Go runtime will schedule on.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }

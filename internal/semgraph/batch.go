@@ -2,27 +2,10 @@ package semgraph
 
 import (
 	"fmt"
+	"runtime"
 
 	"spidercache/internal/par"
 )
-
-// SetWorkers sets how many workers ScoreBatch fans per-sample scoring
-// across. n <= 0 restores the default (GOMAXPROCS); n == 1 forces the
-// serial path.
-func (g *Grapher) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	g.workers = n
-}
-
-// Workers reports the current ScoreBatch fan-out.
-func (g *Grapher) Workers() int {
-	if g.workers > 0 {
-		return g.workers
-	}
-	return par.DefaultWorkers()
-}
 
 // minParallelBatch is the batch size below which ScoreBatch stays serial;
 // fork/join overhead dominates tiny batches.
@@ -35,10 +18,10 @@ const minParallelBatch = 4
 // allowed (substitute serving can train the same host twice) and the last
 // occurrence's score wins, exactly as sequential Score calls would behave.
 //
-// Scoring fans out across the worker pool: once the upserts complete the
-// index is read-only for the rest of the call, and per-sample scores are
-// independent, so the parallel result is bitwise-identical to serial
-// scoring — Algorithm 1 semantics and determinism are preserved. Score
+// Scoring fans out across GOMAXPROCS pool workers: once the upserts
+// complete the index is read-only for the rest of the call, and per-sample
+// scores are independent, so the parallel result is bitwise-identical to
+// serial scoring — Algorithm 1 semantics and determinism are preserved. Score
 // recording happens serially in input order after the parallel phase.
 //
 // Every sample is upserted and searched fresh on every call, as Algorithm
@@ -71,7 +54,7 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 	// keeps its own normalisation buffer; computeScore only reads shared
 	// state and each block writes disjoint result slots.
 	results := make([]ScoreResult, len(ids))
-	w := g.Workers()
+	w := runtime.GOMAXPROCS(0)
 	if len(ids) < minParallelBatch {
 		w = 1
 	}

@@ -3,6 +3,7 @@ package semgraph
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"spidercache/internal/hnsw"
@@ -63,21 +64,23 @@ func testBatches(n, dim int, seed uint64) ([][]int, [][][]float64) {
 }
 
 // TestScoreBatchParallelMatchesSerial is the determinism test of the
-// acceptance criteria: the same batches scored with 1 worker and with many
-// workers must produce bitwise-identical results and score tables.
+// acceptance criteria: the same batches scored at GOMAXPROCS 1 and at
+// GOMAXPROCS 8 must produce bitwise-identical results and score tables.
+// GOMAXPROCS 8 takes the parallel branch on any host, however few its cores.
 func TestScoreBatchParallelMatchesSerial(t *testing.T) {
 	const n, dim = 96, 12
 	serial := testGrapher(t, n, 5)
 	parallel := testGrapher(t, n, 5)
-	serial.SetWorkers(1)
-	parallel.SetWorkers(8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	ids, embs := testBatches(n, dim, 77)
 	for b := range ids {
+		runtime.GOMAXPROCS(1)
 		sres, err := serial.ScoreBatch(ids[b], embs[b])
 		if err != nil {
 			t.Fatal(err)
 		}
+		runtime.GOMAXPROCS(8)
 		pres, err := parallel.ScoreBatch(ids[b], embs[b])
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +106,7 @@ func TestScoreBatchMatchesSequentialScoreCalls(t *testing.T) {
 	const n, dim = 48, 10
 	a := testGrapher(t, n, 9)
 	b := testGrapher(t, n, 9)
-	a.SetWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	rng := xrand.New(13)
 	ids := make([]int, n)
@@ -214,7 +217,6 @@ func stdClose(got, want float64) bool {
 func TestIncrementalStatsMatchScan(t *testing.T) {
 	const n, dim = 80, 8
 	g := testGrapher(t, n, 21)
-	g.SetWorkers(2)
 	ids, embs := testBatches(n, dim, 31)
 	for b := range ids {
 		if _, err := g.ScoreBatch(ids[b], embs[b]); err != nil {
@@ -291,9 +293,9 @@ func TestNormalizeInto(t *testing.T) {
 
 func BenchmarkScoreBatch(b *testing.B) {
 	const n, dim, batch = 2048, 16, 64
-	for _, workers := range []int{1, 0} {
+	for _, procs := range []int{1, 0} {
 		name := "serial"
-		if workers == 0 {
+		if procs == 0 {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
@@ -309,7 +311,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.SetWorkers(workers)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			rng := xrand.New(4)
 			// Pre-populate the index so searches do real work.
 			for id := 0; id < n; id++ {

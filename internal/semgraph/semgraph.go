@@ -16,6 +16,9 @@
 // is indexed). The graph is transient: only scores and the per-batch
 // top-degree node's neighbour list are retained, exactly as the paper's
 // overhead analysis (Section 5) prescribes.
+//
+// ScoreBatch scores a mini-batch on up to GOMAXPROCS cores. The width
+// changes how fast a batch is scored, never the scores it records.
 package semgraph
 
 import (
@@ -121,8 +124,6 @@ type Grapher struct {
 	distThresh    float64
 	homDistThresh float64
 
-	// workers is the ScoreBatch fan-out; 0 means GOMAXPROCS.
-	workers int
 	// normBuf is the reusable normalisation buffer for the serial
 	// Update/Score path, so per-sample scoring stops allocating.
 	normBuf []float64

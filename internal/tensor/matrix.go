@@ -6,7 +6,7 @@
 // broadcast row operations, elementwise maps, reductions). Kernels are
 // written cache-friendly (ikj loop order) and, for large enough products,
 // fan out across a worker pool partitioned by output row (see parallel.go);
-// results are bitwise-identical to the serial kernels. SetWorkers gates the
+// results are bitwise-identical to the serial kernels. GOMAXPROCS caps the
 // parallelism; small matrices always take the serial fallback.
 package tensor
 

@@ -1,9 +1,8 @@
 package tensor
 
 import (
+	"runtime"
 	"sync/atomic"
-
-	"spidercache/internal/par"
 )
 
 // Matmul kernels partition work by output row across the shared worker pool
@@ -11,16 +10,13 @@ import (
 // accumulation order identical to the serial kernel, so parallel results are
 // bitwise-identical to serial ones. Small products fall back to the serial
 // loop: below minParallelOps multiply-adds the fork/join overhead outweighs
-// the spread.
+// the spread. A kernel forks across GOMAXPROCS workers, read at call time:
+// the width changes how fast a product runs, never its result.
 
 // minParallelOps is the flop count (rows*inner*cols multiply-adds) below
 // which kernels stay serial. 1<<16 ≈ a 40x40x40 product, roughly the point
 // where a goroutine hand-off (~1µs) stops mattering.
 const minParallelOps = 1 << 16
-
-// workerCount holds the configured kernel parallelism; 0 means "default"
-// (GOMAXPROCS at call time).
-var workerCount atomic.Int64
 
 // kernel dispatch counters, exported via KernelStats for the worker-pool
 // utilisation telemetry.
@@ -28,25 +24,6 @@ var (
 	parallelKernels atomic.Int64
 	serialKernels   atomic.Int64
 )
-
-// SetWorkers sets the number of workers matmul kernels may fan out across.
-// n <= 0 restores the default (GOMAXPROCS). n == 1 forces every kernel
-// serial. Safe to call concurrently with running kernels; in-flight calls
-// keep the width they started with.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCount.Store(int64(n))
-}
-
-// Workers reports the current kernel parallelism.
-func Workers() int {
-	if n := workerCount.Load(); n > 0 {
-		return int(n)
-	}
-	return par.DefaultWorkers()
-}
 
 // KernelStats reports how many matmul kernel dispatches ran parallel versus
 // serial since process start.
@@ -57,7 +34,7 @@ func KernelStats() (parallel, serial int64) {
 // planWorkers decides the fan-out for a kernel producing `rows` output rows
 // with `ops` total multiply-adds. Returns 1 for the serial fallback.
 func planWorkers(rows, ops int) int {
-	w := Workers()
+	w := runtime.GOMAXPROCS(0)
 	if w <= 1 || rows < 2 || ops < minParallelOps {
 		return 1
 	}

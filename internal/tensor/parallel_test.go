@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,11 +19,10 @@ func sparseMatrix(rows, cols int, rng *xrand.Rand) *Matrix {
 	return m
 }
 
-// withWorkers runs fn with the kernel parallelism pinned to n, restoring the
-// default afterwards.
-func withWorkers(n int, fn func()) {
-	SetWorkers(n)
-	defer SetWorkers(0)
+// withProcs runs fn at GOMAXPROCS n, the kernels' fan-out width, restoring
+// the previous value afterwards. n == 0 keeps the current value.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	fn()
 }
 
@@ -42,13 +42,13 @@ func TestParallelKernelsBitwiseIdenticalToSerial(t *testing.T) {
 		bt := sparseMatrix(sh.n, sh.k, rng) // for ABT: (m x k) * (n x k)ᵀ
 
 		var serMM, serATB, serABT *Matrix
-		withWorkers(1, func() {
+		withProcs(1, func() {
 			serMM = MatMul(nil, a, b)
 			serATB = MatMulATB(nil, at, b)
 			serABT = MatMulABT(nil, a, bt)
 		})
 		for _, w := range []int{2, 3, 8} {
-			withWorkers(w, func() {
+			withProcs(w, func() {
 				for name, pair := range map[string][2]*Matrix{
 					"MatMul":    {MatMul(nil, a, b), serMM},
 					"MatMulATB": {MatMulATB(nil, at, b), serATB},
@@ -83,7 +83,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 		j := &jobs[i]
 		j.a, j.b = sparseMatrix(128+8*i, 64, rng), sparseMatrix(64, 96, rng)
 		j.at, j.bt = sparseMatrix(64, 128+8*i, rng), sparseMatrix(96, 64, rng)
-		withWorkers(1, func() {
+		withProcs(1, func() {
 			j.mm, j.atb, j.abt = MatMul(nil, j.a, j.b), MatMulATB(nil, j.at, j.b), MatMulABT(nil, j.a, j.bt)
 		})
 	}
@@ -98,7 +98,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 		}
 		return true
 	}
-	withWorkers(4, func() {
+	withProcs(4, func() {
 		var wg sync.WaitGroup
 		for i := range jobs {
 			wg.Add(1)
@@ -116,24 +116,8 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 	})
 }
 
-func TestSetWorkersAndDefaults(t *testing.T) {
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("default Workers() = %d", Workers())
-	}
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
-	}
-	SetWorkers(-5) // negative resets to default
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(-5)", Workers())
-	}
-	SetWorkers(0)
-}
-
 func TestPlanWorkersSerialFallback(t *testing.T) {
-	withWorkers(8, func() {
+	withProcs(8, func() {
 		if w := planWorkers(1, 1<<20); w != 1 {
 			t.Fatalf("single row planned %d workers", w)
 		}
@@ -153,7 +137,7 @@ func TestKernelStatsAdvance(t *testing.T) {
 	rng := xrand.New(11)
 	a := sparseMatrix(128, 128, rng)
 	b := sparseMatrix(128, 128, rng)
-	withWorkers(4, func() {
+	withProcs(4, func() {
 		p0, s0 := KernelStats()
 		MatMul(nil, a, b) // 2M ops: parallel
 		small := sparseMatrix(8, 8, rng)
@@ -168,12 +152,12 @@ func TestKernelStatsAdvance(t *testing.T) {
 	})
 }
 
-func benchMatMul(b *testing.B, size, workers int) {
+func benchMatMul(b *testing.B, size, procs int) {
 	rng := xrand.New(42)
 	x := sparseMatrix(size, size, rng)
 	y := sparseMatrix(size, size, rng)
 	dst := New(size, size)
-	withWorkers(workers, func() {
+	withProcs(procs, func() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			MatMul(dst, x, y)

@@ -48,7 +48,10 @@ type RemoteCache interface {
 	Set(id int, payload []byte) error
 }
 
-// Config describes one training run.
+// Config describes one training run. The cost model's constants are not
+// among its fields: misses are charged at storage.DefaultParams, batches
+// at preprocessCost and commCost, and the learner's shape is derived from
+// Dataset and Model (see learner).
 type Config struct {
 	Dataset *dataset.Dataset
 	Model   nn.Profile
@@ -60,9 +63,6 @@ type Config struct {
 	// storage bandwidth is shared across workers; compute and memory-tier
 	// reads scale with the worker count.
 	Workers int
-	// Storage overrides the storage cost model; zero value means
-	// storage.DefaultParams.
-	Storage storage.Params
 	// PipelineIS enables the Fig 12 overlap of the IS stage; disabling it
 	// charges the full IS cost on the critical path (ablation).
 	PipelineIS bool
@@ -73,15 +73,6 @@ type Config struct {
 	// max(loading, compute), and removing I/O stalls translates almost 1:1
 	// into wall-clock savings, as in the paper's end-to-end numbers.
 	SerialLoading bool
-	// PreprocessCost is the per-batch decode/collate charge (the paper's
-	// lightweight Preprocessing stage, Fig 3a).
-	PreprocessCost time.Duration
-	// CommCost is the per-round gradient-synchronisation charge added per
-	// extra worker (Fig 17's "communication costs").
-	CommCost time.Duration
-	// MLP optionally overrides the learner architecture; zero value
-	// derives it from the dataset and model profile.
-	MLP nn.MLPConfig
 	// RemoteCache, when set, is consulted on every policy miss before the
 	// backing-storage fetch: a hit is served at memory-tier cost, a miss
 	// or error falls through to storage (and the fetched payload is
@@ -112,33 +103,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c *Config) fillDefaults() {
-	if c.Storage == (storage.Params{}) {
-		c.Storage = storage.DefaultParams()
-	}
-	if c.PreprocessCost == 0 {
-		c.PreprocessCost = 4 * time.Millisecond
-	}
-	if c.CommCost == 0 {
-		c.CommCost = 3 * time.Millisecond
-	}
-	if c.MLP == (nn.MLPConfig{}) {
-		// Over-provision the learner: rare hard subclusters must be
-		// learnable without displacing easy mass, as they are for the
-		// overparameterised CNNs the paper trains.
-		hidden := 4 * c.Model.EmbedDim
-		if hidden < 128 {
-			hidden = 128
-		}
-		c.MLP = nn.MLPConfig{
-			InputDim:  c.Dataset.Config.Dim,
-			HiddenDim: hidden,
-			EmbedDim:  c.Model.EmbedDim,
-			Classes:   c.Dataset.Config.Classes,
-			LR:        0.05,
-			Momentum:  0.9,
-			WeightDec: 1e-4,
-		}
+const (
+	// preprocessCost is the per-batch decode/collate charge (the paper's
+	// lightweight Preprocessing stage, Fig 3a).
+	preprocessCost = 4 * time.Millisecond
+	// commCost is the per-round gradient-synchronisation charge added per
+	// extra worker (Fig 17's "communication costs").
+	commCost = 3 * time.Millisecond
+)
+
+// learner is the MLP a run trains, derived from the dataset and the model
+// profile. It over-provisions the hidden layer: rare hard subclusters must
+// be learnable without displacing easy mass, as they are for the
+// overparameterised CNNs the paper trains.
+func (c Config) learner() nn.MLPConfig {
+	return nn.MLPConfig{
+		InputDim:  c.Dataset.Config.Dim,
+		HiddenDim: max(4*c.Model.EmbedDim, 128),
+		EmbedDim:  c.Model.EmbedDim,
+		Classes:   c.Dataset.Config.Classes,
+		LR:        0.05,
+		Momentum:  0.9,
+		WeightDec: 1e-4,
 	}
 }
 
@@ -326,14 +312,13 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("trainer: policy must not be nil")
 	}
-	cfg.fillDefaults()
-
 	rng := xrand.New(cfg.Seed)
-	store, err := storage.New(cfg.Storage, rng.Split())
+	store, err := storage.New(storage.DefaultParams(), rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	mlp, err := nn.NewMLP(cfg.MLP, rng.Split())
+	shape := cfg.learner()
+	mlp, err := nn.NewMLP(shape, rng.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +334,7 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 	}
 
 	tel := newRunTelemetry(cfg.Metrics)
-	baseLR := cfg.MLP.LR
+	baseLR := shape.LR
 	var lastSearches int64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Cosine learning-rate decay to 10% of the base rate, the standard
@@ -475,7 +460,7 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 
 		comm := time.Duration(0)
 		if cfg.Workers > 1 {
-			comm = time.Duration(float64(cfg.CommCost) * float64(cfg.Workers-1))
+			comm = time.Duration(float64(commCost) * float64(cfg.Workers-1))
 		}
 
 		// Wall-clock charge: loading is shared-bottleneck, compute stages
@@ -483,7 +468,7 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 		// With the DataLoader prefetch (default), loading of the next batch
 		// overlaps this batch's preprocessing and compute, so the visible
 		// cost is the maximum of the two tracks; serial mode sums them.
-		preproc := cfg.PreprocessCost / time.Duration(cfg.Workers)
+		preproc := preprocessCost / time.Duration(cfg.Workers)
 		gpuTrack := preproc + time.Duration(float64(compute+visibleIS)/w)
 		var batchWall time.Duration
 		if cfg.SerialLoading {

@@ -339,17 +339,21 @@ func TestEvaluateUsesHeldOutSet(t *testing.T) {
 	}
 }
 
+// TestDefaultsFilled checks that the learner a run trains takes its shape
+// from the dataset and the model profile.
 func TestDefaultsFilled(t *testing.T) {
 	cfg := tinyConfig(t, 1)
-	cfg.fillDefaults()
-	if cfg.Storage.Bandwidth == 0 || cfg.PreprocessCost == 0 || cfg.CommCost == 0 {
-		t.Fatal("defaults not filled")
+	pol, _ := policy.NewBaselineLRU(cfg.Dataset.Len(), 0, 1)
+	res, err := Run(cfg, pol)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.MLP.InputDim != cfg.Dataset.Config.Dim || cfg.MLP.Classes != cfg.Dataset.Config.Classes {
-		t.Fatal("derived MLP config wrong")
+	got := res.FinalModel.Config()
+	if got.InputDim != cfg.Dataset.Config.Dim || got.Classes != cfg.Dataset.Config.Classes {
+		t.Fatalf("learner %+v: input or class count not taken from the dataset", got)
 	}
-	if cfg.MLP.EmbedDim != nn.ResNet18.EmbedDim {
-		t.Fatal("embedding dim not taken from profile")
+	if got.EmbedDim != nn.ResNet18.EmbedDim || got.HiddenDim != 4*nn.ResNet18.EmbedDim {
+		t.Fatalf("learner %+v: embedding or hidden width not taken from the profile", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"spidercache/internal/experiments"
 	"spidercache/internal/nn"
 	"spidercache/internal/telemetry"
-	"spidercache/internal/tensor"
 	"spidercache/internal/trainer"
 )
 
@@ -25,7 +24,6 @@ type settings struct {
 	batchSize       int
 	cacheFraction   float64
 	workers         int
-	threads         int
 	rStart, rEnd    float64
 	staticRatio     bool
 	disablePipeline bool
@@ -98,16 +96,6 @@ func WithSerialLoading() Option {
 	return func(s *settings) { s.serialLoading = true }
 }
 
-// WithThreads caps real CPU parallelism for the run: tensor kernels and
-// SpiderCache batch scoring use at most n OS threads. 0 (the default) uses
-// all cores and 1 forces serial execution; results are identical either
-// way. The ANN index re-links a batch's moved points on GOMAXPROCS
-// goroutines of its own, which this does not cap; GOMAXPROCS does.
-// Distinct from WithWorkers, which simulates GPUs inside the cost model.
-func WithThreads(n int) Option {
-	return func(s *settings) { s.threads = n }
-}
-
 // WithMetrics attaches a telemetry registry: the run records per-tier
 // lookup counters, simulated fetch/compute latency histograms and the
 // elastic imp_ratio/σ trajectory into it. The same registry may be shared
@@ -119,8 +107,9 @@ func WithMetrics(reg *telemetry.Registry) Option {
 
 // TrainWith runs one training configuration and returns its full record.
 // Settings no Option touches keep their defaults: PolicySpiderCache,
-// ResNet18, 30 epochs, batch 64, cache fraction 0.2, 1 worker, all cores,
-// seed 42. Out-of-range values are rejected with descriptive errors.
+// ResNet18, 30 epochs, batch 64, cache fraction 0.2, 1 worker, seed 42.
+// Out-of-range values are rejected with descriptive errors. The run uses up
+// to GOMAXPROCS cores, and its result does not depend on how many.
 func TrainWith(ds *Dataset, opts ...Option) (*Result, error) {
 	s := settings{
 		policy:        PolicySpiderCache,
@@ -150,8 +139,6 @@ func train(ds *Dataset, s settings) (*Result, error) {
 		return nil, fmt.Errorf("spidercache: WithBatchSize(%d): batch size must be >= 1", s.batchSize)
 	case s.workers < 1:
 		return nil, fmt.Errorf("spidercache: WithWorkers(%d): workers must be >= 1", s.workers)
-	case s.threads < 0:
-		return nil, fmt.Errorf("spidercache: WithThreads(%d): want >= 0 (0 = all cores)", s.threads)
 	case s.cacheFraction < 0 || s.cacheFraction > 1:
 		return nil, fmt.Errorf("spidercache: cache fraction %v: want a fraction in [0, 1]", s.cacheFraction)
 	}
@@ -162,9 +149,6 @@ func train(ds *Dataset, s settings) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.threads > 0 {
-		tensor.SetWorkers(s.threads)
-	}
 	pol, err := experiments.BuildPolicy(s.policy, experiments.PolicyParams{
 		Dataset:        ds.ds,
 		Capacity:       int(float64(ds.Len()) * s.cacheFraction),
@@ -174,7 +158,6 @@ func train(ds *Dataset, s settings) (*Result, error) {
 		REnd:           s.rEnd,
 		DisableElastic: s.staticRatio,
 		Metrics:        s.metrics,
-		Workers:        s.threads,
 	})
 	if err != nil {
 		return nil, err

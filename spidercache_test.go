@@ -2,6 +2,8 @@ package spidercache
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,7 +106,6 @@ func TestTrainValidation(t *testing.T) {
 		"WithEpochs(0)":           WithEpochs(0),
 		"WithBatchSize(0)":        WithBatchSize(0),
 		"WithWorkers(0)":          WithWorkers(0),
-		"WithThreads(-1)":         WithThreads(-1),
 	}
 	for _, pol := range Policies() {
 		for name, opt := range bad {
@@ -155,6 +156,38 @@ func TestDeterministicFacadeRuns(t *testing.T) {
 	a, b := run(), run()
 	if a.TotalTime != b.TotalTime || a.FinalAcc != b.FinalAcc {
 		t.Fatal("same-seed facade runs differ")
+	}
+}
+
+// TestTrainingIdenticalAcrossCores: the host's core count changes how fast
+// a run goes, never what it computes. A spider run at GOMAXPROCS 1 takes
+// every serial path (tensor kernels, batch scoring, the ANN index's
+// settle); at GOMAXPROCS 4 each of them forks. Their per-epoch CSVs must be
+// byte-equal, and the records behind them bit-equal, since the CSV rounds.
+func TestTrainingIdenticalAcrossCores(t *testing.T) {
+	ds, err := NewCIFAR10(0.3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainAt := func(procs int) (*Result, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := TrainWith(ds, WithPolicy(PolicySpiderCache), WithEpochs(4), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := res.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return res, b.String()
+	}
+	one, oneCSV := trainAt(1)
+	four, fourCSV := trainAt(4)
+	if oneCSV != fourCSV {
+		t.Fatalf("GOMAXPROCS 1 and 4 trained differently:\n%s\nvs\n%s", oneCSV, fourCSV)
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("GOMAXPROCS 1 and 4 records differ below the CSV's precision:\n%+v\nvs\n%+v", one, four)
 	}
 }
 
@@ -240,11 +273,6 @@ func TestExplicitZeroExpressible(t *testing.T) {
 	}
 	if zero.TotalTime == def.TotalTime && zero.FinalAcc == def.FinalAcc {
 		t.Error("WithSeed(0) reproduced the default seed's run")
-	}
-
-	// Explicit zero threads: all cores, not an error.
-	if _, err := TrainWith(ds, WithEpochs(1), WithThreads(0)); err != nil {
-		t.Errorf("WithThreads(0) rejected: %v", err)
 	}
 }
 
