@@ -12,7 +12,7 @@
 //
 //	spidertrain -metrics                  # dump telemetry at exit (Prometheus text)
 //	spidertrain -metrics-json run.json    # JSON snapshot with p50/p95/p99
-//	spidertrain -metrics-listen :9090     # serve METRICS/STATS over TCP during the run
+//	spidertrain -metrics-listen :9090     # serve METRICS over TCP during the run
 package main
 
 import (

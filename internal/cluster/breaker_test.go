@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"net"
 	"testing"
 
 	"spidercache/internal/kvserver"
@@ -150,21 +151,36 @@ func TestReplicaBreakerFailsFast(t *testing.T) {
 	leakcheck.Check(t)
 	clock := &simclock.Clock{}
 	reg := telemetry.NewRegistry()
-	// A port from the TCP reserved range: nothing listens there.
-	r := &replica{pool: kvserver.NewPool("127.0.0.1:1", kvserver.Config{PoolSize: 1}), breaker: newTestBreaker(clock, reg)}
+	// A dead node that still accepts: every connection is closed at once,
+	// so the pool's dial succeeds, the op runs, and its read fails.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	r := &replica{pool: kvserver.NewPool(ln.Addr().String(), kvserver.Config{PoolSize: 1}), breaker: newTestBreaker(clock, reg)}
 	defer r.pool.Close()
 	ran := 0
-	get := func(p *kvserver.Pool) error {
+	get := func(c *kvserver.Client) error {
 		ran++
-		_, _, err := p.Get("k")
+		_, _, err := c.Get("k")
 		return err
 	}
 
 	// Neither a protocol answer nor a pool closed under the op is the
 	// node's fault.
 	for i := 0; i < 2*breakerMinSamples; i++ {
-		r.call(func(*kvserver.Pool) error { return errors.New("kvserver: GET failed: odd reply") })
-		r.call(func(*kvserver.Pool) error { return kvserver.ErrPoolClosed })
+		r.call(func(*kvserver.Client) error { return errors.New("kvserver: GET failed: odd reply") })
+		r.call(func(*kvserver.Client) error { return kvserver.ErrPoolClosed })
 	}
 	if s := r.breaker.current(); s != breakerClosed {
 		t.Fatalf("breaker after non-transport errors = %v, want closed", s)

@@ -58,15 +58,16 @@ type replica struct {
 	breaker *breaker
 }
 
-// call runs op against the node unless its breaker is open, and feeds the
-// outcome back. Only transport failures count against the node: one that
-// answered, however oddly, is up, and a pool closed under the op (the
-// node was removed) says nothing about the node's health.
-func (r *replica) call(op func(*kvserver.Pool) error) error {
+// call runs op on one of the node's pooled connections unless its
+// breaker is open, and feeds the outcome back. Only transport failures
+// count against the node: one that answered, however oddly, is up, and a
+// pool closed under the op (the node was removed) says nothing about the
+// node's health.
+func (r *replica) call(op func(*kvserver.Client) error) error {
 	if !r.breaker.allow() {
 		return errBreakerOpen
 	}
-	err := op(r.pool)
+	err := r.pool.Do(op)
 	if !errors.Is(err, kvserver.ErrPoolClosed) {
 		r.breaker.record(err != nil && kvserver.IsTransportErr(err))
 	}
@@ -181,19 +182,42 @@ func (c *Client) candidates(id int) []*replica {
 	return out
 }
 
-// Get fetches the cached payload for a sample ID, trying each replica
-// owner in placement order. A node with an open breaker is skipped
-// without touching the network. found=false with a nil error means every
-// reachable owner answered and none had the value — a clean miss. An
-// error means no owner could be reached at all.
+// Get fetches the cached payload for a sample ID from its replica owners
+// (see read).
 func (c *Client) Get(id int) (value []byte, found bool, err error) {
+	found, err = c.read(id, func(kc *kvserver.Client) (ok bool, err error) {
+		value, ok, err = kc.Get(key(id))
+		return ok, err
+	})
+	return value, found, err
+}
+
+// NGet is Get with a semantic fallback (the NGET verb): a near miss — the
+// owner answered but had neither the key nor a close-enough resident
+// neighbor — falls through to the next replica exactly like a clean GET
+// miss, since a replica may hold (or have a substitute for) what the
+// primary evicted. found covers exact and near hits; near is non-nil only
+// for substitutes.
+func (c *Client) NGet(id int, emb []float32, threshold float64) (value []byte, near *kvserver.Near, found bool, err error) {
+	found, err = c.read(id, func(kc *kvserver.Client) (ok bool, err error) {
+		value, near, ok, err = kc.NGet(key(id), emb, threshold)
+		return ok, err
+	})
+	return value, near, found, err
+}
+
+// read runs op, a lookup that reports whether it found the value, on each
+// replica owner of id in placement order until one finds it. A node with
+// an open breaker is skipped without touching the network. found=false
+// with a nil error means every reachable owner answered and none had the
+// value — a clean miss. An error means no owner could be reached at all.
+// A lookup answered after an owner failed counts one reroute.
+func (c *Client) read(id int, op func(*kvserver.Client) (bool, error)) (found bool, err error) {
 	var lastErr error
 	reachable, failedBefore := false, false
 	for _, r := range c.candidates(id) {
-		var v []byte
-		var ok bool
-		err := r.call(func(p *kvserver.Pool) (err error) {
-			v, ok, err = p.Get(key(id))
+		err := r.call(func(kc *kvserver.Client) (err error) {
+			found, err = op(kc)
 			return err
 		})
 		if err == nil {
@@ -201,8 +225,8 @@ func (c *Client) Get(id int) (value []byte, found bool, err error) {
 				c.tel.rerouted.Inc()
 				failedBefore = false // count one reroute per op
 			}
-			if ok {
-				return v, true, nil
+			if found {
+				return true, nil
 			}
 			reachable = true
 			continue // clean miss here; a replica may still have it
@@ -211,55 +235,13 @@ func (c *Client) Get(id int) (value []byte, found bool, err error) {
 		failedBefore = true
 	}
 	if reachable {
-		return nil, false, nil
+		return false, nil
 	}
 	c.tel.exhausted.Inc()
 	if lastErr == nil {
 		lastErr = ErrNoNodes
 	}
-	return nil, false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
-}
-
-// NGet is Get with a semantic fallback (the NGET verb): each replica
-// owner is tried in placement order, and a near miss — the owner
-// answered but had neither the key nor a close-enough resident
-// neighbor — falls through to the next replica exactly like a clean
-// GET miss, since a replica may hold (or have a substitute for) what
-// the primary evicted. found covers exact and near hits; near is
-// non-nil only for substitutes.
-func (c *Client) NGet(id int, emb []float32, threshold float64) (value []byte, near *kvserver.Near, found bool, err error) {
-	var lastErr error
-	reachable, failedBefore := false, false
-	for _, r := range c.candidates(id) {
-		var v []byte
-		var nr *kvserver.Near
-		var ok bool
-		err := r.call(func(p *kvserver.Pool) (err error) {
-			v, nr, ok, err = p.NGet(key(id), emb, threshold)
-			return err
-		})
-		if err == nil {
-			if failedBefore {
-				c.tel.rerouted.Inc()
-				failedBefore = false // count one reroute per op
-			}
-			if ok {
-				return v, nr, true, nil
-			}
-			reachable = true
-			continue
-		}
-		lastErr = err
-		failedBefore = true
-	}
-	if reachable {
-		return nil, nil, false, nil
-	}
-	c.tel.exhausted.Inc()
-	if lastErr == nil {
-		lastErr = ErrNoNodes
-	}
-	return nil, nil, false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
+	return false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
 }
 
 // ESet attaches the embedding for a sample ID on EVERY reachable
@@ -272,7 +254,7 @@ func (c *Client) ESet(id int, emb []float32) error {
 	var lastErr error
 	landed := 0
 	for _, r := range c.candidates(id) {
-		if err := r.call(func(p *kvserver.Pool) error { return p.ESet(key(id), emb) }); err != nil {
+		if err := r.call(func(kc *kvserver.Client) error { return kc.ESet(key(id), emb) }); err != nil {
 			lastErr = err
 			continue
 		}
@@ -293,7 +275,7 @@ func (c *Client) ESet(id int, emb []float32) error {
 func (c *Client) Set(id int, payload []byte) error {
 	var lastErr error
 	for i, r := range c.candidates(id) {
-		err := r.call(func(p *kvserver.Pool) error { return p.Set(key(id), payload) })
+		err := r.call(func(kc *kvserver.Client) error { return kc.Set(key(id), payload) })
 		if err == nil {
 			if i > 0 {
 				c.tel.rerouted.Inc()

@@ -46,12 +46,9 @@ func (c *Client) discoverOnce() {
 	heard := false
 	for _, r := range peers {
 		var members []string
-		err := r.call(func(p *kvserver.Pool) error {
-			return p.Do(func(kc *kvserver.Client) error {
-				var e error
-				members, e = kc.Nodes()
-				return e
-			})
+		err := r.call(func(kc *kvserver.Client) (err error) {
+			members, err = kc.Nodes()
+			return err
 		})
 		if err != nil || len(members) == 0 {
 			continue

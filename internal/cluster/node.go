@@ -88,7 +88,7 @@ func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 // Node is one spiderkv cluster daemon: a kvserver.Server wired into
 // gossip membership, synchronous replica fan-out and background key
 // migration. It implements kvserver.ClusterHooks, so the embedded server
-// calls back into it on SET/MSET/DEL (to replicate) and on HELLO/NODES
+// calls back into it on SET/DEL (to replicate) and on HELLO/NODES
 // (to gossip).
 //
 // # Replication
@@ -221,27 +221,24 @@ func (n *Node) Nodes() []string {
 	return out
 }
 
-// ReplicateSet pushes freshly stored keys to each key's other ring
-// owners, synchronously — the server calls this between storing and
-// replying STORED. See the Node doc for the delivery guarantee.
-func (n *Node) ReplicateSet(keys []string, values [][]byte) {
-	for i, k := range keys {
-		for _, owner := range n.ring.OwnersKey(k, n.opts.Replicas) {
-			if owner == n.self {
-				continue
-			}
-			pool := n.peerPool(owner)
-			if pool == nil {
-				continue
-			}
-			v := values[i]
-			err := pool.Do(func(c *kvserver.Client) error { return c.RSet(k, v) })
-			if err != nil {
-				n.tel.replErr.Inc()
-				continue
-			}
-			n.tel.replOK.Inc()
+// ReplicateSet pushes a freshly stored key to its other ring owners,
+// synchronously — the server calls this between storing and replying
+// STORED. See the Node doc for the delivery guarantee.
+func (n *Node) ReplicateSet(key string, value []byte) {
+	for _, owner := range n.ring.OwnersKey(key, n.opts.Replicas) {
+		if owner == n.self {
+			continue
 		}
+		pool := n.peerPool(owner)
+		if pool == nil {
+			continue
+		}
+		err := pool.Do(func(c *kvserver.Client) error { return c.RSet(key, value) })
+		if err != nil {
+			n.tel.replErr.Inc()
+			continue
+		}
+		n.tel.replOK.Inc()
 	}
 }
 

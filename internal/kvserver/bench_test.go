@@ -7,16 +7,15 @@ import (
 	"testing"
 )
 
-// The serving-path benchmarks compare the three wire disciplines the data
+// The serving-path benchmarks compare the two wire disciplines the data
 // plane supports, at several connection counts:
 //
-//   - serial:    one GET per round trip (the pre-batching protocol)
+//   - serial:    one GET per round trip
 //   - pipeline:  D GETs per round trip via the Pipeline client
-//   - mget:      D keys per MGET verb
 //
-// The acceptance bar for the batching work is pipeline/mget sustaining
-// >= 2x the serial ops/s; on multi-core runners the sharded store adds
-// further headroom across connections.
+// The acceptance bar for batching is pipeline sustaining >= 2x the serial
+// ops/s; on multi-core runners the sharded store adds further headroom
+// across connections.
 
 const (
 	benchPayloadSize = 3 << 10 // CIFAR-sized sample
@@ -34,12 +33,11 @@ func startBenchServer(b *testing.B) *Server {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	keys := make([]string, benchKeySpace)
-	values := make([][]byte, benchKeySpace)
-	for i := range keys {
-		keys[i], values[i] = benchKey(i), payload
+	p := c.Pipeline()
+	for i := 0; i < benchKeySpace; i++ {
+		p.Set(benchKey(i), payload)
 	}
-	if err := c.MSet(keys, values); err != nil {
+	if _, err := p.Exec(); err != nil {
 		b.Fatal(err)
 	}
 	return srv
@@ -110,32 +108,6 @@ func BenchmarkServerGet(b *testing.B) {
 					}
 					for _, r := range results {
 						if !r.Found {
-							return fmt.Errorf("miss at %d", done)
-						}
-					}
-					done += window
-				}
-				return nil
-			})
-		})
-		b.Run(fmt.Sprintf("mget=16/conns=%d", conns), func(b *testing.B) {
-			srv := startBenchServer(b)
-			runConns(b, srv, conns, func(c *Client, ops int) error {
-				keys := make([]string, 16)
-				for done := 0; done < ops; {
-					window := 16
-					if ops-done < window {
-						window = ops - done
-					}
-					for i := 0; i < window; i++ {
-						keys[i] = benchKey(done + i)
-					}
-					_, found, err := c.MGet(keys[:window]...)
-					if err != nil {
-						return err
-					}
-					for _, ok := range found {
-						if !ok {
 							return fmt.Errorf("miss at %d", done)
 						}
 					}

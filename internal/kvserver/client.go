@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// errBadRequest tags client-side validation failures (invalid key,
-// embedding or threshold, mismatched MSet arity): the request never
-// formed, so no byte of it reached the socket.
+// errBadRequest tags client-side validation failures (invalid key, node
+// address, embedding or threshold): the request never formed, so no byte
+// of it reached the socket.
 var errBadRequest = errors.New("kvserver: bad request")
 
 // Client is a connection to a kvserver. It is not safe for concurrent use;
@@ -172,96 +172,6 @@ func (c *Client) ESet(key string, emb []float32) error {
 	return err
 }
 
-// MGet fetches many keys in one round trip (the MGET verb). values[i] and
-// found[i] correspond to keys[i]; a miss is found[i]==false. Batches larger
-// than MaxBatchOps are split into multiple MGET commands (still one flush).
-func (c *Client) MGet(keys ...string) (values [][]byte, found []bool, err error) {
-	if len(keys) == 0 {
-		return nil, nil, nil
-	}
-	for _, key := range keys {
-		if err := validKey(key); err != nil {
-			return nil, nil, err
-		}
-	}
-	for start := 0; start < len(keys); start += MaxBatchOps {
-		c.w.WriteString("MGET")
-		for _, key := range keys[start:min(start+MaxBatchOps, len(keys))] {
-			c.w.WriteByte(' ')
-			c.w.WriteString(key)
-		}
-		if _, err := c.w.WriteString("\r\n"); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := c.flush(); err != nil {
-		return nil, nil, err
-	}
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	for i := range keys {
-		if values[i], _, found[i], err = c.readValue("MGET"); err != nil {
-			return nil, nil, err
-		}
-		if (i+1)%MaxBatchOps != 0 && i+1 != len(keys) {
-			continue
-		}
-		line, err := c.readLine()
-		if err != nil {
-			return nil, nil, err
-		}
-		if line != "END" {
-			return nil, nil, fmt.Errorf("kvserver: MGET missing END, got %q", line)
-		}
-	}
-	return values, found, nil
-}
-
-// MSet stores len(keys) pairs in one round trip (the MSET verb);
-// values[i] goes under keys[i]. Batches larger than MaxBatchOps are split
-// into multiple MSET commands (still one flush).
-func (c *Client) MSet(keys []string, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("%w: MSet got %d keys, %d values", errBadRequest, len(keys), len(values))
-	}
-	// Every key is checked before the first byte is buffered, so a bad key
-	// leaves no half-written batch behind to desync the next request.
-	for _, key := range keys {
-		if err := validKey(key); err != nil {
-			return err
-		}
-	}
-	batches := 0
-	for start := 0; start < len(keys); start += MaxBatchOps {
-		end := min(start+MaxBatchOps, len(keys))
-		c.w.WriteString("MSET ")
-		c.w.WriteString(strconv.Itoa(end - start))
-		c.w.WriteString("\r\n")
-		for i := start; i < end; i++ {
-			if err := c.writeSetFrame("", keys[i], values[i]); err != nil {
-				return err
-			}
-		}
-		batches++
-	}
-	if batches == 0 {
-		return nil
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	for b := 0; b < batches; b++ {
-		line, err := c.readLine()
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(line, "STORED ") {
-			return fmt.Errorf("kvserver: MSET failed: %s", line)
-		}
-	}
-	return nil
-}
-
 // Metrics fetches the server's telemetry snapshot as Prometheus exposition
 // text (the METRICS verb).
 func (c *Client) Metrics() (string, error) {
@@ -278,18 +188,6 @@ func (c *Client) Metrics() (string, error) {
 	}
 	payload, err := c.readBody(n)
 	return string(payload), err
-}
-
-// Stats returns (items, hits, misses) from the server.
-func (c *Client) Stats() (items int, hits, misses int64, err error) {
-	line, err := c.command("STATS\r\n")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if _, err := fmt.Sscanf(line, "STATS %d %d %d", &items, &hits, &misses); err != nil {
-		return 0, 0, 0, fmt.Errorf("kvserver: bad STATS reply %q", line)
-	}
-	return items, hits, misses, nil
 }
 
 // command sends one argument-free request line and returns the first reply

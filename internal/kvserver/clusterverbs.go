@@ -8,7 +8,7 @@ package kvserver
 // membership and replication machinery, and the server becomes one node of
 // a replicated tier:
 //
-//   - a client-initiated SET/MSET/DEL is stored locally and then handed to
+//   - a client-initiated SET/DEL is stored locally and then handed to
 //     ClusterHooks for synchronous fan-out to the key's other ring owners
 //     (sent as RSET/RDEL so the fan-out never cascades);
 //   - HELLO <addr> registers the announcing peer and returns the node set,
@@ -39,10 +39,10 @@ type ClusterHooks interface {
 	Hello(addr string) []string
 	// Nodes returns the known node set without registering anything.
 	Nodes() []string
-	// ReplicateSet fans client-initiated stores out to each key's other
+	// ReplicateSet fans a client-initiated store out to the key's other
 	// ring owners. Implementations must not call back into this server's
 	// own client-facing verbs.
-	ReplicateSet(keys []string, values [][]byte)
+	ReplicateSet(key string, value []byte)
 	// ReplicateDel fans a client-initiated delete out likewise.
 	ReplicateDel(key string)
 }

@@ -36,12 +36,10 @@ func (f *fakeHooks) Nodes() []string {
 	return f.nodes
 }
 
-func (f *fakeHooks) ReplicateSet(keys []string, values [][]byte) {
+func (f *fakeHooks) ReplicateSet(key string, value []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, k := range keys {
-		f.sets[k] = append([]byte(nil), values[i]...)
-	}
+	f.sets[key] = append([]byte(nil), value...)
 }
 
 func (f *fakeHooks) ReplicateDel(key string) {
@@ -106,12 +104,15 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 		t.Fatal("HELLO with a space-bearing address did not error")
 	}
 
-	// SET, MSET and DEL reach the hooks; RSET and RDEL must not (the
-	// fan-out is acyclic by construction).
+	// SET (alone and pipelined) and DEL reach the hooks; RSET and RDEL
+	// must not (the fan-out is acyclic by construction).
 	if err := c.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MSet([]string{"b", "c"}, [][]byte{[]byte("2"), []byte("3")}); err != nil {
+	p := c.Pipeline()
+	p.Set("b", []byte("2"))
+	p.Set("c", []byte("3"))
+	if _, err := p.Exec(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Del("a"); err != nil {

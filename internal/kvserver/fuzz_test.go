@@ -12,31 +12,32 @@ import (
 // FuzzServeOne drives the protocol handler with arbitrary bytes: the server
 // must never panic regardless of input, and every error must map to a
 // stable protocol string (see protoErr) or be an I/O error. The seed corpus
-// covers each command — including the batch verbs and pipelined
-// multi-command streams — and common malformations.
+// covers each command, pipelined multi-command streams and common
+// malformations.
 func FuzzServeOne(f *testing.F) {
 	f.Add([]byte("GET k\r\n"))
 	f.Add([]byte("SET k 3\r\nabc\r\n"))
 	f.Add([]byte("SET k 3\r\nabcXX"))
 	f.Add([]byte("DEL k\r\n"))
-	f.Add([]byte("STATS\r\n"))
 	f.Add([]byte("METRICS\r\n"))
 	f.Add([]byte("QUIT\r\n"))
+	// Deleted verbs: unknown command.
+	f.Add([]byte("MGET a b\r\n"))
+	f.Add([]byte("MSET 1\r\na 1\r\nx\r\n"))
+	f.Add([]byte("STATS\r\n"))
+	// Cluster verbs.
+	f.Add([]byte("HELLO 127.0.0.1:1\r\n"))
+	f.Add([]byte("NODES\r\n"))
+	f.Add([]byte("RSET k 1\r\nv\r\nRDEL k\r\n"))
 	f.Add([]byte("SET k 99999999999999999999\r\n"))
 	f.Add([]byte("\r\n"))
 	f.Add([]byte{0, 1, 2, '\n'})
-	// Batch verbs.
-	f.Add([]byte("MGET a b c\r\n"))
-	f.Add([]byte("MGET\r\n"))
-	f.Add([]byte("MSET 2\r\na 1\r\nx\r\nb 1\r\ny\r\n"))
-	f.Add([]byte("MSET 2\r\na 1\r\nx\r\n")) // truncated batch
-	f.Add([]byte("MSET 0\r\n"))             // zero count
-	f.Add([]byte("MSET -1\r\n"))            // bad count
-	f.Add([]byte("MSET 999999999\r\n"))     // over MaxBatchOps
-	f.Add([]byte("MSET 1\r\na b c\r\n"))    // malformed frame
 	// Pipelined multi-command streams.
+	f.Add([]byte("GET a\r\nGET b\r\nGET c\r\n"))
+	f.Add([]byte("SET a 1\r\nx\r\nSET b 1\r\ny\r\n"))
+	f.Add([]byte("SET a 1\r\nx\r\nSET b 1\r\n")) // truncated payload frame
 	f.Add([]byte("SET k 1\r\nv\r\nGET k\r\nDEL k\r\nGET k\r\n"))
-	f.Add([]byte("MSET 1\r\na 1\r\nz\r\nMGET a b\r\nSTATS\r\n"))
+	f.Add([]byte("SET a 1\r\nz\r\nGET a\r\nGET b\r\nMETRICS\r\n"))
 	f.Add([]byte("GET a\r\nGET b\r\nGET c\r\nQUIT\r\nGET d\r\n"))
 	f.Add([]byte("SET k 2\r\nvvXXGET k\r\n")) // bad framing mid-pipeline
 	// Semantic verbs. "\x00\x00\x80?" is float32(1.0) little-endian.
@@ -78,7 +79,7 @@ func FuzzServeOne(f *testing.F) {
 func knownProtoErr(pe protoErr) bool {
 	switch pe {
 	case errEmptyCommand, errUnknownCmd, errBadArgs, errKeyTooLong,
-		errBadLength, errBadPayload, errBadBatchCount, errLineTooLong,
+		errBadLength, errBadPayload, errLineTooLong,
 		errBadEmbedDim, errBadThreshold:
 		return true
 	}
@@ -87,7 +88,7 @@ func knownProtoErr(pe protoErr) bool {
 
 // FuzzClientRoundTrip fuzzes the key/value space end to end over a real
 // connection: anything the client accepts must round-trip byte-identically
-// through SET/GET and MSET/MGET.
+// through SET/GET, alone and in a pipeline beside a miss.
 func FuzzClientRoundTrip(f *testing.F) {
 	f.Add("k", []byte("v"))
 	f.Add("a:b:c", []byte{})
@@ -106,12 +107,15 @@ func FuzzClientRoundTrip(f *testing.F) {
 			t.Fatalf("Get(%q): ok=%v err=%v got=%q want=%q", key, ok, err, got, value)
 		}
 		const absent = "\x01never-set"
-		vs, found, err := c.MGet(key, absent)
-		if err != nil || !found[0] || !bytes.Equal(vs[0], value) {
-			t.Fatalf("MGet(%q): found=%v err=%v", key, found, err)
+		p := c.Pipeline()
+		p.Get(key)
+		p.Get(absent)
+		rs, err := p.Exec()
+		if err != nil || !rs[0].Found || !bytes.Equal(rs[0].Value, value) {
+			t.Fatalf("pipelined Get(%q): results=%+v err=%v", key, rs, err)
 		}
-		if key != absent && found[1] {
-			t.Fatalf("MGet: absent key reported found")
+		if key != absent && rs[1].Found {
+			t.Fatalf("pipelined Get: absent key reported found")
 		}
 	})
 }

@@ -159,18 +159,26 @@ func TestLRUEvictionOverWire(t *testing.T) {
 	}
 }
 
+// TestStatsOverWire: the store's item/hit/miss counts reach the wire as
+// METRICS' kv_items, kv_hits and kv_misses, equal to Server.Stats.
 func TestStatsOverWire(t *testing.T) {
 	srv := startServer(t, 8)
 	c := dial(t, srv)
 	c.Set("k", []byte("v"))
 	c.Get("k")
 	c.Get("nope")
-	items, hits, misses, err := c.Stats()
+	text, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
+	items, hits, misses := srv.Stats()
 	if items != 1 || hits != 1 || misses != 1 {
-		t.Fatalf("stats %d/%d/%d", items, hits, misses)
+		t.Fatalf("Stats %d/%d/%d, want 1/1/1", items, hits, misses)
+	}
+	for name, want := range map[string]float64{"kv_items": float64(items), "kv_hits": float64(hits), "kv_misses": float64(misses)} {
+		if got, ok := scrapeGauge(text, name); !ok || got != want {
+			t.Errorf("%s = %v (ok=%v), want %v", name, got, ok, want)
+		}
 	}
 }
 
@@ -192,8 +200,6 @@ func TestInvalidClientKey(t *testing.T) {
 		"RDel": func(k string) error { _, err := c.RDel(k); return err },
 		"NGet": func(k string) error { _, _, _, err := c.NGet(k, emb, 0.3); return err },
 		"ESet": func(k string) error { return c.ESet(k, emb) },
-		"MGet": func(k string) error { _, _, err := c.MGet("kept", k); return err },
-		"MSet": func(k string) error { return c.MSet([]string{"kept", k}, [][]byte{[]byte("v"), []byte("w")}) },
 	}
 	for name, verb := range verbs {
 		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nDEL kept"} {
@@ -229,15 +235,15 @@ func TestProtocolErrors(t *testing.T) {
 		{"GET\r\n", "bad arguments"},
 		{"GET a b\r\n", "bad arguments"},
 		{"DEL\r\n", "bad arguments"},
-		{"STATS extra\r\n", "bad arguments"},
 		{"METRICS extra\r\n", "bad arguments"},
-		{"MSET\r\n", "bad arguments"},
-		{"MSET nope\r\n", "bad batch count"},
-		{"MSET -1\r\n", "bad batch count"},
-		{"MSET 99999999\r\n", "bad batch count"},
-		{"MSET 1\r\na b c\r\n", "bad arguments"},
+		{"MGET a\r\n", "unknown command"},
+		{"MSET 1\r\n", "unknown command"},
+		{"STATS\r\n", "unknown command"},
 		{"SET k 3\r\nabcXY", "bad payload framing"},
 		{fmt.Sprintf("SET %s 1\r\nx\r\n", strings.Repeat("k", MaxKeyLen+1)), "key too long"},
+		// A line that fills the server's whole read buffer. It is sent
+		// unterminated so the server reads every byte before it closes.
+		{"GET " + strings.Repeat("k", connBufSize-len("GET ")), "line too long"},
 	}
 	for _, tc := range cases {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -251,57 +257,6 @@ func TestProtocolErrors(t *testing.T) {
 			t.Errorf("input %q: reply %q, want %q", tc.raw, reply, want)
 		}
 		conn.Close()
-	}
-}
-
-// TestZeroBatchVerbs: the degenerate batch sizes are legal, not protocol
-// errors — MGET with no keys answers a bare END and MSET 0 answers
-// STORED 0, in both cases leaving the connection open for the next
-// command (the exact-match replies below include a follow-up GET to
-// prove the session survived).
-func TestZeroBatchVerbs(t *testing.T) {
-	srv := startServer(t, 8)
-	cases := []struct {
-		raw  string
-		want string
-	}{
-		{"MGET\r\nQUIT\r\n", "END\r\n"},
-		{"MSET 0\r\nQUIT\r\n", "STORED 0\r\n"},
-		{"SET k 1\r\nv\r\nMGET\r\nGET k\r\nQUIT\r\n", "STORED\r\nEND\r\nVALUE 1\r\nv\r\n"},
-		{"MSET 0\r\nMGET\r\nMSET 0\r\nQUIT\r\n", "STORED 0\r\nEND\r\nSTORED 0\r\n"},
-	}
-	for _, tc := range cases {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprint(conn, tc.raw)
-		reply, _ := io.ReadAll(conn)
-		if string(reply) != tc.want {
-			t.Errorf("input %q: reply %q, want %q", tc.raw, reply, tc.want)
-		}
-		conn.Close()
-	}
-}
-
-// Client.MGet and Client.MSet short-circuit the zero-key case without
-// touching the wire, matching the server's semantics exactly.
-func TestClientZeroBatch(t *testing.T) {
-	srv := startServer(t, 8)
-	c := dial(t, srv)
-	vs, found, err := c.MGet()
-	if err != nil || vs != nil || found != nil {
-		t.Fatalf("MGet() = %v %v %v, want nil nil nil", vs, found, err)
-	}
-	if err := c.MSet(nil, nil); err != nil {
-		t.Fatalf("MSet(nil, nil) = %v", err)
-	}
-	// The connection must still be usable.
-	if err := c.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.Get("k"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get after zero batches: %q %v %v", v, ok, err)
 	}
 }
 

@@ -136,11 +136,15 @@ func TestMetricsPipelineDepth(t *testing.T) {
 		"kv_pipeline_depth_count",
 		`kv_pipeline_depth{quantile="0.5"}`,
 		"kv_net_flushes_total",
-		`kv_ops_total{op="mget"`,
-		`kv_ops_total{op="mset"`,
+		`kv_ops_total{op="set",result="stored"} 8`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("METRICS missing %q:\n%s", want, text)
+		}
+	}
+	for _, gone := range []string{`op="mget"`, `op="mset"`} {
+		if strings.Contains(text, gone) {
+			t.Fatalf("METRICS still carries %s, a deleted verb:\n%s", gone, text)
 		}
 	}
 	// All 8 pipelined SETs should have been answered under few flushes:

@@ -82,7 +82,7 @@ func (p *Pipeline) Get(key string) {
 // Set queues a SET.
 func (p *Pipeline) Set(key string, value []byte) {
 	if p.werr == nil {
-		p.add(opSet, p.c.writeSetFrame("SET ", key, value))
+		p.add(opSet, p.c.writeSetFrame(opSet, key, value))
 	}
 }
 
@@ -110,7 +110,7 @@ func (p *Pipeline) ESet(key string, emb []float32) {
 // rset queues an RSET (see Client.RSet).
 func (p *Pipeline) rset(key string, value []byte) {
 	if p.werr == nil {
-		p.add(opRSet, p.c.writeSetFrame("RSET ", key, value))
+		p.add(opRSet, p.c.writeSetFrame(opRSet, key, value))
 	}
 }
 
@@ -223,13 +223,14 @@ func (c *Client) writeKeyFrame(kind opKind, key string) error {
 	return err
 }
 
-// writeSetFrame appends "<prefix><key> <nbytes>\r\n<payload>\r\n": a SET
-// or RSET with prefix "SET " or "RSET ", an MSET item with prefix "".
-func (c *Client) writeSetFrame(prefix, key string, value []byte) error {
+// writeSetFrame appends "<verb> <key> <nbytes>\r\n<payload>\r\n" (SET,
+// RSET).
+func (c *Client) writeSetFrame(kind opKind, key string, value []byte) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	c.w.WriteString(prefix)
+	c.w.WriteString(verbs[kind])
+	c.w.WriteByte(' ')
 	c.w.WriteString(key)
 	c.w.WriteByte(' ')
 	c.w.WriteString(strconv.Itoa(len(value)))
@@ -290,10 +291,10 @@ func (c *Client) writeEmbedding(emb []float32) error {
 
 // The reply readers: one per reply shape.
 
-// readValue reads one reply to GET, to each key of an MGET, or to NGET:
-// "VALUE <nbytes>" or NOT_FOUND, and for NGET also
-// "NEAR <key> <dist> <nbytes>". found covers both hit kinds; near is
-// non-nil only for NEAR. Any other line is a protocol failure of verb.
+// readValue reads one reply to GET or NGET: "VALUE <nbytes>" or
+// NOT_FOUND, and for NGET also "NEAR <key> <dist> <nbytes>". found covers
+// both hit kinds; near is non-nil only for NEAR. Any other line is a
+// protocol failure of verb.
 func (c *Client) readValue(verb string) (value []byte, near *Near, found bool, err error) {
 	line, err := c.readLine()
 	if err != nil {

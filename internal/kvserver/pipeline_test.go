@@ -119,86 +119,42 @@ func TestPipelineDeep(t *testing.T) {
 	}
 }
 
-func TestMGetMSetRoundTrip(t *testing.T) {
+// TestPipelineRoundTrip: payloads that look like protocol (CRLF inside,
+// empty) survive a pipelined round trip byte for byte, a miss amid hits
+// keeps its slot, and every pipelined op counts in the store's stats.
+func TestPipelineRoundTrip(t *testing.T) {
 	srv := startServer(t, 64)
 	c := dial(t, srv)
 
 	keys := []string{"x", "y", "z"}
 	values := [][]byte{[]byte("1"), {}, []byte("three\r\nwith crlf")}
-	if err := c.MSet(keys, values); err != nil {
+	p := c.Pipeline()
+	for i, k := range keys {
+		p.Set(k, values[i])
+	}
+	if _, err := p.Exec(); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := c.MGet("x", "absent", "y", "z")
+	for _, k := range []string{"x", "absent", "y", "z"} {
+		p.Get(k)
+	}
+	got, err := p.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantFound := []bool{true, false, true, true}
 	wantVals := [][]byte{values[0], nil, values[1], values[2]}
 	for i := range wantFound {
-		if found[i] != wantFound[i] {
-			t.Fatalf("found[%d]=%v want %v", i, found[i], wantFound[i])
+		if got[i].Found != wantFound[i] {
+			t.Fatalf("found[%d]=%v want %v", i, got[i].Found, wantFound[i])
 		}
-		if !bytes.Equal(got[i], wantVals[i]) {
-			t.Fatalf("got[%d]=%q want %q", i, got[i], wantVals[i])
+		if !bytes.Equal(got[i].Value, wantVals[i]) {
+			t.Fatalf("got[%d]=%q want %q", i, got[i].Value, wantVals[i])
 		}
 	}
 
-	// Stats reflect the batch ops through the same store counters.
-	items, hits, misses, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if items != 3 || hits != 3 || misses != 1 {
+	if items, hits, misses := srv.Stats(); items != 3 || hits != 3 || misses != 1 {
 		t.Fatalf("stats %d/%d/%d, want 3/3/1", items, hits, misses)
-	}
-}
-
-func TestMSetLengthMismatch(t *testing.T) {
-	srv := startServer(t, 4)
-	c := dial(t, srv)
-	if err := c.MSet([]string{"a"}, nil); err == nil {
-		t.Fatal("mismatched MSet accepted")
-	}
-	if err := c.MSet(nil, nil); err != nil {
-		t.Fatalf("empty MSet: %v", err)
-	}
-}
-
-func TestMGetEmpty(t *testing.T) {
-	srv := startServer(t, 4)
-	c := dial(t, srv)
-	vs, found, err := c.MGet()
-	if err != nil || vs != nil || found != nil {
-		t.Fatalf("empty MGet: %v %v %v", vs, found, err)
-	}
-}
-
-// TestMGetLargeBatch exercises the client-side split across MaxBatchOps
-// and the server's oversized-line slow path.
-func TestMGetLargeBatch(t *testing.T) {
-	srv := startServer(t, 8192)
-	c := dial(t, srv)
-	const n = MaxBatchOps + 100
-	keys := make([]string, n)
-	values := make([][]byte, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%05d", i)
-		values[i] = []byte(fmt.Sprintf("v%d", i))
-	}
-	if err := c.MSet(keys, values); err != nil {
-		t.Fatal(err)
-	}
-	got, found, err := c.MGet(keys...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("got %d results, want %d", len(got), n)
-	}
-	for i := range keys {
-		if !found[i] || !bytes.Equal(got[i], values[i]) {
-			t.Fatalf("key %d: found=%v got=%q want=%q", i, found[i], got[i], values[i])
-		}
 	}
 }
 
@@ -209,11 +165,11 @@ func TestRawPipelinedStream(t *testing.T) {
 	srv := startServer(t, 64)
 	c := dial(t, srv)
 	// Use the underlying conn directly.
-	raw := "SET a 1\r\nx\r\nSET b 1\r\ny\r\nMGET a b\r\nGET a\r\nSTATS\r\n"
+	raw := "SET a 1\r\nx\r\nSET b 1\r\ny\r\nGET a\r\nGET b\r\nDEL a\r\nGET a\r\n"
 	if _, err := c.conn.Write([]byte(raw)); err != nil {
 		t.Fatal(err)
 	}
-	want := "STORED\r\nSTORED\r\nVALUE 1\r\nx\r\nVALUE 1\r\ny\r\nEND\r\nVALUE 1\r\nx\r\nSTATS 2 3 0\r\n"
+	want := "STORED\r\nSTORED\r\nVALUE 1\r\nx\r\nVALUE 1\r\ny\r\nDELETED\r\nNOT_FOUND\r\n"
 	buf := make([]byte, len(want))
 	if _, err := io.ReadFull(c.conn, buf); err != nil {
 		t.Fatal(err)

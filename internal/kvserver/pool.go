@@ -11,10 +11,10 @@ import (
 var ErrPoolClosed = errors.New("kvserver: pool is closed")
 
 // Pool is a fixed-size pool of client connections, safe for concurrent
-// use. Do and the typed ops (Get/Set/Del/MGet/MSet/NGet/ESet) are the only
-// way in: each checks a connection out, runs the op once, and hands the
-// connection back on every way out, retiring a broken one so its slot
-// redials lazily and one failed op never shrinks the pool.
+// use. Do is the only way in: it checks a connection out, runs the caller's
+// ops on it once (one Client call, or a Pipeline of many in one flush), and
+// hands the connection back on every way out, retiring a broken one so its
+// slot redials lazily and one failed op never shrinks the pool.
 //
 // No op is retried: a failure is the caller's to route around. A node's
 // health is judged above the pool, where there is somewhere else to go
@@ -138,61 +138,6 @@ func (p *Pool) Do(f func(*Client) error) error {
 	}
 	ok = true
 	return nil
-}
-
-// Get is Client.Get over a pooled connection.
-func (p *Pool) Get(key string) (value []byte, found bool, err error) {
-	err = p.Do(func(c *Client) error {
-		var e error
-		value, found, e = c.Get(key)
-		return e
-	})
-	return value, found, err
-}
-
-// Set is Client.Set over a pooled connection.
-func (p *Pool) Set(key string, value []byte) error {
-	return p.Do(func(c *Client) error { return c.Set(key, value) })
-}
-
-// Del is Client.Del over a pooled connection.
-func (p *Pool) Del(key string) (found bool, err error) {
-	err = p.Do(func(c *Client) error {
-		var e error
-		found, e = c.Del(key)
-		return e
-	})
-	return found, err
-}
-
-// MGet is Client.MGet over a pooled connection.
-func (p *Pool) MGet(keys ...string) (values [][]byte, found []bool, err error) {
-	err = p.Do(func(c *Client) error {
-		var e error
-		values, found, e = c.MGet(keys...)
-		return e
-	})
-	return values, found, err
-}
-
-// MSet is Client.MSet over a pooled connection.
-func (p *Pool) MSet(keys []string, values [][]byte) error {
-	return p.Do(func(c *Client) error { return c.MSet(keys, values) })
-}
-
-// NGet is Client.NGet over a pooled connection.
-func (p *Pool) NGet(key string, emb []float32, threshold float64) (value []byte, near *Near, found bool, err error) {
-	err = p.Do(func(c *Client) error {
-		var e error
-		value, near, found, e = c.NGet(key, emb, threshold)
-		return e
-	})
-	return value, near, found, err
-}
-
-// ESet is Client.ESet over a pooled connection.
-func (p *Pool) ESet(key string, emb []float32) error {
-	return p.Do(func(c *Client) error { return c.ESet(key, emb) })
 }
 
 // Close closes every pooled connection and wakes ops blocked waiting for

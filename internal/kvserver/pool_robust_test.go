@@ -154,7 +154,7 @@ func TestPoolLazyDial(t *testing.T) {
 	leakcheck.Check(t)
 	// A pool against a node that is down is built all the same...
 	pool := NewPool("127.0.0.1:1", Config{PoolSize: 2})
-	if _, _, err := pool.Get("k"); err == nil {
+	if _, _, err := poolGet(pool, "k"); err == nil {
 		t.Fatal("Get against a down node succeeded")
 	}
 	pool.Close()
@@ -163,10 +163,10 @@ func TestPoolLazyDial(t *testing.T) {
 	srv := startServer(t, 16)
 	pool = NewPool(srv.Addr(), Config{PoolSize: 2})
 	defer pool.Close()
-	if err := pool.Set("k", []byte("v")); err != nil {
+	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, err := pool.Get("k"); err != nil || !found || string(v) != "v" {
+	if v, found, err := poolGet(pool, "k"); err != nil || !found || string(v) != "v" {
 		t.Fatalf("lazy pool Get: %q %v %v", v, found, err)
 	}
 }
@@ -179,7 +179,7 @@ func TestPoolRedialsBrokenSlot(t *testing.T) {
 	srv := startServer(t, 16)
 	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
 	defer pool.Close()
-	if err := pool.Set("k", []byte("v")); err != nil {
+	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// Poison the pooled connection from the client side.
@@ -189,15 +189,15 @@ func TestPoolRedialsBrokenSlot(t *testing.T) {
 	}
 	c.conn.Close()
 	pool.release(c)
-	if _, _, err := pool.Get("k"); err == nil || !IsTransportErr(err) {
+	if _, _, err := poolGet(pool, "k"); err == nil || !IsTransportErr(err) {
 		t.Fatalf("Get over a broken conn = %v, want one transport error", err)
 	}
-	v, found, err := pool.Get("k")
+	v, found, err := poolGet(pool, "k")
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("Get after the redial: %q %v %v", v, found, err)
 	}
 	// A request rejected before it formed is not a transport error.
-	if err := pool.Set("bad key", []byte("v")); !errors.Is(err, errBadRequest) || IsTransportErr(err) {
+	if err := poolSet(pool, "bad key", []byte("v")); !errors.Is(err, errBadRequest) || IsTransportErr(err) {
 		t.Fatalf("invalid-key Set error = %v, want errBadRequest", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 				t.Fatalf("Do = %v", err)
 			}
 			done := make(chan error, 1)
-			go func() { done <- p.Set("follow-up", []byte("v")) }()
+			go func() { done <- p.Do(set) }()
 			select {
 			case err := <-done:
 				if !errors.Is(err, wantFollowUp) {

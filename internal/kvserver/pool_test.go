@@ -10,28 +10,50 @@ import (
 	"spidercache/internal/leakcheck"
 )
 
+// poolGet is Client.Get through Pool.Do.
+func poolGet(p *Pool, key string) (value []byte, found bool, err error) {
+	err = p.Do(func(c *Client) (err error) {
+		value, found, err = c.Get(key)
+		return err
+	})
+	return value, found, err
+}
+
+// poolSet is Client.Set through Pool.Do.
+func poolSet(p *Pool, key string, value []byte) error {
+	return p.Do(func(c *Client) error { return c.Set(key, value) })
+}
+
 func TestPoolBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
 	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
 	defer pool.Close()
 
-	if err := pool.Set("k", []byte("v")); err != nil {
+	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := pool.Get("k")
+	v, found, err := poolGet(pool, "k")
 	if err != nil || !found || !bytes.Equal(v, []byte("v")) {
 		t.Fatalf("Get: %q %v %v", v, found, err)
 	}
-	if err := pool.MSet([]string{"a", "b"}, [][]byte{{1}, {2}}); err != nil {
-		t.Fatal(err)
+	var rs []Result
+	err = pool.Do(func(c *Client) (err error) {
+		p := c.Pipeline()
+		p.Set("a", []byte{1})
+		p.Set("b", []byte{2})
+		p.Get("a")
+		p.Get("b")
+		p.Get("nope")
+		p.Del("k")
+		rs, err = p.Exec()
+		return err
+	})
+	if err != nil || !rs[2].Found || !rs[3].Found || rs[4].Found {
+		t.Fatalf("pipelined Gets: %+v %v", rs, err)
 	}
-	vs, fs, err := pool.MGet("a", "b", "nope")
-	if err != nil || !fs[0] || !fs[1] || fs[2] {
-		t.Fatalf("MGet: %v %v %v", vs, fs, err)
-	}
-	if found, err := pool.Del("k"); err != nil || !found {
-		t.Fatalf("Del: %v %v", found, err)
+	if !rs[5].Found {
+		t.Fatalf("pipelined Del: %+v", rs[5])
 	}
 }
 
@@ -51,11 +73,11 @@ func TestPoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				key := fmt.Sprintf("g%d-k%d", g, i)
-				if err := pool.Set(key, []byte{byte(i)}); err != nil {
+				if err := poolSet(pool, key, []byte{byte(i)}); err != nil {
 					errs <- err
 					return
 				}
-				v, found, err := pool.Get(key)
+				v, found, err := poolGet(pool, key)
 				if err != nil || !found || !bytes.Equal(v, []byte{byte(i)}) {
 					errs <- fmt.Errorf("g%d op%d: found=%v err=%v", g, i, found, err)
 					return
@@ -85,10 +107,10 @@ func TestPoolRecoversFromBrokenConn(t *testing.T) {
 		return fmt.Errorf("poisoned")
 	})
 	// The single slot must redial transparently.
-	if err := pool.Set("k", []byte("v")); err != nil {
+	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatalf("pool did not recover: %v", err)
 	}
-	v, found, err := pool.Get("k")
+	v, found, err := poolGet(pool, "k")
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("after recovery: %q %v %v", v, found, err)
 	}
@@ -141,11 +163,11 @@ func TestPoolDeadlines(t *testing.T) {
 	defer pool.Close()
 	// Deadlines are re-armed per op: two ops with a pause between them must
 	// both succeed even with a short window relative to total test time.
-	if err := pool.Set("k", []byte("v")); err != nil {
+	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, _, err := pool.Get("k"); err != nil {
+	if _, _, err := poolGet(pool, "k"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,23 +15,13 @@
 //	GET <key>\r\n                          -> VALUE <nbytes>\r\n<payload>\r\n | NOT_FOUND
 //	SET <key> <nbytes>\r\n<payload>\r\n    -> STORED | SERVER_ERROR <msg>
 //	DEL <key>\r\n                          -> DELETED | NOT_FOUND
-//	MGET [<key>...]\r\n                    -> per key, in request order:
-//	                                            VALUE <nbytes>\r\n<payload>\r\n | NOT_FOUND\r\n
-//	                                          then END\r\n (zero keys: bare END\r\n)
-//	MSET <count>\r\n                       -> STORED <count>\r\n
-//	  followed by <count> frames, each:
-//	    <key> <nbytes>\r\n<payload>\r\n
-//	  (count 0 is legal: no frames follow, the reply is STORED 0)
 //	NGET <key> <threshold> <dim>\r\n<embedding>\r\n
 //	                                       -> VALUE <nbytes>\r\n<payload>\r\n   (exact hit)
 //	                                        | NEAR <key> <dist> <nbytes>\r\n<payload>\r\n
 //	                                        | NOT_FOUND
 //	ESET <key> <dim>\r\n<embedding>\r\n    -> STORED (indexed only while <key> is resident)
-//	STATS\r\n                              -> STATS <items> <hits> <misses>\r\n
 //	METRICS\r\n                            -> METRICS <nbytes>\r\n<payload>\r\n
 //	QUIT\r\n                               -> connection closed
-//
-// MGET/MSET batches are capped at MaxBatchOps keys/frames per command.
 //
 // NGET/ESET embeddings are <dim> little-endian IEEE-754 float32s
 // (1 <= dim <= MaxEmbedDim), unit-normalized by the server; NGET's
@@ -78,7 +68,8 @@
 // per-shard resident-item gauges (kv_shard_items{shard="N"} — shard
 // balance at a glance), the pipeline-depth histogram kv_pipeline_depth
 // (requests served per network flush) and the kv_net_flushes_total
-// coalescing counter — a strict superset of STATS.
+// coalescing counter. Server.Stats reads the same item/hit/miss counts
+// in-process.
 package kvserver
 
 import (
@@ -102,13 +93,6 @@ const MaxValueSize = 64 << 20
 // MaxKeyLen bounds key length.
 const MaxKeyLen = 256
 
-// MaxBatchOps bounds the keys in one MGET and the frames in one MSET.
-const MaxBatchOps = 4096
-
-// maxLineLen bounds a single request line (an MGET line holds at most
-// MaxBatchOps keys).
-const maxLineLen = 1 << 20
-
 // protoErr is a protocol-level error with a stable wire string. Every
 // malformed frame maps onto exactly one of the values below; the server
 // replies "SERVER_ERROR <string>" and closes the connection.
@@ -118,16 +102,15 @@ func (e protoErr) Error() string { return string(e) }
 
 // The full stable protocol error vocabulary.
 const (
-	errEmptyCommand  = protoErr("empty command")
-	errUnknownCmd    = protoErr("unknown command")
-	errBadArgs       = protoErr("bad arguments")
-	errKeyTooLong    = protoErr("key too long")
-	errBadLength     = protoErr("bad value length")
-	errBadPayload    = protoErr("bad payload framing")
-	errBadBatchCount = protoErr("bad batch count")
-	errLineTooLong   = protoErr("line too long")
-	errBadEmbedDim   = protoErr("bad embedding dim")
-	errBadThreshold  = protoErr("bad threshold")
+	errEmptyCommand = protoErr("empty command")
+	errUnknownCmd   = protoErr("unknown command")
+	errBadArgs      = protoErr("bad arguments")
+	errKeyTooLong   = protoErr("key too long")
+	errBadLength    = protoErr("bad value length")
+	errBadPayload   = protoErr("bad payload framing")
+	errLineTooLong  = protoErr("line too long")
+	errBadEmbedDim  = protoErr("bad embedding dim")
+	errBadThreshold = protoErr("bad threshold")
 )
 
 // Server is the TCP cache server.
@@ -150,9 +133,7 @@ type Server struct {
 // serverTelemetry groups the per-op instruments, resolved once at startup.
 type serverTelemetry struct {
 	getHit, getMiss            *telemetry.Counter
-	mgetHit, mgetMiss          *telemetry.Counter
-	setOps, msetOps            *telemetry.Counter
-	rsetOps, esetOps           *telemetry.Counter
+	setOps, rsetOps, esetOps   *telemetry.Counter
 	delHit, delMiss            *telemetry.Counter
 	rdelHit, rdelMiss          *telemetry.Counter
 	semExact, semNear, semMiss *telemetry.Counter   // NGET outcomes
@@ -161,7 +142,6 @@ type serverTelemetry struct {
 	semLinks                   *telemetry.Gauge     // links the semantic index's graph holds
 	semUnlink                  *telemetry.Histogram // cost of removing one embedding, on the SET/DEL path
 	getLat, setLat, delLat     *telemetry.Histogram
-	mgetLat, msetLat           *telemetry.Histogram
 	rsetLat, ngetLat, esetLat  *telemetry.Histogram
 	items, hits, misses        *telemetry.Gauge
 	shardItems                 []*telemetry.Gauge // one gauge per store shard
@@ -184,10 +164,7 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	tel := serverTelemetry{
 		getHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "hit"}),
 		getMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "miss"}),
-		mgetHit:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "mget", "result": "hit"}),
-		mgetMiss:      reg.Counter("kv_ops_total", telemetry.Labels{"op": "mget", "result": "miss"}),
 		setOps:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "set", "result": "stored"}),
-		msetOps:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "mset", "result": "stored"}),
 		rsetOps:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "rset", "result": "stored"}),
 		esetOps:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "eset", "result": "stored"}),
 		semExact:      reg.Counter("kv_semantic_hits_total", telemetry.Labels{"result": "exact"}),
@@ -205,8 +182,6 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 		getLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "get"}),
 		setLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "set"}),
 		delLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "del"}),
-		mgetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "mget"}),
-		msetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "mset"}),
 		rsetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "rset"}),
 		ngetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "nget"}),
 		esetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "eset"}),
@@ -371,7 +346,6 @@ type session struct {
 	r      *bufio.Reader
 	w      *bufio.Writer
 	fields [][]byte  // field-split scratch, aliases the reader's buffer
-	long   []byte    // spill buffer for lines longer than the reader buffer
 	num    []byte    // integer formatting scratch
 	emb    []byte    // embedding payload scratch (NGET/ESET)
 	vec    []float64 // decoded embedding scratch (NGET/ESET)
@@ -454,10 +428,6 @@ func (s *Server) serveOne(sess *session) error {
 		return s.doGet(sess, args)
 	case cmdEq(cmd, "SET"):
 		return s.doSet(sess, args)
-	case cmdEq(cmd, "MGET"):
-		return s.doMGet(sess, args)
-	case cmdEq(cmd, "MSET"):
-		return s.doMSet(sess, args)
 	case cmdEq(cmd, "DEL"):
 		return s.doDel(sess, args)
 	case cmdEq(cmd, "NGET"):
@@ -472,8 +442,6 @@ func (s *Server) serveOne(sess *session) error {
 		return s.doHello(sess, args)
 	case cmdEq(cmd, "NODES"):
 		return s.doNodes(sess, args)
-	case cmdEq(cmd, "STATS"):
-		return s.doStats(sess, args)
 	case cmdEq(cmd, "METRICS"):
 		return s.doMetrics(sess, args)
 	case cmdEq(cmd, "QUIT"):
@@ -499,37 +467,6 @@ func (s *Server) doGet(sess *session, args [][]byte) error {
 	return err
 }
 
-func (s *Server) doMGet(sess *session, args [][]byte) error {
-	if len(args) > MaxBatchOps {
-		return errBadBatchCount
-	}
-	if len(args) == 0 {
-		// An empty batch is a legal (if pointless) request — e.g. a client
-		// whose key filter left nothing — and answers with a bare END, the
-		// exact frame a batch of N misses would end with.
-		_, err := sess.w.WriteString("END\r\n")
-		return err
-	}
-	start := time.Now()
-	var hits, misses int64
-	for _, key := range args {
-		value, ok := s.store.getBytes(key)
-		if ok {
-			hits++
-		} else {
-			misses++
-		}
-		if err := sess.writeValueOrMiss(value, ok); err != nil {
-			return err
-		}
-	}
-	_, err := sess.w.WriteString("END\r\n")
-	s.tel.mgetHit.Add(hits)
-	s.tel.mgetMiss.Add(misses)
-	s.tel.mgetLat.Observe(time.Since(start).Seconds())
-	return err
-}
-
 func (s *Server) doSet(sess *session, args [][]byte) error {
 	if len(args) != 2 {
 		return errBadArgs
@@ -543,7 +480,7 @@ func (s *Server) doSet(sess *session, args [][]byte) error {
 	// Fan out before the reply: when STORED lands at the client, every
 	// reachable replica owner already has the value.
 	if s.cluster != nil {
-		s.cluster.ReplicateSet([]string{key}, [][]byte{value})
+		s.cluster.ReplicateSet(key, value)
 	}
 	_, err = sess.w.WriteString("STORED\r\n")
 	s.tel.setOps.Inc()
@@ -566,54 +503,6 @@ func (s *Server) doRSet(sess *session, args [][]byte) error {
 	_, err = sess.w.WriteString("STORED\r\n")
 	s.tel.rsetOps.Inc()
 	s.tel.rsetLat.Observe(time.Since(start).Seconds())
-	return err
-}
-
-func (s *Server) doMSet(sess *session, args [][]byte) error {
-	if len(args) != 1 {
-		return errBadArgs
-	}
-	count, err := parseLength(args[0])
-	if err != nil || count > MaxBatchOps {
-		return errBadBatchCount
-	}
-	// count 0 falls through: zero frames to read, reply STORED 0 — the
-	// degenerate batch is legal, mirroring MGET's zero-key bare END.
-	start := time.Now()
-	var rkeys []string
-	var rvalues [][]byte
-	if s.cluster != nil {
-		rkeys = make([]string, 0, count)
-		rvalues = make([][]byte, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		line, err := sess.readLine()
-		if err != nil {
-			return err
-		}
-		fields := splitFields(line, sess.fields[:0])
-		sess.fields = fields
-		if len(fields) != 2 {
-			return errBadArgs
-		}
-		key, value, err := sess.readPayload(fields[0], fields[1])
-		if err != nil {
-			return err
-		}
-		s.store.set(key, value)
-		if s.cluster != nil {
-			rkeys = append(rkeys, key)
-			rvalues = append(rvalues, value)
-		}
-	}
-	if s.cluster != nil {
-		s.cluster.ReplicateSet(rkeys, rvalues)
-	}
-	sess.w.WriteString("STORED ")
-	sess.writeInt(int64(count))
-	_, err = sess.w.WriteString("\r\n")
-	s.tel.msetOps.Add(int64(count))
-	s.tel.msetLat.Observe(time.Since(start).Seconds())
 	return err
 }
 
@@ -659,21 +548,6 @@ func (s *Server) doRDel(sess *session, args [][]byte) error {
 	}
 	s.tel.rdelMiss.Inc()
 	_, err := sess.w.WriteString("NOT_FOUND\r\n")
-	return err
-}
-
-func (s *Server) doStats(sess *session, args [][]byte) error {
-	if len(args) != 0 {
-		return errBadArgs
-	}
-	items, hits, misses := s.store.stats()
-	sess.w.WriteString("STATS ")
-	sess.writeInt(int64(items))
-	sess.w.WriteByte(' ')
-	sess.writeInt(hits)
-	sess.w.WriteByte(' ')
-	sess.writeInt(misses)
-	_, err := sess.w.WriteString("\r\n")
 	return err
 }
 
@@ -734,32 +608,18 @@ func (sess *session) writeInt(n int64) {
 }
 
 // readLine returns the next line without its \r\n (or \n) terminator. The
-// returned slice aliases the reader's buffer (or sess.long for oversized
-// lines) and is only valid until the next read.
+// returned slice aliases the reader's buffer and is only valid until the
+// next read. No request line outgrows the buffer (keys and node addresses
+// are at most MaxKeyLen bytes), so one that does is errLineTooLong.
 func (sess *session) readLine() ([]byte, error) {
 	line, err := sess.r.ReadSlice('\n')
-	if err == nil {
-		return trimCRLF(line), nil
+	if err == bufio.ErrBufferFull {
+		return nil, errLineTooLong
 	}
-	if err != bufio.ErrBufferFull {
+	if err != nil {
 		return nil, err
 	}
-	// Slow path: the line exceeds the buffer; accumulate into sess.long.
-	long := append(sess.long[:0], line...)
-	for {
-		if len(long) > maxLineLen {
-			return nil, errLineTooLong
-		}
-		line, err = sess.r.ReadSlice('\n')
-		long = append(long, line...)
-		if err == nil {
-			sess.long = long
-			return trimCRLF(long), nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
+	return trimCRLF(line), nil
 }
 
 func trimCRLF(line []byte) []byte {

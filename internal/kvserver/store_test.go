@@ -198,8 +198,7 @@ func TestStoreRaceStress(t *testing.T) {
 }
 
 // TestServerRaceStress drives mixed verbs over many real connections — the
-// wire-level -race stress for the sharded data plane, including the batch
-// verbs and pipelines.
+// wire-level -race stress for the sharded data plane, pipelines included.
 func TestServerRaceStress(t *testing.T) {
 	srv := serve(t, storeConfig(512, 8), nil, nil)
 	const conns = 8
@@ -234,7 +233,10 @@ func TestServerRaceStress(t *testing.T) {
 						return
 					}
 				case 3:
-					if err := c.MSet([]string{key + "a", key + "b"}, [][]byte{{1}, {2}}); err != nil {
+					p := c.Pipeline()
+					p.Set(key+"a", []byte{1})
+					p.Set(key+"b", []byte{2})
+					if _, err := p.Exec(); err != nil {
 						errs <- err
 						return
 					}
