@@ -293,9 +293,9 @@ func TestGrapherAccessor(t *testing.T) {
 
 // TestSearchKNNCountsEveryScoredSample drives the spider policy through the
 // trainer and checks the search accounting the benchmark harness compares
-// between its traced and untraced runs: scoring is always fresh, so every
-// sample an epoch scores is exactly one SearchKNN, and no epoch reports a
-// snapshot hit.
+// between its traced and untraced runs: scoring keeps no neighbourhood
+// across batches, so every sample an epoch scores is exactly one
+// SearchKNN, and no epoch reports a snapshot hit.
 func TestSearchKNNCountsEveryScoredSample(t *testing.T) {
 	ds, err := dataset.New(dataset.Config{
 		Name: "tiny", Classes: 4, TrainSize: 300, TestSize: 100, Dim: 8,

@@ -158,7 +158,11 @@ func (o *oracle) check(t testing.TB, ix *Index, id int, q []float64, k int) (fou
 // and search against the brute-force model. Sequences differ in how large
 // the id space is next to the number of operations, so that some stay near
 // empty (the last point goes and comes back, dimensionality changes) and
-// some grow to hundreds of points with the free list in steady use.
+// some grow to hundreds of points with the free list in steady use. Every
+// other search asks for the vector of the point last moved far, whose
+// answer may be the beam of the settle that re-linked it; the operations
+// since, updates under UpdateEps among them, must have retired that beam,
+// or the model's distances tell.
 func TestOpsAgainstOracle(t *testing.T) {
 	for seed, ids := range []int{3, 12, 60, 400, 400} {
 		t.Run(fmt.Sprintf("ids=%d/seed=%d", ids, seed), func(t *testing.T) {
@@ -170,6 +174,7 @@ func TestOpsAgainstOracle(t *testing.T) {
 			o := &oracle{vecs: map[int][]float64{}}
 			dim := 8
 			found, wanted := 0, 0
+			relinked := 0 // the id last moved far
 			for op := 0; op < 3000; op++ {
 				if len(o.vecs) == 0 {
 					dim = 4 + 4*rng.Intn(3) // an empty index takes any dimensionality
@@ -185,13 +190,19 @@ func TestOpsAgainstOracle(t *testing.T) {
 					v := unitVec(dim, rng)
 					if held && rng.Intn(2) == 0 {
 						v = drifted(o.vecs[id], 0.003, rng) // under UpdateEps: copy only
+					} else if held {
+						relinked = id
 					}
 					if err := ix.Upsert(id, v); err != nil {
 						t.Fatal(err)
 					}
 					o.set(id, v)
 				}
-				f, w := o.check(t, ix, id, unitVec(dim, rng), 5)
+				q := unitVec(dim, rng)
+				if v, ok := o.vecs[relinked]; ok && op%2 == 0 {
+					q = v
+				}
+				f, w := o.check(t, ix, id, q, 5)
 				found, wanted = found+f, wanted+w
 			}
 			if recall := float64(found) / float64(wanted); recall < 0.97 {
@@ -202,10 +213,13 @@ func TestOpsAgainstOracle(t *testing.T) {
 }
 
 // FuzzOps reads an operation sequence from the fuzzer's bytes, two per
-// operation (what, which id), and checks it against the same model.
+// operation (what, which id), and checks it against the same model. The
+// third seed moves a point far, settles, creeps another, then asks for the
+// first one's vector: the answer must not come from the settle's beam.
 func FuzzOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 2, 0, 4, 2, 1, 2, 3, 2, 4, 0, 9})
 	f.Add([]byte("\x00\x00\x02\x00\x00\x00\x01\x00\x00\x07\x00\x08\x02\x07\x00\x09\x03\x00"))
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 1, 4, 5, 5, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := New(Config{M: 3, EfConstruction: 8, EfSearch: 8, UpdateEps: 0.02, Seed: 1})
 		if err != nil {
@@ -215,7 +229,8 @@ func FuzzOps(f *testing.F) {
 		rng := xrand.New(1)
 		for ; len(data) >= 2; data = data[2:] {
 			id := int(data[1] % 48)
-			switch data[0] % 4 {
+			q := unitVec(6, rng)
+			switch data[0] % 6 {
 			case 0, 1: // insert, or an update that re-links
 				v := unitVec(6, rng)
 				if err := ix.Upsert(id, v); err != nil {
@@ -228,8 +243,20 @@ func FuzzOps(f *testing.F) {
 				}
 				o.del(id)
 			case 3: // a search only
+			case 4: // an update under UpdateEps, which only copies the vector
+				if v, held := o.vecs[id]; held {
+					v = drifted(v, 0.003, rng)
+					if err := ix.Upsert(id, v); err != nil {
+						t.Fatal(err)
+					}
+					o.set(id, v)
+				}
+			case 5: // a search for a stored point's own vector
+				if v, held := o.vecs[id]; held {
+					q = v
+				}
 			}
-			o.check(t, ix, id, unitVec(6, rng), 4)
+			o.check(t, ix, id, q, 4)
 		}
 	})
 }

@@ -21,7 +21,12 @@
 // selections are then installed one after another in due order. A search
 // therefore never sees a point whose links are older than its vector by
 // more than UpdateEps, and the graph after a settle depends on the calls
-// made and their order, not on how many cores ran it.
+// made and their order, not on how many cores ran it. The settle's search
+// for a point's new vector is not thrown away: until the next Upsert or
+// Delete, a search at EfSearch for exactly that vector returns the head of
+// the settle's layer-0 beam, the point first, and searches nothing. The
+// trainer searches each point of a batch for its score right after the
+// batch's updates, so one search per point per batch serves both.
 //
 // The implementation follows the paper's Algorithms 1-5: multi-layer
 // proximity graphs with exponentially decaying layer population, greedy
@@ -162,6 +167,19 @@ type Index struct {
 	// same buffers every time, whichever cores its goroutines land on. Each
 	// holds a visit mark of 8 bytes per slot, up to GOMAXPROCS of them.
 	pickers []*scratch
+	// beams holds the head of the layer-0 search relinkAll ran for each
+	// point it re-linked: due[i]'s row is EfSearch entries from
+	// beams[i*EfSearch], the point itself at distance 0 and then the
+	// nearest others of its beam, beamLen[i] of them in all. beamAt maps
+	// the hash of such a point's vector to its row, so that a search at
+	// EfSearch for exactly that vector reads the row and searches nothing
+	// (searchKNN). Every Upsert and Delete empties beamAt: a row answers
+	// only until the next change, that is, within the batch it was
+	// searched for. It holds 16 bytes per entry, up to EfSearch per point
+	// of the largest settle so far.
+	beams   []candidate
+	beamLen []int
+	beamAt  map[uint64]int
 }
 
 // scratch is the working memory of one search or upsert: every buffer the
@@ -228,6 +246,7 @@ func New(cfg Config) (*Index, error) {
 		stride0: 2*cfg.M + 2,
 		byID:    make(map[int]uint32),
 		entry:   -1,
+		beamAt:  make(map[uint64]int),
 	}, nil
 }
 
@@ -348,6 +367,7 @@ func (ix *Index) Upsert(id int, vec []float64) error {
 	if d := ix.dim; d != 0 && len(vec) != d {
 		return fmt.Errorf("hnsw: vector dim %d != index dim %d", len(vec), d)
 	}
+	defer clear(ix.beamAt)
 	if slot, ok := ix.byID[id]; ok {
 		ix.updateVector(slot, vec)
 		return nil
@@ -475,7 +495,9 @@ func (ix *Index) pickRow() int { return 1 + ix.layerCap(0) }
 // point after another in due order. A point's selection depends on the
 // graph and its own vector alone, so the result is the same whichever core
 // selected what. For one point it is what searching and linking layer by
-// layer gives: a layer's search reads that layer's links only.
+// layer gives: a layer's search reads that layer's links only. Each
+// point's layer-0 beam is kept for the searches of its vector that follow
+// (Index.beams).
 func (ix *Index) relinkAll() {
 	due := ix.due
 	ix.pickAt = ix.pickAt[:0]
@@ -489,6 +511,10 @@ func (ix *Index) relinkAll() {
 		ix.picks = make([]uint32, rows*w)
 	}
 	picks := ix.picks[:rows*w]
+	if n := len(due) * ix.cfg.EfSearch; cap(ix.beams) < n {
+		ix.beams = make([]candidate, n)
+	}
+	ix.beamLen = slices.Grow(ix.beamLen[:0], len(due))[:len(due)]
 	workers := min(runtime.GOMAXPROCS(0), len(due))
 	for len(ix.pickers) < workers {
 		ix.pickers = append(ix.pickers, new(scratch))
@@ -519,7 +545,29 @@ func (ix *Index) relinkAll() {
 	for i, slot := range due {
 		ix.install(sc, slot, picks[ix.pickAt[i]*w:])
 	}
+	clear(ix.beamAt)
+	// A beam narrower than a search's holds less than the search would
+	// find.
+	if ix.cfg.EfConstruction >= ix.cfg.EfSearch {
+		for i, slot := range due {
+			// Of two points with one vector, the first re-linked answers.
+			h := vecHash(ix.vec(slot))
+			if _, dup := ix.beamAt[h]; !dup {
+				ix.beamAt[h] = i
+			}
+		}
+	}
 	ix.due = due[:0]
+}
+
+// vecHash hashes the bits of v, FNV-1a a word at a time.
+func vecHash(v []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range v {
+		h ^= math.Float64bits(x)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // fork is what relinkAll's goroutines share.
@@ -531,20 +579,21 @@ type fork struct {
 // pickFrom selects for due points, taking the next one from next until
 // none is left.
 func (ix *Index) pickFrom(sc *scratch, next *atomic.Int64, picks []uint32) {
-	w := ix.pickRow()
+	w, ef := ix.pickRow(), ix.cfg.EfSearch
 	for {
 		i := int(next.Add(1) - 1)
 		if i >= len(ix.due) {
 			return
 		}
-		ix.pick(sc, ix.due[i], picks[ix.pickAt[i]*w:])
+		ix.beamLen[i] = ix.pick(sc, ix.due[i], picks[ix.pickAt[i]*w:], ix.beams[i*ef:(i+1)*ef])
 	}
 }
 
 // pick searches for slot's vector from the entry point and writes, into
 // rows, the neighbours it selects from what the search found at every layer
-// the point shares with the graph. It only reads the index.
-func (ix *Index) pick(sc *scratch, slot uint32, rows []uint32) {
+// the point shares with the graph, and into beam, the head of its layer-0
+// search, whose length it returns. It only reads the index.
+func (ix *Index) pick(sc *scratch, slot uint32, rows []uint32, beam []candidate) (n int) {
 	q := ix.vec(slot)
 	level := len(ix.nodes[slot].upper)
 	ep := uint32(ix.entry)
@@ -556,6 +605,9 @@ func (ix *Index) pick(sc *scratch, slot uint32, rows []uint32) {
 	w := ix.pickRow()
 	for l := min(level, ix.maxLv); l >= 0; l-- {
 		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
+		if l == 0 {
+			n = keepBeam(slot, cands, beam)
+		}
 		// Drop self-references and free slots before selecting.
 		filtered := cands[:0]
 		for _, c := range cands {
@@ -573,6 +625,26 @@ func (ix *Index) pick(sc *scratch, slot uint32, rows []uint32) {
 			ep, epDist = filtered[0].id, filtered[0].dist
 		}
 	}
+	return n
+}
+
+// keepBeam fills beam with slot at distance 0 and then the first entries
+// of cands, its layer-0 search, other than slot, and returns how many it
+// wrote. The search may miss slot itself: its links lead to where it was
+// before the update that made it due.
+func keepBeam(slot uint32, cands, beam []candidate) int {
+	beam[0] = candidate{id: slot}
+	n := 1
+	for _, c := range cands {
+		if n == len(beam) {
+			break
+		}
+		if c.id != slot {
+			beam[n] = c
+			n++
+		}
+	}
+	return n
 }
 
 // install makes the selections pick wrote into rows slot's neighbours, top
@@ -621,6 +693,7 @@ func (ix *Index) Delete(id int) bool {
 		return false
 	}
 	delete(ix.byID, id)
+	clear(ix.beamAt)
 	if len(ix.byID) == 0 {
 		ix.reset()
 		return true
@@ -903,6 +976,14 @@ func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 	if ef < k {
 		ef = k
 	}
+	if ef == ix.cfg.EfSearch && len(ix.beamAt) > 0 {
+		if i, ok := ix.beamAt[vecHash(q)]; ok {
+			beam := ix.beams[i*ef:][:ix.beamLen[i]]
+			if slices.Equal(ix.vec(beam[0].id), q) {
+				return ix.results(beam, k)
+			}
+		}
+	}
 	sc := ix.getScratch()
 	defer putScratch(sc)
 	ep := uint32(ix.entry)
@@ -910,7 +991,11 @@ func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 	for l := ix.maxLv; l > 0; l-- {
 		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
-	cands := ix.searchLayer(sc, ep, epDist, q, ef, 0)
+	return ix.results(ix.searchLayer(sc, ep, epDist, q, ef, 0), k)
+}
+
+// results returns the first k live points of cands as search results.
+func (ix *Index) results(cands []candidate, k int) []Result {
 	// Free slots the search passed through are left out here, once per
 	// result, and not where it hops.
 	out := make([]Result, 0, min(k, len(cands)))

@@ -181,7 +181,8 @@ func BenchmarkUpdateDrift(b *testing.B) {
 // closure and, when the runtime has no exited goroutine at hand to reuse,
 // the goroutine itself. testing.AllocsPerRun measures on one core whatever
 // GOMAXPROCS is, so the four-core count reads the allocator's statistics
-// around the same loop itself.
+// around the same loop itself. A search that the settle's beam answers
+// allocates its result and nothing else.
 func TestSettleAllocs(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector allocates on its own account")
@@ -210,6 +211,14 @@ func TestSettleAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, batch); allocs != 0 {
 		t.Fatalf("a settle of %d updates on one core allocates %v times", settleBatch, allocs)
 	}
+	q := ix.Vector((next - 1) % n) // re-linked by the last settle
+	if _, ok := ix.beamAt[vecHash(q)]; !ok {
+		t.Fatal("the last settle kept no beam for a point it re-linked")
+	}
+	search := func() { sinkResults = ix.SearchKNN(q, 24) }
+	if allocs := testing.AllocsPerRun(runs, search); allocs != 1 {
+		t.Fatalf("a search answered from a settle's beam allocates %v times", allocs)
+	}
 
 	const procs = 4
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -224,6 +233,39 @@ func TestSettleAllocs(t *testing.T) {
 	t.Logf("%v allocations per settle on %d cores", allocs, procs)
 	if allocs > 1+2*(procs-1) {
 		t.Fatalf("a settle of %d updates on %d cores allocates %v times", settleBatch, procs, allocs)
+	}
+}
+
+// BenchmarkSettleThenScore is a batch of the trainer's scoring: 64 points
+// move far enough to be due a re-link, and then each one's 24 nearest are
+// searched for, the first search settling the batch and every one of them
+// answered from the settle's beam. An op is the whole batch. One batch runs
+// before the clock starts, so that the settle's buffers have grown: on one
+// core an op then allocates the 64 results and nothing else.
+func BenchmarkSettleThenScore(b *testing.B) {
+	const n = 4000
+	vecs := benchVecs(2*n, 32)
+	ix, _ := New(DefaultConfig())
+	for i := 0; i < n; i++ {
+		ix.Upsert(i, vecs[i])
+	}
+	next := 0
+	batch := func() {
+		first := next
+		for ; next < first+settleBatch; next++ {
+			if err := ix.Upsert(next%n, vecs[(7*next+1)%len(vecs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j := first; j < next; j++ {
+			sinkResults = ix.SearchKNN(vecs[(7*j+1)%len(vecs)], 24)
+		}
+	}
+	batch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch()
 	}
 }
 

@@ -395,3 +395,51 @@ func TestDelOfPendingRelink(t *testing.T) {
 		t.Fatalf("DEL after a settling read leaves live %v, free %v, links %v; without the read %v, %v, %v", l, f, k, live, free, links)
 	}
 }
+
+// BenchmarkNGetAfterESets times the NGET that follows N ESETs, each of
+// which moves a resident key's embedding to another cluster. The ESETs
+// only store their vectors (hnsw defers the re-link), so that NGET first
+// settles all N keys, on every core, and then searches: its latency is
+// what a read inherits from the writes before it. The query is a centroid,
+// which no key holds. Only the NGET is timed.
+func BenchmarkNGetAfterESets(b *testing.B) {
+	const keys = 4096
+	vecs, centroids := clusterVecs(2 * keys)
+	for _, n := range []int{1, 16, 256, 1024} {
+		b.Run(fmt.Sprintf("esets=%d", n), func(b *testing.B) {
+			srv := startServer(b, 2*keys)
+			c := dial(b, srv)
+			p := c.Pipeline()
+			for i := 0; i < keys; i++ {
+				key := fmt.Sprintf("k%d", i)
+				p.Set(key, []byte("v"))
+				p.ESet(key, vecs[i])
+			}
+			if _, err := p.Exec(); err != nil {
+				b.Fatal(err)
+			}
+			next := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for range n {
+					// Key j alternates between vecs[j], in cluster j%8, and
+					// vecs[keys+(j+1)%keys], in the next cluster.
+					j, to := next%keys, vecs[next%keys]
+					if next/keys%2 == 0 {
+						to = vecs[keys+(j+1)%keys]
+					}
+					p.ESet(fmt.Sprintf("k%d", j), to)
+					next++
+				}
+				if _, err := p.Exec(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, _, err := c.NGet("absent", centroids[i%len(centroids)], 0.05); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

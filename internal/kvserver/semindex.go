@@ -28,7 +28,10 @@ import (
 // ESET that moves a resident key's embedding only stores the vector;
 // the re-link waits for the next operation that reads or changes the
 // graph (hnsw package doc), so one NGET, DEL or insert may first
-// re-link the keys of every ESET before it, spread over all cores.
+// re-link the keys of every ESET before it, spread over all cores
+// (BenchmarkNGetAfterESets: its latency grows with their number). An
+// NGET for exactly the embedding a re-linked key now holds reads the
+// re-link's own search, the key first, until the next ESET or unlink.
 // Ids are never reused, so a search racing an unlink can at worst
 // surface a freshly-unmapped id, which the byID lookup (and the
 // caller's store-residency check) drops.

@@ -24,8 +24,12 @@ const minParallelBatch = 4
 // serial scoring — Algorithm 1 semantics and determinism are preserved. Score
 // recording happens serially in input order after the parallel phase.
 //
-// Every sample is upserted and searched fresh on every call, as Algorithm
-// 1 does: no neighbourhood outlives the batch that computed it.
+// Every sample is upserted and searched once on every call, as Algorithm
+// 1 does: no neighbourhood outlives the batch that computed it. With the
+// HNSW index that one search is often the update's own: the settle that
+// re-links a moved point searches for its new vector, and the point's
+// scoring search, for the same vector straight after, reads that search's
+// result instead of running again (hnsw package doc).
 //
 // ScoreBatch must not run concurrently with other Grapher calls; it is the
 // batch-level replacement for an Update+Score loop, not a thread-safe API.
@@ -42,7 +46,8 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 	// 15). The normalisation buffer is reused across samples; searchers
 	// copy on Upsert. The HNSW index only copies the vectors here: the
 	// first search of Phase 2 re-links the batch's moved points, on all
-	// cores, before any search reads the graph (hnsw package doc).
+	// cores, before any search reads the graph, and keeps what it found
+	// for each of them for that point's own search (hnsw package doc).
 	for i, id := range ids {
 		g.normBuf = NormalizeInto(g.normBuf, embeddings[i])
 		if err := g.searcher.Upsert(id, g.normBuf); err != nil {

@@ -53,11 +53,16 @@ go test ./...
 # accounting. An update of an existing point, with its share of the settle
 # that re-links the batch (the update benchmarks settle every 64 updates),
 # and a delete must allocate nothing, a search only the slice it returns.
+# A batch of scoring (64 due updates, then a search per point, each
+# answered from the settle's beam) must allocate its 64 results and no
+# more; it runs on one core, since a settle on more allocates its fork
+# (TestSettleAllocs bounds that), and for fewer ops, since one is a batch.
 # The line count is checked so that a benchmark going missing cannot pass
 # the gate.
-echo "== hnsw alloc regression (update Upsert and Delete 0 allocs/op, SearchKNN <= 1)"
+echo "== hnsw alloc regression (update Upsert and Delete 0 allocs/op, SearchKNN <= 1, a scored batch <= 64)"
 hnsw_out="$(go test -run '^$' -bench '^Benchmark(Update|UpdateDrift|SearchKNN|Delete)$' \
-    -benchtime 2000x -benchmem ./internal/hnsw/)"
+    -benchtime 2000x -benchmem ./internal/hnsw/)
+$(go test -run '^$' -bench '^BenchmarkSettleThenScore$' -benchtime 100x -benchmem -cpu 1 ./internal/hnsw/)"
 echo "$hnsw_out"
 echo "$hnsw_out" | awk '
     /^BenchmarkUpdate/ && / allocs\/op/ {
@@ -72,8 +77,12 @@ echo "$hnsw_out" | awk '
         seen++
         if ($(NF-1)+0 > 1) { print "hnsw search allocates more than its result: " $0 > "/dev/stderr"; bad = 1 }
     }
+    /^BenchmarkSettleThenScore/ && / allocs\/op/ {
+        seen++
+        if ($(NF-1)+0 > 64) { print "hnsw scored batch allocates more than its results: " $0 > "/dev/stderr"; bad = 1 }
+    }
     END {
-        if (seen != 6) { print "expected 6 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
+        if (seen != 7) { print "expected 7 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
         exit bad
     }'
 
