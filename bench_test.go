@@ -18,7 +18,6 @@ import (
 	"spidercache/internal/hnsw"
 	"spidercache/internal/nn"
 	"spidercache/internal/policy"
-	"spidercache/internal/pq"
 	"spidercache/internal/sampler"
 	"spidercache/internal/semgraph"
 	"spidercache/internal/trainer"
@@ -198,11 +197,6 @@ func BenchmarkAblationANN(b *testing.B) {
 	build(hx)
 	bf := semgraph.NewBruteSearcher()
 	build(bf)
-	pqs, err := semgraph.NewPQSearcher(pq.DefaultConfig(), 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	build(pqs)
 	b.Run("hnsw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hx.SearchKNN(vecs[i%n], k)
@@ -211,11 +205,6 @@ func BenchmarkAblationANN(b *testing.B) {
 	b.Run("brute-force", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bf.SearchKNN(vecs[i%n], k)
-		}
-	})
-	b.Run("pq-adc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pqs.SearchKNN(vecs[i%n], k)
 		}
 	})
 }
@@ -289,7 +278,7 @@ func BenchmarkGraphIS(b *testing.B) {
 		labels[i] = i % 10
 	}
 	idx, _ := hnsw.New(hnsw.DefaultConfig())
-	g, err := semgraph.New(semgraph.DefaultConfig(), labels, idx)
+	g, err := semgraph.New(labels, idx)
 	if err != nil {
 		b.Fatal(err)
 	}

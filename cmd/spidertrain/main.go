@@ -40,8 +40,7 @@ func main() {
 		workers = flag.Int("workers", 1, "simulated data-parallel GPU count")
 		seed    = flag.Uint64("seed", 42, "random seed")
 		rStart  = flag.Float64("rstart", 0.90, "SpiderCache initial imp-ratio")
-		rEnd    = flag.Float64("rend", 0.80, "SpiderCache final imp-ratio")
-		static  = flag.Bool("static-ratio", false, "freeze the imp-ratio (disable the elastic manager)")
+		rEnd    = flag.Float64("rend", 0.80, "SpiderCache final imp-ratio (= -rstart for a static split)")
 		noPipe  = flag.Bool("no-pipeline", false, "disable IS pipeline overlap")
 		quiet   = flag.Bool("quiet", false, "print only the summary line")
 		csvOut  = flag.String("csv", "", "write per-epoch records to this CSV file")
@@ -89,9 +88,6 @@ func main() {
 		spidercache.WithSeed(*seed),
 		spidercache.WithElasticRange(*rStart, *rEnd),
 		spidercache.WithMetrics(reg),
-	}
-	if *static {
-		opts = append(opts, spidercache.WithStaticRatio())
 	}
 	if *noPipe {
 		opts = append(opts, spidercache.WithoutPipeline())

@@ -1,6 +1,7 @@
 // Elastic cache tuning: reproduce the paper's Section 6.5 study on your own
 // workload — a static 90:10 split versus dynamic 90→80 and 90→50 shifts
-// between the Importance and Homophily cache sections.
+// between the Importance and Homophily cache sections. The static split is
+// the elastic range with r_end = r_start.
 //
 // Lower final imp-ratios buy hit ratio (and therefore training speed) at a
 // small accuracy cost; the Imp-Ratio is the user-facing knob SpiderCache
@@ -27,26 +28,21 @@ func main() {
 		label  string
 		rStart float64
 		rEnd   float64
-		static bool
 	}{
-		{"static 90%", 0.90, 0.90, true},
-		{"90% -> 80%", 0.90, 0.80, false},
-		{"90% -> 50%", 0.90, 0.50, false},
+		{"static 90%", 0.90, 0.90},
+		{"90% -> 80%", 0.90, 0.80},
+		{"90% -> 50%", 0.90, 0.50},
 	}
 
 	fmt.Printf("%-12s %10s %10s %10s %12s\n", "strategy", "avgHit%", "lateHit%", "bestAcc%", "trainTime")
 	for _, s := range strategies {
-		opts := []spidercache.Option{
+		res, err := spidercache.TrainWith(ds,
 			spidercache.WithPolicy(spidercache.PolicySpiderCache),
 			spidercache.WithEpochs(20),
 			spidercache.WithCacheFraction(0.2),
 			spidercache.WithElasticRange(s.rStart, s.rEnd),
 			spidercache.WithSeed(42),
-		}
-		if s.static {
-			opts = append(opts, spidercache.WithStaticRatio())
-		}
-		res, err := spidercache.TrainWith(ds, opts...)
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

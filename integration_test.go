@@ -92,7 +92,7 @@ func TestElasticManagerShape(t *testing.T) {
 	const epochs = 14
 	static, err := spidercache.TrainWith(ds,
 		spidercache.WithPolicy("spider"), spidercache.WithEpochs(epochs), spidercache.WithCacheFraction(0.2),
-		spidercache.WithElasticRange(0.9, 0.9), spidercache.WithStaticRatio(), spidercache.WithSeed(42),
+		spidercache.WithElasticRange(0.9, 0.9), spidercache.WithSeed(42),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,10 @@ import (
 )
 
 // Options configures a SpiderCache instance. The algorithm's constants are
-// not among them: scoring runs at semgraph.DefaultConfig (λ, α and
-// neighborMax of Eqs. 2-4), the ANN index at hnsw.DefaultConfig and the
-// sampler at samplerMixing, and batch scoring uses up to GOMAXPROCS cores.
+// not among them: scoring runs at semgraph's λ, α and neighborMax (Eqs.
+// 2-4), the elastic manager at its γ, m and smoother (Eqs. 5-7), the ANN
+// index at hnsw.DefaultConfig and the sampler at its fixed mean-mixing,
+// and batch scoring uses up to GOMAXPROCS cores.
 type Options struct {
 	// Capacity is the total cache budget in items, split between the two
 	// sections by the imp-ratio.
@@ -41,8 +42,9 @@ type Options struct {
 	Labels []int
 	// Payloads are per-sample stored sizes in bytes.
 	Payloads []int
-	// Elastic tunes the cache manager; zero value means
-	// elastic.DefaultConfig(TotalEpochs).
+	// Elastic holds the imp-ratio endpoints of Eq. 8; the zero value means
+	// elastic.DefaultConfig (0.90 → 0.80). REnd = RStart is the static
+	// split of Table 6's "90%" strategy.
 	Elastic elastic.Config
 	// TotalEpochs is the planned training length T (Eq. 8).
 	TotalEpochs int
@@ -50,9 +52,6 @@ type Options struct {
 	// "SpiderCache-imp" ablation of Fig 14. The full budget then goes to
 	// the Importance Cache.
 	DisableHomophily bool
-	// DisableElastic freezes the imp-ratio at Elastic.RStart — the static
-	// strategy of Table 6's "90%" column.
-	DisableElastic bool
 	// Searcher overrides the ANN index (nil = HNSW at hnsw.DefaultConfig,
 	// seeded Seed+101); tests inject the exact brute-force searcher here.
 	Searcher semgraph.NeighborSearcher
@@ -62,19 +61,9 @@ type Options struct {
 	Seed    uint64
 }
 
-// samplerMixing is the sampler's mean-mixing coefficient: each sample is
-// drawn with weight score + samplerMixing·mean(score), so hard samples are
-// drawn more often while no region of easy samples starves (see
-// sampler.Multinomial). Every run uses 1.0.
-const samplerMixing = 1.0
-
 func (o *Options) fillDefaults() {
 	if o.Elastic == (elastic.Config{}) {
-		epochs := o.TotalEpochs
-		if epochs < 1 {
-			epochs = 1
-		}
-		o.Elastic = elastic.DefaultConfig(epochs)
+		o.Elastic = elastic.DefaultConfig()
 	}
 }
 
@@ -187,7 +176,7 @@ func New(opts Options) (*SpiderCache, error) {
 		}
 		searcher = idx
 	}
-	grapher, err := semgraph.New(semgraph.DefaultConfig(), opts.Labels, searcher)
+	grapher, err := semgraph.New(opts.Labels, searcher)
 	if err != nil {
 		return nil, err
 	}
@@ -196,10 +185,7 @@ func New(opts Options) (*SpiderCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := smp.SetSmoothing(samplerMixing); err != nil {
-		return nil, err
-	}
-	mgr, err := elastic.New(opts.Elastic)
+	mgr, err := elastic.New(opts.Elastic, opts.TotalEpochs)
 	if err != nil {
 		return nil, err
 	}
@@ -319,13 +305,7 @@ func (s *SpiderCache) OnEpochEnd(epoch int, accuracy float64) {
 		return
 	}
 	s.subGate = 0.75 * s.grapher.ScoreMean()
-	sigma := s.grapher.ScoreStd()
-	ratio := s.impRatio
-	if s.opts.DisableElastic {
-		ratio = s.opts.Elastic.RStart
-	} else {
-		ratio = s.manager.Observe(epoch, sigma, accuracy)
-	}
+	ratio := s.manager.Observe(epoch, s.grapher.ScoreStd(), accuracy)
 	if ratio != s.impRatio {
 		s.impRatio = ratio
 		impCap, homCap := s.split(s.opts.Capacity, ratio)
@@ -351,27 +331,6 @@ func (s *SpiderCache) ImpRatio() float64 { return s.impRatio }
 
 // Grapher exposes the score table for experiments (Fig 5/6c analyses).
 func (s *SpiderCache) Grapher() *semgraph.Grapher { return s.grapher }
-
-// ExportScores snapshots the global importance scores for reuse (NaN marks
-// never-scored samples). Together with ImportScores it supports warm-starting
-// a new training run of the same dataset — e.g. hyper-parameter retries —
-// without re-learning sample importance from scratch.
-func (s *SpiderCache) ExportScores() []float64 { return s.grapher.ExportScores() }
-
-// ImportScores seeds the score table and sampler weights from a previous
-// run's export, and refreshes the substitution gate.
-func (s *SpiderCache) ImportScores(scores []float64) error {
-	if err := s.grapher.ImportScores(scores); err != nil {
-		return err
-	}
-	for id, sc := range scores {
-		if sc == sc { // skip NaN
-			s.sampler.SetWeight(id, sc)
-		}
-	}
-	s.subGate = 0.75 * s.grapher.ScoreMean()
-	return nil
-}
 
 // Manager exposes the elastic controller state for experiments.
 func (s *SpiderCache) Manager() *elastic.Manager { return s.manager }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spidercache/internal/dataset"
+	"spidercache/internal/elastic"
 	"spidercache/internal/nn"
 	"spidercache/internal/policy"
 	"spidercache/internal/semgraph"
@@ -205,8 +206,10 @@ func TestElasticShiftsCapacity(t *testing.T) {
 	}
 }
 
+// TestDisableElasticFreezesRatio: disabling the elastic shift, Table 6's
+// static split, is Eq. 8 with REnd = RStart.
 func TestDisableElasticFreezesRatio(t *testing.T) {
-	s := fixture(t, 100, 20, func(o *Options) { o.DisableElastic = true })
+	s := fixture(t, 100, 20, func(o *Options) { o.Elastic = elastic.Config{RStart: 0.9, REnd: 0.9} })
 	for e := 0; e < 10; e++ {
 		feedBatch(s, []int{e * 3 % 100, (e*3 + 1) % 100, (e*3 + 2) % 100}, 0.3/float64(e+1))
 		s.OnEpochEnd(e, 0.9)
@@ -245,42 +248,6 @@ func TestSubstitutionGateBlocksHighScoreSamples(t *testing.T) {
 	s.grapher.Scores()[2] = 100
 	if lk := s.Lookup(2); lk.Source == policy.SourceSubstitute {
 		t.Fatal("high-importance sample was substituted")
-	}
-}
-
-func TestScoreWarmStart(t *testing.T) {
-	src := fixture(t, 40, 10, nil)
-	feedBatch(src, []int{0, 1, 2, 3, 4, 5}, 0.05)
-	exported := src.ExportScores()
-
-	scored, unscored := 0, 0
-	for _, s := range exported {
-		if s == s {
-			scored++
-		} else {
-			unscored++
-		}
-	}
-	if scored != 6 || unscored != 34 {
-		t.Fatalf("export scored=%d unscored=%d", scored, unscored)
-	}
-
-	dst := fixture(t, 40, 10, nil)
-	if err := dst.ImportScores(exported); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{0, 1, 2, 3, 4, 5} {
-		if dst.Grapher().ScoreOf(id) != src.Grapher().ScoreOf(id) {
-			t.Fatalf("score of %d not transferred", id)
-		}
-	}
-	// The substitution gate must be armed from the imported distribution.
-	if dst.Grapher().ScoreMean() <= 0 {
-		t.Fatal("imported mean is zero")
-	}
-	// Length mismatch is rejected.
-	if err := dst.ImportScores(exported[:5]); err == nil {
-		t.Fatal("short import accepted")
 	}
 }
 

@@ -13,6 +13,10 @@
 //   - Ratio Controller: imp_ratio(t) = r_start − β(r_start−r_end)(t/T)^(1+u)
 //     (Eq. 8) — adjustment is slow while accuracy still grows (u→1) and
 //     accelerates once growth stabilises (u→0).
+//
+// Only r_start, r_end (Config) and the horizon T (New) are inputs; γ, m,
+// the σ-slope guard and the Savitzky-Golay smoother are constants. A static
+// split is r_end = r_start: Eq. 8 then holds the ratio at r_start.
 package elastic
 
 import (
@@ -22,67 +26,49 @@ import (
 	"spidercache/internal/sgolay"
 )
 
-// Config tunes the manager. The paper recommends RStart=0.90, REnd=0.80.
+// The manager's constants: the paper's γ and m (Eqs. 6-7), the
+// Savitzky-Golay smoother applied to the accuracy series, and the Importance
+// Monitor's guard against σ noise — β latches to 1 only after patience
+// consecutive negative least-squares slopes, each fitted over the last
+// slopeWindow σ observations.
+const (
+	gamma       = 0.01 // balancing factor in u = Δ/(γ+Δ)
+	window      = 5    // m, epochs averaged for the growth rate
+	slopeWindow = 5
+	patience    = 2
+	sgWindow    = 5 // Savitzky-Golay window (odd)
+	sgOrder     = 2 // Savitzky-Golay polynomial order
+)
+
+// Config holds the two ends of the imp-ratio trajectory (Eq. 8). The paper
+// recommends RStart=0.90, REnd=0.80; REnd = RStart is the static split of
+// Table 6's "90%" strategy.
 type Config struct {
 	RStart float64 // initial Importance Cache share
 	REnd   float64 // final Importance Cache share
-	Gamma  float64 // balancing factor in u = Δ/(γ+Δ)
-	Window int     // m, epochs averaged for the growth rate (paper: 5)
-	// SlopeWindow is how many recent σ observations the Importance Monitor
-	// regresses over; Patience is how many consecutive negative slopes are
-	// required before β latches to 1 (guards against σ noise).
-	SlopeWindow int
-	Patience    int
-	TotalEpochs int // T in Eq. 8
-	SGWindow    int // Savitzky-Golay window (odd)
-	SGOrder     int // Savitzky-Golay polynomial order
 }
 
-// DefaultConfig returns the paper-recommended settings for a run of
-// totalEpochs epochs.
-func DefaultConfig(totalEpochs int) Config {
-	return Config{
-		RStart:      0.90,
-		REnd:        0.80,
-		Gamma:       0.01,
-		Window:      5,
-		SlopeWindow: 5,
-		Patience:    2,
-		TotalEpochs: totalEpochs,
-		SGWindow:    5,
-		SGOrder:     2,
-	}
+// DefaultConfig returns the paper-recommended endpoints.
+func DefaultConfig() Config {
+	return Config{RStart: 0.90, REnd: 0.80}
 }
 
-// Validate reports a descriptive error for unusable configurations.
+// Validate reports a descriptive error for unusable endpoints.
 func (c Config) Validate() error {
 	switch {
 	case c.RStart <= 0 || c.RStart > 1:
 		return fmt.Errorf("elastic: RStart must be in (0,1], got %g", c.RStart)
 	case c.REnd < 0 || c.REnd > c.RStart:
 		return fmt.Errorf("elastic: REnd must be in [0,RStart], got %g", c.REnd)
-	case c.Gamma <= 0:
-		return fmt.Errorf("elastic: Gamma must be positive, got %g", c.Gamma)
-	case c.Window < 2:
-		return fmt.Errorf("elastic: Window must be >= 2, got %d", c.Window)
-	case c.SlopeWindow < 2:
-		return fmt.Errorf("elastic: SlopeWindow must be >= 2, got %d", c.SlopeWindow)
-	case c.Patience < 1:
-		return fmt.Errorf("elastic: Patience must be >= 1, got %d", c.Patience)
-	case c.TotalEpochs < 1:
-		return fmt.Errorf("elastic: TotalEpochs must be >= 1, got %d", c.TotalEpochs)
-	case c.SGWindow < 3 || c.SGWindow%2 == 0:
-		return fmt.Errorf("elastic: SGWindow must be odd >= 3, got %d", c.SGWindow)
-	case c.SGOrder < 0 || c.SGOrder >= c.SGWindow:
-		return fmt.Errorf("elastic: SGOrder must be in [0,SGWindow), got %d", c.SGOrder)
 	}
 	return nil
 }
 
 // Manager is the Elastic Cache Manager. Feed it one Observe call per epoch.
 type Manager struct {
-	cfg    Config
-	filter *sgolay.Filter
+	cfg         Config
+	totalEpochs int // T in Eq. 8
+	filter      *sgolay.Filter
 
 	sigmas     []float64
 	accuracies []float64
@@ -94,16 +80,19 @@ type Manager struct {
 	lastU       float64
 }
 
-// New builds a manager.
-func New(cfg Config) (*Manager, error) {
+// New builds a manager for a run of totalEpochs epochs (T in Eq. 8).
+func New(cfg Config, totalEpochs int) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f, err := sgolay.New(cfg.SGWindow, cfg.SGOrder)
+	if totalEpochs < 1 {
+		return nil, fmt.Errorf("elastic: TotalEpochs must be >= 1, got %d", totalEpochs)
+	}
+	f, err := sgolay.New(sgWindow, sgOrder)
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{cfg: cfg, filter: f, lastRatio: cfg.RStart}, nil
+	return &Manager{cfg: cfg, totalEpochs: totalEpochs, filter: f, lastRatio: cfg.RStart}, nil
 }
 
 // Observe ingests the epoch's importance-score std and held-out accuracy and
@@ -116,7 +105,7 @@ func (m *Manager) Observe(epoch int, scoreStd, accuracy float64) float64 {
 	if !m.beta {
 		if s, ok := m.sigmaSlope(); ok && s < 0 {
 			m.negStreak++
-			if m.negStreak >= m.cfg.Patience {
+			if m.negStreak >= patience {
 				m.beta = true
 				m.activatedAt = epoch
 			}
@@ -135,27 +124,19 @@ func (m *Manager) Observe(epoch int, scoreStd, accuracy float64) float64 {
 	if delta < 0 {
 		delta = 0
 	}
-	u := delta / (m.cfg.Gamma + delta)
+	u := delta / (gamma + delta)
 	m.lastU = u
 
 	// Ratio Controller (Eq. 8). t counts epochs since activation so the
 	// trajectory starts at r_start the moment β flips, and T is the
 	// remaining training horizon.
 	t := float64(epoch - m.activatedAt + 1)
-	total := float64(m.cfg.TotalEpochs - m.activatedAt)
+	total := float64(m.totalEpochs - m.activatedAt)
 	if total < 1 {
 		total = 1
 	}
-	frac := t / total
-	if frac > 1 {
-		frac = 1
-	}
-	ratio := m.cfg.RStart - (m.cfg.RStart-m.cfg.REnd)*math.Pow(frac, 1+u)
-	if ratio < m.cfg.REnd {
-		ratio = m.cfg.REnd
-	}
-	m.lastRatio = ratio
-	return ratio
+	m.lastRatio = RatioAt(m.cfg.RStart, m.cfg.REnd, t/total, u, true)
+	return m.lastRatio
 }
 
 // Ratio returns the most recently computed Importance Cache share.
@@ -167,13 +148,12 @@ func (m *Manager) Activated() bool { return m.beta }
 // PenaltyU returns the most recent penalty factor u (0 before activation).
 func (m *Manager) PenaltyU() float64 { return m.lastU }
 
-// sigmaSlope fits a least-squares line over the last SlopeWindow σ values.
+// sigmaSlope fits a least-squares line over the last slopeWindow σ values.
 func (m *Manager) sigmaSlope() (float64, bool) {
-	w := m.cfg.SlopeWindow
-	if len(m.sigmas) < w {
+	if len(m.sigmas) < slopeWindow {
 		return 0, false
 	}
-	ys := m.sigmas[len(m.sigmas)-w:]
+	ys := m.sigmas[len(m.sigmas)-slopeWindow:]
 	return Slope(ys), true
 }
 
@@ -183,7 +163,7 @@ func (m *Manager) growthRate() float64 {
 		return 0
 	}
 	smoothed := m.filter.Smooth(m.accuracies)
-	mWin := m.cfg.Window
+	mWin := window
 	if mWin > len(smoothed)-1 {
 		mWin = len(smoothed) - 1
 	}
@@ -216,8 +196,10 @@ func Slope(ys []float64) float64 {
 	return (n*sxy - sx*sy) / denom
 }
 
-// RatioAt evaluates Eq. 8 directly for given parameters; used by the Fig 11
-// analytic sweep and property tests.
+// RatioAt evaluates Eq. 8, imp_ratio = r_start − β(r_start−r_end)(t/T)^(1+u),
+// with frac = t/T clamped to [0, 1] and the result never below rEnd. It is
+// the one implementation of Eq. 8: Observe calls it, and so does the Fig 11
+// analytic sweep.
 func RatioAt(rStart, rEnd, frac, u float64, beta bool) float64 {
 	if !beta {
 		return rStart
@@ -228,5 +210,5 @@ func RatioAt(rStart, rEnd, frac, u float64, beta bool) float64 {
 	if frac > 1 {
 		frac = 1
 	}
-	return rStart - (rStart-rEnd)*math.Pow(frac, 1+u)
+	return max(rStart-(rStart-rEnd)*math.Pow(frac, 1+u), rEnd)
 }

@@ -12,22 +12,21 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RStart = 1.2 },
 		func(c *Config) { c.REnd = c.RStart + 0.1 },
 		func(c *Config) { c.REnd = -0.1 },
-		func(c *Config) { c.Gamma = 0 },
-		func(c *Config) { c.Window = 1 },
-		func(c *Config) { c.SlopeWindow = 1 },
-		func(c *Config) { c.Patience = 0 },
-		func(c *Config) { c.TotalEpochs = 0 },
-		func(c *Config) { c.SGWindow = 4 },
-		func(c *Config) { c.SGOrder = 9 },
 	}
 	for i, mutate := range bad {
-		cfg := DefaultConfig(100)
+		cfg := DefaultConfig()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+		if _, err := New(cfg, 100); err == nil {
+			t.Errorf("mutation %d: New accepted", i)
+		}
 	}
-	if _, err := New(DefaultConfig(100)); err != nil {
+	if _, err := New(DefaultConfig(), 0); err == nil {
+		t.Error("zero TotalEpochs accepted")
+	}
+	if _, err := New(DefaultConfig(), 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,7 +52,7 @@ func feed(m *Manager, epochs, riseLen int) []float64 {
 }
 
 func TestRatioStaysAtStartBeforeActivation(t *testing.T) {
-	m, _ := New(DefaultConfig(40))
+	m, _ := New(DefaultConfig(), 40)
 	ratios := feed(m, 10, 20) // σ still rising throughout
 	for e, r := range ratios {
 		if r != 0.90 {
@@ -66,7 +65,7 @@ func TestRatioStaysAtStartBeforeActivation(t *testing.T) {
 }
 
 func TestActivationOnDecliningSigma(t *testing.T) {
-	m, _ := New(DefaultConfig(40))
+	m, _ := New(DefaultConfig(), 40)
 	feed(m, 40, 10)
 	if !m.Activated() {
 		t.Fatal("β never latched despite declining σ")
@@ -77,7 +76,7 @@ func TestActivationOnDecliningSigma(t *testing.T) {
 }
 
 func TestRatioMonotoneAndBounded(t *testing.T) {
-	m, _ := New(DefaultConfig(40))
+	m, _ := New(DefaultConfig(), 40)
 	ratios := feed(m, 40, 8)
 	for e := 1; e < len(ratios); e++ {
 		if ratios[e] > ratios[e-1]+1e-12 {
@@ -91,8 +90,8 @@ func TestRatioMonotoneAndBounded(t *testing.T) {
 }
 
 func TestRatioReachesREnd(t *testing.T) {
-	cfg := DefaultConfig(30)
-	m, _ := New(cfg)
+	cfg := DefaultConfig()
+	m, _ := New(cfg, 30)
 	ratios := feed(m, 30, 6)
 	if got := ratios[len(ratios)-1]; math.Abs(got-cfg.REnd) > 0.02 {
 		t.Fatalf("final ratio %.4f, want ~%.2f", got, cfg.REnd)
@@ -103,7 +102,7 @@ func TestRatioReachesREnd(t *testing.T) {
 // ratio trajectory must stay above the u -> 0 trajectory at mid-training.
 func TestPenaltySlowsAdjustment(t *testing.T) {
 	run := func(growing bool) float64 {
-		m, _ := New(DefaultConfig(40))
+		m, _ := New(DefaultConfig(), 40)
 		var mid float64
 		for e := 0; e < 40; e++ {
 			sigma := 0.3 - 0.01*float64(e) // declining from the start
@@ -122,6 +121,40 @@ func TestPenaltySlowsAdjustment(t *testing.T) {
 	slow := run(false) // u = 0: adjustment at full speed
 	if fast <= slow {
 		t.Fatalf("growing accuracy did not slow the shift: %.4f vs %.4f", fast, slow)
+	}
+}
+
+// TestObserveIsEq8 checks that Observe's ratio is RatioAt's at the
+// manager's own t/T and u, so Eq. 8 has one implementation.
+func TestObserveIsEq8(t *testing.T) {
+	m, _ := New(Config{RStart: 0.9, REnd: 0.5}, 40)
+	for e := 0; e < 40; e++ {
+		sigma := 0.3 - 0.01*float64(e)
+		r := m.Observe(e, sigma, 0.02*float64(e))
+		if !m.Activated() {
+			continue
+		}
+		frac := float64(e-m.activatedAt+1) / float64(40-m.activatedAt)
+		if want := RatioAt(0.9, 0.5, frac, m.PenaltyU(), true); r != want {
+			t.Fatalf("epoch %d: Observe %v, RatioAt %v", e, r, want)
+		}
+	}
+	if !m.Activated() || m.Ratio() != 0.5 {
+		t.Fatalf("activated %v, final ratio %v: Eq. 8 was not exercised to r_end", m.Activated(), m.Ratio())
+	}
+}
+
+// TestEqualRangeIsStatic: with REnd = RStart, Eq. 8 is the static split,
+// even once β has latched.
+func TestEqualRangeIsStatic(t *testing.T) {
+	m, _ := New(Config{RStart: 0.9, REnd: 0.9}, 40)
+	for e, r := range feed(m, 40, 8) {
+		if r != 0.9 {
+			t.Fatalf("epoch %d: ratio %v, want 0.9", e, r)
+		}
+	}
+	if !m.Activated() {
+		t.Fatal("β never latched: the static path was not exercised")
 	}
 }
 
@@ -176,14 +209,29 @@ func TestSlope(t *testing.T) {
 	}
 }
 
+// TestPatienceGuardsAgainstNoise feeds a rising σ with dips, each of which
+// turns exactly one windowed slope negative: β must not latch on a lone
+// negative slope.
 func TestPatienceGuardsAgainstNoise(t *testing.T) {
-	cfg := DefaultConfig(40)
-	cfg.Patience = 3
-	m, _ := New(cfg)
-	// Alternating slope signs: never Patience consecutive negatives.
-	sig := []float64{0.1, 0.2, 0.15, 0.25, 0.2, 0.3, 0.25, 0.35, 0.3, 0.4}
+	m, _ := New(DefaultConfig(), 40)
+	sig := []float64{0.30, 0.31, 0.32, 0.33, 0.34, 0.20, 0.40, 0.41, 0.30, 0.45, 0.46, 0.35, 0.50}
+	neg, prevNeg := 0, false
 	for e, s := range sig {
 		m.Observe(e, s, 0.5)
+		if e+1 < slopeWindow {
+			continue
+		}
+		isNeg := Slope(sig[e+1-slopeWindow:e+1]) < 0
+		if isNeg && prevNeg {
+			t.Fatalf("epoch %d: fixture has two negative slopes in a row", e)
+		}
+		if isNeg {
+			neg++
+		}
+		prevNeg = isNeg
+	}
+	if neg == 0 {
+		t.Fatal("fixture has no negative slope")
 	}
 	if m.Activated() {
 		t.Fatal("activated on noisy σ")
@@ -191,7 +239,7 @@ func TestPatienceGuardsAgainstNoise(t *testing.T) {
 }
 
 func TestPenaltyUReported(t *testing.T) {
-	m, _ := New(DefaultConfig(40))
+	m, _ := New(DefaultConfig(), 40)
 	if m.PenaltyU() != 0 {
 		t.Fatal("u nonzero before activation")
 	}

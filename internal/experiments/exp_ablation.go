@@ -7,7 +7,6 @@ import (
 	"spidercache/internal/core"
 	"spidercache/internal/elastic"
 	"spidercache/internal/nn"
-	"spidercache/internal/pq"
 	"spidercache/internal/semgraph"
 	"spidercache/internal/table"
 	"spidercache/internal/trainer"
@@ -15,9 +14,10 @@ import (
 
 // Ablation dissects SpiderCache's design choices on one workload: the
 // Homophily Cache, the Elastic Cache Manager, the IS pipeline, and the ANN
-// searcher backing the semantic graph (HNSW vs exact brute force vs
-// PQ-compressed ADC). It is not a paper table — it is the experiment DESIGN.md
-// §5 promises for validating that each mechanism earns its complexity.
+// searcher backing the semantic graph (HNSW vs exact brute force). "No
+// elastic" is Table 6's static split: Eq. 8 with r_end = r_start. It is not
+// a paper table — it is the experiment DESIGN.md §5 promises for
+// validating that each mechanism earns its complexity.
 func Ablation(opt Options) (*Report, error) {
 	ds, err := cifar10(opt)
 	if err != nil {
@@ -34,16 +34,9 @@ func Ablation(opt Options) (*Report, error) {
 	variants := []variant{
 		{"full (HNSW)", nil, true},
 		{"no homophily", func(o *core.Options) { o.DisableHomophily = true }, true},
-		{"no elastic", func(o *core.Options) { o.DisableElastic = true }, true},
+		{"no elastic", func(o *core.Options) { o.Elastic = elastic.Config{RStart: 0.90, REnd: 0.90} }, true},
 		{"no pipeline", nil, false},
 		{"brute-force ANN", func(o *core.Options) { o.Searcher = semgraph.NewBruteSearcher() }, true},
-		{"PQ-compressed ANN", func(o *core.Options) {
-			cfg := pq.DefaultConfig()
-			cfg.Subspaces = 8 // ResNet18 embeddings are 32-dim
-			if s, err := semgraph.NewPQSearcher(cfg, 300); err == nil {
-				o.Searcher = s
-			}
-		}, true},
 	}
 
 	t := table.New("Ablation: SpiderCache design choices (CIFAR10-like, ResNet18, 20% cache)",
@@ -53,7 +46,6 @@ func Ablation(opt Options) (*Report, error) {
 			Capacity:    capacity,
 			Labels:      ds.Labels,
 			Payloads:    ds.Payload,
-			Elastic:     elastic.DefaultConfig(epochs),
 			TotalEpochs: epochs,
 			Seed:        opt.Seed + uint64(i),
 		}
@@ -92,7 +84,6 @@ func Ablation(opt Options) (*Report, error) {
 			"no elastic: late-stage hit ratio sags (see table6 for the per-epoch curves)",
 			"no pipeline: training time grows by the exposed IS cost; hit/accuracy unchanged",
 			"brute-force ANN: identical quality at higher CPU cost (the clock does not model host CPU)",
-			"PQ ANN: small quantisation noise in scores; memory per vector drops ~20x (see table2)",
 		},
 	}, nil
 }

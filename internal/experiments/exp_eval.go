@@ -176,14 +176,14 @@ func Table6(opt Options) (*Report, error) {
 	}
 	epochs := opt.epochs(30)
 	capacity := capacityFor(ds, 0.2)
+	// The static 90% strategy is Eq. 8 with r_end = r_start.
 	strategies := []struct {
-		label          string
-		rStart, rEnd   float64
-		disableElastic bool
+		label        string
+		rStart, rEnd float64
 	}{
-		{"90%", 0.90, 0.90, true},
-		{"90%-80%", 0.90, 0.80, false},
-		{"90%-50%", 0.90, 0.50, false},
+		{"90%", 0.90, 0.90},
+		{"90%-80%", 0.90, 0.80},
+		{"90%-50%", 0.90, 0.50},
 	}
 
 	summary := table.New("Table 6: end-to-end comparison under different Imp-Ratio",
@@ -192,7 +192,7 @@ func Table6(opt Options) (*Report, error) {
 	for i, s := range strategies {
 		pol, err := BuildPolicy("spider", PolicyParams{
 			Dataset: ds, Capacity: capacity, Epochs: epochs, Seed: opt.Seed + uint64(i),
-			RStart: s.rStart, REnd: s.rEnd, DisableElastic: s.disableElastic,
+			RStart: s.rStart, REnd: s.rEnd,
 			Metrics: opt.Metrics,
 		})
 		if err != nil {

@@ -156,7 +156,7 @@ func embeddingStats(res *trainer.Result, labels []int, x *tensor.Matrix) (embSta
 
 	// State classification through the same scoring machinery SpiderCache
 	// uses, over an exact searcher.
-	g, err := semgraph.New(semgraph.DefaultConfig(), labels, semgraph.NewBruteSearcher())
+	g, err := semgraph.New(labels, semgraph.NewBruteSearcher())
 	if err != nil {
 		return st, err
 	}

@@ -20,11 +20,11 @@ type PolicyParams struct {
 	Epochs   int // planned training length (elastic T)
 	Seed     uint64
 
-	// Spider-specific overrides; zero values mean paper defaults
-	// (RStart 0.90, REnd 0.80, elastic enabled).
-	RStart         float64
-	REnd           float64
-	DisableElastic bool
+	// Spider-specific elastic endpoints (Eq. 8); zero values mean the
+	// paper defaults, RStart 0.90 and REnd 0.80. REnd = RStart is the
+	// static split.
+	RStart float64
+	REnd   float64
 
 	// Metrics receives cache-internals telemetry (SpiderCache policies
 	// only); nil disables recording.
@@ -62,7 +62,7 @@ func BuildPolicy(name string, p PolicyParams) (policy.Policy, error) {
 	case "icache-imp":
 		return policy.NewICacheImp(n, p.Capacity, p.Seed)
 	case "icache":
-		return policy.NewICache(n, p.Capacity, policy.DefaultICacheConfig(), p.Seed)
+		return policy.NewICache(n, p.Capacity, p.Seed)
 	case "spider-imp":
 		return buildSpider(p, true)
 	case "spider":
@@ -77,7 +77,7 @@ func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
 	if epochs < 1 {
 		epochs = 1
 	}
-	ec := elastic.DefaultConfig(epochs)
+	ec := elastic.DefaultConfig()
 	if p.RStart > 0 {
 		ec.RStart = p.RStart
 	}
@@ -91,7 +91,6 @@ func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
 		Elastic:          ec,
 		TotalEpochs:      epochs,
 		DisableHomophily: impOnly,
-		DisableElastic:   p.DisableElastic,
 		Metrics:          p.Metrics,
 		Seed:             p.Seed,
 	})

@@ -140,38 +140,32 @@ func (p *Shade) BackpropWeights([]Feedback) []float64 { return nil }
 // forward pass.
 func (p *Shade) HasGraphIS() bool { return false }
 
-// ICacheConfig tunes the iCache reproduction.
-type ICacheConfig struct {
-	// HFrac is the share of capacity given to the H-sample (importance)
-	// region; the rest is the randomly-replaced L region.
-	HFrac float64
-	// SkipFrac is the per-batch fraction of lowest-loss samples whose
+// The iCache reproduction's constants.
+const (
+	// iCacheHFrac is the share of capacity given to the H-sample
+	// (importance) region; the rest is the randomly-replaced L region.
+	iCacheHFrac = 0.7
+	// iCacheSkipFrac caps the per-batch fraction of low-loss samples whose
 	// backprop is skipped (the compute-bound IS of Jiang et al.).
-	SkipFrac float64
-	// Substitute enables serving L-sample misses with a random resident of
-	// the L region — the hit-boosting, accuracy-hurting behaviour the paper
-	// observes (Fig 6b). Disabled for the iCache-imp ablation.
-	Substitute bool
-	// SubstituteProb bounds how often an eligible L-sample miss is served
-	// by a substitute instead of remote storage. Without this bound the
-	// substitution loop starves unseen samples entirely (a sample never
+	iCacheSkipFrac = 0.25
+	// iCacheSubstituteProb bounds how often an eligible L-sample miss is
+	// served by a substitute instead of remote storage. Without this bound
+	// the substitution loop starves unseen samples entirely (a sample never
 	// fetched is never trained, so it stays classified L forever).
-	SubstituteProb float64
-}
-
-// DefaultICacheConfig returns the full-iCache setting.
-func DefaultICacheConfig() ICacheConfig {
-	return ICacheConfig{HFrac: 0.7, SkipFrac: 0.25, Substitute: true, SubstituteProb: 0.30}
-}
+	iCacheSubstituteProb = 0.30
+)
 
 // ICache reproduces iCache (Chen et al., HPCA'23): samples are split into
 // important (H) and non-important (L) groups by loss; H-samples are cached
 // by importance score, L-sample misses are served by random substitutes.
 type ICache struct {
-	cfg      ICacheConfig
-	name     string
-	sampler  *sampler.Selective
-	hCache   *cache.Importance
+	name    string
+	sampler *sampler.Selective
+	hCache  *cache.Importance
+	// lCache is the randomly-replaced L region whose residents serve
+	// L-sample misses as substitutes — the hit-boosting, accuracy-hurting
+	// behaviour the paper observes (Fig 6b). Nil for the iCache-imp
+	// ablation.
 	lCache   *cache.RandomReplace
 	lastLoss []float64
 	seen     []bool
@@ -192,22 +186,28 @@ type ICache struct {
 }
 
 // NewICache builds the full iCache policy.
-func NewICache(n, capacity int, cfg ICacheConfig, seed uint64) (*ICache, error) {
-	if cfg.HFrac < 0 || cfg.HFrac > 1 {
-		return nil, fmt.Errorf("iCache: HFrac must be in [0,1], got %g", cfg.HFrac)
-	}
-	sel, err := sampler.NewSelective(n, cfg.SkipFrac, seed)
+func NewICache(n, capacity int, seed uint64) (*ICache, error) {
+	return newICache(n, capacity, seed, true)
+}
+
+// NewICacheImp builds the importance-cache-only ablation (Fig 14's
+// "iCache-imp").
+func NewICacheImp(n, capacity int, seed uint64) (*ICache, error) {
+	return newICache(n, capacity, seed, false)
+}
+
+func newICache(n, capacity int, seed uint64, substitute bool) (*ICache, error) {
+	sel, err := sampler.NewSelective(n, iCacheSkipFrac, seed)
 	if err != nil {
 		return nil, fmt.Errorf("iCache: %w", err)
 	}
-	hCap := int(float64(capacity) * cfg.HFrac)
+	hCap := int(float64(capacity) * iCacheHFrac)
 	name := "iCache"
-	if !cfg.Substitute {
+	if !substitute {
 		name = "iCache-imp"
 		hCap = capacity // importance-only ablation uses the full budget
 	}
 	p := &ICache{
-		cfg:        cfg,
 		name:       name,
 		sampler:    sel,
 		hCache:     cache.NewImportance(hCap),
@@ -216,18 +216,10 @@ func NewICache(n, capacity int, cfg ICacheConfig, seed uint64) (*ICache, error) 
 		rng:        xrand.New(seed ^ 0x5b5b),
 		pendingSub: make(map[int][]int),
 	}
-	if cfg.Substitute {
+	if substitute {
 		p.lCache = cache.NewRandomReplace(capacity-hCap, xrand.New(seed^0x1ca11e))
 	}
 	return p, nil
-}
-
-// NewICacheImp builds the importance-cache-only ablation (Fig 14's
-// "iCache-imp").
-func NewICacheImp(n, capacity int, seed uint64) (*ICache, error) {
-	cfg := DefaultICacheConfig()
-	cfg.Substitute = false
-	return NewICache(n, capacity, cfg, seed)
 }
 
 // Name returns "iCache" or "iCache-imp".
@@ -253,14 +245,13 @@ func (p *ICache) Lookup(id int) Lookup {
 		}
 		// Substitute only samples that have been trained at least once and
 		// classified L, and only with bounded probability (see
-		// ICacheConfig.SubstituteProb).
+		// iCacheSubstituteProb).
 		// Any sample whose recorded loss sits below the recent mean is
 		// classified L — including samples never actually trained, whose
 		// record is zero or was corrupted by an earlier substitution. This
 		// is faithful to iCache's package loading, and it is the source of
 		// its accuracy cost.
-		if p.cfg.Substitute && p.lastLoss[id] < p.meanLoss() &&
-			p.rng.Float64() < p.cfg.SubstituteProb {
+		if p.lastLoss[id] < p.meanLoss() && p.rng.Float64() < iCacheSubstituteProb {
 			if it, ok := p.lCache.RandomResident(); ok {
 				p.pendingSub[it.ID] = append(p.pendingSub[it.ID], id)
 				return Lookup{Source: SourceSubstitute, ServedID: it.ID}
@@ -307,9 +298,10 @@ func (p *ICache) OnBatchEnd(_ int, fb []Feedback) {
 func (p *ICache) OnEpochEnd(int, float64) {}
 
 // BackpropWeights skips backprop for samples the model has clearly already
-// learned: loss below 85% of the recent mean loss level, capped at SkipFrac of
-// the batch. Early in training nothing qualifies (all losses sit at the
-// same high level), which is the natural warm-up of selective backprop;
+// learned: loss below 85% of the recent mean loss level, capped at
+// iCacheSkipFrac of the batch. Early in training nothing qualifies (all
+// losses sit at the same high level), which is the natural warm-up of
+// selective backprop;
 // skipping by within-batch rank instead would train only the
 // currently-worst samples and never converge on many-class tasks.
 func (p *ICache) BackpropWeights(fb []Feedback) []float64 {
@@ -326,7 +318,7 @@ func (p *ICache) BackpropWeights(fb []Feedback) []float64 {
 	if len(idx) == 0 {
 		return nil
 	}
-	if maxSkip := int(float64(len(fb)) * p.cfg.SkipFrac); len(idx) > maxSkip {
+	if maxSkip := int(float64(len(fb)) * iCacheSkipFrac); len(idx) > maxSkip {
 		sort.Slice(idx, func(a, b int) bool { return fb[idx[a]].Loss < fb[idx[b]].Loss })
 		idx = idx[:maxSkip]
 	}

@@ -3,9 +3,9 @@
 //
 //   - Uniform:     PyTorch's default random sampling — every sample exactly
 //     once per epoch, shuffled (CoorDL, Baseline)
-//   - Multinomial: biased sampling with replacement from a weight vector,
-//     the torch.multinomial analogue SpiderCache uses over its
-//     graph-based global scores
+//   - Multinomial: biased sampling with replacement from a mean-smoothed
+//     weight vector, the torch.multinomial analogue SpiderCache uses over
+//     its graph-based global scores (and SHADE over its loss ranks)
 //   - Selective:   the compute-bound IS of Jiang et al. adopted by iCache —
 //     per-batch backprop skipping for low-loss samples
 //
@@ -50,6 +50,11 @@ func (u *Uniform) EpochOrder(int) []int { return u.rng.Perm(u.n) }
 // distribution over per-sample weights, with replacement — matching
 // torch.multinomial as used in the paper's Algorithm 1. Weight updates take
 // effect at the next epoch.
+//
+// Draws are smoothed: the effective draw weight is w_i + mean(w). This is
+// the standard IS variance-control trick (cf. SHADE's rank smoothing): it
+// bounds the concentration ratio so hard samples are prioritised without
+// easy regions starving. SHADE and SpiderCache both draw this way.
 type Multinomial struct {
 	n       int
 	weights []float64
@@ -57,16 +62,10 @@ type Multinomial struct {
 	// minWeight floors every weight so no sample's probability collapses
 	// to zero (keeps the training distribution covering the dataset).
 	minWeight float64
-	// smoothing mixes the raw weights with their mean: the effective draw
-	// weight is w_i + smoothing * mean(w). This is the standard IS
-	// variance-control trick (cf. SHADE's rank smoothing): it bounds the
-	// concentration ratio so hard samples are prioritised without easy
-	// regions starving. 0 disables smoothing.
-	smoothing float64
 }
 
 // NewMultinomial returns a multinomial sampler over n samples with uniform
-// initial weights and the default smoothing of 1.
+// initial weights.
 func NewMultinomial(n int, seed uint64) (*Multinomial, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sampler: n must be positive, got %d", n)
@@ -75,16 +74,7 @@ func NewMultinomial(n int, seed uint64) (*Multinomial, error) {
 	for i := range w {
 		w[i] = 1
 	}
-	return &Multinomial{n: n, weights: w, rng: xrand.New(seed), minWeight: 1e-3, smoothing: 1}, nil
-}
-
-// SetSmoothing adjusts the mean-mixing coefficient (>= 0).
-func (m *Multinomial) SetSmoothing(s float64) error {
-	if s < 0 {
-		return fmt.Errorf("sampler: smoothing must be >= 0, got %g", s)
-	}
-	m.smoothing = s
-	return nil
+	return &Multinomial{n: n, weights: w, rng: xrand.New(seed), minWeight: 1e-3}, nil
 }
 
 // SetWeight updates the unnormalised sampling weight of sample id.
@@ -112,20 +102,17 @@ func (m *Multinomial) SetWeights(w []float64) error {
 // Weights returns the live weight vector (callers must not mutate it).
 func (m *Multinomial) Weights() []float64 { return m.weights }
 
-// EpochOrder draws n IDs from the current (smoothed) weights using Walker's
+// EpochOrder draws n IDs from the current smoothed weights using Walker's
 // alias method: O(n) table build then O(1) per draw.
 func (m *Multinomial) EpochOrder(int) []int {
-	eff := m.weights
-	if m.smoothing > 0 {
-		var sum float64
-		for _, w := range m.weights {
-			sum += w
-		}
-		mix := m.smoothing * sum / float64(m.n)
-		eff = make([]float64, m.n)
-		for i, w := range m.weights {
-			eff[i] = w + mix
-		}
+	var sum float64
+	for _, w := range m.weights {
+		sum += w
+	}
+	mix := sum / float64(m.n)
+	eff := make([]float64, m.n)
+	for i, w := range m.weights {
+		eff[i] = w + mix
 	}
 	table := NewAlias(eff, m.rng)
 	out := make([]int, m.n)

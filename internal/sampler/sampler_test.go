@@ -55,9 +55,6 @@ func TestMultinomialFollowsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetSmoothing(0); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.SetWeights([]float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +65,10 @@ func TestMultinomialFollowsWeights(t *testing.T) {
 			counts[id]++
 		}
 	}
+	// Smoothed weights w_i + mean(w) = (3.5, 4.5, 5.5, 6.5), out of 20.
 	total := float64(epochs * n)
 	for i, c := range counts {
-		want := float64(i+1) / 10
+		want := (float64(i+1) + 2.5) / 20
 		got := float64(c) / total
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("id %d: frequency %.3f, want %.3f", i, got, want)
@@ -81,14 +79,13 @@ func TestMultinomialFollowsWeights(t *testing.T) {
 func TestMultinomialSmoothingBoundsConcentration(t *testing.T) {
 	m, _ := NewMultinomial(2, 4)
 	m.SetWeights([]float64{0.0001, 1}) // floored to minWeight
-	m.SetSmoothing(1)
 	counts := make([]int, 2)
 	for e := 0; e < 3000; e++ {
 		for _, id := range m.EpochOrder(e) {
 			counts[id]++
 		}
 	}
-	// With smoothing 1 and weights ~(0, 1): eff = (0.5, 1.5) -> 25%/75%.
+	// With weights ~(0, 1): eff = (0.5, 1.5) -> 25%/75%.
 	frac := float64(counts[0]) / float64(counts[0]+counts[1])
 	if math.Abs(frac-0.25) > 0.03 {
 		t.Fatalf("smoothed low-weight frequency %.3f, want ~0.25", frac)
@@ -102,9 +99,6 @@ func TestMultinomialValidation(t *testing.T) {
 	m, _ := NewMultinomial(3, 1)
 	if err := m.SetWeights([]float64{1, 2}); err == nil {
 		t.Fatal("wrong-length weights accepted")
-	}
-	if err := m.SetSmoothing(-1); err == nil {
-		t.Fatal("negative smoothing accepted")
 	}
 }
 

@@ -21,7 +21,7 @@ func testGrapher(t *testing.T, n int, seed uint64) *Grapher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(DefaultConfig(), labels, ix)
+	g, err := New(labels, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,19 +247,6 @@ func TestIncrementalStatsMatchScan(t *testing.T) {
 	}
 }
 
-func TestIncrementalStatsAfterImport(t *testing.T) {
-	g := testGrapher(t, 10, 1)
-	scores := []float64{0.5, math.NaN(), 0.25, math.NaN(), 0.75, math.NaN(), math.NaN(), math.NaN(), math.NaN(), 1.0}
-	if err := g.ImportScores(scores); err != nil {
-		t.Fatal(err)
-	}
-	wantN, wantMean, wantStd := scanStats(g)
-	if g.ScoredCount() != wantN || math.Abs(g.ScoreMean()-wantMean) > 1e-12 || math.Abs(g.ScoreStd()-wantStd) > 1e-12 {
-		t.Fatalf("imported stats mismatch: n %d/%d mean %v/%v std %v/%v",
-			g.ScoredCount(), wantN, g.ScoreMean(), wantMean, g.ScoreStd(), wantStd)
-	}
-}
-
 func TestNormalizeInto(t *testing.T) {
 	vec := []float64{3, 4}
 	got := NormalizeInto(nil, vec)
@@ -307,7 +294,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g, err := New(DefaultConfig(), labels, ix)
+			g, err := New(labels, ix)
 			if err != nil {
 				b.Fatal(err)
 			}

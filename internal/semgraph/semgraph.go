@@ -11,6 +11,9 @@
 //
 //	score(x) = ln(1/x_same + x_other/neighborMax + 1)
 //
+// λ, α, neighborMax, the neighbour count k and the substitution bar are
+// package constants: the paper fixes them, and every run uses one value.
+//
 // The sample itself counts as one same-class neighbour so x_same >= 1 and
 // the score stays finite (hnswlib likewise returns the query point when it
 // is indexed). The graph is transient: only scores and the per-batch
@@ -42,51 +45,30 @@ type NeighborSearcher interface {
 	Len() int
 }
 
-// Config tunes the scoring algorithm.
-type Config struct {
-	Lambda      float64 // similarity decay rate (Eq. 2)
-	Alpha       float64 // edge threshold on similarity (Eq. 3)
-	NeighborMax int     // normaliser in Eq. 4; the paper uses HNSW's default 500
-	K           int     // neighbours retrieved per scored sample
-	// HomAlpha is the stricter similarity bar a neighbour must clear to
-	// enter a high-degree node's stored neighbour list (the Homophily
-	// Cache's substitution set). Edges at Alpha capture class structure
-	// for scoring; substitution additionally requires near-duplicate
-	// similarity, per the paper's argument that replacing a sample is safe
-	// only for "duplicate or highly similar" counterparts.
-	HomAlpha float64
-}
-
-// DefaultConfig matches the paper's described settings, with K sized for the
-// scaled-down datasets. Lambda/Alpha are calibrated for unit-normalised
-// embeddings (pairwise distances in [0, 2]): the edge threshold
-// -ln(Alpha)/Lambda ≈ 1.05 connects samples within roughly a 60° angle.
+// The scoring constants. Lambda and alpha are calibrated for
+// unit-normalised embeddings (pairwise distances in [0, 2]): the edge
+// threshold -ln(alpha)/lambda ≈ 1.05 connects samples within roughly a 60°
+// angle. k is sized for the scaled-down datasets.
 //
-// NeighborMax normalises the x_other term of Eq. 4 by the maximum possible
+// neighborMax normalises the x_other term of Eq. 4 by the maximum possible
 // neighbour count. The paper uses hnswlib's default of 500 because its
-// neighbour lists can grow that long; here lists are capped at K, so the
-// equivalent normaliser is K — it keeps Part2 in [0, 1] exactly as in the
+// neighbour lists can grow that long; here lists are capped at k, so the
+// equivalent normaliser is k — it keeps Part2 in [0, 1] exactly as in the
 // paper's setting.
-func DefaultConfig() Config {
-	return Config{Lambda: 1.0, Alpha: 0.35, NeighborMax: 24, K: 24, HomAlpha: 0.65}
-}
-
-// Validate reports a descriptive error for unusable configurations.
-func (c Config) Validate() error {
-	switch {
-	case c.Lambda <= 0:
-		return fmt.Errorf("semgraph: Lambda must be positive, got %g", c.Lambda)
-	case c.Alpha <= 0 || c.Alpha >= 1:
-		return fmt.Errorf("semgraph: Alpha must be in (0,1), got %g", c.Alpha)
-	case c.NeighborMax < 1:
-		return fmt.Errorf("semgraph: NeighborMax must be >= 1, got %d", c.NeighborMax)
-	case c.K < 1:
-		return fmt.Errorf("semgraph: K must be >= 1, got %d", c.K)
-	case c.HomAlpha < c.Alpha || c.HomAlpha >= 1:
-		return fmt.Errorf("semgraph: HomAlpha must be in [Alpha,1), got %g", c.HomAlpha)
-	}
-	return nil
-}
+//
+// homAlpha is the stricter similarity bar a neighbour must clear to enter a
+// high-degree node's stored neighbour list (the Homophily Cache's
+// substitution set). Edges at alpha capture class structure for scoring;
+// substitution additionally requires near-duplicate similarity, per the
+// paper's argument that replacing a sample is safe only for "duplicate or
+// highly similar" counterparts.
+const (
+	lambda      = 1.0  // similarity decay rate (Eq. 2)
+	alpha       = 0.35 // edge threshold on similarity (Eq. 3)
+	k           = 24   // neighbours retrieved per scored sample
+	neighborMax = k    // normaliser in Eq. 4
+	homAlpha    = 0.65
+)
 
 // ScoreResult is the outcome of scoring one sample.
 type ScoreResult struct {
@@ -96,7 +78,7 @@ type ScoreResult struct {
 	Other     int   // different-class graph neighbours
 	Neighbors []int // IDs of edge-connected neighbours, self excluded
 	// CloseNeighbors is the subset of Neighbors above the stricter
-	// HomAlpha similarity bar and sharing this node's class — the IDs this
+	// homAlpha similarity bar and sharing this node's class — the IDs this
 	// node may substitute for when installed into the Homophily Cache.
 	// (A substitute with a different label would silently change the
 	// supervision signal; "duplicate or highly similar" samples in the
@@ -114,7 +96,6 @@ func (r ScoreResult) Degree() int { return len(r.Neighbors) }
 // scoring across the worker pool internally while presenting a serial
 // interface to the caller.
 type Grapher struct {
-	cfg      Config
 	searcher NeighborSearcher
 	labels   []int
 	scores   []float64
@@ -152,10 +133,7 @@ type Grapher struct {
 // New builds a Grapher over a dataset with the given per-sample labels.
 // searcher starts empty and is populated by Update calls as batches flow
 // through training.
-func New(cfg Config, labels []int, searcher NeighborSearcher) (*Grapher, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func New(labels []int, searcher NeighborSearcher) (*Grapher, error) {
 	if searcher == nil {
 		return nil, fmt.Errorf("semgraph: searcher must not be nil")
 	}
@@ -163,13 +141,12 @@ func New(cfg Config, labels []int, searcher NeighborSearcher) (*Grapher, error) 
 		return nil, fmt.Errorf("semgraph: empty label set")
 	}
 	g := &Grapher{
-		cfg:           cfg,
 		searcher:      searcher,
 		labels:        labels,
 		scores:        make([]float64, len(labels)),
 		scored:        make([]bool, len(labels)),
-		distThresh:    -math.Log(cfg.Alpha) / cfg.Lambda,
-		homDistThresh: -math.Log(cfg.HomAlpha) / cfg.Lambda,
+		distThresh:    -math.Log(alpha) / lambda,
+		homDistThresh: -math.Log(homAlpha) / lambda,
 	}
 	g.SetMetrics(nil)
 	return g, nil
@@ -189,7 +166,7 @@ func (g *Grapher) SearchCalls() int64 { return g.searchCalls.Load() }
 
 // Similarity computes Eq. 2 for a given Euclidean distance.
 func (g *Grapher) Similarity(dist float64) float64 {
-	return math.Exp(-g.cfg.Lambda * dist)
+	return math.Exp(-lambda * dist)
 }
 
 // Normalize returns the L2-normalised copy of vec that the grapher indexes
@@ -259,7 +236,7 @@ func (g *Grapher) Score(id int, embedding []float64) (ScoreResult, error) {
 func (g *Grapher) computeScore(id int, q []float64) ScoreResult {
 	res := ScoreResult{ID: id, Same: 1} // self counts as a same-class neighbour
 	g.searchCalls.Add(1)
-	hits := g.searcher.SearchKNN(q, g.cfg.K)
+	hits := g.searcher.SearchKNN(q, k)
 	for _, h := range hits {
 		if h.ID == id {
 			continue
@@ -277,7 +254,7 @@ func (g *Grapher) computeScore(id int, q []float64) ScoreResult {
 			res.Other++
 		}
 	}
-	res.Score = math.Log(1/float64(res.Same) + float64(res.Other)/float64(g.cfg.NeighborMax) + 1)
+	res.Score = math.Log(1/float64(res.Same) + float64(res.Other)/float64(neighborMax) + 1)
 	return res
 }
 
@@ -354,37 +331,8 @@ func (g *Grapher) ScoreStd() float64 {
 	return math.Sqrt(g.statM2 / float64(g.statN))
 }
 
-// ExportScores returns a copy of the global score table (NaN marks samples
-// never scored), suitable for warm-starting a later run on the same dataset.
-func (g *Grapher) ExportScores() []float64 {
-	out := make([]float64, len(g.scores))
-	for i, ok := range g.scored {
-		if ok {
-			out[i] = g.scores[i]
-		} else {
-			out[i] = math.NaN()
-		}
-	}
-	return out
-}
-
-// ImportScores seeds the global score table from a previous run's export.
-// NaN entries are skipped; length must match the dataset.
-func (g *Grapher) ImportScores(scores []float64) error {
-	if len(scores) != len(g.scores) {
-		return fmt.Errorf("semgraph: got %d scores for %d samples", len(scores), len(g.scores))
-	}
-	for i, s := range scores {
-		if math.IsNaN(s) {
-			continue
-		}
-		g.recordScore(ScoreResult{ID: i, Score: s})
-	}
-	return nil
-}
-
 // Len returns the number of samples the grapher tracks.
 func (g *Grapher) Len() int { return len(g.labels) }
 
-// K returns the configured neighbour count.
-func (g *Grapher) K() int { return g.cfg.K }
+// K returns the neighbour count each scored sample retrieves.
+func (g *Grapher) K() int { return k }

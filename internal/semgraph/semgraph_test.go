@@ -22,7 +22,7 @@ func buildClustered(t *testing.T) *Grapher {
 		labels[i] = 1
 	}
 	labels[20] = 0
-	g, err := New(DefaultConfig(), labels, NewBruteSearcher())
+	g, err := New(labels, NewBruteSearcher())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,30 +46,11 @@ func buildClustered(t *testing.T) *Grapher {
 	return g
 }
 
-func TestConfigValidate(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Lambda = 0 },
-		func(c *Config) { c.Alpha = 0 },
-		func(c *Config) { c.Alpha = 1 },
-		func(c *Config) { c.NeighborMax = 0 },
-		func(c *Config) { c.K = 0 },
-		func(c *Config) { c.HomAlpha = c.Alpha - 0.1 },
-		func(c *Config) { c.HomAlpha = 1 },
-	}
-	for i, mutate := range bad {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
-	if _, err := New(DefaultConfig(), nil, NewBruteSearcher()); err == nil {
+	if _, err := New(nil, NewBruteSearcher()); err == nil {
 		t.Fatal("empty labels accepted")
 	}
-	if _, err := New(DefaultConfig(), []int{0}, nil); err == nil {
+	if _, err := New([]int{0}, nil); err == nil {
 		t.Fatal("nil searcher accepted")
 	}
 }
@@ -92,7 +73,7 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestSimilarityDecay(t *testing.T) {
-	g, _ := New(DefaultConfig(), []int{0, 1}, NewBruteSearcher())
+	g, _ := New([]int{0, 1}, NewBruteSearcher())
 	if s := g.Similarity(0); s != 1 {
 		t.Fatalf("sim(0) = %g", s)
 	}
@@ -142,8 +123,7 @@ func TestScoreStates(t *testing.T) {
 
 func TestScoreFormula(t *testing.T) {
 	// score = ln(1/same + other/neighborMax + 1) with same including self.
-	cfg := DefaultConfig()
-	g, _ := New(cfg, []int{0, 0, 1}, NewBruteSearcher())
+	g, _ := New([]int{0, 0, 1}, NewBruteSearcher())
 	g.Update(0, []float64{1, 0})
 	g.Update(1, []float64{1, 0.01})
 	g.Update(2, []float64{1, 0.02})
@@ -151,7 +131,7 @@ func TestScoreFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := math.Log(1/float64(r.Same) + float64(r.Other)/float64(cfg.NeighborMax) + 1)
+	want := math.Log(1/float64(r.Same) + float64(r.Other)/float64(neighborMax) + 1)
 	if math.Abs(r.Score-want) > 1e-12 {
 		t.Fatalf("score %.6f, formula gives %.6f", r.Score, want)
 	}
@@ -161,7 +141,7 @@ func TestScoreFormula(t *testing.T) {
 }
 
 func TestCloseNeighborsSameClassOnly(t *testing.T) {
-	g, _ := New(DefaultConfig(), []int{0, 0, 1}, NewBruteSearcher())
+	g, _ := New([]int{0, 0, 1}, NewBruteSearcher())
 	g.Update(0, []float64{1, 0})
 	g.Update(1, []float64{1, 0.001}) // near-duplicate, same class
 	g.Update(2, []float64{1, 0.002}) // near-duplicate, other class
@@ -184,7 +164,7 @@ func TestCloseNeighborsSameClassOnly(t *testing.T) {
 }
 
 func TestScoreRangeChecks(t *testing.T) {
-	g, _ := New(DefaultConfig(), []int{0, 1}, NewBruteSearcher())
+	g, _ := New([]int{0, 1}, NewBruteSearcher())
 	if err := g.Update(5, []float64{1}); err == nil {
 		t.Fatal("out-of-range Update accepted")
 	}
@@ -223,7 +203,7 @@ func TestGrapherWithHNSWMatchesBrute(t *testing.T) {
 		labels[i] = i % 4
 	}
 	mk := func(s NeighborSearcher) *Grapher {
-		g, err := New(DefaultConfig(), labels, s)
+		g, err := New(labels, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,32 +243,5 @@ func TestBruteSearcherUpsertReplaces(t *testing.T) {
 	res := b.SearchKNN([]float64{5, 5}, 1)
 	if res[0].Dist != 0 {
 		t.Fatal("vector not replaced")
-	}
-}
-
-func TestExportImportScores(t *testing.T) {
-	g, _ := New(DefaultConfig(), []int{0, 0, 1}, NewBruteSearcher())
-	g.Update(0, []float64{1, 0})
-	g.Update(1, []float64{1, 0.01})
-	g.Update(2, []float64{0, 1})
-	g.Score(0, []float64{1, 0})
-
-	exp := g.ExportScores()
-	if len(exp) != 3 {
-		t.Fatalf("export length %d", len(exp))
-	}
-	if math.IsNaN(exp[0]) || !math.IsNaN(exp[1]) || !math.IsNaN(exp[2]) {
-		t.Fatalf("NaN marking wrong: %v", exp)
-	}
-
-	g2, _ := New(DefaultConfig(), []int{0, 0, 1}, NewBruteSearcher())
-	if err := g2.ImportScores(exp); err != nil {
-		t.Fatal(err)
-	}
-	if g2.ScoredCount() != 1 || g2.ScoreOf(0) != g.ScoreOf(0) {
-		t.Fatal("import did not restore state")
-	}
-	if err := g2.ImportScores(exp[:1]); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }

@@ -4,11 +4,8 @@
 //
 // Fetch costs are pure durations charged to the trainer's virtual clock:
 //
-//	remote miss: BaseLatency + payload/Bandwidth (+ deterministic jitter)
-//	memory hit:  HitLatency  + payload/MemBandwidth
-//
-// The simulator also keeps byte/request counters so experiments can report
-// I/O volumes alongside hit ratios.
+//	remote miss: baseLatency + payload/bandwidth (+ deterministic jitter)
+//	memory hit:  hitLatency  + payload/memBandwidth
 package storage
 
 import (
@@ -18,110 +15,42 @@ import (
 	"spidercache/internal/xrand"
 )
 
-// Params configures the storage cost model. Defaults (see DefaultParams)
-// approximate the paper's testbed: a dataset on NFS reached over a 10 Gbps
-// datacenter network, with Redis serving in-memory hits.
-type Params struct {
-	BaseLatency  time.Duration // per-request remote latency floor
-	Bandwidth    float64       // remote bytes per second
-	JitterFrac   float64       // +/- fraction of remote cost, deterministic RNG
-	HitLatency   time.Duration // per-request in-memory latency
-	MemBandwidth float64       // in-memory bytes per second
-}
+// The calibrated cost model, approximating the paper's testbed: a dataset
+// on NFS reached over a 10 Gbps datacenter network, with Redis serving
+// in-memory hits. With CIFAR-like 3 KiB payloads a remote fetch costs
+// ≈ 2.1 ms and a memory hit ≈ 12 µs, making data loading dominate epoch
+// time exactly as the paper's Fig 3(a) reports (>60% share uncached).
+const (
+	baseLatency  = 2 * time.Millisecond // per-request remote latency floor
+	bandwidth    = 64 << 20             // remote bytes/s: effective per-stream NFS throughput
+	jitterFrac   = 0.10                 // +/- fraction of remote cost, deterministic RNG
+	hitLatency   = 10 * time.Microsecond
+	memBandwidth = 8 << 30 // in-memory bytes/s: memory-tier copy
+)
 
-// DefaultParams returns the calibrated cost model used by the experiments.
-// With CIFAR-like 3 KiB payloads a remote fetch costs ≈ 2.1 ms and a memory
-// hit ≈ 12 µs, making data loading dominate epoch time exactly as the
-// paper's Fig 3(a) reports (>60% share uncached).
-func DefaultParams() Params {
-	return Params{
-		BaseLatency:  2 * time.Millisecond,
-		Bandwidth:    64 << 20, // 64 MiB/s effective per-stream NFS throughput
-		JitterFrac:   0.10,
-		HitLatency:   10 * time.Microsecond,
-		MemBandwidth: 8 << 30, // 8 GiB/s memory-tier copy
-	}
-}
-
-// Validate reports a descriptive error for unusable parameters.
-func (p Params) Validate() error {
-	switch {
-	case p.BaseLatency < 0:
-		return fmt.Errorf("storage: BaseLatency must be >= 0, got %v", p.BaseLatency)
-	case p.Bandwidth <= 0:
-		return fmt.Errorf("storage: Bandwidth must be positive, got %g", p.Bandwidth)
-	case p.JitterFrac < 0 || p.JitterFrac >= 1:
-		return fmt.Errorf("storage: JitterFrac must be in [0,1), got %g", p.JitterFrac)
-	case p.HitLatency < 0:
-		return fmt.Errorf("storage: HitLatency must be >= 0, got %v", p.HitLatency)
-	case p.MemBandwidth <= 0:
-		return fmt.Errorf("storage: MemBandwidth must be positive, got %g", p.MemBandwidth)
-	}
-	return nil
-}
-
-// Stats aggregates traffic counters for one tier.
-type Stats struct {
-	Requests int64
-	Bytes    int64
-	Time     time.Duration
-}
-
-// Store is the metered storage simulator.
+// Store is the storage cost simulator.
 type Store struct {
-	params Params
-	rng    *xrand.Rand
-
-	remote Stats
-	memory Stats
+	rng *xrand.Rand
 }
 
 // New builds a Store; rng drives deterministic fetch jitter and must not be
 // shared with other components.
-func New(params Params, rng *xrand.Rand) (*Store, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
+func New(rng *xrand.Rand) (*Store, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("storage: rng must not be nil")
 	}
-	return &Store{params: params, rng: rng}, nil
+	return &Store{rng: rng}, nil
 }
 
 // FetchRemote returns the simulated cost of reading size bytes from the
-// remote store and records it.
+// remote store.
 func (s *Store) FetchRemote(size int) time.Duration {
-	d := s.params.BaseLatency + time.Duration(float64(size)/s.params.Bandwidth*float64(time.Second))
-	if j := s.params.JitterFrac; j > 0 {
-		d = time.Duration(float64(d) * (1 + (s.rng.Float64()*2-1)*j))
-	}
-	s.remote.Requests++
-	s.remote.Bytes += int64(size)
-	s.remote.Time += d
-	return d
+	d := baseLatency + time.Duration(float64(size)/bandwidth*float64(time.Second))
+	return time.Duration(float64(d) * (1 + (s.rng.Float64()*2-1)*jitterFrac))
 }
 
 // FetchMemory returns the simulated cost of serving size bytes from the
-// in-memory cache tier and records it.
+// in-memory cache tier.
 func (s *Store) FetchMemory(size int) time.Duration {
-	d := s.params.HitLatency + time.Duration(float64(size)/s.params.MemBandwidth*float64(time.Second))
-	s.memory.Requests++
-	s.memory.Bytes += int64(size)
-	s.memory.Time += d
-	return d
+	return hitLatency + time.Duration(float64(size)/memBandwidth*float64(time.Second))
 }
-
-// RemoteStats returns cumulative remote-tier counters.
-func (s *Store) RemoteStats() Stats { return s.remote }
-
-// MemoryStats returns cumulative memory-tier counters.
-func (s *Store) MemoryStats() Stats { return s.memory }
-
-// ResetStats zeroes all counters (the cost model is unchanged).
-func (s *Store) ResetStats() {
-	s.remote = Stats{}
-	s.memory = Stats{}
-}
-
-// Params returns the cost model in use.
-func (s *Store) Params() Params { return s.params }

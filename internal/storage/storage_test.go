@@ -7,35 +7,14 @@ import (
 	"spidercache/internal/xrand"
 )
 
-func noJitter() Params {
-	p := DefaultParams()
-	p.JitterFrac = 0
-	return p
-}
-
 func TestValidation(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.BaseLatency = -1 },
-		func(p *Params) { p.Bandwidth = 0 },
-		func(p *Params) { p.JitterFrac = 1.0 },
-		func(p *Params) { p.JitterFrac = -0.1 },
-		func(p *Params) { p.HitLatency = -1 },
-		func(p *Params) { p.MemBandwidth = 0 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if _, err := New(p, xrand.New(1)); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
-	if _, err := New(DefaultParams(), nil); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
 
 func TestRemoteCostModel(t *testing.T) {
-	s, err := New(noJitter(), xrand.New(1))
+	s, err := New(xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +23,13 @@ func TestRemoteCostModel(t *testing.T) {
 	if large <= small {
 		t.Fatalf("larger payload not slower: %v vs %v", large, small)
 	}
-	if small < s.Params().BaseLatency {
-		t.Fatalf("fetch %v below base latency %v", small, s.Params().BaseLatency)
+	if floor := time.Duration(float64(baseLatency) * (1 - jitterFrac)); small < floor {
+		t.Fatalf("fetch %v below jittered base latency %v", small, floor)
 	}
 }
 
 func TestMemoryMuchFasterThanRemote(t *testing.T) {
-	s, _ := New(noJitter(), xrand.New(1))
+	s, _ := New(xrand.New(1))
 	remote := s.FetchRemote(3 << 10)
 	memory := s.FetchMemory(3 << 10)
 	if remote < 20*memory {
@@ -59,45 +38,23 @@ func TestMemoryMuchFasterThanRemote(t *testing.T) {
 }
 
 func TestJitterBounds(t *testing.T) {
-	p := DefaultParams()
-	p.JitterFrac = 0.1
-	s, _ := New(p, xrand.New(2))
-	base := p.BaseLatency + time.Duration(float64(3<<10)/p.Bandwidth*float64(time.Second))
-	lo := time.Duration(float64(base) * 0.9)
-	hi := time.Duration(float64(base) * 1.1)
+	s, _ := New(xrand.New(2))
+	size := 3 << 10
+	base := baseLatency + time.Duration(float64(size)/bandwidth*float64(time.Second))
+	lo := time.Duration(float64(base) * (1 - jitterFrac))
+	hi := time.Duration(float64(base) * (1 + jitterFrac))
 	for i := 0; i < 500; i++ {
-		d := s.FetchRemote(3 << 10)
+		d := s.FetchRemote(size)
 		if d < lo-time.Microsecond || d > hi+time.Microsecond {
 			t.Fatalf("jittered fetch %v outside [%v,%v]", d, lo, hi)
 		}
 	}
 }
 
-func TestCounters(t *testing.T) {
-	s, _ := New(noJitter(), xrand.New(1))
-	s.FetchRemote(100)
-	s.FetchRemote(200)
-	s.FetchMemory(50)
-	r, m := s.RemoteStats(), s.MemoryStats()
-	if r.Requests != 2 || r.Bytes != 300 {
-		t.Fatalf("remote stats %+v", r)
-	}
-	if m.Requests != 1 || m.Bytes != 50 {
-		t.Fatalf("memory stats %+v", m)
-	}
-	if r.Time <= 0 || m.Time <= 0 {
-		t.Fatal("time counters not accumulated")
-	}
-	s.ResetStats()
-	if s.RemoteStats().Requests != 0 || s.MemoryStats().Bytes != 0 {
-		t.Fatal("ResetStats incomplete")
-	}
-}
-
 func TestDefaultCalibration(t *testing.T) {
 	// The documented calibration: a CIFAR-like 3 KiB remote fetch costs
 	// about 2 ms; an in-memory hit costs ~10 µs.
-	s, _ := New(noJitter(), xrand.New(1))
+	s, _ := New(xrand.New(1))
 	remote := s.FetchRemote(3 << 10)
 	if remote < time.Millisecond || remote > 5*time.Millisecond {
 		t.Fatalf("3KiB remote fetch = %v, want ~2ms", remote)

@@ -49,7 +49,7 @@ type RemoteCache interface {
 }
 
 // Config describes one training run. The cost model's constants are not
-// among its fields: misses are charged at storage.DefaultParams, batches
+// among its fields: misses are charged at the storage package's cost model, batches
 // at preprocessCost and commCost, and the learner's shape is derived from
 // Dataset and Model (see learner).
 type Config struct {
@@ -193,24 +193,6 @@ func (r *Result) AvgHitRatio() float64 {
 	return s / float64(len(r.Epochs))
 }
 
-// AccuracySeries returns the per-epoch held-out accuracies.
-func (r *Result) AccuracySeries() []float64 {
-	out := make([]float64, len(r.Epochs))
-	for i, e := range r.Epochs {
-		out[i] = e.Accuracy
-	}
-	return out
-}
-
-// LossSeries returns the per-epoch mean training losses.
-func (r *Result) LossSeries() []float64 {
-	out := make([]float64, len(r.Epochs))
-	for i, e := range r.Epochs {
-		out[i] = e.TrainLoss
-	}
-	return out
-}
-
 // runTelemetry groups the serving-path instruments, resolved once per run.
 // With a nil registry every instrument is a shared no-op, so the hot loop
 // records unconditionally.
@@ -313,7 +295,7 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 		return nil, fmt.Errorf("trainer: policy must not be nil")
 	}
 	rng := xrand.New(cfg.Seed)
-	store, err := storage.New(storage.DefaultParams(), rng.Split())
+	store, err := storage.New(rng.Split())
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,6 @@ type settings struct {
 	cacheFraction   float64
 	workers         int
 	rStart, rEnd    float64
-	staticRatio     bool
 	disablePipeline bool
 	serialLoading   bool
 	metrics         *telemetry.Registry
@@ -73,15 +72,10 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithElasticRange overrides SpiderCache's elastic imp-ratio endpoints
-// (paper defaults 0.90 / 0.80).
+// (paper defaults 0.90 / 0.80). rEnd = rStart freezes the imp-ratio:
+// Table 6's static split.
 func WithElasticRange(rStart, rEnd float64) Option {
 	return func(s *settings) { s.rStart, s.rEnd = rStart, rEnd }
-}
-
-// WithStaticRatio freezes the imp-ratio at its start value (Table 6's
-// static mode).
-func WithStaticRatio() Option {
-	return func(s *settings) { s.staticRatio = true }
 }
 
 // WithoutPipeline charges the full IS cost on the critical path (the
@@ -150,14 +144,13 @@ func train(ds *Dataset, s settings) (*Result, error) {
 		return nil, err
 	}
 	pol, err := experiments.BuildPolicy(s.policy, experiments.PolicyParams{
-		Dataset:        ds.ds,
-		Capacity:       int(float64(ds.Len()) * s.cacheFraction),
-		Epochs:         s.epochs,
-		Seed:           s.seed,
-		RStart:         s.rStart,
-		REnd:           s.rEnd,
-		DisableElastic: s.staticRatio,
-		Metrics:        s.metrics,
+		Dataset:  ds.ds,
+		Capacity: int(float64(ds.Len()) * s.cacheFraction),
+		Epochs:   s.epochs,
+		Seed:     s.seed,
+		RStart:   s.rStart,
+		REnd:     s.rEnd,
+		Metrics:  s.metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -117,7 +117,7 @@ func TestTrainValidation(t *testing.T) {
 }
 
 func TestTrainElasticKnobs(t *testing.T) {
-	res, err := TrainWith(tinyCIFAR(t), WithEpochs(2), WithElasticRange(0.85, 0.6), WithStaticRatio())
+	res, err := TrainWith(tinyCIFAR(t), WithEpochs(2), WithElasticRange(0.85, 0.85))
 	if err != nil {
 		t.Fatal(err)
 	}
