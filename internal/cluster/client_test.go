@@ -92,8 +92,8 @@ func TestClientBasicOps(t *testing.T) {
 	}
 }
 
-// TestNewClientStillServes: a client built from a static seed list (no
-// WithDiscovery) serves Set/Get and keeps exactly the seeds as its nodes.
+// TestNewClientStillServes: a client built from a seed list serves
+// Set/Get and keeps exactly the seeds as its nodes.
 func TestNewClientStillServes(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startNode(t), startNode(t)
@@ -108,7 +108,7 @@ func TestNewClientStillServes(t *testing.T) {
 			t.Fatalf("Get(%d) = %v, %v, %v", id, v, found, err)
 		}
 	}
-	// Without WithDiscovery the node set is the seeds, fixed.
+	// The node set is the seeds, fixed.
 	if got := c.Nodes(); len(got) != 2 {
 		t.Fatalf("static client nodes = %v", got)
 	}
@@ -204,7 +204,6 @@ func TestNewOptionValidation(t *testing.T) {
 		"no seeds":           {},
 		"empty WithSeeds":    {WithSeeds()},
 		"bad replicas":       {WithSeeds("x:1"), WithReplicas(0)},
-		"bad discovery":      {WithSeeds("x:1"), WithDiscovery(0)},
 		"bad pool size":      {WithSeeds("x:1"), WithPoolSize(0)},
 		"bad timeout":        {WithSeeds("x:1"), WithTimeout(-time.Second)},
 		"duplicate seeds":    {WithSeeds("x:1", "x:1")},

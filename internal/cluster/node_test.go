@@ -84,15 +84,18 @@ func waitMembersWithin(tb testing.TB, within time.Duration, want int, nodes ...*
 	}
 }
 
-// testClusterClient dials the cluster through one seed with discovery on.
-func testClusterClient(t *testing.T, seed string) *Client {
+// testClusterClient builds a client whose seeds are the given nodes.
+func testClusterClient(t *testing.T, nodes ...*Node) *Client {
 	t.Helper()
+	seeds := make([]string, len(nodes))
+	for i, n := range nodes {
+		seeds[i] = n.Addr()
+	}
 	c, err := New(
-		WithSeeds(seed),
+		WithSeeds(seeds...),
 		WithReplicas(2),
 		WithPoolSize(2),
 		WithTimeout(2*time.Second),
-		WithDiscovery(25*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +120,6 @@ func TestNodeGossipMembershipConverges(t *testing.T) {
 			n3 := startGossipNode(t, every, n2.Addr())
 			n4 := startGossipNode(t, every, n3.Addr())
 			waitMembersWithin(t, 2*time.Second, 4, n1, n2, n3, n4)
-
-			// A discovery client seeded with only n1 learns the full topology.
-			waitClientNodes(t, testClusterClient(t, n1.Addr()), 4)
 		})
 	}
 }
@@ -206,7 +206,7 @@ func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
 	waitMembers(t, 3, n1, n2, n3)
 
 	byAddr := map[string]*Node{n1.Addr(): n1, n2.Addr(): n2, n3.Addr(): n3}
-	c := testClusterClient(t, n1.Addr())
+	c := testClusterClient(t, n1, n2, n3)
 
 	for id := 0; id < 64; id++ {
 		payload := []byte(fmt.Sprintf("v%d", id))
@@ -238,7 +238,7 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	n2 := startTestNode(t, n1.Addr())
 	waitMembers(t, 2, n1, n2)
 
-	c := testClusterClient(t, n1.Addr())
+	c := testClusterClient(t, n1, n2)
 	payload := []byte("migrate-me")
 	for id := 0; id < keys; id++ {
 		if err := c.Set(id, payload); err != nil {
@@ -263,43 +263,34 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	}
 	readAll("before join")
 
-	// Third node joins; keep reading the whole keyspace while gossip,
-	// client discovery and the rebalance all race the reads.
+	// Third node joins; keep reading the whole keyspace while gossip and
+	// the rebalance race the reads.
 	n3 := startTestNode(t, n1.Addr())
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		readAll("during join")
-		if len(n1.Members()) == 3 && len(n2.Members()) == 3 && len(n3.Members()) == 3 && len(c.Nodes()) == 3 {
+		if len(n1.Members()) == 3 && len(n2.Members()) == 3 && len(n3.Members()) == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not converge: %v %v %v / client %v",
-				n1.Members(), n2.Members(), n3.Members(), c.Nodes())
+			t.Fatalf("cluster did not converge: %v %v %v", n1.Members(), n2.Members(), n3.Members())
 		}
 	}
 	// Let at least one full rebalance land, then verify the new owner set
 	// actually serves every key (reads keep passing after the old copies
-	// would stop mattering).
+	// would stop mattering), through the old client and through one that
+	// routes to the joiner too.
 	time.Sleep(100 * time.Millisecond)
 	readAll("after join")
+	c = testClusterClient(t, n1, n2, n3)
+	readAll("after join, all three seeds")
 }
 
-// TestKillNodeMidRun is the kill-a-node fault schedule (see
-// runKillSchedule) through one discovering client: gossip discovery drops
-// the dead node from the client's ring once the survivors expel it.
-func TestKillNodeMidRun(t *testing.T) {
-	leakcheck.Check(t)
-	n1, n2, n3 := startKillCluster(t)
-	c := testClusterClient(t, n1.Addr())
-	waitClientNodes(t, c, 3)
-	runKillSchedule(t, c, n1, n2, n3, func() { waitClientNodes(t, c, 2) })
-}
-
-// TestKillNodeMidRunStaticSeeds runs the same schedule through the client
-// the train_remote and cluster_rw benchmarks build: every node a seed,
-// replicas 2, every other setting at its default and no discovery. The
-// dead node stays on the client's ring for good, so its breaker is what
-// routes around it, and must read open at the end.
+// TestKillNodeMidRunStaticSeeds runs the kill-a-node fault schedule (see
+// runKillSchedule) through the client the train_remote and cluster_rw
+// benchmarks build: every node a seed, replicas 2, every other setting at
+// its default. The dead node stays on the client's ring for good, so its
+// breaker is what routes around it, and must read open at the end.
 func TestKillNodeMidRunStaticSeeds(t *testing.T) {
 	leakcheck.Check(t)
 	n1, n2, n3 := startKillCluster(t)
@@ -311,7 +302,7 @@ func TestKillNodeMidRunStaticSeeds(t *testing.T) {
 	t.Cleanup(func() {
 		c.Close()
 	})
-	runKillSchedule(t, c, n1, n2, n3, func() {})
+	runKillSchedule(t, c, n1, n2, n3)
 	if s := breakerGauge(reg, n3.Addr()); s != breakerOpen {
 		t.Fatalf("dead node's breaker = %v, want open", s)
 	}
@@ -331,14 +322,13 @@ func startKillCluster(t *testing.T) (n1, n2, n3 *Node) {
 // runKillSchedule runs the kill-a-node fault schedule on c: three daemons
 // at replicas 2, four goroutines running mixed Set/Get over 2 000 ids for
 // about a second, and n3 closed in the middle of it. Synchronous
-// replication, breaker-gated failover and (for a discovering client)
-// gossip discovery must absorb the death: no op may return an error,
-// every hit must carry exactly its id's payload, and once the survivors
-// have expelled n3 and settle has returned, every id acknowledged before
+// replication and breaker-gated failover must absorb the death: no op may
+// return an error, every hit must carry exactly its id's payload, and
+// once the survivors have expelled n3, every id acknowledged before
 // the kill must still be found. After the kill, Sets go to the upper half
 // of the ids only, so the lower half keeps what the kill left: a later Set
 // would write an id to the survivors anyway and hide a lost write.
-func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node, settle func()) {
+func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node) {
 	t.Helper()
 	const (
 		ids     = 2000
@@ -403,7 +393,6 @@ func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node, settle func()) {
 	}
 
 	waitMembers(t, 2, n1, n2)
-	settle()
 	acked := 0
 	for id := range ackedBefore {
 		if !ackedBefore[id].Load() || setAfter[id].Load() {
@@ -421,18 +410,6 @@ func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node, settle func()) {
 	t.Logf("%d ids acknowledged before the kill, all found after it", acked)
 }
 
-// waitClientNodes polls until the client routes to exactly want nodes.
-func waitClientNodes(t *testing.T, c *Client, want int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(c.Nodes()) != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("client routes to %v, want %d nodes", c.Nodes(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
 	leakcheck.Check(t)
 	const keys = 200
@@ -441,7 +418,7 @@ func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
 	n3 := startTestNode(t, n1.Addr())
 	waitMembers(t, 3, n1, n2, n3)
 
-	c := testClusterClient(t, n1.Addr())
+	c := testClusterClient(t, n1, n2, n3)
 	payload := []byte("survive-me")
 	for id := 0; id < keys; id++ {
 		if err := c.Set(id, payload); err != nil {
@@ -454,7 +431,6 @@ func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
 		t.Fatalf("closing n3: %v", err)
 	}
 	waitMembers(t, 2, n1, n2)
-	waitClientNodes(t, c, 2)
 	for id := 0; id < keys; id++ {
 		v, found, err := c.Get(id)
 		if err != nil {
