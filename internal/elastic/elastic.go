@@ -22,8 +22,6 @@ package elastic
 import (
 	"fmt"
 	"math"
-
-	"spidercache/internal/sgolay"
 )
 
 // The manager's constants: the paper's γ and m (Eqs. 6-7), the
@@ -36,9 +34,48 @@ const (
 	window      = 5    // m, epochs averaged for the growth rate
 	slopeWindow = 5
 	patience    = 2
-	sgWindow    = 5 // Savitzky-Golay window (odd)
-	sgOrder     = 2 // Savitzky-Golay polynomial order
 )
+
+// sgWeights is the Savitzky-Golay filter (Savitzky & Golay, 1964) the
+// Accuracy Monitor smooths with: window 5, order 2, the classic
+// (-3, 12, 17, 12, -3)/35. The literals are the values a least-squares
+// solve of the normal equations yields, 1-2 ulps off the correctly
+// rounded quotients; every whole-run golden depends on them bit for bit.
+var sgWeights = [5]float64{
+	-0x1.5f15f15f15f18p-04,
+	0x1.5f15f15f15f15p-02,
+	0x1.f15f15f15f15ep-02,
+	0x1.5f15f15f15f15p-02,
+	-0x1.5f15f15f15f18p-04,
+}
+
+// smooth returns xs filtered with sgWeights, mirror-padding half a window
+// on each side. A series shorter than the window is returned as a copy,
+// unfiltered.
+func smooth(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	if len(xs) < len(sgWeights) {
+		copy(out, xs)
+		return out
+	}
+	const half = len(sgWeights) / 2
+	for i := range xs {
+		var s float64
+		for k, w := range sgWeights {
+			// Mirror padding: ..., x2, x1, | x0, x1, ..., xn-1 |, xn-2, ...
+			j := i + k - half
+			if j < 0 {
+				j = -j
+			}
+			if j >= len(xs) {
+				j = 2*len(xs) - 2 - j
+			}
+			s += w * xs[j]
+		}
+		out[i] = s
+	}
+	return out
+}
 
 // Config holds the two ends of the imp-ratio trajectory (Eq. 8). The paper
 // recommends RStart=0.90, REnd=0.80; REnd = RStart is the static split of
@@ -68,7 +105,6 @@ func (c Config) Validate() error {
 type Manager struct {
 	cfg         Config
 	totalEpochs int // T in Eq. 8
-	filter      *sgolay.Filter
 
 	sigmas     []float64
 	accuracies []float64
@@ -88,11 +124,7 @@ func New(cfg Config, totalEpochs int) (*Manager, error) {
 	if totalEpochs < 1 {
 		return nil, fmt.Errorf("elastic: TotalEpochs must be >= 1, got %d", totalEpochs)
 	}
-	f, err := sgolay.New(sgWindow, sgOrder)
-	if err != nil {
-		return nil, err
-	}
-	return &Manager{cfg: cfg, totalEpochs: totalEpochs, filter: f, lastRatio: cfg.RStart}, nil
+	return &Manager{cfg: cfg, totalEpochs: totalEpochs, lastRatio: cfg.RStart}, nil
 }
 
 // Observe ingests the epoch's importance-score std and held-out accuracy and
@@ -162,7 +194,7 @@ func (m *Manager) growthRate() float64 {
 	if len(m.accuracies) < 2 {
 		return 0
 	}
-	smoothed := m.filter.Smooth(m.accuracies)
+	smoothed := smooth(m.accuracies)
 	mWin := window
 	if mWin > len(smoothed)-1 {
 		mWin = len(smoothed) - 1
