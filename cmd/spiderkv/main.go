@@ -16,8 +16,7 @@
 // -conns and -timeout size the peer pools that carry replication,
 // rebalance and gossip; every peer op is one attempt, and a failed push is
 // counted, not retried. Clients connect with
-// cluster.New(cluster.WithSeeds(...), cluster.WithDiscovery(...)) and
-// discover the rest of the topology from any one member.
+// cluster.New(cluster.WithSeeds(...)), naming every member as a seed.
 //
 // The daemon exits on SIGINT/SIGTERM after a graceful close: gossip and
 // migration stop, in-flight sessions drain, peer pools shut down.

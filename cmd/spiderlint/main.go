@@ -1,7 +1,6 @@
 // Command spiderlint runs the repository's project-specific static
 // analysis suite (internal/lint) over the module: determinism, mutex
-// hygiene, lock order, protocol-string, metric-name and unchecked-write
-// checks, all built on the standard library's go/parser + go/types with
+// hygiene, lock order and unchecked-write checks, all built on the standard library's go/parser + go/types with
 // the source importer — no external tooling, works offline.
 //
 // Usage:

@@ -12,8 +12,8 @@ package kvserver
 //     ClusterHooks for synchronous fan-out to the key's other ring owners
 //     (sent as RSET/RDEL so the fan-out never cascades);
 //   - HELLO <addr> registers the announcing peer and returns the node set,
-//     which is how both daemons and discovery-enabled clients learn
-//     topology instead of being handed a static list.
+//     which is how daemons learn topology instead of being handed a static
+//     list.
 
 import (
 	"fmt"
@@ -23,9 +23,6 @@ import (
 
 // MaxClusterNodes bounds the node list in one NODES reply.
 const MaxClusterNodes = 1024
-
-// errBadNodeAddr rejects HELLO addresses the wire protocol cannot carry.
-const errBadNodeAddr = protoErr("bad node address")
 
 // ClusterHooks connects a Server to the cluster daemon embedding it. Every
 // method is called synchronously from connection-handler goroutines:

@@ -3,6 +3,8 @@ package kvserver
 import (
 	"bufio"
 	"bytes"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,8 +13,10 @@ import (
 
 // FuzzServeOne drives the protocol handler with arbitrary bytes: the server
 // must never panic regardless of input, and every error must map to a
-// stable protocol string (see protoErr) or be an I/O error. The seed corpus
-// covers each command, pipelined multi-command streams and common
+// stable protocol string (one of protoErrs) or be an I/O error. Only the
+// connection loop writes SERVER_ERROR, so a handler's own replies never
+// hold it unless the input does (a stored value echoed back). The seed
+// corpus covers each command, pipelined multi-command streams and common
 // malformations.
 func FuzzServeOne(f *testing.F) {
 	f.Add([]byte("GET k\r\n"))
@@ -27,6 +31,7 @@ func FuzzServeOne(f *testing.F) {
 	f.Add([]byte("STATS\r\n"))
 	// Cluster verbs.
 	f.Add([]byte("HELLO 127.0.0.1:1\r\n"))
+	f.Add([]byte("HELLO " + strings.Repeat("a", 300) + "\r\n")) // bad node address
 	f.Add([]byte("NODES\r\n"))
 	f.Add([]byte("RSET k 1\r\nv\r\nRDEL k\r\n"))
 	f.Add([]byte("SET k 99999999999999999999\r\n"))
@@ -65,25 +70,32 @@ func FuzzServeOne(f *testing.F) {
 			if err == nil {
 				continue
 			}
-			if pe, ok := err.(protoErr); ok {
-				if !knownProtoErr(pe) {
-					t.Fatalf("unstable protocol error %q for input %q", pe, input)
-				}
+			if pe, ok := err.(protoErr); ok && !slices.Contains(protoErrs, pe) {
+				t.Fatalf("unstable protocol error %q for input %q", pe, input)
 			}
 			break
 		}
 		w.Flush()
+		if bytes.Contains(out.Bytes(), []byte("SERVER_ERROR")) && !bytes.Contains(input, []byte("SERVER_ERROR")) {
+			t.Fatalf("a handler wrote its own SERVER_ERROR for input %q: %q", input, out.Bytes())
+		}
 	})
 }
 
-func knownProtoErr(pe protoErr) bool {
-	switch pe {
-	case errEmptyCommand, errUnknownCmd, errBadArgs, errKeyTooLong,
-		errBadLength, errBadPayload, errLineTooLong,
-		errBadEmbedDim, errBadThreshold:
-		return true
+// TestProtoErrVocabulary: every wire error is a distinct string of
+// lowercase words, which survives framing and matching in every client.
+func TestProtoErrVocabulary(t *testing.T) {
+	stable := regexp.MustCompile(`^[a-z][a-z0-9 -]*$`)
+	seen := map[protoErr]bool{}
+	for _, pe := range protoErrs {
+		if !stable.MatchString(string(pe)) {
+			t.Errorf("protocol error %q is not lowercase words (%s)", pe, stable)
+		}
+		if seen[pe] {
+			t.Errorf("protocol error %q is listed twice", pe)
+		}
+		seen[pe] = true
 	}
-	return false
 }
 
 // FuzzClientRoundTrip fuzzes the key/value space end to end over a real

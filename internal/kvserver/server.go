@@ -111,7 +111,15 @@ const (
 	errLineTooLong  = protoErr("line too long")
 	errBadEmbedDim  = protoErr("bad embedding dim")
 	errBadThreshold = protoErr("bad threshold")
+	errBadNodeAddr  = protoErr("bad node address") // a HELLO address the wire cannot carry
 )
+
+// protoErrs lists the vocabulary above, once: FuzzServeOne fails on any
+// protocol error outside it.
+var protoErrs = []protoErr{
+	errEmptyCommand, errUnknownCmd, errBadArgs, errKeyTooLong, errBadLength,
+	errBadPayload, errLineTooLong, errBadEmbedDim, errBadThreshold, errBadNodeAddr,
+}
 
 // Server is the TCP cache server.
 type Server struct {

@@ -513,31 +513,19 @@ func solveForward[F any](g *funcCFG, entry F, transfer func(*cfgBlock, F) F, mer
 	return in
 }
 
-// funcBodies yields every function body in f — declarations and function
-// literals — with a printable identity.
-type funcBody struct {
-	name string
-	body *ast.BlockStmt
-}
-
-func fileFuncBodies(f *ast.File) []funcBody {
-	var out []funcBody
+// fileFuncBodies returns every function body in f: each declaration's,
+// then the function literals nested in it, each analyzed independently.
+func fileFuncBodies(f *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		name := fd.Name.Name
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			name = recvTypeName(fd.Recv.List[0].Type) + "." + name
-		}
-		out = append(out, funcBody{name: name, body: fd.Body})
-		// Nested literals, innermost last; each analyzed independently.
-		nested := 0
+		out = append(out, fd.Body)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				nested++
-				out = append(out, funcBody{name: fmt.Sprintf("%s.func%d", name, nested), body: lit.Body})
+				out = append(out, lit.Body)
 			}
 			return true
 		})

@@ -10,10 +10,6 @@
 //     RWMutex write-lock held across channel ops or blocking calls
 //   - lockorder      — cycles in the module-wide lock-acquisition order
 //     (potential deadlocks)
-//   - protostrings   — kvserver SERVER_ERROR payloads only from the declared
-//     stable constant set (server, client and fuzzers stay in lockstep)
-//   - metricnames    — telemetry names are snake_case, counters end _total,
-//     each family is registered from exactly one function
 //   - errcheck       — ignored error returns from io/net writes in the
 //     serving and failover packages
 //
@@ -30,7 +26,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -63,9 +58,6 @@ type Config struct {
 	// DeterministicPkgs are the packages whose outputs must be bitwise
 	// reproducible: the determinism check applies only there.
 	DeterministicPkgs []string
-	// ProtoPkgs are the packages holding wire-protocol error strings: the
-	// protostrings check applies only there.
-	ProtoPkgs []string
 	// ErrcheckPkgs are the packages where ignored io/net write errors are
 	// findings.
 	ErrcheckPkgs []string
@@ -87,7 +79,6 @@ func DefaultConfig() Config {
 			"internal/table",
 			"internal/experiments",
 		},
-		ProtoPkgs: []string{"internal/kvserver"},
 		// cluster and faultnet sit on the failover hot path: a dropped
 		// write error there silently corrupts the retry/breaker accounting.
 		ErrcheckPkgs: []string{"internal/kvserver", "internal/cluster", "internal/faultnet"},
@@ -100,8 +91,6 @@ func Checks() []*Check {
 		determinismCheck(),
 		mutexHygieneCheck(),
 		lockOrderCheck(),
-		protoStringsCheck(),
-		metricNamesCheck(),
 		errcheckCheck(),
 	}
 }
@@ -288,53 +277,4 @@ func matchIgnore(ignores map[string][]ignoreDirective, d Diagnostic) *ignoreDire
 		}
 	}
 	return nil
-}
-
-// enclosingFuncs maps every source position interval of a file's top-level
-// function declarations to a stable identity, used by checks that attribute
-// call sites to functions.
-type funcSpan struct {
-	name       string
-	start, end token.Pos
-}
-
-func fileFuncSpans(f *ast.File) []funcSpan {
-	var spans []funcSpan
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		name := fd.Name.Name
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			name = recvTypeName(fd.Recv.List[0].Type) + "." + name
-		}
-		spans = append(spans, funcSpan{name: name, start: fd.Pos(), end: fd.End()})
-	}
-	return spans
-}
-
-func recvTypeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.StarExpr:
-		return recvTypeName(t.X)
-	case *ast.Ident:
-		return t.Name
-	case *ast.IndexExpr:
-		return recvTypeName(t.X)
-	case *ast.IndexListExpr:
-		return recvTypeName(t.X)
-	}
-	return "?"
-}
-
-// enclosingFunc returns the identity of the top-level function containing
-// pos in file f ("" when pos is at package level).
-func enclosingFunc(f *ast.File, pos token.Pos) string {
-	for _, s := range fileFuncSpans(f) {
-		if s.start <= pos && pos < s.end {
-			return s.name
-		}
-	}
-	return ""
 }

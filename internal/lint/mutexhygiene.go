@@ -30,8 +30,8 @@ func mutexHygieneCheck() *Check {
 	c.Run = func(p *Pass) {
 		for _, pkg := range p.Module.Packages {
 			for _, f := range pkg.Files {
-				for _, fb := range fileFuncBodies(f) {
-					a := &mutexAnalyzer{pass: p, pkg: pkg, funcBody: fb.body}
+				for _, body := range fileFuncBodies(f) {
+					a := &mutexAnalyzer{pass: p, pkg: pkg, funcBody: body}
 					a.analyze()
 				}
 			}
@@ -307,78 +307,32 @@ func (a *mutexAnalyzer) hasDeferredRelease(ref lockRef) bool {
 	return found
 }
 
-// syncLockMethod resolves call to a sync lock-family method and returns the
-// receiver text, method name and whether the receiver is an RWMutex.
-func (a *mutexAnalyzer) syncLockMethod(call *ast.CallExpr) (recv, method string, rw bool, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false, false
-	}
-	obj, isFunc := a.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFunc || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return "", "", false, false
-	}
-	switch obj.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return "", "", false, false
-	}
-	if s, hasSel := a.pkg.Info.Selections[sel]; hasSel {
-		rw = typeNameIs(s.Recv(), "sync", "RWMutex")
-	}
-	return types.ExprString(sel.X), obj.Name(), rw, true
-}
-
-func typeNameIs(t types.Type, pkgPath, name string) bool {
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // stmtLock returns the lockRef when stmt is `recv.Lock()` or `recv.RLock()`.
 func (a *mutexAnalyzer) stmtLock(stmt ast.Stmt) (lockRef, ast.Expr, bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
+	l, ok := stmtSyncLock(a.pkg, stmt)
+	if !ok || !l.acquire() {
 		return lockRef{}, nil, false
 	}
-	call, isCall := es.X.(*ast.CallExpr)
-	if !isCall {
-		return lockRef{}, nil, false
-	}
-	recv, method, rw, ok := a.syncLockMethod(call)
-	if !ok || (method != "Lock" && method != "RLock") {
-		return lockRef{}, nil, false
-	}
-	return lockRef{recv: recv, read: method == "RLock", rw: rw}, call.Fun, true
+	return lockRef{recv: types.ExprString(l.recv), read: l.read(), rw: l.rw}, l.call.Fun, true
 }
 
 // isUnlockCall reports whether call releases ref (Unlock pairs with Lock,
 // RUnlock with RLock).
 func (a *mutexAnalyzer) isUnlockCall(call *ast.CallExpr, ref lockRef) bool {
-	recv, method, _, ok := a.syncLockMethod(call)
-	if !ok || recv != ref.recv {
+	l, ok := resolveSyncLock(a.pkg, call)
+	if !ok || types.ExprString(l.recv) != ref.recv {
 		return false
 	}
 	if ref.read {
-		return method == "RUnlock"
+		return l.method == "RUnlock"
 	}
-	return method == "Unlock"
+	return l.method == "Unlock"
 }
 
 // stmtUnlocks reports whether stmt is an inline `recv.Unlock()`.
 func (a *mutexAnalyzer) stmtUnlocks(stmt ast.Stmt, ref lockRef) bool {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return false
-	}
-	call, isCall := es.X.(*ast.CallExpr)
-	return isCall && a.isUnlockCall(call, ref)
+	l, ok := stmtSyncLock(a.pkg, stmt)
+	return ok && a.isUnlockCall(l.call, ref)
 }
 
 // stmtDefersUnlock reports whether stmt defers a release of ref, either

@@ -110,9 +110,8 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
 fi
 
 # The failure path's only behavioural gate: a daemon killed under load,
-# through a discovering client and through the static-seed client the
-# benchmarks build. One pass can get lucky with timing, so run each five
-# times under the race detector.
+# through the static-seed client the benchmarks build. One pass can get
+# lucky with timing, so run it five times under the race detector.
 echo "== kill-a-node (-race -count=5)"
 go test -race -count=5 -run '^TestKillNodeMidRun' ./internal/cluster/
 
