@@ -10,6 +10,10 @@ import (
 	"testing"
 
 	"spidercache"
+	"spidercache/internal/dataset"
+	"spidercache/internal/experiments"
+	"spidercache/internal/nn"
+	"spidercache/internal/trainer"
 )
 
 func train(t *testing.T, ds *spidercache.Dataset, pol string, epochs int) *spidercache.Result {
@@ -175,17 +179,25 @@ func TestMultiWorkerGapWidens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := spidercache.NewCIFAR10(0.25, 42)
+	ds, err := dataset.New(dataset.CIFAR10Like(0.25, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
+	const epochs = 4
 	gap := func(workers int) float64 {
 		var times [2]float64
-		for i, pol := range []string{"baseline", "spider"} {
-			res, err := spidercache.TrainWith(ds,
-				spidercache.WithPolicy(pol), spidercache.WithEpochs(4), spidercache.WithCacheFraction(0.2),
-				spidercache.WithWorkers(workers), spidercache.WithSerialLoading(), spidercache.WithSeed(42),
-			)
+		for i, name := range []string{"baseline", "spider"} {
+			pol, err := experiments.BuildPolicy(name, experiments.PolicyParams{
+				Dataset: ds, Capacity: int(float64(ds.Len()) * 0.2), Epochs: epochs, Seed: 42,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Stall accounting, as Fig 17 runs it: no prefetch overlap.
+			res, err := trainer.Run(trainer.Config{
+				Dataset: ds, Model: nn.ResNet18, Epochs: epochs, BatchSize: 64,
+				Workers: workers, PipelineIS: true, SerialLoading: true, Seed: 42,
+			}, pol)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 	"spidercache/internal/elastic"
 	"spidercache/internal/hnsw"
 	"spidercache/internal/nn"
-	"spidercache/internal/pq"
 	"spidercache/internal/table"
 	"spidercache/internal/trainer"
 	"spidercache/internal/xrand"
@@ -102,6 +101,12 @@ func Table1(opt Options) (*Report, error) {
 	return &Report{ID: "table1", Title: "Overhead analysis and pipeline mitigation", Tables: []*table.Table{t}, Notes: notes}, nil
 }
 
+// pqCodeBytes is the size of one product-quantised code: 8 sub-quantizers
+// of 256 centroids each, one byte per sub-quantizer. A code's size depends
+// only on that shape, not on the trained codebooks, so Table 2 needs no
+// quantizer to count it.
+const pqCodeBytes = 8
+
 // paperDataset describes the geometry of one row of the paper's Table 2.
 type paperDataset struct {
 	name     string
@@ -137,19 +142,10 @@ func Table2(opt Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	pqCfg := pq.DefaultConfig()
-	if n < pqCfg.Centroids {
-		pqCfg.Centroids = n / 2
-	}
-	quant, err := pq.Train(pqCfg, vecs)
-	if err != nil {
-		return nil, err
-	}
-
 	// Per-vector index cost = PQ code + graph links + per-node overhead.
 	rawVecBytes := int64(n) * dim * 8
 	linkBytes := idx.MemoryBytes() - rawVecBytes
-	perVector := float64(linkBytes)/float64(n) + float64(quant.CodeSize()) + 16
+	perVector := float64(linkBytes)/float64(n) + pqCodeBytes + 16
 
 	rows := []paperDataset{
 		{"ImageNet-1K", 1.2e6, 138e9},

@@ -31,35 +31,31 @@ func TestListAndAliases(t *testing.T) {
 }
 
 // TestResultsNameLiveExperiments keeps results/ in step with the registry:
-// a deleted experiment takes its outputs with it, so every report header
-// and every per-experiment file name must resolve to a registered id.
+// it holds exactly one file, rendered by one `-exp all` run, so it has a
+// section for every registered experiment and none for a deleted one.
 func TestResultsNameLiveExperiments(t *testing.T) {
 	files, err := filepath.Glob("../../results/*.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		t.Fatal("no results/*.txt found")
+	if len(files) != 1 {
+		t.Fatalf("results/ holds %d .txt files, want exactly one: %v", len(files), files)
 	}
-	known := func(id string) bool {
-		_, reg := registry[id]
-		_, alias := aliases[id]
-		return reg || alias
+	body, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
 	}
 	header := regexp.MustCompile(`(?m)^=== ([^:\s]+):`)
-	fileID := regexp.MustCompile(`^results_(.+)_scale[^_]*\.txt$`)
-	for _, f := range files {
-		if m := fileID.FindStringSubmatch(filepath.Base(f)); m != nil && !known(m[1]) {
-			t.Errorf("%s names unknown experiment %q", f, m[1])
+	seen := map[string]bool{}
+	for _, m := range header.FindAllStringSubmatch(string(body), -1) {
+		if _, ok := registry[m[1]]; !ok {
+			t.Errorf("%s: section %q names no registered experiment", files[0], m[1])
 		}
-		body, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range header.FindAllStringSubmatch(string(body), -1) {
-			if !known(m[1]) {
-				t.Errorf("%s: section %q names no registered experiment", f, m[1])
-			}
+		seen[m[1]] = true
+	}
+	for _, id := range List() {
+		if !seen[id] {
+			t.Errorf("%s has no section for experiment %q", files[0], id)
 		}
 	}
 }

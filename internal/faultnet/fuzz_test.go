@@ -32,7 +32,7 @@ func FuzzClientFraming(f *testing.F) {
 		f.Fatal(err)
 	}
 	cfg := kvserver.DefaultConfig()
-	cfg.Capacity, cfg.Shards = 1<<20, 4
+	cfg.Capacity = 1 << 20
 	srv, err := kvserver.Serve(ln, cfg, nil, nil)
 	if err != nil {
 		f.Fatal(err)

@@ -60,7 +60,7 @@ func (f *fakeHooks) snapshot() (sets map[string][]byte, dels, hello []string) {
 
 func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
 	t.Helper()
-	srv := serve(t, storeConfig(1<<10, 0), nil, hooks)
+	srv := serve(t, storeConfig(1<<10), nil, hooks)
 	return srv, dial(t, srv)
 }
 
@@ -162,11 +162,11 @@ func TestConfigFlagBindingAndDerivation(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	cfg.BindStoreFlags(fs)
 	cfg.BindPoolFlags(fs)
-	err := fs.Parse([]string{"-capacity", "512", "-shards", "2", "-conns", "7", "-timeout", "3s"})
+	err := fs.Parse([]string{"-capacity", "512", "-conns", "7", "-timeout", "3s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Capacity != 512 || cfg.Shards != 2 || cfg.PoolSize != 7 ||
+	if cfg.Capacity != 512 || cfg.PoolSize != 7 ||
 		cfg.Timeout != 3*time.Second {
 		t.Fatalf("flag binding produced %+v", cfg)
 	}
@@ -175,8 +175,8 @@ func TestConfigFlagBindingAndDerivation(t *testing.T) {
 	}
 
 	// Serve and NewPool take the Config as it is.
-	if srv := serve(t, cfg, nil, nil); srv.Shards() != 2 {
-		t.Fatalf("server built %d shards from -shards 2", srv.Shards())
+	if srv := serve(t, cfg, nil, nil); srv.Shards() != 8 {
+		t.Fatalf("server built %d shards from -capacity 512, want 8", srv.Shards())
 	}
 	p := NewPool("127.0.0.1:1", cfg)
 	defer p.Close()
@@ -187,7 +187,6 @@ func TestConfigFlagBindingAndDerivation(t *testing.T) {
 	for _, bad := range []Config{
 		{Capacity: 0, PoolSize: 1},
 		{Capacity: 1, PoolSize: 0},
-		{Capacity: 1, PoolSize: 1, Shards: -1},
 		{Capacity: 1, PoolSize: 1, Timeout: -time.Second},
 	} {
 		if err := bad.Validate(); err == nil {

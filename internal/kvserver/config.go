@@ -7,18 +7,15 @@ import (
 )
 
 // Config is the one kvserver option set: every knob a deployment tunes,
-// server side (store capacity, shard count) and client side (pool size,
-// timeout), with one set of defaults and one validation site. Serve and NewPool take a Config, and the binaries bind
-// their flags through BindStoreFlags/BindPoolFlags, so spiderkv flags and
-// Go callers share names, defaults and validation by construction.
+// server side (store capacity) and client side (pool size, timeout), with
+// one set of defaults and one validation site. Serve and NewPool take a
+// Config, and the binaries bind their flags through
+// BindStoreFlags/BindPoolFlags, so spiderkv flags and Go callers share
+// names, defaults and validation by construction. The store's shard count
+// follows from Capacity (one shard per 64 items, at most 16).
 type Config struct {
 	// Capacity is the item budget of the server's LRU store (default 1<<16).
 	Capacity int
-	// Shards overrides the store's automatic shard count: rounded down to a
-	// power of two and clamped to [1, min(Capacity, MaxShards)]. Zero means
-	// automatic, one shard per 64 items and at most 16, so small stores keep
-	// strict global LRU order and large ones spread lock contention.
-	Shards int
 	// PoolSize is the client connection pool size (default 4).
 	PoolSize int
 	// Timeout bounds each dial, reply read and request flush on client
@@ -30,17 +27,15 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Capacity: 1 << 16,
-		Shards:   0,
 		PoolSize: 4,
 		Timeout:  10 * time.Second,
 	}
 }
 
-// BindStoreFlags registers the server-side knobs on fs (-capacity,
-// -shards), using the Config's current values as defaults.
+// BindStoreFlags registers the server-side knob on fs (-capacity), using
+// the Config's current value as its default.
 func (c *Config) BindStoreFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Capacity, "capacity", c.Capacity, "item capacity of the LRU store")
-	fs.IntVar(&c.Shards, "shards", c.Shards, "store shards (0 = auto)")
 }
 
 // BindPoolFlags registers the client-side knobs on fs (-conns, -timeout),
@@ -55,9 +50,6 @@ func (c *Config) BindPoolFlags(fs *flag.FlagSet) {
 func (c Config) Validate() error {
 	if c.Capacity < 1 {
 		return fmt.Errorf("kvserver: -capacity must be >= 1, got %d", c.Capacity)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("kvserver: -shards must be >= 0, got %d", c.Shards)
 	}
 	if c.PoolSize < 1 {
 		return fmt.Errorf("kvserver: -conns must be >= 1, got %d", c.PoolSize)

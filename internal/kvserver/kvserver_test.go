@@ -13,11 +13,11 @@ import (
 	"spidercache/internal/telemetry"
 )
 
-// storeConfig is DefaultConfig with the given store size (shards 0 =
-// automatic).
-func storeConfig(capacity, shards int) Config {
+// storeConfig is DefaultConfig with the given store size; the store
+// auto-shards it (256 items -> 4 shards, 512 -> 8).
+func storeConfig(capacity int) Config {
 	cfg := DefaultConfig()
-	cfg.Capacity, cfg.Shards = capacity, shards
+	cfg.Capacity = capacity
 	return cfg
 }
 
@@ -38,7 +38,7 @@ func serve(t testing.TB, cfg Config, reg *telemetry.Registry, hooks ClusterHooks
 
 func startServer(t testing.TB, capacity int) *Server {
 	t.Helper()
-	return serve(t, storeConfig(capacity, 0), nil, nil)
+	return serve(t, storeConfig(capacity), nil, nil)
 }
 
 func dial(t testing.TB, srv *Server) *Client {
@@ -85,7 +85,7 @@ func TestServeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Serve(ln, storeConfig(0, 0), nil, nil); err == nil {
+	if _, err := Serve(ln, storeConfig(0), nil, nil); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 	if _, err := ln.Accept(); err == nil {

@@ -54,7 +54,7 @@ func TestMetricsVerbOverWire(t *testing.T) {
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Gauge("host_custom_gauge", nil).Set(42)
-	srv := serve(t, storeConfig(4, 0), reg, nil)
+	srv := serve(t, storeConfig(4), reg, nil)
 	if srv.Metrics() != reg {
 		t.Fatal("server did not adopt the shared registry")
 	}
@@ -76,7 +76,7 @@ func TestMetricsSharedRegistry(t *testing.T) {
 // TestMetricsShardGauges: METRICS exports one kv_shard_items gauge per
 // store shard, and their sum equals kv_items — shard balance is visible.
 func TestMetricsShardGauges(t *testing.T) {
-	c := dial(t, serve(t, storeConfig(1024, 4), nil, nil))
+	c := dial(t, serve(t, storeConfig(256), nil, nil))
 	for i := 0; i < 64; i++ {
 		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

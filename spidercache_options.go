@@ -26,7 +26,6 @@ type settings struct {
 	workers         int
 	rStart, rEnd    float64
 	disablePipeline bool
-	serialLoading   bool
 	metrics         *telemetry.Registry
 	seed            uint64
 }
@@ -82,12 +81,6 @@ func WithElasticRange(rStart, rEnd float64) Option {
 // pipeline-overlap ablation).
 func WithoutPipeline() Option {
 	return func(s *settings) { s.disablePipeline = true }
-}
-
-// WithSerialLoading disables the DataLoader prefetch overlap, charging
-// loading and compute sequentially (stall accounting).
-func WithSerialLoading() Option {
-	return func(s *settings) { s.serialLoading = true }
 }
 
 // WithMetrics attaches a telemetry registry: the run records per-tier
@@ -156,15 +149,14 @@ func train(ds *Dataset, s settings) (*Result, error) {
 		return nil, err
 	}
 	res, err := trainer.Run(trainer.Config{
-		Dataset:       ds.ds,
-		Model:         model,
-		Epochs:        s.epochs,
-		BatchSize:     s.batchSize,
-		Workers:       s.workers,
-		PipelineIS:    !s.disablePipeline,
-		SerialLoading: s.serialLoading,
-		Metrics:       s.metrics,
-		Seed:          s.seed,
+		Dataset:    ds.ds,
+		Model:      model,
+		Epochs:     s.epochs,
+		BatchSize:  s.batchSize,
+		Workers:    s.workers,
+		PipelineIS: !s.disablePipeline,
+		Metrics:    s.metrics,
+		Seed:       s.seed,
 	}, pol)
 	if err != nil {
 		return nil, err
