@@ -13,9 +13,10 @@
 // pointed at any live member with -join and gossips its way in. Every
 // member must agree on -replicas for placement to converge; the ring's 128
 // virtual points per node are a constant that members and clients share.
-// -conns and -timeout size the peer pools that carry replication,
-// rebalance and gossip; every peer op is one attempt, and a failed push is
-// counted, not retried. Clients connect with
+// The peer pools that carry replication, rebalance and gossip keep
+// kvserver.DefaultConfig's 4 connections and 10s timeout, and a peer is
+// expelled after 3 failed gossip rounds in a row; every peer op is one
+// attempt, and a failed push is counted, not retried. Clients connect with
 // cluster.New(cluster.WithSeeds(...)), naming every member as a seed.
 //
 // The daemon exits on SIGINT/SIGTERM after a graceful close: gossip and
@@ -45,10 +46,8 @@ func main() {
 		join      = fs.String("join", "", "comma-separated addresses of existing members to join through")
 		replicas  = fs.Int("replicas", 2, "distinct ring owners per key (replication factor; must match across the cluster)")
 		gossip    = fs.Duration("gossip", 500*time.Millisecond, "membership gossip interval")
-		deadAfter = fs.Int("dead-after", 3, "consecutive failed gossip rounds before a peer is expelled")
 	)
 	cfg.BindStoreFlags(fs)
-	cfg.BindPoolFlags(fs)
 	// ExitOnError makes Parse terminate the process on bad flags.
 	fs.Parse(os.Args[1:])
 
@@ -67,7 +66,6 @@ func main() {
 		Replicas:    *replicas,
 		Store:       cfg,
 		GossipEvery: *gossip,
-		DeadAfter:   *deadAfter,
 		Registry:    reg,
 	})
 	if err != nil {

@@ -10,21 +10,17 @@
 //
 // Observability:
 //
-//	spidertrain -metrics                  # dump telemetry at exit (Prometheus text)
-//	spidertrain -metrics-json run.json    # JSON snapshot with p50/p95/p99
-//	spidertrain -metrics-listen :9090     # serve METRICS over TCP during the run
+//	spidertrain -metrics    # dump telemetry at exit (Prometheus text, p50/p95/p99)
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"time"
 
 	"spidercache"
-	"spidercache/internal/kvserver"
 	"spidercache/internal/telemetry"
 )
 
@@ -45,9 +41,7 @@ func main() {
 		quiet   = flag.Bool("quiet", false, "print only the summary line")
 		csvOut  = flag.String("csv", "", "write per-epoch records to this CSV file")
 
-		metricsDump   = flag.Bool("metrics", false, "print the telemetry snapshot (Prometheus text) at exit")
-		metricsJSON   = flag.String("metrics-json", "", "write the telemetry snapshot as JSON to this file")
-		metricsListen = flag.String("metrics-listen", "", "serve the live telemetry registry over TCP (kvserver METRICS verb) on this address")
+		metricsDump = flag.Bool("metrics", false, "print the telemetry snapshot (Prometheus text) at exit")
 	)
 	flag.Parse()
 
@@ -60,22 +54,8 @@ func main() {
 	}
 
 	var reg *telemetry.Registry
-	if *metricsDump || *metricsJSON != "" || *metricsListen != "" {
+	if *metricsDump {
 		reg = telemetry.NewRegistry()
-	}
-	if *metricsListen != "" {
-		ln, err := net.Listen("tcp", *metricsListen)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := kvserver.DefaultConfig()
-		cfg.Capacity = 1
-		srv, err := kvserver.Serve(ln, cfg, reg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "spidertrain: serving METRICS on %s\n", srv.Addr())
 	}
 
 	opts := []spidercache.Option{
@@ -124,19 +104,6 @@ func main() {
 		res.AvgHitRatio()*100, res.BestAcc*100, res.FinalAcc*100,
 		res.TotalTime.Round(time.Millisecond))
 
-	if *metricsJSON != "" {
-		f, err := os.Create(*metricsJSON)
-		if err != nil {
-			fatal(err)
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
 	if *metricsDump {
 		fmt.Println("--- telemetry snapshot (Prometheus text exposition) ---")
 		if err := reg.WritePrometheus(os.Stdout); err != nil {

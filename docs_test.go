@@ -3,9 +3,10 @@ package spidercache_test
 // The docs test keeps README.md, DESIGN.md and EXPERIMENTS.md describing
 // the code that exists. It fails when one of them names a cmd/, internal/
 // or examples/ path that is not in the tree, passes a command a flag the
-// command does not register, or names an experiment or policy id that is
-// not registered. Text under a heading containing "Tried and left out" is
-// exempt: that is where the docs record what was deleted.
+// command does not register, names in prose a flag no command registers,
+// or names an experiment or policy id that is not registered. Text under
+// a heading containing "Tried and left out" is exempt: that is where the
+// docs record what was deleted.
 
 import (
 	"fmt"
@@ -29,9 +30,14 @@ var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 // liveNames is what the docs may name outside a tried-and-left-out section.
 type liveNames struct {
 	flags       map[string]map[string]bool // command -> registered flag names
+	anyFlag     map[string]bool            // every command's flags and goToolFlags
 	experiments map[string]bool            // ids, aliases and "all"
 	policies    map[string]bool
 }
+
+// goToolFlags are the go tool's flags the docs name in prose, away from a
+// command of this repository.
+var goToolFlags = []string{"race", "count", "run"}
 
 func TestDocsNameLiveCode(t *testing.T) {
 	live := loadLiveNames(t)
@@ -57,6 +63,7 @@ func TestDocsCheckCatchesStaleNames(t *testing.T) {
 		"Regenerate it with `go run ./cmd/spiderbench -exp snapshot -scale 1`.",
 		"Compare `spidertrain -policy graphaware` against the rest.",
 		"```sh\ngo run ./cmd/spiderkv -listen 127.0.0.1:7461 \\\n    -shards 4\n```",
+		"Tune expulsion with `-dead-after`.",
 	}
 	for _, plant := range plants {
 		current := "# Design\n\n## Store\n\n" + plant + "\n"
@@ -79,8 +86,17 @@ func loadLiveNames(t *testing.T) liveNames {
 	t.Helper()
 	live := liveNames{
 		flags:       commandFlags(t),
+		anyFlag:     map[string]bool{},
 		experiments: map[string]bool{"all": true},
 		policies:    map[string]bool{},
+	}
+	for _, set := range live.flags {
+		for name := range set {
+			live.anyFlag[name] = true
+		}
+	}
+	for _, name := range goToolFlags {
+		live.anyFlag[name] = true
 	}
 	for _, id := range experiments.List() {
 		live.experiments[id] = true
@@ -100,8 +116,10 @@ var (
 	pathRE = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./|spidercache/)?((?:cmd|internal|examples)(?:/[\w.-]+)+)`)
 	cmdRE  = regexp.MustCompile(`\b(spidertrain|spiderbench|spiderkv|spiderlint)\b`)
 	flagRE = regexp.MustCompile("(?:^|[\\s`])--?([A-Za-z][\\w-]*)")
-	expRE  = regexp.MustCompile(`(?:^|[\s` + "`" + `])-exp[ =]+([A-Za-z][\w-]*)`)
-	polRE  = regexp.MustCompile(`(?:^|[\s` + "`" + `])-policy[ =]+([A-Za-z][\w-]*)`)
+	// An inline code span that starts with a flag.
+	flagSpanRE = regexp.MustCompile("`--?([A-Za-z][\\w-]*)[^`]*`")
+	expRE      = regexp.MustCompile(`(?:^|[\s` + "`" + `])-exp[ =]+([A-Za-z][\w-]*)`)
+	polRE      = regexp.MustCompile(`(?:^|[\s` + "`" + `])-policy[ =]+([A-Za-z][\w-]*)`)
 )
 
 // staleNames returns one "line: message" per stale name in a markdown
@@ -146,6 +164,11 @@ func staleNames(doc string, live liveNames) []string {
 		for _, use := range flagUses(text) {
 			if !live.flags[use[0]][use[1]] {
 				report(num, "passes %s -%s, which it does not register", use[0], use[1])
+			}
+		}
+		for _, name := range proseFlags(text) {
+			if !live.anyFlag[name] {
+				report(num, "names -%s, which no command registers", name)
 			}
 		}
 		for _, m := range expRE.FindAllStringSubmatch(text, -1) {
@@ -209,6 +232,19 @@ func flagUses(line string) [][2]string {
 		}
 	}
 	return uses
+}
+
+// proseFlags returns the flag each code span of a line starts with, for the
+// spans no command name comes before on the line; flagUses checks those
+// against their command.
+func proseFlags(line string) []string {
+	var names []string
+	for _, m := range flagSpanRE.FindAllStringSubmatchIndex(line, -1) {
+		if strings.Count(line[:m[0]], "`")%2 == 0 && !cmdRE.MatchString(line[:m[0]]) {
+			names = append(names, line[m[2]:m[3]])
+		}
+	}
+	return names
 }
 
 // commandFlags parses cmd/*/main.go and returns each command's registered

@@ -111,20 +111,6 @@ func (c *Client) Get(id int) (value []byte, found bool, err error) {
 	return value, found, err
 }
 
-// NGet is Get with a semantic fallback (the NGET verb): a near miss — the
-// owner answered but had neither the key nor a close-enough resident
-// neighbor — falls through to the next replica exactly like a clean GET
-// miss, since a replica may hold (or have a substitute for) what the
-// primary evicted. found covers exact and near hits; near is non-nil only
-// for substitutes.
-func (c *Client) NGet(id int, emb []float32, threshold float64) (value []byte, near *kvserver.Near, found bool, err error) {
-	found, err = c.read(id, func(kc *kvserver.Client) (ok bool, err error) {
-		value, near, ok, err = kc.NGet(key(id), emb, threshold)
-		return ok, err
-	})
-	return value, near, found, err
-}
-
 // read runs op, a lookup that reports whether it found the value, on each
 // replica owner of id in placement order until one finds it. A node with
 // an open breaker is skipped without touching the network. found=false
@@ -161,32 +147,6 @@ func (c *Client) read(id int, op func(*kvserver.Client) (bool, error)) (found bo
 		lastErr = ErrNoNodes
 	}
 	return false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
-}
-
-// ESet attaches the embedding for a sample ID on EVERY reachable
-// replica owner, not just the first: semantic indexes are node-local
-// (ESET has no server-side fan-out, unlike SET's RSET replication), so
-// each owner that may later serve an NGET for this ring neighborhood
-// needs its own copy. Re-indexing an embedding is idempotent, which is
-// why the blanket fan-out is safe. An error means no owner took it.
-func (c *Client) ESet(id int, emb []float32) error {
-	var lastErr error
-	landed := 0
-	for _, r := range c.candidates(id) {
-		if err := r.call(func(kc *kvserver.Client) error { return kc.ESet(key(id), emb) }); err != nil {
-			lastErr = err
-			continue
-		}
-		landed++
-	}
-	if landed > 0 {
-		return nil
-	}
-	c.tel.exhausted.Inc()
-	if lastErr == nil {
-		lastErr = ErrNoNodes
-	}
-	return fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
 }
 
 // Set stores the payload for a sample ID on the first reachable replica

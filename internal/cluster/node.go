@@ -26,19 +26,19 @@ type NodeOptions struct {
 	// All members must agree on this for placement to converge.
 	Replicas int
 	// Store carries the canonical store/pool tuning shared with the
-	// standalone server (capacity, shards) and the peer pools (pool size,
+	// standalone server (capacity) and the peer pools (pool size,
 	// timeout).
 	Store kvserver.Config
 	// GossipEvery is the membership gossip interval (default 500ms).
 	GossipEvery time.Duration
-	// DeadAfter is how many consecutive failed gossip rounds expel a peer
-	// (default 3).
-	DeadAfter int
 	// Registry receives the node's telemetry (and the embedded server's,
 	// so METRICS exposes both); nil means the server keeps a private
 	// registry and the node records nothing.
 	Registry *telemetry.Registry
 }
+
+// deadAfter is how many consecutive failed gossip rounds expel a peer.
+const deadAfter = 3
 
 func (o NodeOptions) withDefaults() NodeOptions {
 	if o.Replicas <= 0 {
@@ -46,9 +46,6 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	}
 	if o.GossipEvery <= 0 {
 		o.GossipEvery = 500 * time.Millisecond
-	}
-	if o.DeadAfter <= 0 {
-		o.DeadAfter = 3
 	}
 	return o
 }
@@ -88,7 +85,7 @@ func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 // Node is one spiderkv cluster daemon: a kvserver.Server wired into
 // gossip membership, synchronous replica fan-out and background key
 // migration. It implements kvserver.ClusterHooks, so the embedded server
-// calls back into it on SET/DEL (to replicate) and on HELLO/NODES
+// calls back into it on SET (to replicate) and on HELLO/NODES
 // (to gossip).
 //
 // # Replication
@@ -96,7 +93,7 @@ func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 // A client SET lands on one owner, which stores locally and then pushes
 // an RSET to every other ring owner of the key before replying STORED —
 // so by the time the client sees STORED, the value is readable from every
-// live owner. RSET/RDEL never fan out again (replication is acyclic). A
+// live owner. RSET never fans out again (replication is acyclic). A
 // replica push that fails does not fail the client's write: the cache is
 // availability-first, the miss is repaired by the next rebalance, and the
 // failure is counted in kv_replication_total{result="error"}.
@@ -109,7 +106,7 @@ func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 // it starts) registers it with every member its seed transitively knows:
 // the cluster has converged when that round ends. Rounds repeat every
 // GossipEvery, which governs failure detection — a peer that fails
-// DeadAfter consecutive rounds is expelled — and retries a lost greeting.
+// deadAfter consecutive rounds is expelled — and retries a lost greeting.
 // Every membership change kicks a rebalance round: the node scans its keys
 // and pushes each to the key's current owners. Keys are never deleted by
 // migration — an old owner keeps its copy until LRU evicts it — so a key
@@ -242,30 +239,6 @@ func (n *Node) ReplicateSet(key string, value []byte) {
 	}
 }
 
-// ReplicateDel pushes a delete to the key's other ring owners (RDEL, no
-// further fan-out), so a DEL observed by the client cannot resurrect from
-// a replica on the next Get.
-func (n *Node) ReplicateDel(key string) {
-	for _, owner := range n.ring.OwnersKey(key, n.opts.Replicas) {
-		if owner == n.self {
-			continue
-		}
-		pool := n.peerPool(owner)
-		if pool == nil {
-			continue
-		}
-		err := pool.Do(func(c *kvserver.Client) error {
-			_, e := c.RDel(key)
-			return e
-		})
-		if err != nil {
-			n.tel.replErr.Inc()
-			continue
-		}
-		n.tel.replOK.Inc()
-	}
-}
-
 // --- membership ---
 
 // peerPool returns the pool for a member, or nil if the member vanished.
@@ -372,7 +345,7 @@ func (n *Node) gossipOnce() {
 	}
 }
 
-// bumpFail counts a failed round; true means the peer hit DeadAfter.
+// bumpFail counts a failed round; true means the peer hit deadAfter.
 func (n *Node) bumpFail(addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -380,7 +353,7 @@ func (n *Node) bumpFail(addr string) bool {
 		return false
 	}
 	n.fails[addr]++
-	return n.fails[addr] >= n.opts.DeadAfter
+	return n.fails[addr] >= deadAfter
 }
 
 func (n *Node) clearFail(addr string) {

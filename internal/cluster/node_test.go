@@ -40,7 +40,6 @@ func startGossipNode(tb testing.TB, every time.Duration, seeds ...string) *Node 
 		Replicas:    2,
 		Store:       cfg,
 		GossipEvery: every,
-		DeadAfter:   3,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -174,10 +174,7 @@ func TestBeamMatchesTwoHeaps(t *testing.T) {
 			rng := xrand.New(seed)
 			n, dim := 40+rng.Intn(400), 2+rng.Intn(9)
 			// An M this small gives several layers at a few hundred points.
-			ix, err := New(Config{M: 2 + rng.Intn(5), EfConstruction: 20, EfSearch: 10, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ix := newIndex(params{M: 2 + rng.Intn(5), EfConstruction: 20, EfSearch: 10}, seed)
 			vecs := make([][]float64, n)
 			for i := range vecs {
 				switch v := make([]float64, dim); {
@@ -254,15 +251,12 @@ func FuzzBeam(f *testing.F) {
 			return math.NaN()
 		}
 		const dim = 2
-		ix, err := New(Config{M: 4, EfConstruction: 8, EfSearch: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := newIndex(params{M: 4, EfConstruction: 8, EfSearch: 8}, 0)
 		ix.dim, ix.entry, ix.maxLv = dim, 0, 1
 		for s := 0; s < n; s++ {
 			ix.vecs = append(ix.vecs, coord(), coord())
 			ix.links0 = append(ix.links0, make([]uint32, ix.stride0)...)
-			ix.nodes = append(ix.nodes, node{id: s, free: s > 0 && next()%8 == 0, upper: [][]uint32{make([]uint32, 0, ix.cfg.M+1)}})
+			ix.nodes = append(ix.nodes, node{id: s, free: s > 0 && next()%8 == 0, upper: [][]uint32{make([]uint32, 0, ix.p.M+1)}})
 		}
 		for l := 0; l <= 1; l++ {
 			for s := uint32(0); int(s) < n; s++ {

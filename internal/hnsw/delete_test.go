@@ -221,10 +221,7 @@ func FuzzOps(f *testing.F) {
 	f.Add([]byte("\x00\x00\x02\x00\x00\x00\x01\x00\x00\x07\x00\x08\x02\x07\x00\x09\x03\x00"))
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 1, 4, 5, 5, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := New(Config{M: 3, EfConstruction: 8, EfSearch: 8, UpdateEps: 0.02, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := newIndex(params{M: 3, EfConstruction: 8, EfSearch: 8, UpdateEps: 0.02}, 1)
 		o := &oracle{vecs: map[int][]float64{}}
 		rng := xrand.New(1)
 		for ; len(data) >= 2; data = data[2:] {

@@ -40,10 +40,9 @@ func recallOf(ix *Index, vecs [][]float64, queries [][]float64, k, ef int) float
 // path does, a hundred times over.
 func TestCreepingPointIsRelinked(t *testing.T) {
 	const n, dim, steps, walker = 2000, 32, 200, 0
-	cfg := DefaultConfig()
 	rng := xrand.New(32)
 	vecs := unitVecs(n, dim, 31)
-	ix, _ := New(cfg)
+	ix, _ := New(DefaultConfig())
 	for i, v := range vecs {
 		if err := ix.Upsert(i, v); err != nil {
 			t.Fatal(err)
@@ -65,7 +64,7 @@ func TestCreepingPointIsRelinked(t *testing.T) {
 	pos := slices.Clone(vecs[walker])
 	for s := 0; s < steps; s++ {
 		for j := range pos {
-			pos[j] += cfg.UpdateEps / 2 * dir[j]
+			pos[j] += defaultParams.UpdateEps / 2 * dir[j]
 		}
 		if err := ix.Upsert(walker, pos); err != nil {
 			t.Fatal(err)
@@ -81,7 +80,7 @@ func TestCreepingPointIsRelinked(t *testing.T) {
 	for j := range others[walker] {
 		others[walker][j] = math.Inf(1)
 	}
-	nearest := bruteKNN(others, pos, 2*cfg.M)
+	nearest := bruteKNN(others, pos, 2*defaultParams.M)
 	links := ix.links(ix.byID[walker], 0)
 	among := 0
 	for _, nb := range links {
@@ -90,7 +89,7 @@ func TestCreepingPointIsRelinked(t *testing.T) {
 		}
 	}
 	if 2*among < len(links) || len(links) == 0 {
-		t.Fatalf("%d of the walker's %d links are among the %d nearest of where it stands", among, len(links), 2*cfg.M)
+		t.Fatalf("%d of the walker's %d links are among the %d nearest of where it stands", among, len(links), 2*defaultParams.M)
 	}
 	for i := 0; i < 20; i++ {
 		q := slices.Clone(pos)
@@ -132,8 +131,7 @@ func TestRecallAfterDrift(t *testing.T) {
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
 			vecs := shape.vecs()
-			cfg := DefaultConfig()
-			ix, _ := New(cfg)
+			ix, _ := New(DefaultConfig())
 			for i, v := range vecs {
 				if err := ix.Upsert(i, v); err != nil {
 					t.Fatal(err)
@@ -160,11 +158,11 @@ func TestRecallAfterDrift(t *testing.T) {
 				queries[i] = vecs[rng.Intn(n)]
 			}
 			recall, degree := recallOf(ix, vecs, queries, k, ef), meanDegree0(ix)
-			t.Logf("recall@%d at ef %d: %.4f, mean layer-0 degree %.1f of %d", k, ef, recall, degree, 2*cfg.M)
+			t.Logf("recall@%d at ef %d: %.4f, mean layer-0 degree %.1f of %d", k, ef, recall, degree, 2*defaultParams.M)
 			if recall < 0.98 {
 				t.Fatalf("recall@%d at ef %d after %d rounds of drift: %.4f", k, ef, rounds, recall)
 			}
-			if !shape.uniform && degree >= float64(2*cfg.M) {
+			if !shape.uniform && degree >= float64(2*defaultParams.M) {
 				t.Fatalf("mean layer-0 degree %.2f: every list is full", degree)
 			}
 		})

@@ -64,11 +64,22 @@ import (
 	"spidercache/internal/xrand"
 )
 
-// Config tunes index construction and search.
+// Config seeds an index. Everything else about it is fixed: every index
+// New builds has the graph shape of defaultParams.
 type Config struct {
+	Seed uint64
+}
+
+// DefaultConfig returns the Config every caller starts from, seed 1.
+func DefaultConfig() Config {
+	return Config{Seed: 1}
+}
+
+// params is an index's graph shape and search width.
+type params struct {
 	M              int // max neighbours per node on upper layers (layer 0 gets 2*M)
-	EfConstruction int // beam width during insertion
-	EfSearch       int // default beam width during search
+	EfConstruction int // beam width during insertion, at least M
+	EfSearch       int // default beam width during search, at least 1
 	// UpdateEps is the Euclidean path an existing point travels, over
 	// however many Upserts, before its graph links are repaired; below it
 	// an Upsert only replaces the stored vector. Embedding drift between
@@ -77,29 +88,14 @@ type Config struct {
 	// The repair itself waits for the next settling operation (see the
 	// package doc), which makes the updates of one batch in parallel.
 	UpdateEps float64
-	Seed      uint64
 }
 
-// DefaultConfig returns values that give high recall on the embedding
-// workloads in this repository (small dimensionality, 10^3..10^5 points).
-// UpdateEps is calibrated for unit-normalised embeddings (distances in
-// [0, 2]).
-func DefaultConfig() Config {
-	return Config{M: 12, EfConstruction: 120, EfSearch: 64, UpdateEps: 0.02, Seed: 1}
-}
-
-// Validate reports a descriptive error for unusable configurations.
-func (c Config) Validate() error {
-	switch {
-	case c.M < 2:
-		return fmt.Errorf("hnsw: M must be >= 2, got %d", c.M)
-	case c.EfConstruction < c.M:
-		return fmt.Errorf("hnsw: EfConstruction %d < M %d", c.EfConstruction, c.M)
-	case c.EfSearch < 1:
-		return fmt.Errorf("hnsw: EfSearch must be >= 1, got %d", c.EfSearch)
-	}
-	return nil
-}
+// defaultParams is the shape of every index New builds. It gives high
+// recall on the embedding workloads in this repository (small
+// dimensionality, 10^3..10^5 points), and its UpdateEps is calibrated for
+// unit-normalised embeddings (distances in [0, 2]). The package's own tests
+// build smaller graphs through newIndex, where structure bugs show.
+var defaultParams = params{M: 12, EfConstruction: 120, EfSearch: 64, UpdateEps: 0.02}
 
 // node is one slot: an indexed point, or what a deleted point left behind.
 // Its vector lives in Index.vecs, not here, so that walking the graph
@@ -130,7 +126,7 @@ type node struct {
 // searches never contend on shared state.
 type Index struct {
 	mu  sync.RWMutex
-	cfg Config
+	p   params
 	ml  float64 // level normalisation factor 1/ln(M)
 	rng *xrand.Rand
 	dim int // vector dimensionality, 0 while empty
@@ -234,20 +230,23 @@ func (s *scratch) nextEpoch() uint32 {
 	return s.epoch
 }
 
-// New creates an empty index.
+// New creates an empty index of the shipped shape (defaultParams), seeded
+// by cfg.Seed. Its error is always nil.
 func New(cfg Config) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+	return newIndex(defaultParams, cfg.Seed), nil
+}
+
+// newIndex creates an empty index of shape p.
+func newIndex(p params, seed uint64) *Index {
 	return &Index{
-		cfg:     cfg,
-		ml:      1 / math.Log(float64(cfg.M)),
-		rng:     xrand.New(cfg.Seed),
-		stride0: 2*cfg.M + 2,
+		p:       p,
+		ml:      1 / math.Log(float64(p.M)),
+		rng:     xrand.New(seed),
+		stride0: 2*p.M + 2,
 		byID:    make(map[int]uint32),
 		entry:   -1,
 		beamAt:  make(map[uint64]int),
-	}, nil
+	}
 }
 
 // Len returns the number of indexed points.
@@ -392,7 +391,7 @@ func (ix *Index) insert(id int, vec []float64) {
 	upper := make([][]uint32, level)
 	for i := range upper {
 		// One over the cap, as in links0, so that no append reallocates.
-		upper[i] = make([]uint32, 0, ix.cfg.M+1)
+		upper[i] = make([]uint32, 0, ix.p.M+1)
 	}
 	ix.nodes = append(ix.nodes, node{id: id, upper: upper})
 	ix.byID[id] = slot
@@ -445,7 +444,7 @@ func (ix *Index) updateVector(slot uint32, vec []float64) {
 	nd.moved += math.Sqrt(sqDist(q, vec))
 	copy(q, vec)
 	// A NaN step compares false and re-links, as does any step at eps 0.
-	if nd.due || nd.moved < ix.cfg.UpdateEps || len(ix.nodes) == 1 {
+	if nd.due || nd.moved < ix.p.UpdateEps || len(ix.nodes) == 1 {
 		return
 	}
 	nd.due = true
@@ -511,7 +510,7 @@ func (ix *Index) relinkAll() {
 		ix.picks = make([]uint32, rows*w)
 	}
 	picks := ix.picks[:rows*w]
-	if n := len(due) * ix.cfg.EfSearch; cap(ix.beams) < n {
+	if n := len(due) * ix.p.EfSearch; cap(ix.beams) < n {
 		ix.beams = make([]candidate, n)
 	}
 	ix.beamLen = slices.Grow(ix.beamLen[:0], len(due))[:len(due)]
@@ -548,7 +547,7 @@ func (ix *Index) relinkAll() {
 	clear(ix.beamAt)
 	// A beam narrower than a search's holds less than the search would
 	// find.
-	if ix.cfg.EfConstruction >= ix.cfg.EfSearch {
+	if ix.p.EfConstruction >= ix.p.EfSearch {
 		for i, slot := range due {
 			// Of two points with one vector, the first re-linked answers.
 			h := vecHash(ix.vec(slot))
@@ -579,7 +578,7 @@ type fork struct {
 // pickFrom selects for due points, taking the next one from next until
 // none is left.
 func (ix *Index) pickFrom(sc *scratch, next *atomic.Int64, picks []uint32) {
-	w, ef := ix.pickRow(), ix.cfg.EfSearch
+	w, ef := ix.pickRow(), ix.p.EfSearch
 	for {
 		i := int(next.Add(1) - 1)
 		if i >= len(ix.due) {
@@ -604,7 +603,7 @@ func (ix *Index) pick(sc *scratch, slot uint32, rows []uint32, beam []candidate)
 	anyFree := len(ix.free) > 0
 	w := ix.pickRow()
 	for l := min(level, ix.maxLv); l >= 0; l-- {
-		cands := ix.searchLayer(sc, ep, epDist, q, ix.cfg.EfConstruction, l)
+		cands := ix.searchLayer(sc, ep, epDist, q, ix.p.EfConstruction, l)
 		if l == 0 {
 			n = keepBeam(slot, cands, beam)
 		}
@@ -782,9 +781,9 @@ func (ix *Index) reselect(sc *scratch, slot uint32, l int, pool []uint32) {
 // layerCap returns the max neighbours per node at layer l.
 func (ix *Index) layerCap(l int) int {
 	if l == 0 {
-		return 2 * ix.cfg.M
+		return 2 * ix.p.M
 	}
-	return ix.cfg.M
+	return ix.p.M
 }
 
 // linkBack adds src as a neighbour of dst at layer l, pruning dst's list
@@ -956,7 +955,7 @@ type Result struct {
 // SearchKNN returns up to k approximate nearest neighbours of q using the
 // configured EfSearch beam width.
 func (ix *Index) SearchKNN(q []float64, k int) []Result {
-	return ix.SearchKNNEf(q, k, ix.cfg.EfSearch)
+	return ix.SearchKNNEf(q, k, ix.p.EfSearch)
 }
 
 // SearchKNNEf is SearchKNN with an explicit beam width ef (>= k recommended).
@@ -976,7 +975,7 @@ func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 	if ef < k {
 		ef = k
 	}
-	if ef == ix.cfg.EfSearch && len(ix.beamAt) > 0 {
+	if ef == ix.p.EfSearch && len(ix.beamAt) > 0 {
 		if i, ok := ix.beamAt[vecHash(q)]; ok {
 			beam := ix.beams[i*ef:][:ix.beamLen[i]]
 			if slices.Equal(ix.vec(beam[0].id), q) {

@@ -43,22 +43,6 @@ func bruteKNN(vecs [][]float64, q []float64, k int) []int {
 	return out
 }
 
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{M: 1, EfConstruction: 100, EfSearch: 10},
-		{M: 8, EfConstruction: 4, EfSearch: 10},
-		{M: 8, EfConstruction: 100, EfSearch: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEmptyIndex(t *testing.T) {
 	ix, _ := New(DefaultConfig())
 	if got := ix.SearchKNN([]float64{1, 2}, 5); got != nil {
@@ -264,7 +248,7 @@ func TestMemoryBytes(t *testing.T) {
 	// 100 points is more than one full list: every point has links, none
 	// more than its caps, and the bytes charge four for each.
 	links := ix.Links()
-	if links < 100 || links > 100*3*DefaultConfig().M || got != 100*(16*8+48)+4*int64(links) {
+	if links < 100 || links > 100*3*defaultParams.M || got != 100*(16*8+48)+4*int64(links) {
 		t.Fatalf("Links %d, MemoryBytes %d", links, got)
 	}
 }

@@ -21,9 +21,9 @@ var errBadRequest = errors.New("kvserver: bad request")
 // independently), or share connections through a Pool.
 //
 // Every keyed request goes through the pipeline code: a single Get, Set,
-// Del, NGet, ESet, RSet or RDel is a pipeline of one on a Pipeline the
-// client owns and reuses, so each verb has exactly one frame writer (which
-// validates before writing a byte) and each reply shape one reader.
+// NGet, ESet or RSet is a pipeline of one on a Pipeline the client owns
+// and reuses, so each verb has exactly one frame writer (which validates
+// before writing a byte) and each reply shape one reader.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
@@ -143,13 +143,6 @@ func (c *Client) Set(key string, value []byte) error {
 	c.one.Set(key, value)
 	_, err := c.one.execOne()
 	return err
-}
-
-// Del removes key; ok reports whether it was present.
-func (c *Client) Del(key string) (bool, error) {
-	c.one.Del(key)
-	r, err := c.one.execOne()
-	return r.Found, err
 }
 
 // NGet is Get with a semantic fallback (the NGET verb): an exact hit

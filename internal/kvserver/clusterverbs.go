@@ -1,16 +1,16 @@
 package kvserver
 
-// The cluster verbs: HELLO/NODES for membership gossip and RSET/RDEL for
-// replica writes. A standalone Server answers all four (HELLO and NODES
-// report an empty node set; RSET/RDEL behave like SET/DEL), so clients and
+// The cluster verbs: HELLO/NODES for membership gossip and RSET for
+// replica writes. A standalone Server answers all three (HELLO and NODES
+// report an empty node set; RSET behaves like SET), so clients and
 // peers never need to know whether an address is a bare cache or a
 // cluster daemon. A daemon passes Serve its ClusterHooks, wired to its
 // membership and replication machinery, and the server becomes one node of
 // a replicated tier:
 //
-//   - a client-initiated SET/DEL is stored locally and then handed to
+//   - a client-initiated SET is stored locally and then handed to
 //     ClusterHooks for synchronous fan-out to the key's other ring owners
-//     (sent as RSET/RDEL so the fan-out never cascades);
+//     (sent as RSET so the fan-out never cascades);
 //   - HELLO <addr> registers the announcing peer and returns the node set,
 //     which is how daemons learn topology instead of being handed a static
 //     list.
@@ -26,10 +26,10 @@ const MaxClusterNodes = 1024
 
 // ClusterHooks connects a Server to the cluster daemon embedding it. Every
 // method is called synchronously from connection-handler goroutines:
-// Hello/Nodes must return quickly, and ReplicateSet/ReplicateDel run on
-// the mutation's critical path (the client's STORED reply waits for the
-// fan-out, which is what makes a replicated SET readable from every owner
-// as soon as it returns).
+// Hello/Nodes must return quickly, and ReplicateSet runs on the SET's
+// critical path (the client's STORED reply waits for the fan-out, which is
+// what makes a replicated SET readable from every owner as soon as it
+// returns).
 type ClusterHooks interface {
 	// Hello registers a peer that announced itself and returns the node
 	// set known afterwards (the receiver included).
@@ -40,8 +40,6 @@ type ClusterHooks interface {
 	// ring owners. Implementations must not call back into this server's
 	// own client-facing verbs.
 	ReplicateSet(key string, value []byte)
-	// ReplicateDel fans a client-initiated delete out likewise.
-	ReplicateDel(key string)
 }
 
 func (s *Server) doHello(sess *session, args [][]byte) error {
@@ -144,11 +142,4 @@ func (c *Client) RSet(key string, value []byte) error {
 	c.one.rset(key, value)
 	_, err := c.one.execOne()
 	return err
-}
-
-// RDel removes key as a replica delete (no fan-out); ok reports presence.
-func (c *Client) RDel(key string) (bool, error) {
-	c.one.rdel(key)
-	r, err := c.one.execOne()
-	return r.Found, err
 }

@@ -9,14 +9,13 @@ import (
 )
 
 // fakeHooks records ClusterHooks calls so tests can assert exactly what
-// the server fans out — and, critically, what it does NOT (RSET/RDEL must
+// the server fans out — and, critically, what it does NOT (RSET must
 // never cascade).
 type fakeHooks struct {
 	mu    sync.Mutex
 	hello []string
 	nodes []string
 	sets  map[string][]byte
-	dels  []string
 }
 
 func newFakeHooks(nodes ...string) *fakeHooks {
@@ -42,20 +41,14 @@ func (f *fakeHooks) ReplicateSet(key string, value []byte) {
 	f.sets[key] = append([]byte(nil), value...)
 }
 
-func (f *fakeHooks) ReplicateDel(key string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.dels = append(f.dels, key)
-}
-
-func (f *fakeHooks) snapshot() (sets map[string][]byte, dels, hello []string) {
+func (f *fakeHooks) snapshot() (sets map[string][]byte, hello []string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sets = make(map[string][]byte, len(f.sets))
 	for k, v := range f.sets {
 		sets[k] = v
 	}
-	return sets, append([]string(nil), f.dels...), append([]string(nil), f.hello...)
+	return sets, append([]string(nil), f.hello...)
 }
 
 func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
@@ -74,17 +67,13 @@ func TestStandaloneServerAnswersClusterVerbs(t *testing.T) {
 	if err != nil || len(nodes) != 0 {
 		t.Fatalf("standalone HELLO = %v, %v; want empty, nil", nodes, err)
 	}
-	// RSET/RDEL behave as SET/DEL on a standalone server.
+	// RSET behaves as SET on a standalone server.
 	if err := c.RSet("k", []byte("v")); err != nil {
 		t.Fatalf("RSet: %v", err)
 	}
 	v, ok, err := c.Get("k")
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get after RSet = %q, %v, %v", v, ok, err)
-	}
-	found, err := c.RDel("k")
-	if err != nil || !found {
-		t.Fatalf("RDel = %v, %v; want true, nil", found, err)
 	}
 }
 
@@ -104,8 +93,8 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 		t.Fatal("HELLO with a space-bearing address did not error")
 	}
 
-	// SET (alone and pipelined) and DEL reach the hooks; RSET and RDEL
-	// must not (the fan-out is acyclic by construction).
+	// SET (alone and pipelined) reaches the hooks; RSET must not (the
+	// fan-out is acyclic by construction).
 	if err := c.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -115,26 +104,14 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 	if _, err := p.Exec(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Del("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Del("ghost"); err != nil { // a miss still replicates the delete
-		t.Fatal(err)
-	}
 	if err := c.RSet("r", []byte("4")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RDel("b"); err != nil {
-		t.Fatal(err)
-	}
 
-	sets, dels, hello := hooks.snapshot()
+	sets, hello := hooks.snapshot()
 	want := map[string][]byte{"a": []byte("1"), "b": []byte("2"), "c": []byte("3")}
 	if !reflect.DeepEqual(sets, want) {
 		t.Fatalf("replicated sets = %v, want %v (RSET must not cascade)", sets, want)
-	}
-	if !reflect.DeepEqual(dels, []string{"a", "ghost"}) {
-		t.Fatalf("replicated dels = %v, want [a ghost] (RDEL must not cascade)", dels)
 	}
 	if !reflect.DeepEqual(hello, []string{"127.0.0.1:3"}) {
 		t.Fatalf("hello announcements = %v, want [127.0.0.1:3]", hello)
@@ -161,15 +138,13 @@ func TestConfigFlagBindingAndDerivation(t *testing.T) {
 	cfg := DefaultConfig()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	cfg.BindStoreFlags(fs)
-	cfg.BindPoolFlags(fs)
-	err := fs.Parse([]string{"-capacity", "512", "-conns", "7", "-timeout", "3s"})
-	if err != nil {
+	if err := fs.Parse([]string{"-capacity", "512"}); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Capacity != 512 || cfg.PoolSize != 7 ||
-		cfg.Timeout != 3*time.Second {
+	if cfg.Capacity != 512 {
 		t.Fatalf("flag binding produced %+v", cfg)
 	}
+	cfg.PoolSize, cfg.Timeout = 7, 3*time.Second
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

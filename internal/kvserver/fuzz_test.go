@@ -22,10 +22,10 @@ func FuzzServeOne(f *testing.F) {
 	f.Add([]byte("GET k\r\n"))
 	f.Add([]byte("SET k 3\r\nabc\r\n"))
 	f.Add([]byte("SET k 3\r\nabcXX"))
-	f.Add([]byte("DEL k\r\n"))
 	f.Add([]byte("METRICS\r\n"))
 	f.Add([]byte("QUIT\r\n"))
 	// Deleted verbs: unknown command.
+	f.Add([]byte("DEL k\r\n"))
 	f.Add([]byte("MGET a b\r\n"))
 	f.Add([]byte("MSET 1\r\na 1\r\nx\r\n"))
 	f.Add([]byte("STATS\r\n"))
@@ -33,15 +33,15 @@ func FuzzServeOne(f *testing.F) {
 	f.Add([]byte("HELLO 127.0.0.1:1\r\n"))
 	f.Add([]byte("HELLO " + strings.Repeat("a", 300) + "\r\n")) // bad node address
 	f.Add([]byte("NODES\r\n"))
-	f.Add([]byte("RSET k 1\r\nv\r\nRDEL k\r\n"))
+	f.Add([]byte("RSET k 1\r\nv\r\nRDEL k\r\n")) // RDEL is deleted too
 	f.Add([]byte("SET k 99999999999999999999\r\n"))
 	f.Add([]byte("\r\n"))
 	f.Add([]byte{0, 1, 2, '\n'})
 	// Pipelined multi-command streams.
 	f.Add([]byte("GET a\r\nGET b\r\nGET c\r\n"))
 	f.Add([]byte("SET a 1\r\nx\r\nSET b 1\r\ny\r\n"))
-	f.Add([]byte("SET a 1\r\nx\r\nSET b 1\r\n")) // truncated payload frame
-	f.Add([]byte("SET k 1\r\nv\r\nGET k\r\nDEL k\r\nGET k\r\n"))
+	f.Add([]byte("SET a 1\r\nx\r\nSET b 1\r\n"))                 // truncated payload frame
+	f.Add([]byte("SET k 1\r\nv\r\nGET k\r\nDEL k\r\nGET k\r\n")) // unknown mid-pipeline
 	f.Add([]byte("SET a 1\r\nz\r\nGET a\r\nGET b\r\nMETRICS\r\n"))
 	f.Add([]byte("GET a\r\nGET b\r\nGET c\r\nQUIT\r\nGET d\r\n"))
 	f.Add([]byte("SET k 2\r\nvvXXGET k\r\n")) // bad framing mid-pipeline

@@ -93,6 +93,9 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestSetGetDel: a binary payload round-trips through SET and GET, a
+// missing key misses, and a DEL, which the protocol does not have, is
+// refused without removing anything.
 func TestSetGetDel(t *testing.T) {
 	srv := startServer(t, 16)
 	c := dial(t, srv)
@@ -112,14 +115,19 @@ func TestSetGetDel(t *testing.T) {
 	if _, ok, _ := c.Get("absent"); ok {
 		t.Fatal("absent key found")
 	}
-	if ok, err := c.Del("img:42"); err != nil || !ok {
-		t.Fatalf("Del: ok=%v err=%v", ok, err)
+	// DEL is not a verb: only eviction removes a key. The refusal closes
+	// the connection and leaves the value in place.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ok, _ := c.Del("img:42"); ok {
-		t.Fatal("double delete succeeded")
+	defer conn.Close()
+	fmt.Fprint(conn, "DEL img:42\r\n")
+	if reply, _ := io.ReadAll(conn); string(reply) != "SERVER_ERROR unknown command\r\n" {
+		t.Fatalf("DEL reply %q, want SERVER_ERROR unknown command", reply)
 	}
-	if _, ok, _ := c.Get("img:42"); ok {
-		t.Fatal("deleted key still present")
+	if got, ok, err := c.Get("img:42"); err != nil || !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after a refused DEL = %q, %v, %v; want the stored value", got, ok, err)
 	}
 }
 
@@ -195,14 +203,12 @@ func TestInvalidClientKey(t *testing.T) {
 	verbs := map[string]func(key string) error{
 		"Get":  func(k string) error { _, _, err := c.Get(k); return err },
 		"Set":  func(k string) error { return c.Set(k, []byte("v")) },
-		"Del":  func(k string) error { _, err := c.Del(k); return err },
 		"RSet": func(k string) error { return c.RSet(k, []byte("v")) },
-		"RDel": func(k string) error { _, err := c.RDel(k); return err },
 		"NGet": func(k string) error { _, _, _, err := c.NGet(k, emb, 0.3); return err },
 		"ESet": func(k string) error { return c.ESet(k, emb) },
 	}
 	for name, verb := range verbs {
-		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nDEL kept"} {
+		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nSET kept 1"} {
 			before := conn.n
 			if err := verb(key); !errors.Is(err, errBadRequest) {
 				t.Errorf("%s(%q) = %v, want errBadRequest", name, key, err)
@@ -234,7 +240,8 @@ func TestProtocolErrors(t *testing.T) {
 		{"SET k 99999999999999999999\r\n", "bad value length"},
 		{"GET\r\n", "bad arguments"},
 		{"GET a b\r\n", "bad arguments"},
-		{"DEL\r\n", "bad arguments"},
+		{"DEL k\r\n", "unknown command"},
+		{"RDEL k\r\n", "unknown command"},
 		{"METRICS extra\r\n", "bad arguments"},
 		{"MGET a\r\n", "unknown command"},
 		{"MSET 1\r\n", "unknown command"},

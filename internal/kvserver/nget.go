@@ -114,8 +114,8 @@ func (s *Server) doESet(sess *session, args [][]byte) error {
 	if err := s.sem.upsert(key, vec); err != nil {
 		return err
 	}
-	// Eviction and DEL are the only other unlink paths, and neither fires
-	// for a key that is not resident: without this check such an ESET
+	// Eviction is the only other unlink path, and it never fires for a
+	// key that is not resident: without this check such an ESET
 	// would stay indexed for good. An eviction before the probe is caught
 	// here, one after it by the evict hook.
 	if _, ok := s.store.peek(key); !ok {

@@ -102,9 +102,9 @@ func TestNGetThresholdZeroMatchesGet(t *testing.T) {
 
 // TestNGetNearServing covers the full semantic path through the Client:
 // exact hit, near hit (with the neighbor's value and distance), distance
-// cutoff, and DEL unlinking the embedding.
+// cutoff, and eviction unlinking the embedding.
 func TestNGetNearServing(t *testing.T) {
-	srv := startServer(t, 64)
+	srv := startServer(t, 1) // capacity 1: the next SET evicts a
 	c := dial(t, srv)
 
 	vecA := unit(1, 0, 0, 0)
@@ -141,15 +141,15 @@ func TestNGetNearServing(t *testing.T) {
 		t.Fatalf("orthogonal NGet = %v %v %v, want miss", near, found, err)
 	}
 
-	// DEL unlinks the embedding: the same near query now misses.
-	if _, err := c.Del("a"); err != nil {
+	// Evicting a unlinks its embedding: the same near query now misses.
+	if err := c.Set("c", []byte("value-c")); err != nil {
 		t.Fatal(err)
 	}
 	if _, near, found, err = c.NGet("b", nearA, 0.5); err != nil || found || near != nil {
-		t.Fatalf("NGet after DEL = %v %v %v, want miss", near, found, err)
+		t.Fatalf("NGet after a was evicted = %v %v %v, want miss", near, found, err)
 	}
 	if live, _ := srv.sem.size(); live != 0 {
-		t.Fatalf("semantic index live=%d after DEL, want 0", live)
+		t.Fatalf("semantic index live=%d after a was evicted, want 0", live)
 	}
 }
 
@@ -342,14 +342,14 @@ func TestNGetFindsMovedKey(t *testing.T) {
 	}
 }
 
-// TestDelOfPendingRelink: a DEL that lands while the key's last ESET still
-// waits to be re-linked must leave the index as a DEL after a settling
-// read does. METRICS reads the same live and free slots and the same
-// links either way.
+// TestDelOfPendingRelink: the index's delete of a key evicted while its
+// last ESET still waits to be re-linked must leave the index as the same
+// eviction after a settling read does. METRICS reads the same live and
+// free slots and the same links either way.
 func TestDelOfPendingRelink(t *testing.T) {
 	vecs, centroids := clusterVecs(64)
 	history := func(readFirst bool) (live, free, links float64) {
-		srv := startServer(t, 128)
+		srv := startServer(t, len(vecs)) // one shard, strict LRU, full
 		c := dial(t, srv)
 		for i, v := range vecs {
 			key := fmt.Sprintf("k%d", i)
@@ -368,8 +368,17 @@ func TestDelOfPendingRelink(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := c.Del("k0"); err != nil {
+		// Touch every other key, so k0 is the LRU tail the next SET evicts.
+		for i := 1; i < len(vecs); i++ {
+			if _, _, err := c.Get(fmt.Sprintf("k%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Set("evictor", []byte("v")); err != nil {
 			t.Fatal(err)
+		}
+		if _, resident := srv.Peek("k0"); resident {
+			t.Fatal("k0 is still resident; it was meant to be evicted")
 		}
 		text, err := c.Metrics()
 		if err != nil {
@@ -389,10 +398,10 @@ func TestDelOfPendingRelink(t *testing.T) {
 	}
 	live, free, links := history(false)
 	if live != 63 || free != 1 || links == 0 {
-		t.Fatalf("after DEL of a key due a re-link: live %v, free %v, links %v; want 63, 1, some", live, free, links)
+		t.Fatalf("after evicting a key due a re-link: live %v, free %v, links %v; want 63, 1, some", live, free, links)
 	}
 	if l, f, k := history(true); l != live || f != free || k != links {
-		t.Fatalf("DEL after a settling read leaves live %v, free %v, links %v; without the read %v, %v, %v", l, f, k, live, free, links)
+		t.Fatalf("eviction after a settling read leaves live %v, free %v, links %v; without the read %v, %v, %v", l, f, k, live, free, links)
 	}
 }
 

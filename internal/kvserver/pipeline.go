@@ -16,24 +16,20 @@ type opKind uint8
 const (
 	opGet opKind = iota
 	opSet
-	opDel
 	opNGet
 	opESet
 	opRSet
-	opRDel
 )
 
 var verbs = [...]string{
-	opGet: "GET", opSet: "SET", opDel: "DEL", opNGet: "NGET",
-	opESet: "ESET", opRSet: "RSET", opRDel: "RDEL",
+	opGet: "GET", opSet: "SET", opNGet: "NGET", opESet: "ESET", opRSet: "RSET",
 }
 
 // Result is the outcome of one pipelined operation, in queue order.
 type Result struct {
 	// Value is the fetched payload (Get and NGet hits only).
 	Value []byte
-	// Found reports a Get/NGet hit or a Del that removed a key; Set and
-	// ESet success is Err == nil.
+	// Found reports a Get/NGet hit; Set and ESet success is Err == nil.
 	Found bool
 	// Near is set when an NGet was answered with a semantic substitute
 	// rather than an exact hit.
@@ -45,8 +41,8 @@ type Result struct {
 
 // Pipeline queues operations on a client and sends them all in one network
 // flush; the server answers back to back, so N operations cost one round
-// trip instead of N. Build with Client.Pipeline, queue with Get/Set/Del/
-// NGet/ESet, send with Exec. Like Client, a Pipeline is single-goroutine.
+// trip instead of N. Build with Client.Pipeline, queue with Get/Set/NGet/
+// ESet, send with Exec. Like Client, a Pipeline is single-goroutine.
 //
 // Queued requests are written into the client's buffer immediately (a full
 // buffer drains to the socket early, which is harmless — replies are only
@@ -75,7 +71,7 @@ func (p *Pipeline) Len() int { return len(p.ops) }
 // Get queues a GET.
 func (p *Pipeline) Get(key string) {
 	if p.werr == nil {
-		p.add(opGet, p.c.writeKeyFrame(opGet, key))
+		p.add(opGet, p.c.writeGetFrame(key))
 	}
 }
 
@@ -83,13 +79,6 @@ func (p *Pipeline) Get(key string) {
 func (p *Pipeline) Set(key string, value []byte) {
 	if p.werr == nil {
 		p.add(opSet, p.c.writeSetFrame(opSet, key, value))
-	}
-}
-
-// Del queues a DEL.
-func (p *Pipeline) Del(key string) {
-	if p.werr == nil {
-		p.add(opDel, p.c.writeKeyFrame(opDel, key))
 	}
 }
 
@@ -111,13 +100,6 @@ func (p *Pipeline) ESet(key string, emb []float32) {
 func (p *Pipeline) rset(key string, value []byte) {
 	if p.werr == nil {
 		p.add(opRSet, p.c.writeSetFrame(opRSet, key, value))
-	}
-}
-
-// rdel queues an RDEL (see Client.RDel).
-func (p *Pipeline) rdel(key string) {
-	if p.werr == nil {
-		p.add(opRDel, p.c.writeKeyFrame(opRDel, key))
 	}
 }
 
@@ -180,8 +162,6 @@ func (p *Pipeline) exec(results []Result) error {
 		switch kind {
 		case opGet, opNGet:
 			r.Value, r.Near, r.Found, err = p.c.readValue(verbs[kind])
-		case opDel, opRDel:
-			r.Found, err = p.c.readDeleted(verbs[kind])
 		default:
 			err = p.c.readStored(verbs[kind])
 		}
@@ -211,13 +191,12 @@ func IsTransportErr(err error) bool {
 // The frame writers: one per verb, each validating its arguments before it
 // writes a byte, so an invalid request never reaches the buffer.
 
-// writeKeyFrame appends "<verb> <key>\r\n" (GET, DEL, RDEL).
-func (c *Client) writeKeyFrame(kind opKind, key string) error {
+// writeGetFrame appends "GET <key>\r\n".
+func (c *Client) writeGetFrame(key string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	c.w.WriteString(verbs[kind])
-	c.w.WriteByte(' ')
+	c.w.WriteString("GET ")
 	c.w.WriteString(key)
 	_, err := c.w.WriteString("\r\n")
 	return err
@@ -340,22 +319,6 @@ func (c *Client) readStored(verb string) error {
 		return fmt.Errorf("kvserver: %s failed: %s", verb, line)
 	}
 	return nil
-}
-
-// readDeleted reads the DELETED or NOT_FOUND reply to DEL or RDEL.
-func (c *Client) readDeleted(verb string) (bool, error) {
-	line, err := c.readLine()
-	if err != nil {
-		return false, err
-	}
-	switch line {
-	case "DELETED":
-		return true, nil
-	case "NOT_FOUND":
-		return false, nil
-	default:
-		return false, fmt.Errorf("kvserver: %s failed: %s", verb, line)
-	}
 }
 
 // readBody reads an n-byte payload and the CRLF that terminates it.

@@ -17,17 +17,15 @@ func TestPipelineMixedOps(t *testing.T) {
 	p.Set("b", []byte("2"))
 	p.Get("a")
 	p.Get("missing")
-	p.Del("b")
-	p.Del("b")
 	p.Get("b")
-	if p.Len() != 7 {
+	if p.Len() != 5 {
 		t.Fatalf("Len = %d", p.Len())
 	}
 	results, err := p.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 7 {
+	if len(results) != 5 {
 		t.Fatalf("got %d results", len(results))
 	}
 	for i, r := range results {
@@ -41,14 +39,8 @@ func TestPipelineMixedOps(t *testing.T) {
 	if results[3].Found {
 		t.Fatal("missing key found")
 	}
-	if !results[4].Found { // first DEL removed b
-		t.Fatal("Del b reported not found")
-	}
-	if results[5].Found { // second DEL is a miss
-		t.Fatal("double Del reported found")
-	}
-	if results[6].Found {
-		t.Fatal("deleted b still readable")
+	if !bytes.Equal(results[4].Value, []byte("2")) || !results[4].Found {
+		t.Fatalf("Get b: %+v", results[4])
 	}
 	// Pipeline is reusable after Exec.
 	p.Get("a")
@@ -165,11 +157,11 @@ func TestRawPipelinedStream(t *testing.T) {
 	srv := startServer(t, 64)
 	c := dial(t, srv)
 	// Use the underlying conn directly.
-	raw := "SET a 1\r\nx\r\nSET b 1\r\ny\r\nGET a\r\nGET b\r\nDEL a\r\nGET a\r\n"
+	raw := "SET a 1\r\nx\r\nSET b 1\r\ny\r\nGET a\r\nGET b\r\nGET c\r\nGET a\r\n"
 	if _, err := c.conn.Write([]byte(raw)); err != nil {
 		t.Fatal(err)
 	}
-	want := "STORED\r\nSTORED\r\nVALUE 1\r\nx\r\nVALUE 1\r\ny\r\nDELETED\r\nNOT_FOUND\r\n"
+	want := "STORED\r\nSTORED\r\nVALUE 1\r\nx\r\nVALUE 1\r\ny\r\nNOT_FOUND\r\nVALUE 1\r\nx\r\n"
 	buf := make([]byte, len(want))
 	if _, err := io.ReadFull(c.conn, buf); err != nil {
 		t.Fatal(err)

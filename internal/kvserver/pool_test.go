@@ -45,15 +45,11 @@ func TestPoolBasicOps(t *testing.T) {
 		p.Get("a")
 		p.Get("b")
 		p.Get("nope")
-		p.Del("k")
 		rs, err = p.Exec()
 		return err
 	})
 	if err != nil || !rs[2].Found || !rs[3].Found || rs[4].Found {
 		t.Fatalf("pipelined Gets: %+v %v", rs, err)
-	}
-	if !rs[5].Found {
-		t.Fatalf("pipelined Del: %+v", rs[5])
 	}
 }
 

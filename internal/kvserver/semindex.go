@@ -19,18 +19,17 @@ import (
 // the lock graph stays acyclic (spiderlint lockorder verifies this
 // module-wide).
 //
-// Deletion: DEL, eviction and the ESET of a key that is not resident
-// delete the point from the graph in place
-// (hnsw.Index.Delete), at about the price of an upsert, and the next
-// new key takes the slot. The graph therefore holds the live
-// embeddings and nothing else: no search result needs filtering for
-// staleness beyond the one race below, and there is no rebuild. An
-// ESET that moves a resident key's embedding only stores the vector;
-// the re-link waits for the next operation that reads or changes the
-// graph (hnsw package doc), so one NGET, DEL or insert may first
-// re-link the keys of every ESET before it, spread over all cores
-// (BenchmarkNGetAfterESets: its latency grows with their number). An
-// NGET for exactly the embedding a re-linked key now holds reads the
+// Deletion: eviction and the ESET of a key that is not resident delete
+// the point from the graph in place (hnsw.Index.Delete), at about the
+// price of an upsert, and the next new key takes the slot. The graph
+// therefore holds the live embeddings and nothing else: no search result
+// needs filtering for staleness beyond the one race below, and there is
+// no rebuild. An ESET that moves a resident key's embedding only stores
+// the vector; the re-link waits for the next operation that reads or
+// changes the graph (hnsw package doc), so one NGET, eviction or insert
+// may first re-link the keys of every ESET before it, spread over all
+// cores (BenchmarkNGetAfterESets: its latency grows with their number).
+// An NGET for exactly the embedding a re-linked key now holds reads the
 // re-link's own search, the key first, until the next ESET or unlink.
 // Ids are never reused, so a search racing an unlink can at worst
 // surface a freshly-unmapped id, which the byID lookup (and the
@@ -51,12 +50,7 @@ const semSearchK = 8
 const semSearchEf = 64
 
 func newSemIndex() *semIndex {
-	ix, err := hnsw.New(hnsw.DefaultConfig())
-	if err != nil {
-		// DefaultConfig always validates; a failure here is a programming
-		// error in this package, not a runtime condition.
-		panic(err)
-	}
+	ix, _ := hnsw.New(hnsw.DefaultConfig()) // its error is always nil
 	return &semIndex{ix: ix, byKey: make(map[string]int), byID: make(map[int]string)}
 }
 
@@ -82,10 +76,10 @@ func (x *semIndex) upsert(key string, vec []float64) error {
 	return nil
 }
 
-// unlink removes key's embedding from the index (DEL and eviction both
-// land here) and reports whether there was one. Unknown keys are a
-// no-op, so callers never need to check whether an embedding was ever
-// attached.
+// unlink removes key's embedding from the index (eviction and the ESET
+// of a key that is not resident both land here) and reports whether
+// there was one. Unknown keys are a no-op, so callers never need to
+// check whether an embedding was ever attached.
 func (x *semIndex) unlink(key string) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()

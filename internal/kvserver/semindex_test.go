@@ -198,11 +198,10 @@ func TestSemIndexFailedUpsertChangesNothing(t *testing.T) {
 }
 
 // TestESetDimFollowsTheIndex: the first embedding fixes the index's
-// dimensionality only for as long as the index holds one. Once DEL or
-// eviction has emptied it, the node takes another dimensionality without a
-// restart.
+// dimensionality only for as long as the index holds one. Once eviction
+// has emptied it, the node takes another dimensionality without a restart.
 func TestESetDimFollowsTheIndex(t *testing.T) {
-	srv := startServer(t, 8)
+	srv := startServer(t, 1) // capacity 1: SET b evicts a
 	c := dial(t, srv)
 	if err := c.Set("a", []byte("va")); err != nil {
 		t.Fatal(err)
@@ -222,14 +221,11 @@ func TestESetDimFollowsTheIndex(t *testing.T) {
 	if _, near, found, err := c.NGet("q", wide, 0.5); err != nil || found || near != nil {
 		t.Fatalf("dim-8 NGET on a dim-4 index = %v %v %v, want a miss", near, found, err)
 	}
-	if _, err := c.Del("a"); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Set("b", []byte("vb")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ESet("b", wide); err != nil {
-		t.Fatalf("ESET dim 8 after the last dim-4 embedding was deleted: %v", err)
+		t.Fatalf("ESET dim 8 after the last dim-4 embedding was evicted: %v", err)
 	}
 	v, near, found, err := c.NGet("q", unit(1, 0.01, 0, 0, 0, 0, 0, 0), 0.5)
 	if err != nil || !found || near == nil || near.Key != "b" || string(v) != "vb" {
@@ -239,12 +235,14 @@ func TestESetDimFollowsTheIndex(t *testing.T) {
 }
 
 // TestSemIndexNeverOutgrowsStore: the index holds an embedding only while
-// its key is resident, whatever order a client sends SET, ESET and DEL in.
+// its key is resident, whatever order a client sends SETs and ESETs in.
 // A seeded single-connection history over 48 keys at capacity 16 ESETs
-// keys that are resident, keys never SET, keys evicted since their SET and
-// keys just deleted. After every op the live index points may not exceed
-// kv_items, and every indexed key must be resident: otherwise a client
-// could grow a node's memory past -capacity without bound.
+// keys that are resident, keys never SET, keys LRU-evicted since their SET
+// and keys the history pushed out on purpose (it touches every other
+// resident key, then SETs a filler that evicts the chosen one). After
+// every op the live index points may not exceed kv_items, and every
+// indexed key must be resident: otherwise a client could grow a node's
+// memory past -capacity without bound.
 func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 	srv := startServer(t, 16) // one shard, strict LRU
 	c := dial(t, srv)
@@ -257,20 +255,20 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 		}
 		return v
 	}
-	set, deleted := map[string]bool{}, map[string]bool{}
-	var esetNever, esetEvicted, esetDeleted int
+	set, pushed := map[string]bool{}, map[string]bool{}
+	var esetNever, esetEvicted, esetPushed int
 	for op := 0; op < 1500; op++ {
 		var err error
 		switch r := rng.Intn(10); {
 		case r < 4:
 			k := key()
 			err = c.Set(k, []byte(k))
-			set[k], deleted[k] = true, false
+			set[k], pushed[k] = true, false
 		case r < 8:
 			k := key()
 			if _, resident := srv.Peek(k); !resident && set[k] {
-				if deleted[k] {
-					esetDeleted++
+				if pushed[k] {
+					esetPushed++
 				} else {
 					esetEvicted++
 				}
@@ -278,8 +276,20 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			err = c.ESet(k, emb())
 		case r < 9:
 			k := key()
-			_, err = c.Del(k)
-			deleted[k] = true
+			if _, resident := srv.Peek(k); !resident {
+				break
+			}
+			for _, other := range srv.Keys() {
+				if other != k {
+					if _, _, err = c.Get(other); err != nil {
+						break
+					}
+				}
+			}
+			if err == nil {
+				err = c.Set(fmt.Sprintf("filler-%d", op), nil) // evicts k, the LRU tail
+				pushed[k] = true
+			}
 		default:
 			esetNever++
 			err = c.ESet(fmt.Sprintf("never-set-%d", op), emb())
@@ -308,16 +318,16 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			}
 		}
 	}
-	if esetNever == 0 || esetEvicted == 0 || esetDeleted == 0 {
-		t.Fatalf("history too narrow: %d ESETs of never-SET keys, %d of evicted, %d of deleted",
-			esetNever, esetEvicted, esetDeleted)
+	if esetNever == 0 || esetEvicted == 0 || esetPushed == 0 {
+		t.Fatalf("history too narrow: %d ESETs of never-SET keys, %d of evicted, %d of pushed out",
+			esetNever, esetEvicted, esetPushed)
 	}
 }
 
 // TestMetricsSemanticIndex: METRICS shows how many slots the index holds
 // and in which state, how many links its graph holds (a free slot keeps
 // its own until it is reused; the links to it go at once), and what
-// removing an embedding cost on the path of the SET or DEL that caused it.
+// removing an embedding cost on the path of the SET that evicted its key.
 func TestMetricsSemanticIndex(t *testing.T) {
 	srv := startServer(t, 3) // one shard, strict LRU
 	c := dial(t, srv)
@@ -361,11 +371,16 @@ func TestMetricsSemanticIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrape(3, 0, 6, 1)
-	if _, err := c.Del("a"); err != nil { // nothing left of a to unlink
+	if err := c.Set("e", []byte("v")); err != nil { // evicts b and its embedding
 		t.Fatal(err)
 	}
-	scrape(3, 0, 6, 1)
-	if _, err := c.Del("b"); err != nil {
+	scrape(2, 1, 4, 2)
+	for _, k := range []string{"c", "d"} { // e becomes the LRU tail
+		if _, _, err := c.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Set("f", []byte("v")); err != nil { // evicts e: nothing to unlink
 		t.Fatal(err)
 	}
 	scrape(2, 1, 4, 2)

@@ -14,7 +14,6 @@
 //
 //	GET <key>\r\n                          -> VALUE <nbytes>\r\n<payload>\r\n | NOT_FOUND
 //	SET <key> <nbytes>\r\n<payload>\r\n    -> STORED | SERVER_ERROR <msg>
-//	DEL <key>\r\n                          -> DELETED | NOT_FOUND
 //	NGET <key> <threshold> <dim>\r\n<embedding>\r\n
 //	                                       -> VALUE <nbytes>\r\n<payload>\r\n   (exact hit)
 //	                                        | NEAR <key> <dist> <nbytes>\r\n<payload>\r\n
@@ -29,7 +28,7 @@
 // fallback serves the nearest still-resident neighbor inside it — see
 // nget.go for the full semantics (threshold 0 is byte-identical to GET).
 // The index holds an embedding only while its key is resident: eviction
-// and DEL unlink it, and an ESET of a key the store does not hold is
+// unlinks it, and an ESET of a key the store does not hold is
 // answered STORED and unlinked at once, as if the key had been evicted
 // right after it, so the index can never outgrow the store. SET first.
 //
@@ -38,7 +37,6 @@
 //	HELLO <addr>\r\n                       -> NODES <n>\r\n then n lines <addr>\r\n
 //	NODES\r\n                              -> NODES <n>\r\n then n lines <addr>\r\n
 //	RSET <key> <nbytes>\r\n<payload>\r\n   -> STORED (replica write: no fan-out)
-//	RDEL <key>\r\n                         -> DELETED | NOT_FOUND (no fan-out)
 //
 // # Pipelining
 //
@@ -142,14 +140,12 @@ type Server struct {
 type serverTelemetry struct {
 	getHit, getMiss            *telemetry.Counter
 	setOps, rsetOps, esetOps   *telemetry.Counter
-	delHit, delMiss            *telemetry.Counter
-	rdelHit, rdelMiss          *telemetry.Counter
 	semExact, semNear, semMiss *telemetry.Counter   // NGET outcomes
 	semDist                    *telemetry.Histogram // cosine distance of served NEAR substitutes
 	semLive, semFree           *telemetry.Gauge     // semantic index slots: holding an embedding, awaiting reuse
 	semLinks                   *telemetry.Gauge     // links the semantic index's graph holds
-	semUnlink                  *telemetry.Histogram // cost of removing one embedding, on the SET/DEL path
-	getLat, setLat, delLat     *telemetry.Histogram
+	semUnlink                  *telemetry.Histogram // cost of removing one embedding, on the SET or ESET path
+	getLat, setLat             *telemetry.Histogram
 	rsetLat, ngetLat, esetLat  *telemetry.Histogram
 	items, hits, misses        *telemetry.Gauge
 	shardItems                 []*telemetry.Gauge // one gauge per store shard
@@ -168,7 +164,7 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	reg.Describe("kv_semantic_dist", "cosine distance of served NEAR substitutes")
 	reg.Describe("kv_semantic_index_points", "semantic index slots: live embeddings, and free slots deleted ones left for reuse")
 	reg.Describe("kv_semantic_index_links", "links held by the semantic index's graph, all layers; over the slot count it is the mean degree")
-	reg.Describe("kv_semantic_unlink_seconds", "time a DEL, an eviction or the ESET of a non-resident key spent removing the key's embedding from the index")
+	reg.Describe("kv_semantic_unlink_seconds", "time an eviction or the ESET of a non-resident key spent removing the key's embedding from the index")
 	tel := serverTelemetry{
 		getHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "hit"}),
 		getMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "miss"}),
@@ -183,13 +179,8 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 		semFree:       reg.Gauge("kv_semantic_index_points", telemetry.Labels{"state": "free"}),
 		semLinks:      reg.Gauge("kv_semantic_index_links", nil),
 		semUnlink:     reg.Histogram("kv_semantic_unlink_seconds", nil),
-		delHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "del", "result": "deleted"}),
-		delMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "del", "result": "miss"}),
-		rdelHit:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "rdel", "result": "deleted"}),
-		rdelMiss:      reg.Counter("kv_ops_total", telemetry.Labels{"op": "rdel", "result": "miss"}),
 		getLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "get"}),
 		setLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "set"}),
-		delLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "del"}),
 		rsetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "rset"}),
 		ngetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "nget"}),
 		esetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "eset"}),
@@ -257,8 +248,8 @@ func newServerCore(st *store, reg *telemetry.Registry) *Server {
 
 // unlinkEmbedding removes key's embedding from the semantic index, if it
 // has one, and times the removal, wait for sem.mu included: it runs inline
-// on the SET path (eviction), the DEL path and the ESET of a key that is
-// not resident, so its cost is theirs.
+// on the SET path (eviction) and on the ESET of a key that is not
+// resident, so its cost is theirs.
 func (s *Server) unlinkEmbedding(key string) {
 	start := time.Now()
 	if s.sem.unlink(key) {
@@ -436,16 +427,12 @@ func (s *Server) serveOne(sess *session) error {
 		return s.doGet(sess, args)
 	case cmdEq(cmd, "SET"):
 		return s.doSet(sess, args)
-	case cmdEq(cmd, "DEL"):
-		return s.doDel(sess, args)
 	case cmdEq(cmd, "NGET"):
 		return s.doNGet(sess, args)
 	case cmdEq(cmd, "ESET"):
 		return s.doESet(sess, args)
 	case cmdEq(cmd, "RSET"):
 		return s.doRSet(sess, args)
-	case cmdEq(cmd, "RDEL"):
-		return s.doRDel(sess, args)
 	case cmdEq(cmd, "HELLO"):
 		return s.doHello(sess, args)
 	case cmdEq(cmd, "NODES"):
@@ -511,51 +498,6 @@ func (s *Server) doRSet(sess *session, args [][]byte) error {
 	_, err = sess.w.WriteString("STORED\r\n")
 	s.tel.rsetOps.Inc()
 	s.tel.rsetLat.Observe(time.Since(start).Seconds())
-	return err
-}
-
-func (s *Server) doDel(sess *session, args [][]byte) error {
-	if len(args) != 1 {
-		return errBadArgs
-	}
-	start := time.Now()
-	key := string(args[0])
-	deleted := s.store.del(key)
-	// The embedding goes with the value unconditionally: ESET-then-DEL
-	// must clear the index even when the value itself was never stored
-	// (or already evicted), or the dead key would keep winning NEAR
-	// candidacies it can no longer serve.
-	s.unlinkEmbedding(key)
-	// Deletes fan out even on a local miss: a replica may hold the value
-	// this node already evicted, and a DEL must not resurrect it.
-	if s.cluster != nil {
-		s.cluster.ReplicateDel(key)
-	}
-	s.tel.delLat.Observe(time.Since(start).Seconds())
-	if deleted {
-		s.tel.delHit.Inc()
-		_, err := sess.w.WriteString("DELETED\r\n")
-		return err
-	}
-	s.tel.delMiss.Inc()
-	_, err := sess.w.WriteString("NOT_FOUND\r\n")
-	return err
-}
-
-// doRDel is doDel without the replication fan-out.
-func (s *Server) doRDel(sess *session, args [][]byte) error {
-	if len(args) != 1 {
-		return errBadArgs
-	}
-	key := string(args[0])
-	defer s.unlinkEmbedding(key) // see doDel
-	if s.store.del(key) {
-		s.tel.rdelHit.Inc()
-		_, err := sess.w.WriteString("DELETED\r\n")
-		return err
-	}
-	s.tel.rdelMiss.Inc()
-	_, err := sess.w.WriteString("NOT_FOUND\r\n")
 	return err
 }
 

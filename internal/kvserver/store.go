@@ -43,11 +43,11 @@ type store struct {
 	shards []*shard
 	stats_ []shardStat // contiguous padded per-shard counters
 	mask   uint32
-	// onEvict is called with each key the store evicts to make room (not
-	// keys removed by del: the caller already knows those). It is set
-	// before the store serves traffic, may be nil, and runs after the
-	// owning shard's mutex is released, so it may take locks of its own
-	// without ordering against shard locks.
+	// onEvict is called with each key the store evicts to make room,
+	// eviction being the only way a key leaves the store. It is set before
+	// the store serves traffic, may be nil, and runs after the owning
+	// shard's mutex is released, so it may take locks of its own without
+	// ordering against shard locks.
 	onEvict func(string)
 }
 
@@ -249,19 +249,6 @@ func (s *store) set(key string, value []byte) {
 	if hasEvicted && s.onEvict != nil {
 		s.onEvict(evicted)
 	}
-}
-
-func (s *store) del(key string) bool {
-	_, sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n, ok := sh.entries[key]
-	if !ok {
-		return false
-	}
-	sh.unlink(n)
-	delete(sh.entries, key)
-	return true
 }
 
 // stats aggregates (items, hits, misses) across shards. Item counts are

@@ -163,7 +163,7 @@ func TestStoreGetZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStoreRaceStress hammers one store with mixed GET/SET/DEL from many
+// TestStoreRaceStress hammers one store with mixed GET/SET/PEEK from many
 // goroutines; run under -race it checks the per-shard locking discipline.
 func TestStoreRaceStress(t *testing.T) {
 	st := newStoreShards(512, 8)
@@ -182,7 +182,7 @@ func TestStoreRaceStress(t *testing.T) {
 				case 2:
 					st.set(key, []byte{byte(g), byte(i)})
 				case 3:
-					st.del(key)
+					st.peek(key)
 				}
 			}
 		}(g)
@@ -228,7 +228,7 @@ func TestServerRaceStress(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := c.Del(key); err != nil {
+					if err := c.RSet(key, []byte("r")); err != nil {
 						errs <- err
 						return
 					}
@@ -244,7 +244,7 @@ func TestServerRaceStress(t *testing.T) {
 					p := c.Pipeline()
 					p.Set(key, []byte("p"))
 					p.Get(key)
-					p.Del(key)
+					p.Get(key + "a")
 					if _, err := p.Exec(); err != nil {
 						errs <- err
 						return

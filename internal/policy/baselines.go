@@ -160,7 +160,7 @@ const (
 // by importance score, L-sample misses are served by random substitutes.
 type ICache struct {
 	name    string
-	sampler *sampler.Selective
+	sampler *sampler.Uniform
 	hCache  *cache.Importance
 	// lCache is the randomly-replaced L region whose residents serve
 	// L-sample misses as substitutes — the hit-boosting, accuracy-hurting
@@ -197,7 +197,7 @@ func NewICacheImp(n, capacity int, seed uint64) (*ICache, error) {
 }
 
 func newICache(n, capacity int, seed uint64, substitute bool) (*ICache, error) {
-	sel, err := sampler.NewSelective(n, iCacheSkipFrac, seed)
+	u, err := sampler.NewUniform(n, seed)
 	if err != nil {
 		return nil, fmt.Errorf("iCache: %w", err)
 	}
@@ -209,7 +209,7 @@ func newICache(n, capacity int, seed uint64, substitute bool) (*ICache, error) {
 	}
 	p := &ICache{
 		name:       name,
-		sampler:    sel,
+		sampler:    u,
 		hCache:     cache.NewImportance(hCap),
 		lastLoss:   make([]float64, n),
 		seen:       make([]bool, n),

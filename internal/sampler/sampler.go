@@ -2,19 +2,16 @@
 // evaluated policies:
 //
 //   - Uniform:     PyTorch's default random sampling — every sample exactly
-//     once per epoch, shuffled (CoorDL, Baseline)
+//     once per epoch, shuffled (CoorDL, Baseline, iCache)
 //   - Multinomial: biased sampling with replacement from a mean-smoothed
 //     weight vector, the torch.multinomial analogue SpiderCache uses over
 //     its graph-based global scores (and SHADE over its loss ranks)
-//   - Selective:   the compute-bound IS of Jiang et al. adopted by iCache —
-//     per-batch backprop skipping for low-loss samples
 //
 // All samplers are deterministic given their seed.
 package sampler
 
 import (
 	"fmt"
-	"sort"
 
 	"spidercache/internal/xrand"
 )
@@ -120,61 +117,4 @@ func (m *Multinomial) EpochOrder(int) []int {
 		out[i] = table.Draw()
 	}
 	return out
-}
-
-// Selective implements the compute-bound IS adopted by iCache (Jiang et
-// al.'s selective backprop): the epoch order stays uniform — which is why
-// the paper finds its importance cache hits poorly — and the lowest-loss
-// fraction of every batch has its backprop skipped (weight 0), cutting
-// computation at the cost of accuracy.
-type Selective struct {
-	*Uniform
-	SkipFrac float64 // fraction of each batch whose backprop is skipped
-}
-
-// NewSelective returns a selective-backprop sampler skipping skipFrac of
-// each batch.
-func NewSelective(n int, skipFrac float64, seed uint64) (*Selective, error) {
-	if skipFrac < 0 || skipFrac >= 1 {
-		return nil, fmt.Errorf("sampler: skipFrac must be in [0,1), got %g", skipFrac)
-	}
-	u, err := NewUniform(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Selective{Uniform: u, SkipFrac: skipFrac}, nil
-}
-
-// BackpropWeights returns SkipLowestLoss(losses, SkipFrac).
-func (s *Selective) BackpropWeights(losses []float64) []float64 {
-	return SkipLowestLoss(losses, s.SkipFrac)
-}
-
-// SkipLowestLoss returns per-sample weights for a batch with the given
-// losses: the lowest-loss frac of the batch gets weight 0 (skipped), the
-// rest 1/kept so gradient scale stays comparable. nil means "train all".
-func SkipLowestLoss(losses []float64, frac float64) []float64 {
-	n := len(losses)
-	if n == 0 {
-		return nil
-	}
-	skip := int(float64(n) * frac)
-	if skip == 0 {
-		return nil
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return losses[idx[a]] < losses[idx[b]] })
-	w := make([]float64, n)
-	kept := float64(n - skip)
-	for rank, i := range idx {
-		if rank < skip {
-			w[i] = 0
-		} else {
-			w[i] = 1 / kept
-		}
-	}
-	return w
 }

@@ -3,7 +3,6 @@ package sampler
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"spidercache/internal/xrand"
 )
@@ -151,92 +150,5 @@ func TestAliasNegativeWeightsClamped(t *testing.T) {
 		if a.Draw() == 0 {
 			t.Fatal("negative-weight index drawn")
 		}
-	}
-}
-
-func TestSelectiveUniformOrder(t *testing.T) {
-	s, err := NewSelective(50, 0.4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := s.EpochOrder(0)
-	seen := make([]bool, 50)
-	for _, id := range order {
-		if seen[id] {
-			t.Fatal("selective order not a permutation")
-		}
-		seen[id] = true
-	}
-}
-
-func TestSelectiveValidation(t *testing.T) {
-	if _, err := NewSelective(10, 1.0, 1); err == nil {
-		t.Fatal("skipFrac=1 accepted")
-	}
-	if _, err := NewSelective(10, -0.1, 1); err == nil {
-		t.Fatal("negative skipFrac accepted")
-	}
-}
-
-func TestSkipLowestLoss(t *testing.T) {
-	losses := []float64{0.5, 0.1, 0.9, 0.3}
-	w := SkipLowestLoss(losses, 0.5) // skip 2 lowest: ids 1 and 3
-	if w[1] != 0 || w[3] != 0 {
-		t.Fatalf("lowest-loss entries not skipped: %v", w)
-	}
-	if w[0] == 0 || w[2] == 0 {
-		t.Fatalf("kept entries zeroed: %v", w)
-	}
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("kept weights sum to %g", sum)
-	}
-}
-
-func TestSkipLowestLossEdgeCases(t *testing.T) {
-	if w := SkipLowestLoss(nil, 0.5); w != nil {
-		t.Fatal("nil losses produced weights")
-	}
-	if w := SkipLowestLoss([]float64{1, 2}, 0.1); w != nil {
-		t.Fatal("skip count 0 should return nil (train all)")
-	}
-}
-
-// Property: SkipLowestLoss always skips exactly floor(frac*n) samples and
-// never a sample with higher loss than a kept one.
-func TestSkipLowestLossProperty(t *testing.T) {
-	check := func(seed uint16) bool {
-		rng := xrand.New(uint64(seed))
-		n := 2 + rng.Intn(40)
-		losses := make([]float64, n)
-		for i := range losses {
-			losses[i] = rng.Float64()
-		}
-		frac := rng.Float64() * 0.9
-		w := SkipLowestLoss(losses, frac)
-		wantSkip := int(float64(n) * frac)
-		if w == nil {
-			return wantSkip == 0
-		}
-		var maxSkipped float64 = -1
-		minKept := math.Inf(1)
-		skipped := 0
-		for i, wi := range w {
-			if wi == 0 {
-				skipped++
-				if losses[i] > maxSkipped {
-					maxSkipped = losses[i]
-				}
-			} else if losses[i] < minKept {
-				minKept = losses[i]
-			}
-		}
-		return skipped == wantSkip && maxSkipped <= minKept
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ func testGrapher(t *testing.T, n int, seed uint64) *Grapher {
 	for i := range labels {
 		labels[i] = i % 4
 	}
-	ix, err := hnsw.New(hnsw.Config{M: 8, EfConstruction: 64, EfSearch: 48, Seed: seed})
+	ix, err := hnsw.New(hnsw.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

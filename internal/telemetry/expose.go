@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -110,12 +109,12 @@ func escapeHelp(h string) string {
 	return strings.ReplaceAll(h, "\n", `\n`)
 }
 
-// Snapshot is a point-in-time JSON-friendly view of a registry. Map keys
-// are full series identities (`name{label="value"}`).
+// Snapshot is a point-in-time view of a registry. Map keys are full
+// series identities (`name{label="value"}`).
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot captures every registered series. A nil registry yields an
@@ -140,14 +139,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// WriteJSON writes the snapshot as indented JSON (map keys sorted by
-// encoding/json, so output is deterministic).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // Families lists the distinct family names registered, sorted.

@@ -35,7 +35,7 @@ func TestModuleFamilies(t *testing.T) {
 	store.Capacity = 1 << 10
 	node, err := cluster.StartNode(cluster.NodeOptions{
 		Listen: "127.0.0.1:0", Replicas: 1, Store: store,
-		GossipEvery: time.Hour, DeadAfter: 3, Registry: reg,
+		GossipEvery: time.Hour, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

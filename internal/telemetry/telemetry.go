@@ -160,13 +160,13 @@ func rank(xs []float64, q float64) float64 {
 
 // HistogramSnapshot is a point-in-time view of a histogram.
 type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
+	Count int64
+	Sum   float64
+	Min   float64
+	Max   float64
+	P50   float64
+	P95   float64
+	P99   float64
 }
 
 // Snapshot returns cumulative count/sum plus min/max and p50/p95/p99 over
