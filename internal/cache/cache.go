@@ -33,10 +33,6 @@ type Basic interface {
 	// Put admits the item, evicting per policy when full. It reports
 	// whether the item resides in the cache afterwards.
 	Put(item Item) bool
-	// Len returns the number of cached items.
-	Len() int
-	// Cap returns the item capacity.
-	Cap() int
 }
 
 func checkCap(capacity int) {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -30,8 +31,8 @@ func TestLRUUpdateExisting(t *testing.T) {
 	c := NewLRU(2)
 	c.Put(Item{ID: 1, Size: 10})
 	c.Put(Item{ID: 1, Size: 99})
-	if c.Len() != 1 {
-		t.Fatalf("duplicate Put grew cache to %d", c.Len())
+	if len(c.entries) != 1 {
+		t.Fatalf("duplicate Put grew cache to %d", len(c.entries))
 	}
 	it, _ := c.Get(1)
 	if it.Size != 99 {
@@ -44,7 +45,7 @@ func TestLRUZeroCapacity(t *testing.T) {
 	if c.Put(Item{ID: 1}) {
 		t.Fatal("zero-capacity cache admitted an item")
 	}
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("zero-capacity cache non-empty")
 	}
 }
@@ -99,8 +100,8 @@ func TestRandomReplaceEvictsSomething(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(Item{ID: i})
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.ids) != 3 {
+		t.Fatalf("resident = %d", len(c.ids))
 	}
 	it, ok := c.RandomResident()
 	if !ok {
@@ -122,8 +123,8 @@ func TestImportanceAdmissionRules(t *testing.T) {
 	c := NewImportance(2)
 	c.Put(Item{ID: 1}, 0.3) // Case: free space -> admit
 	c.Put(Item{ID: 2}, 0.5)
-	if min, ok := c.MinScore(); !ok || min != 0.3 {
-		t.Fatalf("MinScore = %v,%v", min, ok)
+	if min := c.heap[0].score; min != 0.3 {
+		t.Fatalf("min score = %v", min)
 	}
 	// Case 2: lower score than min -> rejected.
 	if c.Put(Item{ID: 3}, 0.2) {
@@ -136,8 +137,8 @@ func TestImportanceAdmissionRules(t *testing.T) {
 	if _, ok := c.Get(1); ok {
 		t.Fatal("min-score item survived displacement")
 	}
-	if min, _ := c.MinScore(); min != 0.5 {
-		t.Fatalf("new MinScore = %v", min)
+	if min := c.heap[0].score; min != 0.5 {
+		t.Fatalf("new min score = %v", min)
 	}
 }
 
@@ -163,8 +164,8 @@ func TestImportanceResize(t *testing.T) {
 		c.Put(Item{ID: i}, float64(i))
 	}
 	c.Resize(2) // evicts scores 0 and 1
-	if c.Len() != 2 || c.Cap() != 2 {
-		t.Fatalf("after shrink Len=%d Cap=%d", c.Len(), c.Cap())
+	if c.Len() != 2 || c.capacity != 2 {
+		t.Fatalf("after shrink Len=%d capacity=%d", c.Len(), c.capacity)
 	}
 	for _, id := range []int{0, 1} {
 		if _, ok := c.Get(id); ok {
@@ -290,8 +291,8 @@ func TestHomophilyResize(t *testing.T) {
 	if c.Contains(100) || c.Contains(101) {
 		t.Fatal("oldest hosts survived shrink")
 	}
-	if c.NeighborCoverage() != 2 {
-		t.Fatalf("NeighborCoverage = %d", c.NeighborCoverage())
+	if len(c.byNeighbor) != 2 {
+		t.Fatalf("neighbour coverage = %d", len(c.byNeighbor))
 	}
 }
 
@@ -322,7 +323,7 @@ func TestCapacityInvariant(t *testing.T) {
 			hom.Put(Item{ID: id}, []int{rng.Intn(40)})
 		}
 		for _, c := range caches {
-			if c.Len() > capacity {
+			if resident(c) > capacity {
 				return false
 			}
 		}
@@ -331,6 +332,21 @@ func TestCapacityInvariant(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// resident returns how many items c holds.
+func resident(c Basic) int {
+	switch c := c.(type) {
+	case *LRU:
+		return len(c.entries)
+	case *LFU:
+		return len(c.entries)
+	case *Static:
+		return len(c.entries)
+	case *RandomReplace:
+		return len(c.ids)
+	}
+	panic(fmt.Sprintf("resident: unknown cache %T", c))
 }
 
 func TestNegativeCapacityPanics(t *testing.T) {

@@ -105,10 +105,6 @@ func (c *Homophily) Len() int { return len(c.entries) }
 // Cap returns the host-node capacity.
 func (c *Homophily) Cap() int { return c.capacity }
 
-// NeighborCoverage returns how many distinct sample IDs are currently
-// servable as neighbours of some resident host.
-func (c *Homophily) NeighborCoverage() int { return len(c.byNeighbor) }
-
 // Evictions returns the cumulative number of FIFO-displaced host nodes.
 func (c *Homophily) Evictions() int64 { return c.evictions }
 

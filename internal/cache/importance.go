@@ -1,5 +1,7 @@
 package cache
 
+import "container/heap"
+
 // Importance is the score-driven cache of the paper's Section 4.2: a
 // min-heap keyed by importance score evicts the least important resident
 // sample when a more important one arrives. SHADE's cache, iCache's H-sample
@@ -7,7 +9,7 @@ package cache
 type Importance struct {
 	capacity  int
 	entries   map[int]*impEntry
-	heap      []*impEntry
+	heap      impHeap
 	evictions int64
 }
 
@@ -33,16 +35,6 @@ func (c *Importance) Get(id int) (Item, bool) {
 	return e.item, true
 }
 
-// MinScore returns the score at the heap top (the eviction candidate) and
-// whether the cache is non-empty. Case 2 of the paper's walkthrough: an
-// arriving sample scoring below MinScore does not displace anything.
-func (c *Importance) MinScore() (float64, bool) {
-	if len(c.heap) == 0 {
-		return 0, false
-	}
-	return c.heap[0].score, true
-}
-
 // Put offers item with the given importance score. While free space remains
 // the item is admitted unconditionally; once full it displaces the minimum
 // only when score exceeds it (Case 4 of the paper's walkthrough). It reports
@@ -53,22 +45,21 @@ func (c *Importance) Put(item Item, score float64) bool {
 	}
 	if e, ok := c.entries[item.ID]; ok {
 		e.item = item
-		c.updateAt(e, score)
+		e.score = score
+		heap.Fix(&c.heap, e.pos)
 		return true
 	}
 	if len(c.entries) >= c.capacity {
+		// Case 2: an arriving sample scoring no higher than the heap top
+		// (the eviction candidate) displaces nothing.
 		if c.heap[0].score >= score {
 			return false
 		}
-		victim := c.heap[0]
-		c.removeAt(0)
-		delete(c.entries, victim.item.ID)
-		c.evictions++
+		c.evictMin()
 	}
-	e := &impEntry{item: item, score: score, pos: len(c.heap)}
+	e := &impEntry{item: item, score: score}
 	c.entries[item.ID] = e
-	c.heap = append(c.heap, e)
-	c.siftUp(e.pos)
+	heap.Push(&c.heap, e)
 	return true
 }
 
@@ -79,7 +70,8 @@ func (c *Importance) UpdateScore(id int, score float64) bool {
 	if !ok {
 		return false
 	}
-	c.updateAt(e, score)
+	e.score = score
+	heap.Fix(&c.heap, e.pos)
 	return true
 }
 
@@ -90,10 +82,7 @@ func (c *Importance) Resize(capacity int) {
 	checkCap(capacity)
 	c.capacity = capacity
 	for len(c.entries) > capacity {
-		victim := c.heap[0]
-		c.removeAt(0)
-		delete(c.entries, victim.item.ID)
-		c.evictions++
+		c.evictMin()
 	}
 }
 
@@ -104,61 +93,33 @@ func (c *Importance) Evictions() int64 { return c.evictions }
 // Len returns the number of cached items.
 func (c *Importance) Len() int { return len(c.entries) }
 
-// Cap returns the item capacity.
-func (c *Importance) Cap() int { return c.capacity }
-
-func (c *Importance) updateAt(e *impEntry, score float64) {
-	old := e.score
-	e.score = score
-	if score < old {
-		c.siftUp(e.pos)
-	} else {
-		c.siftDown(e.pos)
-	}
+func (c *Importance) evictMin() {
+	victim := heap.Pop(&c.heap).(*impEntry)
+	delete(c.entries, victim.item.ID)
+	c.evictions++
 }
 
-func (c *Importance) swap(i, j int) {
-	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
-	c.heap[i].pos = i
-	c.heap[j].pos = j
+// impHeap is a min-heap on score that keeps each entry's pos.
+type impHeap []*impEntry
+
+func (h impHeap) Len() int           { return len(h) }
+func (h impHeap) Less(i, j int) bool { return h[i].score < h[j].score }
+
+func (h impHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos = i
+	h[j].pos = j
 }
 
-func (c *Importance) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if c.heap[parent].score <= c.heap[i].score {
-			return
-		}
-		c.swap(i, parent)
-		i = parent
-	}
+func (h *impHeap) Push(x any) {
+	e := x.(*impEntry)
+	e.pos = len(*h)
+	*h = append(*h, e)
 }
 
-func (c *Importance) siftDown(i int) {
-	n := len(c.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && c.heap[l].score < c.heap[small].score {
-			small = l
-		}
-		if r < n && c.heap[r].score < c.heap[small].score {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		c.swap(i, small)
-		i = small
-	}
-}
-
-func (c *Importance) removeAt(i int) {
-	last := len(c.heap) - 1
-	c.swap(i, last)
-	c.heap = c.heap[:last]
-	if i < last {
-		c.siftDown(i)
-		c.siftUp(i)
-	}
+func (h *impHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }

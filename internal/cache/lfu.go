@@ -1,5 +1,7 @@
 package cache
 
+import "container/heap"
+
 // LFU is a least-frequently-used cache. Frequency counts persist only while
 // an item is resident (as in the classic in-memory LFU the paper benchmarks
 // in Fig 3b). Ties are broken by least-recent insertion using a
@@ -7,7 +9,7 @@ package cache
 type LFU struct {
 	capacity int
 	entries  map[int]*lfuEntry
-	heap     []*lfuEntry // min-heap on (freq, seq)
+	heap     lfuHeap
 	seq      uint64
 }
 
@@ -31,7 +33,7 @@ func (c *LFU) Get(id int) (Item, bool) {
 		return Item{}, false
 	}
 	e.freq++
-	c.siftDown(e.pos)
+	heap.Fix(&c.heap, e.pos)
 	return e.item, true
 }
 
@@ -43,78 +45,48 @@ func (c *LFU) Put(item Item) bool {
 	if e, ok := c.entries[item.ID]; ok {
 		e.item = item
 		e.freq++
-		c.siftDown(e.pos)
+		heap.Fix(&c.heap, e.pos)
 		return true
 	}
 	if len(c.entries) >= c.capacity {
-		victim := c.heap[0]
-		c.removeAt(0)
+		victim := heap.Pop(&c.heap).(*lfuEntry)
 		delete(c.entries, victim.item.ID)
 	}
 	c.seq++
-	e := &lfuEntry{item: item, freq: 1, seq: c.seq, pos: len(c.heap)}
+	e := &lfuEntry{item: item, freq: 1, seq: c.seq}
 	c.entries[item.ID] = e
-	c.heap = append(c.heap, e)
-	c.siftUp(e.pos)
+	heap.Push(&c.heap, e)
 	return true
 }
 
-// Len returns the number of cached items.
-func (c *LFU) Len() int { return len(c.entries) }
+// lfuHeap is a min-heap on (freq, seq) that keeps each entry's pos.
+type lfuHeap []*lfuEntry
 
-// Cap returns the item capacity.
-func (c *LFU) Cap() int { return c.capacity }
+func (h lfuHeap) Len() int { return len(h) }
 
-func (c *LFU) less(i, j int) bool {
-	a, b := c.heap[i], c.heap[j]
+func (h lfuHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
 	if a.freq != b.freq {
 		return a.freq < b.freq
 	}
 	return a.seq < b.seq
 }
 
-func (c *LFU) swap(i, j int) {
-	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
-	c.heap[i].pos = i
-	c.heap[j].pos = j
+func (h lfuHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos = i
+	h[j].pos = j
 }
 
-func (c *LFU) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !c.less(i, parent) {
-			return
-		}
-		c.swap(i, parent)
-		i = parent
-	}
+func (h *lfuHeap) Push(x any) {
+	e := x.(*lfuEntry)
+	e.pos = len(*h)
+	*h = append(*h, e)
 }
 
-func (c *LFU) siftDown(i int) {
-	n := len(c.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && c.less(l, small) {
-			small = l
-		}
-		if r < n && c.less(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		c.swap(i, small)
-		i = small
-	}
-}
-
-func (c *LFU) removeAt(i int) {
-	last := len(c.heap) - 1
-	c.swap(i, last)
-	c.heap = c.heap[:last]
-	if i < last {
-		c.siftDown(i)
-		c.siftUp(i)
-	}
+func (h *lfuHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }

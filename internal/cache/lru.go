@@ -48,12 +48,6 @@ func (c *LRU) Put(item Item) bool {
 	return true
 }
 
-// Len returns the number of cached items.
-func (c *LRU) Len() int { return len(c.entries) }
-
-// Cap returns the item capacity.
-func (c *LRU) Cap() int { return c.capacity }
-
 func (c *LRU) pushFront(n *lruNode) {
 	n.prev = nil
 	n.next = c.head

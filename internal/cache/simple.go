@@ -34,12 +34,6 @@ func (c *Static) Put(item Item) bool {
 	return true
 }
 
-// Len returns the number of cached items.
-func (c *Static) Len() int { return len(c.entries) }
-
-// Cap returns the item capacity.
-func (c *Static) Cap() int { return c.capacity }
-
 // RandomReplace evicts a uniformly random resident item when full — the
 // replacement rule iCache applies to its L-sample (non-important) cache
 // region.
@@ -99,9 +93,3 @@ func (c *RandomReplace) RandomResident() (Item, bool) {
 	}
 	return c.items[c.rng.Intn(len(c.items))], true
 }
-
-// Len returns the number of cached items.
-func (c *RandomReplace) Len() int { return len(c.ids) }
-
-// Cap returns the item capacity.
-func (c *RandomReplace) Cap() int { return c.capacity }

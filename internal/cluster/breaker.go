@@ -67,15 +67,6 @@ func newBreaker(gauge *telemetry.Gauge) *breaker {
 	return b
 }
 
-// current reports the state, moving open -> half-open first if the open
-// interval has elapsed, so observers see the state allow would.
-func (b *breaker) current() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.maybeHalfOpen()
-	return b.state
-}
-
 // allow reports whether a request may proceed. In half-open state only
 // one probe may be in flight; further requests fail fast like open.
 func (b *breaker) allow() bool {

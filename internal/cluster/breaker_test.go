@@ -19,6 +19,15 @@ func newTestBreaker(clock *simclock.Clock, reg *telemetry.Registry) *breaker {
 	return b
 }
 
+// current reports the state, moving open -> half-open first if the open
+// interval has elapsed, so the test sees the state allow would.
+func (b *breaker) current() breakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.maybeHalfOpen()
+	return b.state
+}
+
 func TestBreakerFullCycle(t *testing.T) {
 	clock := &simclock.Clock{}
 	reg := telemetry.NewRegistry()

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"spidercache/internal/kvserver"
 	"spidercache/internal/telemetry"
@@ -85,9 +84,6 @@ type Client struct {
 	nodes    []string // sorted
 	peers    map[string]*replica
 }
-
-// Nodes returns the node set the client routes to (sorted).
-func (c *Client) Nodes() []string { return slices.Clone(c.nodes) }
 
 // candidates returns the replicas owning id, in placement order.
 func (c *Client) candidates(id int) []*replica {

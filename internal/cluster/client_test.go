@@ -33,13 +33,12 @@ func startNode(t *testing.T) *kvserver.Server {
 }
 
 // newTestClient builds a static client over nodes with one connection per
-// node and a short timeout.
+// node.
 func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Client {
 	t.Helper()
 	c, err := New(
 		WithSeeds(nodes...),
 		WithPoolSize(1),
-		WithTimeout(200*time.Millisecond),
 		WithMetrics(reg),
 	)
 	if err != nil {
@@ -80,12 +79,12 @@ func TestClientBasicOps(t *testing.T) {
 	}
 
 	// Keys actually spread over both nodes.
-	itemsA, _, _ := a.Stats()
-	itemsB, _, _ := b.Stats()
+	itemsA := len(a.Keys())
+	itemsB := len(b.Keys())
 	if itemsA == 0 || itemsB == 0 {
 		t.Fatalf("placement did not spread: node items %d/%d", itemsA, itemsB)
 	}
-	for _, node := range c.Nodes() {
+	for _, node := range []string{a.Addr(), b.Addr()} {
 		if s := breakerGauge(reg, node); s != breakerClosed {
 			t.Fatalf("healthy node %s reports breaker %v", node, s)
 		}
@@ -109,8 +108,8 @@ func TestNewClientStillServes(t *testing.T) {
 		}
 	}
 	// The node set is the seeds, fixed.
-	if got := c.Nodes(); len(got) != 2 {
-		t.Fatalf("static client nodes = %v", got)
+	if len(c.nodes) != 2 || len(c.peers) != 2 {
+		t.Fatalf("static client nodes = %v", c.nodes)
 	}
 }
 
@@ -205,7 +204,6 @@ func TestNewOptionValidation(t *testing.T) {
 		"empty WithSeeds":    {WithSeeds()},
 		"bad replicas":       {WithSeeds("x:1"), WithReplicas(0)},
 		"bad pool size":      {WithSeeds("x:1"), WithPoolSize(0)},
-		"bad timeout":        {WithSeeds("x:1"), WithTimeout(-time.Second)},
 		"duplicate seeds":    {WithSeeds("x:1", "x:1")},
 		"first error sticks": {WithReplicas(-1), WithSeeds()},
 	}
@@ -242,13 +240,12 @@ func TestNewAppliesOptions(t *testing.T) {
 		WithSeeds(srv.Addr()),
 		WithReplicas(3),
 		WithPoolSize(5),
-		WithTimeout(time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	want = kvserver.Config{PoolSize: 5, Timeout: time.Second}
+	want = kvserver.Config{PoolSize: 5}
 	if c.replicas != 3 || !reflect.DeepEqual(c.pool, want) {
 		t.Fatalf("options not applied: replicas %d, pool %+v", c.replicas, c.pool)
 	}

@@ -187,13 +187,6 @@ func (n *Node) Addr() string { return n.self }
 // Server exposes the embedded kvserver (for stats and tests).
 func (n *Node) Server() *kvserver.Server { return n.srv }
 
-// Ring exposes the node's placement ring (for tests and inspection).
-func (n *Node) Ring() *Ring { return n.ring }
-
-// Members returns the member list this node currently believes in,
-// including itself (sorted).
-func (n *Node) Members() []string { return n.Nodes() }
-
 // --- kvserver.ClusterHooks ---
 
 // Hello records the caller as a member and returns this node's member

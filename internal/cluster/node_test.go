@@ -64,7 +64,7 @@ func waitMembersWithin(tb testing.TB, within time.Duration, want int, nodes ...*
 	for {
 		converged := true
 		for _, n := range nodes {
-			if len(n.Members()) != want {
+			if len(n.Nodes()) != want {
 				converged = false
 				break
 			}
@@ -75,7 +75,7 @@ func waitMembersWithin(tb testing.TB, within time.Duration, want int, nodes ...*
 		if time.Now().After(deadline) {
 			lists := make([][]string, len(nodes))
 			for i, n := range nodes {
-				lists[i] = n.Members()
+				lists[i] = n.Nodes()
 			}
 			tb.Fatalf("membership did not converge to %d nodes within %v: %v", want, within, lists)
 		}
@@ -94,7 +94,6 @@ func testClusterClient(t *testing.T, nodes ...*Node) *Client {
 		WithSeeds(seeds...),
 		WithReplicas(2),
 		WithPoolSize(2),
-		WithTimeout(2*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +145,15 @@ func BenchmarkNodeJoinConvergence(b *testing.B) {
 	b.ReportMetric(float64(wait.Microseconds())/1e3/float64(b.N), "converge-ms/op")
 }
 
+// TestNodesSorted: the member list a node answers NODES and HELLO with is
+// sorted, itself included, whatever order it learned its peers in.
+func TestNodesSorted(t *testing.T) {
+	n := &Node{self: "b", peers: map[string]*kvserver.Pool{"c": nil, "a": nil}}
+	if got := fmt.Sprint(n.Nodes()); got != "[a b c]" {
+		t.Fatalf("Nodes() = %v", got)
+	}
+}
+
 // TestNodeRejectsInvalidMemberFromReply points a node at a seed that
 // answers every request with a NODES list holding an empty address. The
 // reply must fail as a whole: an accepted "" would be dialled every round
@@ -191,8 +199,8 @@ func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
 
 	n := startTestNode(t, seed)
 	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
-		if members := n.Members(); slices.Contains(members, "") {
-			t.Fatalf("Members() = %q: a NODES reply planted an empty address", members)
+		if members := n.Nodes(); slices.Contains(members, "") {
+			t.Fatalf("Nodes() = %q: a NODES reply planted an empty address", members)
 		}
 	}
 }
@@ -212,7 +220,7 @@ func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
 		if err := c.Set(id, payload); err != nil {
 			t.Fatalf("Set(%d): %v", id, err)
 		}
-		owners := n1.Ring().Owners(id, 2)
+		owners := n1.ring.Owners(id, 2)
 		if len(owners) != 2 {
 			t.Fatalf("Owners(%d) = %v, want 2", id, owners)
 		}
@@ -268,11 +276,11 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		readAll("during join")
-		if len(n1.Members()) == 3 && len(n2.Members()) == 3 && len(n3.Members()) == 3 {
+		if len(n1.Nodes()) == 3 && len(n2.Nodes()) == 3 && len(n3.Nodes()) == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not converge: %v %v %v", n1.Members(), n2.Members(), n3.Members())
+			t.Fatalf("cluster did not converge: %v %v %v", n1.Nodes(), n2.Nodes(), n3.Nodes())
 		}
 	}
 	// Let at least one full rebalance land, then verify the new owner set

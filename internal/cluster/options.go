@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"spidercache/internal/kvserver"
 	"spidercache/internal/telemetry"
@@ -55,18 +54,6 @@ func WithReplicas(n int) Option {
 	}
 }
 
-// WithTimeout bounds each dial, reply read and request flush on every
-// pooled connection (default 0: no deadline).
-func WithTimeout(d time.Duration) Option {
-	return func(s *clientSettings) {
-		if d < 0 {
-			s.fail(fmt.Errorf("cluster: WithTimeout needs d >= 0, got %v", d))
-			return
-		}
-		s.pool.Timeout = d
-	}
-}
-
 // WithPoolSize sets the per-node connection pool size (default 2: the
 // client fans out across nodes, so per-node pools stay small).
 func WithPoolSize(n int) Option {
@@ -89,11 +76,11 @@ func WithMetrics(reg *telemetry.Registry) Option {
 //
 //	c, err := cluster.New(cluster.WithSeeds("host:7461"))
 //
-// which routes to that one node; WithReplicas / WithTimeout tune
-// placement and resilience. Every node gets a circuit breaker; it is
-// always on. Construction never dials: pools are lazy, so a client can be
-// built while some (or all) nodes are down and traffic flows as they come
-// up.
+// which routes to that one node; WithReplicas tunes placement and
+// failover. Pooled connections have no deadline. Every node gets a circuit
+// breaker; it is always on. Construction never dials: pools are lazy, so a
+// client can be built while some (or all) nodes are down and traffic flows
+// as they come up.
 func New(opts ...Option) (*Client, error) {
 	s := clientSettings{
 		pool:     kvserver.Config{PoolSize: 2},

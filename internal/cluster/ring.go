@@ -93,49 +93,17 @@ func (r *Ring) Remove(node string) {
 	r.circle = kept
 }
 
-// Nodes returns the current node set (sorted).
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // key is sample id's wire key.
 func key(id int) string { return "sample:" + strconv.Itoa(id) }
-
-// Owner returns the node owning sample id, or "" when the ring is empty.
-// It is OwnerKey over the id's wire key, so id- and key-based routing can
-// never disagree.
-func (r *Ring) Owner(id int) string { return r.OwnerKey(key(id)) }
-
-// OwnerKey returns the node owning the given wire key, or "" when the
-// ring is empty. Daemons route replication and migration by key string
-// (they see keys, not sample IDs); clients route by id through Owner.
-func (r *Ring) OwnerKey(k string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.circle) == 0 {
-		return ""
-	}
-	h := hash64(k)
-	i := sort.Search(len(r.circle), func(i int) bool { return r.circle[i].hash >= h })
-	if i == len(r.circle) {
-		i = 0
-	}
-	return r.circle[i].node
-}
 
 // Owners returns the distinct nodes owning the first `n` replicas-worth of
 // successors for id — used for replicated placement. Fewer than n nodes are
 // returned when the ring is smaller than n.
 func (r *Ring) Owners(id, n int) []string { return r.OwnersKey(key(id), n) }
 
-// OwnersKey is Owners for a wire key (see OwnerKey).
+// OwnersKey is Owners for a wire key. Daemons route replication and
+// migration by key string (they see keys, not sample IDs); clients route
+// by id.
 func (r *Ring) OwnersKey(k string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

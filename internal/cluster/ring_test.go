@@ -19,6 +19,15 @@ func ringWith(t *testing.T, nodes ...string) *Ring {
 	return r
 }
 
+// owner is the primary of id: the first of its Owners, or "" when the
+// ring is empty.
+func owner(r *Ring, id int) string {
+	if o := r.Owners(id, 1); len(o) > 0 {
+		return o[0]
+	}
+	return ""
+}
+
 func TestNewRingValidation(t *testing.T) {
 	if _, err := NewRing(0); err == nil {
 		t.Fatal("zero points accepted")
@@ -31,7 +40,7 @@ func TestNewRingValidation(t *testing.T) {
 
 func TestEmptyRing(t *testing.T) {
 	r, _ := NewRing(8)
-	if got := r.Owner(1); got != "" {
+	if got := owner(r, 1); got != "" {
 		t.Fatalf("empty ring owner %q", got)
 	}
 	if got := r.Owners(1, 2); got != nil {
@@ -43,8 +52,8 @@ func TestOwnerDeterministic(t *testing.T) {
 	a := ringWith(t, "w1", "w2", "w3")
 	b := ringWith(t, "w3", "w1", "w2") // insertion order must not matter
 	for id := 0; id < 500; id++ {
-		if a.Owner(id) != b.Owner(id) {
-			t.Fatalf("id %d: %s vs %s", id, a.Owner(id), b.Owner(id))
+		if owner(a, id) != owner(b, id) {
+			t.Fatalf("id %d: %s vs %s", id, owner(a, id), owner(b, id))
 		}
 	}
 }
@@ -54,7 +63,7 @@ func TestBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 20000
 	for id := 0; id < keys; id++ {
-		counts[r.Owner(id)]++
+		counts[owner(r, id)]++
 	}
 	want := keys / 4
 	for node, c := range counts {
@@ -68,12 +77,12 @@ func TestConsistencyOnRemoval(t *testing.T) {
 	r := ringWith(t, "w1", "w2", "w3", "w4")
 	before := make([]string, 10000)
 	for id := range before {
-		before[id] = r.Owner(id)
+		before[id] = owner(r, id)
 	}
 	r.Remove("w3")
 	moved := 0
 	for id, prev := range before {
-		now := r.Owner(id)
+		now := owner(r, id)
 		if now == "w3" {
 			t.Fatalf("removed node still owns id %d", id)
 		}
@@ -91,12 +100,12 @@ func TestConsistencyOnAddition(t *testing.T) {
 	r := ringWith(t, "w1", "w2", "w3")
 	before := make([]string, 10000)
 	for id := range before {
-		before[id] = r.Owner(id)
+		before[id] = owner(r, id)
 	}
 	r.Add("w4")
 	movedToNew, movedBetweenOld := 0, 0
 	for id, prev := range before {
-		now := r.Owner(id)
+		now := owner(r, id)
 		if now == prev {
 			continue
 		}
@@ -120,7 +129,7 @@ func TestAddIdempotent(t *testing.T) {
 	if err := r.Add("w1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.Nodes()); got != 1 {
+	if got := len(r.nodes); got != 1 {
 		t.Fatalf("nodes %d", got)
 	}
 	r.Remove("absent") // no-op
@@ -136,21 +145,13 @@ func TestOwnersReplication(t *testing.T) {
 		if owners[0] == owners[1] {
 			t.Fatalf("id %d: duplicate owners %v", id, owners)
 		}
-		if owners[0] != r.Owner(id) {
-			t.Fatalf("id %d: primary mismatch %v vs %s", id, owners, r.Owner(id))
+		if owners[0] != owner(r, id) {
+			t.Fatalf("id %d: primary %s differs from the first of %v", id, owner(r, id), owners)
 		}
 	}
 	// Requesting more replicas than nodes returns every node once.
 	if got := r.Owners(7, 10); len(got) != 3 {
 		t.Fatalf("over-replication returned %v", got)
-	}
-}
-
-func TestNodesSorted(t *testing.T) {
-	r := ringWith(t, "b", "a", "c")
-	got := r.Nodes()
-	if fmt.Sprint(got) != "[a b c]" {
-		t.Fatalf("Nodes() = %v", got)
 	}
 }
 
@@ -165,7 +166,7 @@ func TestConcurrentAccess(t *testing.T) {
 		close(done)
 	}()
 	for i := 0; i < 5000; i++ {
-		r.Owner(i)
+		owner(r, i)
 		r.Owners(i, 2)
 	}
 	<-done

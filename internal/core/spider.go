@@ -99,9 +99,6 @@ type SpiderCache struct {
 	// diluted.
 	subGate float64
 
-	// per-run counters for diagnostics
-	homInstalls int
-
 	tel spiderTelemetry
 }
 
@@ -292,7 +289,6 @@ func (s *SpiderCache) OnBatchEnd(_ int, fb []policy.Feedback) {
 	// neighbour ID list (the IDs it may substitute for).
 	if !s.opts.DisableHomophily && s.hom.Cap() > 0 && maxDegree > 0 {
 		s.hom.Put(cache.Item{ID: maxRes.ID, Size: s.payloads[maxRes.ID]}, maxRes.CloseNeighbors)
-		s.homInstalls++
 		s.tel.homInstalls.Inc()
 	}
 }
@@ -328,18 +324,6 @@ func (s *SpiderCache) ScoreStd() float64 { return s.grapher.ScoreStd() }
 
 // ImpRatio exposes the live Importance Cache share.
 func (s *SpiderCache) ImpRatio() float64 { return s.impRatio }
-
-// Grapher exposes the score table for experiments (Fig 5/6c analyses).
-func (s *SpiderCache) Grapher() *semgraph.Grapher { return s.grapher }
-
-// Manager exposes the elastic controller state for experiments.
-func (s *SpiderCache) Manager() *elastic.Manager { return s.manager }
-
-// HomophilyInstalls reports how many high-degree nodes were installed.
-func (s *SpiderCache) HomophilyInstalls() int { return s.homInstalls }
-
-// CacheLens reports current resident counts (importance, homophily).
-func (s *SpiderCache) CacheLens() (imp, hom int) { return s.imp.Len(), s.hom.Len() }
 
 // SearchStats reports the cumulative number of ANN SearchKNN calls the
 // scoring path has issued; the trainer diffs it per epoch into

@@ -194,10 +194,6 @@ func (d *Dataset) TotalBytes() int64 {
 	return t
 }
 
-// Center returns the (read-only) centroid of class c; exported for tests and
-// diagnostics.
-func (d *Dataset) Center(c int) []float64 { return d.centers[c] }
-
 func pickKind(cfg Config, rng *xrand.Rand) Kind {
 	u := rng.Float64()
 	switch {

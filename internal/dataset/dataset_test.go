@@ -148,8 +148,8 @@ func TestHardSamplesNearWrongClass(t *testing.T) {
 		if k != Hard {
 			continue
 		}
-		own := dist(d.Features[i], d.Center(d.Labels[i]))
-		other := dist(d.Features[i], d.Center((d.Labels[i]+1)%cfg.Classes))
+		own := dist(d.Features[i], d.centers[d.Labels[i]])
+		other := dist(d.Features[i], d.centers[(d.Labels[i]+1)%cfg.Classes])
 		if other >= own {
 			t.Errorf("hard sample %d closer to own centroid (%.2f vs %.2f)", i, own, other)
 		}
@@ -171,9 +171,9 @@ func TestEasySamplesNearOwnClass(t *testing.T) {
 			continue
 		}
 		checked++
-		own := dist(d.Features[i], d.Center(d.Labels[i]))
+		own := dist(d.Features[i], d.centers[d.Labels[i]])
 		for c := 0; c < cfg.Classes; c++ {
-			if c != d.Labels[i] && dist(d.Features[i], d.Center(c)) < own {
+			if c != d.Labels[i] && dist(d.Features[i], d.centers[c]) < own {
 				misplaced++
 				break
 			}
@@ -213,13 +213,13 @@ func TestPresetsValidate(t *testing.T) {
 func TestCenterRadiusDefault(t *testing.T) {
 	cfg := smallConfig()
 	d, _ := New(cfg)
-	r := math.Sqrt(sq(d.Center(0)))
+	r := math.Sqrt(sq(d.centers[0]))
 	if math.Abs(r-3) > 1e-9 {
 		t.Fatalf("default radius %.3f, want 3", r)
 	}
 	cfg.CenterRadius = 5
 	d2, _ := New(cfg)
-	if r2 := math.Sqrt(sq(d2.Center(0))); math.Abs(r2-5) > 1e-9 {
+	if r2 := math.Sqrt(sq(d2.centers[0])); math.Abs(r2-5) > 1e-9 {
 		t.Fatalf("radius %.3f, want 5", r2)
 	}
 }

@@ -92,10 +92,11 @@ func DefaultConfig() Config {
 
 // Validate reports a descriptive error for unusable endpoints.
 func (c Config) Validate() error {
+	// Written as negated in-range tests so that NaN fails them.
 	switch {
-	case c.RStart <= 0 || c.RStart > 1:
+	case !(0 < c.RStart && c.RStart <= 1):
 		return fmt.Errorf("elastic: RStart must be in (0,1], got %g", c.RStart)
-	case c.REnd < 0 || c.REnd > c.RStart:
+	case !(0 <= c.REnd && c.REnd <= c.RStart):
 		return fmt.Errorf("elastic: REnd must be in [0,RStart], got %g", c.REnd)
 	}
 	return nil
@@ -112,8 +113,6 @@ type Manager struct {
 	beta        bool // activation latched
 	negStreak   int
 	activatedAt int // epoch index when β latched (ratio time base)
-	lastRatio   float64
-	lastU       float64
 }
 
 // New builds a manager for a run of totalEpochs epochs (T in Eq. 8).
@@ -124,7 +123,7 @@ func New(cfg Config, totalEpochs int) (*Manager, error) {
 	if totalEpochs < 1 {
 		return nil, fmt.Errorf("elastic: TotalEpochs must be >= 1, got %d", totalEpochs)
 	}
-	return &Manager{cfg: cfg, totalEpochs: totalEpochs, lastRatio: cfg.RStart}, nil
+	return &Manager{cfg: cfg, totalEpochs: totalEpochs}, nil
 }
 
 // Observe ingests the epoch's importance-score std and held-out accuracy and
@@ -146,18 +145,9 @@ func (m *Manager) Observe(epoch int, scoreStd, accuracy float64) float64 {
 		}
 	}
 	if !m.beta {
-		m.lastRatio = m.cfg.RStart
-		return m.lastRatio
+		return m.cfg.RStart
 	}
-
-	// Accuracy Monitor: u = Δ/(γ+Δ) from the SG-smoothed growth rate
-	// (Eqs. 6-7). Negative growth clamps Δ at 0 so u stays in [0,1).
-	delta := m.growthRate()
-	if delta < 0 {
-		delta = 0
-	}
-	u := delta / (gamma + delta)
-	m.lastU = u
+	u := m.penalty()
 
 	// Ratio Controller (Eq. 8). t counts epochs since activation so the
 	// trajectory starts at r_start the moment β flips, and T is the
@@ -167,18 +157,19 @@ func (m *Manager) Observe(epoch int, scoreStd, accuracy float64) float64 {
 	if total < 1 {
 		total = 1
 	}
-	m.lastRatio = RatioAt(m.cfg.RStart, m.cfg.REnd, t/total, u, true)
-	return m.lastRatio
+	return RatioAt(m.cfg.RStart, m.cfg.REnd, t/total, u, true)
 }
 
-// Ratio returns the most recently computed Importance Cache share.
-func (m *Manager) Ratio() float64 { return m.lastRatio }
-
-// Activated reports whether the Importance Monitor has latched β = 1.
-func (m *Manager) Activated() bool { return m.beta }
-
-// PenaltyU returns the most recent penalty factor u (0 before activation).
-func (m *Manager) PenaltyU() float64 { return m.lastU }
+// penalty is the Accuracy Monitor: u = Δ/(γ+Δ) from the SG-smoothed
+// growth rate (Eqs. 6-7). Negative growth clamps Δ at 0 so u stays in
+// [0,1).
+func (m *Manager) penalty() float64 {
+	delta := m.growthRate()
+	if delta < 0 {
+		delta = 0
+	}
+	return delta / (gamma + delta)
+}
 
 // sigmaSlope fits a least-squares line over the last slopeWindow σ values.
 func (m *Manager) sigmaSlope() (float64, bool) {

@@ -20,9 +20,9 @@ type PolicyParams struct {
 	Epochs   int // planned training length (elastic T)
 	Seed     uint64
 
-	// Spider-specific elastic endpoints (Eq. 8); zero values mean the
-	// paper defaults, RStart 0.90 and REnd 0.80. REnd = RStart is the
-	// static split.
+	// Spider-specific elastic endpoints (Eq. 8), used as given. The
+	// all-zero pair means the paper defaults, RStart 0.90 and REnd 0.80;
+	// REnd = RStart is the static split.
 	RStart float64
 	REnd   float64
 
@@ -77,18 +77,11 @@ func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
 	if epochs < 1 {
 		epochs = 1
 	}
-	ec := elastic.DefaultConfig()
-	if p.RStart > 0 {
-		ec.RStart = p.RStart
-	}
-	if p.REnd > 0 {
-		ec.REnd = p.REnd
-	}
 	return core.New(core.Options{
 		Capacity:         p.Capacity,
 		Labels:           p.Dataset.Labels,
 		Payloads:         p.Dataset.Payload,
-		Elastic:          ec,
+		Elastic:          elastic.Config{RStart: p.RStart, REnd: p.REnd},
 		TotalEpochs:      epochs,
 		DisableHomophily: impOnly,
 		Metrics:          p.Metrics,

@@ -107,13 +107,21 @@ func FuzzClientFraming(f *testing.F) {
 			case 2:
 				// Faults may surface as errors; a clean STORED means the
 				// embedding frame survived the wire intact.
-				// A fault-injected ESet may fail; framing is checked by the NGet below.
-				c.ESet(k, emb)
+				// A fault-injected ESET may fail; framing is checked by the NGET below.
+				p := c.Pipeline()
+				p.ESet(k, emb)
+				p.Exec()
 			default:
-				got, near, found, err := c.NGet(k, emb, 0)
+				p := c.Pipeline()
+				p.NGet(k, emb, 0)
+				res, err := p.Exec()
+				if err == nil {
+					err = res[0].Err
+				}
 				if err != nil {
 					continue
 				}
+				got, near, found := res[0].Value, res[0].Near, res[0].Found
 				if near != nil {
 					t.Fatalf("threshold-0 NGet answered NEAR %q (seed=%d)", near.Key, seed)
 				}

@@ -126,8 +126,8 @@ func (o *oracle) check(t testing.TB, ix *Index, id int, q []float64, k int) (fou
 	// A nil Vector for an id the model does not hold compares equal to the
 	// model's missing entry.
 	want, ok := o.vecs[id]
-	if ix.Contains(id) != ok || !reflect.DeepEqual(ix.Vector(id), want) {
-		t.Fatalf("id %d: Contains=%v Vector=%v, model %v %v", id, ix.Contains(id), ix.Vector(id), ok, want)
+	if indexed(ix, id) != ok || !reflect.DeepEqual(storedVector(ix, id), want) {
+		t.Fatalf("id %d: indexed=%v vector=%v, model %v %v", id, indexed(ix, id), storedVector(ix, id), ok, want)
 	}
 	res := ix.SearchKNN(q, k)
 	seen := make(map[int]bool, len(res))
@@ -448,8 +448,8 @@ func TestDeleteEdges(t *testing.T) {
 		for id := range vecs {
 			del(t, ix, o, id)
 		}
-		if ix.Dim() != 0 || ix.SearchKNN(vecs[0], 3) != nil {
-			t.Fatalf("emptied index: dim %d, search %v", ix.Dim(), ix.SearchKNN(vecs[0], 3))
+		if indexDim(ix) != 0 || ix.SearchKNN(vecs[0], 3) != nil {
+			t.Fatalf("emptied index: dim %d, search %v", indexDim(ix), ix.SearchKNN(vecs[0], 3))
 		}
 		if ix.Delete(0) {
 			t.Fatal("Delete on an empty index found something")

@@ -266,36 +266,10 @@ func (ix *Index) Free() int {
 	return len(ix.free)
 }
 
-// Dim returns the dimensionality of the indexed vectors (0 when empty).
-func (ix *Index) Dim() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.dim
-}
-
 // vec returns slot's row of the arena.
 func (ix *Index) vec(slot uint32) []float64 {
 	o := int(slot) * ix.dim
 	return ix.vecs[o : o+ix.dim : o+ix.dim]
-}
-
-// Contains reports whether id has been indexed.
-func (ix *Index) Contains(id int) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, ok := ix.byID[id]
-	return ok
-}
-
-// Vector returns a copy of the stored vector for id, or nil when unknown.
-func (ix *Index) Vector(id int) []float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	slot, ok := ix.byID[id]
-	if !ok {
-		return nil
-	}
-	return append([]float64(nil), ix.vec(slot)...)
 }
 
 // links returns slot's neighbours at layer l, nil above the node's level.

@@ -211,7 +211,7 @@ func TestSettleAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, batch); allocs != 0 {
 		t.Fatalf("a settle of %d updates on one core allocates %v times", settleBatch, allocs)
 	}
-	q := ix.Vector((next - 1) % n) // re-linked by the last settle
+	q := storedVector(ix, (next-1)%n) // re-linked by the last settle
 	if _, ok := ix.beamAt[vecHash(q)]; !ok {
 		t.Fatal("the last settle kept no beam for a point it re-linked")
 	}

@@ -8,6 +8,34 @@ import (
 	"spidercache/internal/xrand"
 )
 
+// storedVector returns a copy of id's stored vector, or nil when id is not
+// indexed, read under the index's lock.
+func storedVector(ix *Index, id int) []float64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	slot, ok := ix.byID[id]
+	if !ok {
+		return nil
+	}
+	return append([]float64(nil), ix.vec(slot)...)
+}
+
+// indexed reports whether id is indexed, read under the index's lock.
+func indexed(ix *Index, id int) bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	_, ok := ix.byID[id]
+	return ok
+}
+
+// indexDim returns the dimensionality of the indexed vectors (0 when
+// empty), read under the index's lock.
+func indexDim(ix *Index) int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.dim
+}
+
 func randomVecs(n, dim int, seed uint64) [][]float64 {
 	rng := xrand.New(seed)
 	out := make([][]float64, n)
@@ -48,7 +76,7 @@ func TestEmptyIndex(t *testing.T) {
 	if got := ix.SearchKNN([]float64{1, 2}, 5); got != nil {
 		t.Fatalf("search on empty index returned %v", got)
 	}
-	if ix.Len() != 0 || ix.Dim() != 0 || ix.Contains(3) {
+	if ix.Len() != 0 || indexDim(ix) != 0 || indexed(ix, 3) {
 		t.Fatal("empty index state wrong")
 	}
 }
@@ -131,7 +159,7 @@ func TestUpdateMovesPoint(t *testing.T) {
 	if ix.Len() != 600 {
 		t.Fatalf("update changed Len to %d", ix.Len())
 	}
-	got := ix.Vector(5)
+	got := storedVector(ix, 5)
 	for j := range far {
 		if got[j] != far[j] {
 			t.Fatal("stored vector not replaced")

@@ -66,8 +66,8 @@ func TestConcurrentUpsertSearch(t *testing.T) {
 					}
 				}
 				_ = ix.Len()
-				_ = ix.Contains(i % 32)
-				_ = ix.Vector(i % 32)
+				_ = indexed(ix, i%32)
+				_ = storedVector(ix, i%32)
 			}
 		}(r)
 	}
@@ -131,7 +131,7 @@ func TestSearchWhileArenasGrow(t *testing.T) {
 						return
 					}
 				}
-				if v := ix.Vector(i % seeded); len(v) != dim {
+				if v := storedVector(ix, i%seeded); len(v) != dim {
 					t.Errorf("reader %d: Vector has %d components, want %d", r, len(v), dim)
 					return
 				}
@@ -205,7 +205,7 @@ func TestDeleteWhileSearching(t *testing.T) {
 					}
 				}
 				_ = ix.Len() + ix.Free()
-				_ = ix.Vector(int(lo))
+				_ = storedVector(ix, int(lo))
 			}
 		}(r)
 	}
@@ -240,8 +240,8 @@ func TestDeleteWhileSearching(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if ix.Len() != 0 || ix.Free() != 0 || ix.Dim() != 0 {
-		t.Fatalf("emptied index holds %d points, %d free slots, dim %d", ix.Len(), ix.Free(), ix.Dim())
+	if ix.Len() != 0 || ix.Free() != 0 || indexDim(ix) != 0 {
+		t.Fatalf("emptied index holds %d points, %d free slots, dim %d", ix.Len(), ix.Free(), indexDim(ix))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -20,10 +19,11 @@ var errBadRequest = errors.New("kvserver: bad request")
 // open one client per goroutine (the server handles each connection
 // independently), or share connections through a Pool.
 //
-// Every keyed request goes through the pipeline code: a single Get, Set,
-// NGet, ESet or RSet is a pipeline of one on a Pipeline the client owns
-// and reuses, so each verb has exactly one frame writer (which validates
-// before writing a byte) and each reply shape one reader.
+// Every keyed request goes through the pipeline code: a single Get, Set or
+// RSet is a pipeline of one on a Pipeline the client owns and reuses, so
+// each verb has exactly one frame writer (which validates before writing a
+// byte) and each reply shape one reader. NGET, ESET and METRICS have no
+// single-op method: callers batch them on a Pipeline.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
@@ -143,44 +143,6 @@ func (c *Client) Set(key string, value []byte) error {
 	c.one.Set(key, value)
 	_, err := c.one.execOne()
 	return err
-}
-
-// NGet is Get with a semantic fallback (the NGET verb): an exact hit
-// returns (value, nil, true); a near hit — the nearest resident
-// neighbor within the cosine-distance threshold — returns its value
-// with a non-nil near; a miss returns found == false. threshold 0
-// requests exact-only (GET) semantics.
-func (c *Client) NGet(key string, emb []float32, threshold float64) (value []byte, near *Near, found bool, err error) {
-	c.one.NGet(key, emb, threshold)
-	r, err := c.one.execOne()
-	return r.Value, r.Near, r.Found, err
-}
-
-// ESet attaches emb as key's embedding in the server's node-local
-// semantic index (the ESET verb). The index and the value store are
-// independent: ESet neither requires nor creates a stored value.
-func (c *Client) ESet(key string, emb []float32) error {
-	c.one.ESet(key, emb)
-	_, err := c.one.execOne()
-	return err
-}
-
-// Metrics fetches the server's telemetry snapshot as Prometheus exposition
-// text (the METRICS verb).
-func (c *Client) Metrics() (string, error) {
-	line, err := c.command("METRICS\r\n")
-	if err != nil {
-		return "", err
-	}
-	if !strings.HasPrefix(line, "METRICS ") {
-		return "", fmt.Errorf("kvserver: METRICS failed: %s", line)
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(line, "METRICS "))
-	if err != nil || n < 0 || n > MaxValueSize {
-		return "", fmt.Errorf("kvserver: bad METRICS header %q", line)
-	}
-	payload, err := c.readBody(n)
-	return string(payload), err
 }
 
 // command sends one argument-free request line and returns the first reply

@@ -101,13 +101,6 @@ func (c *Client) Hello(addr string) ([]string, error) {
 	return c.readNodes(c.command("HELLO " + addr + "\r\n"))
 }
 
-// Nodes returns the node set the server knows (the NODES verb). An empty
-// reply means the server carries no topology — a standalone cache, not an
-// empty cluster.
-func (c *Client) Nodes() ([]string, error) {
-	return c.readNodes(c.command("NODES\r\n"))
-}
-
 // readNodes parses a NODES reply whose header line is line. An address the
 // server would refuse on HELLO fails the whole reply: a peer must not be
 // able to plant a member that every gossip round would dial and spread.

@@ -59,7 +59,7 @@ func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
 
 func TestStandaloneServerAnswersClusterVerbs(t *testing.T) {
 	_, c := serveWithHooks(t, nil)
-	nodes, err := c.Nodes()
+	nodes, err := c.readNodes(c.command("NODES\r\n"))
 	if err != nil || len(nodes) != 0 {
 		t.Fatalf("standalone NODES = %v, %v; want empty, nil", nodes, err)
 	}
@@ -81,7 +81,7 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 	hooks := newFakeHooks("127.0.0.1:1", "127.0.0.1:2")
 	_, c := serveWithHooks(t, hooks)
 
-	nodes, err := c.Nodes()
+	nodes, err := c.readNodes(c.command("NODES\r\n"))
 	if err != nil || !reflect.DeepEqual(nodes, hooks.nodes) {
 		t.Fatalf("NODES = %v, %v; want %v", nodes, err, hooks.nodes)
 	}
@@ -124,7 +124,7 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 func TestNodesReplyRejectsInvalidAddress(t *testing.T) {
 	for _, bad := range []string{"", "has space", "has\rcarriage"} {
 		_, c := serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
-		if nodes, err := c.Nodes(); err == nil {
+		if nodes, err := c.readNodes(c.command("NODES\r\n")); err == nil {
 			t.Errorf("NODES listing %q = %q, want an error", bad, nodes)
 		}
 		_, c = serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))

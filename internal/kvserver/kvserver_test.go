@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +50,42 @@ func dial(t testing.TB, srv *Server) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// nget is one NGET on a Pipeline, the way every product caller sends it.
+func nget(c *Client, key string, emb []float32, threshold float64) (value []byte, near *Near, found bool, err error) {
+	p := c.Pipeline()
+	p.NGet(key, emb, threshold)
+	res, err := p.Exec()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return res[0].Value, res[0].Near, res[0].Found, res[0].Err
+}
+
+// eset is one ESET on a Pipeline.
+func eset(c *Client, key string, emb []float32) error {
+	p := c.Pipeline()
+	p.ESet(key, emb)
+	res, err := p.Exec()
+	if err != nil {
+		return err
+	}
+	return res[0].Err
+}
+
+// metrics sends METRICS on c's connection and returns the exposition text.
+func metrics(c *Client) (string, error) {
+	line, err := c.command("METRICS\r\n")
+	if err != nil {
+		return "", err
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(line, "METRICS "))
+	if !strings.HasPrefix(line, "METRICS ") || err != nil {
+		return "", fmt.Errorf("bad METRICS header %q", line)
+	}
+	payload, err := c.readBody(n)
+	return string(payload), err
 }
 
 // countingConn counts the bytes a client hands to its socket, so a test
@@ -158,7 +195,7 @@ func TestLRUEvictionOverWire(t *testing.T) {
 	if _, ok, _ := c.Get("a"); !ok {
 		t.Fatal("recently used a evicted")
 	}
-	items, hits, misses := srv.Stats()
+	items, hits, misses := srv.store.stats()
 	if items != 2 {
 		t.Fatalf("items %d", items)
 	}
@@ -168,18 +205,18 @@ func TestLRUEvictionOverWire(t *testing.T) {
 }
 
 // TestStatsOverWire: the store's item/hit/miss counts reach the wire as
-// METRICS' kv_items, kv_hits and kv_misses, equal to Server.Stats.
+// METRICS' kv_items, kv_hits and kv_misses, equal to the store's own counts.
 func TestStatsOverWire(t *testing.T) {
 	srv := startServer(t, 8)
 	c := dial(t, srv)
 	c.Set("k", []byte("v"))
 	c.Get("k")
 	c.Get("nope")
-	text, err := c.Metrics()
+	text, err := metrics(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, hits, misses := srv.Stats()
+	items, hits, misses := srv.store.stats()
 	if items != 1 || hits != 1 || misses != 1 {
 		t.Fatalf("Stats %d/%d/%d, want 1/1/1", items, hits, misses)
 	}
@@ -204,8 +241,8 @@ func TestInvalidClientKey(t *testing.T) {
 		"Get":  func(k string) error { _, _, err := c.Get(k); return err },
 		"Set":  func(k string) error { return c.Set(k, []byte("v")) },
 		"RSet": func(k string) error { return c.RSet(k, []byte("v")) },
-		"NGet": func(k string) error { _, _, _, err := c.NGet(k, emb, 0.3); return err },
-		"ESet": func(k string) error { return c.ESet(k, emb) },
+		"NGet": func(k string) error { _, _, _, err := nget(c, k, emb, 0.3); return err },
+		"ESet": func(k string) error { return eset(c, k, emb) },
 	}
 	for name, verb := range verbs {
 		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nSET kept 1"} {
@@ -319,7 +356,7 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	items, _, _ := srv.Stats()
+	items, _, _ := srv.store.stats()
 	if items != clients*50 {
 		t.Fatalf("items %d, want %d", items, clients*50)
 	}
@@ -334,7 +371,7 @@ func TestUpdateExistingKey(t *testing.T) {
 	if !ok || string(got) != "v2" {
 		t.Fatalf("update lost: %q", got)
 	}
-	items, _, _ := srv.Stats()
+	items, _, _ := srv.store.stats()
 	if items != 1 {
 		t.Fatalf("duplicate key grew store to %d", items)
 	}

@@ -23,7 +23,7 @@ func TestMetricsVerbOverWire(t *testing.T) {
 		t.Fatalf("Get miss: ok=%v err=%v", ok, err)
 	}
 
-	text, err := c.Metrics()
+	text, err := metrics(c)
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
 	}
@@ -51,12 +51,12 @@ func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Gauge("host_custom_gauge", nil).Set(42)
 	srv := serve(t, storeConfig(4), reg, nil)
-	if srv.Metrics() != reg {
+	if srv.reg != reg {
 		t.Fatal("server did not adopt the shared registry")
 	}
 
 	c := dial(t, srv)
-	text, err := c.Metrics()
+	text, err := metrics(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMetricsShardGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text, err := c.Metrics()
+	text, err := metrics(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestMetricsPipelineDepth(t *testing.T) {
 	if _, err := p.Exec(); err != nil {
 		t.Fatal(err)
 	}
-	text, err := c.Metrics()
+	text, err := metrics(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Metrics(); err != nil {
+				if _, err := metrics(c); err != nil {
 					t.Error(err)
 					return
 				}
@@ -178,7 +178,7 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 	wg.Wait()
 
 	c := dial(t, srv)
-	text, err := c.Metrics()
+	text, err := metrics(c)
 	if err != nil {
 		t.Fatal(err)
 	}

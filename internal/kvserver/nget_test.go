@@ -114,18 +114,18 @@ func TestNGetNearServing(t *testing.T) {
 	if err := c.Set("a", []byte("value-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ESet("a", vecA); err != nil {
+	if err := eset(c, "a", vecA); err != nil {
 		t.Fatal(err)
 	}
 
 	// Exact hit: the key is resident, so the index is never consulted.
-	v, near, found, err := c.NGet("a", vecA, 0.5)
+	v, near, found, err := nget(c, "a", vecA, 0.5)
 	if err != nil || !found || near != nil || string(v) != "value-a" {
 		t.Fatalf("exact NGet = %q %v %v %v", v, near, found, err)
 	}
 
 	// Near hit: unknown key, nearby embedding.
-	v, near, found, err = c.NGet("b", nearA, 0.5)
+	v, near, found, err = nget(c, "b", nearA, 0.5)
 	if err != nil || !found || near == nil {
 		t.Fatalf("near NGet = %q %v %v %v", v, near, found, err)
 	}
@@ -137,7 +137,7 @@ func TestNGetNearServing(t *testing.T) {
 	}
 
 	// Distance cutoff: an orthogonal query finds no neighbor within 0.5.
-	if _, near, found, err = c.NGet("b", ortho, 0.5); err != nil || found || near != nil {
+	if _, near, found, err = nget(c, "b", ortho, 0.5); err != nil || found || near != nil {
 		t.Fatalf("orthogonal NGet = %v %v %v, want miss", near, found, err)
 	}
 
@@ -145,7 +145,7 @@ func TestNGetNearServing(t *testing.T) {
 	if err := c.Set("c", []byte("value-c")); err != nil {
 		t.Fatal(err)
 	}
-	if _, near, found, err = c.NGet("b", nearA, 0.5); err != nil || found || near != nil {
+	if _, near, found, err = nget(c, "b", nearA, 0.5); err != nil || found || near != nil {
 		t.Fatalf("NGet after a was evicted = %v %v %v, want miss", near, found, err)
 	}
 	if live, _ := srv.sem.size(); live != 0 {
@@ -163,13 +163,13 @@ func TestNGetEvictionUnlinks(t *testing.T) {
 	if err := c.Set("a", []byte("va")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ESet("a", vecA); err != nil {
+	if err := eset(c, "a", vecA); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("b", []byte("vb")); err != nil { // evicts a
 		t.Fatal(err)
 	}
-	if _, near, found, err := c.NGet("q", unit(1, 0.01), 0.5); err != nil || found || near != nil {
+	if _, near, found, err := nget(c, "q", unit(1, 0.01), 0.5); err != nil || found || near != nil {
 		t.Fatalf("NGet after eviction = %v %v %v, want miss", near, found, err)
 	}
 	if live, _ := srv.sem.size(); live != 0 {
@@ -187,16 +187,16 @@ func TestNGetTelemetry(t *testing.T) {
 	if err := c.Set("a", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ESet("a", vecA); err != nil {
+	if err := eset(c, "a", vecA); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.NGet("a", vecA, 0.5); err != nil { // exact
+	if _, _, _, err := nget(c, "a", vecA, 0.5); err != nil { // exact
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.NGet("b", unit(1, 0.05), 0.5); err != nil { // near
+	if _, _, _, err := nget(c, "b", unit(1, 0.05), 0.5); err != nil { // near
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.NGet("b", unit(0, 1), 0.5); err != nil { // miss
+	if _, _, _, err := nget(c, "b", unit(0, 1), 0.5); err != nil { // miss
 		t.Fatal(err)
 	}
 
@@ -236,7 +236,7 @@ func TestNGetPayloadIntactUnderChurn(t *testing.T) {
 		if err := seedClient.Set(key, payloadFor(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := seedClient.ESet(key, vecFor(i)); err != nil {
+		if err := eset(seedClient, key, vecFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestNGetPayloadIntactUnderChurn(t *testing.T) {
 				return
 			}
 			if i%3 == 0 {
-				if err := c.ESet(key, vecFor(i%48)); err != nil {
+				if err := eset(c, key, vecFor(i%48)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -263,7 +263,7 @@ func TestNGetPayloadIntactUnderChurn(t *testing.T) {
 
 	reader := dial(t, srv)
 	for i := 0; i < 1000; i++ {
-		v, near, found, err := reader.NGet("query", vecFor(i%32), 0.2)
+		v, near, found, err := nget(reader, "query", vecFor(i%32), 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,16 +324,16 @@ func TestNGetFindsMovedKey(t *testing.T) {
 		if err := c.Set(key, []byte("v-"+key)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ESet(key, v); err != nil {
+		if err := eset(c, key, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// k1 lives in cluster 1; move it onto cluster 5's centroid.
 	to := centroids[5]
-	if err := c.ESet("k1", to); err != nil {
+	if err := eset(c, "k1", to); err != nil {
 		t.Fatal(err)
 	}
-	v, near, found, err := c.NGet("absent", to, 0.05)
+	v, near, found, err := nget(c, "absent", to, 0.05)
 	if err != nil || !found || near == nil {
 		t.Fatalf("NGet at the moved key's place = %v %v %v", near, found, err)
 	}
@@ -356,15 +356,15 @@ func TestDelOfPendingRelink(t *testing.T) {
 			if err := c.Set(key, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.ESet(key, v); err != nil {
+			if err := eset(c, key, v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := c.ESet("k0", centroids[5]); err != nil { // due a re-link
+		if err := eset(c, "k0", centroids[5]); err != nil { // due a re-link
 			t.Fatal(err)
 		}
 		if readFirst {
-			if _, _, _, err := c.NGet("absent", centroids[5], 0.05); err != nil {
+			if _, _, _, err := nget(c, "absent", centroids[5], 0.05); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,7 +380,7 @@ func TestDelOfPendingRelink(t *testing.T) {
 		if _, resident := srv.Peek("k0"); resident {
 			t.Fatal("k0 is still resident; it was meant to be evicted")
 		}
-		text, err := c.Metrics()
+		text, err := metrics(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +445,7 @@ func BenchmarkNGetAfterESets(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, _, _, err := c.NGet("absent", centroids[i%len(centroids)], 0.05); err != nil {
+				if _, _, _, err := nget(c, "absent", centroids[i%len(centroids)], 0.05); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,14 +82,19 @@ func (p *Pipeline) Set(key string, value []byte) {
 	}
 }
 
-// NGet queues an NGET (see Client.NGet).
+// NGet queues an NGET: GET with a semantic fallback. An exact hit returns
+// the value; a near hit, the nearest resident neighbor within the
+// cosine-distance threshold, returns its value with a non-nil Result.Near;
+// a miss returns Found false. threshold 0 requests exact-only (GET)
+// semantics.
 func (p *Pipeline) NGet(key string, emb []float32, threshold float64) {
 	if p.werr == nil {
 		p.add(opNGet, p.c.writeNGetFrame(key, emb, threshold))
 	}
 }
 
-// ESet queues an ESET (see Client.ESet).
+// ESet queues an ESET: emb becomes key's embedding in the server's
+// node-local semantic index while key is resident (see the package doc).
 func (p *Pipeline) ESet(key string, emb []float32) {
 	if p.werr == nil {
 		p.add(opESet, p.c.writeESetFrame(key, emb))

@@ -145,7 +145,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 		}
 	}
 
-	if items, hits, misses := srv.Stats(); items != 3 || hits != 3 || misses != 1 {
+	if items, hits, misses := srv.store.stats(); items != 3 || hits != 3 || misses != 1 {
 		t.Fatalf("stats %d/%d/%d, want 3/3/1", items, hits, misses)
 	}
 }

@@ -36,7 +36,7 @@ import (
 // caller's store-residency check) drops.
 type semIndex struct {
 	mu    sync.Mutex
-	ix    *hnsw.Index // set once; the embedding dimensionality is its Dim()
+	ix    *hnsw.Index // set once; it fixes the embedding dimensionality (see upsert)
 	byKey map[string]int
 	byID  map[int]string
 	next  int // next id to assign; monotone, never reused

@@ -206,28 +206,28 @@ func TestESetDimFollowsTheIndex(t *testing.T) {
 	if err := c.Set("a", []byte("va")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ESet("a", unit(1, 0, 0, 0)); err != nil {
+	if err := eset(c, "a", unit(1, 0, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// A protocol error closes the connection: each refusal gets its own.
 	refused := func(emb []float32) {
 		t.Helper()
-		if err := dial(t, srv).ESet("b", emb); err == nil || !strings.Contains(err.Error(), "bad embedding dim") {
-			t.Fatalf("ESET dim %d beside a live dim-%d index: err = %v", len(emb), srv.sem.ix.Dim(), err)
+		if err := eset(dial(t, srv), "b", emb); err == nil || !strings.Contains(err.Error(), "bad embedding dim") {
+			t.Fatalf("ESET dim %d beside a live dim-4 index: err = %v", len(emb), err)
 		}
 	}
 	wide := unit(1, 0, 0, 0, 0, 0, 0, 0)
 	refused(wide)
-	if _, near, found, err := c.NGet("q", wide, 0.5); err != nil || found || near != nil {
+	if _, near, found, err := nget(c, "q", wide, 0.5); err != nil || found || near != nil {
 		t.Fatalf("dim-8 NGET on a dim-4 index = %v %v %v, want a miss", near, found, err)
 	}
 	if err := c.Set("b", []byte("vb")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ESet("b", wide); err != nil {
+	if err := eset(c, "b", wide); err != nil {
 		t.Fatalf("ESET dim 8 after the last dim-4 embedding was evicted: %v", err)
 	}
-	v, near, found, err := c.NGet("q", unit(1, 0.01, 0, 0, 0, 0, 0, 0), 0.5)
+	v, near, found, err := nget(c, "q", unit(1, 0.01, 0, 0, 0, 0, 0, 0), 0.5)
 	if err != nil || !found || near == nil || near.Key != "b" || string(v) != "vb" {
 		t.Fatalf("dim-8 NGET = %q %v %v %v, want vb NEAR b", v, near, found, err)
 	}
@@ -273,7 +273,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 					esetEvicted++
 				}
 			}
-			err = c.ESet(k, emb())
+			err = eset(c, k, emb())
 		case r < 9:
 			k := key()
 			if _, resident := srv.Peek(k); !resident {
@@ -292,12 +292,12 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			}
 		default:
 			esetNever++
-			err = c.ESet(fmt.Sprintf("never-set-%d", op), emb())
+			err = eset(c, fmt.Sprintf("never-set-%d", op), emb())
 		}
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
-		text, err := c.Metrics()
+		text, err := metrics(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestMetricsSemanticIndex(t *testing.T) {
 	c := dial(t, srv)
 	scrape := func(wantLive, wantFree, wantLinks, wantUnlinks float64) {
 		t.Helper()
-		text, err := c.Metrics()
+		text, err := metrics(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestMetricsSemanticIndex(t *testing.T) {
 		if err := c.Set(k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ESet(k, unit(1, float32(i))); err != nil {
+		if err := eset(c, k, unit(1, float32(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestMetricsSemanticIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrape(2, 1, 4, 1)
-	if err := c.ESet("d", unit(1, 3)); err != nil { // takes the slot
+	if err := eset(c, "d", unit(1, 3)); err != nil { // takes the slot
 		t.Fatal(err)
 	}
 	scrape(3, 0, 6, 1)

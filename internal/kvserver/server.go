@@ -66,8 +66,7 @@
 // per-shard resident-item gauges (kv_shard_items{shard="N"} — shard
 // balance at a glance), the pipeline-depth histogram kv_pipeline_depth
 // (requests served per network flush) and the kv_net_flushes_total
-// coalescing counter. Server.Stats reads the same item/hit/miss counts
-// in-process.
+// coalescing counter.
 package kvserver
 
 import (
@@ -257,9 +256,6 @@ func (s *Server) unlinkEmbedding(key string) {
 	}
 }
 
-// Metrics returns the server's telemetry registry (never nil).
-func (s *Server) Metrics() *telemetry.Registry { return s.reg }
-
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
@@ -281,9 +277,6 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return err
 }
-
-// Stats reports (items, hits, misses).
-func (s *Server) Stats() (int, int64, int64) { return s.store.stats() }
 
 // Keys returns every resident key — the migration scan's entry point.
 // Each shard is snapshotted under its own lock; keys inserted or evicted
@@ -327,17 +320,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connBufSize sizes the pooled per-connection read/write buffers.
+// connBufSize sizes each connection's read and write buffers.
 const connBufSize = 16 << 10
-
-// Per-connection buffers come from sync.Pools: connection churn (dial, a
-// few ops, close — the load generator's default mode) would otherwise
-// allocate two 16KiB buffers plus parse scratch per connection.
-var (
-	readerPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBufSize) }}
-	writerPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufSize) }}
-	sessionPool = sync.Pool{New: func() any { return &session{} }}
-)
 
 // session is the per-connection parse state: the bufio pair plus reusable
 // scratch so steady-state request parsing allocates nothing.
@@ -356,20 +340,9 @@ func newSession(r *bufio.Reader, w *bufio.Writer) *session {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	r := readerPool.Get().(*bufio.Reader)
-	w := writerPool.Get().(*bufio.Writer)
-	sess := sessionPool.Get().(*session)
-	r.Reset(conn)
-	w.Reset(conn)
-	sess.r, sess.w = r, w
-	defer func() {
-		sess.r, sess.w = nil, nil
-		sessionPool.Put(sess)
-		r.Reset(nil)
-		w.Reset(nil)
-		readerPool.Put(r)
-		writerPool.Put(w)
-	}()
+	r := bufio.NewReaderSize(conn, connBufSize)
+	w := bufio.NewWriterSize(conn, connBufSize)
+	sess := newSession(r, w)
 
 	depth := int64(0) // requests answered since the last flush
 	for {

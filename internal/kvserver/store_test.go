@@ -258,7 +258,7 @@ func TestServerRaceStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if items, _, _ := srv.Stats(); items > 512 {
+	if items, _, _ := srv.store.stats(); items > 512 {
 		t.Fatalf("capacity breached: %d items", items)
 	}
 }

@@ -1,9 +1,13 @@
 package lint
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -280,4 +284,64 @@ func nodeSrcForTest(n ast.Node) string {
 	fset := token.NewFileSet()
 	s := nodeSrc(fset, n)
 	return strings.ReplaceAll(s, " ", "")
+}
+
+// cfgString renders g for golden tests: one line per non-empty block with
+// its node sources and successor indices, in block-index order.
+func cfgString(fset *token.FileSet, g *funcCFG) string {
+	var sb strings.Builder
+	special := func(b *cfgBlock) string {
+		switch b {
+		case g.entry:
+			return " (entry)"
+		case g.exit:
+			return " (exit)"
+		case g.panicExit:
+			return " (panic)"
+		}
+		return ""
+	}
+	for _, b := range g.blocks {
+		if len(b.nodes) == 0 && len(b.succs) == 0 && len(b.preds) == 0 &&
+			b != g.entry && b != g.exit && b != g.panicExit {
+			continue // never wired (e.g. builder scratch): not part of the graph
+		}
+		fmt.Fprintf(&sb, "b%d%s:", b.index, special(b))
+		for _, n := range b.nodes {
+			fmt.Fprintf(&sb, " {%s}", nodeSrc(fset, n))
+		}
+		if len(b.succs) > 0 {
+			idx := make([]int, len(b.succs))
+			for i, s := range b.succs {
+				idx[i] = s.index
+			}
+			sort.Ints(idx)
+			parts := make([]string, len(idx))
+			for i, x := range idx {
+				parts[i] = fmt.Sprintf("b%d", x)
+			}
+			fmt.Fprintf(&sb, " -> %s", strings.Join(parts, " "))
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// nodeSrc prints one node's source, squashed onto a single line. Select
+// statements print as a marker (their bodies live in other blocks).
+func nodeSrc(fset *token.FileSet, n ast.Node) string {
+	if _, ok := n.(*ast.SelectStmt); ok {
+		return "select"
+	}
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, fset, n); err != nil {
+		return fmt.Sprintf("<%T>", n)
+	}
+	s := buf.String()
+	s = strings.ReplaceAll(s, "\n", " ")
+	s = strings.ReplaceAll(s, "\t", "")
+	for strings.Contains(s, "  ") {
+		s = strings.ReplaceAll(s, "  ", " ")
+	}
+	return s
 }

@@ -53,12 +53,7 @@ type Module struct {
 	Fset *token.FileSet
 	// Packages is sorted by import path.
 	Packages []*Package
-
-	byPath map[string]*Package
 }
-
-// Lookup returns the package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
 
 // The stdlib importer is shared process-wide: it type-checks standard
 // library packages from $GOROOT/src (no export data, no network, no
@@ -179,7 +174,7 @@ func buildModule(modPath, dir string, fset *token.FileSet, std types.ImporterFro
 		}
 		mi.srcs[s.path] = s
 	}
-	m := &Module{Path: modPath, Dir: dir, Fset: fset, byPath: map[string]*Package{}}
+	m := &Module{Path: modPath, Dir: dir, Fset: fset}
 	mi.mu.Lock()
 	defer mi.mu.Unlock()
 	for _, s := range srcs {
@@ -188,7 +183,6 @@ func buildModule(modPath, dir string, fset *token.FileSet, std types.ImporterFro
 			return nil, fmt.Errorf("lint: %s: %w", s.path, err)
 		}
 		m.Packages = append(m.Packages, pkg)
-		m.byPath[pkg.Path] = pkg
 	}
 	sort.Slice(m.Packages, func(i, j int) bool { return m.Packages[i].Path < m.Packages[j].Path })
 	return m, nil
@@ -265,39 +259,6 @@ func LoadDir(dir string) (*Module, error) {
 		return nil, err
 	}
 	return buildModule(modPath, abs, fset, std, srcs)
-}
-
-// LoadSources loads a synthetic module from in-memory sources: pkgs maps a
-// package path relative to modPath ("a", "internal/kvserver") to its files
-// (file name -> source text). Analyzer tests build fixtures with it.
-func LoadSources(modPath string, pkgs map[string]map[string]string) (*Module, error) {
-	fset, std := sharedImporter()
-	var srcs []*pkgSrc
-	for rel, files := range pkgs {
-		path := modPath
-		if rel != "" && rel != "." {
-			path = modPath + "/" + rel
-		}
-		src := &pkgSrc{path: path}
-		names := make([]string, 0, len(files))
-		for n := range files {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			f, err := parser.ParseFile(fset, n, files[n], parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			if src.name == "" {
-				src.name = f.Name.Name
-			}
-			src.files = append(src.files, f)
-		}
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].path < srcs[j].path })
-	return buildModule(modPath, "", fset, std, srcs)
 }
 
 // modulePath extracts the module path from a go.mod file.

@@ -20,7 +20,7 @@ func benchModel(b *testing.B) (*MLP, *tensor.Matrix, []int) {
 	for i := range labels {
 		labels[i] = i % 10
 		for j := 0; j < 32; j++ {
-			x.Set(i, j, rng.NormFloat64())
+			x.Data[i*x.Cols+j] = rng.NormFloat64()
 		}
 	}
 	return m, x, labels

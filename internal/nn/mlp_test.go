@@ -103,7 +103,7 @@ func makeBlobs(n int, rng *xrand.Rand) (*tensor.Matrix, []int) {
 		labels[i] = i % 2
 		sign := float64(labels[i]*2 - 1)
 		for j := 0; j < 4; j++ {
-			x.Set(i, j, sign*2+rng.NormFloat64()*0.3)
+			x.Data[i*x.Cols+j] = sign*2 + rng.NormFloat64()*0.3
 		}
 	}
 	return x, labels

@@ -96,9 +96,6 @@ func (m *Multinomial) SetWeights(w []float64) error {
 	return nil
 }
 
-// Weights returns the live weight vector (callers must not mutate it).
-func (m *Multinomial) Weights() []float64 { return m.weights }
-
 // EpochOrder draws n IDs from the current smoothed weights using Walker's
 // alias method: O(n) table build then O(1) per draw.
 func (m *Multinomial) EpochOrder(int) []int {

@@ -104,7 +104,7 @@ func TestMultinomialValidation(t *testing.T) {
 func TestMultinomialWeightFloor(t *testing.T) {
 	m, _ := NewMultinomial(2, 5)
 	m.SetWeight(0, 0)
-	if m.Weights()[0] <= 0 {
+	if m.weights[0] <= 0 {
 		t.Fatal("weight floor not applied")
 	}
 }

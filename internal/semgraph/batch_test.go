@@ -223,8 +223,8 @@ func TestIncrementalStatsMatchScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantN, wantMean, wantStd := scanStats(g)
-		if g.ScoredCount() != wantN {
-			t.Fatalf("batch %d: ScoredCount %d, scan %d", b, g.ScoredCount(), wantN)
+		if g.statN != wantN {
+			t.Fatalf("batch %d: scored count %d, scan %d", b, g.statN, wantN)
 		}
 		if math.Abs(g.ScoreMean()-wantMean) > 1e-9 {
 			t.Fatalf("batch %d: ScoreMean %v, scan %v", b, g.ScoreMean(), wantMean)

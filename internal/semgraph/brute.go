@@ -59,6 +59,3 @@ func (b *BruteSearcher) SearchKNN(q []float64, k int) []hnsw.Result {
 	}
 	return res
 }
-
-// Len reports how many points are indexed.
-func (b *BruteSearcher) Len() int { return len(b.ids) }

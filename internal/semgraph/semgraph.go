@@ -41,8 +41,6 @@ type NeighborSearcher interface {
 	// SearchKNN returns up to k nearest indexed points to q with Euclidean
 	// distances, nearest first.
 	SearchKNN(q []float64, k int) []hnsw.Result
-	// Len reports how many points are indexed.
-	Len() int
 }
 
 // The scoring constants. Lambda and alpha are calibrated for
@@ -163,11 +161,6 @@ func (g *Grapher) SetMetrics(reg *telemetry.Registry) {
 // SearchCalls reports the cumulative number of SearchKNN calls this grapher
 // has issued. Safe for concurrent reads.
 func (g *Grapher) SearchCalls() int64 { return g.searchCalls.Load() }
-
-// Similarity computes Eq. 2 for a given Euclidean distance.
-func (g *Grapher) Similarity(dist float64) float64 {
-	return math.Exp(-lambda * dist)
-}
 
 // Normalize returns the L2-normalised copy of vec that the grapher indexes
 // and scores. Normalisation puts every embedding on the unit sphere so the
@@ -300,14 +293,6 @@ func (g *Grapher) statRemove(x float64) {
 // scoring pass touches it).
 func (g *Grapher) ScoreOf(id int) float64 { return g.scores[id] }
 
-// Scores returns the global score table, indexed by sample ID. The returned
-// slice is live; callers must not mutate it.
-func (g *Grapher) Scores() []float64 { return g.scores }
-
-// ScoredCount reports how many samples have been scored at least once.
-// O(1): maintained incrementally by recordScore.
-func (g *Grapher) ScoredCount() int { return g.statN }
-
 // ScoreMean returns the mean score over all scored samples (0 when none).
 // O(1): maintained incrementally by recordScore.
 func (g *Grapher) ScoreMean() float64 {
@@ -330,9 +315,6 @@ func (g *Grapher) ScoreStd() float64 {
 	}
 	return math.Sqrt(g.statM2 / float64(g.statN))
 }
-
-// Len returns the number of samples the grapher tracks.
-func (g *Grapher) Len() int { return len(g.labels) }
 
 // K returns the neighbour count each scored sample retrieves.
 func (g *Grapher) K() int { return k }

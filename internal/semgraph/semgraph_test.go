@@ -72,13 +72,20 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// TestSimilarityDecay: the edge and substitution distance bars are where
+// Eq. 2's similarity exp(-λd) falls to alpha and homAlpha, and the
+// substitution bar is the stricter one.
 func TestSimilarityDecay(t *testing.T) {
 	g, _ := New([]int{0, 1}, NewBruteSearcher())
-	if s := g.Similarity(0); s != 1 {
-		t.Fatalf("sim(0) = %g", s)
+	sim := func(d float64) float64 { return math.Exp(-lambda * d) }
+	if s := sim(g.distThresh); math.Abs(s-alpha) > 1e-12 {
+		t.Fatalf("sim at the edge bar = %g, want %g", s, alpha)
 	}
-	if g.Similarity(1) >= g.Similarity(0.5) {
-		t.Fatal("similarity not decreasing in distance")
+	if s := sim(g.homDistThresh); math.Abs(s-homAlpha) > 1e-12 {
+		t.Fatalf("sim at the substitution bar = %g, want %g", s, homAlpha)
+	}
+	if g.homDistThresh >= g.distThresh {
+		t.Fatalf("substitution bar %g not inside the edge bar %g", g.homDistThresh, g.distThresh)
 	}
 }
 
@@ -186,8 +193,8 @@ func TestScoreStdAndMean(t *testing.T) {
 		}
 		g.Score(i, []float64{cx + rng.NormFloat64()*0.05, cy + rng.NormFloat64()*0.05})
 	}
-	if g.ScoredCount() != 21 {
-		t.Fatalf("ScoredCount = %d", g.ScoredCount())
+	if g.statN != 21 {
+		t.Fatalf("scored count = %d", g.statN)
 	}
 	if g.ScoreStd() <= 0 {
 		t.Fatal("σ of heterogeneous scores is zero")
@@ -237,8 +244,8 @@ func TestBruteSearcherUpsertReplaces(t *testing.T) {
 	b := NewBruteSearcher()
 	b.Upsert(1, []float64{0, 0})
 	b.Upsert(1, []float64{5, 5})
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d", b.Len())
+	if len(b.ids) != 1 {
+		t.Fatalf("indexed points = %d", len(b.ids))
 	}
 	res := b.SearchKNN([]float64{5, 5}, 1)
 	if res[0].Dist != 0 {

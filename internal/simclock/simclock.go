@@ -9,10 +9,7 @@
 // *ratios* the paper reports.
 package simclock
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Clock accumulates simulated time. The zero value is a clock at t=0.
 // Clock is not safe for concurrent use; the trainer owns one clock per run.
@@ -30,9 +27,6 @@ func (c *Clock) Advance(d time.Duration) {
 		c.now += d
 	}
 }
-
-// Reset rewinds the clock to zero.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Span measures a simulated interval: s := clock.Start(); ...; d := s.Elapsed().
 type Span struct {
@@ -56,20 +50,4 @@ func Overlap2(a, hidden, b time.Duration) time.Duration {
 		residual = 0
 	}
 	return a + residual
-}
-
-// FormatDuration renders a simulated duration compactly for tables
-// (e.g. "2m3s", "1.5h"). It exists so renderers do not depend on the exact
-// time.Duration formatting of long durations.
-func FormatDuration(d time.Duration) string {
-	switch {
-	case d >= time.Hour:
-		return fmt.Sprintf("%.1fh", d.Hours())
-	case d >= time.Minute:
-		return fmt.Sprintf("%.1fm", d.Minutes())
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	default:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	}
 }

@@ -26,15 +26,6 @@ func TestAdvanceIgnoresNegative(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Clock
-	c.Advance(time.Minute)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("reset left %v", c.Now())
-	}
-}
-
 func TestSpan(t *testing.T) {
 	var c Clock
 	c.Advance(time.Second)
@@ -58,23 +49,6 @@ func TestOverlap2(t *testing.T) {
 	for _, c := range cases {
 		if got := Overlap2(c.a, c.hidden, c.budget); got != c.want {
 			t.Errorf("Overlap2(%v,%v,%v) = %v, want %v", c.a, c.hidden, c.budget, got, c.want)
-		}
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{90 * time.Minute, "1.5h"},
-		{90 * time.Second, "1.5m"},
-		{1500 * time.Millisecond, "1.50s"},
-		{500 * time.Microsecond, "0.50ms"},
-	}
-	for _, c := range cases {
-		if got := FormatDuration(c.d); got != c.want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
 		}
 	}
 }

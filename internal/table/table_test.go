@@ -43,15 +43,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := New("", "A", "B", "C")
-	tb.AddRowf("x", 1.23456, 42)
-	row := tb.Rows[0]
-	if row[0] != "x" || row[1] != "1.23" || row[2] != "42" {
-		t.Fatalf("AddRowf formatting: %v", row)
-	}
-}
-
 func TestCSVQuoting(t *testing.T) {
 	tb := New("", "A", "B")
 	tb.AddRow("has,comma", `has"quote`)

@@ -13,3 +13,20 @@ func (r *Registry) Described() []string {
 	sort.Strings(out)
 	return out
 }
+
+// Families lists the distinct family names registered, sorted.
+func (r *Registry) Families() []string {
+	if r == nil {
+		return nil
+	}
+	seen := map[string]bool{}
+	var out []string
+	for _, s := range r.snapshotSeries() {
+		if !seen[s.name] {
+			seen[s.name] = true
+			out = append(out, s.name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -139,21 +138,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// Families lists the distinct family names registered, sorted.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range r.snapshotSeries() {
-		if !seen[s.name] {
-			seen[s.name] = true
-			out = append(out, s.name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -32,30 +32,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeConcurrentAdd(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge("level", nil)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-				g.Add(-0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if got, want := g.Value(), 16*1000*0.5; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("gauge = %v, want %v", got, want)
-	}
-	g.Set(-3.25)
-	if g.Value() != -3.25 {
-		t.Fatalf("Set: got %v", g.Value())
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", nil)
@@ -70,8 +46,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(float64(i))
 	}
 	wg.Wait()
-	if h.Count() != 8*500 {
-		t.Fatalf("count = %d, want %d", h.Count(), 8*500)
+	if h.Snapshot().Count != 8*500 {
+		t.Fatalf("count = %d, want %d", h.Snapshot().Count, 8*500)
 	}
 }
 
@@ -138,8 +114,8 @@ func TestHistogramWindowEviction(t *testing.T) {
 	}
 	snap := h.Snapshot()
 	checkSnapshotQuantiles(t, snap, tail)
-	if h.Count() != int64(total) {
-		t.Fatalf("cumulative count %d, want %d", h.Count(), total)
+	if h.Snapshot().Count != int64(total) {
+		t.Fatalf("cumulative count %d, want %d", h.Snapshot().Count, total)
 	}
 	if snap.Min != tail[0] || snap.Max != tail[win-1] {
 		t.Fatalf("snapshot min/max = %v/%v, want %v/%v", snap.Min, snap.Max, tail[0], tail[win-1])

@@ -30,29 +30,11 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (not copied) as a rows x cols matrix.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero resets every element to 0.
 func (m *Matrix) Zero() {
@@ -60,9 +42,6 @@ func (m *Matrix) Zero() {
 		m.Data[i] = 0
 	}
 }
-
-// Shape returns (rows, cols).
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
 
 func (m *Matrix) sameShape(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
@@ -217,28 +196,6 @@ func (m *Matrix) ColSums() []float64 {
 		}
 	}
 	return out
-}
-
-// Add computes m += o elementwise.
-func (m *Matrix) Add(o *Matrix) {
-	m.sameShape(o)
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-}
-
-// Scale multiplies every element of m by s.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Apply replaces every element x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
 }
 
 // ReLU applies max(0, x) in place.

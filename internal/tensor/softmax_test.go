@@ -47,7 +47,7 @@ func TestCrossEntropyKnownValue(t *testing.T) {
 func TestCrossEntropyFloorsProbability(t *testing.T) {
 	m := FromSlice(1, 2, []float64{0, 1})
 	// Force a zero probability without softmax.
-	m.Set(0, 0, 0)
+	m.Data[0] = 0
 	losses := CrossEntropyRows(m, []int{0})
 	if math.IsInf(losses[0], 0) || math.IsNaN(losses[0]) {
 		t.Fatalf("loss not floored: %g", losses[0])

@@ -46,10 +46,7 @@ func NewZipf(r *Rand, s float64, n int) *Zipf {
 	return &Zipf{r: r, cdf: cdf}
 }
 
-// N returns the size of the sampled range.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next draws the next rank in [0, N()). Rank 0 is the hottest key.
+// Next draws the next rank in [0, n). Rank 0 is the hottest key.
 func (z *Zipf) Next() int {
 	u := z.r.Float64()
 	// Binary search for the first rank whose CDF covers u.

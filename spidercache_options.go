@@ -3,6 +3,7 @@ package spidercache
 import (
 	"fmt"
 
+	"spidercache/internal/elastic"
 	"spidercache/internal/experiments"
 	"spidercache/internal/nn"
 	"spidercache/internal/telemetry"
@@ -71,8 +72,8 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithElasticRange overrides SpiderCache's elastic imp-ratio endpoints
-// (paper defaults 0.90 / 0.80). rEnd = rStart freezes the imp-ratio:
-// Table 6's static split.
+// (paper defaults 0.90 / 0.80; want 0 < rStart <= 1 and 0 <= rEnd <=
+// rStart). rEnd = rStart freezes the imp-ratio: Table 6's static split.
 func WithElasticRange(rStart, rEnd float64) Option {
 	return func(s *settings) { s.rStart, s.rEnd = rStart, rEnd }
 }
@@ -94,7 +95,8 @@ func WithMetrics(reg *telemetry.Registry) Option {
 
 // TrainWith runs one training configuration and returns its full record.
 // Settings no Option touches keep their defaults: PolicySpiderCache,
-// ResNet18, 30 epochs, batch 64, cache fraction 0.2, 1 worker, seed 42.
+// ResNet18, 30 epochs, batch 64, cache fraction 0.2, 1 worker, seed 42,
+// elastic range 0.90 / 0.80.
 // Out-of-range values are rejected with descriptive errors. The run uses up
 // to GOMAXPROCS cores, and its result does not depend on how many.
 func TrainWith(ds *Dataset, opts ...Option) (*Result, error) {
@@ -105,6 +107,8 @@ func TrainWith(ds *Dataset, opts ...Option) (*Result, error) {
 		batchSize:     64,
 		cacheFraction: 0.2,
 		workers:       1,
+		rStart:        0.90,
+		rEnd:          0.80,
 		seed:          42,
 	}
 	for _, opt := range opts {
@@ -126,8 +130,11 @@ func train(ds *Dataset, s settings) (*Result, error) {
 		return nil, fmt.Errorf("spidercache: WithBatchSize(%d): batch size must be >= 1", s.batchSize)
 	case s.workers < 1:
 		return nil, fmt.Errorf("spidercache: WithWorkers(%d): workers must be >= 1", s.workers)
-	case s.cacheFraction < 0 || s.cacheFraction > 1:
+	case !(s.cacheFraction >= 0 && s.cacheFraction <= 1): // NaN fails too
 		return nil, fmt.Errorf("spidercache: cache fraction %v: want a fraction in [0, 1]", s.cacheFraction)
+	}
+	if err := (elastic.Config{RStart: s.rStart, REnd: s.rEnd}).Validate(); err != nil {
+		return nil, fmt.Errorf("spidercache: WithElasticRange(%v, %v): %w", s.rStart, s.rEnd, err)
 	}
 	if err := ValidatePolicy(s.policy); err != nil {
 		return nil, err

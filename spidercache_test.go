@@ -106,6 +106,14 @@ func TestTrainValidation(t *testing.T) {
 		"WithEpochs(0)":           WithEpochs(0),
 		"WithBatchSize(0)":        WithBatchSize(0),
 		"WithWorkers(0)":          WithWorkers(0),
+		// NaN fails every range check written as a negated in-range test.
+		"WithCacheFraction(NaN)":      WithCacheFraction(math.NaN()),
+		"WithElasticRange(0, 0)":      WithElasticRange(0, 0),
+		"WithElasticRange(NaN, 0.8)":  WithElasticRange(math.NaN(), 0.8),
+		"WithElasticRange(0.9, NaN)":  WithElasticRange(0.9, math.NaN()),
+		"WithElasticRange(0.5, 0.9)":  WithElasticRange(0.5, 0.9),
+		"WithElasticRange(1.5, 0.8)":  WithElasticRange(1.5, 0.8),
+		"WithElasticRange(0.9, -0.1)": WithElasticRange(0.9, -0.1),
 	}
 	for _, pol := range Policies() {
 		for name, opt := range bad {
@@ -273,6 +281,22 @@ func TestExplicitZeroExpressible(t *testing.T) {
 	}
 	if zero.TotalTime == def.TotalTime && zero.FinalAcc == def.FinalAcc {
 		t.Error("WithSeed(0) reproduced the default seed's run")
+	}
+
+	// Explicit zero rEnd: the ratio is free to fall below the default's
+	// 0.80 once β latches, so the trajectory is not the default one.
+	const latched = 8 // epochs enough for β to latch (Eq. 5)
+	toZero, err := TrainWith(ds, WithEpochs(latched), WithElasticRange(0.9, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err = TrainWith(ds, WithEpochs(latched))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := func(r *Result) float64 { return r.Epochs[len(r.Epochs)-1].ImpRatio }
+	if last(toZero) == last(def) {
+		t.Errorf("WithElasticRange(0.9, 0) ended at the default run's imp-ratio %v", last(def))
 	}
 }
 
