@@ -9,15 +9,14 @@
 package spidercache_test
 
 import (
+	"slices"
 	"testing"
 
-	"spidercache"
 	"spidercache/internal/cache"
 	"spidercache/internal/dataset"
 	"spidercache/internal/experiments"
 	"spidercache/internal/hnsw"
 	"spidercache/internal/nn"
-	"spidercache/internal/policy"
 	"spidercache/internal/sampler"
 	"spidercache/internal/semgraph"
 	"spidercache/internal/trainer"
@@ -62,26 +61,22 @@ func BenchmarkFig17(b *testing.B)  { runExperiment(b, "fig17") }
 
 // --- End-to-end policy benchmarks (per-epoch cost of each strategy) -----
 
+// benchPolicies are the policies the training benchmarks run.
+var benchPolicies = []string{"spider", "shade", "icache", "baseline"}
+
 func benchTrain(b *testing.B, pol string) {
 	b.Helper()
-	ds, err := spidercache.NewCIFAR10(0.12, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := cifar10(b, 0.12, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spidercache.TrainWith(ds,
-			spidercache.WithPolicy(pol), spidercache.WithEpochs(3), spidercache.WithSeed(42),
-		); err != nil {
-			b.Fatal(err)
-		}
+		train(b, ds, pol, 3, 42, nil)
 	}
 }
 
-func BenchmarkTrainSpiderCache(b *testing.B) { benchTrain(b, spidercache.PolicySpiderCache) }
-func BenchmarkTrainSHADE(b *testing.B)       { benchTrain(b, spidercache.PolicySHADE) }
-func BenchmarkTrainICache(b *testing.B)      { benchTrain(b, spidercache.PolicyICache) }
-func BenchmarkTrainBaseline(b *testing.B)    { benchTrain(b, spidercache.PolicyBaseline) }
+func BenchmarkTrainSpiderCache(b *testing.B) { benchTrain(b, benchPolicies[0]) }
+func BenchmarkTrainSHADE(b *testing.B)       { benchTrain(b, benchPolicies[1]) }
+func BenchmarkTrainICache(b *testing.B)      { benchTrain(b, benchPolicies[2]) }
+func BenchmarkTrainBaseline(b *testing.B)    { benchTrain(b, benchPolicies[3]) }
 
 // --- Ablation benchmarks (DESIGN.md §5) ----------------------------------
 
@@ -212,26 +207,12 @@ func BenchmarkAblationANN(b *testing.B) {
 // BenchmarkAblationPipeline measures the simulated epoch-time impact of the
 // Fig 12 IS pipeline (on vs off) for a long-IS model (VGG16).
 func BenchmarkAblationPipeline(b *testing.B) {
-	ds, err := dataset.New(dataset.CIFAR10Like(0.12, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := cifar10(b, 0.12, 42)
 	run := func(b *testing.B, pipeline bool) {
 		for i := 0; i < b.N; i++ {
-			pol, err := experiments.BuildPolicy("spider", experiments.PolicyParams{
-				Dataset: ds, Capacity: ds.Len() / 5, Epochs: 2, Seed: 42,
+			res := train(b, ds, "spider", 2, 42, func(_ *experiments.PolicyParams, c *trainer.Config) {
+				c.Model, c.PipelineIS = nn.VGG16, pipeline
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := trainer.Config{
-				Dataset: ds, Model: nn.VGG16, Epochs: 2, BatchSize: 64,
-				Workers: 1, PipelineIS: pipeline, Seed: 42,
-			}
-			res, err := trainer.Run(cfg, pol)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportMetric(res.TotalTime.Seconds(), "simsec")
 		}
 	}
@@ -242,26 +223,10 @@ func BenchmarkAblationPipeline(b *testing.B) {
 // BenchmarkAblationHomophily isolates the Homophily Cache's contribution:
 // full SpiderCache vs the importance-only ablation at the same budget.
 func BenchmarkAblationHomophily(b *testing.B) {
-	ds, err := dataset.New(dataset.CIFAR10Like(0.12, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := cifar10(b, 0.12, 42)
 	run := func(b *testing.B, name string) {
 		for i := 0; i < b.N; i++ {
-			pol, err := experiments.BuildPolicy(name, experiments.PolicyParams{
-				Dataset: ds, Capacity: ds.Len() / 5, Epochs: 3, Seed: 42,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := trainer.Run(trainer.Config{
-				Dataset: ds, Model: nn.ResNet18, Epochs: 3, BatchSize: 64,
-				Workers: 1, PipelineIS: true, Seed: 42,
-			}, pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.AvgHitRatio()*100, "hit%")
+			b.ReportMetric(train(b, ds, name, 3, 42, nil).AvgHitRatio()*100, "hit%")
 		}
 	}
 	b.Run("full", func(b *testing.B) { run(b, "spider") })
@@ -333,24 +298,15 @@ func BenchmarkLookupPath(b *testing.B) {
 	}
 }
 
-// Guard: the policy registry stays in sync with the facade constants.
+// Guard: the training benchmarks name registered policies, and the bench
+// option scale builds a valid workload.
 func TestBenchPoliciesExist(t *testing.T) {
-	for _, name := range []string{spidercache.PolicySpiderCache, spidercache.PolicySHADE,
-		spidercache.PolicyICache, spidercache.PolicyBaseline} {
-		found := false
-		for _, p := range spidercache.Policies() {
-			if p == name {
-				found = true
-			}
-		}
-		if !found {
+	for _, name := range benchPolicies {
+		if !slices.Contains(experiments.PolicyNames(), name) {
 			t.Fatalf("policy %s missing from registry", name)
 		}
 	}
-	// The bench option scale must build a valid workload.
 	if _, err := dataset.New(dataset.CIFAR10Like(benchOptions().Scale, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Silence unused-import style drift if policy package types change.
-	var _ policy.Source = policy.SourceMiss
 }

@@ -40,8 +40,8 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 
 // uncalled returns one "file:line: name ..." line per function or method
 // of the root module that no non-test file uses and that satisfies no
-// interface, sorted. The root package's exported facade, main and init
-// need no caller. The bench module is loaded for its calls only.
+// interface, sorted. Only main and init need no caller. The bench module
+// is loaded for its calls only.
 func uncalled(m *lint.Module) ([]string, error) {
 	used := map[types.Object]bool{}
 	benchLoaded := false
@@ -73,7 +73,7 @@ func uncalled(m *lint.Module) ([]string, error) {
 					continue
 				}
 				fn := pkg.Info.Defs[fd.Name].(*types.Func)
-				if used[fn] || needsNoCaller(m, fn) || satisfiesAny(fn, ifaces) {
+				if used[fn] || needsNoCaller(fn) || satisfiesAny(fn, ifaces) {
 					continue
 				}
 				pos := m.Fset.Position(fd.Pos())
@@ -108,15 +108,8 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-func needsNoCaller(m *lint.Module, fn *types.Func) bool {
-	recv := fn.Signature().Recv()
-	if recv == nil && (fn.Name() == "main" || fn.Name() == "init") {
-		return true
-	}
-	if fn.Pkg().Path() != m.Path || !fn.Exported() {
-		return false
-	}
-	return recv == nil || receiverNamed(recv.Type()).Obj().Exported()
+func needsNoCaller(fn *types.Func) bool {
+	return fn.Signature().Recv() == nil && (fn.Name() == "main" || fn.Name() == "init")
 }
 
 // interfaces returns every non-empty interface the loaded code declares
@@ -183,11 +176,15 @@ func receiverNamed(t types.Type) *types.Named {
 	return t.(*types.Named)
 }
 
-// qualified names fn as "internal/cluster.Client.Get".
+// qualified names fn as "internal/cluster.Client.Get", or as "Get" in the
+// root package.
 func qualified(m *lint.Module, pkg *lint.Package, fn *types.Func) string {
 	name := fn.Name()
 	if recv := fn.Signature().Recv(); recv != nil {
 		name = receiverNamed(recv.Type()).Obj().Name() + "." + name
 	}
-	return pkg.RelPath(m) + "." + name
+	if rel := pkg.RelPath(m); rel != "." {
+		name = rel + "." + name
+	}
+	return name
 }

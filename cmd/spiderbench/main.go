@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"spidercache"
 	"spidercache/internal/experiments"
 	"spidercache/internal/telemetry"
 )
@@ -38,7 +37,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(spidercache.Experiments(), "\n"))
+		fmt.Println(strings.Join(experiments.List(), "\n"))
 		return
 	}
 	asCSV := false
@@ -61,7 +60,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = spidercache.Experiments()
+		ids = experiments.List()
 	}
 	for _, id := range ids {
 		start := time.Now()

@@ -21,7 +21,6 @@ import (
 	"testing"
 	"unicode"
 
-	"spidercache"
 	"spidercache/internal/experiments"
 )
 
@@ -104,7 +103,7 @@ func loadLiveNames(t *testing.T) liveNames {
 	for _, id := range experimentAliases(t) {
 		live.experiments[id] = true
 	}
-	for _, p := range spidercache.Policies() {
+	for _, p := range experiments.PolicyNames() {
 		live.policies[p] = true
 	}
 	return live

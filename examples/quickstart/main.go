@@ -9,26 +9,33 @@ import (
 	"log"
 	"time"
 
-	"spidercache"
+	"spidercache/internal/dataset"
+	"spidercache/internal/experiments"
+	"spidercache/internal/nn"
+	"spidercache/internal/trainer"
 )
 
 func main() {
-	ds, err := spidercache.NewCIFAR10(0.5, 42)
+	ds, err := dataset.New(dataset.CIFAR10Like(0.5, 42))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset %s: %d samples, %d classes, %.1f MiB\n\n",
-		ds.Name(), ds.Len(), ds.Classes(), float64(ds.TotalBytes())/(1<<20))
+		ds.Config.Name, ds.Len(), ds.Config.Classes, float64(ds.TotalBytes())/(1<<20))
 
-	var results []*spidercache.Result
-	for _, policy := range []string{spidercache.PolicySpiderCache, spidercache.PolicyBaseline} {
-		res, err := spidercache.TrainWith(ds,
-			spidercache.WithPolicy(policy),
-			spidercache.WithModel("ResNet18"),
-			spidercache.WithEpochs(15),
-			spidercache.WithCacheFraction(0.2),
-			spidercache.WithSeed(42),
-		)
+	const epochs = 15
+	var results []*trainer.Result
+	for _, name := range []string{"spider", "baseline"} {
+		pol, err := experiments.BuildPolicy(name, experiments.PolicyParams{
+			Dataset: ds, Capacity: int(float64(ds.Len()) * 0.2), Epochs: epochs, Seed: 42,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := trainer.Run(trainer.Config{
+			Dataset: ds, Model: nn.ResNet18, Epochs: epochs,
+			BatchSize: 64, Workers: 1, PipelineIS: true, Seed: 42,
+		}, pol)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,33 +1,66 @@
 package spidercache_test
 
-// Integration tests: drive whole training runs through the public API and
-// assert the paper's headline *shapes* — who wins on hit ratio, where the
-// speed-up comes from, how the elastic manager behaves. These are the
-// executable form of EXPERIMENTS.md's qualitative claims, at a scale small
-// enough for CI.
+// Integration tests: drive whole training runs through the one training
+// door, experiments.BuildPolicy plus trainer.Run, and assert the paper's
+// headline *shapes* — who wins on hit ratio, where the speed-up comes
+// from, how the elastic manager behaves — and that the door honours every
+// value it is given. These are the executable form of EXPERIMENTS.md's
+// qualitative claims, at a scale small enough for CI.
 
 import (
+	"math"
+	"strings"
 	"testing"
 
-	"spidercache"
 	"spidercache/internal/dataset"
 	"spidercache/internal/experiments"
 	"spidercache/internal/nn"
+	"spidercache/internal/telemetry"
 	"spidercache/internal/trainer"
 )
 
-func train(t *testing.T, ds *spidercache.Dataset, pol string, epochs int) *spidercache.Result {
-	t.Helper()
-	res, err := spidercache.TrainWith(ds,
-		spidercache.WithPolicy(pol),
-		spidercache.WithEpochs(epochs),
-		spidercache.WithCacheFraction(0.2),
-		spidercache.WithSeed(42),
-	)
+// train runs the named policy over ds for epochs at seed, with the rest of
+// spidertrain's default flags: ResNet18, batch 64, a cache of 20% of the
+// dataset, one worker, the IS pipeline on and the elastic range 0.90 ->
+// 0.80. Epochs and seed go to both the policy and the trainer. tweak, when
+// non-nil, edits the two before the run.
+func train(tb testing.TB, ds *dataset.Dataset, name string, epochs int, seed uint64,
+	tweak func(*experiments.PolicyParams, *trainer.Config)) *trainer.Result {
+	tb.Helper()
+	p := experiments.PolicyParams{
+		Dataset: ds, Capacity: int(float64(ds.Len()) * 0.2), Epochs: epochs, Seed: seed,
+		RStart: 0.90, REnd: 0.80,
+	}
+	cfg := trainer.Config{
+		Dataset: ds, Model: nn.ResNet18, Epochs: epochs, BatchSize: 64,
+		Workers: 1, PipelineIS: true, Seed: seed,
+	}
+	if tweak != nil {
+		tweak(&p, &cfg)
+	}
+	pol, err := experiments.BuildPolicy(name, p)
 	if err != nil {
-		t.Fatalf("TrainWith(%s): %v", pol, err)
+		tb.Fatalf("BuildPolicy(%s): %v", name, err)
+	}
+	res, err := trainer.Run(cfg, pol)
+	if err != nil {
+		tb.Fatalf("trainer.Run(%s): %v", name, err)
 	}
 	return res
+}
+
+func cifar10(tb testing.TB, scale float64, seed uint64) *dataset.Dataset {
+	tb.Helper()
+	ds, err := dataset.New(dataset.CIFAR10Like(scale, seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
+
+// elasticRange sets the spider policy's imp-ratio endpoints.
+func elasticRange(rStart, rEnd float64) func(*experiments.PolicyParams, *trainer.Config) {
+	return func(p *experiments.PolicyParams, _ *trainer.Config) { p.RStart, p.REnd = rStart, rEnd }
 }
 
 // TestHitRatioOrdering asserts the Fig 14 ordering at a 20% cache:
@@ -36,16 +69,13 @@ func TestHitRatioOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := spidercache.NewCIFAR10(0.25, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := cifar10(t, 0.25, 42)
 	const epochs = 10
-	hits := map[string]float64{}
-	for _, pol := range []string{"spider", "icache", "shade", "coordl", "baseline"} {
-		hits[pol] = train(t, ds, pol, epochs).AvgHitRatio()
-	}
 	order := []string{"spider", "icache", "shade", "coordl", "baseline"}
+	hits := map[string]float64{}
+	for _, pol := range order {
+		hits[pol] = train(t, ds, pol, epochs, 42, nil).AvgHitRatio()
+	}
 	for i := 1; i < len(order); i++ {
 		if hits[order[i-1]] <= hits[order[i]] {
 			t.Errorf("hit ordering violated: %s (%.3f) <= %s (%.3f)",
@@ -65,13 +95,10 @@ func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := spidercache.NewCIFAR10(0.25, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := cifar10(t, 0.25, 42)
 	const epochs = 10
-	spider := train(t, ds, "spider", epochs)
-	baseline := train(t, ds, "baseline", epochs)
+	spider := train(t, ds, "spider", epochs, 42, nil)
+	baseline := train(t, ds, "baseline", epochs, 42, nil)
 	speed := float64(baseline.TotalTime) / float64(spider.TotalTime)
 	if speed < 1.3 {
 		t.Errorf("speed-up only %.2fx (paper: avg 2.21x)", speed)
@@ -89,36 +116,21 @@ func TestElasticManagerShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := spidercache.NewCIFAR10(0.25, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := cifar10(t, 0.25, 42)
 	const epochs = 14
-	static, err := spidercache.TrainWith(ds,
-		spidercache.WithPolicy("spider"), spidercache.WithEpochs(epochs), spidercache.WithCacheFraction(0.2),
-		spidercache.WithElasticRange(0.9, 0.9), spidercache.WithSeed(42),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deep, err := spidercache.TrainWith(ds,
-		spidercache.WithPolicy("spider"), spidercache.WithEpochs(epochs), spidercache.WithCacheFraction(0.2),
-		spidercache.WithElasticRange(0.9, 0.5), spidercache.WithSeed(42),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	static := train(t, ds, "spider", epochs, 42, elasticRange(0.9, 0.9))
+	deep := train(t, ds, "spider", epochs, 42, elasticRange(0.9, 0.5))
 	if got := static.Epochs[epochs-1].ImpRatio; got != 0.9 {
 		t.Errorf("static imp-ratio drifted to %.3f", got)
 	}
 	if got := deep.Epochs[epochs-1].ImpRatio; got >= 0.9 {
 		t.Errorf("dynamic imp-ratio never moved: %.3f", got)
 	}
-	lateHit := func(r *spidercache.Result) float64 {
+	lateHit := func(r *trainer.Result) float64 {
 		es := r.Epochs[len(r.Epochs)*3/4:]
 		var s float64
 		for _, e := range es {
-			s += e.HitRatio
+			s += e.HitRatio()
 		}
 		return s / float64(len(es))
 	}
@@ -134,11 +146,7 @@ func TestScoreVarianceDynamics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := spidercache.NewCIFAR10(0.25, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := train(t, ds, "spider", 14)
+	res := train(t, cifar10(t, 0.25, 42), "spider", 14, 42, nil)
 	var early, late float64
 	for _, e := range res.Epochs[1:4] {
 		early += e.ScoreStd
@@ -158,14 +166,10 @@ func TestSubstitutionIsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := spidercache.NewCIFAR10(0.25, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := train(t, ds, "spider", 10)
+	res := train(t, cifar10(t, 0.25, 42), "spider", 10, 42, nil)
 	var sub float64
 	for _, e := range res.Epochs {
-		sub += e.SubRatio
+		sub += float64(e.HitSub) / float64(e.Requests)
 	}
 	sub /= float64(len(res.Epochs))
 	if sub > 0.4 {
@@ -179,33 +183,102 @@ func TestMultiWorkerGapWidens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ds, err := dataset.New(dataset.CIFAR10Like(0.25, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := cifar10(t, 0.25, 42)
 	const epochs = 4
 	gap := func(workers int) float64 {
-		var times [2]float64
-		for i, name := range []string{"baseline", "spider"} {
-			pol, err := experiments.BuildPolicy(name, experiments.PolicyParams{
-				Dataset: ds, Capacity: int(float64(ds.Len()) * 0.2), Epochs: epochs, Seed: 42,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Stall accounting, as Fig 17 runs it: no prefetch overlap.
-			res, err := trainer.Run(trainer.Config{
-				Dataset: ds, Model: nn.ResNet18, Epochs: epochs, BatchSize: 64,
-				Workers: workers, PipelineIS: true, SerialLoading: true, Seed: 42,
-			}, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			times[i] = res.TotalTime.Seconds()
+		// Stall accounting, as Fig 17 runs it: no prefetch overlap.
+		fig17 := func(_ *experiments.PolicyParams, c *trainer.Config) {
+			c.Workers, c.SerialLoading = workers, true
 		}
-		return times[0] / times[1]
+		base := train(t, ds, "baseline", epochs, 42, fig17)
+		spider := train(t, ds, "spider", epochs, 42, fig17)
+		return base.TotalTime.Seconds() / spider.TotalTime.Seconds()
 	}
 	if g1, g4 := gap(1), gap(4); g4 <= g1 {
 		t.Errorf("gap did not widen with workers: 1 GPU %.2fx, 4 GPUs %.2fx", g1, g4)
+	}
+}
+
+// tinyCIFAR is the small workload of the door's own checks.
+func tinyCIFAR(t *testing.T) *dataset.Dataset { return cifar10(t, 0.06, 3) }
+
+func TestTrainEveryPolicy(t *testing.T) {
+	ds := tinyCIFAR(t)
+	for _, pol := range experiments.PolicyNames() {
+		if res := train(t, ds, pol, 2, 9, nil); len(res.Epochs) != 2 {
+			t.Fatalf("%s: epochs %d", pol, len(res.Epochs))
+		}
+	}
+}
+
+// TestTrainElasticKnobs: equal endpoints freeze the spider policy's
+// imp-ratio at the value given.
+func TestTrainElasticKnobs(t *testing.T) {
+	res := train(t, tinyCIFAR(t), "spider", 2, 42, elasticRange(0.85, 0.85))
+	if got := res.Epochs[1].ImpRatio; got != 0.85 {
+		t.Fatalf("static imp ratio %g, want 0.85", got)
+	}
+}
+
+// TestExplicitZeroExpressible: an explicit zero is honoured, never silently
+// replaced by a default.
+func TestExplicitZeroExpressible(t *testing.T) {
+	ds := tinyCIFAR(t)
+
+	// Explicit zero cache: a genuine no-cache run — every lookup misses,
+	// for every policy. Two epochs, because even a caching run misses
+	// everything on first touch; the cache only pays off from epoch 2.
+	for _, pol := range experiments.PolicyNames() {
+		res := train(t, ds, pol, 2, 42, func(p *experiments.PolicyParams, _ *trainer.Config) { p.Capacity = 0 })
+		if hr := res.AvgHitRatio(); hr != 0 {
+			t.Errorf("%s: cache-less run hit ratio = %v, want 0", pol, hr)
+		}
+	}
+
+	// Explicit zero seed: a run of its own, not the default seed's.
+	zero := train(t, ds, "spider", 2, 0, nil)
+	def := train(t, ds, "spider", 2, 42, nil)
+	if zero.TotalTime == def.TotalTime && zero.FinalAcc == def.FinalAcc {
+		t.Error("seed 0 reproduced seed 42's run")
+	}
+
+	// Explicit zero rEnd: the ratio is free to fall below the default's
+	// 0.80 once β latches, so the trajectory is not the default one.
+	const latched = 8 // epochs enough for β to latch (Eq. 5)
+	toZero := train(t, ds, "spider", latched, 42, elasticRange(0.9, 0))
+	def = train(t, ds, "spider", latched, 42, nil)
+	last := func(r *trainer.Result) float64 { return r.Epochs[len(r.Epochs)-1].ImpRatio }
+	if last(toZero) == last(def) {
+		t.Errorf("elastic range (0.9, 0) ended at the default run's imp-ratio %v", last(def))
+	}
+}
+
+// TestTrainWithMetrics: a registry given to both the policy and the trainer
+// records the serving path and the elastic trajectory.
+func TestTrainWithMetrics(t *testing.T) {
+	ds := tinyCIFAR(t)
+	reg := telemetry.NewRegistry()
+	res := train(t, ds, "spider", 2, 5, func(p *experiments.PolicyParams, c *trainer.Config) {
+		p.Metrics, c.Metrics = reg, reg
+	})
+	snap := reg.Snapshot()
+	var lookups int64
+	for _, src := range []string{"cache", "substitute", "miss"} {
+		lookups += snap.Counters[`lookups_total{source="`+src+`"}`]
+	}
+	wantRequests := int64(2 * ds.Len())
+	if lookups != wantRequests {
+		t.Fatalf("lookups_total sum = %d, want %d", lookups, wantRequests)
+	}
+	if got := snap.Gauges["imp_ratio"]; math.Abs(got-res.Epochs[len(res.Epochs)-1].ImpRatio) > 1e-12 {
+		t.Fatalf("imp_ratio gauge %v != final epoch ImpRatio %v", got, res.Epochs[len(res.Epochs)-1].ImpRatio)
+	}
+	remote, ok := snap.Histograms[`fetch_seconds{tier="remote"}`]
+	if !ok || remote.Count == 0 || remote.P50 <= 0 || remote.P99 < remote.P50 {
+		t.Fatalf("remote fetch histogram wrong: %+v", remote)
+	}
+	text := reg.Prometheus()
+	if !strings.Contains(text, `lookups_total{source="cache"}`) || !strings.Contains(text, "imp_ratio") {
+		t.Fatalf("exposition missing serving-path series:\n%s", text)
 	}
 }

@@ -77,7 +77,6 @@ func (r *replica) call(op func(*kvserver.Client) error) error {
 // the value on a secondary owner can at worst duplicate a cache entry,
 // never corrupt one.
 type Client struct {
-	pool     kvserver.Config // per-node pool template
 	replicas int
 	tel      clientTelemetry
 	ring     *Ring

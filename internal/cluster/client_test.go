@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
-	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,14 +226,14 @@ func TestNewAppliesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := kvserver.Config{PoolSize: 2}
-	if c.replicas != 2 || c.ring.points != ringPoints || !reflect.DeepEqual(c.pool, want) {
-		t.Fatalf("defaults: replicas %d, ring points %d, pool %+v", c.replicas, c.ring.points, c.pool)
+	r := c.peers[srv.Addr()]
+	if c.replicas != 2 || c.ring.points != ringPoints {
+		t.Fatalf("defaults: replicas %d, ring points %d", c.replicas, c.ring.points)
 	}
-	if r := c.peers[srv.Addr()]; r == nil || r.breaker == nil || r.breaker.current() != breakerClosed {
+	if r == nil || r.breaker == nil || r.breaker.current() != breakerClosed {
 		t.Fatalf("node %s has no closed breaker: %+v", srv.Addr(), r)
 	}
-	// Nothing was dialled.
+	checkPoolSize(t, r, 2)
 	c.Close()
 
 	c, err = New(
@@ -245,8 +245,46 @@ func TestNewAppliesOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	want = kvserver.Config{PoolSize: 5}
-	if c.replicas != 3 || !reflect.DeepEqual(c.pool, want) {
-		t.Fatalf("options not applied: replicas %d, pool %+v", c.replicas, c.pool)
+	if c.replicas != 3 {
+		t.Fatalf("options not applied: replicas %d", c.replicas)
+	}
+	checkPoolSize(t, c.peers[srv.Addr()], 5)
+}
+
+// checkPoolSize checks that r's pool runs size ops at once, and not one
+// more: it starts size+1 ops that each hold their connection, waits for
+// size of them to get one, and fails if the last gets one within 50 ms.
+func checkPoolSize(t *testing.T, r *replica, size int) {
+	t.Helper()
+	entered := make(chan struct{}, size+1)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i <= size; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := r.pool.Do(func(*kvserver.Client) error {
+				entered <- struct{}{}
+				<-release
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(release)
+	for i := 0; i < size; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("pool ran %d ops at once, want %d", i, size)
+		}
+	}
+	select {
+	case <-entered:
+		t.Fatalf("pool ran %d ops at once, want %d", size+1, size)
+	case <-time.After(50 * time.Millisecond):
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"spidercache/internal/telemetry"
 )
 
-// Option configures a cluster client built with New. Options mirror the
-// trainer's TrainWith pattern: each is a small function over the settings
-// struct, they compose left to right, and invalid combinations surface as
-// a single error from New rather than a panic mid-construction.
+// Option configures a cluster client built with New. Each is a small
+// function over the settings struct, they compose left to right, and
+// invalid combinations surface as a single error from New rather than a
+// panic mid-construction.
 type Option func(*clientSettings)
 
 // clientSettings is the accumulator New folds Options into.
@@ -115,5 +115,5 @@ func New(opts ...Option) (*Client, error) {
 	}
 	nodes := slices.Clone(s.seeds)
 	slices.Sort(nodes)
-	return &Client{pool: s.pool, replicas: s.replicas, tel: tel, ring: ring, nodes: nodes, peers: peers}, nil
+	return &Client{replicas: s.replicas, tel: tel, ring: ring, nodes: nodes, peers: peers}, nil
 }

@@ -11,6 +11,13 @@ import (
 	"spidercache/internal/telemetry"
 )
 
+// protoErrs lists the protocol error vocabulary of server.go, once:
+// FuzzServeOne fails on any protocol error outside it.
+var protoErrs = []protoErr{
+	errEmptyCommand, errUnknownCmd, errBadArgs, errKeyTooLong, errBadLength,
+	errBadPayload, errLineTooLong, errBadEmbedDim, errBadThreshold, errBadNodeAddr,
+}
+
 // FuzzServeOne drives the protocol handler with arbitrary bytes: the server
 // must never panic regardless of input, and every error must map to a
 // stable protocol string (one of protoErrs) or be an I/O error. Only the

@@ -35,7 +35,6 @@ import (
 
 // cfgBlock is one basic block.
 type cfgBlock struct {
-	index int
 	nodes []ast.Node
 	succs []*cfgBlock
 	preds []*cfgBlock
@@ -99,7 +98,7 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 }
 
 func (b *cfgBuilder) newBlock() *cfgBlock {
-	blk := &cfgBlock{index: len(b.g.blocks)}
+	blk := &cfgBlock{}
 	b.g.blocks = append(b.g.blocks, blk)
 	return blk
 }

@@ -301,19 +301,23 @@ func cfgString(fset *token.FileSet, g *funcCFG) string {
 		}
 		return ""
 	}
+	index := make(map[*cfgBlock]int, len(g.blocks))
+	for i, b := range g.blocks {
+		index[b] = i
+	}
 	for _, b := range g.blocks {
 		if len(b.nodes) == 0 && len(b.succs) == 0 && len(b.preds) == 0 &&
 			b != g.entry && b != g.exit && b != g.panicExit {
 			continue // never wired (e.g. builder scratch): not part of the graph
 		}
-		fmt.Fprintf(&sb, "b%d%s:", b.index, special(b))
+		fmt.Fprintf(&sb, "b%d%s:", index[b], special(b))
 		for _, n := range b.nodes {
 			fmt.Fprintf(&sb, " {%s}", nodeSrc(fset, n))
 		}
 		if len(b.succs) > 0 {
 			idx := make([]int, len(b.succs))
 			for i, s := range b.succs {
-				idx[i] = s.index
+				idx[i] = index[s]
 			}
 			sort.Ints(idx)
 			parts := make([]string, len(idx))

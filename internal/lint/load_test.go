@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/parser"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -83,6 +85,46 @@ func TestLoadRealModule(t *testing.T) {
 	diags := Run(m, DefaultConfig(), Checks())
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
+	}
+}
+
+// TestLoadDirRootWithoutCode: a module whose root package holds only tests,
+// or only a doc file, loads with its other packages.
+func TestLoadDirRootWithoutCode(t *testing.T) {
+	for name, root := range map[string]map[string]string{
+		"tests only": {"root_test.go": "package fix_test\n"},
+		"doc only":   {"doc.go": "// Package fix is a fixture.\npackage fix\n"},
+	} {
+		dir := t.TempDir()
+		files := map[string]string{"go.mod": "module fix\n", "a/a.go": "package a\n\nfunc A() {}\n"}
+		for n, src := range root {
+			files[n] = src
+		}
+		for n, src := range files {
+			p := filepath.Join(dir, filepath.FromSlash(n))
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := LoadDir(dir)
+		if err != nil {
+			t.Fatalf("%s: LoadDir: %v", name, err)
+		}
+		if lookup(m, "fix/a") == nil {
+			t.Errorf("%s: package fix/a not loaded", name)
+		}
+		rootPkg := lookup(m, "fix")
+		if wantRoot := name == "doc only"; (rootPkg != nil) != wantRoot {
+			t.Errorf("%s: root package loaded = %v, want %v", name, rootPkg != nil, wantRoot)
+		}
+		for _, pkg := range m.Packages {
+			for _, e := range pkg.TypeErrors {
+				t.Errorf("%s: %s: type error: %v", name, pkg.Path, e)
+			}
+		}
 	}
 }
 

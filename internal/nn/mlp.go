@@ -136,12 +136,11 @@ func (m *MLP) SetLR(lr float64) {
 }
 
 // ForwardResult carries everything downstream consumers need from a forward
-// pass: per-sample losses feed loss-based samplers, embeddings feed the
-// graph-based IS algorithm, and predictions feed accuracy accounting.
+// pass: per-sample losses feed loss-based samplers, and embeddings feed the
+// graph-based IS algorithm.
 type ForwardResult struct {
 	Losses     []float64   // per-sample cross-entropy
 	Embeddings [][]float64 // per-sample embedding rows (copies, safe to retain)
-	Pred       []int       // argmax class per sample
 }
 
 // Forward runs the batch x (rows = samples) with integer labels through the
@@ -169,7 +168,6 @@ func (m *MLP) Forward(x *tensor.Matrix, labels []int) ForwardResult {
 	return ForwardResult{
 		Losses:     tensor.CrossEntropyRows(m.probs, labels),
 		Embeddings: emb,
-		Pred:       m.probs.ArgmaxRows(),
 	}
 }
 

@@ -43,8 +43,8 @@ func TestForwardShapes(t *testing.T) {
 	}
 	x := tensor.New(5, 4)
 	fr := m.Forward(x, []int{0, 1, 2, 0, 1})
-	if len(fr.Losses) != 5 || len(fr.Embeddings) != 5 || len(fr.Pred) != 5 {
-		t.Fatalf("result sizes %d/%d/%d, want 5", len(fr.Losses), len(fr.Embeddings), len(fr.Pred))
+	if len(fr.Losses) != 5 || len(fr.Embeddings) != 5 {
+		t.Fatalf("result sizes %d/%d, want 5", len(fr.Losses), len(fr.Embeddings))
 	}
 	if len(fr.Embeddings[0]) != 8 {
 		t.Fatalf("embedding dim %d, want 8", len(fr.Embeddings[0]))

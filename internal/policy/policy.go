@@ -49,7 +49,6 @@ type Feedback struct {
 	ID        int       // sample that was trained on (ServedID)
 	Loss      float64   // cross-entropy of this sample
 	Embedding []float64 // feature-extraction-layer output
-	Correct   bool      // prediction matched label
 }
 
 // Policy is a pluggable caching + sampling strategy driven by the trainer.

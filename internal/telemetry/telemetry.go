@@ -137,14 +137,12 @@ func rank(xs []float64, q float64) float64 {
 type HistogramSnapshot struct {
 	Count int64
 	Sum   float64
-	Min   float64
-	Max   float64
 	P50   float64
 	P95   float64
 	P99   float64
 }
 
-// Snapshot returns cumulative count/sum plus min/max and p50/p95/p99 over
+// Snapshot returns cumulative count/sum plus p50/p95/p99 over
 // the sliding window. Quantile fields are NaN-free: an empty histogram
 // snapshots as all zeros.
 func (h *Histogram) Snapshot() HistogramSnapshot {
@@ -162,8 +160,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		return snap
 	}
 	sort.Float64s(xs)
-	snap.Min = xs[0]
-	snap.Max = xs[len(xs)-1]
 	snap.P50 = rank(xs, 0.50)
 	snap.P95 = rank(xs, 0.95)
 	snap.P99 = rank(xs, 0.99)

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"spidercache/internal/dataset"
@@ -70,6 +71,37 @@ func TestRunDeterministic(t *testing.T) {
 	b := runWith(t, cfg, build)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("runs diverged:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestTrainingIdenticalAcrossCores: the host's core count changes how fast
+// a run goes, never what it computes. A spider run at GOMAXPROCS 1 takes
+// every serial path (tensor kernels, batch scoring, the ANN index's
+// settle); at GOMAXPROCS 4 each of them forks. Their records must be
+// bit-equal.
+func TestTrainingIdenticalAcrossCores(t *testing.T) {
+	ds, err := dataset.New(dataset.CIFAR10Like(0.3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trainer.Config{
+		Dataset: ds, Model: nn.ResNet18, Epochs: 4,
+		BatchSize: 64, Workers: 1, PipelineIS: true, Seed: 7,
+	}
+	trainAt := func(procs int) *trainer.Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return runWith(t, cfg, func() policy.Policy {
+			pol, err := experiments.BuildPolicy("spider", experiments.PolicyParams{
+				Dataset: ds, Capacity: int(float64(ds.Len()) * 0.2), Epochs: cfg.Epochs, Seed: cfg.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pol
+		})
+	}
+	if one, four := trainAt(1), trainAt(4); !reflect.DeepEqual(one, four) {
+		t.Fatalf("GOMAXPROCS 1 and 4 trained differently:\n%+v\nvs\n%+v", one, four)
 	}
 }
 

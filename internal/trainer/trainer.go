@@ -169,7 +169,6 @@ type Result struct {
 	Policy  string
 	Model   string
 	Dataset string
-	Workers int
 	Epochs  []EpochStats
 
 	TotalTime time.Duration
@@ -312,7 +311,6 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 		Policy:  pol.Name(),
 		Model:   cfg.Model.Name,
 		Dataset: ds.Config.Name,
-		Workers: cfg.Workers,
 	}
 
 	tel := newRunTelemetry(cfg.Metrics)
@@ -410,7 +408,6 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 				ID:        id,
 				Loss:      fr.Losses[i],
 				Embedding: fr.Embeddings[i],
-				Correct:   fr.Pred[i] == data.labels[i],
 			}
 			lossSum += fr.Losses[i]
 			lossN++
