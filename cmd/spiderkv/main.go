@@ -13,10 +13,10 @@
 // pointed at any live member with -join and gossips its way in. Every
 // member must agree on -replicas for placement to converge; the ring's 128
 // virtual points per node are a constant that members and clients share.
-// The peer pools that carry replication, rebalance and gossip keep
-// kvserver.DefaultConfig's 4 connections and 10s timeout, and a peer is
-// expelled after 3 failed gossip rounds in a row; every peer op is one
-// attempt, and a failed push is counted, not retried. Clients connect with
+// The peer pools that carry replication, rebalance and gossip hold 4
+// connections with a 10s timeout, and a peer is expelled after 3 failed
+// gossip rounds in a row; every peer op is one attempt, and a failed push
+// is counted, not retried. Clients connect with
 // cluster.New(cluster.WithSeeds(...)), naming every member as a seed.
 //
 // The daemon exits on SIGINT/SIGTERM after a graceful close: gossip and
@@ -33,12 +33,10 @@ import (
 	"time"
 
 	"spidercache/internal/cluster"
-	"spidercache/internal/kvserver"
 	"spidercache/internal/telemetry"
 )
 
 func main() {
-	cfg := kvserver.DefaultConfig()
 	fs := flag.NewFlagSet("spiderkv", flag.ExitOnError)
 	var (
 		listen    = fs.String("listen", "127.0.0.1:7461", "address to bind")
@@ -46,8 +44,8 @@ func main() {
 		join      = fs.String("join", "", "comma-separated addresses of existing members to join through")
 		replicas  = fs.Int("replicas", 2, "distinct ring owners per key (replication factor; must match across the cluster)")
 		gossip    = fs.Duration("gossip", 500*time.Millisecond, "membership gossip interval")
+		capacity  = fs.Int("capacity", 1<<16, "item capacity of the LRU store")
 	)
-	cfg.BindStoreFlags(fs)
 	// ExitOnError makes Parse terminate the process on bad flags.
 	fs.Parse(os.Args[1:])
 
@@ -58,13 +56,16 @@ func main() {
 		}
 	}
 
+	// Caught before the announce line, which a reader may answer with SIGTERM.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	reg := telemetry.NewRegistry()
 	node, err := cluster.StartNode(cluster.NodeOptions{
 		Listen:      *listen,
 		Advertise:   *advertise,
 		Seeds:       seeds,
 		Replicas:    *replicas,
-		Store:       cfg,
+		Capacity:    *capacity,
 		GossipEvery: *gossip,
 		Registry:    reg,
 	})
@@ -73,13 +74,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("spiderkv: serving on %s (capacity=%d shards=%d replicas=%d gossip=%v)\n",
-		node.Addr(), cfg.Capacity, node.Server().Shards(), *replicas, *gossip)
+		node.Addr(), *capacity, node.Server().Shards(), *replicas, *gossip)
 	if len(seeds) > 0 {
 		fmt.Printf("spiderkv: joining via %s\n", strings.Join(seeds, ", "))
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Printf("spiderkv: %v, shutting down\n", s)
 	if err := node.Close(); err != nil {

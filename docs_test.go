@@ -247,26 +247,9 @@ func proseFlags(line string) []string {
 }
 
 // commandFlags parses cmd/*/main.go and returns each command's registered
-// flags: every flag-defining call with a literal name, plus the flags of
-// each kvserver Config.Bind*Flags method the command calls.
+// flags: every flag-defining call with a literal name.
 func commandFlags(t *testing.T) map[string]map[string]bool {
 	t.Helper()
-	binders := map[string][]string{} // Bind*Flags method -> flags it registers
-	kv, err := parser.ParseDir(token.NewFileSet(), filepath.Join("internal", "kvserver"), func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range kv {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && isBinder(fn.Name.Name) {
-					binders[fn.Name.Name] = definedFlags(fn.Body, nil)
-				}
-			}
-		}
-	}
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +264,7 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 			t.Fatal(err)
 		}
 		set := map[string]bool{"h": true, "help": true} // the flag package's own
-		for _, name := range definedFlags(f, binders) {
+		for _, name := range definedFlags(f) {
 			set[name] = true
 		}
 		out[filepath.Base(filepath.Dir(path))] = set
@@ -289,14 +272,9 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	return out
 }
 
-func isBinder(name string) bool {
-	return strings.HasPrefix(name, "Bind") && strings.HasSuffix(name, "Flags")
-}
-
 // definedFlags returns the flag names registered under node: the literal
-// name argument of each flag.X / fs.X definition, and the flags of each
-// binder method it calls.
-func definedFlags(node ast.Node, binders map[string][]string) []string {
+// name argument of each flag.X / fs.X definition.
+func definedFlags(node ast.Node) []string {
 	var names []string
 	ast.Inspect(node, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -305,10 +283,6 @@ func definedFlags(node ast.Node, binders map[string][]string) []string {
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
-			return true
-		}
-		if isBinder(sel.Sel.Name) {
-			names = append(names, binders[sel.Sel.Name]...)
 			return true
 		}
 		arg := 0

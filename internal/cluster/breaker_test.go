@@ -176,7 +176,7 @@ func TestReplicaBreakerFailsFast(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	r := &replica{pool: kvserver.NewPool(ln.Addr().String(), kvserver.Config{PoolSize: 1}), breaker: newTestBreaker(clock, reg)}
+	r := &replica{pool: kvserver.NewPool(ln.Addr().String(), 1, 0), breaker: newTestBreaker(clock, reg)}
 	defer r.pool.Close()
 	ran := 0
 	get := func(c *kvserver.Client) error {

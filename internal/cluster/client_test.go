@@ -20,9 +20,7 @@ func startNode(t *testing.T) *kvserver.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := kvserver.DefaultConfig()
-	cfg.Capacity = 1 << 20
-	srv, err := kvserver.Serve(ln, cfg, nil, nil)
+	srv, err := kvserver.Serve(ln, 1<<20, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ type NodeOptions struct {
 	// Replicas is how many distinct ring owners hold each key (default 2).
 	// All members must agree on this for placement to converge.
 	Replicas int
-	// Store carries the canonical store/pool tuning shared with the
-	// standalone server (capacity) and the peer pools (pool size,
-	// timeout).
-	Store kvserver.Config
+	// Capacity is the item budget of the node's LRU store; StartNode
+	// rejects a value below 1.
+	Capacity int
 	// GossipEvery is the membership gossip interval (default 500ms).
 	GossipEvery time.Duration
 	// Registry receives the node's telemetry (and the embedded server's,
@@ -39,6 +38,14 @@ type NodeOptions struct {
 
 // deadAfter is how many consecutive failed gossip rounds expel a peer.
 const deadAfter = 3
+
+// A peer pool, which carries replication, rebalance and gossip, holds
+// peerConns connections, each bounding a dial, reply read or flush by
+// peerTimeout.
+const (
+	peerConns   = 4
+	peerTimeout = 10 * time.Second
+)
 
 func (o NodeOptions) withDefaults() NodeOptions {
 	if o.Replicas <= 0 {
@@ -165,7 +172,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	n.tel.members.Set(1)
-	srv, err := kvserver.Serve(ln, opts.Store, opts.Registry, n)
+	srv, err := kvserver.Serve(ln, opts.Capacity, opts.Registry, n)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +257,7 @@ func (n *Node) addMember(addr string) *kvserver.Pool {
 		n.mu.Unlock()
 		return nil
 	}
-	pool := kvserver.NewPool(addr, n.opts.Store)
+	pool := kvserver.NewPool(addr, peerConns, peerTimeout)
 	// Add only fails on an empty name, which validNodeAddr rejects on
 	// HELLO and readNodes in a NODES reply.
 	n.ring.Add(addr)

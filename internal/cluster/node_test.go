@@ -30,15 +30,11 @@ func startTestNode(t *testing.T, seeds ...string) *Node {
 // when tb ends.
 func startGossipNode(tb testing.TB, every time.Duration, seeds ...string) *Node {
 	tb.Helper()
-	cfg := kvserver.DefaultConfig()
-	cfg.Capacity = 1 << 12
-	cfg.PoolSize = 2
-	cfg.Timeout = 2 * time.Second
 	n, err := StartNode(NodeOptions{
 		Listen:      "127.0.0.1:0",
 		Seeds:       seeds,
 		Replicas:    2,
-		Store:       cfg,
+		Capacity:    1 << 12,
 		GossipEvery: every,
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ type Option func(*clientSettings)
 // clientSettings is the accumulator New folds Options into.
 type clientSettings struct {
 	seeds    []string
-	pool     kvserver.Config // per-node pool template
+	poolSize int // connections per node
 	replicas int
 	reg      *telemetry.Registry
 	err      error
@@ -62,7 +62,7 @@ func WithPoolSize(n int) Option {
 			s.fail(fmt.Errorf("cluster: WithPoolSize needs n >= 1, got %d", n))
 			return
 		}
-		s.pool.PoolSize = n
+		s.poolSize = n
 	}
 }
 
@@ -83,7 +83,7 @@ func WithMetrics(reg *telemetry.Registry) Option {
 // as they come up.
 func New(opts ...Option) (*Client, error) {
 	s := clientSettings{
-		pool:     kvserver.Config{PoolSize: 2},
+		poolSize: 2,
 		replicas: 2,
 	}
 	for _, opt := range opts {
@@ -109,7 +109,7 @@ func New(opts ...Option) (*Client, error) {
 			return nil, err
 		}
 		peers[node] = &replica{
-			pool:    kvserver.NewPool(node, s.pool),
+			pool:    kvserver.NewPool(node, s.poolSize, 0),
 			breaker: newBreaker(tel.breakerState(node)),
 		}
 	}

@@ -47,7 +47,7 @@ func Fig8(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, err := embeddingStats(res, ds.Labels, featureMatrix(ds.Features))
+		stats, err := embeddingStats(res, ds.Labels, tensor.FromRows(ds.Features))
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +109,7 @@ func populationAccuracy(res *trainer.Result, ds *dataset.Dataset) (acc map[datas
 	acc, n = map[dataset.Kind]float64{}, map[dataset.Kind]int{}
 	for _, k := range populations {
 		if n[k] = len(rows[k]); n[k] > 0 {
-			acc[k], _ = res.FinalModel.Evaluate(featureMatrix(rows[k]), labels[k])
+			acc[k], _ = res.FinalModel.Evaluate(tensor.FromRows(rows[k]), labels[k])
 		}
 	}
 	return acc, n
@@ -127,7 +127,7 @@ func embeddingStats(res *trainer.Result, labels []int, x *tensor.Matrix) (embSta
 	n := len(labels)
 	emb := make([][]float64, n)
 	for i := range emb {
-		emb[i] = semgraph.Normalize(fr.Embeddings[i])
+		emb[i] = semgraph.NormalizeInto(nil, fr.Embeddings[i])
 	}
 
 	// Pairwise distance sampling (full O(n^2) is unnecessary).
@@ -199,12 +199,4 @@ func dist(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-func featureMatrix(rows [][]float64) *tensor.Matrix {
-	x := tensor.New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		copy(x.Row(i), r)
-	}
-	return x
 }

@@ -41,9 +41,7 @@ func NGet(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := kvserver.DefaultConfig()
-	cfg.Capacity = capacity
-	srv, err := kvserver.Serve(ln, cfg, nil, nil)
+	srv, err := kvserver.Serve(ln, capacity, nil, nil)
 	if err != nil {
 		return nil, err
 	}

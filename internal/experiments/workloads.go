@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"spidercache/internal/core"
@@ -31,45 +32,57 @@ type PolicyParams struct {
 	Metrics *telemetry.Registry
 }
 
+// policies is the policy registry in evaluation order: the id flags and
+// experiments name a policy by, the label the paper's tables print, and
+// the constructor.
+var policies = []struct {
+	name, display string
+	build         func(PolicyParams) (policy.Policy, error)
+}{
+	{"baseline", "Baseline", seeded(policy.NewBaselineLRU)},
+	{"lfu", "LFU", seeded(policy.NewLFU)},
+	{"coordl", "CoorDL", seeded(policy.NewCoorDL)},
+	{"shade", "SHADE", seeded(policy.NewShade)},
+	{"icache-imp", "iCache-imp", seeded(policy.NewICacheImp)},
+	{"icache", "iCache", seeded(policy.NewICache)},
+	{"spider-imp", "SpiderCache-imp", func(p PolicyParams) (policy.Policy, error) { return buildSpider(p, true) }},
+	{"spider", "SpiderCache", func(p PolicyParams) (policy.Policy, error) { return buildSpider(p, false) }},
+}
+
+// seeded adapts a baseline constructor, which takes the dataset size, the
+// item budget and a seed, to the registry's signature.
+func seeded[P policy.Policy](newPolicy func(n, capacity int, seed uint64) (P, error)) func(PolicyParams) (policy.Policy, error) {
+	return func(p PolicyParams) (policy.Policy, error) {
+		return newPolicy(p.Dataset.Len(), p.Capacity, p.Seed)
+	}
+}
+
 // ValidatePolicy reports nil when name is buildable, or a descriptive
 // error listing every accepted name.
 func ValidatePolicy(name string) error {
-	for _, n := range PolicyNames() {
-		if n == name {
-			return nil
-		}
+	if slices.Contains(PolicyNames(), name) {
+		return nil
 	}
 	return fmt.Errorf("unknown policy %q (want one of %s)", name, strings.Join(PolicyNames(), ", "))
 }
 
 // PolicyNames lists every buildable policy in evaluation order.
 func PolicyNames() []string {
-	return []string{"baseline", "lfu", "coordl", "shade", "icache-imp", "icache", "spider-imp", "spider"}
+	names := make([]string, len(policies))
+	for i, pol := range policies {
+		names[i] = pol.name
+	}
+	return names
 }
 
 // BuildPolicy constructs a policy by its lowercase registry name.
 func BuildPolicy(name string, p PolicyParams) (policy.Policy, error) {
-	n := p.Dataset.Len()
-	switch name {
-	case "baseline":
-		return policy.NewBaselineLRU(n, p.Capacity, p.Seed)
-	case "lfu":
-		return policy.NewLFU(n, p.Capacity, p.Seed)
-	case "coordl":
-		return policy.NewCoorDL(n, p.Capacity, p.Seed)
-	case "shade":
-		return policy.NewShade(n, p.Capacity, p.Seed)
-	case "icache-imp":
-		return policy.NewICacheImp(n, p.Capacity, p.Seed)
-	case "icache":
-		return policy.NewICache(n, p.Capacity, p.Seed)
-	case "spider-imp":
-		return buildSpider(p, true)
-	case "spider":
-		return buildSpider(p, false)
-	default:
-		return nil, fmt.Errorf("experiments: %w", ValidatePolicy(name))
+	for _, pol := range policies {
+		if pol.name == name {
+			return pol.build(p)
+		}
 	}
+	return nil, fmt.Errorf("experiments: %w", ValidatePolicy(name))
 }
 
 func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
@@ -91,26 +104,12 @@ func buildSpider(p PolicyParams, impOnly bool) (*core.SpiderCache, error) {
 
 // displayName maps registry names to the labels used in the paper's tables.
 func displayName(name string) string {
-	switch name {
-	case "baseline":
-		return "Baseline"
-	case "lfu":
-		return "LFU"
-	case "coordl":
-		return "CoorDL"
-	case "shade":
-		return "SHADE"
-	case "icache-imp":
-		return "iCache-imp"
-	case "icache":
-		return "iCache"
-	case "spider-imp":
-		return "SpiderCache-imp"
-	case "spider":
-		return "SpiderCache"
-	default:
-		return name
+	for _, pol := range policies {
+		if pol.name == name {
+			return pol.display
+		}
 	}
+	return name
 }
 
 // datasets returns the three evaluation datasets at the requested scale.

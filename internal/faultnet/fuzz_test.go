@@ -31,9 +31,7 @@ func FuzzClientFraming(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg := kvserver.DefaultConfig()
-	cfg.Capacity = 1 << 20
-	srv, err := kvserver.Serve(ln, cfg, nil, nil)
+	srv, err := kvserver.Serve(ln, 1<<20, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

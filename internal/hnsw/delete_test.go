@@ -271,7 +271,7 @@ func recallAt8(ix *Index, vecs [][]float64, ids []int, ef int, rng *xrand.Rand) 
 	for i := 0; i < queries; i++ {
 		q := drifted(live[rng.Intn(len(live))], 0.05, rng)
 		got := map[int]bool{}
-		for _, r := range ix.SearchKNNEf(q, k, ef) {
+		for _, r := range searchEf(ix, q, k, ef) {
 			got[r.ID] = true
 		}
 		for _, j := range bruteKNN(live, q, k) {
@@ -564,7 +564,7 @@ func TestDeleteHistoryIsDeterministic(t *testing.T) {
 		if i < len(vecs) {
 			q = vecs[i]
 		}
-		if ra, rb := a.SearchKNNEf(q, 8, 64), b.SearchKNNEf(q, 8, 64); !reflect.DeepEqual(ra, rb) {
+		if ra, rb := a.SearchKNN(q, 8), b.SearchKNN(q, 8); !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("query %d answered differently:\n%v\n%v", i, ra, rb)
 		}
 	}

@@ -23,7 +23,7 @@ func recallOf(ix *Index, vecs [][]float64, queries [][]float64, k, ef int) float
 	found := 0
 	for _, q := range queries {
 		got := map[int]bool{}
-		for _, r := range ix.SearchKNNEf(q, k, ef) {
+		for _, r := range searchEf(ix, q, k, ef) {
 			got[r.ID] = true
 		}
 		for _, id := range bruteKNN(vecs, q, k) {

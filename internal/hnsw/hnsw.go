@@ -926,19 +926,13 @@ type Result struct {
 	Dist float64 // Euclidean distance (Eq. 1 of the paper)
 }
 
-// SearchKNN returns up to k approximate nearest neighbours of q using the
-// configured EfSearch beam width.
-func (ix *Index) SearchKNN(q []float64, k int) []Result {
-	return ix.SearchKNNEf(q, k, ix.p.EfSearch)
-}
-
-// SearchKNNEf is SearchKNN with an explicit beam width ef (>= k recommended).
-// Safe for concurrent use; parallel searches share only the read lock. A
-// query of another dimensionality than the index's finds nothing: Delete can
-// empty the index and another dimensionality can move in between a caller's
-// check and its search.
-func (ix *Index) SearchKNNEf(q []float64, k, ef int) (out []Result) {
-	ix.readSettled(func() { out = ix.searchKNN(q, k, ef) })
+// SearchKNN returns up to k approximate nearest neighbours of q at the
+// EfSearch beam width. Safe for concurrent use; parallel searches share
+// only the read lock. A query of another dimensionality than the index's
+// finds nothing: Delete can empty the index and another dimensionality can
+// move in between a caller's check and its search.
+func (ix *Index) SearchKNN(q []float64, k int) (out []Result) {
+	ix.readSettled(func() { out = ix.searchKNN(q, k, ix.p.EfSearch) })
 	return out
 }
 

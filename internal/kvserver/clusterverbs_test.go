@@ -1,11 +1,9 @@
 package kvserver
 
 import (
-	"flag"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fakeHooks records ClusterHooks calls so tests can assert exactly what
@@ -53,7 +51,7 @@ func (f *fakeHooks) snapshot() (sets map[string][]byte, hello []string) {
 
 func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
 	t.Helper()
-	srv := serve(t, storeConfig(1<<10), nil, hooks)
+	srv := serve(t, 1<<10, nil, hooks)
 	return srv, dial(t, srv)
 }
 
@@ -130,42 +128,6 @@ func TestNodesReplyRejectsInvalidAddress(t *testing.T) {
 		_, c = serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
 		if nodes, err := c.Hello("127.0.0.1:2"); err == nil {
 			t.Errorf("HELLO reply listing %q = %q, want an error", bad, nodes)
-		}
-	}
-}
-
-func TestConfigFlagBindingAndDerivation(t *testing.T) {
-	cfg := DefaultConfig()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	cfg.BindStoreFlags(fs)
-	if err := fs.Parse([]string{"-capacity", "512"}); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Capacity != 512 {
-		t.Fatalf("flag binding produced %+v", cfg)
-	}
-	cfg.PoolSize, cfg.Timeout = 7, 3*time.Second
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Serve and NewPool take the Config as it is.
-	if srv := serve(t, cfg, nil, nil); srv.Shards() != 8 {
-		t.Fatalf("server built %d shards from -capacity 512, want 8", srv.Shards())
-	}
-	p := NewPool("127.0.0.1:1", cfg)
-	defer p.Close()
-	if cap(p.conns) != 7 || p.timeout != 3*time.Second {
-		t.Fatalf("pool built size %d, timeout %v from the Config", cap(p.conns), p.timeout)
-	}
-
-	for _, bad := range []Config{
-		{Capacity: 0, PoolSize: 1},
-		{Capacity: 1, PoolSize: 0},
-		{Capacity: 1, PoolSize: 1, Timeout: -time.Second},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("Validate accepted %+v", bad)
 		}
 	}
 }

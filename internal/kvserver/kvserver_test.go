@@ -10,26 +10,21 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"spidercache/internal/telemetry"
 )
 
-// storeConfig is DefaultConfig with the given store size; the store
-// auto-shards it (256 items -> 4 shards, 512 -> 8).
-func storeConfig(capacity int) Config {
-	cfg := DefaultConfig()
-	cfg.Capacity = capacity
-	return cfg
-}
-
-// serve starts a server on a loopback port, closed at cleanup.
-func serve(t testing.TB, cfg Config, reg *telemetry.Registry, hooks ClusterHooks) *Server {
+// serve starts a server over a store of capacity items on a loopback
+// port, closed at cleanup. The store auto-shards (256 items -> 4 shards,
+// 512 -> 8).
+func serve(t testing.TB, capacity int, reg *telemetry.Registry, hooks ClusterHooks) *Server {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(ln, cfg, reg, hooks)
+	srv, err := Serve(ln, capacity, reg, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +34,7 @@ func serve(t testing.TB, cfg Config, reg *telemetry.Registry, hooks ClusterHooks
 
 func startServer(t testing.TB, capacity int) *Server {
 	t.Helper()
-	return serve(t, storeConfig(capacity), nil, nil)
+	return serve(t, capacity, nil, nil)
 }
 
 func dial(t testing.TB, srv *Server) *Client {
@@ -115,18 +110,40 @@ func dialCounting(t testing.TB, srv *Server) (*Client, *countingConn) {
 	return c, cc
 }
 
-// TestServeValidation: Serve rejects an invalid Config and, owning the
-// listener from the call on, closes it.
+// TestServeValidation: Serve rejects a capacity below 1 in the words
+// spiderkv prints for -capacity and, owning the listener from the call
+// on, closes it.
 func TestServeValidation(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Serve(ln, storeConfig(0), nil, nil); err == nil {
-		t.Fatal("zero capacity accepted")
+	_, err = Serve(ln, 0, nil, nil)
+	if want := "kvserver: -capacity must be >= 1, got 0"; err == nil || err.Error() != want {
+		t.Fatalf("Serve(capacity 0) = %v, want %q", err, want)
 	}
 	if _, err := ln.Accept(); err == nil {
 		t.Fatal("Serve left a rejected listener open")
+	}
+}
+
+// TestServeAndPoolTakeTheirSettings: Serve shards the store from its
+// capacity, and NewPool holds the size and timeout it is given, a size
+// below 1 taken as 1.
+func TestServeAndPoolTakeTheirSettings(t *testing.T) {
+	if srv := startServer(t, 512); srv.Shards() != 8 {
+		t.Fatalf("server built %d shards from capacity 512, want 8", srv.Shards())
+	}
+	for _, tc := range []struct {
+		size, want int
+		timeout    time.Duration
+	}{{7, 7, 3 * time.Second}, {0, 1, 0}} {
+		p := NewPool("127.0.0.1:1", tc.size, tc.timeout)
+		p.Close()
+		if cap(p.conns) != tc.want || p.timeout != tc.timeout {
+			t.Errorf("NewPool(size %d, timeout %v) built size %d, timeout %v",
+				tc.size, tc.timeout, cap(p.conns), p.timeout)
+		}
 	}
 }
 

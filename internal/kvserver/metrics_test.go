@@ -50,7 +50,7 @@ func TestMetricsVerbOverWire(t *testing.T) {
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Gauge("host_custom_gauge", nil).Set(42)
-	srv := serve(t, storeConfig(4), reg, nil)
+	srv := serve(t, 4, reg, nil)
 	if srv.reg != reg {
 		t.Fatal("server did not adopt the shared registry")
 	}
@@ -72,7 +72,7 @@ func TestMetricsSharedRegistry(t *testing.T) {
 // TestMetricsShardGauges: METRICS exports one kv_shard_items gauge per
 // store shard, and their sum equals kv_items — shard balance is visible.
 func TestMetricsShardGauges(t *testing.T) {
-	c := dial(t, serve(t, storeConfig(256), nil, nil))
+	c := dial(t, startServer(t, 256))
 	for i := 0; i < 64; i++ {
 		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

@@ -181,7 +181,7 @@ func TestNGetEvictionUnlinks(t *testing.T) {
 // bucket of kv_semantic_hits_total, and near hits feed kv_semantic_dist.
 func TestNGetTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := dial(t, serve(t, storeConfig(64), reg, nil))
+	c := dial(t, serve(t, 64, reg, nil))
 
 	vecA := unit(1, 0)
 	if err := c.Set("a", []byte("v")); err != nil {
@@ -313,9 +313,9 @@ func clusterVecs(n int) (vecs, centroids [][]float32) {
 // the graph. The NGET right after it, of an absent key at the new place,
 // must be served from the moved key: a search over the links it had in its
 // old cluster would not reach it from the new one: a cluster holds twice
-// as many keys as an NGET's beam.
+// as many keys as an NGET's beam, hnsw's EfSearch of 64.
 func TestNGetFindsMovedKey(t *testing.T) {
-	const n = 8 * 2 * semSearchEf
+	const n = 8 * 2 * 64
 	srv := startServer(t, 2*n)
 	c := dial(t, srv)
 	vecs, centroids := clusterVecs(n)

@@ -29,15 +29,16 @@ type Pool struct {
 	closed bool
 }
 
-// NewPool builds a pool of cfg.PoolSize connections to addr with cfg's
-// timeout. Every slot is dialled on first use, so NewPool never fails,
-// even while the node is down — failover clients construct against
-// unreachable nodes. A PoolSize below 1 is taken as 1.
-func NewPool(addr string, cfg Config) *Pool {
-	size := max(cfg.PoolSize, 1)
+// NewPool builds a pool of size connections to addr, each bounding every
+// dial, reply read and request flush by timeout (0 means block
+// indefinitely). Every slot is dialled on first use, so NewPool never
+// fails, even while the node is down — failover clients construct against
+// unreachable nodes. A size below 1 is taken as 1.
+func NewPool(addr string, size int, timeout time.Duration) *Pool {
+	size = max(size, 1)
 	p := &Pool{
 		addr:    addr,
-		timeout: cfg.Timeout,
+		timeout: timeout,
 		conns:   make(chan *Client, size),
 		done:    make(chan struct{}),
 	}

@@ -19,7 +19,7 @@ func TestPoolAcquireCloseRace(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
 	for iter := 0; iter < 1000; iter++ {
-		pool := NewPool(srv.Addr(), Config{PoolSize: 1})
+		pool := NewPool(srv.Addr(), 1, 0)
 		// Check out the only connection so the concurrent acquire blocks
 		// on the empty channel — the exact shape of the original deadlock.
 		held, err := pool.acquire()
@@ -110,7 +110,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 		}
 	}()
 
-	pool := NewPool(proxy.Addr().String(), Config{PoolSize: 1})
+	pool := NewPool(proxy.Addr().String(), 1, 0)
 	// The slot starts undialled, so this acquire dials through the
 	// gated proxy. TCP connect succeeds immediately (the proxy accepted);
 	// the pool is then closed before acquire's post-redial check runs.
@@ -140,7 +140,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 func TestPoolReleaseNilPanics(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
+	pool := NewPool(srv.Addr(), 1, 0)
 	defer pool.Close()
 	defer func() {
 		if recover() == nil {
@@ -153,7 +153,7 @@ func TestPoolReleaseNilPanics(t *testing.T) {
 func TestPoolLazyDial(t *testing.T) {
 	leakcheck.Check(t)
 	// A pool against a node that is down is built all the same...
-	pool := NewPool("127.0.0.1:1", Config{PoolSize: 2})
+	pool := NewPool("127.0.0.1:1", 2, 0)
 	if _, _, err := poolGet(pool, "k"); err == nil {
 		t.Fatal("Get against a down node succeeded")
 	}
@@ -161,7 +161,7 @@ func TestPoolLazyDial(t *testing.T) {
 
 	// ...and work normally once the node exists.
 	srv := startServer(t, 16)
-	pool = NewPool(srv.Addr(), Config{PoolSize: 2})
+	pool = NewPool(srv.Addr(), 2, 0)
 	defer pool.Close()
 	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestPoolLazyDial(t *testing.T) {
 func TestPoolRedialsBrokenSlot(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
+	pool := NewPool(srv.Addr(), 1, 0)
 	defer pool.Close()
 	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewPool(srv.Addr(), Config{PoolSize: 1})
+			p := NewPool(srv.Addr(), 1, 0)
 			defer p.Close()
 			err := tc.run(p)
 			want, wantFollowUp := cap(p.conns), error(nil)

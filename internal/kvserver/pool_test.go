@@ -27,7 +27,7 @@ func poolSet(p *Pool, key string, value []byte) error {
 func TestPoolBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
+	pool := NewPool(srv.Addr(), 2, 0)
 	defer pool.Close()
 
 	if err := poolSet(pool, "k", []byte("v")); err != nil {
@@ -56,7 +56,7 @@ func TestPoolBasicOps(t *testing.T) {
 func TestPoolConcurrent(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4096)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 4})
+	pool := NewPool(srv.Addr(), 4, 0)
 	defer pool.Close()
 
 	const goroutines = 16 // 4x oversubscribed: exercises acquire blocking
@@ -93,7 +93,7 @@ func TestPoolConcurrent(t *testing.T) {
 func TestPoolRecoversFromBrokenConn(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1})
+	pool := NewPool(srv.Addr(), 1, 0)
 	defer pool.Close()
 
 	// Break the pooled connection from inside a Do: close the raw conn so
@@ -115,7 +115,7 @@ func TestPoolRecoversFromBrokenConn(t *testing.T) {
 func TestPoolPipeline(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
+	pool := NewPool(srv.Addr(), 2, 0)
 	defer pool.Close()
 
 	err := pool.Do(func(c *Client) error {
@@ -140,7 +140,7 @@ func TestPoolPipeline(t *testing.T) {
 func TestPoolClose(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 2})
+	pool := NewPool(srv.Addr(), 2, 0)
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPoolClose(t *testing.T) {
 func TestPoolDeadlines(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), Config{PoolSize: 1, Timeout: time.Second})
+	pool := NewPool(srv.Addr(), 1, time.Second)
 	defer pool.Close()
 	// Deadlines are re-armed per op: two ops with a pause between them must
 	// both succeed even with a short window relative to total test time.

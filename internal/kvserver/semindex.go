@@ -46,9 +46,6 @@ type semIndex struct {
 // before giving up on finding a resident one inside the threshold.
 const semSearchK = 8
 
-// semSearchEf is the HNSW beam width for NGET lookups.
-const semSearchEf = 64
-
 func newSemIndex() *semIndex {
 	ix, _ := hnsw.New(hnsw.DefaultConfig()) // its error is always nil
 	return &semIndex{ix: ix, byKey: make(map[string]int), byID: make(map[int]string)}
@@ -110,7 +107,7 @@ type semNeighbor struct {
 func (x *semIndex) lookup(q []float64) []semNeighbor {
 	// The search runs outside x.mu; hnsw's own RWMutex orders it against
 	// concurrent upserts and deletes.
-	res := x.ix.SearchKNNEf(q, semSearchK, semSearchEf)
+	res := x.ix.SearchKNN(q, semSearchK)
 	out := make([]semNeighbor, 0, len(res))
 	x.mu.Lock()
 	for _, r := range res {

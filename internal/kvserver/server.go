@@ -73,6 +73,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strconv"
@@ -190,10 +191,11 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	return tel
 }
 
-// Serve starts a server on ln holding the store cfg describes and returns
-// at once; connections are handled in background goroutines until Close.
-// The server owns ln from the call on: Close closes it, and so does Serve
-// itself when cfg is invalid (see Config.Validate).
+// Serve starts a server on ln over an LRU store of capacity items and
+// returns at once; connections are handled in background goroutines until
+// Close. The store shards itself from capacity (one shard per 64 items, at
+// most 16). The server owns ln from the call on: Close closes it, and so
+// does Serve itself when capacity is below 1.
 //
 // reg receives the server's telemetry and backs the METRICS verb; nil
 // means a private registry, so METRICS always works. A shared registry
@@ -202,16 +204,16 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 // the server to a cluster daemon's membership and replication machinery
 // (see ClusterHooks); nil means standalone: HELLO/NODES answer with an
 // empty node set and mutations are never fanned out.
-func Serve(ln net.Listener, cfg Config, reg *telemetry.Registry, hooks ClusterHooks) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
-		//lint:ignore errcheck the config error is what the caller sees; the listener close is cleanup
+func Serve(ln net.Listener, capacity int, reg *telemetry.Registry, hooks ClusterHooks) (*Server, error) {
+	if capacity < 1 {
+		//lint:ignore errcheck the capacity error is what the caller sees; the listener close is cleanup
 		ln.Close()
-		return nil, err
+		return nil, fmt.Errorf("kvserver: -capacity must be >= 1, got %d", capacity)
 	}
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	srv := newServerCore(newStore(cfg.Capacity), reg)
+	srv := newServerCore(newStore(capacity), reg)
 	srv.listener = ln
 	srv.cluster = hooks
 	srv.wg.Add(1)

@@ -200,7 +200,7 @@ func TestStoreRaceStress(t *testing.T) {
 // TestServerRaceStress drives mixed verbs over many real connections — the
 // wire-level -race stress for the sharded data plane, pipelines included.
 func TestServerRaceStress(t *testing.T) {
-	srv := serve(t, storeConfig(512), nil, nil)
+	srv := startServer(t, 512)
 	const conns = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)

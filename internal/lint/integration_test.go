@@ -114,7 +114,7 @@ func TestRealModuleAnalyzersSeeFacts(t *testing.T) {
 		n := 0
 		for _, pkg := range p.PackagesMatching([]string{path}) {
 			for _, d := range errs {
-				if filepath.Dir(d.Pos.Filename) == pkg.Dir {
+				if filepath.Dir(d.Pos.Filename) == filepath.Join(m.Dir, pkg.RelPath(m)) {
 					n++
 				}
 			}

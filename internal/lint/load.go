@@ -20,8 +20,6 @@ type Package struct {
 	Path string
 	// Name is the package name ("kvserver").
 	Name string
-	// Dir is the on-disk directory ("" for synthetic packages).
-	Dir string
 	// Files are the parsed non-test source files, sorted by file name.
 	Files []*ast.File
 	// Types is the type-checked package object.
@@ -135,7 +133,6 @@ func (mi *moduleImporter) check(path string) (*Package, error) {
 	pkg := &Package{
 		Path:  src.path,
 		Name:  src.name,
-		Dir:   src.dir,
 		Files: src.files,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},

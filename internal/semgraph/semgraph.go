@@ -162,20 +162,15 @@ func (g *Grapher) SetMetrics(reg *telemetry.Registry) {
 // has issued. Safe for concurrent reads.
 func (g *Grapher) SearchCalls() int64 { return g.searchCalls.Load() }
 
-// Normalize returns the L2-normalised copy of vec that the grapher indexes
-// and scores. Normalisation puts every embedding on the unit sphere so the
-// similarity decay (Eq. 2) and edge threshold (Eq. 3) operate on a bounded,
-// architecture-independent distance scale — the same reason cosine distance
-// is the default in embedding retrieval systems. Zero vectors are returned
-// unchanged.
-func Normalize(vec []float64) []float64 {
-	return NormalizeInto(nil, vec)
-}
-
-// NormalizeInto is Normalize writing into dst, reusing its storage when it
-// has sufficient capacity (dst may be nil or an earlier return value of this
-// function). It returns the normalised slice. vec is never modified, and
-// the result aliases dst, not vec.
+// NormalizeInto writes the L2-normalised copy of vec that the grapher
+// indexes and scores into dst, reusing its storage when it has sufficient
+// capacity (dst may be nil or an earlier return value of this function).
+// Normalisation puts every embedding on the unit sphere so the similarity
+// decay (Eq. 2) and edge threshold (Eq. 3) operate on a bounded,
+// architecture-independent distance scale — the same reason cosine
+// distance is the default in embedding retrieval systems. It returns the
+// normalised slice; zero vectors come back as zeros. vec is never
+// modified, and the result aliases dst, not vec.
 func NormalizeInto(dst, vec []float64) []float64 {
 	if cap(dst) < len(vec) {
 		dst = make([]float64, len(vec))

@@ -55,20 +55,20 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNormalize: with a nil dst, NormalizeInto returns a fresh unit
+// vector and leaves vec as it was.
 func TestNormalize(t *testing.T) {
-	v := Normalize([]float64{3, 4})
+	v := NormalizeInto(nil, []float64{3, 4})
 	if math.Abs(v[0]-0.6) > 1e-12 || math.Abs(v[1]-0.8) > 1e-12 {
-		t.Fatalf("Normalize = %v", v)
+		t.Fatalf("NormalizeInto(nil, {3, 4}) = %v", v)
 	}
-	z := Normalize([]float64{0, 0})
+	z := NormalizeInto(nil, []float64{0, 0})
 	if z[0] != 0 || z[1] != 0 {
 		t.Fatalf("zero vector changed: %v", z)
 	}
-	// Input must not be mutated.
 	in := []float64{2, 0}
-	Normalize(in)
-	if in[0] != 2 {
-		t.Fatal("Normalize mutated input")
+	if out := NormalizeInto(nil, in); in[0] != 2 || &out[0] == &in[0] {
+		t.Fatal("NormalizeInto(nil, v) mutated or aliased v")
 	}
 }
 

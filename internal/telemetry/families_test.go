@@ -11,7 +11,6 @@ import (
 	"spidercache/internal/dataset"
 	"spidercache/internal/experiments"
 	"spidercache/internal/faultnet"
-	"spidercache/internal/kvserver"
 	"spidercache/internal/leakcheck"
 	"spidercache/internal/nn"
 	"spidercache/internal/telemetry"
@@ -31,10 +30,8 @@ func TestModuleFamilies(t *testing.T) {
 	leakcheck.Check(t, leakcheck.IgnoreFunc("internal/par.worker"))
 	reg := telemetry.NewRegistry()
 
-	store := kvserver.DefaultConfig()
-	store.Capacity = 1 << 10
 	node, err := cluster.StartNode(cluster.NodeOptions{
-		Listen: "127.0.0.1:0", Replicas: 1, Store: store,
+		Listen: "127.0.0.1:0", Replicas: 1, Capacity: 1 << 10,
 		GossipEvery: time.Hour, Registry: reg,
 	})
 	if err != nil {

@@ -30,6 +30,19 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
+// FromRows copies rows, all of one length, into a len(rows) x len(rows[0])
+// matrix; no rows give a 0x0 matrix.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return New(0, 0)
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

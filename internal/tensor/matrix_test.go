@@ -114,6 +114,22 @@ func TestFromSliceValidates(t *testing.T) {
 	FromSlice(2, 2, []float64{1, 2, 3})
 }
 
+// TestFromRows: the rows are copied, not aliased, and no rows give 0x0.
+func TestFromRows(t *testing.T) {
+	rows := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	m := FromRows(rows)
+	if m.Rows != 2 || m.Cols != 3 || m.At(1, 0) != 4 || m.At(0, 2) != 3 {
+		t.Fatalf("FromRows = %+v", m)
+	}
+	rows[0][0] = 9
+	if m.At(0, 0) != 1 {
+		t.Fatal("FromRows aliased its input")
+	}
+	if e := FromRows(nil); e.Rows != 0 || e.Cols != 0 {
+		t.Fatalf("FromRows(nil) is %dx%d, want 0x0", e.Rows, e.Cols)
+	}
+}
+
 func TestAddRowVec(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	m.AddRowVec([]float64{10, 20, 30})

@@ -305,7 +305,7 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 	}
 
 	ds := cfg.Dataset
-	testX := featuresMatrix(ds.TestFeatures)
+	testX := tensor.FromRows(ds.TestFeatures)
 	clock := &simclock.Clock{}
 	res := &Result{
 		Policy:  pol.Name(),
@@ -501,15 +501,4 @@ func batchTensors(ds *dataset.Dataset, ids []int) (*tensor.Matrix, []int) {
 		labels[i] = ds.Labels[id]
 	}
 	return x, labels
-}
-
-func featuresMatrix(rows [][]float64) *tensor.Matrix {
-	if len(rows) == 0 {
-		return tensor.New(0, 0)
-	}
-	x := tensor.New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		copy(x.Row(i), r)
-	}
-	return x
 }
