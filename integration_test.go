@@ -270,11 +270,11 @@ func TestTrainWithMetrics(t *testing.T) {
 	if lookups != wantRequests {
 		t.Fatalf("lookups_total sum = %d, want %d", lookups, wantRequests)
 	}
-	if got := snap.Gauges["imp_ratio"]; math.Abs(got-res.Epochs[len(res.Epochs)-1].ImpRatio) > 1e-12 {
+	if got := reg.Gauge("imp_ratio", nil).Value(); math.Abs(got-res.Epochs[len(res.Epochs)-1].ImpRatio) > 1e-12 {
 		t.Fatalf("imp_ratio gauge %v != final epoch ImpRatio %v", got, res.Epochs[len(res.Epochs)-1].ImpRatio)
 	}
-	remote, ok := snap.Histograms[`fetch_seconds{tier="remote"}`]
-	if !ok || remote.Count == 0 || remote.P50 <= 0 || remote.P99 < remote.P50 {
+	remote := reg.Histogram("fetch_seconds", telemetry.Labels{"tier": "remote"}).Snapshot()
+	if remote.Count == 0 || remote.P50 <= 0 || remote.P99 < remote.P50 {
 		t.Fatalf("remote fetch histogram wrong: %+v", remote)
 	}
 	text := reg.Prometheus()

@@ -259,8 +259,8 @@ func (s *SpiderCache) OnMiss(id, size int) {
 
 // OnBatchEnd runs the Graph-based IS stage (Algorithm 1 lines 14-22) as a
 // batch: all embeddings are upserted into the ANN index first, then every
-// sample's global score is recomputed over the frozen index — fanned across
-// the worker pool by Grapher.ScoreBatch with results identical to serial.
+// sample's global score is recomputed over the frozen index — forked
+// through par.For by Grapher.ScoreBatch with results identical to serial.
 func (s *SpiderCache) OnBatchEnd(_ int, fb []policy.Feedback) {
 	if len(fb) == 0 {
 		return

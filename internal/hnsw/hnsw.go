@@ -46,8 +46,8 @@
 // once, four rows per kernel call (kernel.go), the beam of a layer search is
 // one sorted array (searchLayer), and all working memory of a search or an
 // upsert comes from a pooled scratch, and that of a settle from buffers the
-// index keeps: updating a point allocates nothing, a settle only the
-// goroutines it forks, and a search only its result. Every sum keeps its
+// index keeps: updating a point allocates nothing, a settle only its
+// par.For fork, and a search only its result. Every sum keeps its
 // order and every search meets its candidates in one defined order, so
 // results, link lists and through them training runs are a function of the
 // input alone, on any number of cores. TestGoldenTrace pins them down.
@@ -61,6 +61,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spidercache/internal/par"
 	"spidercache/internal/xrand"
 )
 
@@ -158,11 +159,14 @@ type Index struct {
 	// and then the selected slots.
 	picks  []uint32
 	pickAt []int
-	// pickers are the working memory of relinkAll's selecting goroutines,
+	// pickers are the working memory of relinkAll's selecting blocks,
 	// one each, kept here rather than pooled so that a settle takes the
-	// same buffers every time, whichever cores its goroutines land on. Each
+	// same buffers every time, whichever cores its blocks land on. Each
 	// holds a visit mark of 8 bytes per slot, up to GOMAXPROCS of them.
 	pickers []*scratch
+	// pickNext is the index on due of the next point a picker selects
+	// for; relinkAll resets it at each settle.
+	pickNext atomic.Int64
 	// beams holds the head of the layer-0 search relinkAll ran for each
 	// point it re-linked: due[i]'s row is EfSearch entries from
 	// beams[i*EfSearch], the point itself at distance 0 and then the
@@ -495,24 +499,14 @@ func (ix *Index) relinkAll() {
 	for _, sc := range ix.pickers[:workers] {
 		ix.fit(sc)
 	}
+	ix.pickNext.Store(0)
 	if workers > 1 {
-		// Goroutines of their own, not the training pool's: the pool lends
-		// a block only to a worker that is parked, and the caller of a
-		// search that settles often holds the pool's other workers blocked
-		// on this very lock.
-		var f fork
-		f.wg.Add(workers - 1)
-		for _, sc := range ix.pickers[1:workers] {
-			go func() {
-				defer f.wg.Done()
-				ix.pickFrom(sc, &f.next, picks)
-			}()
-		}
-		ix.pickFrom(ix.pickers[0], &f.next, picks)
-		f.wg.Wait()
+		// One block per picker; each takes due points until none is left.
+		par.For(workers, workers, func(start, _ int) {
+			ix.pickFrom(ix.pickers[start], picks)
+		})
 	} else {
-		var next atomic.Int64
-		ix.pickFrom(ix.pickers[0], &next, picks)
+		ix.pickFrom(ix.pickers[0], picks)
 	}
 	sc := ix.pickers[0]
 	for i, slot := range due {
@@ -543,18 +537,12 @@ func vecHash(v []float64) uint64 {
 	return h
 }
 
-// fork is what relinkAll's goroutines share.
-type fork struct {
-	wg   sync.WaitGroup
-	next atomic.Int64 // the next due point to select for
-}
-
-// pickFrom selects for due points, taking the next one from next until
-// none is left.
-func (ix *Index) pickFrom(sc *scratch, next *atomic.Int64, picks []uint32) {
+// pickFrom selects for due points, taking the next one from
+// Index.pickNext until none is left.
+func (ix *Index) pickFrom(sc *scratch, picks []uint32) {
 	w, ef := ix.pickRow(), ix.p.EfSearch
 	for {
-		i := int(next.Add(1) - 1)
+		i := int(ix.pickNext.Add(1) - 1)
 		if i >= len(ix.due) {
 			return
 		}

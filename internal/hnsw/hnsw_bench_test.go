@@ -176,10 +176,10 @@ func BenchmarkUpdateDrift(b *testing.B) {
 }
 
 // TestSettleAllocs bounds what one settle allocates, once its buffers have
-// grown: nothing on one core, and on four only the fork: the state its
-// goroutines share, and for each core beyond the first a goroutine's
-// closure and, when the runtime has no exited goroutine at hand to reuse,
-// the goroutine itself. testing.AllocsPerRun measures on one core whatever
+// grown: nothing on one core, and on four only its par.For fork: the block
+// function and the WaitGroup its goroutines share, and for each core
+// beyond the first a goroutine's closure and, when the runtime has no
+// exited goroutine at hand to reuse, the goroutine itself. testing.AllocsPerRun measures on one core whatever
 // GOMAXPROCS is, so the four-core count reads the allocator's statistics
 // around the same loop itself. A search that the settle's beam answers
 // allocates its result and nothing else.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spidercache/internal/leakcheck"
 	"spidercache/internal/xrand"
 )
 
@@ -257,10 +258,12 @@ func randomVec(dim int, rng *xrand.Rand) []float64 {
 // due a re-link while readers search and one goroutine deletes and
 // re-inserts points: every search and delete first settles whatever the
 // writers left due, the readers decide on the unlocked unsettled flag
-// whether to, and a settle selects on several goroutines of its own. Under
-// -race this checks that the flag, the fork and the install are ordered by
-// the index's lock; the graph must come out whole.
+// whether to, and a settle selects on several par.For blocks. Under -race
+// this checks that the flag, the fork and the install are ordered by the
+// index's lock; the graph must come out whole, and no block's goroutine
+// may outlive the test.
 func TestUpdatesRaceReads(t *testing.T) {
+	leakcheck.Check(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ix, err := New(DefaultConfig())
 	if err != nil {

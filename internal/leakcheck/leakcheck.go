@@ -3,11 +3,9 @@
 // that did not exist at the Check call must have exited. Because goroutine
 // teardown races test completion (Close returns before the serving loop
 // observes it), the comparison retries with backoff before declaring a leak.
-//
-// Goroutines that park forever by design — worker pools with no shutdown,
-// like internal/par's kernel workers — are excluded with IgnoreFunc:
-//
-//	leakcheck.Check(t, leakcheck.IgnoreFunc("internal/par."))
+// Only goroutines of the Go runtime and the testing framework are exempt;
+// the module keeps no goroutine that parks forever, so every check is
+// strict.
 //
 // The package is test-only infrastructure: it has no dependencies beyond
 // runtime and is safe to wire into any suite.
@@ -24,36 +22,17 @@ import (
 // retryDeadline bounds how long cleanup waits for stragglers to exit.
 const retryDeadline = 2 * time.Second
 
-// config collects the options of one Check call.
-type config struct {
-	ignores []string
-}
-
-// Option customises one Check call.
-type Option func(*config)
-
-// IgnoreFunc excludes goroutines whose stack trace contains substr —
-// typically a package-qualified function prefix like "internal/par.". Use it
-// for goroutines that intentionally outlive the test.
-func IgnoreFunc(substr string) Option {
-	return func(c *config) { c.ignores = append(c.ignores, substr) }
-}
-
 // Check snapshots the live goroutines and registers a cleanup that fails t
 // if goroutines created after this call are still running when the test
 // ends. Call it before the code under test spawns anything.
-func Check(t testing.TB, opts ...Option) {
+func Check(t testing.TB) {
 	t.Helper()
-	cfg := &config{}
-	for _, o := range opts {
-		o(cfg)
-	}
 	base := map[string]bool{}
 	for _, g := range liveGoroutines() {
 		base[g.id] = true
 	}
 	t.Cleanup(func() {
-		if leaked := waitForExit(base, cfg, retryDeadline); len(leaked) > 0 {
+		if leaked := waitForExit(base, retryDeadline); len(leaked) > 0 {
 			var b strings.Builder
 			for _, g := range leaked {
 				fmt.Fprintf(&b, "goroutine %s:\n%s\n", g.id, g.stack)
@@ -65,13 +44,13 @@ func Check(t testing.TB, opts ...Option) {
 
 // waitForExit polls until no unexpected goroutines remain or the deadline
 // expires, returning the survivors.
-func waitForExit(base map[string]bool, cfg *config, deadline time.Duration) []goroutine {
+func waitForExit(base map[string]bool, deadline time.Duration) []goroutine {
 	var leaked []goroutine
 	pause := time.Millisecond
 	for start := time.Now(); ; {
 		leaked = leaked[:0]
 		for _, g := range liveGoroutines() {
-			if !base[g.id] && !ignorable(g, cfg) {
+			if !base[g.id] && !ignorable(g) {
 				leaked = append(leaked, g)
 			}
 		}
@@ -85,10 +64,10 @@ func waitForExit(base map[string]bool, cfg *config, deadline time.Duration) []go
 	}
 }
 
-// ignorable reports whether g is background machinery or matches an
-// IgnoreFunc option: the Go runtime and the testing framework own a few
-// goroutines whose lifetime the test cannot control.
-func ignorable(g goroutine, cfg *config) bool {
+// ignorable reports whether g is background machinery: the Go runtime and
+// the testing framework own a few goroutines whose lifetime the test cannot
+// control.
+func ignorable(g goroutine) bool {
 	for _, skip := range []string{
 		"testing.tRunner",          // sibling parallel tests
 		"testing.(*T).Run",         // subtest drivers
@@ -99,11 +78,6 @@ func ignorable(g goroutine, cfg *config) bool {
 		"runtime.ensureSigM",       // signal mask thread
 		"leakcheck.liveGoroutines", // this package's own snapshot
 	} {
-		if strings.Contains(g.stack, skip) {
-			return true
-		}
-	}
-	for _, skip := range cfg.ignores {
 		if strings.Contains(g.stack, skip) {
 			return true
 		}

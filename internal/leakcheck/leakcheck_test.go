@@ -25,7 +25,7 @@ func TestDetectsLeakedGoroutine(t *testing.T) {
 	}()
 	<-started
 
-	leaked := waitForExit(base, &config{}, 50*time.Millisecond)
+	leaked := waitForExit(base, 50*time.Millisecond)
 	if len(leaked) != 1 {
 		t.Fatalf("want 1 leaked goroutine, got %d", len(leaked))
 	}
@@ -35,7 +35,7 @@ func TestDetectsLeakedGoroutine(t *testing.T) {
 
 	// Released, the goroutine must drop out within the retry window.
 	close(block)
-	if leaked := waitForExit(base, &config{}, retryDeadline); len(leaked) != 0 {
+	if leaked := waitForExit(base, retryDeadline); len(leaked) != 0 {
 		t.Errorf("goroutine still reported after release: %d", len(leaked))
 	}
 }
@@ -47,32 +47,9 @@ func TestWaitsForSlowExit(t *testing.T) {
 	}()
 	// The goroutine is alive right now but exits well within the retry
 	// window: no leak.
-	if leaked := waitForExit(base, &config{}, retryDeadline); len(leaked) != 0 {
+	if leaked := waitForExit(base, retryDeadline); len(leaked) != 0 {
 		t.Errorf("slow-exiting goroutine reported as a leak: %d", len(leaked))
 	}
-}
-
-func TestIgnoreFunc(t *testing.T) {
-	base := baseline()
-	block := make(chan struct{})
-	defer close(block)
-	started := make(chan struct{})
-	go parkedWorker(block, started)
-	<-started
-
-	cfg := &config{}
-	IgnoreFunc("leakcheck.parkedWorker")(cfg)
-	if leaked := waitForExit(base, cfg, 50*time.Millisecond); len(leaked) != 0 {
-		t.Errorf("ignored goroutine still reported: %d", len(leaked))
-	}
-	if leaked := waitForExit(base, &config{}, 50*time.Millisecond); len(leaked) != 1 {
-		t.Errorf("without the ignore, want 1 leak, got %d", len(leaked))
-	}
-}
-
-func parkedWorker(block, started chan struct{}) {
-	close(started)
-	<-block
 }
 
 // TestCheckPassesOnCleanTest is the happy-path end-to-end use.

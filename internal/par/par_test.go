@@ -1,20 +1,44 @@
 package par
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spidercache/internal/leakcheck"
 )
 
-// checkLeaks asserts the test spawns nothing beyond the package's own
-// worker pool, whose goroutines intentionally park forever.
-func checkLeaks(t *testing.T) {
-	leakcheck.Check(t, leakcheck.IgnoreFunc("internal/par.worker"))
+// TestForBlocksRunConcurrently pins For's contract that every block but
+// the caller's runs on a goroutine of its own: four blocks that each wait
+// for all four to arrive meet, however busy the rest of the process is.
+func TestForBlocksRunConcurrently(t *testing.T) {
+	leakcheck.Check(t)
+	const blocks = 4
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	met := make([]bool, blocks)
+	For(blocks, blocks, func(start, _ int) {
+		if arrived.Add(1) == blocks {
+			close(all)
+		}
+		select {
+		case <-all:
+			met[start] = true
+		case <-ctx.Done():
+		}
+	})
+	for b, ok := range met {
+		if !ok {
+			t.Errorf("block %d waited 3s for the other %d blocks", b, blocks-1)
+		}
+	}
 }
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	for _, workers := range []int{1, 2, 3, 8, 33} {
 		for _, n := range []int{0, 1, 2, 7, 100, 1001} {
 			hits := make([]atomic.Int32, n)
@@ -36,7 +60,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 }
 
 func TestForBlocksAreContiguousAndOrderedPerWorkerCount(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	// Block boundaries depend only on (workers, n), never on scheduling.
 	n, workers := 103, 4
 	var blocks [][2]int
@@ -63,7 +87,7 @@ func TestForBlocksAreContiguousAndOrderedPerWorkerCount(t *testing.T) {
 }
 
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	var total atomic.Int64
 	For(4, 8, func(start, end int) {
 		for i := start; i < end; i++ {
@@ -74,18 +98,5 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	})
 	if got := total.Load(); got != 8*16 {
 		t.Fatalf("nested For executed %d units, want %d", got, 8*16)
-	}
-}
-
-func TestStatsMonotonic(t *testing.T) {
-	checkLeaks(t)
-	p0, i0 := Stats()
-	For(4, 64, func(start, end int) {})
-	p1, i1 := Stats()
-	if p1 < p0 || i1 < i0 {
-		t.Fatalf("stats went backwards: (%d,%d) -> (%d,%d)", p0, i0, p1, i1)
-	}
-	if p1-p0+i1-i0 == 0 {
-		t.Fatal("no blocks recorded")
 	}
 }

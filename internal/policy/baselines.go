@@ -168,7 +168,6 @@ type ICache struct {
 	// ablation.
 	lCache   *cache.RandomReplace
 	lastLoss []float64
-	seen     []bool
 	// lossEMA tracks the recent loss level (exponential moving average);
 	// using a decaying mean instead of a cumulative one lets starved
 	// samples re-qualify as H once the rest of the dataset has learned
@@ -212,7 +211,6 @@ func newICache(n, capacity int, seed uint64, substitute bool) (*ICache, error) {
 		sampler:    u,
 		hCache:     cache.NewImportance(hCap),
 		lastLoss:   make([]float64, n),
-		seen:       make([]bool, n),
 		rng:        xrand.New(seed ^ 0x5b5b),
 		pendingSub: make(map[int][]int),
 	}
@@ -275,7 +273,6 @@ func (p *ICache) OnMiss(id, size int) {
 func (p *ICache) OnBatchEnd(_ int, fb []Feedback) {
 	for _, f := range fb {
 		p.lastLoss[f.ID] = f.Loss
-		p.seen[f.ID] = true
 		if !p.emaInit {
 			p.lossEMA = f.Loss
 			p.emaInit = true

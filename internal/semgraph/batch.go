@@ -18,7 +18,7 @@ const minParallelBatch = 4
 // allowed (substitute serving can train the same host twice) and the last
 // occurrence's score wins, exactly as sequential Score calls would behave.
 //
-// Scoring fans out across GOMAXPROCS pool workers: once the upserts
+// Scoring fans out into GOMAXPROCS par.For blocks: once the upserts
 // complete the index is read-only for the rest of the call, and per-sample
 // scores are independent, so the parallel result is bitwise-identical to
 // serial scoring — Algorithm 1 semantics and determinism are preserved. Score
@@ -55,7 +55,7 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 		}
 	}
 
-	// Phase 2 — score fan-out over the now-frozen index. Each worker block
+	// Phase 2 — score fan-out over the now-frozen index. Each block
 	// keeps its own normalisation buffer; computeScore only reads shared
 	// state and each block writes disjoint result slots.
 	results := make([]ScoreResult, len(ids))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spidercache/internal/hnsw"
+	"spidercache/internal/leakcheck"
 	"spidercache/internal/telemetry"
 	"spidercache/internal/xrand"
 )
@@ -68,6 +69,7 @@ func testBatches(n, dim int, seed uint64) ([][]int, [][][]float64) {
 // GOMAXPROCS 8 must produce bitwise-identical results and score tables.
 // GOMAXPROCS 8 takes the parallel branch on any host, however few its cores.
 func TestScoreBatchParallelMatchesSerial(t *testing.T) {
+	leakcheck.Check(t)
 	const n, dim = 96, 12
 	serial := testGrapher(t, n, 5)
 	parallel := testGrapher(t, n, 5)

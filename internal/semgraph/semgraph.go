@@ -90,9 +90,9 @@ func (r ScoreResult) Degree() int { return len(r.Neighbors) }
 // Grapher maintains global importance scores over the training set.
 //
 // Single calls (Update, Score, the stat readers) are not safe for concurrent
-// use; ScoreBatch is the concurrency entry point — it fans per-sample
-// scoring across the worker pool internally while presenting a serial
-// interface to the caller.
+// use; ScoreBatch is the concurrency entry point — it forks per-sample
+// scoring through par.For internally while presenting a serial interface
+// to the caller.
 type Grapher struct {
 	searcher NeighborSearcher
 	labels   []int

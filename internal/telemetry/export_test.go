@@ -14,6 +14,17 @@ func (r *Registry) Described() []string {
 	return out
 }
 
+// Kind names the instrument kind family is registered as ("counter",
+// "gauge" or "histogram"), or "" if no series of it is registered.
+func (r *Registry) Kind(family string) string {
+	for _, s := range r.snapshotSeries() {
+		if s.name == family {
+			return s.kind.String()
+		}
+	}
+	return ""
+}
+
 // Families lists the distinct family names registered, sorted.
 func (r *Registry) Families() []string {
 	if r == nil {

@@ -108,33 +108,23 @@ func escapeHelp(h string) string {
 	return strings.ReplaceAll(h, "\n", `\n`)
 }
 
-// Snapshot is a point-in-time view of a registry. Map keys are full
-// series identities (`name{label="value"}`).
+// Snapshot is a point-in-time view of a registry's counters, the part the
+// benchmark harness reads. Map keys are full series identities
+// (`name{label="value"}`).
 type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
+	Counters map[string]int64
 }
 
-// Snapshot captures every registered series. A nil registry yields an
+// Snapshot captures every registered counter. A nil registry yields an
 // empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	snap := Snapshot{Counters: map[string]int64{}}
 	if r == nil {
 		return snap
 	}
 	for _, s := range r.snapshotSeries() {
-		switch s.kind {
-		case kindCounter:
+		if s.kind == kindCounter {
 			snap.Counters[s.id()] = s.counter.Value()
-		case kindGauge:
-			snap.Gauges[s.id()] = s.gauge.Value()
-		case kindHistogram:
-			snap.Histograms[s.id()] = s.hist.Snapshot()
 		}
 	}
 	return snap

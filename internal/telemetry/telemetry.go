@@ -1,7 +1,7 @@
 // Package telemetry is the repository's dependency-free metrics substrate:
 // a registry of named, optionally labeled instruments — atomic counters,
 // float gauges and sliding-window histograms with p50/p95/p99 quantiles —
-// plus Prometheus-style text exposition and a JSON snapshot (expose.go).
+// plus Prometheus-style text exposition and a counter snapshot (expose.go).
 //
 // Design points:
 //
@@ -33,9 +33,8 @@ import (
 // Nil means an unlabeled series.
 type Labels map[string]string
 
-// DefaultWindow is the histogram sliding-window size used by
-// Registry.Histogram.
-const DefaultWindow = 1024
+// defaultWindow is the sliding-window size of every registry histogram.
+const defaultWindow = 1024
 
 var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
@@ -104,9 +103,6 @@ type Histogram struct {
 }
 
 func newHistogram(window int) *Histogram {
-	if window < 1 {
-		window = DefaultWindow
-	}
 	return &Histogram{window: make([]float64, window)}
 }
 
@@ -238,31 +234,17 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 	return r.lookup(name, labels, kindGauge).gauge
 }
 
-// Histogram returns the sliding-window histogram for name+labels with the
-// DefaultWindow size, creating it on first use. On a nil registry it
-// returns a shared no-op histogram.
+// Histogram returns the sliding-window histogram for name+labels, which
+// summarises its last 1024 observations, creating it on first use. On a
+// nil registry it returns a shared no-op histogram.
 func (r *Registry) Histogram(name string, labels Labels) *Histogram {
-	return r.HistogramWindow(name, DefaultWindow, labels)
-}
-
-// HistogramWindow is Histogram with an explicit sliding-window size; the
-// window argument only applies on first creation.
-func (r *Registry) HistogramWindow(name string, window int, labels Labels) *Histogram {
 	if r == nil {
 		return nopHistogram
 	}
-	return r.lookupHist(name, labels, window).hist
+	return r.lookup(name, labels, kindHistogram).hist
 }
 
 func (r *Registry) lookup(name string, labels Labels, k kind) *series {
-	return r.getOrCreate(name, labels, k, DefaultWindow)
-}
-
-func (r *Registry) lookupHist(name string, labels Labels, window int) *series {
-	return r.getOrCreate(name, labels, kindHistogram, window)
-}
-
-func (r *Registry) getOrCreate(name string, labels Labels, k kind, window int) *series {
 	ls := canonLabels(labels)
 	id := name
 	if ls != "" {
@@ -295,7 +277,7 @@ func (r *Registry) getOrCreate(name string, labels Labels, k kind, window int) *
 	case kindGauge:
 		s.gauge = &Gauge{}
 	case kindHistogram:
-		s.hist = newHistogram(window)
+		s.hist = newHistogram(defaultWindow)
 	}
 	r.byID[id] = s
 	r.sorted = append(r.sorted, s)

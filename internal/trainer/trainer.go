@@ -23,7 +23,6 @@ import (
 
 	"spidercache/internal/dataset"
 	"spidercache/internal/nn"
-	"spidercache/internal/par"
 	"spidercache/internal/policy"
 	"spidercache/internal/simclock"
 	"spidercache/internal/storage"
@@ -215,16 +214,13 @@ type runTelemetry struct {
 	rcMiss *telemetry.Counter // remote cache answered, value absent
 	rcErr  *telemetry.Counter // remote cache unreachable; degraded to storage
 
-	// Worker-pool utilisation, exported as per-epoch deltas of the
-	// process-global par/tensor counters (training runs execute serially,
-	// so the deltas attribute cleanly to this run's epochs).
-	poolTasks   *telemetry.Counter // par tasks executed by pool workers
-	inlineTasks *telemetry.Counter // par tasks executed inline on the caller
-	kernelsPar  *telemetry.Counter
-	kernelsSer  *telemetry.Counter
-	poolUtil    *telemetry.Gauge // pooled share of the epoch's par tasks
+	// Tensor kernel dispatches, exported as per-epoch deltas of the
+	// process-global tensor counters (training runs execute serially, so
+	// the deltas attribute cleanly to this run's epochs).
+	kernelsPar *telemetry.Counter
+	kernelsSer *telemetry.Counter
 
-	lastPool, lastInline, lastKernPar, lastKernSer int64
+	lastKernPar, lastKernSer int64
 }
 
 func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
@@ -236,10 +232,7 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 	reg.Describe("train_loss", "mean training loss of the last epoch")
 	reg.Describe("remote_cache_total", "policy-miss consultations of the remote cache tier by outcome (hit/miss/error)")
 	reg.Describe("backward_wait_seconds", "real time training waited at the join for the previous batch's backward pass: the part of backward the IS stage and the next batch's serving did not hide")
-	reg.Describe("pool_tasks_total", "CPU worker-pool task blocks by execution site (pooled/inline)")
 	reg.Describe("tensor_kernels_total", "tensor kernel dispatches by mode (parallel/serial)")
-	reg.Describe("pool_utilization", "pooled share of the last epoch's worker-pool task blocks")
-	pooled, inline := par.Stats()
 	kp, ks := tensor.KernelStats()
 	return runTelemetry{
 		lookCache:   reg.Counter("lookups_total", telemetry.Labels{"source": "cache"}),
@@ -248,7 +241,7 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 		fetchRemote: reg.Histogram("fetch_seconds", telemetry.Labels{"tier": "remote"}),
 		fetchMemory: reg.Histogram("fetch_seconds", telemetry.Labels{"tier": "memory"}),
 		batchWall:   reg.Histogram("batch_seconds", nil),
-		epochWall:   reg.HistogramWindow("epoch_seconds", 256, nil),
+		epochWall:   reg.Histogram("epoch_seconds", nil),
 		accuracy:    reg.Gauge("train_accuracy", nil),
 		loss:        reg.Gauge("train_loss", nil),
 		epochs:      reg.Counter("epochs_total", nil),
@@ -259,30 +252,20 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 		rcMiss: reg.Counter("remote_cache_total", telemetry.Labels{"result": "miss"}),
 		rcErr:  reg.Counter("remote_cache_total", telemetry.Labels{"result": "error"}),
 
-		poolTasks:   reg.Counter("pool_tasks_total", telemetry.Labels{"exec": "pooled"}),
-		inlineTasks: reg.Counter("pool_tasks_total", telemetry.Labels{"exec": "inline"}),
-		kernelsPar:  reg.Counter("tensor_kernels_total", telemetry.Labels{"mode": "parallel"}),
-		kernelsSer:  reg.Counter("tensor_kernels_total", telemetry.Labels{"mode": "serial"}),
-		poolUtil:    reg.Gauge("pool_utilization", nil),
+		kernelsPar: reg.Counter("tensor_kernels_total", telemetry.Labels{"mode": "parallel"}),
+		kernelsSer: reg.Counter("tensor_kernels_total", telemetry.Labels{"mode": "serial"}),
 
-		lastPool: pooled, lastInline: inline, lastKernPar: kp, lastKernSer: ks,
+		lastKernPar: kp, lastKernSer: ks,
 	}
 }
 
-// flushPoolStats publishes the per-epoch deltas of the process-global
-// worker-pool and tensor-kernel counters, plus the epoch's pooled share.
-func (t *runTelemetry) flushPoolStats() {
-	pooled, inline := par.Stats()
+// flushKernelStats publishes the per-epoch deltas of the process-global
+// tensor-kernel counters.
+func (t *runTelemetry) flushKernelStats() {
 	kp, ks := tensor.KernelStats()
-	dPool, dInline := pooled-t.lastPool, inline-t.lastInline
-	t.poolTasks.Add(dPool)
-	t.inlineTasks.Add(dInline)
 	t.kernelsPar.Add(kp - t.lastKernPar)
 	t.kernelsSer.Add(ks - t.lastKernSer)
-	if total := dPool + dInline; total > 0 {
-		t.poolUtil.Set(float64(dPool) / float64(total))
-	}
-	t.lastPool, t.lastInline, t.lastKernPar, t.lastKernSer = pooled, inline, kp, ks
+	t.lastKernPar, t.lastKernSer = kp, ks
 }
 
 // Run trains cfg.Epochs epochs under pol and returns the full record.
@@ -329,7 +312,7 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 		tel.accuracy.Set(st.Accuracy)
 		tel.loss.Set(st.TrainLoss)
 		tel.epochs.Inc()
-		tel.flushPoolStats()
+		tel.flushKernelStats()
 		if rep, ok := pol.(policy.ScoreStdReporter); ok {
 			st.ScoreStd = rep.ScoreStd()
 		}

@@ -55,8 +55,11 @@ go test ./...
 # and a delete must allocate nothing, a search only the slice it returns.
 # A batch of scoring (64 due updates, then a search per point, each
 # answered from the settle's beam) must allocate its 64 results and no
-# more; it runs on one core, since a settle on more allocates its fork
-# (TestSettleAllocs bounds that), and for fewer ops, since one is a batch.
+# more; it runs on one core, where a settle calls its one picker directly,
+# since a settle on more forks its pickers through par.For, which
+# allocates the block function, a WaitGroup and a goroutine closure per
+# extra block (TestSettleAllocs bounds that), and for fewer ops, since one
+# is a batch.
 # The line count is checked so that a benchmark going missing cannot pass
 # the gate.
 echo "== hnsw alloc regression (update Upsert and Delete 0 allocs/op, SearchKNN <= 1, a scored batch <= 64)"
