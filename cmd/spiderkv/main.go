@@ -1,6 +1,7 @@
 // Command spiderkv runs one node of a replicated spidercache cluster: a
-// kvserver daemon wired into gossip membership, synchronous replica
-// fan-out and background key migration (see internal/cluster.Node).
+// kvserver daemon wired into gossip membership and background key
+// migration (see internal/cluster.Node). A daemon stores the SETs it is
+// sent and forwards none: the client writes every owner of a key.
 //
 // Usage:
 //
@@ -11,9 +12,10 @@
 //
 // The first daemon bootstraps a cluster of one; each further daemon is
 // pointed at any live member with -join and gossips its way in. Every
-// member must agree on -replicas for placement to converge; the ring's 128
-// virtual points per node are a constant that members and clients share.
-// The peer pools that carry replication, rebalance and gossip hold 4
+// member must agree on -replicas, and clients with it, for rebalance to
+// push each key to the owners the clients read; the ring's 128 virtual
+// points per node are a constant that members and clients share. The
+// peer pools that carry rebalance and gossip hold 4
 // connections with a 10s timeout, and a peer is expelled after 3 failed
 // gossip rounds in a row; every peer op is one attempt, and a failed push
 // is counted, not retried. Clients connect with
@@ -42,7 +44,7 @@ func main() {
 		listen    = fs.String("listen", "127.0.0.1:7461", "address to bind")
 		advertise = fs.String("advertise", "", "address peers and clients dial to reach this node (default: the bound address)")
 		join      = fs.String("join", "", "comma-separated addresses of existing members to join through")
-		replicas  = fs.Int("replicas", 2, "distinct ring owners per key (replication factor; must match across the cluster)")
+		replicas  = fs.Int("replicas", 2, "ring owners per key, the ones rebalance pushes each key to (must match across the cluster and its clients)")
 		gossip    = fs.Duration("gossip", 500*time.Millisecond, "membership gossip interval")
 		capacity  = fs.Int("capacity", 1<<16, "item capacity of the LRU store")
 	)

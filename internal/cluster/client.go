@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"spidercache/internal/kvserver"
 	"spidercache/internal/telemetry"
@@ -71,11 +72,12 @@ func (r *replica) call(op func(*kvserver.Client) error) error {
 // ring once. A dead node stays on the ring; its breaker is what routes
 // around it.
 //
-// Failing over a Set to a replica is safe even though the first owner may
-// have applied it before failing: cache population is idempotent by
-// construction (a sample ID always maps to the same payload), so landing
-// the value on a secondary owner can at worst duplicate a cache entry,
-// never corrupt one.
+// The client is the one replicator: a Set writes every owner of the key
+// at once, and a daemon stores what it is sent and nothing more. A Set
+// that reached only some owners is safe: cache population is idempotent
+// by construction (a sample ID always maps to the same payload), so an
+// owner that missed the write can at worst miss, never serve a wrong
+// value.
 type Client struct {
 	replicas int
 	tel      clientTelemetry
@@ -84,39 +86,29 @@ type Client struct {
 	peers    map[string]*replica
 }
 
-// candidates returns the replicas owning id, in placement order.
-func (c *Client) candidates(id int) []*replica {
-	owners := c.ring.Owners(id, c.replicas)
-	out := make([]*replica, 0, len(owners))
-	for _, node := range owners {
-		if r, ok := c.peers[node]; ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Get fetches the cached payload for a sample ID from its replica owners
 // (see read).
 func (c *Client) Get(id int) (value []byte, found bool, err error) {
-	found, err = c.read(id, func(kc *kvserver.Client) (ok bool, err error) {
-		value, ok, err = kc.Get(key(id))
+	k := key(id)
+	found, err = c.read(k, func(kc *kvserver.Client) (ok bool, err error) {
+		value, ok, err = kc.Get(k)
 		return ok, err
 	})
 	return value, found, err
 }
 
 // read runs op, a lookup that reports whether it found the value, on each
-// replica owner of id in placement order until one finds it. A node with
-// an open breaker is skipped without touching the network. found=false
-// with a nil error means every reachable owner answered and none had the
-// value — a clean miss. An error means no owner could be reached at all.
-// A lookup answered after an owner failed counts one reroute.
-func (c *Client) read(id int, op func(*kvserver.Client) (bool, error)) (found bool, err error) {
+// replica owner of wire key k in placement order until one finds it. A
+// node with an open breaker is skipped without touching the network.
+// found=false with a nil error means every reachable owner answered and
+// none had the value — a clean miss. An error means no owner could be
+// reached at all. A lookup answered after an owner failed counts one
+// reroute.
+func (c *Client) read(k string, op func(*kvserver.Client) (bool, error)) (found bool, err error) {
 	var lastErr error
 	reachable, failedBefore := false, false
-	for _, r := range c.candidates(id) {
-		err := r.call(func(kc *kvserver.Client) (err error) {
+	for _, node := range c.ring.OwnersKey(k, c.replicas) {
+		err := c.peers[node].call(func(kc *kvserver.Client) (err error) {
 			found, err = op(kc)
 			return err
 		})
@@ -144,25 +136,70 @@ func (c *Client) read(id int, op func(*kvserver.Client) (bool, error)) (found bo
 	return false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
 }
 
-// Set stores the payload for a sample ID on the first reachable replica
-// owner. See the Client doc for why rerouting a cache Set is safe.
+// Set stores the payload for a sample ID on every replica owner in one
+// round trip: a SET goes out to each owner before any reply is read. It
+// succeeds if at least one owner stored the value, and counts a reroute
+// when that owner was not the key's primary. See the Client doc for why a
+// write that reached only some owners is safe.
 func (c *Client) Set(id int, payload []byte) error {
+	k := key(id)
+	owners := c.ring.OwnersKey(k, c.replicas)
+	primary := owners[0]
+	slices.Sort(owners) // the connection order: see setFrom
+	errs := make([]error, len(owners))
+	c.setFrom(owners, k, payload, errs)
 	var lastErr error
-	for i, r := range c.candidates(id) {
-		err := r.call(func(kc *kvserver.Client) error { return kc.Set(key(id), payload) })
-		if err == nil {
-			if i > 0 {
-				c.tel.rerouted.Inc()
-			}
-			return nil
+	stored, primaryStored := false, false
+	for i, err := range errs {
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		lastErr = err
+		stored = true
+		primaryStored = primaryStored || owners[i] == primary
+	}
+	if stored {
+		if !primaryStored {
+			c.tel.rerouted.Inc()
+		}
+		return nil
 	}
 	c.tel.exhausted.Inc()
-	if lastErr == nil {
-		lastErr = ErrNoNodes
-	}
 	return fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
+}
+
+// setFrom sends a SET of k down a pooled connection to owners[0], writes
+// owners[1:] while it holds that connection, and only then reads
+// owners[0]'s reply, so every SET is on the wire before any reply is
+// awaited. errs[i] receives owners[i]'s outcome. Holding one node's
+// connection while waiting for another's is safe because every Set takes
+// them in one order, owners sorted: two Sets taking theirs in placement
+// order could each hold the last connection of the node the other waits
+// for.
+func (c *Client) setFrom(owners []string, k string, payload []byte, errs []error) {
+	if len(owners) == 0 {
+		return
+	}
+	rest := func() { c.setFrom(owners[1:], k, payload, errs[1:]) }
+	sent := false
+	errs[0] = c.peers[owners[0]].call(func(kc *kvserver.Client) error {
+		sent = true
+		p := kc.Pipeline()
+		p.Set(k, payload)
+		err := p.Send()
+		rest()
+		if err != nil {
+			return err
+		}
+		res, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		return res[0].Err
+	})
+	if !sent { // breaker open or no connection: the others still get theirs
+		rest()
+	}
 }
 
 // Close shuts every per-node pool. Idempotent.

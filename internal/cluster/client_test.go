@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -108,6 +109,68 @@ func TestNewClientStillServes(t *testing.T) {
 	// The node set is the seeds, fixed.
 	if len(c.nodes) != 2 || len(c.peers) != 2 {
 		t.Fatalf("static client nodes = %v", c.nodes)
+	}
+}
+
+// TestSetOppositeOwnerOrders: eight goroutines share a client with one
+// connection per node and write ids placed on the two nodes in both
+// orders, (a, b) and (b, a). A Set holds one owner's connection while it
+// takes the other's, so Sets that took them in placement order would
+// deadlock; every Set must return within the deadline, and every id must
+// then be on both nodes.
+func TestSetOppositeOwnerOrders(t *testing.T) {
+	leakcheck.Check(t)
+	a, b := startNode(t), startNode(t)
+	c := newTestClient(t, nil, a.Addr(), b.Addr())
+	var ab, ba []int
+	for id := 0; len(ab) < 8 || len(ba) < 8; id++ {
+		if owner(c.ring, id) == a.Addr() {
+			ab = append(ab, id)
+		} else {
+			ba = append(ba, id)
+		}
+	}
+	ids := append(ab[:8:8], ba[:8]...)
+
+	const workers, rounds = 8, 50
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// Alternate the two orders within each goroutine too.
+				id := ids[(w+i)%len(ids)]
+				if err := c.Set(id, []byte{byte(id)}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		c.Close() // wakes the blocked Sets, so the goroutines end
+		<-done
+		t.Fatal("Sets did not finish within 3s: connections taken in opposite orders deadlocked")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		for _, srv := range []*kvserver.Server{a, b} {
+			if v, ok := srv.Peek(key(id)); !ok || !bytes.Equal(v, []byte{byte(id)}) {
+				t.Fatalf("id %d on %s = %v, %v; want it on both owners", id, srv.Addr(), v, ok)
+			}
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ type NodeOptions struct {
 // deadAfter is how many consecutive failed gossip rounds expel a peer.
 const deadAfter = 3
 
-// A peer pool, which carries replication, rebalance and gossip, holds
+// A peer pool, which carries rebalance and gossip, holds
 // peerConns connections, each bounding a dial, reply read or flush by
 // peerTimeout.
 const (
@@ -58,14 +58,12 @@ func (o NodeOptions) withDefaults() NodeOptions {
 }
 
 // nodeTelemetry is the single registration site for the cluster_members
-// gauge and the cluster_membership_total, kv_replication_total and
-// kv_migration_keys_total families.
+// gauge and the cluster_membership_total, kv_migration_keys_total and
+// kv_migration_rounds_total families.
 type nodeTelemetry struct {
 	members      *telemetry.Gauge
 	joins        *telemetry.Counter
 	leaves       *telemetry.Counter
-	replOK       *telemetry.Counter
-	replErr      *telemetry.Counter
 	migrateOK    *telemetry.Counter
 	migrateErr   *telemetry.Counter
 	migrateTicks *telemetry.Counter
@@ -74,15 +72,12 @@ type nodeTelemetry struct {
 func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 	reg.Describe("cluster_members", "cluster members this node currently knows (including itself)")
 	reg.Describe("cluster_membership_total", "membership changes observed by this node (event=join|leave)")
-	reg.Describe("kv_replication_total", "replica write fan-outs by result (result=ok|error)")
 	reg.Describe("kv_migration_keys_total", "keys pushed to replica owners during rebalance (result=ok|error)")
 	reg.Describe("kv_migration_rounds_total", "rebalance rounds run after membership changes")
 	return nodeTelemetry{
 		members:      reg.Gauge("cluster_members", nil),
 		joins:        reg.Counter("cluster_membership_total", telemetry.Labels{"event": "join"}),
 		leaves:       reg.Counter("cluster_membership_total", telemetry.Labels{"event": "leave"}),
-		replOK:       reg.Counter("kv_replication_total", telemetry.Labels{"result": "ok"}),
-		replErr:      reg.Counter("kv_replication_total", telemetry.Labels{"result": "error"}),
 		migrateOK:    reg.Counter("kv_migration_keys_total", telemetry.Labels{"result": "ok"}),
 		migrateErr:   reg.Counter("kv_migration_keys_total", telemetry.Labels{"result": "error"}),
 		migrateTicks: reg.Counter("kv_migration_rounds_total", nil),
@@ -90,20 +85,17 @@ func newNodeTelemetry(reg *telemetry.Registry) nodeTelemetry {
 }
 
 // Node is one spiderkv cluster daemon: a kvserver.Server wired into
-// gossip membership, synchronous replica fan-out and background key
-// migration. It implements kvserver.ClusterHooks, so the embedded server
-// calls back into it on SET (to replicate) and on HELLO/NODES
-// (to gossip).
+// gossip membership and background key migration. It implements
+// kvserver.ClusterHooks, so the embedded server calls back into it on
+// HELLO/NODES (to gossip).
 //
 // # Replication
 //
-// A client SET lands on one owner, which stores locally and then pushes
-// an RSET to every other ring owner of the key before replying STORED —
-// so by the time the client sees STORED, the value is readable from every
-// live owner. RSET never fans out again (replication is acyclic). A
-// replica push that fails does not fail the client's write: the cache is
-// availability-first, the miss is repaired by the next rebalance, and the
-// failure is counted in kv_replication_total{result="error"}.
+// A node stores the SETs it is sent and forwards none of them: the client
+// replicates, writing every ring owner of a key at once (see Client.Set),
+// so by the time its Set returns, the value is readable from every live
+// owner. An owner that missed a write misses the key until a rebalance
+// (see below) pushes it there.
 //
 // # Membership and migration
 //
@@ -216,27 +208,6 @@ func (n *Node) Nodes() []string {
 	n.mu.RUnlock()
 	sort.Strings(out)
 	return out
-}
-
-// ReplicateSet pushes a freshly stored key to its other ring owners,
-// synchronously — the server calls this between storing and replying
-// STORED. See the Node doc for the delivery guarantee.
-func (n *Node) ReplicateSet(key string, value []byte) {
-	for _, owner := range n.ring.OwnersKey(key, n.opts.Replicas) {
-		if owner == n.self {
-			continue
-		}
-		pool := n.peerPool(owner)
-		if pool == nil {
-			continue
-		}
-		err := pool.Do(func(c *kvserver.Client) error { return c.RSet(key, value) })
-		if err != nil {
-			n.tel.replErr.Inc()
-			continue
-		}
-		n.tel.replOK.Inc()
-	}
 }
 
 // --- membership ---
@@ -414,7 +385,7 @@ func (n *Node) rebalance() {
 			if pool == nil {
 				continue
 			}
-			err := pool.Do(func(c *kvserver.Client) error { return c.RSet(k, v) })
+			err := pool.Do(func(c *kvserver.Client) error { return c.Set(k, v) })
 			if err != nil {
 				n.tel.migrateErr.Inc()
 				continue

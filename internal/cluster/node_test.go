@@ -216,21 +216,87 @@ func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
 		if err := c.Set(id, payload); err != nil {
 			t.Fatalf("Set(%d): %v", id, err)
 		}
-		owners := n1.ring.Owners(id, 2)
-		if len(owners) != 2 {
-			t.Fatalf("Owners(%d) = %v, want 2", id, owners)
+		addrs := owners(n1.ring, id, 2)
+		if len(addrs) != 2 {
+			t.Fatalf("owners of %d = %v, want 2", id, addrs)
 		}
-		// The STORED reply means the fan-out already happened: the value
-		// must be on every owner's local store right now, no polling.
-		for _, owner := range owners {
-			node, ok := byAddr[owner]
+		// Set returns once every owner answered: the value must be on
+		// every owner's local store right now, no polling.
+		for _, addr := range addrs {
+			node, ok := byAddr[addr]
 			if !ok {
-				t.Fatalf("owner %q is not a known node", owner)
+				t.Fatalf("owner %q is not a known node", addr)
 			}
 			if _, ok := node.Server().Peek(key(id)); !ok {
-				t.Fatalf("key %d missing from owner %s immediately after STORED", id, owner)
+				t.Fatalf("key %d missing from owner %s as Set returned", id, addr)
 			}
 		}
+	}
+}
+
+// TestDaemonSetIsNotFannedOut: a SET sent straight to one daemon is stored
+// there and nowhere else. The key's other owner does not have it: a daemon
+// forwards no write, the client replicates.
+func TestDaemonSetIsNotFannedOut(t *testing.T) {
+	leakcheck.Check(t)
+	regs := make([]*telemetry.Registry, 2)
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		regs[i] = telemetry.NewRegistry()
+		var seeds []string
+		if i > 0 {
+			seeds = []string{nodes[0].Addr()}
+		}
+		n, err := StartNode(NodeOptions{
+			Listen: "127.0.0.1:0", Seeds: seeds, Replicas: 2, Capacity: 64,
+			GossipEvery: time.Hour, Registry: regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			n.Close()
+		})
+		nodes[i] = n
+	}
+	waitMembers(t, 2, nodes...)
+	// Each node's one join kicks one rebalance round; let both finish on
+	// the empty stores, so no round can push the key below. A round ticks
+	// the counter just before it scans the store, so a short margin
+	// covers the scan of nothing.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, reg := range regs {
+		for reg.Counter("kv_migration_rounds_total", nil).Value() < 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("no rebalance round ran after the join")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	k := key(7)
+	if owners := nodes[0].ring.OwnersKey(k, 2); len(owners) != 2 {
+		t.Fatalf("owners of %s = %v, want both nodes", k, owners)
+	}
+	c, err := kvserver.Dial(nodes[0].Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set(k, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := nodes[0].Server().Peek(k); !ok {
+		t.Fatalf("%s missing from the daemon it was sent to", k)
+	}
+	other, err := kvserver.Dial(nodes[1].Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if v, found, err := other.Get(k); err != nil || found {
+		t.Fatalf("Get(%s) from the other owner = %q, %v, %v; want a miss", k, v, found, err)
 	}
 }
 

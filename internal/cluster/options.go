@@ -41,9 +41,10 @@ func WithSeeds(addrs ...string) Option {
 	}
 }
 
-// WithReplicas sets how many distinct ring owners serve each key — the
-// failover width and, against spiderkv daemons, the replication factor
-// the client expects to read through (default 2).
+// WithReplicas sets how many distinct ring owners hold each key: a Set
+// writes every one of them and a Get fails over along them (default 2).
+// Against spiderkv daemons it should match their -replicas, the owners
+// their rebalance pushes a key to.
 func WithReplicas(n int) Option {
 	return func(s *clientSettings) {
 		if n < 1 {

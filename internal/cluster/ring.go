@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -96,31 +97,26 @@ func (r *Ring) Remove(node string) {
 // key is sample id's wire key.
 func key(id int) string { return "sample:" + strconv.Itoa(id) }
 
-// Owners returns the distinct nodes owning the first `n` replicas-worth of
-// successors for id — used for replicated placement. Fewer than n nodes are
-// returned when the ring is smaller than n.
-func (r *Ring) Owners(id, n int) []string { return r.OwnersKey(key(id), n) }
-
-// OwnersKey is Owners for a wire key. Daemons route replication and
-// migration by key string (they see keys, not sample IDs); clients route
-// by id.
+// OwnersKey returns the distinct nodes owning the first `n`
+// replicas-worth of successors of wire key k — used for replicated
+// placement. Fewer than n nodes are returned when the ring is smaller than
+// n. The walk stops once it holds n owners or every node, and dedupes
+// against its own short result, so a lookup allocates only that result.
 func (r *Ring) OwnersKey(k string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.circle) == 0 || n < 1 {
+	n = min(n, len(r.nodes))
+	if n < 1 {
 		return nil
 	}
 	h := hash64(k)
 	i := sort.Search(len(r.circle), func(i int) bool { return r.circle[i].hash >= h })
-	seen := make(map[string]struct{}, n)
 	out := make([]string, 0, n)
-	for steps := 0; steps < len(r.circle) && len(out) < n; steps++ {
+	for steps := 0; len(out) < n; steps++ {
 		p := r.circle[(i+steps)%len(r.circle)]
-		if _, dup := seen[p.node]; dup {
-			continue
+		if !slices.Contains(out, p.node) {
+			out = append(out, p.node)
 		}
-		seen[p.node] = struct{}{}
-		out = append(out, p.node)
 	}
 	return out
 }

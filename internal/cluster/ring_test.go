@@ -19,10 +19,13 @@ func ringWith(t *testing.T, nodes ...string) *Ring {
 	return r
 }
 
-// owner is the primary of id: the first of its Owners, or "" when the
+// owners returns the n owners of sample id.
+func owners(r *Ring, id, n int) []string { return r.OwnersKey(key(id), n) }
+
+// owner is the primary of id: the first of its owners, or "" when the
 // ring is empty.
 func owner(r *Ring, id int) string {
-	if o := r.Owners(id, 1); len(o) > 0 {
+	if o := owners(r, id, 1); len(o) > 0 {
 		return o[0]
 	}
 	return ""
@@ -43,7 +46,7 @@ func TestEmptyRing(t *testing.T) {
 	if got := owner(r, 1); got != "" {
 		t.Fatalf("empty ring owner %q", got)
 	}
-	if got := r.Owners(1, 2); got != nil {
+	if got := owners(r, 1, 2); got != nil {
 		t.Fatalf("empty ring owners %v", got)
 	}
 }
@@ -138,7 +141,7 @@ func TestAddIdempotent(t *testing.T) {
 func TestOwnersReplication(t *testing.T) {
 	r := ringWith(t, "w1", "w2", "w3")
 	for id := 0; id < 200; id++ {
-		owners := r.Owners(id, 2)
+		owners := owners(r, id, 2)
 		if len(owners) != 2 {
 			t.Fatalf("id %d: owners %v", id, owners)
 		}
@@ -150,8 +153,25 @@ func TestOwnersReplication(t *testing.T) {
 		}
 	}
 	// Requesting more replicas than nodes returns every node once.
-	if got := r.Owners(7, 10); len(got) != 3 {
+	if got := owners(r, 7, 10); len(got) != 3 {
 		t.Fatalf("over-replication returned %v", got)
+	}
+}
+
+// TestOwnersStopsAtNodeCount: asking for more owners than the ring has
+// nodes returns each node once without walking the rest of the circle,
+// and a lookup allocates only the slice it returns.
+func TestOwnersStopsAtNodeCount(t *testing.T) {
+	one := ringWith(t, "w1")
+	for id := 0; id < 50; id++ {
+		if got := owners(one, id, 2); len(got) != 1 || got[0] != "w1" {
+			t.Fatalf("Owners(%d, 2) on a 1-node ring = %v, want [w1]", id, got)
+		}
+	}
+	three := ringWith(t, "w1", "w2", "w3")
+	k := key(42)
+	if allocs := testing.AllocsPerRun(100, func() { three.OwnersKey(k, 2) }); allocs > 1 {
+		t.Fatalf("OwnersKey allocates %v times, want at most 1", allocs)
 	}
 }
 
@@ -167,7 +187,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}()
 	for i := 0; i < 5000; i++ {
 		owner(r, i)
-		r.Owners(i, 2)
+		owners(r, i, 2)
 	}
 	<-done
 }

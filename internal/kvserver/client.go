@@ -19,8 +19,8 @@ var errBadRequest = errors.New("kvserver: bad request")
 // open one client per goroutine (the server handles each connection
 // independently), or share connections through a Pool.
 //
-// Every keyed request goes through the pipeline code: a single Get, Set or
-// RSet is a pipeline of one on a Pipeline the client owns and reuses, so
+// Every keyed request goes through the pipeline code: a single Get or Set
+// is a pipeline of one on a Pipeline the client owns and reuses, so
 // each verb has exactly one frame writer (which validates before writing a
 // byte) and each reply shape one reader. NGET, ESET and METRICS have no
 // single-op method: callers batch them on a Pipeline.

@@ -1,19 +1,13 @@
 package kvserver
 
-// The cluster verbs: HELLO/NODES for membership gossip and RSET for
-// replica writes. A standalone Server answers all three (HELLO and NODES
-// report an empty node set; RSET behaves like SET), so clients and
-// peers never need to know whether an address is a bare cache or a
-// cluster daemon. A daemon passes Serve its ClusterHooks, wired to its
-// membership and replication machinery, and the server becomes one node of
-// a replicated tier:
-//
-//   - a client-initiated SET is stored locally and then handed to
-//     ClusterHooks for synchronous fan-out to the key's other ring owners
-//     (sent as RSET so the fan-out never cascades);
-//   - HELLO <addr> registers the announcing peer and returns the node set,
-//     which is how daemons learn topology instead of being handed a static
-//     list.
+// The cluster verbs: HELLO/NODES for membership gossip. A standalone
+// Server answers both with an empty node set, so clients and peers never
+// need to know whether an address is a bare cache or a cluster daemon. A
+// daemon passes Serve its ClusterHooks, wired to its membership, and
+// HELLO <addr> then registers the announcing peer and returns the node
+// set, which is how daemons learn topology instead of being handed a
+// static list. A daemon's SET is stored locally only: the client writes
+// each of a key's owners itself.
 
 import (
 	"fmt"
@@ -24,22 +18,15 @@ import (
 // MaxClusterNodes bounds the node list in one NODES reply.
 const MaxClusterNodes = 1024
 
-// ClusterHooks connects a Server to the cluster daemon embedding it. Every
-// method is called synchronously from connection-handler goroutines:
-// Hello/Nodes must return quickly, and ReplicateSet runs on the SET's
-// critical path (the client's STORED reply waits for the fan-out, which is
-// what makes a replicated SET readable from every owner as soon as it
-// returns).
+// ClusterHooks connects a Server to the cluster daemon embedding it. Both
+// methods are called synchronously from connection-handler goroutines and
+// must return quickly.
 type ClusterHooks interface {
 	// Hello registers a peer that announced itself and returns the node
 	// set known afterwards (the receiver included).
 	Hello(addr string) []string
 	// Nodes returns the known node set without registering anything.
 	Nodes() []string
-	// ReplicateSet fans a client-initiated store out to the key's other
-	// ring owners. Implementations must not call back into this server's
-	// own client-facing verbs.
-	ReplicateSet(key string, value []byte)
 }
 
 func (s *Server) doHello(sess *session, args [][]byte) error {
@@ -127,12 +114,4 @@ func (c *Client) readNodes(line string, err error) ([]string, error) {
 		nodes = append(nodes, addr)
 	}
 	return nodes, nil
-}
-
-// RSet stores value under key as a replica write: the server never fans it
-// back out, which is what keeps daemon-to-daemon replication acyclic.
-func (c *Client) RSet(key string, value []byte) error {
-	c.one.rset(key, value)
-	_, err := c.one.execOne()
-	return err
 }

@@ -7,17 +7,15 @@ import (
 )
 
 // fakeHooks records ClusterHooks calls so tests can assert exactly what
-// the server fans out — and, critically, what it does NOT (RSET must
-// never cascade).
+// reaches the daemon's membership machinery.
 type fakeHooks struct {
 	mu    sync.Mutex
 	hello []string
 	nodes []string
-	sets  map[string][]byte
 }
 
 func newFakeHooks(nodes ...string) *fakeHooks {
-	return &fakeHooks{nodes: nodes, sets: make(map[string][]byte)}
+	return &fakeHooks{nodes: nodes}
 }
 
 func (f *fakeHooks) Hello(addr string) []string {
@@ -33,20 +31,10 @@ func (f *fakeHooks) Nodes() []string {
 	return f.nodes
 }
 
-func (f *fakeHooks) ReplicateSet(key string, value []byte) {
+func (f *fakeHooks) hellos() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sets[key] = append([]byte(nil), value...)
-}
-
-func (f *fakeHooks) snapshot() (sets map[string][]byte, hello []string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sets = make(map[string][]byte, len(f.sets))
-	for k, v := range f.sets {
-		sets[k] = v
-	}
-	return sets, append([]string(nil), f.hello...)
+	return append([]string(nil), f.hello...)
 }
 
 func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
@@ -65,19 +53,14 @@ func TestStandaloneServerAnswersClusterVerbs(t *testing.T) {
 	if err != nil || len(nodes) != 0 {
 		t.Fatalf("standalone HELLO = %v, %v; want empty, nil", nodes, err)
 	}
-	// RSET behaves as SET on a standalone server.
-	if err := c.RSet("k", []byte("v")); err != nil {
-		t.Fatalf("RSet: %v", err)
-	}
-	v, ok, err := c.Get("k")
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get after RSet = %q, %v, %v", v, ok, err)
-	}
 }
 
-func TestClusterHooksFanOutAndGossip(t *testing.T) {
+// TestClusterHooksGossipWithoutFanOut: HELLO and NODES reach the hooks,
+// and a SET, alone or pipelined, is stored on the server it was sent to
+// with nothing passed to the daemon: the client replicates.
+func TestClusterHooksGossipWithoutFanOut(t *testing.T) {
 	hooks := newFakeHooks("127.0.0.1:1", "127.0.0.1:2")
-	_, c := serveWithHooks(t, hooks)
+	srv, c := serveWithHooks(t, hooks)
 
 	nodes, err := c.readNodes(c.command("NODES\r\n"))
 	if err != nil || !reflect.DeepEqual(nodes, hooks.nodes) {
@@ -91,8 +74,6 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 		t.Fatal("HELLO with a space-bearing address did not error")
 	}
 
-	// SET (alone and pipelined) reaches the hooks; RSET must not (the
-	// fan-out is acyclic by construction).
 	if err := c.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +83,12 @@ func TestClusterHooksFanOutAndGossip(t *testing.T) {
 	if _, err := p.Exec(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RSet("r", []byte("4")); err != nil {
-		t.Fatal(err)
+	for k, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
+		if v, ok := srv.Peek(k); !ok || string(v) != want {
+			t.Fatalf("Peek(%q) = %q, %v; want %q stored locally", k, v, ok, want)
+		}
 	}
-
-	sets, hello := hooks.snapshot()
-	want := map[string][]byte{"a": []byte("1"), "b": []byte("2"), "c": []byte("3")}
-	if !reflect.DeepEqual(sets, want) {
-		t.Fatalf("replicated sets = %v, want %v (RSET must not cascade)", sets, want)
-	}
-	if !reflect.DeepEqual(hello, []string{"127.0.0.1:3"}) {
+	if hello := hooks.hellos(); !reflect.DeepEqual(hello, []string{"127.0.0.1:3"}) {
 		t.Fatalf("hello announcements = %v, want [127.0.0.1:3]", hello)
 	}
 }

@@ -36,11 +36,11 @@ func FuzzServeOne(f *testing.F) {
 	f.Add([]byte("MGET a b\r\n"))
 	f.Add([]byte("MSET 1\r\na 1\r\nx\r\n"))
 	f.Add([]byte("STATS\r\n"))
+	f.Add([]byte("RSET k 1\r\nv\r\nRDEL k\r\n"))
 	// Cluster verbs.
 	f.Add([]byte("HELLO 127.0.0.1:1\r\n"))
 	f.Add([]byte("HELLO " + strings.Repeat("a", 300) + "\r\n")) // bad node address
 	f.Add([]byte("NODES\r\n"))
-	f.Add([]byte("RSET k 1\r\nv\r\nRDEL k\r\n")) // RDEL is deleted too
 	f.Add([]byte("SET k 99999999999999999999\r\n"))
 	f.Add([]byte("\r\n"))
 	f.Add([]byte{0, 1, 2, '\n'})

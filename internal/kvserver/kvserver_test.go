@@ -257,7 +257,6 @@ func TestInvalidClientKey(t *testing.T) {
 	verbs := map[string]func(key string) error{
 		"Get":  func(k string) error { _, _, err := c.Get(k); return err },
 		"Set":  func(k string) error { return c.Set(k, []byte("v")) },
-		"RSet": func(k string) error { return c.RSet(k, []byte("v")) },
 		"NGet": func(k string) error { _, _, _, err := nget(c, k, emb, 0.3); return err },
 		"ESet": func(k string) error { return eset(c, k, emb) },
 	}
@@ -296,6 +295,7 @@ func TestProtocolErrors(t *testing.T) {
 		{"GET a b\r\n", "bad arguments"},
 		{"DEL k\r\n", "unknown command"},
 		{"RDEL k\r\n", "unknown command"},
+		{"RSET k 1\r\n", "unknown command"},
 		{"METRICS extra\r\n", "bad arguments"},
 		{"MGET a\r\n", "unknown command"},
 		{"MSET 1\r\n", "unknown command"},

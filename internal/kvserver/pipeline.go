@@ -18,11 +18,10 @@ const (
 	opSet
 	opNGet
 	opESet
-	opRSet
 )
 
 var verbs = [...]string{
-	opGet: "GET", opSet: "SET", opNGet: "NGET", opESet: "ESET", opRSet: "RSET",
+	opGet: "GET", opSet: "SET", opNGet: "NGET", opESet: "ESET",
 }
 
 // Result is the outcome of one pipelined operation, in queue order.
@@ -35,32 +34,35 @@ type Result struct {
 	// rather than an exact hit.
 	Near *Near
 	// Err is a per-op protocol failure. Transport errors abort the whole
-	// Exec instead.
+	// Recv instead.
 	Err error
 }
 
 // Pipeline queues operations on a client and sends them all in one network
 // flush; the server answers back to back, so N operations cost one round
 // trip instead of N. Build with Client.Pipeline, queue with Get/Set/NGet/
-// ESet, send with Exec. Like Client, a Pipeline is single-goroutine.
+// ESet, then Exec: Send flushes the queue and Recv reads the replies. A
+// caller with pipelines on several connections calls Send on each before
+// Recv on any, so their round trips overlap. Like Client, a Pipeline is
+// single-goroutine.
 //
 // Queued requests are written into the client's buffer immediately (a full
 // buffer drains to the socket early, which is harmless — replies are only
-// expected after Exec). After Exec the pipeline is empty and reusable.
+// expected after Send). After Recv the pipeline is empty and reusable.
 //
 // A request that fails validation (bad key, embedding or threshold) is
-// never written; Exec then reports that error and drops every frame queued
+// never written; Send then reports that error and drops every frame queued
 // with it unsent. A pipeline large enough to have drained part of its
 // frames before the bad one leaves the connection out of step: discard the
 // client then (Pool.Do does).
 type Pipeline struct {
 	c    *Client
 	ops  []opKind
-	werr error // first queue-time error; Exec reports it
+	werr error // first queue-time error; Send reports it
 }
 
 // Pipeline starts an empty pipeline on the client. The client must not be
-// used for other operations until Exec.
+// used for other operations until Recv (or Exec) returns.
 func (c *Client) Pipeline() *Pipeline {
 	return &Pipeline{c: c}
 }
@@ -78,7 +80,7 @@ func (p *Pipeline) Get(key string) {
 // Set queues a SET.
 func (p *Pipeline) Set(key string, value []byte) {
 	if p.werr == nil {
-		p.add(opSet, p.c.writeSetFrame(opSet, key, value))
+		p.add(opSet, p.c.writeSetFrame(key, value))
 	}
 }
 
@@ -101,13 +103,6 @@ func (p *Pipeline) ESet(key string, emb []float32) {
 	}
 }
 
-// rset queues an RSET (see Client.RSet).
-func (p *Pipeline) rset(key string, value []byte) {
-	if p.werr == nil {
-		p.add(opRSet, p.c.writeSetFrame(opRSet, key, value))
-	}
-}
-
 // add records a queued op whose frame writer returned err.
 func (p *Pipeline) add(kind opKind, err error) {
 	if err != nil {
@@ -117,16 +112,49 @@ func (p *Pipeline) add(kind opKind, err error) {
 	p.ops = append(p.ops, kind)
 }
 
-// Exec flushes every queued operation in one write and collects their
-// replies in order. A transport or framing error aborts with a nil slice
-// (the connection should be discarded); per-op protocol errors land in the
-// matching Result.Err. Exec on an empty pipeline is a no-op.
+// Exec is Send and then Recv: every queued operation in one write, and
+// their replies in order. A transport or framing error aborts with a nil
+// slice (the connection should be discarded); per-op protocol errors land
+// in the matching Result.Err. Exec on an empty pipeline is a no-op.
 func (p *Pipeline) Exec() ([]Result, error) {
+	if err := p.Send(); err != nil {
+		return nil, err
+	}
+	return p.Recv()
+}
+
+// Send flushes every queued operation in one write and returns without
+// waiting for a reply; Recv reads them. Queue nothing between the two. A
+// failed Send empties the pipeline (the connection should be discarded).
+func (p *Pipeline) Send() error {
+	if err := p.werr; err != nil {
+		p.werr = nil
+		p.ops = p.ops[:0]
+		if errors.Is(err, errBadRequest) {
+			p.c.w.Reset(p.c.conn) // drop the frames queued before the bad one
+		}
+		return err
+	}
+	if len(p.ops) == 0 {
+		return nil
+	}
+	if err := p.c.flush(); err != nil {
+		p.ops = p.ops[:0]
+		return err
+	}
+	return nil
+}
+
+// Recv reads the replies to the operations Send flushed, in order, and
+// empties the pipeline. A transport or framing error aborts with a nil
+// slice (the connection should be discarded); per-op protocol errors land
+// in the matching Result.Err.
+func (p *Pipeline) Recv() ([]Result, error) {
 	var results []Result
 	if len(p.ops) > 0 {
 		results = make([]Result, len(p.ops))
 	}
-	if err := p.exec(results); err != nil {
+	if err := p.recv(results); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -136,31 +164,21 @@ func (p *Pipeline) Exec() ([]Result, error) {
 // back by value, so a single op allocates no result slice, and its per-op
 // error is returned as the error.
 func (p *Pipeline) execOne() (Result, error) {
+	if err := p.Send(); err != nil {
+		return Result{}, err
+	}
 	var res [1]Result
-	if err := p.exec(res[:len(p.ops)]); err != nil {
+	if err := p.recv(res[:len(p.ops)]); err != nil {
 		return Result{}, err
 	}
 	return res[0], res[0].Err
 }
 
-// exec sends the queued ops and reads one reply per op into results, which
-// has one slot per queued op. The pipeline is empty afterwards.
-func (p *Pipeline) exec(results []Result) error {
+// recv reads one reply per sent op into results, which has one slot per
+// op. The pipeline is empty afterwards.
+func (p *Pipeline) recv(results []Result) error {
 	ops := p.ops
 	p.ops = p.ops[:0]
-	if err := p.werr; err != nil {
-		p.werr = nil
-		if errors.Is(err, errBadRequest) {
-			p.c.w.Reset(p.c.conn) // drop the frames queued before the bad one
-		}
-		return err
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	if err := p.c.flush(); err != nil {
-		return err
-	}
 	for i, kind := range ops {
 		r := &results[i]
 		var err error
@@ -182,7 +200,7 @@ func (p *Pipeline) exec(results []Result) error {
 
 // IsTransportErr distinguishes connection-level failures (a dial, read or
 // write that failed: the reply stream is unusable, remaining replies will
-// never arrive — abort the Exec) from errors the client raises itself with
+// never arrive — abort the Recv) from errors the client raises itself with
 // a "kvserver:" prefix: unexpected-reply parses, which consume exactly one
 // reply (safe to report per-op and keep reading), rejected requests and
 // ErrPoolClosed. Only a transport error says the node may be down; a node
@@ -207,14 +225,12 @@ func (c *Client) writeGetFrame(key string) error {
 	return err
 }
 
-// writeSetFrame appends "<verb> <key> <nbytes>\r\n<payload>\r\n" (SET,
-// RSET).
-func (c *Client) writeSetFrame(kind opKind, key string, value []byte) error {
+// writeSetFrame appends "SET <key> <nbytes>\r\n<payload>\r\n".
+func (c *Client) writeSetFrame(key string, value []byte) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	c.w.WriteString(verbs[kind])
-	c.w.WriteByte(' ')
+	c.w.WriteString("SET ")
 	c.w.WriteString(key)
 	c.w.WriteByte(' ')
 	c.w.WriteString(strconv.Itoa(len(value)))
@@ -314,7 +330,7 @@ func (c *Client) readValue(verb string) (value []byte, near *Near, found bool, e
 	}
 }
 
-// readStored reads the STORED reply to SET, RSET or ESET.
+// readStored reads the STORED reply to SET or ESET.
 func (c *Client) readStored(verb string) error {
 	line, err := c.readLine()
 	if err != nil {

@@ -59,6 +59,42 @@ func TestPipelineEmptyExec(t *testing.T) {
 	}
 }
 
+// TestPipelineSendThenRecv: Send puts a pipeline on the wire without
+// waiting, so two servers each hold a request before either reply is read,
+// and a later Recv collects each; a Send that fails validation reports it
+// and leaves nothing for Recv.
+func TestPipelineSendThenRecv(t *testing.T) {
+	a, b := dial(t, startServer(t, 8)), dial(t, startServer(t, 8))
+	pa, pb := a.Pipeline(), b.Pipeline()
+	pa.Set("k", []byte("a"))
+	pb.Set("k", []byte("b"))
+	pb.Get("k")
+	for _, p := range []*Pipeline{pa, pb} {
+		if err := p.Send(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ra, err := pa.Recv()
+	if err != nil || len(ra) != 1 || ra[0].Err != nil {
+		t.Fatalf("Recv a = %+v, %v", ra, err)
+	}
+	rb, err := pb.Recv()
+	if err != nil || len(rb) != 2 || rb[0].Err != nil || string(rb[1].Value) != "b" {
+		t.Fatalf("Recv b = %+v, %v", rb, err)
+	}
+	if v, ok, err := a.Get("k"); err != nil || !ok || string(v) != "a" {
+		t.Fatalf("Get a = %q, %v, %v", v, ok, err)
+	}
+
+	pa.Set("bad key", []byte("x"))
+	if err := pa.Send(); !errors.Is(err, errBadRequest) {
+		t.Fatalf("Send of a bad key = %v, want errBadRequest", err)
+	}
+	if res, err := pa.Recv(); err != nil || res != nil || pa.Len() != 0 {
+		t.Fatalf("Recv after a failed Send = %+v, %v, Len %d", res, err, pa.Len())
+	}
+}
+
 func TestPipelineInvalidKeyAborts(t *testing.T) {
 	srv := startServer(t, 4)
 	c, conn := dialCounting(t, srv)

@@ -36,7 +36,9 @@
 //
 //	HELLO <addr>\r\n                       -> NODES <n>\r\n then n lines <addr>\r\n
 //	NODES\r\n                              -> NODES <n>\r\n then n lines <addr>\r\n
-//	RSET <key> <nbytes>\r\n<payload>\r\n   -> STORED (replica write: no fan-out)
+//
+// A SET is stored on the node it is sent to and nowhere else: replicating
+// a key is the client's job (cluster.Client writes every owner).
 //
 // # Pipelining
 //
@@ -133,14 +135,14 @@ type Server struct {
 // serverTelemetry groups the per-op instruments, resolved once at startup.
 type serverTelemetry struct {
 	getHit, getMiss            *telemetry.Counter
-	setOps, rsetOps, esetOps   *telemetry.Counter
+	setOps, esetOps            *telemetry.Counter
 	semExact, semNear, semMiss *telemetry.Counter   // NGET outcomes
 	semDist                    *telemetry.Histogram // cosine distance of served NEAR substitutes
 	semLive, semFree           *telemetry.Gauge     // semantic index slots: holding an embedding, awaiting reuse
 	semLinks                   *telemetry.Gauge     // links the semantic index's graph holds
 	semUnlink                  *telemetry.Histogram // cost of removing one embedding, on the SET or ESET path
 	getLat, setLat             *telemetry.Histogram
-	rsetLat, ngetLat, esetLat  *telemetry.Histogram
+	ngetLat, esetLat           *telemetry.Histogram
 	items, hits, misses        *telemetry.Gauge
 	shardItems                 []*telemetry.Gauge // one gauge per store shard
 	flushes                    *telemetry.Counter // network flushes (coalesced writes)
@@ -163,7 +165,6 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 		getHit:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "hit"}),
 		getMiss:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "get", "result": "miss"}),
 		setOps:        reg.Counter("kv_ops_total", telemetry.Labels{"op": "set", "result": "stored"}),
-		rsetOps:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "rset", "result": "stored"}),
 		esetOps:       reg.Counter("kv_ops_total", telemetry.Labels{"op": "eset", "result": "stored"}),
 		semExact:      reg.Counter("kv_semantic_hits_total", telemetry.Labels{"result": "exact"}),
 		semNear:       reg.Counter("kv_semantic_hits_total", telemetry.Labels{"result": "near"}),
@@ -175,7 +176,6 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 		semUnlink:     reg.Histogram("kv_semantic_unlink_seconds", nil),
 		getLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "get"}),
 		setLat:        reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "set"}),
-		rsetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "rset"}),
 		ngetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "nget"}),
 		esetLat:       reg.Histogram("kv_op_seconds", telemetry.Labels{"op": "eset"}),
 		items:         reg.Gauge("kv_items", nil),
@@ -201,9 +201,8 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 // means a private registry, so METRICS always works. A shared registry
 // lets a host process fold kvserver metrics into its own exposition, and
 // anything else registered there is served by METRICS too. hooks connects
-// the server to a cluster daemon's membership and replication machinery
-// (see ClusterHooks); nil means standalone: HELLO/NODES answer with an
-// empty node set and mutations are never fanned out.
+// the server to a cluster daemon's membership (see ClusterHooks); nil means
+// standalone: HELLO/NODES answer with an empty node set.
 func Serve(ln net.Listener, capacity int, reg *telemetry.Registry, hooks ClusterHooks) (*Server, error) {
 	if capacity < 1 {
 		//lint:ignore errcheck the capacity error is what the caller sees; the listener close is cleanup
@@ -400,8 +399,6 @@ func (s *Server) serveOne(sess *session) error {
 		return s.doNGet(sess, args)
 	case cmdEq(cmd, "ESET"):
 		return s.doESet(sess, args)
-	case cmdEq(cmd, "RSET"):
-		return s.doRSet(sess, args)
 	case cmdEq(cmd, "HELLO"):
 		return s.doHello(sess, args)
 	case cmdEq(cmd, "NODES"):
@@ -441,32 +438,9 @@ func (s *Server) doSet(sess *session, args [][]byte) error {
 		return err
 	}
 	s.store.set(key, value)
-	// Fan out before the reply: when STORED lands at the client, every
-	// reachable replica owner already has the value.
-	if s.cluster != nil {
-		s.cluster.ReplicateSet(key, value)
-	}
 	_, err = sess.w.WriteString("STORED\r\n")
 	s.tel.setOps.Inc()
 	s.tel.setLat.Observe(time.Since(start).Seconds())
-	return err
-}
-
-// doRSet is doSet without the replication fan-out: the store half of the
-// replication protocol itself.
-func (s *Server) doRSet(sess *session, args [][]byte) error {
-	if len(args) != 2 {
-		return errBadArgs
-	}
-	start := time.Now()
-	key, value, err := sess.readPayload(args[0], args[1])
-	if err != nil {
-		return err
-	}
-	s.store.set(key, value)
-	_, err = sess.w.WriteString("STORED\r\n")
-	s.tel.rsetOps.Inc()
-	s.tel.rsetLat.Observe(time.Since(start).Seconds())
 	return err
 }
 

@@ -228,7 +228,14 @@ func TestServerRaceStress(t *testing.T) {
 						return
 					}
 				case 2:
-					if err := c.RSet(key, []byte("r")); err != nil {
+					p := c.Pipeline()
+					p.Set(key, []byte("r"))
+					p.Get(key)
+					if err := p.Send(); err != nil {
+						errs <- err
+						return
+					}
+					if _, err := p.Recv(); err != nil {
 						errs <- err
 						return
 					}

@@ -3,7 +3,7 @@
 # explicit check list, the project's own static analysis (spiderlint), the
 # full test suite, the hnsw allocation gate, the bench module's vet and short
 # tests, the race-sensitive subset under -race, and the kill-a-node schedule
-# five times under -race. Everything CI
+# and the opposite-owner-order Sets five times under -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -113,9 +113,12 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
 fi
 
 # The failure path's only behavioural gate: a daemon killed under load,
-# through the static-seed client the benchmarks build. One pass can get
-# lucky with timing, so run it five times under the race detector.
+# through the static-seed client the benchmarks build. Beside it, the
+# replicated write's lock-order gate: Sets whose owners come in opposite
+# placement orders share one connection per node, and would deadlock if a
+# Set took its owners' connections in placement order. One pass can get
+# lucky with timing, so run both five times under the race detector.
 echo "== kill-a-node (-race -count=5)"
-go test -race -count=5 -run '^TestKillNodeMidRun' ./internal/cluster/
+go test -race -count=5 -run '^(TestKillNodeMidRun|TestSetOppositeOwnerOrders)' ./internal/cluster/
 
 echo "check.sh: all gates passed"
