@@ -123,6 +123,9 @@ func newSpiderTelemetry(reg *telemetry.Registry) spiderTelemetry {
 	reg.Describe("cache_evictions_total", "cumulative evictions per cache section")
 	reg.Describe("imp_ratio", "elastic Importance Cache share")
 	reg.Describe("score_std", "stddev of global importance scores")
+	reg.Describe("cache_resident", "samples resident per cache section")
+	reg.Describe("homophily_substitutions_total", "policy lookups served by a resident Homophily Cache host in place of the requested sample")
+	reg.Describe("homophily_installs_total", "per-batch installs of the highest-degree node into the Homophily Cache")
 	return spiderTelemetry{
 		impEvictions:  reg.Counter("cache_evictions_total", telemetry.Labels{"section": "importance"}),
 		homEvictions:  reg.Counter("cache_evictions_total", telemetry.Labels{"section": "homophily"}),

@@ -23,7 +23,7 @@ func recallOf(ix *Index, vecs [][]float64, queries [][]float64, k, ef int) float
 	found := 0
 	for _, q := range queries {
 		got := map[int]bool{}
-		for _, r := range searchEf(ix, q, k, ef) {
+		for _, r := range ix.SearchKNNEf(q, k, ef) {
 			got[r.ID] = true
 		}
 		for _, id := range bruteKNN(vecs, q, k) {
@@ -250,6 +250,48 @@ func TestSearchFindsMovedPoint(t *testing.T) {
 		t.Fatalf("search for the moved point's vector returned %v, want id %d at 0 first", res, mover)
 	}
 	checkGraph(t, ix)
+}
+
+// TestNarrowSearchReadsTheRow: within the batch a settle re-linked, a
+// search narrower than EfSearch for exactly a re-linked point's vector
+// reads that point's row, as one at EfSearch does. The NGET lookup
+// searches at 24, and an NGET for the embedding a key was just moved to
+// must find the key first (TestNGetFindsMovedKey). A search of its own at
+// ef == k would miss some of the row's entries for some of the 64 points.
+func TestNarrowSearchReadsTheRow(t *testing.T) {
+	const n, batch, k = 2000, 64, 8
+	vecs := clusteredVecs(n, 16)
+	ix, _ := New(DefaultConfig())
+	for i, v := range vecs {
+		if err := ix.Upsert(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := xrand.New(9)
+	for i := 0; i < batch; i++ {
+		vecs[i] = drifted(vecs[i], 0.05, rng)
+		if err := ix.Upsert(i, vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ef := range []int{k, 16, 24, ix.p.EfSearch - 1} {
+		for i := 0; i < batch; i++ {
+			got := ix.SearchKNNEf(vecs[i], k, ef) // the first one settles the batch
+			ix.mu.RLock()
+			r, ok := ix.beamAt[vecHash(vecs[i])]
+			var row []Result
+			if ok {
+				row = ix.results(ix.beams[r*ix.p.EfSearch:][:ix.beamLen[r]], k)
+			}
+			ix.mu.RUnlock()
+			if !ok {
+				t.Fatalf("point %d moved but has no row", i)
+			}
+			if len(got) == 0 || got[0].ID != i || got[0].Dist != 0 || !slices.Equal(got, row) {
+				t.Fatalf("ef %d, point %d: search returned %v, its row holds %v", ef, i, got, row)
+			}
+		}
+	}
 }
 
 // TestScoringRecallAfterSettle is the trainer's scoring in miniature: 4 000

@@ -23,10 +23,10 @@
 // more than UpdateEps, and the graph after a settle depends on the calls
 // made and their order, not on how many cores ran it. The settle's search
 // for a point's new vector is not thrown away: until the next Upsert or
-// Delete, a search at EfSearch for exactly that vector returns the head of
-// the settle's layer-0 beam, the point first, and searches nothing. The
-// trainer searches each point of a batch for its score right after the
-// batch's updates, so one search per point per batch serves both.
+// Delete, a search at EfSearch or narrower for exactly that vector returns
+// the head of the settle's layer-0 beam, the point first, and searches
+// nothing. The trainer searches each point of a batch for its score right
+// after the batch's updates, so one search per point per batch serves both.
 //
 // The implementation follows the paper's Algorithms 1-5: multi-layer
 // proximity graphs with exponentially decaying layer population, greedy
@@ -172,11 +172,11 @@ type Index struct {
 	// beams[i*EfSearch], the point itself at distance 0 and then the
 	// nearest others of its beam, beamLen[i] of them in all. beamAt maps
 	// the hash of such a point's vector to its row, so that a search at
-	// EfSearch for exactly that vector reads the row and searches nothing
-	// (searchKNN). Every Upsert and Delete empties beamAt: a row answers
-	// only until the next change, that is, within the batch it was
-	// searched for. It holds 16 bytes per entry, up to EfSearch per point
-	// of the largest settle so far.
+	// EfSearch or narrower for exactly that vector reads the row and
+	// searches nothing (searchKNN). Every Upsert and Delete empties
+	// beamAt: a row answers only until the next change, that is, within
+	// the batch it was searched for. It holds 16 bytes per entry, up to
+	// EfSearch per point of the largest settle so far.
 	beams   []candidate
 	beamLen []int
 	beamAt  map[uint64]int
@@ -915,12 +915,18 @@ type Result struct {
 }
 
 // SearchKNN returns up to k approximate nearest neighbours of q at the
-// EfSearch beam width. Safe for concurrent use; parallel searches share
-// only the read lock. A query of another dimensionality than the index's
-// finds nothing: Delete can empty the index and another dimensionality can
-// move in between a caller's check and its search.
-func (ix *Index) SearchKNN(q []float64, k int) (out []Result) {
-	ix.readSettled(func() { out = ix.searchKNN(q, k, ix.p.EfSearch) })
+// EfSearch beam width: SearchKNNEf(q, k, EfSearch).
+func (ix *Index) SearchKNN(q []float64, k int) []Result {
+	return ix.SearchKNNEf(q, k, ix.p.EfSearch)
+}
+
+// SearchKNNEf returns up to k approximate nearest neighbours of q at beam
+// width ef, raised to k when below it. Safe for concurrent use; parallel
+// searches share only the read lock. A query of another dimensionality
+// than the index's finds nothing: Delete can empty the index and another
+// dimensionality can move in between a caller's check and its search.
+func (ix *Index) SearchKNNEf(q []float64, k, ef int) (out []Result) {
+	ix.readSettled(func() { out = ix.searchKNN(q, k, ef) })
 	return out
 }
 
@@ -931,9 +937,11 @@ func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 	if ef < k {
 		ef = k
 	}
-	if ef == ix.p.EfSearch && len(ix.beamAt) > 0 {
+	// A row is the head of the settle's EfConstruction-wide beam, so it
+	// answers a search at any width up to EfSearch, not only at EfSearch.
+	if ef <= ix.p.EfSearch && len(ix.beamAt) > 0 {
 		if i, ok := ix.beamAt[vecHash(q)]; ok {
-			beam := ix.beams[i*ef:][:ix.beamLen[i]]
+			beam := ix.beams[i*ix.p.EfSearch:][:ix.beamLen[i]]
 			if slices.Equal(ix.vec(beam[0].id), q) {
 				return ix.results(beam, k)
 			}

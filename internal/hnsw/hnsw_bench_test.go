@@ -86,11 +86,14 @@ var (
 	sinkFloat   float64
 )
 
+// BenchmarkSearchKNN times the trainer's search (k 24 at EfSearch) on both
+// shapes, and the NGET lookup's (k 8 at width 24, kvserver's semSearchK and
+// semSearchEf) on the wire tier's.
 func BenchmarkSearchKNN(b *testing.B) {
-	for _, shape := range benchShapes {
-		b.Run(shape.name, func(b *testing.B) {
+	bench := func(name string, vecs func(n int) [][]float64, k, ef int) {
+		b.Run(name, func(b *testing.B) {
 			const n = 8000
-			vecs := shape.vecs(n)
+			vecs := vecs(n)
 			ix, _ := New(DefaultConfig())
 			for i, v := range vecs {
 				ix.Upsert(i, v)
@@ -98,10 +101,14 @@ func BenchmarkSearchKNN(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkResults = ix.SearchKNN(vecs[i%n], 24)
+				sinkResults = ix.SearchKNNEf(vecs[i%n], k, ef)
 			}
 		})
 	}
+	for _, shape := range benchShapes {
+		bench(shape.name, shape.vecs, 24, defaultParams.EfSearch)
+	}
+	bench("dim=16,k=8,ef=24", benchShapes[1].vecs, 8, 24)
 }
 
 // settleBatch is the trainer's mini-batch: the update benchmarks settle

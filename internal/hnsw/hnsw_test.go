@@ -8,12 +8,6 @@ import (
 	"spidercache/internal/xrand"
 )
 
-// searchEf is SearchKNN at beam width ef, for the tests that sweep it.
-func searchEf(ix *Index, q []float64, k, ef int) (out []Result) {
-	ix.readSettled(func() { out = ix.searchKNN(q, k, ef) })
-	return out
-}
-
 // storedVector returns a copy of id's stored vector, or nil when id is not
 // indexed, read under the index's lock.
 func storedVector(ix *Index, id int) []float64 {

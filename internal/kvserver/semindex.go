@@ -30,7 +30,9 @@ import (
 // may first re-link the keys of every ESET before it, spread over all
 // cores (BenchmarkNGetAfterESets: its latency grows with their number).
 // An NGET for exactly the embedding a re-linked key now holds reads the
-// re-link's own search, the key first, until the next ESET or unlink.
+// re-link's own search, the key first, until the next ESET or unlink: a
+// lookup searches at semSearchEf, narrower than the index's EfSearch, and
+// hnsw answers any width up to EfSearch from that search.
 // Ids are never reused, so a search racing an unlink can at worst
 // surface a freshly-unmapped id, which the byID lookup (and the
 // caller's store-residency check) drops.
@@ -45,6 +47,15 @@ type semIndex struct {
 // semSearchK is how many nearest neighbors an NGET lookup considers
 // before giving up on finding a resident one inside the threshold.
 const semSearchK = 8
+
+// semSearchEf is the beam width of an NGET lookup: three times the
+// results it keeps, where the index's EfSearch of 64 is sized for the
+// trainer's 24. On wire_nget's key space after 40 000 evictions
+// (TestSemIndexRecallAtWidth), the first result is the exact nearest
+// resident for 0.9997 of 3 000 queries at width 24, 1.0000 at 32 and 64,
+// and 0.9973 at 16; at 24, every query with a resident inside the 0.3
+// threshold gets a result inside it.
+const semSearchEf = 3 * semSearchK
 
 func newSemIndex() *semIndex {
 	ix, _ := hnsw.New(hnsw.DefaultConfig()) // its error is always nil
@@ -107,7 +118,7 @@ type semNeighbor struct {
 func (x *semIndex) lookup(q []float64) []semNeighbor {
 	// The search runs outside x.mu; hnsw's own RWMutex orders it against
 	// concurrent upserts and deletes.
-	res := x.ix.SearchKNN(q, semSearchK)
+	res := x.ix.SearchKNNEf(q, semSearchK, semSearchEf)
 	out := make([]semNeighbor, 0, len(res))
 	x.mu.Lock()
 	for _, r := range res {

@@ -132,6 +132,141 @@ func TestSemIndexChurnIsBounded(t *testing.T) {
 	}
 }
 
+// wireEmbeddings is the wire_nget workload's key space as the server
+// indexes it: key i sits in cluster i%64, at its centroid plus Gaussian
+// noise of sigma 0.08 per coordinate, with centroids at cosine distance
+// 0.6 or more from one another; each embedding crosses the wire as
+// float32s and is unit-normalized again on arrival, as readEmbedding does.
+func wireEmbeddings(keys, dim int, seed uint64) [][]float64 {
+	const clusters, sigma = 64, 0.08
+	rng := xrand.New(seed)
+	unit := func(v []float64) {
+		var norm float64
+		for _, x := range v {
+			norm += x * x
+		}
+		for j := range v {
+			v[j] /= math.Sqrt(norm)
+		}
+	}
+	var cents [][]float64
+	for len(cents) < clusters {
+		c := make([]float64, dim)
+		for j := range c {
+			c[j] = rng.NormFloat64()
+		}
+		unit(c)
+		far := true
+		for _, o := range cents {
+			if 1-dot(c, o) < 0.6 {
+				far = false
+				break
+			}
+		}
+		if far {
+			cents = append(cents, c)
+		}
+	}
+	out := make([][]float64, keys)
+	for i := range out {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = cents[i%clusters][j] + sigma*rng.NormFloat64()
+		}
+		unit(v)
+		for j := range v {
+			v[j] = float64(float32(v[j]))
+		}
+		unit(v)
+		out[i] = v
+	}
+	return out
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// TestSemIndexRecallAtWidth is the recall oracle behind semSearchEf. The
+// index holds 4 096 of wire_nget's 16 384 keys after 40 000 evictions,
+// each followed by the insert of a key that was not resident, and 3 000
+// keys that are not resident are then looked up and checked against a
+// scan of the residents. The first result must be the exact nearest
+// resident for at least 99.9% of them, and every query whose nearest
+// resident is inside NGET's default threshold of 0.3 must get a result
+// inside it. At width 16 the first bar fails (0.9973).
+func TestSemIndexRecallAtWidth(t *testing.T) {
+	if testing.Short() || raceBuild() {
+		t.Skip("80 000 index updates: seconds, and minutes under -race")
+	}
+	const keys, live, churn, queries, threshold = 16384, 4096, 40000, 3000, 0.3
+	vecs := wireEmbeddings(keys, 16, 1)
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	x := newSemIndex()
+	resident := make([]int, live) // resident keys, in no order
+	isResident := make([]bool, keys)
+	for i := range resident {
+		resident[i], isResident[i] = i, true
+		if err := x.upsert(key(i), vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := xrand.New(2)
+	absent := func() int {
+		for {
+			if k := rng.Intn(keys); !isResident[k] {
+				return k
+			}
+		}
+	}
+	for i := 0; i < churn; i++ {
+		slot := rng.Intn(live)
+		if !x.unlink(key(resident[slot])) {
+			t.Fatalf("step %d: %s had no embedding to unlink", i, key(resident[slot]))
+		}
+		isResident[resident[slot]] = false
+		k := absent()
+		if err := x.upsert(key(k), vecs[k]); err != nil {
+			t.Fatal(err)
+		}
+		resident[slot], isResident[k] = k, true
+	}
+	exact, near, served := 0, 0, 0
+	for i := 0; i < queries; i++ {
+		q := vecs[absent()]
+		best, bestDist := -1, math.Inf(1)
+		for _, r := range resident {
+			if d := 1 - dot(q, vecs[r]); d < bestDist {
+				best, bestDist = r, d
+			}
+		}
+		got := x.lookup(q)
+		if len(got) > 0 && got[0].key == key(best) {
+			exact++
+		}
+		if bestDist <= threshold {
+			near++
+			if len(got) > 0 && got[0].dist <= threshold {
+				served++
+			}
+		}
+	}
+	ratio := float64(exact) / queries
+	t.Logf("width %d: first result exact for %.4f of %d queries; %d of %d with a resident inside %.1f got one",
+		semSearchEf, ratio, queries, served, near, threshold)
+	if ratio < 0.999 {
+		t.Errorf("first result is the nearest resident for %.4f of queries at width %d, want >= 0.999", ratio, semSearchEf)
+	}
+	if served != near {
+		t.Errorf("%d of %d queries with a resident inside %.1f got no result inside it at width %d",
+			near-served, near, threshold, semSearchEf)
+	}
+}
+
 // TestSemIndexFailedUpsertChangesNothing: an embedding the index refuses
 // leaves the maps, the id counter, the graph's size and its free list as
 // they were, whether its key is new, known, or was unlinked a moment ago.

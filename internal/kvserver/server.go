@@ -153,6 +153,8 @@ func newServerTelemetry(reg *telemetry.Registry, shards int) serverTelemetry {
 	reg.Describe("kv_ops_total", "kvserver operations by op and result")
 	reg.Describe("kv_op_seconds", "kvserver per-op service latency (p50/p95/p99)")
 	reg.Describe("kv_items", "resident items")
+	reg.Describe("kv_hits", "store lookups that found their key since start, read at each METRICS")
+	reg.Describe("kv_misses", "store lookups that missed their key since start, read at each METRICS")
 	reg.Describe("kv_shard_items", "resident items per store shard")
 	reg.Describe("kv_net_flushes_total", "network flushes; each may carry many pipelined replies")
 	reg.Describe("kv_pipeline_depth", "requests served per network flush")

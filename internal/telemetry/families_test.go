@@ -22,9 +22,9 @@ import (
 // cluster.Client, a faultnet listener and a SpiderCache training run that
 // consults the client as its remote cache. The registry panics on an
 // invalid name or a kind conflict as each registers; this test checks the
-// two conventions it cannot see at registration: a counter's name ends in
-// _total and no other kind's does, and every Describe names a family that
-// is registered.
+// conventions it cannot see at registration: a counter's name ends in
+// _total and no other kind's does, every registered family is described,
+// and every Describe names a family that is registered.
 func TestModuleFamilies(t *testing.T) {
 	leakcheck.Check(t)
 	reg := telemetry.NewRegistry()
@@ -72,17 +72,20 @@ func TestModuleFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	families := reg.Families()
+	families, described := reg.Families(), reg.Described()
 	for _, name := range families {
 		kind := reg.Kind(name)
 		if counter := kind == "counter"; counter != strings.HasSuffix(name, "_total") {
 			t.Errorf("%s %q: counters, and only counters, end in _total", kind, name)
 		}
+		if !slices.Contains(described, name) {
+			t.Errorf("%s %q has no Describe; METRICS prints it without help text", kind, name)
+		}
 	}
-	for _, name := range reg.Described() {
+	for _, name := range described {
 		if !slices.Contains(families, name) {
 			t.Errorf("Describe(%q) names no registered family; its help text is never emitted", name)
 		}
 	}
-	t.Logf("%d families, %d described", len(families), len(reg.Described()))
+	t.Logf("%d families, %d described", len(families), len(described))
 }

@@ -230,6 +230,7 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 	reg.Describe("epoch_seconds", "simulated wall time per epoch (p50/p95/p99)")
 	reg.Describe("train_accuracy", "held-out Top-1 accuracy after the last epoch")
 	reg.Describe("train_loss", "mean training loss of the last epoch")
+	reg.Describe("epochs_total", "training epochs completed")
 	reg.Describe("remote_cache_total", "policy-miss consultations of the remote cache tier by outcome (hit/miss/error)")
 	reg.Describe("backward_wait_seconds", "real time training waited at the join for the previous batch's backward pass: the part of backward the IS stage and the next batch's serving did not hide")
 	reg.Describe("tensor_kernels_total", "tensor kernel dispatches by mode (parallel/serial)")

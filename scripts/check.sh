@@ -52,7 +52,8 @@ go test ./...
 # else in the suite would notice. Gate on the benchmarks' own -benchmem
 # accounting. An update of an existing point, with its share of the settle
 # that re-links the batch (the update benchmarks settle every 64 updates),
-# and a delete must allocate nothing, a search only the slice it returns.
+# and a delete must allocate nothing, a search only the slice it returns,
+# at the trainer's width and at the NGET lookup's.
 # A batch of scoring (64 due updates, then a search per point, each
 # answered from the settle's beam) must allocate its 64 results and no
 # more; it runs on one core, where a settle calls its one picker directly,
@@ -85,7 +86,7 @@ echo "$hnsw_out" | awk '
         if ($(NF-1)+0 > 64) { print "hnsw scored batch allocates more than its results: " $0 > "/dev/stderr"; bad = 1 }
     }
     END {
-        if (seen != 7) { print "expected 7 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
+        if (seen != 8) { print "expected 8 hnsw benchmark lines, saw " seen+0 > "/dev/stderr"; bad = 1 }
         exit bad
     }'
 
