@@ -254,7 +254,8 @@ func TestExplicitZeroExpressible(t *testing.T) {
 }
 
 // TestTrainWithMetrics: a registry given to both the policy and the trainer
-// records the serving path and the elastic trajectory.
+// records the serving path, and the elastic manager's gauges read what the
+// last epoch's record holds.
 func TestTrainWithMetrics(t *testing.T) {
 	ds := tinyCIFAR(t)
 	reg := telemetry.NewRegistry()
@@ -270,8 +271,12 @@ func TestTrainWithMetrics(t *testing.T) {
 	if lookups != wantRequests {
 		t.Fatalf("lookups_total sum = %d, want %d", lookups, wantRequests)
 	}
-	if got := reg.Gauge("imp_ratio", nil).Value(); math.Abs(got-res.Epochs[len(res.Epochs)-1].ImpRatio) > 1e-12 {
-		t.Fatalf("imp_ratio gauge %v != final epoch ImpRatio %v", got, res.Epochs[len(res.Epochs)-1].ImpRatio)
+	last := res.Epochs[len(res.Epochs)-1]
+	if got := reg.Gauge("imp_ratio", nil).Value(); math.Abs(got-last.ImpRatio) > 1e-12 {
+		t.Fatalf("imp_ratio gauge %v != final epoch ImpRatio %v", got, last.ImpRatio)
+	}
+	if got := reg.Gauge("score_std", nil).Value(); got == 0 || got != last.ScoreStd {
+		t.Fatalf("score_std gauge %v != final epoch ScoreStd %v (want it non-zero)", got, last.ScoreStd)
 	}
 	remote := reg.Histogram("fetch_seconds", telemetry.Labels{"tier": "remote"}).Snapshot()
 	if remote.Count == 0 || remote.P50 <= 0 || remote.P99 < remote.P50 {

@@ -164,8 +164,8 @@ func TestImportanceResize(t *testing.T) {
 		c.Put(Item{ID: i}, float64(i))
 	}
 	c.Resize(2) // evicts scores 0 and 1
-	if c.Len() != 2 || c.capacity != 2 {
-		t.Fatalf("after shrink Len=%d capacity=%d", c.Len(), c.capacity)
+	if len(c.entries) != 2 || c.capacity != 2 {
+		t.Fatalf("after shrink %d resident, capacity %d", len(c.entries), c.capacity)
 	}
 	for _, id := range []int{0, 1} {
 		if _, ok := c.Get(id); ok {
@@ -196,7 +196,7 @@ func TestImportanceKeepsTopScores(t *testing.T) {
 		for id, s := range scores {
 			c.Put(Item{ID: id}, float64(s))
 		}
-		if c.Len() > cap {
+		if len(c.entries) > cap {
 			return false
 		}
 		// The kept items must be exactly those with the top-cap scores.
@@ -285,8 +285,8 @@ func TestHomophilyResize(t *testing.T) {
 		c.Put(Item{ID: 100 + i}, []int{i})
 	}
 	c.Resize(2)
-	if c.Len() != 2 {
-		t.Fatalf("Len after shrink = %d", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("%d resident after shrink, want 2", len(c.entries))
 	}
 	if c.Contains(100) || c.Contains(101) {
 		t.Fatal("oldest hosts survived shrink")
@@ -327,7 +327,7 @@ func TestCapacityInvariant(t *testing.T) {
 				return false
 			}
 		}
-		return imp.Len() <= capacity && hom.Len() <= capacity
+		return len(imp.entries) <= capacity && len(hom.entries) <= capacity
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ type Homophily struct {
 	// hosts may share a neighbour; lookup picks the oldest host for
 	// deterministic behaviour.
 	byNeighbor map[int][]int
-	evictions  int64
 }
 
 type homEntry struct {
@@ -99,14 +98,8 @@ func (c *Homophily) Resize(capacity int) {
 	}
 }
 
-// Len returns the number of resident host nodes.
-func (c *Homophily) Len() int { return len(c.entries) }
-
 // Cap returns the host-node capacity.
 func (c *Homophily) Cap() int { return c.capacity }
-
-// Evictions returns the cumulative number of FIFO-displaced host nodes.
-func (c *Homophily) Evictions() int64 { return c.evictions }
 
 func (c *Homophily) evictOldest() {
 	for c.headIdx < len(c.order) {
@@ -115,7 +108,6 @@ func (c *Homophily) evictOldest() {
 		if e, ok := c.entries[id]; ok {
 			c.dropNeighbors(id, e.neighbors)
 			delete(c.entries, id)
-			c.evictions++
 			return
 		}
 	}

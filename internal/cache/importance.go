@@ -7,10 +7,9 @@ import "container/heap"
 // sample when a more important one arrives. SHADE's cache, iCache's H-sample
 // region and SpiderCache's Importance Cache are all instances of it.
 type Importance struct {
-	capacity  int
-	entries   map[int]*impEntry
-	heap      impHeap
-	evictions int64
+	capacity int
+	entries  map[int]*impEntry
+	heap     impHeap
 }
 
 type impEntry struct {
@@ -86,17 +85,9 @@ func (c *Importance) Resize(capacity int) {
 	}
 }
 
-// Evictions returns the cumulative number of displaced residents (both
-// score-based displacement in Put and shrink evictions in Resize).
-func (c *Importance) Evictions() int64 { return c.evictions }
-
-// Len returns the number of cached items.
-func (c *Importance) Len() int { return len(c.entries) }
-
 func (c *Importance) evictMin() {
 	victim := heap.Pop(&c.heap).(*impEntry)
 	delete(c.entries, victim.item.ID)
-	c.evictions++
 }
 
 // impHeap is a min-heap on score that keeps each entry's pos.

@@ -219,6 +219,41 @@ func TestClientFailsOverAroundDeadNode(t *testing.T) {
 	}
 }
 
+// TestSetReroutedWhenPrimaryDown: kv_failover_total{result="rerouted"}
+// counts Sets, not only Gets. A Set whose primary owner is down and whose
+// replica stores it counts one reroute; a Set whose primary stores it
+// counts none, though its replica is down too.
+func TestSetReroutedWhenPrimaryDown(t *testing.T) {
+	leakcheck.Check(t)
+	a, b := startNode(t), startNode(t)
+	reg := telemetry.NewRegistry()
+	c := newTestClient(t, reg, a.Addr(), b.Addr())
+	rerouted := reg.Counter("kv_failover_total", telemetry.Labels{"result": "rerouted"})
+	primaryOn := func(node string) int {
+		id := 0
+		for c.ring.OwnersKey(key(id), c.replicas)[0] != node {
+			id++
+		}
+		return id
+	}
+	onA, onB := primaryOn(a.Addr()), primaryOn(b.Addr())
+
+	// Shutting the node down is the point.
+	b.Close()
+	if err := c.Set(onA, []byte("v")); err != nil {
+		t.Fatalf("Set(%d), primary up: %v", onA, err)
+	}
+	if v := rerouted.Value(); v != 0 {
+		t.Fatalf("after a Set its primary stored: rerouted = %d, want 0", v)
+	}
+	if err := c.Set(onB, []byte("v")); err != nil {
+		t.Fatalf("Set(%d), primary down: %v", onB, err)
+	}
+	if v := rerouted.Value(); v != 1 {
+		t.Fatalf("after a Set only its replica stored: rerouted = %d, want 1", v)
+	}
+}
+
 func TestClientAllNodesDown(t *testing.T) {
 	leakcheck.Check(t)
 	reg := telemetry.NewRegistry()

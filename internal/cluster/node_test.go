@@ -300,6 +300,99 @@ func TestDaemonSetIsNotFannedOut(t *testing.T) {
 	}
 }
 
+// TestMembershipAndMigrationTelemetry reads a node's four families in the
+// scenario each describes. Three daemons gossip hourly, so after their
+// joins every round is one the test runs. A third node joining two that
+// hold keys gives some keys a new owner, which the old owners push to it
+// (kv_migration_keys_total{result="ok"}); then every node knows 3 members
+// (cluster_members) and has seen 2 joins (cluster_membership_total). When
+// the third closes and the survivors' rounds expel it, each survivor knows
+// 2 members, has counted a leave, and its joins less its leaves are the
+// one peer it keeps.
+func TestMembershipAndMigrationTelemetry(t *testing.T) {
+	leakcheck.Check(t)
+	regs := make([]*telemetry.Registry, 3)
+	nodes := make([]*Node, 3)
+	start := func(i int) {
+		regs[i] = telemetry.NewRegistry()
+		var seeds []string
+		if i > 0 {
+			seeds = []string{nodes[0].Addr()}
+		}
+		n, err := StartNode(NodeOptions{
+			Listen: "127.0.0.1:0", Seeds: seeds, Replicas: 2, Capacity: 1 << 10,
+			GossipEvery: time.Hour, Registry: regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			n.Close()
+		})
+		nodes[i] = n
+	}
+	members := func(i int) float64 { return regs[i].Gauge("cluster_members", nil).Value() }
+	events := func(i int, event string) int64 {
+		return regs[i].Counter("cluster_membership_total", telemetry.Labels{"event": event}).Value()
+	}
+	migrated := func(i int) int64 {
+		return regs[i].Counter("kv_migration_keys_total", telemetry.Labels{"result": "ok"}).Value()
+	}
+	// waitFor polls cond, which the node's background goroutines make true
+	// just after the member list changes, for up to 10s.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 10s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	start(0)
+	start(1)
+	waitMembers(t, 2, nodes[0], nodes[1])
+	c := testClusterClient(t, nodes[0], nodes[1])
+	const keys = 64
+	for id := 0; id < keys; id++ {
+		if err := c.Set(id, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start(2)
+	waitMembers(t, 3, nodes...)
+	waitFor("resident keys pushed to the joiner", func() bool { return migrated(0)+migrated(1) > 0 })
+	waitFor("every node counts 2 joins", func() bool { return events(0, "join")+events(1, "join")+events(2, "join") >= 6 })
+	for i := range nodes {
+		if m, j, l := members(i), events(i, "join"), events(i, "leave"); m != 3 || j != 2 || l != 0 {
+			t.Errorf("node %d after the joins: members %v, join %d, leave %d; want 3, 2, 0", i, m, j, l)
+		}
+	}
+
+	// Closing the node is the point.
+	nodes[2].Close()
+	survivors := nodes[:2]
+	for round := 0; len(survivors[0].Nodes()) != 2 || len(survivors[1].Nodes()) != 2; round++ {
+		if round == 100 {
+			t.Fatalf("100 gossip rounds did not expel the closed node: %v %v", survivors[0].Nodes(), survivors[1].Nodes())
+		}
+		survivors[round%2].gossipOnce()
+	}
+	// A survivor can expel the closed node and then learn it again from
+	// the other's HELLO reply, which still lists it, so a survivor may
+	// count more than one leave; its joins always exceed its leaves by
+	// the one other survivor it keeps.
+	for i := range survivors {
+		m, j, l := members(i), events(i, "join"), events(i, "leave")
+		if m != 2 || l < 1 || j-l != 1 {
+			t.Errorf("survivor %d after the expel: members %v, join %d, leave %d; want 2 members, a leave, and one more join than leaves", i, m, j, l)
+		}
+		t.Logf("survivor %d: join %d, leave %d", i, j, l)
+	}
+}
+
 func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	leakcheck.Check(t)
 	const keys = 200

@@ -55,8 +55,8 @@ type Options struct {
 	// Searcher overrides the ANN index (nil = HNSW at hnsw.DefaultConfig,
 	// seeded Seed+101); tests inject the exact brute-force searcher here.
 	Searcher semgraph.NeighborSearcher
-	// Metrics receives cache-internals telemetry (evictions, substitutions,
-	// elastic imp_ratio/σ trajectories); nil disables recording.
+	// Metrics receives the imp_ratio and score_std gauges, the split and
+	// the σ the elastic manager works from; nil disables recording.
 	Metrics *telemetry.Registry
 	Seed    uint64
 }
@@ -106,50 +106,17 @@ type SpiderCache struct {
 // construction. With a nil registry these are shared no-ops, so record
 // sites stay unconditional.
 type spiderTelemetry struct {
-	impEvictions  *telemetry.Counter
-	homEvictions  *telemetry.Counter
-	substitutions *telemetry.Counter
-	homInstalls   *telemetry.Counter
-	impRatio      *telemetry.Gauge
-	scoreStd      *telemetry.Gauge
-	impResident   *telemetry.Gauge
-	homResident   *telemetry.Gauge
-
-	// last exported cache eviction totals, for delta accounting
-	lastImpEvict, lastHomEvict int64
+	impRatio *telemetry.Gauge
+	scoreStd *telemetry.Gauge
 }
 
 func newSpiderTelemetry(reg *telemetry.Registry) spiderTelemetry {
-	reg.Describe("cache_evictions_total", "cumulative evictions per cache section")
 	reg.Describe("imp_ratio", "elastic Importance Cache share")
 	reg.Describe("score_std", "stddev of global importance scores")
-	reg.Describe("cache_resident", "samples resident per cache section")
-	reg.Describe("homophily_substitutions_total", "policy lookups served by a resident Homophily Cache host in place of the requested sample")
-	reg.Describe("homophily_installs_total", "per-batch installs of the highest-degree node into the Homophily Cache")
 	return spiderTelemetry{
-		impEvictions:  reg.Counter("cache_evictions_total", telemetry.Labels{"section": "importance"}),
-		homEvictions:  reg.Counter("cache_evictions_total", telemetry.Labels{"section": "homophily"}),
-		substitutions: reg.Counter("homophily_substitutions_total", nil),
-		homInstalls:   reg.Counter("homophily_installs_total", nil),
-		impRatio:      reg.Gauge("imp_ratio", nil),
-		scoreStd:      reg.Gauge("score_std", nil),
-		impResident:   reg.Gauge("cache_resident", telemetry.Labels{"section": "importance"}),
-		homResident:   reg.Gauge("cache_resident", telemetry.Labels{"section": "homophily"}),
+		impRatio: reg.Gauge("imp_ratio", nil),
+		scoreStd: reg.Gauge("score_std", nil),
 	}
-}
-
-// flushCacheTelemetry publishes eviction deltas and resident counts.
-func (s *SpiderCache) flushCacheTelemetry() {
-	if impEv := s.imp.Evictions(); impEv > s.tel.lastImpEvict {
-		s.tel.impEvictions.Add(impEv - s.tel.lastImpEvict)
-		s.tel.lastImpEvict = impEv
-	}
-	if homEv := s.hom.Evictions(); homEv > s.tel.lastHomEvict {
-		s.tel.homEvictions.Add(homEv - s.tel.lastHomEvict)
-		s.tel.lastHomEvict = homEv
-	}
-	s.tel.impResident.Set(float64(s.imp.Len()))
-	s.tel.homResident.Set(float64(s.hom.Len()))
 }
 
 var (
@@ -180,7 +147,6 @@ func New(opts Options) (*SpiderCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	grapher.SetMetrics(opts.Metrics)
 	smp, err := sampler.NewMultinomial(len(opts.Labels), opts.Seed+7)
 	if err != nil {
 		return nil, err
@@ -244,7 +210,6 @@ func (s *SpiderCache) Lookup(id int) policy.Lookup {
 		}
 		if s.grapher.ScoreOf(id) < s.subGate {
 			if host, ok := s.hom.LookupNeighbor(id); ok {
-				s.tel.substitutions.Inc()
 				return policy.Lookup{Source: policy.SourceSubstitute, ServedID: host.ID}
 			}
 		}
@@ -292,13 +257,11 @@ func (s *SpiderCache) OnBatchEnd(_ int, fb []policy.Feedback) {
 	// neighbour ID list (the IDs it may substitute for).
 	if !s.opts.DisableHomophily && s.hom.Cap() > 0 && maxDegree > 0 {
 		s.hom.Put(cache.Item{ID: maxRes.ID, Size: s.payloads[maxRes.ID]}, maxRes.CloseNeighbors)
-		s.tel.homInstalls.Inc()
 	}
 }
 
 // OnEpochEnd drives the Elastic Cache Manager and resizes the two sections.
 func (s *SpiderCache) OnEpochEnd(epoch int, accuracy float64) {
-	defer s.flushCacheTelemetry()
 	s.tel.scoreStd.Set(s.grapher.ScoreStd())
 	if s.opts.DisableHomophily {
 		return

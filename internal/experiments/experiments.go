@@ -33,8 +33,9 @@ type Options struct {
 	// Seed randomises the whole experiment deterministically; every value,
 	// 0 included, is used as given.
 	Seed uint64
-	// Metrics receives serving-path and cache telemetry from every
-	// training run the experiment performs; nil disables recording.
+	// Metrics receives the trainer's serving-path telemetry and the
+	// SpiderCache policies' imp_ratio/score_std gauges from every training
+	// run the experiment performs; nil disables recording.
 	Metrics *telemetry.Registry
 }
 

@@ -27,8 +27,8 @@ type PolicyParams struct {
 	RStart float64
 	REnd   float64
 
-	// Metrics receives cache-internals telemetry (SpiderCache policies
-	// only); nil disables recording.
+	// Metrics receives the elastic manager's imp_ratio and score_std
+	// gauges (SpiderCache policies only); nil disables recording.
 	Metrics *telemetry.Registry
 }
 

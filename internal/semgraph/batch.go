@@ -77,14 +77,5 @@ func (g *Grapher) ScoreBatch(ids []int, embeddings [][]float64) ([]ScoreResult, 
 	for i := range results {
 		g.recordScore(results[i])
 	}
-	g.flushSearchTelemetry()
 	return results, nil
-}
-
-// flushSearchTelemetry advances the SearchKNN counter by the calls issued
-// since the last flush.
-func (g *Grapher) flushSearchTelemetry() {
-	searches := g.searchCalls.Load()
-	g.searches.Add(searches - g.telSearches)
-	g.telSearches = searches
 }

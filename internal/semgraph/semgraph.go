@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"spidercache/internal/hnsw"
-	"spidercache/internal/telemetry"
 )
 
 // NeighborSearcher abstracts the ANN index so exact brute-force search can
@@ -110,11 +109,6 @@ type Grapher struct {
 	// searchCalls counts SearchKNN calls; atomic because the scoring
 	// fan-out increments it from worker goroutines.
 	searchCalls atomic.Int64
-	// searches is the semgraph_searchknn_total counter (a shared no-op until
-	// SetMetrics attaches a registry); telSearches is the last-flushed
-	// searchCalls mark, so per-batch flushes add deltas, not totals.
-	searches    *telemetry.Counter
-	telSearches int64
 
 	// Incrementally maintained score statistics: the elastic manager reads
 	// σ every epoch and the substitution gate reads the mean, so keeping
@@ -146,16 +140,7 @@ func New(labels []int, searcher NeighborSearcher) (*Grapher, error) {
 		distThresh:    -math.Log(alpha) / lambda,
 		homDistThresh: -math.Log(homAlpha) / lambda,
 	}
-	g.SetMetrics(nil)
 	return g, nil
-}
-
-// SetMetrics attaches a telemetry registry: the grapher counts its
-// SearchKNN calls into semgraph_searchknn_total. Nil detaches (a no-op
-// counter).
-func (g *Grapher) SetMetrics(reg *telemetry.Registry) {
-	reg.Describe("semgraph_searchknn_total", "ANN SearchKNN calls issued by the scoring path")
-	g.searches = reg.Counter("semgraph_searchknn_total", nil)
 }
 
 // SearchCalls reports the cumulative number of SearchKNN calls this grapher

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -24,7 +25,10 @@ import (
 // invalid name or a kind conflict as each registers; this test checks the
 // conventions it cannot see at registration: a counter's name ends in
 // _total and no other kind's does, every registered family is described,
-// and every Describe names a family that is registered.
+// every Describe names a family that is registered, and DESIGN.md's family
+// table has a row for exactly the registered families, so a family cannot
+// be added without naming the question it answers, nor deleted while the
+// table still promises it.
 func TestModuleFamilies(t *testing.T) {
 	leakcheck.Check(t)
 	reg := telemetry.NewRegistry()
@@ -87,5 +91,50 @@ func TestModuleFamilies(t *testing.T) {
 			t.Errorf("Describe(%q) names no registered family; its help text is never emitted", name)
 		}
 	}
+	table := designFamilies(t)
+	for _, name := range families {
+		if !slices.Contains(table, name) {
+			t.Errorf("family %q is registered but has no row in DESIGN.md's %q table: name the question it answers and its reader, or delete it", name, familyTableHeading)
+		}
+	}
+	for _, name := range table {
+		if !slices.Contains(families, name) {
+			t.Errorf("DESIGN.md's %q table names %q, which nothing registers", familyTableHeading, name)
+		}
+	}
 	t.Logf("%d families, %d described", len(families), len(described))
+}
+
+// familyTableHeading is the DESIGN.md section whose table has one row per
+// registered family.
+const familyTableHeading = "Telemetry: one question per family"
+
+// designFamilies returns the family named in the first cell of each row of
+// DESIGN.md's family table, in order.
+func designFamilies(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	in := false
+	for line := range strings.Lines(string(data)) {
+		if strings.HasPrefix(line, "#") {
+			in = strings.Contains(line, familyTableHeading)
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if !in || len(cells) < 3 {
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if name, ok := strings.CutPrefix(first, "`"); ok && strings.HasSuffix(name, "`") {
+			names = append(names, strings.TrimSuffix(name, "`"))
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("DESIGN.md has no family table under a %q heading", familyTableHeading)
+	}
+	return names
 }

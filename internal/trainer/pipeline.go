@@ -7,7 +7,6 @@ import (
 	"spidercache/internal/nn"
 	"spidercache/internal/policy"
 	"spidercache/internal/storage"
-	"spidercache/internal/telemetry"
 	"spidercache/internal/tensor"
 )
 
@@ -99,7 +98,6 @@ func serveBatch(pol policy.Policy, store *storage.Store, ds *dataset.Dataset, ba
 // a detached goroutine.
 type backwardStep struct {
 	done chan any // receives the recovered panic value, nil for a clean return
-	wait *telemetry.Histogram
 }
 
 // start launches mlp.Backward(weights). The caller joins before it touches
@@ -113,17 +111,12 @@ func (s *backwardStep) start(mlp *nn.MLP, weights []float64) {
 	}()
 }
 
-// join waits for the running Backward, if any, records how long the caller
-// waited for it, and re-raises its panic.
+// join waits for the running Backward, if any, and re-raises its panic.
 func (s *backwardStep) join() {
 	if s.done == nil {
 		return
 	}
-	//lint:ignore determinism wait timing is telemetry only; the model update is the same either way
-	t0 := time.Now()
 	r := <-s.done
-	//lint:ignore determinism wait timing is telemetry only; the model update is the same either way
-	s.wait.Observe(time.Since(t0).Seconds())
 	s.done = nil
 	if r != nil {
 		panic(r)

@@ -79,8 +79,9 @@ type Config struct {
 	// in EpochStats either way. Nil disables the tier.
 	RemoteCache RemoteCache
 	// Metrics receives live serving-path telemetry (per-tier lookup
-	// counters, simulated fetch/compute latency histograms, per-epoch
-	// accuracy/loss gauges); nil disables recording.
+	// counters, simulated fetch latency histograms, remote-cache outcomes,
+	// tensor kernel dispatches); nil disables recording. Accuracy, loss
+	// and epoch times are in the returned Result, not here.
 	Metrics *telemetry.Registry
 	Seed    uint64
 }
@@ -201,14 +202,6 @@ type runTelemetry struct {
 
 	fetchRemote *telemetry.Histogram // simulated per-sample remote fetch
 	fetchMemory *telemetry.Histogram // simulated per-sample memory-tier read
-	batchWall   *telemetry.Histogram // simulated per-batch wall time
-	epochWall   *telemetry.Histogram // simulated per-epoch wall time
-
-	accuracy *telemetry.Gauge
-	loss     *telemetry.Gauge
-	epochs   *telemetry.Counter
-
-	backwardWait *telemetry.Histogram // real seconds training waited at the backward join
 
 	rcHit  *telemetry.Counter // policy miss served by the remote cache tier
 	rcMiss *telemetry.Counter // remote cache answered, value absent
@@ -226,13 +219,7 @@ type runTelemetry struct {
 func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 	reg.Describe("lookups_total", "sample lookups per serving tier (cache/substitute/miss)")
 	reg.Describe("fetch_seconds", "simulated per-sample fetch latency per storage tier (p50/p95/p99)")
-	reg.Describe("batch_seconds", "simulated wall time per mini-batch (p50/p95/p99)")
-	reg.Describe("epoch_seconds", "simulated wall time per epoch (p50/p95/p99)")
-	reg.Describe("train_accuracy", "held-out Top-1 accuracy after the last epoch")
-	reg.Describe("train_loss", "mean training loss of the last epoch")
-	reg.Describe("epochs_total", "training epochs completed")
 	reg.Describe("remote_cache_total", "policy-miss consultations of the remote cache tier by outcome (hit/miss/error)")
-	reg.Describe("backward_wait_seconds", "real time training waited at the join for the previous batch's backward pass: the part of backward the IS stage and the next batch's serving did not hide")
 	reg.Describe("tensor_kernels_total", "tensor kernel dispatches by mode (parallel/serial)")
 	kp, ks := tensor.KernelStats()
 	return runTelemetry{
@@ -241,13 +228,6 @@ func newRunTelemetry(reg *telemetry.Registry) runTelemetry {
 		lookMiss:    reg.Counter("lookups_total", telemetry.Labels{"source": "miss"}),
 		fetchRemote: reg.Histogram("fetch_seconds", telemetry.Labels{"tier": "remote"}),
 		fetchMemory: reg.Histogram("fetch_seconds", telemetry.Labels{"tier": "memory"}),
-		batchWall:   reg.Histogram("batch_seconds", nil),
-		epochWall:   reg.Histogram("epoch_seconds", nil),
-		accuracy:    reg.Gauge("train_accuracy", nil),
-		loss:        reg.Gauge("train_loss", nil),
-		epochs:      reg.Counter("epochs_total", nil),
-
-		backwardWait: reg.Histogram("backward_wait_seconds", nil),
 
 		rcHit:  reg.Counter("remote_cache_total", telemetry.Labels{"result": "hit"}),
 		rcMiss: reg.Counter("remote_cache_total", telemetry.Labels{"result": "miss"}),
@@ -309,10 +289,6 @@ func Run(cfg Config, pol policy.Policy) (*Result, error) {
 		st := runEpoch(cfg, pol, store, mlp, clock, epoch, &tel)
 		st.Accuracy, _ = mlp.Evaluate(testX, ds.TestLabels)
 		pol.OnEpochEnd(epoch, st.Accuracy)
-		tel.epochWall.Observe(st.EpochTime.Seconds())
-		tel.accuracy.Set(st.Accuracy)
-		tel.loss.Set(st.TrainLoss)
-		tel.epochs.Inc()
 		tel.flushKernelStats()
 		if rep, ok := pol.(policy.ScoreStdReporter); ok {
 			st.ScoreStd = rep.ScoreStd()
@@ -368,7 +344,7 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 	var lossN int
 	span := clock.Start()
 
-	bw := backwardStep{wait: tel.backwardWait}
+	var bw backwardStep
 	// Also reaps a Backward still running when serving panics.
 	defer bw.join()
 	for b := 0; b < len(batches); b++ {
@@ -445,7 +421,6 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 		st.ComputeTime += time.Duration(float64(compute) / w)
 		st.ISTime += time.Duration(float64(visibleIS) / w)
 		st.CommTime += comm
-		tel.batchWall.Observe(batchWall.Seconds())
 		clock.Advance(batchWall)
 	}
 

@@ -2,12 +2,15 @@ package trainer
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"spidercache/internal/dataset"
 	"spidercache/internal/nn"
 	"spidercache/internal/policy"
+	"spidercache/internal/telemetry"
+	"spidercache/internal/tensor"
 )
 
 func tinyDataset(t *testing.T) *dataset.Dataset {
@@ -409,5 +412,34 @@ func TestPrefetchOverlapsLoading(t *testing.T) {
 	slack := time.Duration(float64(eo.LoadTime) * 0.05)
 	if eo.EpochTime > eo.LoadTime+eo.CommTime+slack {
 		t.Fatalf("overlapped wall %v far above loading track %v", eo.EpochTime, eo.LoadTime)
+	}
+}
+
+// TestKernelTelemetryIsTheRunsDelta: tensor_kernels_total counts, per mode,
+// exactly the kernel dispatches the run made, i.e. the change in the
+// process-global tensor.KernelStats from before the run to after it. At
+// four cores the run both forks and falls back to serial, so each mode's
+// series is checked against a non-zero delta.
+func TestKernelTelemetryIsTheRunsDelta(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := tinyConfig(t, 2)
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
+	pol, err := policy.NewBaselineLRU(cfg.Dataset.Len(), 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par0, ser0 := tensor.KernelStats()
+	if _, err := Run(cfg, pol); err != nil {
+		t.Fatal(err)
+	}
+	par1, ser1 := tensor.KernelStats()
+	for mode, want := range map[string]int64{"parallel": par1 - par0, "serial": ser1 - ser0} {
+		if want == 0 {
+			t.Fatalf("the run dispatched no %s kernel; the check below would be vacuous", mode)
+		}
+		if got := reg.Counter("tensor_kernels_total", telemetry.Labels{"mode": mode}).Value(); got != want {
+			t.Errorf("tensor_kernels_total{mode=%q} = %d, want the run's KernelStats delta %d", mode, got, want)
+		}
 	}
 }
