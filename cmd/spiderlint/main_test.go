@@ -1,13 +1,10 @@
 package main
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"spidercache/internal/lint"
 )
 
 // writeTempModule lays a tiny module on disk and returns its root.
@@ -39,9 +36,10 @@ func runCapture(t *testing.T, args []string) (int, string) {
 	return code, string(data)
 }
 
-// TestRunExitCodes drives run() end to end inside a fixture module: a
-// finding prints as file:line:col: [check] message with exit 1, and a
-// clean module prints nothing with exit 0.
+// TestRunExitCodes drives run() end to end inside fixture modules: a
+// finding prints as file:line:col: [check] message with exit 1, a clean
+// module prints nothing with exit 0, a module that does not parse exits 2,
+// and so does any argument list but ./... .
 func TestRunExitCodes(t *testing.T) {
 	t.Chdir(writeTempModule(t, `package main
 
@@ -55,7 +53,7 @@ func leak() {
 
 func main() {}
 `))
-	code, out := runCapture(t, []string{"-checks", "mutexhygiene"})
+	code, out := runCapture(t, []string{"./..."})
 	if code != 1 {
 		t.Fatalf("dirty module: exit %d, want 1; output:\n%s", code, out)
 	}
@@ -64,65 +62,17 @@ func main() {}
 	}
 
 	t.Chdir(writeTempModule(t, "package main\n\nfunc main() {}\n"))
-	if code, out := runCapture(t, nil); code != 0 || out != "" {
+	if code, out := runCapture(t, []string{"./..."}); code != 0 || out != "" {
 		t.Fatalf("clean module: exit %d, output %q; want 0 and nothing", code, out)
 	}
-}
-
-func TestSelectChecks(t *testing.T) {
-	all := lint.CheckNames()
-
-	got, err := selectChecks("")
-	if err != nil || len(got) != len(all) {
-		t.Fatalf("default selection = %d checks (%v), want all %d", len(got), err, len(all))
+	for _, args := range [][]string{nil, {"./internal/kvserver"}, {"./...", "./..."}, {"-list"}, {"-checks", "errcheck", "./..."}} {
+		if code, out := runCapture(t, args); code != 2 || out != "" {
+			t.Errorf("args %q: exit %d, output %q; want 2 and nothing", args, code, out)
+		}
 	}
 
-	got, err = selectChecks("determinism,errcheck")
-	if err != nil || len(got) != 2 || got[0].Name != "determinism" || got[1].Name != "errcheck" {
-		t.Fatalf("-checks selection = %v (%v)", names(got), err)
-	}
-
-	if _, err = selectChecks("nosuch"); err == nil || !strings.Contains(err.Error(), "unknown check") {
-		t.Fatalf("unknown -checks name: err = %v", err)
-	}
-	if _, err = selectChecks(" , "); err == nil {
-		t.Fatal("an empty -checks list must error, not run nothing")
-	}
-}
-
-func names(cs []*lint.Check) []string {
-	var out []string
-	for _, c := range cs {
-		out = append(out, c.Name)
-	}
-	return out
-}
-
-func TestFilterByPatterns(t *testing.T) {
-	m := &lint.Module{Path: "spidercache", Dir: "/repo"}
-	diag := func(file string) lint.Diagnostic {
-		return lint.Diagnostic{Pos: token.Position{Filename: file, Line: 1}, Check: "x", Message: "m"}
-	}
-	diags := []lint.Diagnostic{
-		diag("/repo/internal/kvserver/server.go"),
-		diag("/repo/internal/kvserver/deep/extra.go"),
-		diag("/repo/internal/tensor/matmul.go"),
-		diag("/repo/main.go"),
-	}
-
-	if got := filterByPatterns(m, diags, nil); len(got) != 4 {
-		t.Errorf("no patterns: kept %d, want 4", len(got))
-	}
-	if got := filterByPatterns(m, diags, []string{"./..."}); len(got) != 4 {
-		t.Errorf("./...: kept %d, want 4", len(got))
-	}
-	if got := filterByPatterns(m, diags, []string{"./internal/kvserver"}); len(got) != 1 {
-		t.Errorf("./internal/kvserver: kept %d, want 1", len(got))
-	}
-	if got := filterByPatterns(m, diags, []string{"./internal/kvserver/..."}); len(got) != 2 {
-		t.Errorf("./internal/kvserver/...: kept %d, want 2", len(got))
-	}
-	if got := filterByPatterns(m, diags, []string{"internal/tensor", "./internal/kvserver"}); len(got) != 2 {
-		t.Errorf("two patterns: kept %d, want 2", len(got))
+	t.Chdir(writeTempModule(t, "package main\n\nfunc {\n"))
+	if code, out := runCapture(t, []string{"./..."}); code != 2 || out != "" {
+		t.Fatalf("unparsable module: exit %d, output %q; want 2 and nothing", code, out)
 	}
 }

@@ -129,10 +129,9 @@ func (c *Client) read(k string, op func(*kvserver.Client) (bool, error)) (found 
 	if reachable {
 		return false, nil
 	}
+	// Every owner failed, and there is at least one (New requires a seed
+	// and replicas >= 1), so lastErr is set.
 	c.tel.exhausted.Inc()
-	if lastErr == nil {
-		lastErr = ErrNoNodes
-	}
 	return false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
 }
 

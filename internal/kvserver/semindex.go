@@ -14,10 +14,9 @@ import (
 // connection goroutine serving ESET and take x.mu exclusively; lookups
 // run the HNSW search entirely OUTSIDE x.mu (hnsw.Index has its own
 // RWMutex and is safe for concurrent use), then enter x.mu only to
-// map result ids back to keys. Lock order is x.mu -> hnsw's mutex;
-// x.mu never nests inside a shard mutex and never wraps a store call —
-// the lock graph stays acyclic (spiderlint lockorder verifies this
-// module-wide).
+// map result ids back to keys. Lock order is x.mu -> hnsw's mutex, and
+// hnsw calls nothing in this package, so it cannot be inverted; x.mu
+// never nests inside a shard mutex and never wraps a store call.
 //
 // Deletion: eviction and the ESET of a key that is not resident delete
 // the point from the graph in place (hnsw.Index.Delete), at about the

@@ -1,9 +1,8 @@
 package lint
 
 // Intraprocedural control-flow graphs over go/ast, plus the generic
-// forward worklist solver the path-sensitive checks (mutexhygiene,
-// lockorder) run on. Built on the standard library only, like the rest of
-// the framework.
+// forward worklist solver the path-sensitive check (mutexhygiene) runs
+// on. Built on the standard library only, like the rest of the framework.
 //
 // The graph decomposes one function body into basic blocks of
 // straight-line nodes. Composite control statements never appear as

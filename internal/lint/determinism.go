@@ -17,10 +17,7 @@ import (
 // Telemetry-only timing and collect-then-sort map scans are legitimate;
 // annotate them with //lint:ignore determinism <reason>.
 func determinismCheck() *Check {
-	c := &Check{
-		Name: "determinism",
-		Doc:  "forbid time.Now, global math/rand and map-order iteration in deterministic packages",
-	}
+	c := &Check{Name: "determinism"}
 	c.Run = func(p *Pass) {
 		for _, pkg := range p.PackagesMatching(p.Cfg.DeterministicPkgs) {
 			for _, f := range pkg.Files {

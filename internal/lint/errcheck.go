@@ -23,10 +23,7 @@ import (
 // flush of each frame. An intentional discard is written `_ = c.flush()`
 // (visible intent) or annotated //lint:ignore errcheck <reason>.
 func errcheckCheck() *Check {
-	c := &Check{
-		Name: "errcheck",
-		Doc:  "ignored error returns from io/net writes on the serving hot path",
-	}
+	c := &Check{Name: "errcheck"}
 	c.Run = func(p *Pass) {
 		for _, pkg := range p.PackagesMatching(p.Cfg.ErrcheckPkgs) {
 			for _, f := range pkg.Files {

@@ -8,10 +8,8 @@
 //     in the packages whose outputs must be bitwise-reproducible
 //   - mutexhygiene   — Lock without a reachable Unlock on every return path;
 //     RWMutex write-lock held across channel ops or blocking calls
-//   - lockorder      — cycles in the module-wide lock-acquisition order
-//     (potential deadlocks)
 //   - errcheck       — ignored error returns from io/net writes in the
-//     serving and failover packages
+//     serving and cluster packages
 //
 // Findings are file:line diagnostics; a finding that is intentional is
 // suppressed in place with
@@ -28,6 +26,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -43,11 +42,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Check is one analyzer: a name (the //lint:ignore key and -checks flag
-// value), one-line documentation, and a Run hook over the whole module.
+// Check is one analyzer: a name (the //lint:ignore key) and a Run hook
+// over the whole module.
 type Check struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 }
 
@@ -79,8 +77,9 @@ func DefaultConfig() Config {
 			"internal/table",
 			"internal/experiments",
 		},
-		// cluster and faultnet sit on the failover hot path: a dropped
-		// write error there silently corrupts the retry/breaker accounting.
+		// kvserver, cluster and faultnet carry every wire write: a write
+		// error dropped there keeps a broken connection in use, and the
+		// caller sees a later, vaguer failure or none.
 		ErrcheckPkgs: []string{"internal/kvserver", "internal/cluster", "internal/faultnet"},
 	}
 }
@@ -90,18 +89,8 @@ func Checks() []*Check {
 	return []*Check{
 		determinismCheck(),
 		mutexHygieneCheck(),
-		lockOrderCheck(),
 		errcheckCheck(),
 	}
-}
-
-// CheckNames returns the names of every check in the suite.
-func CheckNames() []string {
-	var names []string
-	for _, c := range Checks() {
-		names = append(names, c.Name)
-	}
-	return names
 }
 
 // Pass carries one check's run over the module.
@@ -177,9 +166,9 @@ func Run(m *Module, cfg Config, checks []*Check) []Diagnostic {
 		}
 	}
 
-	known := map[string]bool{}
+	var known []string
 	for _, c := range Checks() {
-		known[c.Name] = true
+		known = append(known, c.Name)
 	}
 	ignores, dirDiags := collectDirectives(m, known)
 	diags = append(diags, dirDiags...)
@@ -226,8 +215,8 @@ func Run(m *Module, cfg Config, checks []*Check) []Diagnostic {
 
 // collectDirectives parses every //lint: comment in the module, returning
 // the valid ignore directives keyed by file, plus diagnostics for malformed
-// or unknown-check directives.
-func collectDirectives(m *Module, known map[string]bool) (map[string][]ignoreDirective, []Diagnostic) {
+// or unknown-check directives; known names the suite's checks.
+func collectDirectives(m *Module, known []string) (map[string][]ignoreDirective, []Diagnostic) {
 	ignores := map[string][]ignoreDirective{}
 	var diags []Diagnostic
 	for _, pkg := range m.Packages {
@@ -251,9 +240,9 @@ func collectDirectives(m *Module, known map[string]bool) (map[string][]ignoreDir
 					case checkName == "":
 						diags = append(diags, Diagnostic{Pos: pos, Check: directiveCheck,
 							Message: "//lint:ignore needs a check name and a reason"})
-					case !known[checkName]:
+					case !slices.Contains(known, checkName):
 						diags = append(diags, Diagnostic{Pos: pos, Check: directiveCheck,
-							Message: fmt.Sprintf("//lint:ignore names unknown check %q (known: %s)", checkName, strings.Join(CheckNames(), ", "))})
+							Message: fmt.Sprintf("//lint:ignore names unknown check %q (known: %s)", checkName, strings.Join(known, ", "))})
 					case reason == "":
 						diags = append(diags, Diagnostic{Pos: pos, Check: directiveCheck,
 							Message: fmt.Sprintf("//lint:ignore %s needs a reason", checkName)})

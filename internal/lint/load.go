@@ -18,8 +18,6 @@ import (
 type Package struct {
 	// Path is the full import path ("spidercache/internal/kvserver").
 	Path string
-	// Name is the package name ("kvserver").
-	Name string
 	// Files are the parsed non-test source files, sorted by file name.
 	Files []*ast.File
 	// Types is the type-checked package object.
@@ -44,8 +42,6 @@ func (p *Package) RelPath(m *Module) string {
 type Module struct {
 	// Path is the module path from go.mod ("spidercache").
 	Path string
-	// Dir is the module root directory ("" for synthetic modules).
-	Dir string
 	// Fset positions every file of every package (shared with the stdlib
 	// source importer, so cross-package positions stay coherent).
 	Fset *token.FileSet
@@ -79,7 +75,6 @@ func sharedImporter() (*token.FileSet, types.ImporterFrom) {
 // pkgSrc is the loader's pre-typecheck view of one package.
 type pkgSrc struct {
 	path  string
-	name  string
 	dir   string
 	files []*ast.File
 }
@@ -132,7 +127,6 @@ func (mi *moduleImporter) check(path string) (*Package, error) {
 
 	pkg := &Package{
 		Path:  src.path,
-		Name:  src.name,
 		Files: src.files,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -156,7 +150,7 @@ func (mi *moduleImporter) check(path string) (*Package, error) {
 }
 
 // buildModule type-checks every pkgSrc and assembles the Module.
-func buildModule(modPath, dir string, fset *token.FileSet, std types.ImporterFrom, srcs []*pkgSrc) (*Module, error) {
+func buildModule(modPath string, fset *token.FileSet, std types.ImporterFrom, srcs []*pkgSrc) (*Module, error) {
 	mi := &moduleImporter{
 		modPath: modPath,
 		fset:    fset,
@@ -171,7 +165,7 @@ func buildModule(modPath, dir string, fset *token.FileSet, std types.ImporterFro
 		}
 		mi.srcs[s.path] = s
 	}
-	m := &Module{Path: modPath, Dir: dir, Fset: fset}
+	m := &Module{Path: modPath, Fset: fset}
 	mi.mu.Lock()
 	defer mi.mu.Unlock()
 	for _, s := range srcs {
@@ -211,7 +205,6 @@ func LoadDir(dir string) (*Module, error) {
 			return err
 		}
 		var files []*ast.File
-		name := ""
 		for _, e := range ents {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 				continue
@@ -219,9 +212,6 @@ func LoadDir(dir string) (*Module, error) {
 			f, err := parser.ParseFile(fset, filepath.Join(pdir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return err
-			}
-			if name == "" {
-				name = f.Name.Name
 			}
 			files = append(files, f)
 		}
@@ -232,7 +222,7 @@ func LoadDir(dir string) (*Module, error) {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		srcs = append(srcs, &pkgSrc{path: path, name: name, dir: pdir, files: files})
+		srcs = append(srcs, &pkgSrc{path: path, dir: pdir, files: files})
 		return nil
 	}
 	err = filepath.WalkDir(abs, func(p string, d os.DirEntry, err error) error {
@@ -255,7 +245,7 @@ func LoadDir(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildModule(modPath, abs, fset, std, srcs)
+	return buildModule(modPath, fset, std, srcs)
 }
 
 // modulePath extracts the module path from a go.mod file.

@@ -23,10 +23,7 @@ import (
 // Lock helpers that intentionally hand a held lock to their caller are
 // annotated with //lint:ignore mutexhygiene <reason>.
 func mutexHygieneCheck() *Check {
-	c := &Check{
-		Name: "mutexhygiene",
-		Doc:  "Lock without Unlock on every return path; blocking ops under an RWMutex write lock",
-	}
+	c := &Check{Name: "mutexhygiene"}
 	c.Run = func(p *Pass) {
 		for _, pkg := range p.Module.Packages {
 			for _, f := range pkg.Files {
@@ -374,4 +371,68 @@ func lockMethodName(ref lockRef) string {
 		return "RLock"
 	}
 	return "Lock"
+}
+
+// syncLock is a call to a lock-family method of sync.Mutex or
+// sync.RWMutex, resolved through go/types; the analyzer keys the lock by
+// its receiver text.
+type syncLock struct {
+	call   *ast.CallExpr
+	recv   ast.Expr // the mutex: x in x.Lock()
+	method string   // Lock, Unlock, RLock or RUnlock
+	rw     bool     // the receiver is a sync.RWMutex
+}
+
+// acquire reports whether the call takes the lock.
+func (l syncLock) acquire() bool { return l.method == "Lock" || l.method == "RLock" }
+
+// read reports whether the call is the read half of an RWMutex.
+func (l syncLock) read() bool { return l.method == "RLock" || l.method == "RUnlock" }
+
+// resolveSyncLock resolves call to a sync lock-family method. TryLock and
+// TryRLock never block and are ignored.
+func resolveSyncLock(pkg *Package, call *ast.CallExpr) (syncLock, bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return syncLock{}, false
+	}
+	fn, isFunc := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !isFunc || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return syncLock{}, false
+	}
+	switch fn.Name() {
+	case "Lock", "Unlock", "RLock", "RUnlock":
+	default:
+		return syncLock{}, false
+	}
+	l := syncLock{call: call, recv: sel.X, method: fn.Name()}
+	if s, hasSel := pkg.Info.Selections[sel]; hasSel {
+		l.rw = typeNameIs(s.Recv(), "sync", "RWMutex")
+	}
+	return l, true
+}
+
+// stmtSyncLock resolves a statement that is a bare lock-family call.
+func stmtSyncLock(pkg *Package, stmt ast.Stmt) (syncLock, bool) {
+	es, isExpr := stmt.(*ast.ExprStmt)
+	if !isExpr {
+		return syncLock{}, false
+	}
+	call, isCall := es.X.(*ast.CallExpr)
+	if !isCall {
+		return syncLock{}, false
+	}
+	return resolveSyncLock(pkg, call)
+}
+
+func typeNameIs(t types.Type, pkgPath, name string) bool {
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	named, isNamed := t.(*types.Named)
+	if !isNamed {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }

@@ -99,8 +99,9 @@ echo "== bench module (go vet, go test -short)"
 
 if [ "${RACE_FULL:-0}" = "1" ]; then
     # Opt-in: every package under the race detector, not just the curated
-    # subset. Slow (the lint framework re-type-checks the module per test),
-    # so it is a deliberate pre-release gate rather than the default.
+    # subset. Slow (it adds the root package's end-to-end training runs and
+    # internal/experiments' tables under the detector), so it is a
+    # deliberate pre-release gate rather than the default.
     echo "== go test -race ./... (RACE_FULL)"
     go test -race ./...
 elif [ "${SKIP_RACE:-0}" != "1" ]; then
