@@ -49,7 +49,9 @@ type replica struct {
 
 // call runs op on one of the node's pooled connections unless its
 // breaker is open, and feeds the outcome back. Only transport failures
-// count against the node: one that answered, however oddly, is up.
+// count against the node, a reply the client could not frame among them
+// (kvserver.IsTransportErr): one that answered in step, however oddly, is
+// up.
 func (r *replica) call(op func(*kvserver.Client) error) error {
 	if !r.breaker.allow() {
 		return errBreakerOpen

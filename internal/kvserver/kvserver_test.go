@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -417,6 +418,60 @@ func BenchmarkSetGet(b *testing.B) {
 		}
 		if _, _, err := c.Get(key); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestServeOneAllocs pins the garbage each request leaves for the
+// collector, which spiderkv runs at a low heap target: a GET leaves none,
+// a SET its key string and value (and a list node when the key is new),
+// an ESET of a resident key its key string. An added allocation on any of
+// these paths would otherwise show only as more collector cycles.
+func TestServeOneAllocs(t *testing.T) {
+	const runs = 1000
+	value := bytes.Repeat([]byte("v"), 64)
+	setFrame := func(key string) []byte {
+		return fmt.Appendf(nil, "SET %s %d\r\n%s\r\n", key, len(value), value)
+	}
+	repeat := func(frame []byte) []byte { return bytes.Repeat(frame, runs+1) }
+	newServer := func() *Server {
+		srv := newServerCore(newStore(256), telemetry.NewRegistry())
+		for i := 0; i < 8; i++ {
+			srv.store.set(fmt.Sprintf("k%d", i), value)
+		}
+		return srv
+	}
+	var newKeys, esets []byte
+	for i := 0; i <= runs; i++ {
+		newKeys = append(newKeys, setFrame(fmt.Sprintf("new%d", i))...) // evicts once the store is full
+		emb := make([]float32, 16)
+		emb[i%16], emb[(i+1)%16] = 1, float32(i%7)
+		esets = fmt.Appendf(esets, "ESET k%d %d\r\n", i%8, len(emb))
+		esets = append(esets, embedPayload(emb)...)
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   float64
+	}{
+		{"GET hit", repeat([]byte("GET k1\r\n")), 0},
+		{"GET miss", repeat([]byte("GET absent\r\n")), 0},
+		{"SET new key", newKeys, 3},
+		{"SET overwrite", repeat(setFrame("k1")), 2},
+		{"ESET resident key", esets, 1},
+	} {
+		// One serveOne call per request, on an in-process session; the
+		// stream holds runs+1 requests, AllocsPerRun's warm-up included.
+		srv := newServer()
+		sess := newSession(bufio.NewReaderSize(bytes.NewReader(tc.stream), connBufSize),
+			bufio.NewWriterSize(io.Discard, connBufSize))
+		got := testing.AllocsPerRun(runs, func() {
+			if err := srv.serveOne(sess); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: %v allocs per request, want %v", tc.name, got, tc.want)
 		}
 	}
 }

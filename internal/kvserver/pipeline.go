@@ -198,15 +198,26 @@ func (p *Pipeline) recv(results []Result) error {
 	return nil
 }
 
-// IsTransportErr distinguishes connection-level failures (a dial, read or
-// write that failed: the reply stream is unusable, remaining replies will
-// never arrive — abort the Recv) from errors the client raises itself with
-// a "kvserver:" prefix: unexpected-reply parses, which consume exactly one
-// reply (safe to report per-op and keep reading), rejected requests and
-// ErrPoolClosed. Only a transport error says the node may be down; a node
-// that answered, however oddly, is up. A SERVER_ERROR reply also closes
-// the server side, so the next read aborts as a transport error anyway.
+// errOutOfStep tags a reply the client cannot frame: a VALUE or NEAR
+// header it cannot parse, or a payload not followed by its CRLF. How much
+// of the stream that reply takes is unknown, so every later reply would
+// be read against the wrong op.
+var errOutOfStep = errors.New("kvserver: reply stream out of step")
+
+// IsTransportErr distinguishes failures after which the reply stream is
+// unusable — a dial, read or write that failed, or a reply that could not
+// be framed (errOutOfStep) — which abort the Recv, from the other errors
+// the client raises itself with a "kvserver:" prefix: unexpected reply
+// lines, which consume exactly one reply (safe to report per-op and keep
+// reading), rejected requests and ErrPoolClosed. A transport error says
+// the node may be down or out of step with its client; a node that
+// answered a well-framed reply, however odd, is up. A SERVER_ERROR reply
+// also closes the server side, so the next read aborts as a transport
+// error anyway.
 func IsTransportErr(err error) bool {
+	if errors.Is(err, errOutOfStep) {
+		return true
+	}
 	s := err.Error()
 	return !(len(s) >= 9 && s[:9] == "kvserver:")
 }
@@ -294,7 +305,7 @@ func (c *Client) writeEmbedding(emb []float32) error {
 // readValue reads one reply to GET or NGET: "VALUE <nbytes>" or
 // NOT_FOUND, and for NGET also "NEAR <key> <dist> <nbytes>". found covers
 // both hit kinds; near is non-nil only for NEAR. Any other line is a
-// protocol failure of verb.
+// protocol failure of verb; a header it cannot parse is errOutOfStep.
 func (c *Client) readValue(verb string) (value []byte, near *Near, found bool, err error) {
 	line, err := c.readLine()
 	if err != nil {
@@ -306,19 +317,19 @@ func (c *Client) readValue(verb string) (value []byte, near *Near, found bool, e
 	case strings.HasPrefix(line, "VALUE "):
 		n, err := strconv.Atoi(strings.TrimPrefix(line, "VALUE "))
 		if err != nil || n < 0 || n > MaxValueSize {
-			return nil, nil, false, fmt.Errorf("kvserver: bad VALUE header %q", line)
+			return nil, nil, false, fmt.Errorf("%w: bad VALUE header %q", errOutOfStep, line)
 		}
 		value, err := c.readBody(n)
 		return value, nil, err == nil, err
 	case verb == "NGET" && strings.HasPrefix(line, "NEAR "):
 		fields := strings.Fields(line)
 		if len(fields) != 4 {
-			return nil, nil, false, fmt.Errorf("kvserver: bad NEAR header %q", line)
+			return nil, nil, false, fmt.Errorf("%w: bad NEAR header %q", errOutOfStep, line)
 		}
 		dist, derr := strconv.ParseFloat(fields[2], 64)
 		n, nerr := strconv.Atoi(fields[3])
 		if derr != nil || nerr != nil || dist < 0 || n < 0 || n > MaxValueSize {
-			return nil, nil, false, fmt.Errorf("kvserver: bad NEAR header %q", line)
+			return nil, nil, false, fmt.Errorf("%w: bad NEAR header %q", errOutOfStep, line)
 		}
 		value, err := c.readBody(n)
 		if err != nil {
@@ -342,7 +353,8 @@ func (c *Client) readStored(verb string) error {
 	return nil
 }
 
-// readBody reads an n-byte payload and the CRLF that terminates it.
+// readBody reads an n-byte payload and the CRLF that terminates it; a
+// missing CRLF is errOutOfStep.
 func (c *Client) readBody(n int) ([]byte, error) {
 	body := make([]byte, n)
 	if err := c.readFull(body); err != nil {
@@ -353,7 +365,7 @@ func (c *Client) readBody(n int) ([]byte, error) {
 		return nil, err
 	}
 	if crlf != [2]byte{'\r', '\n'} {
-		return nil, fmt.Errorf("kvserver: payload not CRLF-terminated")
+		return nil, fmt.Errorf("%w: payload not CRLF-terminated", errOutOfStep)
 	}
 	return body, nil
 }

@@ -1,11 +1,16 @@
 package kvserver
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestPipelineMixedOps(t *testing.T) {
@@ -204,5 +209,103 @@ func TestRawPipelinedStream(t *testing.T) {
 	}
 	if string(buf) != want {
 		t.Fatalf("pipelined replies:\n got %q\nwant %q", buf, want)
+	}
+}
+
+// misframingServer is a fake node on a loopback port. On its first
+// connection it reads lines request lines and answers them all with
+// reply, whatever they asked; after that, and on every later connection,
+// each GET is a NOT_FOUND.
+func misframingServer(t *testing.T, lines int, reply string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		canned := lines // the request line the canned reply answers; 0 = none
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(conn net.Conn, canned int) {
+				defer wg.Done()
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for n := 1; ; n++ {
+					line, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					switch {
+					case n == canned:
+						io.WriteString(conn, reply)
+					case n > canned && strings.HasPrefix(line, "GET "):
+						io.WriteString(conn, "NOT_FOUND\r\n")
+					}
+				}
+			}(conn, canned)
+			canned = 0
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestMisframedReplyAbortsPipeline: a reply the client cannot frame — a
+// payload without its CRLF, a VALUE or NEAR header it cannot parse —
+// leaves the rest of the stream out of step, so it aborts the whole
+// pipeline as a transport error and the pool discards the connection.
+// Read per op instead, each later reply lands on the wrong op: here the
+// stray "VALUE 1\r\nb\r\n" would answer the next Get("c") with "b".
+func TestMisframedReplyAbortsPipeline(t *testing.T) {
+	one := []float32{1}
+	for _, tc := range []struct {
+		name  string
+		lines int // request lines of the two queued ops
+		queue func(p *Pipeline)
+		reply string
+	}{
+		{"payload not CRLF-terminated", 2, func(p *Pipeline) { p.Get("a"); p.Get("b") },
+			"VALUE 3\r\nxyzzy\r\nVALUE 1\r\nb\r\n"},
+		{"bad VALUE header", 2, func(p *Pipeline) { p.Get("a"); p.Get("b") },
+			"VALUE 3x\r\nxyz\r\nVALUE 1\r\nb\r\n"},
+		{"bad NEAR header", 4, func(p *Pipeline) { p.NGet("a", one, 0.5); p.NGet("b", one, 0.5) },
+			"NEAR a 0.1\r\nxyz\r\nVALUE 1\r\nb\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool(misframingServer(t, tc.lines, tc.reply), 1, 5*time.Second)
+			defer pool.Close()
+			err := pool.Do(func(c *Client) error {
+				p := c.Pipeline()
+				tc.queue(p)
+				res, err := p.Exec()
+				if err == nil {
+					t.Errorf("Exec = %+v, nil error; want the misframed reply to abort it", res)
+				}
+				return err
+			})
+			if err == nil || !IsTransportErr(err) || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("Do = %v; want a transport-class %q error", err, tc.name)
+			}
+			err = pool.Do(func(c *Client) error {
+				v, found, err := c.Get("c")
+				if found {
+					t.Errorf("Get(c) after the misframed reply = %q, found; want NOT_FOUND from a fresh connection", v)
+				}
+				return err
+			})
+			if err != nil {
+				t.Errorf("Get(c): %v", err)
+			}
+		})
 	}
 }

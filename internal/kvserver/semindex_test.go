@@ -1,7 +1,11 @@
 package kvserver
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime/debug"
@@ -9,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"spidercache/internal/telemetry"
 	"spidercache/internal/xrand"
 )
 
@@ -519,4 +524,66 @@ func TestMetricsSemanticIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrape(2, 1, 4, 2)
+}
+
+// TestESetBesideEvictingSetsLockOrder: an ESET of a key that is not
+// resident takes semIndex.mu (the upsert), then the key's shard mutex
+// (the residency probe), then semIndex.mu again (the unlink); a SET that
+// evicts takes the shard mutex, then semIndex.mu through the evict hook.
+// The two deadlock as soon as either path holds one of those locks while
+// taking the other: the hook must run after the shard mutex is released,
+// and doESet must probe the store outside semIndex.mu. Both kinds run
+// here at once on a one-shard store, under the test's own deadline, so a
+// nested acquisition fails by name and not by the suite's timeout. The
+// requests go through serveOne on in-process sessions: a deadlocked run
+// leaves no listener or handler for the cleanup to wait on.
+func TestESetBesideEvictingSetsLockOrder(t *testing.T) {
+	const (
+		workers  = 2 // of each kind
+		requests = 2000
+		deadline = 10 * time.Second
+	)
+	srv := newServerCore(newStore(64), telemetry.NewRegistry())
+	if n := srv.store.numShards(); n != 1 {
+		t.Fatalf("%d shards, want 1", n)
+	}
+	emb := embedPayload(unit(1, 2, 3, 4))
+	done := make(chan error, 2*workers)
+	serve := func(stream []byte) {
+		sess := newSession(bufio.NewReader(bytes.NewReader(stream)), bufio.NewWriter(io.Discard))
+		for {
+			if err := srv.serveOne(sess); err != nil {
+				if errors.Is(err, io.EOF) {
+					err = nil
+				}
+				done <- err
+				return
+			}
+		}
+	}
+	for w := 0; w < workers; w++ {
+		var esets, sets []byte
+		for i := 0; i < requests; i++ {
+			esets = fmt.Appendf(esets, "ESET never-set-%d-%d 4\r\n", w, i) // not resident
+			esets = append(esets, emb...)
+			sets = fmt.Appendf(sets, "SET k%d-%d 1\r\nv\r\n", w, i) // a new key: evicts once full
+		}
+		go serve(esets)
+		go serve(sets)
+	}
+	timeout := time.After(deadline)
+	for i := 0; i < 2*workers; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatalf("ESETs of non-resident keys beside evicting SETs did not finish within %v: "+
+				"the shard mutex and semIndex.mu were taken in opposite orders", deadline)
+		}
+	}
+	if live, _ := srv.sem.size(); live != 0 {
+		t.Errorf("%d embeddings indexed for keys that were never resident", live)
+	}
 }

@@ -2,8 +2,9 @@
 # One-shot verification gate: formatting, module hygiene, build, vet with an
 # explicit check list, the project's own static analysis (spiderlint), the
 # full test suite, the hnsw allocation gate, the bench module's vet and short
-# tests, the race-sensitive subset under -race, and the kill-a-node schedule
-# and the opposite-owner-order Sets five times under -race. Everything CI
+# tests, the race-sensitive subset under -race, and the kill-a-node schedule,
+# the opposite-owner-order Sets and the ESET-beside-eviction lock order five
+# times under -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -115,12 +116,17 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
 fi
 
 # The failure path's only behavioural gate: a daemon killed under load,
-# through the static-seed client the benchmarks build. Beside it, the
-# replicated write's lock-order gate: Sets whose owners come in opposite
-# placement orders share one connection per node, and would deadlock if a
-# Set took its owners' connections in placement order. One pass can get
-# lucky with timing, so run both five times under the race detector.
-echo "== kill-a-node (-race -count=5)"
-go test -race -count=5 -run '^(TestKillNodeMidRun|TestSetOppositeOwnerOrders)' ./internal/cluster/
+# through the static-seed client the benchmarks build. Beside it, the two
+# lock-order gates: Sets whose owners come in opposite placement orders
+# share one connection per node, and would deadlock if a Set took its
+# owners' connections in placement order; and ESETs of keys that are not
+# resident run beside SETs that evict from the same shard, which would
+# deadlock if either held the shard mutex or the semantic index's mutex
+# while taking the other. One pass can get lucky with timing, so run them
+# five times under the race detector.
+echo "== kill-a-node and lock orders (-race -count=5)"
+go test -race -count=5 \
+    -run '^(TestKillNodeMidRun|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder)' \
+    ./internal/cluster/ ./internal/kvserver/
 
 echo "check.sh: all gates passed"
