@@ -1,24 +1,22 @@
-// Command spiderkv runs one node of a replicated spidercache cluster: a
-// kvserver daemon wired into gossip membership and background key
-// migration (see internal/cluster.Node). A daemon stores the SETs it is
+// Command spiderkv runs one node of a spidercache cluster: a kvserver
+// daemon that answers HELLO and NODES from the member set it learned when
+// it joined (see internal/cluster.Node). A daemon stores the SETs it is
 // sent and forwards none: the client writes every owner of a key.
 //
 // Usage:
 //
 //	spiderkv                                  # single-node cluster on :7461
 //	spiderkv -listen :7462 -join host:7461    # join an existing cluster
-//	spiderkv -replicas 3 -capacity 1000000    # wider replication, bigger store
+//	spiderkv -capacity 1000000                # bigger store
 //	spiderkv -advertise 10.0.0.5:7461         # routable address behind NAT
 //
 // The first daemon bootstraps a cluster of one; each further daemon is
-// pointed at any live member with -join and gossips its way in. Every
-// member must agree on -replicas, and clients with it, for rebalance to
-// push each key to the owners the clients read; the ring's 128 virtual
-// points per node are a constant that members and clients share. The
-// peer pools that carry rebalance and gossip hold 4
-// connections with a 10s timeout, and a peer is expelled after 3 failed
-// gossip rounds in a row; every peer op is one attempt, and a failed push
-// is counted, not retried. Clients connect with
+// pointed at any live member with -join, greets it and every member its
+// reply names, and retries an unanswered greeting every -gossip until all
+// have answered. Membership only grows: a daemon moves no key and expels
+// no member, and a greeting is one connection with a 10s timeout.
+// -replicas is accepted and ignored: placement is the client's
+// (cluster.WithReplicas). Clients connect with
 // cluster.New(cluster.WithSeeds(...)), naming every member as a seed.
 //
 // The daemon collects garbage at a 50% heap target (gcPercent) instead
@@ -27,8 +25,8 @@
 // heap until the next cycle. The runtime's GOGC environment variable,
 // when set, overrides the target.
 //
-// The daemon exits on SIGINT/SIGTERM after a graceful close: gossip and
-// migration stop, in-flight sessions drain, peer pools shut down.
+// The daemon exits on SIGINT/SIGTERM after a graceful close: the join
+// loop stops and in-flight sessions drain.
 package main
 
 import (
@@ -60,10 +58,10 @@ func main() {
 		listen    = fs.String("listen", "127.0.0.1:7461", "address to bind")
 		advertise = fs.String("advertise", "", "address peers and clients dial to reach this node (default: the bound address)")
 		join      = fs.String("join", "", "comma-separated addresses of existing members to join through")
-		replicas  = fs.Int("replicas", 2, "ring owners per key, the ones rebalance pushes each key to (must match across the cluster and its clients)")
-		gossip    = fs.Duration("gossip", 500*time.Millisecond, "membership gossip interval")
+		gossip    = fs.Duration("gossip", 500*time.Millisecond, "interval for retrying an unanswered join greeting")
 		capacity  = fs.Int("capacity", 1<<16, "item capacity of the LRU store")
 	)
+	fs.Int("replicas", 2, "ignored, accepted so existing command lines still start: the client places keys (cluster.WithReplicas)")
 	// ExitOnError makes Parse terminate the process on bad flags.
 	fs.Parse(os.Args[1:])
 
@@ -88,7 +86,6 @@ func main() {
 		Listen:      *listen,
 		Advertise:   *advertise,
 		Seeds:       seeds,
-		Replicas:    *replicas,
 		Capacity:    *capacity,
 		GossipEvery: *gossip,
 		Registry:    reg,
@@ -97,8 +94,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spiderkv:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("spiderkv: serving on %s (capacity=%d shards=%d replicas=%d gossip=%v)\n",
-		node.Addr(), *capacity, node.Server().Shards(), *replicas, *gossip)
+	fmt.Printf("spiderkv: serving on %s (capacity=%d shards=%d gossip=%v)\n",
+		node.Addr(), *capacity, node.Server().Shards(), *gossip)
 	if len(seeds) > 0 {
 		fmt.Printf("spiderkv: joining via %s\n", strings.Join(seeds, ", "))
 	}

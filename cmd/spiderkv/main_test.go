@@ -90,7 +90,7 @@ func TestServeRoundTripAndShutdown(t *testing.T) {
 		return ""
 	}
 
-	announce := regexp.MustCompile(`^spiderkv: serving on (127\.0\.0\.1:\d+) \(capacity=64 shards=1 replicas=2 gossip=500ms\)$`)
+	announce := regexp.MustCompile(`^spiderkv: serving on (127\.0\.0\.1:\d+) \(capacity=64 shards=1 gossip=500ms\)$`)
 	line := next()
 	m := announce.FindStringSubmatch(line)
 	if m == nil {
@@ -100,8 +100,10 @@ func TestServeRoundTripAndShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
+	p := c.Pipeline()
+	p.Set("k", []byte("v"))
+	if res, err := p.Exec(); err != nil || res[0].Err != nil {
+		t.Fatalf("SET k: %v, %v", err, res)
 	}
 	if v, ok, err := c.Get("k"); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("GET k = %q, %v, %v; want \"v\"", v, ok, err)

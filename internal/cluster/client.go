@@ -203,13 +203,12 @@ func (c *Client) setFrom(owners []string, k string, payload []byte, errs []error
 	}
 }
 
-// Close shuts every per-node pool. Idempotent.
+// Close shuts every per-node pool and returns their errors joined.
+// Idempotent.
 func (c *Client) Close() error {
-	var first error
+	var err error
 	for _, node := range c.nodes {
-		if err := c.peers[node].pool.Close(); err != nil && first == nil {
-			first = err
-		}
+		err = errors.Join(err, c.peers[node].pool.Close())
 	}
-	return first
+	return err
 }

@@ -31,6 +31,28 @@ func startNode(t *testing.T) *kvserver.Server {
 	return srv
 }
 
+// stored reads keys from the node at addr over the wire, on a connection
+// of its own, and returns the ones it holds with their values.
+func stored(t *testing.T, addr string, keys ...string) map[string][]byte {
+	t.Helper()
+	kc, err := kvserver.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kc.Close()
+	out := make(map[string][]byte)
+	for _, k := range keys {
+		v, ok, err := kc.Get(k)
+		if err != nil {
+			t.Fatalf("GET %s from %s: %v", k, addr, err)
+		}
+		if ok {
+			out[k] = v
+		}
+	}
+	return out
+}
+
 // newTestClient builds a static client over nodes with one connection per
 // node.
 func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Client {
@@ -78,8 +100,12 @@ func TestClientBasicOps(t *testing.T) {
 	}
 
 	// Keys actually spread over both nodes.
-	itemsA := len(a.Keys())
-	itemsB := len(b.Keys())
+	keys := make([]string, 64)
+	for id := range keys {
+		keys[id] = key(id)
+	}
+	itemsA := len(stored(t, a.Addr(), keys...))
+	itemsB := len(stored(t, b.Addr(), keys...))
 	if itemsA == 0 || itemsB == 0 {
 		t.Fatalf("placement did not spread: node items %d/%d", itemsA, itemsB)
 	}
@@ -165,9 +191,14 @@ func TestSetOppositeOwnerOrders(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		for _, srv := range []*kvserver.Server{a, b} {
-			if v, ok := srv.Peek(key(id)); !ok || !bytes.Equal(v, []byte{byte(id)}) {
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = key(id)
+	}
+	for _, srv := range []*kvserver.Server{a, b} {
+		got := stored(t, srv.Addr(), keys...)
+		for _, id := range ids {
+			if v, ok := got[key(id)]; !ok || !bytes.Equal(v, []byte{byte(id)}) {
 				t.Fatalf("id %d on %s = %v, %v; want it on both owners", id, srv.Addr(), v, ok)
 			}
 		}

@@ -2,7 +2,9 @@ package cluster_test
 
 import (
 	"net"
+	"strconv"
 	"testing"
+	"time"
 
 	"spidercache/internal/cluster"
 	"spidercache/internal/dataset"
@@ -30,6 +32,28 @@ func startNode(t *testing.T) *kvserver.Server {
 		srv.Close()
 	})
 	return srv
+}
+
+// holds counts the samples below n whose payload the node at addr holds,
+// read over the wire under the client's "sample:<id>" keys.
+func holds(t *testing.T, addr string, n int) int {
+	t.Helper()
+	kc, err := kvserver.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kc.Close()
+	count := 0
+	for id := 0; id < n; id++ {
+		_, ok, err := kc.Get("sample:" + strconv.Itoa(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			count++
+		}
+	}
+	return count
 }
 
 func trainOnce(t *testing.T, rc trainer.RemoteCache, reg *telemetry.Registry) {
@@ -72,8 +96,7 @@ func TestTrainerThroughCluster(t *testing.T) {
 	if hits := reg.Counter("remote_cache_total", telemetry.Labels{"result": "hit"}).Value(); hits == 0 {
 		t.Fatal("remote_cache_total{result=hit} = 0 after a warm epoch")
 	}
-	itemsA := len(a.Keys())
-	itemsB := len(b.Keys())
+	itemsA, itemsB := holds(t, a.Addr(), 200), holds(t, b.Addr(), 200)
 	if itemsA == 0 || itemsB == 0 {
 		t.Fatalf("training payloads did not spread: node items %d/%d", itemsA, itemsB)
 	}

@@ -13,27 +13,25 @@ import (
 	"testing"
 	"time"
 
-	"spidercache/internal/kvserver"
 	"spidercache/internal/leakcheck"
 	"spidercache/internal/telemetry"
 	"spidercache/internal/xrand"
 )
 
-// startTestNode boots a daemon with fast gossip, so a lost greeting or a
-// dead peer is handled within test-friendly deadlines.
+// startTestNode boots a daemon that retries a lost greeting every 25ms, so
+// joins finish within test-friendly deadlines.
 func startTestNode(t *testing.T, seeds ...string) *Node {
 	t.Helper()
 	return startGossipNode(t, 25*time.Millisecond, seeds...)
 }
 
-// startGossipNode boots a daemon that gossips every `every`; it is closed
-// when tb ends.
+// startGossipNode boots a daemon that retries an unanswered greeting every
+// `every`; it is closed when tb ends.
 func startGossipNode(tb testing.TB, every time.Duration, seeds ...string) *Node {
 	tb.Helper()
 	n, err := StartNode(NodeOptions{
 		Listen:      "127.0.0.1:0",
 		Seeds:       seeds,
-		Replicas:    2,
 		Capacity:    1 << 12,
 		GossipEvery: every,
 	})
@@ -103,8 +101,8 @@ func testClusterClient(t *testing.T, nodes ...*Node) *Client {
 // TestNodeGossipMembershipConverges joins four nodes as a chain, each
 // through the one before it, so every node but the second learns most
 // members from HELLO replies rather than from its seed. Membership must
-// converge without a gossip tick: at a one-hour interval, every node lists
-// all four members within 2s of the last StartNode.
+// converge without a retry: at a one-hour interval, every node lists all
+// four members within 2s of the last StartNode.
 func TestNodeGossipMembershipConverges(t *testing.T) {
 	for _, every := range []time.Duration{25 * time.Millisecond, time.Hour} {
 		t.Run(every.String(), func(t *testing.T) {
@@ -120,7 +118,7 @@ func TestNodeGossipMembershipConverges(t *testing.T) {
 
 // BenchmarkNodeJoinConvergence forms three-node clusters the way the
 // benchmark harness does (both joiners seeded with the first node, 100ms
-// gossip) and reports the mean time from the third StartNode returning to
+// retry interval) and reports the mean time from the third StartNode returning to
 // every node listing all three members.
 func BenchmarkNodeJoinConvergence(b *testing.B) {
 	const every = 100 * time.Millisecond
@@ -142,26 +140,53 @@ func BenchmarkNodeJoinConvergence(b *testing.B) {
 }
 
 // TestNodesSorted: the member list a node answers NODES and HELLO with is
-// sorted, itself included, whatever order it learned its peers in.
+// sorted, itself included once, whatever order it learned its peers in. A
+// HELLO records its caller, unless the caller names this node's own
+// address.
 func TestNodesSorted(t *testing.T) {
-	n := &Node{self: "b", peers: map[string]*kvserver.Pool{"c": nil, "a": nil}}
+	n := &Node{self: "b", members: map[string]bool{"c": true, "a": false}}
 	if got := fmt.Sprint(n.Nodes()); got != "[a b c]" {
 		t.Fatalf("Nodes() = %v", got)
 	}
+	if got := fmt.Sprint(n.Hello("b")); got != "[a b c]" {
+		t.Fatalf("Hello(self) = %v, want self listed once", got)
+	}
+	if got := fmt.Sprint(n.Hello("a")); got != "[a b c]" || !n.members["a"] {
+		t.Fatalf("Hello(a) = %v, answered %v; want a marked as answered", got, n.members["a"])
+	}
+	if got := fmt.Sprint(n.Hello("d")); got != "[a b c d]" || !n.members["d"] {
+		t.Fatalf("Hello(d) = %v, answered %v; want d recorded as answered", got, n.members["d"])
+	}
 }
 
-// TestNodeRejectsInvalidMemberFromReply points a node at a seed that
-// answers every request with a NODES list holding an empty address. The
-// reply must fail as a whole: an accepted "" would be dialled every round
-// and listed in this node's own replies, spreading to every member.
-func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
+// TestStartNodeRetryInterval: a GossipEvery of zero or less takes the
+// 500ms default, and a positive one is kept.
+func TestStartNodeRetryInterval(t *testing.T) {
 	leakcheck.Check(t)
+	for _, tc := range []struct{ set, want time.Duration }{
+		{0, 500 * time.Millisecond},
+		{-time.Second, 500 * time.Millisecond},
+		{25 * time.Millisecond, 25 * time.Millisecond},
+	} {
+		if n := startGossipNode(t, tc.set); n.every != tc.want {
+			t.Errorf("GossipEvery %v: interval %v, want %v", tc.set, n.every, tc.want)
+		}
+	}
+}
+
+// fakeSeed serves HELLO-shaped replies on a loopback port until the test
+// ends: reply(addr, i) answers every request line on the i-th connection
+// (from 0), or, when it reports false, that connection is closed
+// unanswered. It returns the port's address and the number of connections
+// accepted so far.
+func fakeSeed(t *testing.T, reply func(addr string, i int) (string, bool)) (string, *atomic.Int64) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := ln.Addr().String()
-	reply := "NODES 2\r\n" + seed + "\r\n\r\n"
+	addr := ln.Addr().String()
+	var accepted atomic.Int64
 	var wg sync.WaitGroup
 	t.Cleanup(func() {
 		ln.Close()
@@ -175,24 +200,60 @@ func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
 			if err != nil {
 				return
 			}
+			line, ok := reply(addr, int(accepted.Add(1)-1))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// The peer hung up or the test ended.
+				// The peer hung up, the reply is withheld, or the test ended.
 				defer conn.Close()
 				r := bufio.NewReader(conn)
-				for {
+				for ok {
 					if _, err := r.ReadString('\n'); err != nil {
 						return
 					}
-					if _, err := io.WriteString(conn, reply); err != nil {
+					if _, err := io.WriteString(conn, line); err != nil {
 						return
 					}
 				}
 			}()
 		}
 	}()
+	return addr, &accepted
+}
 
+// TestJoinRetriesUntilAnswered: a seed that drops the first two greetings
+// is greeted again each interval until it answers, and then no more: the
+// join loop ends once every member has answered.
+func TestJoinRetriesUntilAnswered(t *testing.T) {
+	leakcheck.Check(t)
+	seed, greetings := fakeSeed(t, func(addr string, i int) (string, bool) {
+		return "NODES 1\r\n" + addr + "\r\n", i >= 2
+	})
+	const every = 5 * time.Millisecond
+	n := startGossipNode(t, every, seed)
+	for deadline := time.Now().Add(10 * time.Second); greetings.Load() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d greetings within 10s, want 3", greetings.Load())
+		}
+	}
+	time.Sleep(20 * every)
+	if g := greetings.Load(); g != 3 {
+		t.Fatalf("%d greetings, want 3: two dropped, one answered, then none", g)
+	}
+	if got := n.Nodes(); !slices.Contains(got, seed) {
+		t.Fatalf("Nodes() = %v, want the seed %s listed", got, seed)
+	}
+}
+
+// TestNodeRejectsInvalidMemberFromReply points a node at a seed that
+// answers every request with a NODES list holding an empty address. The
+// reply must fail as a whole: an accepted "" would be dialled every round
+// and listed in this node's own replies, spreading to every member.
+func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
+	leakcheck.Check(t)
+	seed, _ := fakeSeed(t, func(addr string, _ int) (string, bool) {
+		return "NODES 2\r\n" + addr + "\r\n\r\n", true
+	})
 	n := startTestNode(t, seed)
 	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
 		if members := n.Nodes(); slices.Contains(members, "") {
@@ -201,14 +262,14 @@ func TestNodeRejectsInvalidMemberFromReply(t *testing.T) {
 	}
 }
 
+// TestReplicatedSetReadableFromEveryOwner: as Set returns, the value is
+// on every owner the client's ring names, read back from each daemon over
+// the wire with no polling.
 func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
 	leakcheck.Check(t)
 	n1 := startTestNode(t)
 	n2 := startTestNode(t, n1.Addr())
 	n3 := startTestNode(t, n1.Addr())
-	waitMembers(t, 3, n1, n2, n3)
-
-	byAddr := map[string]*Node{n1.Addr(): n1, n2.Addr(): n2, n3.Addr(): n3}
 	c := testClusterClient(t, n1, n2, n3)
 
 	for id := 0; id < 64; id++ {
@@ -216,184 +277,24 @@ func TestReplicatedSetReadableFromEveryOwner(t *testing.T) {
 		if err := c.Set(id, payload); err != nil {
 			t.Fatalf("Set(%d): %v", id, err)
 		}
-		addrs := owners(n1.ring, id, 2)
+		addrs := owners(c.ring, id, 2)
 		if len(addrs) != 2 {
 			t.Fatalf("owners of %d = %v, want 2", id, addrs)
 		}
-		// Set returns once every owner answered: the value must be on
-		// every owner's local store right now, no polling.
 		for _, addr := range addrs {
-			node, ok := byAddr[addr]
-			if !ok {
-				t.Fatalf("owner %q is not a known node", addr)
-			}
-			if _, ok := node.Server().Peek(key(id)); !ok {
-				t.Fatalf("key %d missing from owner %s as Set returned", id, addr)
+			if v := stored(t, addr, key(id))[key(id)]; !bytes.Equal(v, payload) {
+				t.Fatalf("key %d on owner %s = %q as Set returned, want %q", id, addr, v, payload)
 			}
 		}
 	}
 }
 
-// TestDaemonSetIsNotFannedOut: a SET sent straight to one daemon is stored
-// there and nowhere else. The key's other owner does not have it: a daemon
-// forwards no write, the client replicates.
-func TestDaemonSetIsNotFannedOut(t *testing.T) {
-	leakcheck.Check(t)
-	regs := make([]*telemetry.Registry, 2)
-	nodes := make([]*Node, 2)
-	for i := range nodes {
-		regs[i] = telemetry.NewRegistry()
-		var seeds []string
-		if i > 0 {
-			seeds = []string{nodes[0].Addr()}
-		}
-		n, err := StartNode(NodeOptions{
-			Listen: "127.0.0.1:0", Seeds: seeds, Replicas: 2, Capacity: 64,
-			GossipEvery: time.Hour, Registry: regs[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			n.Close()
-		})
-		nodes[i] = n
-	}
-	waitMembers(t, 2, nodes...)
-	// Each node's one join kicks one rebalance round; let both finish on
-	// the empty stores, so no round can push the key below. A round ticks
-	// the counter just before it scans the store, so a short margin
-	// covers the scan of nothing.
-	deadline := time.Now().Add(10 * time.Second)
-	for _, reg := range regs {
-		for reg.Counter("kv_migration_rounds_total", nil).Value() < 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("no rebalance round ran after the join")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	time.Sleep(20 * time.Millisecond)
-
-	k := key(7)
-	if owners := nodes[0].ring.OwnersKey(k, 2); len(owners) != 2 {
-		t.Fatalf("owners of %s = %v, want both nodes", k, owners)
-	}
-	c, err := kvserver.Dial(nodes[0].Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set(k, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := nodes[0].Server().Peek(k); !ok {
-		t.Fatalf("%s missing from the daemon it was sent to", k)
-	}
-	other, err := kvserver.Dial(nodes[1].Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	if v, found, err := other.Get(k); err != nil || found {
-		t.Fatalf("Get(%s) from the other owner = %q, %v, %v; want a miss", k, v, found, err)
-	}
-}
-
-// TestMembershipAndMigrationTelemetry reads a node's four families in the
-// scenario each describes. Three daemons gossip hourly, so after their
-// joins every round is one the test runs. A third node joining two that
-// hold keys gives some keys a new owner, which the old owners push to it
-// (kv_migration_keys_total{result="ok"}); then every node knows 3 members
-// (cluster_members) and has seen 2 joins (cluster_membership_total). When
-// the third closes and the survivors' rounds expel it, each survivor knows
-// 2 members, has counted a leave, and its joins less its leaves are the
-// one peer it keeps.
-func TestMembershipAndMigrationTelemetry(t *testing.T) {
-	leakcheck.Check(t)
-	regs := make([]*telemetry.Registry, 3)
-	nodes := make([]*Node, 3)
-	start := func(i int) {
-		regs[i] = telemetry.NewRegistry()
-		var seeds []string
-		if i > 0 {
-			seeds = []string{nodes[0].Addr()}
-		}
-		n, err := StartNode(NodeOptions{
-			Listen: "127.0.0.1:0", Seeds: seeds, Replicas: 2, Capacity: 1 << 10,
-			GossipEvery: time.Hour, Registry: regs[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			n.Close()
-		})
-		nodes[i] = n
-	}
-	members := func(i int) float64 { return regs[i].Gauge("cluster_members", nil).Value() }
-	events := func(i int, event string) int64 {
-		return regs[i].Counter("cluster_membership_total", telemetry.Labels{"event": event}).Value()
-	}
-	migrated := func(i int) int64 {
-		return regs[i].Counter("kv_migration_keys_total", telemetry.Labels{"result": "ok"}).Value()
-	}
-	// waitFor polls cond, which the node's background goroutines make true
-	// just after the member list changes, for up to 10s.
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: not within 10s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	start(0)
-	start(1)
-	waitMembers(t, 2, nodes[0], nodes[1])
-	c := testClusterClient(t, nodes[0], nodes[1])
-	const keys = 64
-	for id := 0; id < keys; id++ {
-		if err := c.Set(id, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	start(2)
-	waitMembers(t, 3, nodes...)
-	waitFor("resident keys pushed to the joiner", func() bool { return migrated(0)+migrated(1) > 0 })
-	waitFor("every node counts 2 joins", func() bool { return events(0, "join")+events(1, "join")+events(2, "join") >= 6 })
-	for i := range nodes {
-		if m, j, l := members(i), events(i, "join"), events(i, "leave"); m != 3 || j != 2 || l != 0 {
-			t.Errorf("node %d after the joins: members %v, join %d, leave %d; want 3, 2, 0", i, m, j, l)
-		}
-	}
-
-	// Closing the node is the point.
-	nodes[2].Close()
-	survivors := nodes[:2]
-	for round := 0; len(survivors[0].Nodes()) != 2 || len(survivors[1].Nodes()) != 2; round++ {
-		if round == 100 {
-			t.Fatalf("100 gossip rounds did not expel the closed node: %v %v", survivors[0].Nodes(), survivors[1].Nodes())
-		}
-		survivors[round%2].gossipOnce()
-	}
-	// A survivor can expel the closed node and then learn it again from
-	// the other's HELLO reply, which still lists it, so a survivor may
-	// count more than one leave; its joins always exceed its leaves by
-	// the one other survivor it keeps.
-	for i := range survivors {
-		m, j, l := members(i), events(i, "join"), events(i, "leave")
-		if m != 2 || l < 1 || j-l != 1 {
-			t.Errorf("survivor %d after the expel: members %v, join %d, leave %d; want 2 members, a leave, and one more join than leaves", i, m, j, l)
-		}
-		t.Logf("survivor %d: join %d, leave %d", i, j, l)
-	}
-}
-
-func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
+// TestJoinKeepsEveryKeyReadable: a third daemon joining two that hold
+// keys opens no NOT_FOUND window, through the client built before the join
+// and through one that routes to the joiner too. Nothing moves a key: each
+// key's old primary stays one of its two owners
+// (TestJoinKeepsOldPrimaryAnOwner), and it holds the key.
+func TestJoinKeepsEveryKeyReadable(t *testing.T) {
 	leakcheck.Check(t)
 	const keys = 200
 	n1 := startTestNode(t)
@@ -401,7 +302,7 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	waitMembers(t, 2, n1, n2)
 
 	c := testClusterClient(t, n1, n2)
-	payload := []byte("migrate-me")
+	payload := []byte("write-once")
 	for id := 0; id < keys; id++ {
 		if err := c.Set(id, payload); err != nil {
 			t.Fatalf("Set(%d): %v", id, err)
@@ -416,7 +317,7 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 				t.Fatalf("%s: Get(%d) errored: %v", phase, id, err)
 			}
 			if !found {
-				t.Fatalf("%s: Get(%d) returned NOT_FOUND — migration opened a miss window", phase, id)
+				t.Fatalf("%s: Get(%d) returned NOT_FOUND", phase, id)
 			}
 			if string(v) != string(payload) {
 				t.Fatalf("%s: Get(%d) = %q", phase, id, v)
@@ -425,8 +326,7 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 	}
 	readAll("before join")
 
-	// Third node joins; keep reading the whole keyspace while gossip and
-	// the rebalance race the reads.
+	// Third node joins; keep reading the whole keyspace while it greets.
 	n3 := startTestNode(t, n1.Addr())
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -438,11 +338,6 @@ func TestJoinMigrationKeepsEveryKeyReadable(t *testing.T) {
 			t.Fatalf("cluster did not converge: %v %v %v", n1.Nodes(), n2.Nodes(), n3.Nodes())
 		}
 	}
-	// Let at least one full rebalance land, then verify the new owner set
-	// actually serves every key (reads keep passing after the old copies
-	// would stop mattering), through the old client and through one that
-	// routes to the joiner too.
-	time.Sleep(100 * time.Millisecond)
 	readAll("after join")
 	c = testClusterClient(t, n1, n2, n3)
 	readAll("after join, all three seeds")
@@ -464,14 +359,14 @@ func TestKillNodeMidRunStaticSeeds(t *testing.T) {
 	t.Cleanup(func() {
 		c.Close()
 	})
-	runKillSchedule(t, c, n1, n2, n3)
+	runKillSchedule(t, c, n3)
 	if s := breakerGauge(reg, n3.Addr()); s != breakerOpen {
 		t.Fatalf("dead node's breaker = %v, want open", s)
 	}
 }
 
 // startKillCluster boots the three daemons of the kill schedule and waits
-// for their membership to converge.
+// for their membership to converge, as the benchmark harness does.
 func startKillCluster(t *testing.T) (n1, n2, n3 *Node) {
 	t.Helper()
 	n1 = startTestNode(t)
@@ -486,11 +381,10 @@ func startKillCluster(t *testing.T) (n1, n2, n3 *Node) {
 // about a second, and n3 closed in the middle of it. Synchronous
 // replication and breaker-gated failover must absorb the death: no op may
 // return an error, every hit must carry exactly its id's payload, and
-// once the survivors have expelled n3, every id acknowledged before
-// the kill must still be found. After the kill, Sets go to the upper half
+// every id acknowledged before the kill must still be found after it. After the kill, Sets go to the upper half
 // of the ids only, so the lower half keeps what the kill left: a later Set
 // would write an id to the survivors anyway and hide a lost write.
-func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node) {
+func runKillSchedule(t *testing.T, c *Client, n3 *Node) {
 	t.Helper()
 	const (
 		ids     = 2000
@@ -554,7 +448,6 @@ func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node) {
 		t.Error("client-visible error:", err)
 	}
 
-	waitMembers(t, 2, n1, n2)
 	acked := 0
 	for id := range ackedBefore {
 		if !ackedBefore[id].Load() || setAfter[id].Load() {
@@ -572,7 +465,9 @@ func runKillSchedule(t *testing.T, c *Client, n1, n2, n3 *Node) {
 	t.Logf("%d ids acknowledged before the kill, all found after it", acked)
 }
 
-func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
+// TestNodeDeathKeysSurvive: with one of three daemons closed, every key
+// written before is still read, from its surviving owner.
+func TestNodeDeathKeysSurvive(t *testing.T) {
 	leakcheck.Check(t)
 	const keys = 200
 	n1 := startTestNode(t)
@@ -592,7 +487,6 @@ func TestNodeDeathExpelledAndKeysSurvive(t *testing.T) {
 	if err := n3.Close(); err != nil {
 		t.Fatalf("closing n3: %v", err)
 	}
-	waitMembers(t, 2, n1, n2)
 	for id := 0; id < keys; id++ {
 		v, found, err := c.Get(id)
 		if err != nil {

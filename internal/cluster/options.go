@@ -43,8 +43,8 @@ func WithSeeds(addrs ...string) Option {
 
 // WithReplicas sets how many distinct ring owners hold each key: a Set
 // writes every one of them and a Get fails over along them (default 2).
-// Against spiderkv daemons it should match their -replicas, the owners
-// their rebalance pushes a key to.
+// At 2 or more, a client built after a node joined still finds every key
+// written before: each key's old primary stays one of its owners.
 func WithReplicas(n int) Option {
 	return func(s *clientSettings) {
 		if n < 1 {

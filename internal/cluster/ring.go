@@ -5,8 +5,8 @@
 // memory tier beyond one node.
 //
 // Keys are sample IDs; nodes are placed on the ring with multiple virtual
-// points so load stays balanced, and removing a node only remaps the keys it
-// owned (the consistent-hashing property the tests pin down).
+// points so load stays balanced, and adding a node only moves keys to it
+// (the consistent-hashing property the tests pin down).
 package cluster
 
 import (
@@ -75,23 +75,6 @@ func (r *Ring) Add(node string) error {
 	}
 	sort.Slice(r.circle, func(i, j int) bool { return r.circle[i].hash < r.circle[j].hash })
 	return nil
-}
-
-// Remove takes node off the ring; removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.circle[:0]
-	for _, p := range r.circle {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.circle = kept
 }
 
 // key is sample id's wire key.

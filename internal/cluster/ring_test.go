@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"spidercache/internal/xrand"
 )
 
 func ringWith(t *testing.T, nodes ...string) *Ring {
@@ -76,29 +79,6 @@ func TestBalance(t *testing.T) {
 	}
 }
 
-func TestConsistencyOnRemoval(t *testing.T) {
-	r := ringWith(t, "w1", "w2", "w3", "w4")
-	before := make([]string, 10000)
-	for id := range before {
-		before[id] = owner(r, id)
-	}
-	r.Remove("w3")
-	moved := 0
-	for id, prev := range before {
-		now := owner(r, id)
-		if now == "w3" {
-			t.Fatalf("removed node still owns id %d", id)
-		}
-		if prev != "w3" && now != prev {
-			moved++
-		}
-	}
-	// Consistent hashing: only keys owned by the removed node remap.
-	if moved != 0 {
-		t.Fatalf("%d keys moved between surviving nodes", moved)
-	}
-}
-
 func TestConsistencyOnAddition(t *testing.T) {
 	r := ringWith(t, "w1", "w2", "w3")
 	before := make([]string, 10000)
@@ -127,6 +107,38 @@ func TestConsistencyOnAddition(t *testing.T) {
 	}
 }
 
+// TestJoinKeepsOldPrimaryAnOwner: after one node joins a ring, every
+// key's old primary is still among its two owners, because the joiner's
+// points can only come before it on the walk. Nothing moves keys when a
+// node joins, so this is what keeps a key written before a join readable
+// at replicas >= 2: a client that walks the new owners reaches the old
+// primary, which holds the key (TestJoinKeepsEveryKeyReadable).
+func TestJoinKeepsOldPrimaryAnOwner(t *testing.T) {
+	rng := xrand.New(5)
+	for trial := 0; trial < 50; trial++ {
+		r := ringWith(t)
+		for i := 0; i < 3+trial%5; i++ {
+			if err := r.Add(fmt.Sprintf("10.0.%d.%d:7461", rng.Intn(256), rng.Intn(256))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const keys = 2000
+		before := make([]string, keys)
+		for id := range before {
+			before[id] = owner(r, id)
+		}
+		joiner := fmt.Sprintf("10.1.%d.%d:7461", rng.Intn(256), rng.Intn(256))
+		if err := r.Add(joiner); err != nil {
+			t.Fatal(err)
+		}
+		for id, primary := range before {
+			if now := owners(r, id, 2); !slices.Contains(now, primary) {
+				t.Fatalf("ring of %d + %s: key %d's old primary %s is not among its owners %v", len(r.nodes)-1, joiner, id, primary, now)
+			}
+		}
+	}
+}
+
 func TestAddIdempotent(t *testing.T) {
 	r := ringWith(t, "w1")
 	if err := r.Add("w1"); err != nil {
@@ -135,7 +147,6 @@ func TestAddIdempotent(t *testing.T) {
 	if got := len(r.nodes); got != 1 {
 		t.Fatalf("nodes %d", got)
 	}
-	r.Remove("absent") // no-op
 }
 
 func TestOwnersReplication(t *testing.T) {
@@ -181,7 +192,6 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		for i := 0; i < 1000; i++ {
 			r.Add(fmt.Sprintf("extra%d", i%8))
-			r.Remove(fmt.Sprintf("extra%d", (i+4)%8))
 		}
 		close(done)
 	}()

@@ -93,7 +93,9 @@ func FuzzClientFraming(f *testing.F) {
 		for i := 0; i < 12; i++ {
 			switch i % 4 {
 			case 0:
-				if err := c.Set(k, value); err == nil {
+				p := c.Pipeline()
+				p.Set(k, value)
+				if res, err := p.Exec(); err == nil && res[0].Err == nil {
 					wrote = true
 				}
 			case 1:

@@ -138,13 +138,6 @@ func (c *Client) Get(key string) (value []byte, ok bool, err error) {
 	return r.Value, r.Found, err
 }
 
-// Set stores value under key.
-func (c *Client) Set(key string, value []byte) error {
-	c.one.Set(key, value)
-	_, err := c.one.execOne()
-	return err
-}
-
 // command sends one argument-free request line and returns the first reply
 // line.
 func (c *Client) command(req string) (string, error) {

@@ -1,13 +1,12 @@
 package kvserver
 
-// The cluster verbs: HELLO/NODES for membership gossip. A standalone
-// Server answers both with an empty node set, so clients and peers never
-// need to know whether an address is a bare cache or a cluster daemon. A
-// daemon passes Serve its ClusterHooks, wired to its membership, and
-// HELLO <addr> then registers the announcing peer and returns the node
-// set, which is how daemons learn topology instead of being handed a
-// static list. A daemon's SET is stored locally only: the client writes
-// each of a key's owners itself.
+// The cluster verbs: HELLO/NODES for a daemon's join. A standalone Server
+// answers both with an empty node set, so clients and peers never need to
+// know whether an address is a bare cache or a cluster daemon. A daemon
+// passes Serve its ClusterHooks, wired to its member set, and HELLO <addr>
+// then registers the announcing peer and returns the node set, which is
+// how a joiner learns the members its seed knows. A daemon's SET is stored
+// locally only: the client writes each of a key's owners itself.
 
 import (
 	"fmt"
@@ -56,7 +55,7 @@ func (s *Server) doNodes(sess *session, args [][]byte) error {
 }
 
 // validNodeAddr accepts anything the line protocol can carry as a single
-// field; real dialability is the gossip layer's problem, not the parser's.
+// field; real dialability is the join loop's problem, not the parser's.
 // Both ends apply it: the server to a HELLO address, the client to each
 // address in a NODES reply.
 func validNodeAddr(addr string) bool {
@@ -90,7 +89,7 @@ func (c *Client) Hello(addr string) ([]string, error) {
 
 // readNodes parses a NODES reply whose header line is line. An address the
 // server would refuse on HELLO fails the whole reply: a peer must not be
-// able to plant a member that every gossip round would dial and spread.
+// able to plant a member that a joiner would dial and list to its peers.
 func (c *Client) readNodes(line string, err error) ([]string, error) {
 	if err != nil {
 		return nil, err

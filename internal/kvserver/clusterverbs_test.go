@@ -84,8 +84,8 @@ func TestClusterHooksGossipWithoutFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		if v, ok := srv.Peek(k); !ok || string(v) != want {
-			t.Fatalf("Peek(%q) = %q, %v; want %q stored locally", k, v, ok, want)
+		if v, ok := srv.store.peek(k); !ok || string(v) != want {
+			t.Fatalf("peek(%q) = %q, %v; want %q stored locally", k, v, ok, want)
 		}
 	}
 	if hello := hooks.hellos(); !reflect.DeepEqual(hello, []string{"127.0.0.1:3"}) {

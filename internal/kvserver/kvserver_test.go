@@ -16,6 +16,14 @@ import (
 	"spidercache/internal/telemetry"
 )
 
+// Set stores value under key: the single-op write the tests use. Product
+// code writes through a Pipeline (cluster.Client.Set).
+func (c *Client) Set(key string, value []byte) error {
+	c.one.Set(key, value)
+	_, err := c.one.execOne()
+	return err
+}
+
 // serve starts a server over a store of capacity items on a loopback
 // port, closed at cleanup. The store auto-shards (256 items -> 4 shards,
 // 512 -> 8).

@@ -406,7 +406,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			set[k], pushed[k] = true, false
 		case r < 8:
 			k := key()
-			if _, resident := srv.Peek(k); !resident && set[k] {
+			if _, resident := srv.store.peek(k); !resident && set[k] {
 				if pushed[k] {
 					esetPushed++
 				} else {
@@ -416,10 +416,10 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			err = eset(c, k, emb())
 		case r < 9:
 			k := key()
-			if _, resident := srv.Peek(k); !resident {
+			if _, resident := srv.store.peek(k); !resident {
 				break
 			}
-			for _, other := range srv.Keys() {
+			for _, other := range residentKeys(srv) {
 				if other != k {
 					if _, _, err = c.Get(other); err != nil {
 						break
@@ -453,7 +453,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 		}
 		srv.sem.mu.Unlock()
 		for _, k := range indexed {
-			if _, resident := srv.Peek(k); !resident {
+			if _, resident := srv.store.peek(k); !resident {
 				t.Fatalf("op %d: %s is indexed but not resident", op, k)
 			}
 		}

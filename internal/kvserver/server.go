@@ -275,17 +275,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Keys returns every resident key — the migration scan's entry point.
-// Each shard is snapshotted under its own lock; keys inserted or evicted
-// mid-scan may or may not appear.
-func (s *Server) Keys() []string { return s.store.keys() }
-
-// Peek returns the value under key without touching LRU recency or the
-// hit/miss counters, so migration reads never distort eviction order or
-// serving stats. The returned slice is the store's live value: callers
-// must not modify it.
-func (s *Server) Peek(key string) ([]byte, bool) { return s.store.peek(key) }
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {

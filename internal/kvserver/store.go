@@ -128,21 +128,9 @@ func newStoreShards(capacity, shards int) *store {
 	return s
 }
 
-// fnv1a is the 32-bit FNV-1a hash of key.
-func fnv1a(key string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return h
-}
-
-func fnv1aBytes(key []byte) uint32 {
+// fnv1a is the 32-bit FNV-1a hash of key. The GET path hashes the []byte
+// it parsed, every other path a string; both hash alike.
+func fnv1a[K string | []byte](key K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -178,7 +166,7 @@ func (s *store) get(key string) ([]byte, bool) {
 // compiles to an allocation-free conversion, so the hot GET path never
 // copies the key.
 func (s *store) getBytes(key []byte) ([]byte, bool) {
-	i := int(fnv1aBytes(key) & s.mask)
+	i := int(fnv1a(key) & s.mask)
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -193,10 +181,9 @@ func (s *store) getBytes(key []byte) ([]byte, bool) {
 }
 
 // peek returns the value under key without bumping LRU recency or the
-// hit/miss counters — the migration scan's read primitive, so pushing keys
-// to a new replica owner neither distorts eviction order nor pollutes the
-// serving hit ratio. The slice returned is the live value: callers must
-// not modify it.
+// hit/miss counters, so a residency probe (an ESET's) neither distorts
+// eviction order nor pollutes the serving hit ratio. The slice returned is
+// the live value: callers must not modify it.
 func (s *store) peek(key string) ([]byte, bool) {
 	_, sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -206,21 +193,6 @@ func (s *store) peek(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return n.value, true
-}
-
-// keys returns every resident key. Each shard is snapshotted under its own
-// lock, so the result is a consistent per-shard view (keys inserted or
-// evicted mid-scan may or may not appear, as with stats).
-func (s *store) keys() []string {
-	out := make([]string, 0, 256)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k := range sh.entries {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 func (s *store) set(key string, value []byte) {

@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// residentKeys returns every key srv's store holds, each shard read under
+// its own lock.
+func residentKeys(srv *Server) []string {
+	var out []string
+	for _, sh := range srv.store.shards {
+		sh.mu.Lock()
+		for k := range sh.entries {
+			out = append(out, k)
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
 func TestAutoShards(t *testing.T) {
 	cases := []struct {
 		capacity, want int

@@ -34,7 +34,7 @@ func TestModuleFamilies(t *testing.T) {
 	reg := telemetry.NewRegistry()
 
 	node, err := cluster.StartNode(cluster.NodeOptions{
-		Listen: "127.0.0.1:0", Replicas: 1, Capacity: 1 << 10,
+		Listen: "127.0.0.1:0", Capacity: 1 << 10,
 		GossipEvery: time.Hour, Registry: reg,
 	})
 	if err != nil {

@@ -3,8 +3,8 @@
 # explicit check list, the project's own static analysis (spiderlint), the
 # full test suite, the hnsw allocation gate, the bench module's vet and short
 # tests, the race-sensitive subset under -race, and the kill-a-node schedule,
-# the opposite-owner-order Sets and the ESET-beside-eviction lock order five
-# times under -race. Everything CI
+# the join read check, the opposite-owner-order Sets and the
+# ESET-beside-eviction lock order five times under -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -124,9 +124,9 @@ fi
 # deadlock if either held the shard mutex or the semantic index's mutex
 # while taking the other. One pass can get lucky with timing, so run them
 # five times under the race detector.
-echo "== kill-a-node and lock orders (-race -count=5)"
+echo "== kill-a-node, join and lock orders (-race -count=5)"
 go test -race -count=5 \
-    -run '^(TestKillNodeMidRun|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder)' \
+    -run '^(TestKillNodeMidRun|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder)' \
     ./internal/cluster/ ./internal/kvserver/
 
 echo "check.sh: all gates passed"
