@@ -9,69 +9,38 @@ import (
 	"spidercache/internal/telemetry"
 )
 
-// ErrNoNodes is returned when every candidate node for a key is
-// unavailable (breaker open or transport failure on each).
+// ErrNoNodes is returned when every owner of a key failed: its pool
+// could not reach the node (kvserver.ErrNodeDown among the reasons) or
+// the op failed on the wire.
 var ErrNoNodes = errors.New("cluster: no reachable node for key")
 
-// errBreakerOpen is a candidate's failure when its breaker denied the op:
-// the node was skipped without touching the network.
-var errBreakerOpen = errors.New("cluster: circuit breaker open")
-
 // clientTelemetry is the single registration site for the
-// kv_failover_total family and the kv_breaker_state gauges.
+// kv_failover_total family.
 type clientTelemetry struct {
-	reg       *telemetry.Registry
 	rerouted  *telemetry.Counter
 	exhausted *telemetry.Counter
 }
 
 func newClientTelemetry(reg *telemetry.Registry) clientTelemetry {
 	reg.Describe("kv_failover_total", "cluster ops rerouted to a replica (rerouted) or failed on every candidate (exhausted)")
-	reg.Describe("kv_breaker_state", "per-node circuit breaker state (0=closed 1=half-open 2=open)")
 	return clientTelemetry{
-		reg:       reg,
 		rerouted:  reg.Counter("kv_failover_total", telemetry.Labels{"result": "rerouted"}),
 		exhausted: reg.Counter("kv_failover_total", telemetry.Labels{"result": "exhausted"}),
 	}
 }
 
-// breakerState returns node's kv_breaker_state gauge.
-func (t clientTelemetry) breakerState(node string) *telemetry.Gauge {
-	return t.reg.Gauge("kv_breaker_state", telemetry.Labels{"node": node})
-}
-
-// replica is one node as the client sees it: the pool its ops go through
-// and the breaker that decides whether they are sent at all.
-type replica struct {
-	pool    *kvserver.Pool
-	breaker *breaker
-}
-
-// call runs op on one of the node's pooled connections unless its
-// breaker is open, and feeds the outcome back. Only transport failures
-// count against the node, a reply the client could not frame among them
-// (kvserver.IsTransportErr): one that answered in step, however oddly, is
-// up.
-func (r *replica) call(op func(*kvserver.Client) error) error {
-	if !r.breaker.allow() {
-		return errBreakerOpen
-	}
-	err := r.pool.Do(op)
-	r.breaker.record(err != nil && kvserver.IsTransportErr(err))
-	return err
-}
-
 // Client is a ring-aware multi-node cache client: sample IDs map to nodes
 // via a consistent-hash Ring, each node is served by its own lazy-dialled
-// kvserver.Pool behind its own circuit breaker, and operations fail over
-// along the key's replica owners when a node is down or its breaker is
-// open. Each op makes one attempt per owner; the breaker is what keeps a
-// dead node from costing every op a failed dial. It satisfies the
-// trainer's RemoteCache contract, so a training run degrades to backing
-// storage — never errors out — when the whole cluster is unreachable.
+// kvserver.Pool, and operations fail over along the key's replica owners
+// when a node is down. Each op makes one attempt per owner; a dead node's
+// pool fails its ops at once for a backoff after each refused dial
+// (kvserver.ErrNodeDown), so a dead node does not cost every op a failed
+// dial. It satisfies the trainer's RemoteCache contract, so a training
+// run degrades to backing storage — never errors out — when the whole
+// cluster is unreachable.
 //
 // The node set is fixed at New: the seeds, each placed on the client's
-// ring once. A dead node stays on the ring; its breaker is what routes
+// ring once. A dead node stays on the ring; the replica walk routes
 // around it.
 //
 // The client is the one replicator: a Set writes every owner of the key
@@ -85,7 +54,7 @@ type Client struct {
 	tel      clientTelemetry
 	ring     *Ring
 	nodes    []string // sorted
-	peers    map[string]*replica
+	pools    map[string]*kvserver.Pool
 }
 
 // Get fetches the cached payload for a sample ID from its replica owners
@@ -101,7 +70,7 @@ func (c *Client) Get(id int) (value []byte, found bool, err error) {
 
 // read runs op, a lookup that reports whether it found the value, on each
 // replica owner of wire key k in placement order until one finds it. A
-// node with an open breaker is skipped without touching the network.
+// node whose pool is backing off is skipped without touching the network.
 // found=false with a nil error means every reachable owner answered and
 // none had the value — a clean miss. An error means no owner could be
 // reached at all. A lookup answered after an owner failed counts one
@@ -110,7 +79,7 @@ func (c *Client) read(k string, op func(*kvserver.Client) (bool, error)) (found 
 	var lastErr error
 	reachable, failedBefore := false, false
 	for _, node := range c.ring.OwnersKey(k, c.replicas) {
-		err := c.peers[node].call(func(kc *kvserver.Client) (err error) {
+		err := c.pools[node].Do(func(kc *kvserver.Client) (err error) {
 			found, err = op(kc)
 			return err
 		})
@@ -183,7 +152,7 @@ func (c *Client) setFrom(owners []string, k string, payload []byte, errs []error
 	}
 	rest := func() { c.setFrom(owners[1:], k, payload, errs[1:]) }
 	sent := false
-	errs[0] = c.peers[owners[0]].call(func(kc *kvserver.Client) error {
+	errs[0] = c.pools[owners[0]].Do(func(kc *kvserver.Client) error {
 		sent = true
 		p := kc.Pipeline()
 		p.Set(k, payload)
@@ -198,7 +167,7 @@ func (c *Client) setFrom(owners []string, k string, payload []byte, errs []error
 		}
 		return res[0].Err
 	})
-	if !sent { // breaker open or no connection: the others still get theirs
+	if !sent { // no connection: the others still get theirs
 		rest()
 	}
 }
@@ -208,7 +177,7 @@ func (c *Client) setFrom(owners []string, k string, payload []byte, errs []error
 func (c *Client) Close() error {
 	var err error
 	for _, node := range c.nodes {
-		err = errors.Join(err, c.peers[node].pool.Close())
+		err = errors.Join(err, c.pools[node].Close())
 	}
 	return err
 }

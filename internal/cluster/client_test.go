@@ -71,9 +71,14 @@ func newTestClient(t *testing.T, reg *telemetry.Registry, nodes ...string) *Clie
 	return c
 }
 
-// breakerGauge reads node's kv_breaker_state gauge from reg.
-func breakerGauge(reg *telemetry.Registry, node string) breakerState {
-	return breakerState(reg.Gauge("kv_breaker_state", telemetry.Labels{"node": node}).Value())
+// probe runs one GET through node's pool: nil from a live node, and
+// kvserver.ErrNodeDown, without a dial, from a node whose last dial was
+// refused within the pool's backoff.
+func probe(c *Client, node string) error {
+	return c.pools[node].Do(func(kc *kvserver.Client) error {
+		_, _, err := kc.Get("probe")
+		return err
+	})
 }
 
 func TestClientBasicOps(t *testing.T) {
@@ -109,9 +114,15 @@ func TestClientBasicOps(t *testing.T) {
 	if itemsA == 0 || itemsB == 0 {
 		t.Fatalf("placement did not spread: node items %d/%d", itemsA, itemsB)
 	}
+	// Healthy nodes are routed around by no op.
 	for _, node := range []string{a.Addr(), b.Addr()} {
-		if s := breakerGauge(reg, node); s != breakerClosed {
-			t.Fatalf("healthy node %s reports breaker %v", node, s)
+		if err := probe(c, node); err != nil {
+			t.Fatalf("healthy node %s: %v", node, err)
+		}
+	}
+	for _, result := range []string{"rerouted", "exhausted"} {
+		if v := reg.Counter("kv_failover_total", telemetry.Labels{"result": result}).Value(); v != 0 {
+			t.Fatalf("kv_failover_total{result=%s} = %d with every node up, want 0", result, v)
 		}
 	}
 }
@@ -133,7 +144,7 @@ func TestNewClientStillServes(t *testing.T) {
 		}
 	}
 	// The node set is the seeds, fixed.
-	if len(c.nodes) != 2 || len(c.peers) != 2 {
+	if len(c.nodes) != 2 || len(c.pools) != 2 {
 		t.Fatalf("static client nodes = %v", c.nodes)
 	}
 }
@@ -221,9 +232,7 @@ func TestClientFailsOverAroundDeadNode(t *testing.T) {
 
 	// Kill node b. Every op must still succeed: ids owned by b fail over
 	// to a (reads of b-owned values miss — the replica never had them —
-	// but reads must not error). Four times as many ops as were seeded
-	// give b's breaker enough failures to outweigh the seeding successes
-	// in its window, whichever share of the ids b owns.
+	// but reads must not error).
 	// Shutting the node down is the point.
 	b.Close()
 	for id := n; id < 5*n; id++ {
@@ -235,12 +244,13 @@ func TestClientFailsOverAroundDeadNode(t *testing.T) {
 		}
 	}
 
-	// The dead node's breaker opened and failovers were counted.
-	if s := breakerGauge(reg, b.Addr()); s != breakerOpen {
-		t.Fatalf("dead node breaker = %v, want open", s)
+	// The dead node's pool fails fast, the live one serves, and failovers
+	// were counted.
+	if err := probe(c, b.Addr()); !errors.Is(err, kvserver.ErrNodeDown) {
+		t.Fatalf("dead node: %v, want kvserver.ErrNodeDown", err)
 	}
-	if s := breakerGauge(reg, a.Addr()); s != breakerClosed {
-		t.Fatalf("live node breaker = %v, want closed", s)
+	if err := probe(c, a.Addr()); err != nil {
+		t.Fatalf("live node: %v", err)
 	}
 	if v := reg.Counter("kv_failover_total", telemetry.Labels{"result": "rerouted"}).Value(); v == 0 {
 		t.Fatal("kv_failover_total{result=rerouted} = 0, want > 0")
@@ -301,17 +311,14 @@ func TestClientAllNodesDown(t *testing.T) {
 		t.Fatal("kv_failover_total{result=exhausted} = 0, want > 0")
 	}
 
-	// Once breakers open, ops keep failing fast (ErrNoNodes, not a hang).
-	for i := 0; i < 8; i++ {
-		// Failures are the point.
-		c.Set(i, []byte("v"))
-	}
+	// Once every node refused a dial, ops keep failing fast (ErrNoNodes
+	// wrapping ErrNodeDown: no dial, not a hang).
 	start := time.Now()
-	if _, _, err := c.Get(2); !errors.Is(err, ErrNoNodes) {
-		t.Fatalf("Get after breakers opened: %v", err)
+	if _, _, err := c.Get(2); !errors.Is(err, ErrNoNodes) || !errors.Is(err, kvserver.ErrNodeDown) {
+		t.Fatalf("Get after every dial was refused: %v, want ErrNoNodes wrapping kvserver.ErrNodeDown", err)
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("open-breaker Get took %v, want fast-fail", d)
+		t.Fatalf("Get while every pool backs off took %v, want fast-fail", d)
 	}
 }
 
@@ -344,8 +351,8 @@ func TestNewOptionValidation(t *testing.T) {
 }
 
 // TestNewAppliesOptions: every option lands, and without options New has
-// the defaults the trainer's remote path relies on, a breaker per node
-// among them.
+// the defaults the trainer's remote path relies on, a pool per node that
+// serves among them.
 func TestNewAppliesOptions(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startNode(t)
@@ -353,14 +360,17 @@ func TestNewAppliesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.peers[srv.Addr()]
-	if c.replicas != 2 || c.ring.points != ringPoints {
-		t.Fatalf("defaults: replicas %d, ring points %d", c.replicas, c.ring.points)
+	pool := c.pools[srv.Addr()]
+	if c.replicas != 2 || len(c.ring.circle) != ringPoints {
+		t.Fatalf("defaults: replicas %d, ring points %d", c.replicas, len(c.ring.circle))
 	}
-	if r == nil || r.breaker == nil || r.breaker.current() != breakerClosed {
-		t.Fatalf("node %s has no closed breaker: %+v", srv.Addr(), r)
+	if pool == nil {
+		t.Fatalf("node %s has no pool", srv.Addr())
 	}
-	checkPoolSize(t, r, 2)
+	if err := probe(c, srv.Addr()); err != nil {
+		t.Fatalf("node %s: %v", srv.Addr(), err)
+	}
+	checkPoolSize(t, pool, 2)
 	c.Close()
 
 	c, err = New(
@@ -375,13 +385,13 @@ func TestNewAppliesOptions(t *testing.T) {
 	if c.replicas != 3 {
 		t.Fatalf("options not applied: replicas %d", c.replicas)
 	}
-	checkPoolSize(t, c.peers[srv.Addr()], 5)
+	checkPoolSize(t, c.pools[srv.Addr()], 5)
 }
 
-// checkPoolSize checks that r's pool runs size ops at once, and not one
-// more: it starts size+1 ops that each hold their connection, waits for
-// size of them to get one, and fails if the last gets one within 50 ms.
-func checkPoolSize(t *testing.T, r *replica, size int) {
+// checkPoolSize checks that pool runs size ops at once, and not one more:
+// it starts size+1 ops that each hold their connection, waits for size of
+// them to get one, and fails if the last gets one within 50 ms.
+func checkPoolSize(t *testing.T, pool *kvserver.Pool, size int) {
 	t.Helper()
 	entered := make(chan struct{}, size+1)
 	release := make(chan struct{})
@@ -390,7 +400,7 @@ func checkPoolSize(t *testing.T, r *replica, size int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := r.pool.Do(func(*kvserver.Client) error {
+			err := pool.Do(func(*kvserver.Client) error {
 				entered <- struct{}{}
 				<-release
 				return nil

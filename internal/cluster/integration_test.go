@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"net"
 	"strconv"
 	"testing"
@@ -121,10 +122,9 @@ func TestTrainerDegradesWithClusterDown(t *testing.T) {
 	if errs := reg.Counter("remote_cache_total", telemetry.Labels{"result": "error"}).Value(); errs == 0 {
 		t.Fatal("remote_cache_total{result=error} = 0 with the cluster down")
 	}
-	// 2 is kv_breaker_state's open.
-	for _, node := range seeds {
-		if s := reg.Gauge("kv_breaker_state", telemetry.Labels{"node": node}).Value(); s != 2 {
-			t.Fatalf("unreachable node %s breaker state = %g, want 2 (open)", node, s)
-		}
+	// Every unreachable node's pool fails fast: a Get right after the run
+	// wraps kvserver.ErrNodeDown from the last owner it tried.
+	if _, _, err := c.Get(0); !errors.Is(err, cluster.ErrNoNodes) || !errors.Is(err, kvserver.ErrNodeDown) {
+		t.Fatalf("Get after the run = %v, want ErrNoNodes wrapping kvserver.ErrNodeDown", err)
 	}
 }

@@ -47,7 +47,8 @@ const peerTimeout = 10 * time.Second
 // every member its seeds know. A greeting that went unanswered is retried
 // every GossipEvery; a member that greeted this node needs no greeting
 // back. The join loop ends once every member has answered. A dead member
-// stays listed: failure is the client's to route around, by its breaker.
+// stays listed: failure is the client's to route around, by its replica
+// walk.
 type Node struct {
 	self  string
 	every time.Duration

@@ -67,8 +67,7 @@ func WithPoolSize(n int) Option {
 	}
 }
 
-// WithMetrics routes the client's telemetry, per-node breaker states
-// included, into reg.
+// WithMetrics routes the client's telemetry into reg.
 func WithMetrics(reg *telemetry.Registry) Option {
 	return func(s *clientSettings) { s.reg = reg }
 }
@@ -78,10 +77,9 @@ func WithMetrics(reg *telemetry.Registry) Option {
 //	c, err := cluster.New(cluster.WithSeeds("host:7461"))
 //
 // which routes to that one node; WithReplicas tunes placement and
-// failover. Pooled connections have no deadline. Every node gets a circuit
-// breaker; it is always on. Construction never dials: pools are lazy, so a
-// client can be built while some (or all) nodes are down and traffic flows
-// as they come up.
+// failover. Pooled connections have no deadline. Construction never
+// dials: pools are lazy, so a client can be built while some (or all)
+// nodes are down and traffic flows as they come up.
 func New(opts ...Option) (*Client, error) {
 	s := clientSettings{
 		poolSize: 2,
@@ -96,25 +94,15 @@ func New(opts ...Option) (*Client, error) {
 	if len(s.seeds) == 0 {
 		return nil, fmt.Errorf("cluster: New requires WithSeeds")
 	}
-	ring, err := NewRing(ringPoints)
+	ring, err := NewRing(ringPoints, s.seeds...) // rejects a duplicate seed
 	if err != nil {
 		return nil, err
 	}
-	tel := newClientTelemetry(s.reg)
-	peers := make(map[string]*replica, len(s.seeds))
+	pools := make(map[string]*kvserver.Pool, len(s.seeds))
 	for _, node := range s.seeds {
-		if _, dup := peers[node]; dup {
-			return nil, fmt.Errorf("cluster: duplicate node %q", node)
-		}
-		if err := ring.Add(node); err != nil {
-			return nil, err
-		}
-		peers[node] = &replica{
-			pool:    kvserver.NewPool(node, s.poolSize, 0),
-			breaker: newBreaker(tel.breakerState(node)),
-		}
+		pools[node] = kvserver.NewPool(node, s.poolSize)
 	}
 	nodes := slices.Clone(s.seeds)
 	slices.Sort(nodes)
-	return &Client{replicas: s.replicas, tel: tel, ring: ring, nodes: nodes, peers: peers}, nil
+	return &Client{replicas: s.replicas, tel: newClientTelemetry(s.reg), ring: ring, nodes: nodes, pools: pools}, nil
 }

@@ -5,8 +5,8 @@
 // memory tier beyond one node.
 //
 // Keys are sample IDs; nodes are placed on the ring with multiple virtual
-// points so load stays balanced, and adding a node only moves keys to it
-// (the consistent-hashing property the tests pin down).
+// points so load stays balanced, and a ring with one more node only moves
+// keys to it (the consistent-hashing property the tests pin down).
 package cluster
 
 import (
@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // ringPoints is the number of virtual points each node takes on the
@@ -22,12 +21,12 @@ import (
 // alike, so it is a constant, not a setting.
 const ringPoints = 128
 
-// Ring is a consistent-hash ring. It is safe for concurrent use.
+// Ring is a consistent-hash ring over a node set fixed when it is built.
+// It is never written after NewRing, so it is safe for concurrent use
+// without a lock.
 type Ring struct {
-	mu     sync.RWMutex
-	points int         // virtual points per node
 	circle []ringPoint // every node's points, sorted by hash
-	nodes  map[string]struct{}
+	nodes  int         // distinct nodes on the circle
 }
 
 type ringPoint struct {
@@ -35,14 +34,28 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing creates a ring placing each node at `points` virtual points
+// NewRing builds a ring placing each of nodes at `points` virtual points
 // (higher = smoother balance, larger ring). Nodes and clients use
-// ringPoints; tests build smaller rings.
-func NewRing(points int) (*Ring, error) {
+// ringPoints; tests build smaller rings. The nodes must be distinct and
+// named; their order does not matter.
+func NewRing(points int, nodes ...string) (*Ring, error) {
 	if points < 1 {
 		return nil, fmt.Errorf("cluster: ring points must be >= 1, got %d", points)
 	}
-	return &Ring{points: points, nodes: make(map[string]struct{})}, nil
+	r := &Ring{circle: make([]ringPoint, 0, points*len(nodes)), nodes: len(nodes)}
+	for i, node := range nodes {
+		if node == "" {
+			return nil, fmt.Errorf("cluster: empty node name")
+		}
+		if slices.Contains(nodes[:i], node) {
+			return nil, fmt.Errorf("cluster: duplicate node %q", node)
+		}
+		for v := 0; v < points; v++ {
+			r.circle = append(r.circle, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, v)), node: node})
+		}
+	}
+	sort.Slice(r.circle, func(i, j int) bool { return r.circle[i].hash < r.circle[j].hash })
+	return r, nil
 }
 
 // hash64 is FNV-1a over the string, mixed through SplitMix64's finaliser for
@@ -59,24 +72,6 @@ func hash64(s string) uint64 {
 	return h ^ (h >> 31)
 }
 
-// Add places node on the ring; re-adding is a no-op.
-func (r *Ring) Add(node string) error {
-	if node == "" {
-		return fmt.Errorf("cluster: empty node name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; ok {
-		return nil
-	}
-	r.nodes[node] = struct{}{}
-	for v := 0; v < r.points; v++ {
-		r.circle = append(r.circle, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, v)), node: node})
-	}
-	sort.Slice(r.circle, func(i, j int) bool { return r.circle[i].hash < r.circle[j].hash })
-	return nil
-}
-
 // key is sample id's wire key.
 func key(id int) string { return "sample:" + strconv.Itoa(id) }
 
@@ -86,9 +81,7 @@ func key(id int) string { return "sample:" + strconv.Itoa(id) }
 // n. The walk stops once it holds n owners or every node, and dedupes
 // against its own short result, so a lookup allocates only that result.
 func (r *Ring) OwnersKey(k string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n = min(n, len(r.nodes))
+	n = min(n, r.nodes)
 	if n < 1 {
 		return nil
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"spidercache/internal/xrand"
@@ -10,14 +11,9 @@ import (
 
 func ringWith(t *testing.T, nodes ...string) *Ring {
 	t.Helper()
-	r, err := NewRing(ringPoints)
+	r, err := NewRing(ringPoints, nodes...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, n := range nodes {
-		if err := r.Add(n); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return r
 }
@@ -35,12 +31,16 @@ func owner(r *Ring, id int) string {
 }
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(0); err == nil {
+	if _, err := NewRing(0, "w1"); err == nil {
 		t.Fatal("zero points accepted")
 	}
-	r, _ := NewRing(4)
-	if err := r.Add(""); err == nil {
+	if _, err := NewRing(4, "w1", ""); err == nil {
 		t.Fatal("empty node accepted")
+	}
+	// A node placed twice would count twice toward the owners a lookup
+	// walks for.
+	if _, err := NewRing(4, "w1", "w2", "w1"); err == nil {
+		t.Fatal("duplicate node accepted")
 	}
 }
 
@@ -85,10 +85,10 @@ func TestConsistencyOnAddition(t *testing.T) {
 	for id := range before {
 		before[id] = owner(r, id)
 	}
-	r.Add("w4")
+	after := ringWith(t, "w1", "w2", "w3", "w4")
 	movedToNew, movedBetweenOld := 0, 0
 	for id, prev := range before {
-		now := owner(r, id)
+		now := owner(after, id)
 		if now == prev {
 			continue
 		}
@@ -116,36 +116,25 @@ func TestConsistencyOnAddition(t *testing.T) {
 func TestJoinKeepsOldPrimaryAnOwner(t *testing.T) {
 	rng := xrand.New(5)
 	for trial := 0; trial < 50; trial++ {
-		r := ringWith(t)
-		for i := 0; i < 3+trial%5; i++ {
-			if err := r.Add(fmt.Sprintf("10.0.%d.%d:7461", rng.Intn(256), rng.Intn(256))); err != nil {
-				t.Fatal(err)
+		var nodes []string
+		for len(nodes) < 3+trial%5 {
+			if node := fmt.Sprintf("10.0.%d.%d:7461", rng.Intn(256), rng.Intn(256)); !slices.Contains(nodes, node) {
+				nodes = append(nodes, node)
 			}
 		}
+		r := ringWith(t, nodes...)
 		const keys = 2000
 		before := make([]string, keys)
 		for id := range before {
 			before[id] = owner(r, id)
 		}
 		joiner := fmt.Sprintf("10.1.%d.%d:7461", rng.Intn(256), rng.Intn(256))
-		if err := r.Add(joiner); err != nil {
-			t.Fatal(err)
-		}
+		after := ringWith(t, append(nodes, joiner)...)
 		for id, primary := range before {
-			if now := owners(r, id, 2); !slices.Contains(now, primary) {
-				t.Fatalf("ring of %d + %s: key %d's old primary %s is not among its owners %v", len(r.nodes)-1, joiner, id, primary, now)
+			if now := owners(after, id, 2); !slices.Contains(now, primary) {
+				t.Fatalf("ring of %d + %s: key %d's old primary %s is not among its owners %v", len(nodes), joiner, id, primary, now)
 			}
 		}
-	}
-}
-
-func TestAddIdempotent(t *testing.T) {
-	r := ringWith(t, "w1")
-	if err := r.Add("w1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r.nodes); got != 1 {
-		t.Fatalf("nodes %d", got)
 	}
 }
 
@@ -186,18 +175,27 @@ func TestOwnersStopsAtNodeCount(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess: lookups from several goroutines share one ring
+// with no lock (run it under -race), and each sees the owners a lone
+// lookup does.
 func TestConcurrentAccess(t *testing.T) {
-	r := ringWith(t, "w1", "w2")
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			r.Add(fmt.Sprintf("extra%d", i%8))
-		}
-		close(done)
-	}()
-	for i := 0; i < 5000; i++ {
-		owner(r, i)
-		owners(r, i, 2)
+	r := ringWith(t, "w1", "w2", "w3")
+	want := make([][]string, 5000)
+	for id := range want {
+		want[id] = owners(r, id, 2)
 	}
-	<-done
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range want {
+				if got := owners(r, id, 2); !slices.Equal(got, want[id]) {
+					t.Errorf("id %d: concurrent owners %v, want %v", id, got, want[id])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -170,7 +170,7 @@ func BenchmarkStoreGet(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, ok := st.getBytes(keys[i%benchKeySpace]); !ok {
+					if _, ok := get(st, keys[i%benchKeySpace]); !ok {
 						b.Fatal("miss")
 					}
 					i++
@@ -200,7 +200,7 @@ func BenchmarkStoreGetWithWriters(b *testing.B) {
 		for pb.Next() {
 			if i%64 == 63 {
 				st.set(benchKey(i), payload)
-			} else if _, ok := st.getBytes(keys[i%benchKeySpace]); !ok {
+			} else if _, ok := get(st, keys[i%benchKeySpace]); !ok {
 				b.Fatal("miss")
 			}
 			i++

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"spidercache/internal/telemetry"
 )
@@ -137,21 +136,17 @@ func TestServeValidation(t *testing.T) {
 }
 
 // TestServeAndPoolTakeTheirSettings: Serve shards the store from its
-// capacity, and NewPool holds the size and timeout it is given, a size
-// below 1 taken as 1.
+// capacity, and NewPool holds the size it is given, a size below 1 taken
+// as 1.
 func TestServeAndPoolTakeTheirSettings(t *testing.T) {
 	if srv := startServer(t, 512); srv.Shards() != 8 {
 		t.Fatalf("server built %d shards from capacity 512, want 8", srv.Shards())
 	}
-	for _, tc := range []struct {
-		size, want int
-		timeout    time.Duration
-	}{{7, 7, 3 * time.Second}, {0, 1, 0}} {
-		p := NewPool("127.0.0.1:1", tc.size, tc.timeout)
+	for _, tc := range []struct{ size, want int }{{7, 7}, {0, 1}} {
+		p := NewPool("127.0.0.1:1", tc.size)
 		p.Close()
-		if cap(p.conns) != tc.want || p.timeout != tc.timeout {
-			t.Errorf("NewPool(size %d, timeout %v) built size %d, timeout %v",
-				tc.size, tc.timeout, cap(p.conns), p.timeout)
+		if cap(p.conns) != tc.want {
+			t.Errorf("NewPool(size %d) built size %d", tc.size, cap(p.conns))
 		}
 	}
 }

@@ -146,7 +146,7 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 	if err != nil {
 		return err
 	}
-	if value, ok := s.store.get(key); ok {
+	if value, ok := get(s.store, key); ok {
 		err := sess.writeValueOrMiss(value, true)
 		s.tel.semExact.Inc()
 		s.tel.ngetLat.Observe(time.Since(start).Seconds())
@@ -162,7 +162,7 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 				// gone, so it cannot substitute for itself.
 				continue
 			}
-			value, ok := s.store.get(nb.key)
+			value, ok := get(s.store, nb.key)
 			if !ok {
 				continue // indexed but evicted; try the next-nearest
 			}

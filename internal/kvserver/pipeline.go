@@ -189,7 +189,7 @@ func (p *Pipeline) recv(results []Result) error {
 			err = p.c.readStored(verbs[kind])
 		}
 		if err != nil {
-			if IsTransportErr(err) {
+			if isTransportErr(err) {
 				return err
 			}
 			r.Err = err
@@ -204,17 +204,15 @@ func (p *Pipeline) recv(results []Result) error {
 // be read against the wrong op.
 var errOutOfStep = errors.New("kvserver: reply stream out of step")
 
-// IsTransportErr distinguishes failures after which the reply stream is
+// isTransportErr distinguishes failures after which the reply stream is
 // unusable — a dial, read or write that failed, or a reply that could not
 // be framed (errOutOfStep) — which abort the Recv, from the other errors
 // the client raises itself with a "kvserver:" prefix: unexpected reply
 // lines, which consume exactly one reply (safe to report per-op and keep
-// reading), rejected requests and ErrPoolClosed. A transport error says
-// the node may be down or out of step with its client; a node that
-// answered a well-framed reply, however odd, is up. A SERVER_ERROR reply
-// also closes the server side, so the next read aborts as a transport
-// error anyway.
-func IsTransportErr(err error) bool {
+// reading), rejected requests, ErrPoolClosed and ErrNodeDown. A SERVER_ERROR
+// reply also closes the server side, so the next read aborts as a
+// transport error anyway.
+func isTransportErr(err error) bool {
 	if errors.Is(err, errOutOfStep) {
 		return true
 	}

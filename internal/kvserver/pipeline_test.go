@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestPipelineMixedOps(t *testing.T) {
@@ -282,7 +281,7 @@ func TestMisframedReplyAbortsPipeline(t *testing.T) {
 			"NEAR a 0.1\r\nxyz\r\nVALUE 1\r\nb\r\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := NewPool(misframingServer(t, tc.lines, tc.reply), 1, 5*time.Second)
+			pool := NewPool(misframingServer(t, tc.lines, tc.reply), 1)
 			defer pool.Close()
 			err := pool.Do(func(c *Client) error {
 				p := c.Pipeline()
@@ -293,7 +292,7 @@ func TestMisframedReplyAbortsPipeline(t *testing.T) {
 				}
 				return err
 			})
-			if err == nil || !IsTransportErr(err) || !strings.Contains(err.Error(), tc.name) {
+			if err == nil || !isTransportErr(err) || !strings.Contains(err.Error(), tc.name) {
 				t.Errorf("Do = %v; want a transport-class %q error", err, tc.name)
 			}
 			err = pool.Do(func(c *Client) error {

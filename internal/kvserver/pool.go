@@ -10,37 +10,50 @@ import (
 // an op blocked waiting for a free connection is woken, never left hanging.
 var ErrPoolClosed = errors.New("kvserver: pool is closed")
 
+// ErrNodeDown is returned by an op that needed a new connection within
+// redialBackoff of a failed dial to the pool's node: the op fails at once
+// and nothing is dialled.
+var ErrNodeDown = errors.New("kvserver: node down, a dial to it just failed")
+
+// redialBackoff is how long a failed dial keeps a pool from dialling its
+// node again. It is short enough that a restarted node is reached within
+// half a second.
+const redialBackoff = 500 * time.Millisecond
+
 // Pool is a fixed-size pool of client connections, safe for concurrent
 // use. Do is the only way in: it checks a connection out, runs the caller's
 // ops on it once (one Client call, or a Pipeline of many in one flush), and
 // hands the connection back on every way out, retiring a broken one so its
 // slot redials lazily and one failed op never shrinks the pool.
 //
-// No op is retried: a failure is the caller's to route around. A node's
-// health is judged above the pool, where there is somewhere else to go
-// (cluster.Client's replica walk, the trainer's backing storage).
+// No op is retried: a failure is the caller's to route around, where
+// there is somewhere else to go (cluster.Client's replica walk, the
+// trainer's backing storage). The one thing the pool remembers of its
+// node's health is a failed dial: for redialBackoff after one, an op that
+// needs a new connection fails with ErrNodeDown instead of dialling, so a
+// dead node costs each slot one failed dial per backoff, not one per op.
+// Live pooled connections are used regardless.
 type Pool struct {
-	addr    string
-	timeout time.Duration
-	conns   chan *Client // nil entry = slot needs a redial
-	done    chan struct{}
+	addr  string
+	conns chan *Client // nil entry = slot needs a redial
+	done  chan struct{}
 
-	mu     sync.Mutex
-	closed bool
+	mu         sync.Mutex
+	closed     bool
+	dialFailed time.Time // when a dial to addr last failed; zero if none has
 }
 
-// NewPool builds a pool of size connections to addr, each bounding every
-// dial, reply read and request flush by timeout (0 means block
-// indefinitely). Every slot is dialled on first use, so NewPool never
-// fails, even while the node is down — failover clients construct against
-// unreachable nodes. A size below 1 is taken as 1.
-func NewPool(addr string, size int, timeout time.Duration) *Pool {
+// NewPool builds a pool of size connections to addr, with no deadline on
+// a dial, a reply read or a request flush. Every slot is dialled on first
+// use, so NewPool never fails, even while the node is down — failover
+// clients construct against unreachable nodes. A size below 1 is taken
+// as 1.
+func NewPool(addr string, size int) *Pool {
 	size = max(size, 1)
 	p := &Pool{
-		addr:    addr,
-		timeout: timeout,
-		conns:   make(chan *Client, size),
-		done:    make(chan struct{}),
+		addr:  addr,
+		conns: make(chan *Client, size),
+		done:  make(chan struct{}),
 	}
 	for i := 0; i < size; i++ {
 		p.conns <- nil
@@ -50,8 +63,9 @@ func NewPool(addr string, size int, timeout time.Duration) *Pool {
 
 // acquire checks a connection out of the pool, blocking until one is free.
 // It fails fast with ErrPoolClosed on a closed pool — including a close
-// that lands while the caller is blocked waiting for a slot. Only Do
-// calls it, and hands the connection back with release or discard.
+// that lands while the caller is blocked waiting for a slot — and with
+// ErrNodeDown when an empty slot's redial is backing off. Only Do calls
+// it, and hands the connection back with release or discard.
 func (p *Pool) acquire() (*Client, error) {
 	var c *Client
 	select {
@@ -62,7 +76,7 @@ func (p *Pool) acquire() (*Client, error) {
 	if c == nil {
 		// Slot was discarded; redial it now. On failure the slot stays
 		// marked so the pool never shrinks.
-		c2, err := Dial(p.addr, p.timeout)
+		c2, err := p.redial()
 		if err != nil {
 			p.conns <- nil
 			return nil, err
@@ -81,6 +95,25 @@ func (p *Pool) acquire() (*Client, error) {
 	}
 	p.mu.Unlock()
 	return c, nil
+}
+
+// redial dials the pool's node for an empty slot, unless a dial to it
+// failed less than redialBackoff ago: then it fails with ErrNodeDown
+// without dialling. A failed dial starts a new backoff.
+func (p *Pool) redial() (*Client, error) {
+	p.mu.Lock()
+	down := time.Since(p.dialFailed) < redialBackoff
+	p.mu.Unlock()
+	if down {
+		return nil, ErrNodeDown
+	}
+	c, err := Dial(p.addr, 0)
+	if err != nil {
+		p.mu.Lock()
+		p.dialFailed = time.Now()
+		p.mu.Unlock()
+	}
+	return c, err
 }
 
 // release returns a healthy connection to the pool. release(nil) panics:

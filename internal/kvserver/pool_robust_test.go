@@ -19,7 +19,7 @@ func TestPoolAcquireCloseRace(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
 	for iter := 0; iter < 1000; iter++ {
-		pool := NewPool(srv.Addr(), 1, 0)
+		pool := NewPool(srv.Addr(), 1)
 		// Check out the only connection so the concurrent acquire blocks
 		// on the empty channel — the exact shape of the original deadlock.
 		held, err := pool.acquire()
@@ -110,7 +110,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 		}
 	}()
 
-	pool := NewPool(proxy.Addr().String(), 1, 0)
+	pool := NewPool(proxy.Addr().String(), 1)
 	// The slot starts undialled, so this acquire dials through the
 	// gated proxy. TCP connect succeeds immediately (the proxy accepted);
 	// the pool is then closed before acquire's post-redial check runs.
@@ -140,7 +140,7 @@ func TestPoolCloseMidRedial(t *testing.T) {
 func TestPoolReleaseNilPanics(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool := NewPool(srv.Addr(), 1, 0)
+	pool := NewPool(srv.Addr(), 1)
 	defer pool.Close()
 	defer func() {
 		if recover() == nil {
@@ -153,7 +153,7 @@ func TestPoolReleaseNilPanics(t *testing.T) {
 func TestPoolLazyDial(t *testing.T) {
 	leakcheck.Check(t)
 	// A pool against a node that is down is built all the same...
-	pool := NewPool("127.0.0.1:1", 2, 0)
+	pool := NewPool("127.0.0.1:1", 2)
 	if _, _, err := poolGet(pool, "k"); err == nil {
 		t.Fatal("Get against a down node succeeded")
 	}
@@ -161,7 +161,7 @@ func TestPoolLazyDial(t *testing.T) {
 
 	// ...and work normally once the node exists.
 	srv := startServer(t, 16)
-	pool = NewPool(srv.Addr(), 2, 0)
+	pool = NewPool(srv.Addr(), 2)
 	defer pool.Close()
 	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestPoolLazyDial(t *testing.T) {
 func TestPoolRedialsBrokenSlot(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
-	pool := NewPool(srv.Addr(), 1, 0)
+	pool := NewPool(srv.Addr(), 1)
 	defer pool.Close()
 	if err := poolSet(pool, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestPoolRedialsBrokenSlot(t *testing.T) {
 	}
 	c.conn.Close()
 	pool.release(c)
-	if _, _, err := poolGet(pool, "k"); err == nil || !IsTransportErr(err) {
+	if _, _, err := poolGet(pool, "k"); err == nil || !isTransportErr(err) {
 		t.Fatalf("Get over a broken conn = %v, want one transport error", err)
 	}
 	v, found, err := poolGet(pool, "k")
@@ -197,16 +197,17 @@ func TestPoolRedialsBrokenSlot(t *testing.T) {
 		t.Fatalf("Get after the redial: %q %v %v", v, found, err)
 	}
 	// A request rejected before it formed is not a transport error.
-	if err := poolSet(pool, "bad key", []byte("v")); !errors.Is(err, errBadRequest) || IsTransportErr(err) {
+	if err := poolSet(pool, "bad key", []byte("v")); !errors.Is(err, errBadRequest) || isTransportErr(err) {
 		t.Fatalf("invalid-key Set error = %v, want errBadRequest", err)
 	}
 }
 
 // TestPoolAttemptConservesSlots drives Do through each of its outcomes
 // on a one-slot pool and checks that the slot always comes back: the
-// channel is full again and a follow-up op is served before a deadline. A
-// closed pool must instead answer the follow-up with ErrPoolClosed, fast,
-// and never take a connection back in.
+// channel is full again and a follow-up op is served before a deadline,
+// or, after a failed dial, answered at once with ErrNodeDown. A closed
+// pool must instead answer the follow-up with ErrPoolClosed, fast, and
+// never take a connection back in.
 func TestPoolAttemptConservesSlots(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 16)
@@ -215,6 +216,7 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 		name            string
 		run             func(*Pool) error
 		wantErr, closed bool
+		followUp        error
 	}{
 		{name: "success", run: func(p *Pool) error { return p.Do(set) }},
 		{name: "f fails after writing", wantErr: true, run: func(p *Pool) error {
@@ -225,7 +227,7 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 				return errors.New("poisoned after the write")
 			})
 		}},
-		{name: "pre-write dial failure", wantErr: true, run: func(p *Pool) error {
+		{name: "pre-write dial failure", wantErr: true, followUp: ErrNodeDown, run: func(p *Pool) error {
 			p.addr = "127.0.0.1:1"
 			defer func() { p.addr = srv.Addr() }()
 			return p.Do(set)
@@ -240,10 +242,10 @@ func TestPoolAttemptConservesSlots(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewPool(srv.Addr(), 1, 0)
+			p := NewPool(srv.Addr(), 1)
 			defer p.Close()
 			err := tc.run(p)
-			want, wantFollowUp := cap(p.conns), error(nil)
+			want, wantFollowUp := cap(p.conns), tc.followUp
 			if tc.closed {
 				want, wantFollowUp = 0, ErrPoolClosed
 			}

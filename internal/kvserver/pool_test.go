@@ -2,8 +2,11 @@ package kvserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +30,7 @@ func poolSet(p *Pool, key string, value []byte) error {
 func TestPoolBasicOps(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), 2, 0)
+	pool := NewPool(srv.Addr(), 2)
 	defer pool.Close()
 
 	if err := poolSet(pool, "k", []byte("v")); err != nil {
@@ -56,7 +59,7 @@ func TestPoolBasicOps(t *testing.T) {
 func TestPoolConcurrent(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4096)
-	pool := NewPool(srv.Addr(), 4, 0)
+	pool := NewPool(srv.Addr(), 4)
 	defer pool.Close()
 
 	const goroutines = 16 // 4x oversubscribed: exercises acquire blocking
@@ -93,7 +96,7 @@ func TestPoolConcurrent(t *testing.T) {
 func TestPoolRecoversFromBrokenConn(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), 1, 0)
+	pool := NewPool(srv.Addr(), 1)
 	defer pool.Close()
 
 	// Break the pooled connection from inside a Do: close the raw conn so
@@ -112,10 +115,90 @@ func TestPoolRecoversFromBrokenConn(t *testing.T) {
 	}
 }
 
+// countingListener counts the connections its server accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestPoolNodeRestart: a node closed under a pool costs it one failed
+// dial, after which ops fail at once with ErrNodeDown; once the backoff
+// ends the pool dials again, and a refused dial starts a new backoff. A
+// server restarted on the same address is not dialled before that backoff
+// ends and is reached after it.
+func TestPoolNodeRestart(t *testing.T) {
+	leakcheck.Check(t)
+	srv := startServer(t, 16)
+	addr := srv.Addr()
+	pool := NewPool(addr, 1)
+	defer pool.Close()
+	if err := poolSet(pool, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shutting the node down is the point.
+	srv.Close()
+	// The pooled connection breaks: one transport error, slot discarded.
+	if _, _, err := poolGet(pool, "k"); err == nil || errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Get over the closed node's connection = %v, want a transport error", err)
+	}
+	// refused runs one op that must dial and be refused, and returns when.
+	refused := func() time.Time {
+		t.Helper()
+		if _, _, err := poolGet(pool, "k"); err == nil || errors.Is(err, ErrNodeDown) {
+			t.Fatalf("redial to the closed node = %v, want a refused dial", err)
+		}
+		return time.Now()
+	}
+	// downFor checks that an op fails at once with ErrNodeDown.
+	downFor := func(since time.Time) {
+		t.Helper()
+		if _, _, err := poolGet(pool, "k"); !errors.Is(err, ErrNodeDown) {
+			t.Fatalf("Get %v after a refused dial = %v, want ErrNodeDown", time.Since(since), err)
+		}
+	}
+	failed := refused()
+	downFor(failed)
+	time.Sleep(time.Until(failed.Add(redialBackoff)))
+	failed = refused() // the backoff ended, so the pool dials again
+	downFor(failed)
+
+	// Restart the node on the same address.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingListener{Listener: ln}
+	srv, err = Serve(counted, 16, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	downFor(failed)
+	if n := counted.accepted.Load(); n != 0 {
+		t.Fatalf("restarted node accepted %d connections within the backoff, want 0", n)
+	}
+	time.Sleep(time.Until(failed.Add(redialBackoff)))
+	if err := poolSet(pool, "k", []byte("w")); err != nil {
+		t.Fatalf("Set after the backoff: %v", err)
+	}
+	if n := counted.accepted.Load(); n != 1 {
+		t.Fatalf("restarted node accepted %d connections, want 1", n)
+	}
+}
+
 func TestPoolPipeline(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), 2, 0)
+	pool := NewPool(srv.Addr(), 2)
 	defer pool.Close()
 
 	err := pool.Do(func(c *Client) error {
@@ -140,7 +223,7 @@ func TestPoolPipeline(t *testing.T) {
 func TestPoolClose(t *testing.T) {
 	leakcheck.Check(t)
 	srv := startServer(t, 4)
-	pool := NewPool(srv.Addr(), 2, 0)
+	pool := NewPool(srv.Addr(), 2)
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,22 +232,6 @@ func TestPoolClose(t *testing.T) {
 	}
 	if _, err := pool.acquire(); err == nil {
 		t.Fatal("acquire succeeded on closed pool")
-	}
-}
-
-func TestPoolDeadlines(t *testing.T) {
-	leakcheck.Check(t)
-	srv := startServer(t, 64)
-	pool := NewPool(srv.Addr(), 1, time.Second)
-	defer pool.Close()
-	// Deadlines are re-armed per op: two ops with a pause between them must
-	// both succeed even with a short window relative to total test time.
-	if err := poolSet(pool, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, _, err := poolGet(pool, "k"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -408,7 +408,7 @@ func (s *Server) doGet(sess *session, args [][]byte) error {
 		return errBadArgs
 	}
 	start := time.Now()
-	value, ok := s.store.getBytes(args[0])
+	value, ok := get(s.store, args[0])
 	err := sess.writeValueOrMiss(value, ok)
 	if ok {
 		s.tel.getHit.Inc()

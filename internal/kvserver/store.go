@@ -148,24 +148,11 @@ func (s *store) shardFor(key string) (int, *shard) {
 	return i, s.shards[i]
 }
 
-func (s *store) get(key string) ([]byte, bool) {
-	i, sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n, ok := sh.entries[key]
-	if !ok {
-		s.stats_[i].misses.Add(1)
-		return nil, false
-	}
-	s.stats_[i].hits.Add(1)
-	sh.moveToFront(n)
-	return n.value, true
-}
-
-// getBytes is get with a []byte key: the map lookup via string(key)
-// compiles to an allocation-free conversion, so the hot GET path never
-// copies the key.
-func (s *store) getBytes(key []byte) ([]byte, bool) {
+// get returns the value under key and bumps its recency and its shard's
+// hit or miss counter. The GET path looks up the []byte it parsed, every
+// other path a string: the map lookup via string(key) compiles to an
+// allocation-free conversion, so neither copies the key.
+func get[K string | []byte](s *store, key K) ([]byte, bool) {
 	i := int(fnv1a(key) & s.mask)
 	sh := s.shards[i]
 	sh.mu.Lock()

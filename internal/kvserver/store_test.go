@@ -93,7 +93,7 @@ func TestStatsEqualsShardSums(t *testing.T) {
 		if i%3 == 0 {
 			st.set(key, []byte("v"))
 		} else {
-			st.get(fmt.Sprintf("k%d", i%150)) // mix of hits and misses
+			get(st, fmt.Sprintf("k%d", i%150)) // mix of hits and misses
 		}
 	}
 	items, hits, misses := st.stats()
@@ -138,20 +138,21 @@ func TestSingleShardStrictLRU(t *testing.T) {
 	st := newStoreShards(2, 1)
 	st.set("a", []byte("1"))
 	st.set("b", []byte("2"))
-	if _, ok := st.get("a"); !ok {
+	if _, ok := get(st, "a"); !ok {
 		t.Fatal("a missing")
 	}
 	st.set("c", []byte("3")) // must evict b, the global LRU
-	if _, ok := st.get("b"); ok {
+	if _, ok := get(st, "b"); ok {
 		t.Fatal("LRU victim b still present")
 	}
-	if _, ok := st.get("a"); !ok {
+	if _, ok := get(st, "a"); !ok {
 		t.Fatal("recently used a evicted")
 	}
 }
 
 // TestStoreGetZeroAlloc: the server's GET reads the store through
-// getBytes, and neither a hit nor a miss may allocate there.
+// get with the []byte key it parsed, and neither a hit nor a miss may
+// allocate there.
 func TestStoreGetZeroAlloc(t *testing.T) {
 	st := newStoreShards(4096, 4)
 	payload := bytes.Repeat([]byte("z"), 512)
@@ -164,10 +165,10 @@ func TestStoreGetZeroAlloc(t *testing.T) {
 	missing := []byte("za-missing")
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		if v, ok := st.getBytes(keys[i%len(keys)]); !ok || len(v) != len(payload) {
+		if v, ok := get(st, keys[i%len(keys)]); !ok || len(v) != len(payload) {
 			t.Fatal("unexpected miss")
 		}
-		if _, ok := st.getBytes(missing); ok {
+		if _, ok := get(st, missing); ok {
 			t.Fatal("unexpected hit")
 		}
 		i++
@@ -192,7 +193,7 @@ func TestStoreRaceStress(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g*31+i*7)%256)
 				switch i % 4 {
 				case 0, 1:
-					st.get(key)
+					get(st, key)
 				case 2:
 					st.set(key, []byte{byte(g), byte(i)})
 				case 3:

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -72,18 +73,19 @@ func TestRealModuleAnalyzersSeeFacts(t *testing.T) {
 	}
 
 	// mutexhygiene: the Lock/RLock statements it traces.
-	locks := 0
+	locks, calls := 0, 0
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
 			for _, body := range fileFuncBodies(f) {
 				a := &mutexAnalyzer{pass: p, pkg: pkg, funcBody: body}
 				locks += len(a.lockSites(buildCFG(body)))
 			}
+			calls += lockCallStmts(f)
 		}
 	}
-	t.Logf("mutexhygiene: %d Lock/RLock sites", locks)
-	if locks < 50 {
-		t.Errorf("mutexhygiene sees only %d Lock/RLock sites; lock resolution is broken", locks)
+	t.Logf("mutexhygiene: %d Lock/RLock sites of %d x.Lock()/x.RLock() statements", locks, calls)
+	if locks == 0 || locks != calls {
+		t.Errorf("mutexhygiene resolves %d of the module's %d x.Lock()/x.RLock() statements; lock resolution is broken", locks, calls)
 	}
 
 	// errcheck: each scoped package has at least one (suppressed) dropped
@@ -94,4 +96,24 @@ func TestRealModuleAnalyzersSeeFacts(t *testing.T) {
 			t.Errorf("errcheck reports nothing in %s; it is blind to the package", path)
 		}
 	}
+}
+
+// lockCallStmts counts f's statements that are a call x.Lock() or
+// x.RLock() by name alone, with no type information: every one of them
+// in this module locks a sync mutex, so mutexhygiene must resolve each.
+func lockCallStmts(f *ast.File) int {
+	n := 0
+	ast.Inspect(f, func(node ast.Node) bool {
+		stmt, ok := node.(*ast.ExprStmt)
+		if !ok {
+			return true
+		}
+		if call, ok := stmt.X.(*ast.CallExpr); ok && len(call.Args) == 0 {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
+				n++
+			}
+		}
+		return true
+	})
+	return n
 }

@@ -115,8 +115,10 @@ elif [ "${SKIP_RACE:-0}" != "1" ]; then
         ./internal/faultnet/... ./internal/cluster/...
 fi
 
-# The failure path's only behavioural gate: a daemon killed under load,
-# through the static-seed client the benchmarks build. Beside it, the two
+# The failure path's behavioural gates: a daemon killed under load,
+# through the static-seed client the benchmarks build, and a node closed
+# under a pool and restarted on its address, which the pool must not dial
+# within its backoff and must reach after it. Beside them, the two
 # lock-order gates: Sets whose owners come in opposite placement orders
 # share one connection per node, and would deadlock if a Set took its
 # owners' connections in placement order; and ESETs of keys that are not
@@ -126,7 +128,7 @@ fi
 # five times under the race detector.
 echo "== kill-a-node, join and lock orders (-race -count=5)"
 go test -race -count=5 \
-    -run '^(TestKillNodeMidRun|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder)' \
+    -run '^(TestKillNodeMidRun|TestPoolNodeRestart|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder)' \
     ./internal/cluster/ ./internal/kvserver/
 
 echo "check.sh: all gates passed"
