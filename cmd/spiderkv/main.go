@@ -48,7 +48,9 @@ import (
 // daemon's heap is almost all pointer-free value bytes, which marking
 // does not scan, so the extra cycles cost little CPU, while the headroom
 // they remove is most of the gap between resident values and RSS
-// (DESIGN.md §6). It is a constant, not a flag: GOGC already overrides
+// (DESIGN.md §6). Same-length SETs reuse the buffers they displace, so
+// what it collects is new keys' strings and list nodes and values of
+// other lengths. It is a constant, not a flag: GOGC already overrides
 // it.
 const gcPercent = 50
 

@@ -149,10 +149,12 @@ func TestBadFlags(t *testing.T) {
 // TestCollectorTarget: the daemon collects at gcPercent, so under churn
 // its heap goal stays within gcPercent of the live heap, and GOGC in the
 // environment overrides that (100: twice the live heap). Each case SETs
-// 4 000 values of 32 KiB into a store of 1 000, so every value replaced
-// after the first thousand is garbage at once, and reads the last cycle's
-// "A->B->C MB, D MB goal" line of the runtime's gctrace: C is the heap the
-// cycle found live, D the size the cycle was started for.
+// 4 000 values of 32 KiB and up into a store of 1 000, each a byte longer
+// than the last, so no SET reuses the buffer its eviction dropped (a store
+// recycles same-length buffers only) and every value evicted after the
+// first thousand is garbage at once. It reads the last cycle's "A->B->C
+// MB, D MB goal" line of the runtime's gctrace: C is the heap the cycle
+// found live, D the size the cycle was started for.
 func TestCollectorTarget(t *testing.T) {
 	trace := regexp.MustCompile(`(\d+)->(\d+)->(\d+) MB, (\d+) MB goal`)
 	for _, tc := range []struct {
@@ -197,10 +199,10 @@ func TestCollectorTarget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			value := bytes.Repeat([]byte("x"), 32<<10)
+			value := bytes.Repeat([]byte("x"), 32<<10+4000)
 			p := c.Pipeline()
 			for i := 0; i < 4000; i++ {
-				p.Set(fmt.Sprintf("k%d", i), value)
+				p.Set(fmt.Sprintf("k%d", i), value[:32<<10+i])
 				if p.Len() == 100 {
 					if _, err := p.Exec(); err != nil {
 						t.Fatal(err)

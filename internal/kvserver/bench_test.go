@@ -163,14 +163,14 @@ func BenchmarkStoreGet(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			st := newStoreShards(4096, shards)
 			for i := 0; i < benchKeySpace; i++ {
-				st.set(benchKey(i), payload)
+				st.set(keys[i], bytes.Clone(payload))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, ok := get(st, keys[i%benchKeySpace]); !ok {
+					if !get(st, keys[i%benchKeySpace], ignore) {
 						b.Fatal("miss")
 					}
 					i++
@@ -191,7 +191,7 @@ func BenchmarkStoreGetWithWriters(b *testing.B) {
 	}
 	st := newStoreShards(4096, 1)
 	for i := 0; i < benchKeySpace; i++ {
-		st.set(benchKey(i), payload)
+		st.set(keys[i], bytes.Clone(payload))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -199,8 +199,12 @@ func BenchmarkStoreGetWithWriters(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			if i%64 == 63 {
-				st.set(benchKey(i), payload)
-			} else if _, ok := get(st, keys[i%benchKeySpace]); !ok {
+				// A server SET: read into the shard's buffer, then store.
+				key := keys[i%benchKeySpace]
+				v := st.buf(key, len(payload))
+				copy(v, payload)
+				st.set(key, v)
+			} else if !get(st, keys[i%benchKeySpace], ignore) {
 				b.Fatal("miss")
 			}
 			i++

@@ -37,14 +37,13 @@ func (f *fakeHooks) hellos() []string {
 	return append([]string(nil), f.hello...)
 }
 
-func serveWithHooks(t *testing.T, hooks ClusterHooks) (*Server, *Client) {
+func serveWithHooks(t *testing.T, hooks ClusterHooks) *Client {
 	t.Helper()
-	srv := serve(t, 1<<10, nil, hooks)
-	return srv, dial(t, srv)
+	return dial(t, serve(t, 1<<10, nil, hooks))
 }
 
 func TestStandaloneServerAnswersClusterVerbs(t *testing.T) {
-	_, c := serveWithHooks(t, nil)
+	c := serveWithHooks(t, nil)
 	nodes, err := c.readNodes(c.command("NODES\r\n"))
 	if err != nil || len(nodes) != 0 {
 		t.Fatalf("standalone NODES = %v, %v; want empty, nil", nodes, err)
@@ -60,7 +59,7 @@ func TestStandaloneServerAnswersClusterVerbs(t *testing.T) {
 // with nothing passed to the daemon: the client replicates.
 func TestClusterHooksGossipWithoutFanOut(t *testing.T) {
 	hooks := newFakeHooks("127.0.0.1:1", "127.0.0.1:2")
-	srv, c := serveWithHooks(t, hooks)
+	c := serveWithHooks(t, hooks)
 
 	nodes, err := c.readNodes(c.command("NODES\r\n"))
 	if err != nil || !reflect.DeepEqual(nodes, hooks.nodes) {
@@ -84,8 +83,8 @@ func TestClusterHooksGossipWithoutFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		if v, ok := srv.store.peek(k); !ok || string(v) != want {
-			t.Fatalf("peek(%q) = %q, %v; want %q stored locally", k, v, ok, want)
+		if v, ok, err := c.Get(k); err != nil || !ok || string(v) != want {
+			t.Fatalf("Get(%q) = %q, %v, %v; want %q stored locally", k, v, ok, err, want)
 		}
 	}
 	if hello := hooks.hellos(); !reflect.DeepEqual(hello, []string{"127.0.0.1:3"}) {
@@ -98,11 +97,11 @@ func TestClusterHooksGossipWithoutFanOut(t *testing.T) {
 // plant a member the line protocol cannot carry.
 func TestNodesReplyRejectsInvalidAddress(t *testing.T) {
 	for _, bad := range []string{"", "has space", "has\rcarriage"} {
-		_, c := serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
+		c := serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
 		if nodes, err := c.readNodes(c.command("NODES\r\n")); err == nil {
 			t.Errorf("NODES listing %q = %q, want an error", bad, nodes)
 		}
-		_, c = serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
+		c = serveWithHooks(t, newFakeHooks("127.0.0.1:1", bad))
 		if nodes, err := c.Hello("127.0.0.1:2"); err == nil {
 			t.Errorf("HELLO reply listing %q = %q, want an error", bad, nodes)
 		}

@@ -427,26 +427,33 @@ func BenchmarkSetGet(b *testing.B) {
 
 // TestServeOneAllocs pins the garbage each request leaves for the
 // collector, which spiderkv runs at a low heap target: a GET leaves none,
-// a SET its key string and value (and a list node when the key is new),
-// an ESET of a resident key its key string. An added allocation on any of
-// these paths would otherwise show only as more collector cycles.
+// a SET that overwrites a key none (it reads into the value the last
+// overwrite displaced), a SET of a new key its key string and list node,
+// and its value too unless the value its eviction dropped has the same
+// length, and an ESET of a resident key its key string. An added
+// allocation on any of these paths would otherwise show only as more
+// collector cycles.
 func TestServeOneAllocs(t *testing.T) {
 	const runs = 1000
+	// A full store whose every shard holds more of the preloaded 64-byte
+	// values than the new-key rows insert, so each new key evicts one.
+	const capacity = 2048
 	value := bytes.Repeat([]byte("v"), 64)
-	setFrame := func(key string) []byte {
+	setFrame := func(key string, value []byte) []byte {
 		return fmt.Appendf(nil, "SET %s %d\r\n%s\r\n", key, len(value), value)
 	}
 	repeat := func(frame []byte) []byte { return bytes.Repeat(frame, runs+1) }
 	newServer := func() *Server {
-		srv := newServerCore(newStore(256), telemetry.NewRegistry())
-		for i := 0; i < 8; i++ {
-			srv.store.set(fmt.Sprintf("k%d", i), value)
+		srv := newServerCore(newStore(capacity), telemetry.NewRegistry())
+		for i := 0; i < capacity; i++ {
+			srv.store.set(fmt.Appendf(nil, "k%d", i), bytes.Clone(value)) // the store owns each value
 		}
 		return srv
 	}
-	var newKeys, esets []byte
+	var newKeys, newKeysOtherLen, esets []byte
 	for i := 0; i <= runs; i++ {
-		newKeys = append(newKeys, setFrame(fmt.Sprintf("new%d", i))...) // evicts once the store is full
+		newKeys = append(newKeys, setFrame(fmt.Sprintf("new%d", i), value)...)
+		newKeysOtherLen = append(newKeysOtherLen, setFrame(fmt.Sprintf("new%d", i), value[:32])...)
 		emb := make([]float32, 16)
 		emb[i%16], emb[(i+1)%16] = 1, float32(i%7)
 		esets = fmt.Appendf(esets, "ESET k%d %d\r\n", i%8, len(emb))
@@ -459,8 +466,9 @@ func TestServeOneAllocs(t *testing.T) {
 	}{
 		{"GET hit", repeat([]byte("GET k1\r\n")), 0},
 		{"GET miss", repeat([]byte("GET absent\r\n")), 0},
-		{"SET new key", newKeys, 3},
-		{"SET overwrite", repeat(setFrame("k1")), 2},
+		{"SET new key, victim of its length", newKeys, 2},
+		{"SET new key, victim of another length", newKeysOtherLen, 3},
+		{"SET overwrite", repeat(setFrame("k1", value)), 0},
 		{"ESET resident key", esets, 1},
 	} {
 		// One serveOne call per request, on an in-process session; the

@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,28 @@ func scrapeGauge(text, series string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// TestMetricsGCCycles: kv_gc_cycles counts the process's collector cycles,
+// so a forced collection between two scrapes raises it.
+func TestMetricsGCCycles(t *testing.T) {
+	c := dial(t, startServer(t, 16))
+	scrape := func() float64 {
+		text, err := metrics(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := scrapeGauge(text, "kv_gc_cycles")
+		if !ok {
+			t.Fatalf("METRICS missing kv_gc_cycles:\n%s", text)
+		}
+		return v
+	}
+	before := scrape()
+	runtime.GC()
+	if after := scrape(); after < before+1 {
+		t.Fatalf("kv_gc_cycles %v after a forced collection, %v before it", after, before)
+	}
 }
 
 // TestMetricsPipelineDepth: pipelined commands served under one flush are

@@ -118,7 +118,7 @@ func (s *Server) doESet(sess *session, args [][]byte) error {
 	// key that is not resident: without this check such an ESET
 	// would stay indexed for good. An eviction before the probe is caught
 	// here, one after it by the evict hook.
-	if _, ok := s.store.peek(key); !ok {
+	if !s.store.has(key) {
 		s.unlinkEmbedding(key)
 	}
 	_, err = sess.w.WriteString("STORED\r\n")
@@ -146,8 +146,9 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 	if err != nil {
 		return err
 	}
-	if value, ok := get(s.store, key); ok {
-		err := sess.writeValueOrMiss(value, true)
+	sess.hdr = append(sess.hdr[:0], "VALUE "...)
+	if get(s.store, key, sess.stage) {
+		err := sess.sendValue(true)
 		s.tel.semExact.Inc()
 		s.tel.ngetLat.Observe(time.Since(start).Seconds())
 		return err
@@ -162,34 +163,23 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 				// gone, so it cannot substitute for itself.
 				continue
 			}
-			value, ok := get(s.store, nb.key)
-			if !ok {
+			sess.hdr = append(sess.hdr[:0], "NEAR "...)
+			sess.hdr = append(sess.hdr, nb.key...)
+			sess.hdr = append(sess.hdr, ' ')
+			sess.hdr = strconv.AppendFloat(sess.hdr, nb.dist, 'f', ngetDistDigits, 64)
+			sess.hdr = append(sess.hdr, ' ')
+			if !get(s.store, nb.key, sess.stage) {
 				continue // indexed but evicted; try the next-nearest
 			}
-			err := sess.writeNear(nb.key, nb.dist, value)
+			err := sess.sendValue(true)
 			s.tel.semNear.Inc()
 			s.tel.semDist.Observe(nb.dist)
 			s.tel.ngetLat.Observe(time.Since(start).Seconds())
 			return err
 		}
 	}
-	err = sess.writeValueOrMiss(nil, false)
+	err = sess.sendValue(false)
 	s.tel.semMiss.Inc()
 	s.tel.ngetLat.Observe(time.Since(start).Seconds())
-	return err
-}
-
-// writeNear writes "NEAR <key> <dist> <nbytes>\r\n<payload>\r\n".
-func (sess *session) writeNear(key string, dist float64, value []byte) error {
-	sess.w.WriteString("NEAR ")
-	sess.w.WriteString(key)
-	sess.w.WriteByte(' ')
-	sess.num = strconv.AppendFloat(sess.num[:0], dist, 'f', ngetDistDigits, 64)
-	sess.w.Write(sess.num)
-	sess.w.WriteByte(' ')
-	sess.writeInt(int64(len(value)))
-	sess.w.WriteString("\r\n")
-	sess.w.Write(value)
-	_, err := sess.w.WriteString("\r\n")
 	return err
 }

@@ -377,7 +377,7 @@ func TestDelOfPendingRelink(t *testing.T) {
 		if err := c.Set("evictor", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, resident := srv.store.peek("k0"); resident {
+		if srv.store.has("k0") {
 			t.Fatal("k0 is still resident; it was meant to be evicted")
 		}
 		text, err := metrics(c)

@@ -406,7 +406,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			set[k], pushed[k] = true, false
 		case r < 8:
 			k := key()
-			if _, resident := srv.store.peek(k); !resident && set[k] {
+			if !srv.store.has(k) && set[k] {
 				if pushed[k] {
 					esetPushed++
 				} else {
@@ -416,7 +416,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			err = eset(c, k, emb())
 		case r < 9:
 			k := key()
-			if _, resident := srv.store.peek(k); !resident {
+			if !srv.store.has(k) {
 				break
 			}
 			for _, other := range residentKeys(srv) {
@@ -453,7 +453,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 		}
 		srv.sem.mu.Unlock()
 		for _, k := range indexed {
-			if _, resident := srv.store.peek(k); !resident {
+			if !srv.store.has(k) {
 				t.Fatalf("op %d: %s is indexed but not resident", op, k)
 			}
 		}

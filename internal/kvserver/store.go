@@ -7,9 +7,15 @@ import (
 
 // The value store is N-way sharded: keys are FNV-1a-hashed to a shard and
 // shards never contend with each other. Each shard is a mutex-guarded
-// exact LRU whose values are individual GC-managed allocations, and every
-// insert is admitted, evicting the shard's tail when it is full (DESIGN.md
-// §6 has the measurements behind that choice).
+// exact LRU, and every insert is admitted, evicting the shard's tail when
+// it is full (DESIGN.md §6 has the measurements behind that choice).
+//
+// A value is a []byte the store owns. The last value a SET displaced from
+// a shard, replaced or evicted, stays with the shard as its spare, and the
+// next SET of the same length into that shard reads its payload into it
+// (buf). A stored slice may therefore be written again once the shard
+// mutex is released, so no reader holds one past the mutex: get hands the
+// value to a callback under it.
 //
 // Shard count is a power of two chosen from the capacity: one shard per
 // minShardItems items, capped at maxAutoShards. Small stores (capacity <
@@ -58,6 +64,7 @@ type shard struct {
 	entries  map[string]*kvNode
 	head     *kvNode // most recently used
 	tail     *kvNode
+	spare    []byte // the last value a set displaced, for buf to hand out
 }
 
 type kvNode struct {
@@ -143,52 +150,71 @@ func fnv1a[K string | []byte](key K) uint32 {
 	return h
 }
 
-func (s *store) shardFor(key string) (int, *shard) {
+func shardFor[K string | []byte](s *store, key K) (int, *shard) {
 	i := int(fnv1a(key) & s.mask)
 	return i, s.shards[i]
 }
 
-// get returns the value under key and bumps its recency and its shard's
-// hit or miss counter. The GET path looks up the []byte it parsed, every
-// other path a string: the map lookup via string(key) compiles to an
-// allocation-free conversion, so neither copies the key.
-func get[K string | []byte](s *store, key K) ([]byte, bool) {
-	i := int(fnv1a(key) & s.mask)
-	sh := s.shards[i]
+// get bumps key's recency and its shard's hit or miss counter and, on a
+// hit, calls use with the value while holding the shard mutex: a later SET
+// may recycle the slice (buf), so use must copy what it keeps and must not
+// block. The GET path looks up the []byte it parsed, every other path a
+// string: the map lookup via string(key) compiles to an allocation-free
+// conversion, so neither copies the key.
+func get[K string | []byte](s *store, key K, use func(value []byte)) bool {
+	i, sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n, ok := sh.entries[string(key)]
 	if !ok {
 		s.stats_[i].misses.Add(1)
-		return nil, false
+		return false
 	}
 	s.stats_[i].hits.Add(1)
 	sh.moveToFront(n)
-	return n.value, true
+	use(n.value)
+	return true
 }
 
-// peek returns the value under key without bumping LRU recency or the
+// has reports whether key is resident, without bumping LRU recency or the
 // hit/miss counters, so a residency probe (an ESET's) neither distorts
-// eviction order nor pollutes the serving hit ratio. The slice returned is
-// the live value: callers must not modify it.
-func (s *store) peek(key string) ([]byte, bool) {
-	_, sh := s.shardFor(key)
+// eviction order nor pollutes the serving hit ratio.
+func (s *store) has(key string) bool {
+	_, sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n, ok := sh.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return n.value, true
+	_, ok := sh.entries[key]
+	return ok
 }
 
-func (s *store) set(key string, value []byte) {
-	_, sh := s.shardFor(key)
+// buf returns an n-byte buffer for a SET of key to read its payload into:
+// the spare of key's shard when its length is n, a new slice otherwise.
+// There are no size classes, so only same-length SETs recycle.
+func (s *store) buf(key []byte, n int) []byte {
+	_, sh := shardFor(s, key)
+	sh.mu.Lock()
+	b := sh.spare
+	if len(b) == n {
+		sh.spare = nil
+	}
+	sh.mu.Unlock()
+	if len(b) != n {
+		return make([]byte, n)
+	}
+	return b
+}
+
+// set stores value under key, taking ownership of value: the caller must
+// not use it again. The value key displaces, or the one its eviction
+// drops, becomes the shard's spare. key is only read, so a caller may pass
+// scratch bytes; the store copies them into a string for a new key only.
+func (s *store) set(key, value []byte) {
+	_, sh := shardFor(s, key)
 	var evicted string
 	hasEvicted := false
 	sh.mu.Lock()
-	if n, ok := sh.entries[key]; ok {
-		n.value = value
+	if n, ok := sh.entries[string(key)]; ok {
+		sh.spare, n.value = n.value, value
 		sh.moveToFront(n)
 		sh.mu.Unlock()
 		return
@@ -197,10 +223,11 @@ func (s *store) set(key string, value []byte) {
 		victim := sh.tail
 		sh.unlink(victim)
 		delete(sh.entries, victim.key)
+		sh.spare = victim.value
 		evicted, hasEvicted = victim.key, true
 	}
-	n := &kvNode{key: key, value: value}
-	sh.entries[key] = n
+	n := &kvNode{key: string(key), value: value}
+	sh.entries[n.key] = n
 	sh.pushFront(n)
 	sh.mu.Unlock()
 	// The hook runs outside the shard lock so it can take its own locks

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -71,7 +72,7 @@ func TestShardedEvictionBound(t *testing.T) {
 	const capacity = 100
 	st := newStoreShards(capacity, 8)
 	for i := 0; i < 10*capacity; i++ {
-		st.set(fmt.Sprintf("key-%d", i), []byte("v"))
+		st.set(fmt.Appendf(nil, "key-%d", i), []byte("v"))
 		if items, _, _ := st.stats(); items > capacity {
 			t.Fatalf("after %d sets: %d items > capacity %d", i+1, items, capacity)
 		}
@@ -91,9 +92,9 @@ func TestStatsEqualsShardSums(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("k%d", i%100)
 		if i%3 == 0 {
-			st.set(key, []byte("v"))
+			st.set([]byte(key), []byte("v"))
 		} else {
-			get(st, fmt.Sprintf("k%d", i%150)) // mix of hits and misses
+			get(st, fmt.Sprintf("k%d", i%150), ignore) // mix of hits and misses
 		}
 	}
 	items, hits, misses := st.stats()
@@ -121,7 +122,7 @@ func TestShardDistribution(t *testing.T) {
 	st := newStoreShards(1<<14, 16)
 	const n = 4096
 	for i := 0; i < n; i++ {
-		st.set(fmt.Sprintf("sample:%d", i), []byte("v"))
+		st.set(fmt.Appendf(nil, "sample:%d", i), []byte("v"))
 	}
 	mean := n / st.numShards()
 	for i := 0; i < st.numShards(); i++ {
@@ -136,16 +137,16 @@ func TestShardDistribution(t *testing.T) {
 // behaviour of the pre-sharding implementation.
 func TestSingleShardStrictLRU(t *testing.T) {
 	st := newStoreShards(2, 1)
-	st.set("a", []byte("1"))
-	st.set("b", []byte("2"))
-	if _, ok := get(st, "a"); !ok {
+	st.set([]byte("a"), []byte("1"))
+	st.set([]byte("b"), []byte("2"))
+	if !get(st, "a", ignore) {
 		t.Fatal("a missing")
 	}
-	st.set("c", []byte("3")) // must evict b, the global LRU
-	if _, ok := get(st, "b"); ok {
+	st.set([]byte("c"), []byte("3")) // must evict b, the global LRU
+	if get(st, "b", ignore) {
 		t.Fatal("LRU victim b still present")
 	}
-	if _, ok := get(st, "a"); !ok {
+	if !get(st, "a", ignore) {
 		t.Fatal("recently used a evicted")
 	}
 }
@@ -159,16 +160,16 @@ func TestStoreGetZeroAlloc(t *testing.T) {
 	keys := make([][]byte, 256)
 	for i := range keys {
 		k := fmt.Sprintf("za-%d", i)
-		st.set(k, payload)
+		st.set([]byte(k), bytes.Clone(payload))
 		keys[i] = []byte(k)
 	}
 	missing := []byte("za-missing")
-	i := 0
+	i, n := 0, 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		if v, ok := get(st, keys[i%len(keys)]); !ok || len(v) != len(payload) {
+		if !get(st, keys[i%len(keys)], func(v []byte) { n = len(v) }) || n != len(payload) {
 			t.Fatal("unexpected miss")
 		}
-		if _, ok := get(st, missing); ok {
+		if get(st, missing, ignore) {
 			t.Fatal("unexpected hit")
 		}
 		i++
@@ -178,8 +179,9 @@ func TestStoreGetZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStoreRaceStress hammers one store with mixed GET/SET/PEEK from many
-// goroutines; run under -race it checks the per-shard locking discipline.
+// TestStoreRaceStress hammers one store with mixed GET/SET/HAS from many
+// goroutines, its SETs reading into recycled buffers (buf) as the server's
+// do; run under -race it checks the per-shard locking discipline.
 func TestStoreRaceStress(t *testing.T) {
 	st := newStoreShards(512, 8)
 	const goroutines = 8
@@ -193,11 +195,13 @@ func TestStoreRaceStress(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g*31+i*7)%256)
 				switch i % 4 {
 				case 0, 1:
-					get(st, key)
+					get(st, key, ignore)
 				case 2:
-					st.set(key, []byte{byte(g), byte(i)})
+					v := st.buf([]byte(key), 2)
+					v[0], v[1] = byte(g), byte(i)
+					st.set([]byte(key), v)
 				case 3:
-					st.peek(key)
+					st.has(key)
 				}
 			}
 		}(g)
@@ -282,5 +286,111 @@ func TestServerRaceStress(t *testing.T) {
 	}
 	if items, _, _ := srv.store.stats(); items > 512 {
 		t.Fatalf("capacity breached: %d items", items)
+	}
+}
+
+// ignore is the get callback of a lookup that wants only the hit or miss.
+func ignore([]byte) {}
+
+// TestRepliesNeverTorn: a SET reads its payload into the buffer its shard
+// last displaced (store.buf), so a reply that copied its value after the
+// shard mutex could carry bytes of a later SET. Writers overwrite a few
+// keys of one single-shard store with two payloads each, all of one
+// length, while readers GET them and NGET them both exactly and through a
+// NEAR substitute; every reply must be one whole payload of the key it
+// names. The 1 KiB payloads fit the reply buffer (stage writes them
+// there), the 24 KiB ones do not (stage copies them to session scratch).
+func TestRepliesNeverTorn(t *testing.T) {
+	const keys, writers, readers, rounds = 4, 2, 2, 200
+	for _, size := range []int{1 << 10, 24 << 10} {
+		t.Run(fmt.Sprintf("len=%d", size), func(t *testing.T) {
+			srv := startServer(t, 64) // one shard: every key shares its spare
+			key := func(k int) string { return fmt.Sprintf("torn%d", k) }
+			payload := func(k, variant int) []byte {
+				return bytes.Repeat([]byte{byte('A' + 2*k + variant)}, size)
+			}
+			emb := func(k int) []float32 {
+				e := make([]float32, keys)
+				e[k] = 1
+				return e
+			}
+			c := dial(t, srv)
+			for k := 0; k < keys; k++ {
+				if err := c.Set(key(k), payload(k, 0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := eset(c, key(k), emb(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// check fails a reply to a request for key k that is not
+			// one of k's two payloads, or is (or is not) a NEAR of k.
+			check := func(k int, near bool, r Result) error {
+				if r.Err != nil || !r.Found || (r.Near != nil) != near || near && r.Near.Key != key(k) {
+					return fmt.Errorf("%s (near %v): found %v, near %v, err %v", key(k), near, r.Found, r.Near, r.Err)
+				}
+				if !bytes.Equal(r.Value, payload(k, 0)) && !bytes.Equal(r.Value, payload(k, 1)) {
+					return fmt.Errorf("reply for %s (near %v) is neither of its payloads: %.40q...", key(k), near, r.Value)
+				}
+				return nil
+			}
+
+			clients := make([]*Client, writers+readers)
+			for i := range clients {
+				clients[i] = dial(t, srv)
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			errs := make(chan error, len(clients))
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(c *Client) {
+					defer wg.Done()
+					for i := 0; !stop.Load(); i++ {
+						p := c.Pipeline()
+						for k := 0; k < keys; k++ {
+							p.Set(key(k), payload(k, (i+k)%2))
+						}
+						if _, err := p.Exec(); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(clients[w])
+			}
+			var rwg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				rwg.Add(1)
+				go func(c *Client) {
+					defer rwg.Done()
+					for i := 0; i < rounds; i++ {
+						p := c.Pipeline()
+						for k := 0; k < keys; k++ {
+							p.Get(key(k))
+							p.NGet(key(k), emb(k), 0.5)                     // exact hit
+							p.NGet(fmt.Sprintf("absent%d", k), emb(k), 0.5) // NEAR key(k)
+						}
+						res, err := p.Exec()
+						if err != nil {
+							errs <- err
+							return
+						}
+						for j, r := range res {
+							if err := check(j/3, j%3 == 2, r); err != nil {
+								errs <- err
+								return
+							}
+						}
+					}
+				}(clients[writers+r])
+			}
+			rwg.Wait()
+			stop.Store(true)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -3,8 +3,9 @@
 # explicit check list, the project's own static analysis (spiderlint), the
 # full test suite, the hnsw allocation gate, the bench module's vet and short
 # tests, the race-sensitive subset under -race, and the kill-a-node schedule,
-# the join read check, the opposite-owner-order Sets and the
-# ESET-beside-eviction lock order five times under -race. Everything CI
+# the join read check, the opposite-owner-order Sets, the
+# ESET-beside-eviction lock order and the torn-reply check five times under
+# -race. Everything CI
 # (and a careful human) runs before trusting a tree, in dependency order —
 # cheap, syntactic gates first, so failures surface fast.
 #
@@ -124,11 +125,14 @@ fi
 # owners' connections in placement order; and ESETs of keys that are not
 # resident run beside SETs that evict from the same shard, which would
 # deadlock if either held the shard mutex or the semantic index's mutex
-# while taking the other. One pass can get lucky with timing, so run them
-# five times under the race detector.
-echo "== kill-a-node, join and lock orders (-race -count=5)"
+# while taking the other. Beside them, the torn-reply gate: SETs that
+# recycle a displaced value's buffer beside GETs and NGETs of the same
+# keys, where a reply that copied its value after the shard mutex would
+# carry another SET's bytes. One pass can get lucky with timing, so run
+# them five times under the race detector.
+echo "== kill-a-node, join, lock orders and torn replies (-race -count=5)"
 go test -race -count=5 \
-    -run '^(TestKillNodeMidRun|TestPoolNodeRestart|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder)' \
+    -run '^(TestKillNodeMidRun|TestPoolNodeRestart|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder|TestRepliesNeverTorn)' \
     ./internal/cluster/ ./internal/kvserver/
 
 echo "check.sh: all gates passed"
