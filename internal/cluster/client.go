@@ -57,30 +57,19 @@ type Client struct {
 	pools    map[string]*kvserver.Pool
 }
 
-// Get fetches the cached payload for a sample ID from its replica owners
-// (see read).
+// Get fetches the cached payload for a sample ID from its replica owners,
+// asking each in placement order until one has it. A node whose pool is
+// backing off is skipped without touching the network. found=false with a
+// nil error means every reachable owner answered and none had the value — a
+// clean miss. An error means no owner could be reached at all. A lookup
+// answered after an owner failed counts one reroute.
 func (c *Client) Get(id int) (value []byte, found bool, err error) {
 	k := key(id)
-	found, err = c.read(k, func(kc *kvserver.Client) (ok bool, err error) {
-		value, ok, err = kc.Get(k)
-		return ok, err
-	})
-	return value, found, err
-}
-
-// read runs op, a lookup that reports whether it found the value, on each
-// replica owner of wire key k in placement order until one finds it. A
-// node whose pool is backing off is skipped without touching the network.
-// found=false with a nil error means every reachable owner answered and
-// none had the value — a clean miss. An error means no owner could be
-// reached at all. A lookup answered after an owner failed counts one
-// reroute.
-func (c *Client) read(k string, op func(*kvserver.Client) (bool, error)) (found bool, err error) {
 	var lastErr error
 	reachable, failedBefore := false, false
 	for _, node := range c.ring.OwnersKey(k, c.replicas) {
 		err := c.pools[node].Do(func(kc *kvserver.Client) (err error) {
-			found, err = op(kc)
+			value, found, err = kc.Get(k)
 			return err
 		})
 		if err == nil {
@@ -89,7 +78,7 @@ func (c *Client) read(k string, op func(*kvserver.Client) (bool, error)) (found 
 				failedBefore = false // count one reroute per op
 			}
 			if found {
-				return true, nil
+				return value, true, nil
 			}
 			reachable = true
 			continue // clean miss here; a replica may still have it
@@ -98,12 +87,12 @@ func (c *Client) read(k string, op func(*kvserver.Client) (bool, error)) (found 
 		failedBefore = true
 	}
 	if reachable {
-		return false, nil
+		return nil, false, nil
 	}
 	// Every owner failed, and there is at least one (New requires a seed
 	// and replicas >= 1), so lastErr is set.
 	c.tel.exhausted.Inc()
-	return false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
+	return nil, false, fmt.Errorf("%w: %w", ErrNoNodes, lastErr)
 }
 
 // Set stores the payload for a sample ID on every replica owner in one

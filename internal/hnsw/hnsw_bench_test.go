@@ -86,29 +86,44 @@ var (
 	sinkFloat   float64
 )
 
-// BenchmarkSearchKNN times the trainer's search (k 24 at EfSearch) on both
-// shapes, and the NGET lookup's (k 8 at width 24, kvserver's semSearchK and
-// semSearchEf) on the wire tier's.
+// searchOp builds an index of 8 000 points of a shape and returns the op of
+// BenchmarkSearchKNN's rows: the i-th searches for the (i mod 8 000)-th
+// point's vector at (k, ef).
+func searchOp(vecs func(n int) [][]float64, k, ef int) func(i int) {
+	const n = 8000
+	vs := vecs(n)
+	ix, _ := New(DefaultConfig())
+	for i, v := range vs {
+		ix.Upsert(i, v)
+	}
+	return func(i int) { sinkResults = ix.SearchKNNEf(vs[i%n], k, ef) }
+}
+
+// searchRows are the searches the repository runs: the trainer's (k 24 at
+// EfSearch) on both shapes, and the NGET lookup's (k 8 at width 24,
+// kvserver's semSearchK and semSearchEf) on the wire tier's.
+var searchRows = []struct {
+	name  string
+	vecs  func(n int) [][]float64
+	k, ef int
+}{
+	{benchShapes[0].name, benchShapes[0].vecs, 24, defaultParams.EfSearch},
+	{benchShapes[1].name, benchShapes[1].vecs, 24, defaultParams.EfSearch},
+	{"dim=16,k=8,ef=24", benchShapes[1].vecs, 8, 24},
+}
+
+// BenchmarkSearchKNN times searchRows.
 func BenchmarkSearchKNN(b *testing.B) {
-	bench := func(name string, vecs func(n int) [][]float64, k, ef int) {
-		b.Run(name, func(b *testing.B) {
-			const n = 8000
-			vecs := vecs(n)
-			ix, _ := New(DefaultConfig())
-			for i, v := range vecs {
-				ix.Upsert(i, v)
-			}
+	for _, row := range searchRows {
+		b.Run(row.name, func(b *testing.B) {
+			op := searchOp(row.vecs, row.k, row.ef)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkResults = ix.SearchKNNEf(vecs[i%n], k, ef)
+				op(i)
 			}
 		})
 	}
-	for _, shape := range benchShapes {
-		bench(shape.name, shape.vecs, 24, defaultParams.EfSearch)
-	}
-	bench("dim=16,k=8,ef=24", benchShapes[1].vecs, 8, 24)
 }
 
 // settleBatch is the trainer's mini-batch: the update benchmarks settle
@@ -123,37 +138,47 @@ func settleNow(ix *Index) {
 	ix.mu.Unlock()
 }
 
-// BenchmarkUpdate replaces each point with another point's un-normalised
-// Gaussian vector: every update teleports across the space, so none takes
-// the UpdateEps shortcut and every one pays the full re-link.
-func BenchmarkUpdate(b *testing.B) {
+// updateOp is BenchmarkUpdate's op: the i-th replaces point i mod 4 000
+// with the next point's un-normalised Gaussian vector, so every update
+// teleports across the space, none takes the UpdateEps shortcut and every
+// one pays the full re-link. Every settleBatch-th op settles.
+func updateOp(tb testing.TB) (*Index, func(i int)) {
 	const n = 4000
 	vecs := benchVecs(n, 32)
 	ix, _ := New(DefaultConfig())
 	for i, v := range vecs {
 		ix.Upsert(i, v)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return ix, func(i int) {
 		if err := ix.Upsert(i%n, vecs[(i+1)%n]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if (i+1)%settleBatch == 0 {
 			settleNow(ix)
 		}
 	}
+}
+
+// BenchmarkUpdate times updateOp.
+func BenchmarkUpdate(b *testing.B) {
+	ix, op := updateOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
 	settleNow(ix)
 }
 
-// BenchmarkUpdateDrift is the update the trainer issues: unit-norm dim-32
-// points that each move a little per step. The step sizes reproduce the
-// movement histogram of the train_local workload's later epochs (4 000
-// points; about a sixth of the moves fall under UpdateEps = 0.02 and only
-// copy the vector, a third lie in 0.02-0.08, most of the rest in 0.08-0.32).
-// The drift is applied in place inside the timed loop (about 1% of an
-// update) so that the loop allocates nothing of its own.
-func BenchmarkUpdateDrift(b *testing.B) {
+// updateDriftOp is BenchmarkUpdateDrift's op, the update the trainer
+// issues: unit-norm dim-32 points that each move a little per step. The
+// step sizes reproduce the movement histogram of the train_local
+// workload's later epochs (4 000 points; about a sixth of the moves fall
+// under UpdateEps = 0.02 and only copy the vector, a third lie in
+// 0.02-0.08, most of the rest in 0.08-0.32). The drift is applied in place
+// (about 1% of an update) so that the op allocates nothing of its own.
+// Every settleBatch-th op settles.
+func updateDriftOp(tb testing.TB) (*Index, func(i int)) {
 	const n, dim = 4000, 32
 	rng := xrand.New(3)
 	vecs := make([][]float64, n)
@@ -164,20 +189,28 @@ func BenchmarkUpdateDrift(b *testing.B) {
 	}
 	// sigma*sqrt(dim) is the expected step length.
 	sigmas := [...]float64{0.002, 0.007, 0.014, 0.028, 0.028, 0.05}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return ix, func(i int) {
 		v, sigma := vecs[i%n], sigmas[rng.Intn(len(sigmas))]
 		for j := range v {
 			v[j] += sigma * rng.NormFloat64()
 		}
 		normalize(v)
 		if err := ix.Upsert(i%n, v); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if (i+1)%settleBatch == 0 {
 			settleNow(ix)
 		}
+	}
+}
+
+// BenchmarkUpdateDrift times updateDriftOp.
+func BenchmarkUpdateDrift(b *testing.B) {
+	ix, op := updateDriftOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
 	}
 	settleNow(ix)
 }
@@ -243,13 +276,113 @@ func TestSettleAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSettleThenScore is a batch of the trainer's scoring: 64 points
-// move far enough to be due a re-link, and then each one's 24 nearest are
-// searched for, the first search settling the batch and every one of them
-// answered from the settle's beam. An op is the whole batch. One batch runs
-// before the clock starts, so that the settle's buffers have grown: on one
-// core an op then allocates the 64 results and nothing else.
-func BenchmarkSettleThenScore(b *testing.B) {
+// TestHotPathAllocs counts what each benchmarked hot path allocates, with
+// the benchmark's own index and op. The trainer upserts and searches the
+// index once per sample per batch, the cache tier deletes from it once per
+// eviction, and the index's hot path takes its working memory from a
+// pooled scratch: an allocation there would silently reintroduce per-op
+// garbage, and only a benchmark's -benchmem column would show it. The
+// bounds:
+//   - Update, UpdateDrift: an update of an existing point, with its share
+//     of the settle that re-links the batch, allocates nothing. A run is a
+//     whole batch of settleBatch updates and its settle, so that one
+//     allocation per settle fails the row too.
+//   - Delete: nothing, counted around Delete alone, without the insert
+//     that refills the slot, as BenchmarkDelete's stopped clock leaves it
+//     out.
+//   - SearchKNN: the slice it returns and no more, at the trainer's width
+//     and at the NGET lookup's.
+//   - SettleThenScore: a batch of scoring allocates its 64 results and no
+//     more.
+//
+// Every row counts on one core, as testing.AllocsPerRun does, where a
+// settle calls its one picker directly. On more cores a settle forks its
+// pickers through par.For, which allocates the block function, a
+// WaitGroup and a goroutine closure per extra block; TestSettleAllocs
+// bounds that on four.
+func TestHotPathAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const runs = 50
+	// batchOf runs settleBatch ops of an update op, the last of which
+	// settles.
+	batchOf := func(op func(i int)) func() {
+		next := 0
+		return func() {
+			for range settleBatch {
+				op(next)
+				next++
+			}
+		}
+	}
+	type row struct {
+		name   string
+		max    float64
+		allocs func(t *testing.T) float64
+	}
+	rows := []row{
+		{"Update", 0, func(t *testing.T) float64 {
+			_, op := updateOp(t)
+			return testing.AllocsPerRun(runs, batchOf(op))
+		}},
+		{"UpdateDrift", 0, func(t *testing.T) float64 {
+			_, op := updateDriftOp(t)
+			return testing.AllocsPerRun(runs, batchOf(op))
+		}},
+		{"SettleThenScore", settleBatch, func(t *testing.T) float64 {
+			return testing.AllocsPerRun(runs, scoreBatchOp(t))
+		}},
+	}
+	for _, sr := range searchRows {
+		rows = append(rows, row{"SearchKNN/" + sr.name, 1, func(*testing.T) float64 {
+			op, i := searchOp(sr.vecs, sr.k, sr.ef), 0
+			return testing.AllocsPerRun(runs, func() { op(i); i++ })
+		}})
+	}
+	for _, shape := range benchShapes {
+		rows = append(rows, row{"Delete/" + shape.name, 0, func(t *testing.T) float64 {
+			del, refill := deleteOp(t, shape.vecs)
+			return allocsAround(runs, del, refill)
+		}})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			got := r.allocs(t)
+			t.Logf("%v allocs/op", got)
+			if got > r.max {
+				t.Errorf("%v allocs/op, want at most %v", got, r.max)
+			}
+		})
+	}
+}
+
+// allocsAround is testing.AllocsPerRun for op alone: after(i) runs after
+// each op(i) and is not counted, like work a benchmark does with its clock
+// stopped.
+func allocsAround(runs int, op, after func(i int)) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op(0) // warm-up, as AllocsPerRun does
+	after(0)
+	var before, now runtime.MemStats
+	var mallocs uint64
+	for i := 1; i <= runs; i++ {
+		runtime.ReadMemStats(&before)
+		op(i)
+		runtime.ReadMemStats(&now)
+		mallocs += now.Mallocs - before.Mallocs
+		after(i)
+	}
+	return float64(mallocs / uint64(runs))
+}
+
+// scoreBatchOp is BenchmarkSettleThenScore's op, a batch of the trainer's
+// scoring: 64 points move far enough to be due a re-link, and then each
+// one's 24 nearest are searched for, the first search settling the batch
+// and every one of them answered from the settle's beam. One batch runs
+// before it is returned, so that the settle's buffers have grown: on one
+// core a batch then allocates the 64 results and nothing else.
+func scoreBatchOp(tb testing.TB) func() {
 	const n = 4000
 	vecs := benchVecs(2*n, 32)
 	ix, _ := New(DefaultConfig())
@@ -261,7 +394,7 @@ func BenchmarkSettleThenScore(b *testing.B) {
 		first := next
 		for ; next < first+settleBatch; next++ {
 			if err := ix.Upsert(next%n, vecs[(7*next+1)%len(vecs)]); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		for j := first; j < next; j++ {
@@ -269,6 +402,12 @@ func BenchmarkSettleThenScore(b *testing.B) {
 		}
 	}
 	batch()
+	return batch
+}
+
+// BenchmarkSettleThenScore times scoreBatchOp. An op is the whole batch.
+func BenchmarkSettleThenScore(b *testing.B) {
+	batch := scoreBatchOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -280,34 +419,48 @@ func BenchmarkSettleThenScore(b *testing.B) {
 // of 2n vectors the churn benchmarks cycle through: id i holds vecs[i%2n],
 // so deleting the oldest id and inserting the next keeps n points of one
 // distribution, none of them at the place of the one that left.
-func churnIndex(b *testing.B, n int, shape func(n int) [][]float64) (*Index, [][]float64) {
+func churnIndex(tb testing.TB, n int, shape func(n int) [][]float64) (*Index, [][]float64) {
 	vecs := shape(2 * n)
 	ix, _ := New(DefaultConfig())
 	for i := 0; i < n; i++ {
 		if err := ix.Upsert(i, vecs[i]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return ix, vecs
 }
 
-// BenchmarkDelete times Delete alone at N = 4096, the wire tier's index
-// size: the insert that refills the slot runs with the clock stopped.
+// deleteOp is BenchmarkDelete's op at N = 4096, the wire tier's index
+// size: del(i) deletes id i, and refill(i) inserts id i+4096 into the slot
+// it left.
+func deleteOp(tb testing.TB, shape func(n int) [][]float64) (del, refill func(i int)) {
+	const n = 4096
+	ix, vecs := churnIndex(tb, n, shape)
+	del = func(i int) {
+		if !ix.Delete(i) {
+			tb.Fatalf("id %d was not there", i)
+		}
+	}
+	refill = func(i int) {
+		if err := ix.Upsert(i+n, vecs[(i+n)%len(vecs)]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return del, refill
+}
+
+// BenchmarkDelete times Delete alone: the insert that refills the slot
+// runs with the clock stopped.
 func BenchmarkDelete(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			const n = 4096
-			ix, vecs := churnIndex(b, n, shape.vecs)
+			del, refill := deleteOp(b, shape.vecs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !ix.Delete(i) {
-					b.Fatalf("id %d was not there", i)
-				}
+				del(i)
 				b.StopTimer()
-				if err := ix.Upsert(i+n, vecs[(i+n)%len(vecs)]); err != nil {
-					b.Fatal(err)
-				}
+				refill(i)
 				b.StartTimer()
 			}
 		})

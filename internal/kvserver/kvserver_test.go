@@ -430,9 +430,15 @@ func BenchmarkSetGet(b *testing.B) {
 // a SET that overwrites a key none (it reads into the value the last
 // overwrite displaced), a SET of a new key its key string and list node,
 // and its value too unless the value its eviction dropped has the same
-// length, and an ESET of a resident key its key string. An added
+// length, an ESET its key string, an NGET exact hit none, and an NGET that
+// consults the index the result slices of its search and lookup. An added
 // allocation on any of these paths would otherwise show only as more
 // collector cycles.
+//
+// Under -race, sync.Pool drops a random share of what is put back, so a
+// request that takes hnsw's pooled scratch (a search, or the Delete that
+// unlinks an ESET of a key that is not resident) sometimes builds a new
+// one. Those rows run without -race only; the rest hold in both builds.
 func TestServeOneAllocs(t *testing.T) {
 	const runs = 1000
 	// A full store whose every shard holds more of the preloaded 64-byte
@@ -450,30 +456,90 @@ func TestServeOneAllocs(t *testing.T) {
 		}
 		return srv
 	}
-	var newKeys, newKeysOtherLen, esets []byte
+	// The last keys the preload SET are the most recent of their shards,
+	// so none of them is evicted; the preload's shards overflow and evict
+	// some of the first (see the rows' residency checks).
+	resident := []string{"k2040", "k2041", "k2042", "k2043", "k2044", "k2045", "k2046", "k2047"}
+	evicted := []string{"k2", "k3", "k4", "k5"}
+	axis := func(i int) []float32 {
+		emb := make([]float32, 16)
+		emb[i] = 1
+		return emb
+	}
+	esetStream := func(keys []string) []byte {
+		var b []byte
+		for i := 0; i <= runs; i++ {
+			emb := make([]float32, 16)
+			emb[i%16], emb[(i+1)%16] = 1, float32(i%7)
+			b = fmt.Appendf(b, "ESET %s %d\r\n", keys[i%len(keys)], len(emb))
+			b = append(b, embedPayload(emb)...)
+		}
+		return b
+	}
+	// Indexes each resident key on an axis of its own, for the NGET rows.
+	var indexing []byte
+	for i, k := range resident {
+		indexing = fmt.Appendf(indexing, "ESET %s 16\r\n", k)
+		indexing = append(indexing, embedPayload(axis(i))...)
+	}
+	ngetFrame := func(key string, emb []float32) []byte {
+		return append(fmt.Appendf(nil, "NGET %s 0.3 %d\r\n", key, len(emb)), embedPayload(emb)...)
+	}
+	nearAxis0 := axis(0) // cosine distance 0.005 from resident[0]'s
+	nearAxis0[1] = 0.1
+	var newKeys, newKeysOtherLen []byte
 	for i := 0; i <= runs; i++ {
 		newKeys = append(newKeys, setFrame(fmt.Sprintf("new%d", i), value)...)
 		newKeysOtherLen = append(newKeysOtherLen, setFrame(fmt.Sprintf("new%d", i), value[:32])...)
-		emb := make([]float32, 16)
-		emb[i%16], emb[(i+1)%16] = 1, float32(i%7)
-		esets = fmt.Appendf(esets, "ESET k%d %d\r\n", i%8, len(emb))
-		esets = append(esets, embedPayload(emb)...)
 	}
 	for _, tc := range []struct {
-		name   string
-		stream []byte
-		want   float64
+		name     string
+		indexed  bool     // the resident keys' embeddings are ESET first
+		resident []string // keys the row needs resident
+		evicted  []string // keys the row needs evicted
+		stream   []byte
+		want     float64
+		pooled   bool                // reaches hnsw's pooled scratch: runs without -race only
+		outcome  func(*Server) int64 // counts the requests answered as the row names
 	}{
-		{"GET hit", repeat([]byte("GET k1\r\n")), 0},
-		{"GET miss", repeat([]byte("GET absent\r\n")), 0},
-		{"SET new key, victim of its length", newKeys, 2},
-		{"SET new key, victim of another length", newKeysOtherLen, 3},
-		{"SET overwrite", repeat(setFrame("k1", value)), 0},
-		{"ESET resident key", esets, 1},
+		{name: "GET hit", stream: repeat([]byte("GET k1\r\n")), want: 0},
+		{name: "GET miss", stream: repeat([]byte("GET absent\r\n")), want: 0},
+		{name: "SET new key, victim of its length", stream: newKeys, want: 2},
+		{name: "SET new key, victim of another length", stream: newKeysOtherLen, want: 3},
+		{name: "SET overwrite", stream: repeat(setFrame("k1", value)), want: 0},
+		{name: "ESET resident key", resident: resident, stream: esetStream(resident), want: 1},
+		{name: "ESET evicted key", evicted: evicted, stream: esetStream(evicted), want: 1, pooled: true},
+		{name: "NGET exact hit", indexed: true, stream: repeat(ngetFrame(resident[0], axis(0))), want: 0,
+			outcome: func(s *Server) int64 { return s.tel.semExact.Value() }},
+		{name: "NGET NEAR", indexed: true, stream: repeat(ngetFrame("absent", nearAxis0)), want: 2, pooled: true,
+			outcome: func(s *Server) int64 { return s.tel.semNear.Value() }},
+		{name: "NGET semantic miss", indexed: true, stream: repeat(ngetFrame("absent", axis(15))), want: 2, pooled: true,
+			outcome: func(s *Server) int64 { return s.tel.semMiss.Value() }},
 	} {
+		if tc.pooled && raceBuild() {
+			continue
+		}
+		srv := newServer()
+		for _, k := range tc.resident {
+			if !srv.store.has(k) {
+				t.Fatalf("%s: key %s is not resident after the preload", tc.name, k)
+			}
+		}
+		for _, k := range tc.evicted {
+			if srv.store.has(k) {
+				t.Fatalf("%s: key %s is resident after the preload", tc.name, k)
+			}
+		}
+		if tc.indexed {
+			sess := newSession(bufio.NewReader(bytes.NewReader(indexing)), bufio.NewWriter(io.Discard))
+			for range resident {
+				if err := srv.serveOne(sess); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		// One serveOne call per request, on an in-process session; the
 		// stream holds runs+1 requests, AllocsPerRun's warm-up included.
-		srv := newServer()
 		sess := newSession(bufio.NewReaderSize(bytes.NewReader(tc.stream), connBufSize),
 			bufio.NewWriterSize(io.Discard, connBufSize))
 		got := testing.AllocsPerRun(runs, func() {
@@ -481,6 +547,9 @@ func TestServeOneAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		if tc.outcome != nil && tc.outcome(srv) != runs+1 {
+			t.Errorf("%s: %d of %d requests answered as named", tc.name, tc.outcome(srv), runs+1)
+		}
 		if got != tc.want {
 			t.Errorf("%s: %v allocs per request, want %v", tc.name, got, tc.want)
 		}
