@@ -19,11 +19,9 @@
 // (cluster.WithReplicas). Clients connect with
 // cluster.New(cluster.WithSeeds(...)), naming every member as a seed.
 //
-// The daemon collects garbage at a 50% heap target (gcPercent) instead
-// of the runtime's 100%, so its resident set follows the values it holds:
-// a store that overwrites and evicts leaves its replaced values on the
-// heap until the next cycle. The runtime's GOGC environment variable,
-// when set, overrides the target.
+// The daemon sets no runtime parameter: a request on a resident key
+// allocates nothing, so the collector's default target serves it
+// (DESIGN.md §6), and GOGC and GOMEMLIMIT act as in any Go program.
 //
 // The daemon exits on SIGINT/SIGTERM after a graceful close: the join
 // loop stops and in-flight sessions drain.
@@ -34,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -42,17 +39,6 @@ import (
 	"spidercache/internal/cluster"
 	"spidercache/internal/telemetry"
 )
-
-// gcPercent is the daemon's collector target: a cycle starts once the
-// heap has grown by this share of what the last cycle found live. A
-// daemon's heap is almost all pointer-free value bytes, which marking
-// does not scan, so the extra cycles cost little CPU, while the headroom
-// they remove is most of the gap between resident values and RSS
-// (DESIGN.md §6). Same-length SETs reuse the buffers they displace, so
-// what it collects is new keys' strings and list nodes and values of
-// other lengths. It is a constant, not a flag: GOGC already overrides
-// it.
-const gcPercent = 50
 
 func main() {
 	fs := flag.NewFlagSet("spiderkv", flag.ExitOnError)
@@ -72,12 +58,6 @@ func main() {
 		if s = strings.TrimSpace(s); s != "" {
 			seeds = append(seeds, s)
 		}
-	}
-
-	// Set before the node serves; a library (kvserver.Serve,
-	// cluster.StartNode) must not set a process-wide target.
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(gcPercent)
 	}
 
 	// Caught before the announce line, which a reader may answer with SIGTERM.

@@ -6,14 +6,11 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -143,96 +140,5 @@ func TestBadFlags(t *testing.T) {
 
 	if code := exitCode(t, exec.Command(bin, "-conns", "2").Run()); code != 2 {
 		t.Errorf("-conns 2: exit %d, want 2", code)
-	}
-}
-
-// TestCollectorTarget: the daemon collects at gcPercent, so under churn
-// its heap goal stays within gcPercent of the live heap, and GOGC in the
-// environment overrides that (100: twice the live heap). Each case SETs
-// 4 000 values of 32 KiB and up into a store of 1 000, each a byte longer
-// than the last, so no SET reuses the buffer its eviction dropped (a store
-// recycles same-length buffers only) and every value evicted after the
-// first thousand is garbage at once. It reads the last cycle's "A->B->C
-// MB, D MB goal" line of the runtime's gctrace: C is the heap the cycle
-// found live, D the size the cycle was started for.
-func TestCollectorTarget(t *testing.T) {
-	trace := regexp.MustCompile(`(\d+)->(\d+)->(\d+) MB, (\d+) MB goal`)
-	for _, tc := range []struct {
-		gogc    string // "" leaves GOGC unset
-		percent int    // the target it should set
-	}{
-		{"", gcPercent},
-		{"100", 100},
-	} {
-		t.Run("GOGC="+tc.gogc, func(t *testing.T) {
-			var env []string
-			for _, kv := range os.Environ() {
-				if !strings.HasPrefix(kv, "GOGC=") {
-					env = append(env, kv)
-				}
-			}
-			env = append(env, "GODEBUG=gctrace=1")
-			if tc.gogc != "" {
-				env = append(env, "GOGC="+tc.gogc)
-			}
-			cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-capacity", "1000")
-			cmd.Env = env
-			var errOut bytes.Buffer
-			cmd.Stderr = &errOut
-			stdout, err := cmd.StdoutPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer cmd.Process.Kill()
-			line, err := bufio.NewReader(stdout).ReadString('\n')
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := regexp.MustCompile(`serving on (\S+) `).FindStringSubmatch(line)
-			if addr == nil {
-				t.Fatalf("announce line %q", line)
-			}
-			c, err := kvserver.Dial(addr[1], 10*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			value := bytes.Repeat([]byte("x"), 32<<10+4000)
-			p := c.Pipeline()
-			for i := 0; i < 4000; i++ {
-				p.Set(fmt.Sprintf("k%d", i), value[:32<<10+i])
-				if p.Len() == 100 {
-					if _, err := p.Exec(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			c.Close()
-			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-				t.Fatal(err)
-			}
-			if code := exitCode(t, cmd.Wait()); code != 0 {
-				t.Fatalf("exit %d; stderr: %s", code, errOut.String())
-			}
-			cycles := trace.FindAllStringSubmatch(errOut.String(), -1)
-			if len(cycles) == 0 {
-				t.Fatalf("no gctrace line in stderr: %s", errOut.String())
-			}
-			last := cycles[len(cycles)-1]
-			live, _ := strconv.Atoi(last[3])
-			goal, _ := strconv.Atoi(last[4])
-			if live < 30 {
-				t.Fatalf("last cycle %q found %d MB live, want the store's ~32 MB", last[0], live)
-			}
-			// The goal also covers stacks and globals, and gctrace rounds
-			// to whole MB.
-			want := 1 + float64(tc.percent)/100
-			if r := float64(goal) / float64(live); r < want-0.2 || r > want+0.25 {
-				t.Errorf("last cycle %q: goal/live %.2f, want %.2f", last[0], r, want)
-			}
-			t.Logf("%d cycles, last %s", len(cycles), last[0])
-		})
 	}
 }

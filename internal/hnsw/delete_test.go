@@ -271,7 +271,7 @@ func recallAt8(ix *Index, vecs [][]float64, ids []int, ef int, rng *xrand.Rand) 
 	for i := 0; i < queries; i++ {
 		q := drifted(live[rng.Intn(len(live))], 0.05, rng)
 		got := map[int]bool{}
-		for _, r := range ix.SearchKNNEf(q, k, ef) {
+		for _, r := range ix.SearchKNNEf(nil, q, k, ef) {
 			got[r.ID] = true
 		}
 		for _, j := range bruteKNN(live, q, k) {

@@ -23,7 +23,7 @@ func recallOf(ix *Index, vecs [][]float64, queries [][]float64, k, ef int) float
 	found := 0
 	for _, q := range queries {
 		got := map[int]bool{}
-		for _, r := range ix.SearchKNNEf(q, k, ef) {
+		for _, r := range ix.SearchKNNEf(nil, q, k, ef) {
 			got[r.ID] = true
 		}
 		for _, id := range bruteKNN(vecs, q, k) {
@@ -276,12 +276,12 @@ func TestNarrowSearchReadsTheRow(t *testing.T) {
 	}
 	for _, ef := range []int{k, 16, 24, ix.p.EfSearch - 1} {
 		for i := 0; i < batch; i++ {
-			got := ix.SearchKNNEf(vecs[i], k, ef) // the first one settles the batch
+			got := ix.SearchKNNEf(nil, vecs[i], k, ef) // the first one settles the batch
 			ix.mu.RLock()
 			r, ok := ix.beamAt[vecHash(vecs[i])]
 			var row []Result
 			if ok {
-				row = ix.results(ix.beams[r*ix.p.EfSearch:][:ix.beamLen[r]], k)
+				row = ix.results(nil, ix.beams[r*ix.p.EfSearch:][:ix.beamLen[r]], k)
 			}
 			ix.mu.RUnlock()
 			if !ok {

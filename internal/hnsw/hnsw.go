@@ -915,24 +915,25 @@ type Result struct {
 }
 
 // SearchKNN returns up to k approximate nearest neighbours of q at the
-// EfSearch beam width: SearchKNNEf(q, k, EfSearch).
+// EfSearch beam width, in a new slice: SearchKNNEf(nil, q, k, EfSearch).
 func (ix *Index) SearchKNN(q []float64, k int) []Result {
-	return ix.SearchKNNEf(q, k, ix.p.EfSearch)
+	return ix.SearchKNNEf(nil, q, k, ix.p.EfSearch)
 }
 
 // SearchKNNEf returns up to k approximate nearest neighbours of q at beam
-// width ef, raised to k when below it. Safe for concurrent use; parallel
-// searches share only the read lock. A query of another dimensionality
+// width ef, raised to k when below it, in dst[:0] (a new slice if dst is
+// nil, so a caller that passes back its last result allocates nothing).
+// Safe for concurrent use; parallel searches share only the read lock. A query of another dimensionality
 // than the index's finds nothing: Delete can empty the index and another
 // dimensionality can move in between a caller's check and its search.
-func (ix *Index) SearchKNNEf(q []float64, k, ef int) (out []Result) {
-	ix.readSettled(func() { out = ix.searchKNN(q, k, ef) })
+func (ix *Index) SearchKNNEf(dst []Result, q []float64, k, ef int) (out []Result) {
+	ix.readSettled(func() { out = ix.searchKNN(dst[:0], q, k, ef) })
 	return out
 }
 
-func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
+func (ix *Index) searchKNN(dst []Result, q []float64, k, ef int) []Result {
 	if ix.entry < 0 || k <= 0 || len(q) != ix.dim {
-		return nil
+		return dst
 	}
 	if ef < k {
 		ef = k
@@ -943,7 +944,7 @@ func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 		if i, ok := ix.beamAt[vecHash(q)]; ok {
 			beam := ix.beams[i*ix.p.EfSearch:][:ix.beamLen[i]]
 			if slices.Equal(ix.vec(beam[0].id), q) {
-				return ix.results(beam, k)
+				return ix.results(dst, beam, k)
 			}
 		}
 	}
@@ -954,23 +955,25 @@ func (ix *Index) searchKNN(q []float64, k, ef int) []Result {
 	for l := ix.maxLv; l > 0; l-- {
 		ep, epDist = ix.greedyStep(sc, ep, epDist, q, l)
 	}
-	return ix.results(ix.searchLayer(sc, ep, epDist, q, ef, 0), k)
+	return ix.results(dst, ix.searchLayer(sc, ep, epDist, q, ef, 0), k)
 }
 
-// results returns the first k live points of cands as search results.
-func (ix *Index) results(cands []candidate, k int) []Result {
+// results puts the first k live points of cands in dst as search results.
+func (ix *Index) results(dst []Result, cands []candidate, k int) []Result {
 	// Free slots the search passed through are left out here, once per
 	// result, and not where it hops.
-	out := make([]Result, 0, min(k, len(cands)))
+	if dst == nil {
+		dst = make([]Result, 0, min(k, len(cands)))
+	}
 	for _, c := range cands {
-		if len(out) == k {
+		if len(dst) == k {
 			break
 		}
 		if nd := &ix.nodes[c.id]; !nd.free {
-			out = append(out, Result{ID: nd.id, Dist: math.Sqrt(c.dist)})
+			dst = append(dst, Result{ID: nd.id, Dist: math.Sqrt(c.dist)})
 		}
 	}
-	return out
+	return dst
 }
 
 // randomLevel draws the node level from the exponential distribution

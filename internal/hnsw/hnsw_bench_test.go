@@ -88,35 +88,44 @@ var (
 
 // searchOp builds an index of 8 000 points of a shape and returns the op of
 // BenchmarkSearchKNN's rows: the i-th searches for the (i mod 8 000)-th
-// point's vector at (k, ef).
-func searchOp(vecs func(n int) [][]float64, k, ef int) func(i int) {
+// point's vector at (k, ef), into the slice of the search before it when
+// reuse is set and into a new one otherwise.
+func searchOp(vecs func(n int) [][]float64, k, ef int, reuse bool) func(i int) {
 	const n = 8000
 	vs := vecs(n)
 	ix, _ := New(DefaultConfig())
 	for i, v := range vs {
 		ix.Upsert(i, v)
 	}
-	return func(i int) { sinkResults = ix.SearchKNNEf(vs[i%n], k, ef) }
+	var dst []Result
+	return func(i int) {
+		if reuse {
+			dst = sinkResults
+		}
+		sinkResults = ix.SearchKNNEf(dst, vs[i%n], k, ef)
+	}
 }
 
 // searchRows are the searches the repository runs: the trainer's (k 24 at
-// EfSearch) on both shapes, and the NGET lookup's (k 8 at width 24,
-// kvserver's semSearchK and semSearchEf) on the wire tier's.
+// EfSearch, SearchKNN's new slice per search) on both shapes, and the NGET
+// lookup's (k 8 at width 24, kvserver's semSearchK and semSearchEf, into
+// its session's slice) on the wire tier's.
 var searchRows = []struct {
 	name  string
 	vecs  func(n int) [][]float64
 	k, ef int
+	reuse bool
 }{
-	{benchShapes[0].name, benchShapes[0].vecs, 24, defaultParams.EfSearch},
-	{benchShapes[1].name, benchShapes[1].vecs, 24, defaultParams.EfSearch},
-	{"dim=16,k=8,ef=24", benchShapes[1].vecs, 8, 24},
+	{benchShapes[0].name, benchShapes[0].vecs, 24, defaultParams.EfSearch, false},
+	{benchShapes[1].name, benchShapes[1].vecs, 24, defaultParams.EfSearch, false},
+	{"dim=16,k=8,ef=24", benchShapes[1].vecs, 8, 24, true},
 }
 
 // BenchmarkSearchKNN times searchRows.
 func BenchmarkSearchKNN(b *testing.B) {
 	for _, row := range searchRows {
 		b.Run(row.name, func(b *testing.B) {
-			op := searchOp(row.vecs, row.k, row.ef)
+			op := searchOp(row.vecs, row.k, row.ef, row.reuse)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -290,8 +299,9 @@ func TestSettleAllocs(t *testing.T) {
 //   - Delete: nothing, counted around Delete alone, without the insert
 //     that refills the slot, as BenchmarkDelete's stopped clock leaves it
 //     out.
-//   - SearchKNN: the slice it returns and no more, at the trainer's width
-//     and at the NGET lookup's.
+//   - SearchKNN: at the trainer's width, the slice it returns and no
+//     more; at the NGET lookup's, into the slice of the search before it,
+//     nothing.
 //   - SettleThenScore: a batch of scoring allocates its 64 results and no
 //     more.
 //
@@ -335,8 +345,12 @@ func TestHotPathAllocs(t *testing.T) {
 		}},
 	}
 	for _, sr := range searchRows {
-		rows = append(rows, row{"SearchKNN/" + sr.name, 1, func(*testing.T) float64 {
-			op, i := searchOp(sr.vecs, sr.k, sr.ef), 0
+		bound := 1.0 // the new slice
+		if sr.reuse {
+			bound = 0
+		}
+		rows = append(rows, row{"SearchKNN/" + sr.name, bound, func(*testing.T) float64 {
+			op, i := searchOp(sr.vecs, sr.k, sr.ef, sr.reuse), 0
 			return testing.AllocsPerRun(runs, func() { op(i); i++ })
 		}})
 	}

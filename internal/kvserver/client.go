@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"time"
@@ -115,10 +116,19 @@ func validKey(key string) error {
 	return nil
 }
 
-// validEmbedding rejects embeddings the wire protocol cannot carry.
+// validEmbedding rejects the embeddings a server refuses (readEmbedding):
+// a dimension out of range, a NaN or infinite component, and the zero
+// vector, which has no direction to measure a cosine distance from.
 func validEmbedding(emb []float32) error {
 	if len(emb) < 1 || len(emb) > MaxEmbedDim {
 		return fmt.Errorf("%w: embedding dim %d (want 1..%d)", errBadRequest, len(emb), MaxEmbedDim)
+	}
+	var norm float64 // summed as readEmbedding sums it: NaN or +Inf when a component is
+	for _, f := range emb {
+		norm += float64(f) * float64(f)
+	}
+	if norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return fmt.Errorf("%w: embedding of squared norm %v (want finite, non-zero)", errBadRequest, norm)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -250,12 +251,26 @@ func TestStatsOverWire(t *testing.T) {
 
 // TestInvalidClientKey: every key-taking verb rejects a key the protocol
 // cannot carry before writing a byte — so a key with a line break cannot
-// smuggle a second command — and the client stays in step afterwards.
+// smuggle a second command — and ESET and NGET likewise an embedding the
+// server would refuse and close the connection over; the client stays in
+// step afterwards.
 func TestInvalidClientKey(t *testing.T) {
 	srv := startServer(t, 8)
 	c, conn := dialCounting(t, srv)
 	if err := c.Set("kept", []byte("v")); err != nil {
 		t.Fatal(err)
+	}
+	// rejected fails unless op fails with errBadRequest before writing a
+	// byte.
+	rejected := func(what string, op func() error) {
+		t.Helper()
+		before := conn.n
+		if err := op(); !errors.Is(err, errBadRequest) {
+			t.Errorf("%s = %v, want errBadRequest", what, err)
+		}
+		if after := conn.n; after != before {
+			t.Errorf("%s wrote %d bytes before failing", what, after-before)
+		}
 	}
 	emb := []float32{1, 0}
 	verbs := map[string]func(key string) error{
@@ -266,17 +281,23 @@ func TestInvalidClientKey(t *testing.T) {
 	}
 	for name, verb := range verbs {
 		for _, key := range []string{"", "has space", "has\nnewline", "a\r\nSET kept 1"} {
-			before := conn.n
-			if err := verb(key); !errors.Is(err, errBadRequest) {
-				t.Errorf("%s(%q) = %v, want errBadRequest", name, key, err)
-			}
-			if after := conn.n; after != before {
-				t.Errorf("%s(%q) wrote %d bytes before failing", name, key, after-before)
-			}
+			rejected(fmt.Sprintf("%s(%q)", name, key), func() error { return verb(key) })
 		}
 	}
+	// The embeddings a server answers with SERVER_ERROR and a closed
+	// connection: a NaN or infinite component, and the zero vector.
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, bad := range [][]float32{{nan, 1}, {inf, 0}, {1, -inf}, {0, 0}} {
+		rejected(fmt.Sprintf("ESet(kept, %v)", bad), func() error { return eset(c, "kept", bad) })
+		rejected(fmt.Sprintf("NGet(kept, %v)", bad), func() error { _, _, _, err := nget(c, "kept", bad, 0.3); return err })
+		// A Set queued before the bad ESet is dropped with it.
+		p := c.Pipeline()
+		p.Set("kept", []byte("overwritten"))
+		p.ESet("kept", bad)
+		rejected(fmt.Sprintf("Set+ESet(kept, %v)", bad), func() error { _, err := p.Exec(); return err })
+	}
 	if v, ok, err := c.Get("kept"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get after rejected keys = %q, %v, %v; want the stored value", v, ok, err)
+		t.Fatalf("Get after rejected requests = %q, %v, %v; want the stored value", v, ok, err)
 	}
 }
 
@@ -426,14 +447,16 @@ func BenchmarkSetGet(b *testing.B) {
 }
 
 // TestServeOneAllocs pins the garbage each request leaves for the
-// collector, which spiderkv runs at a low heap target: a GET leaves none,
-// a SET that overwrites a key none (it reads into the value the last
-// overwrite displaced), a SET of a new key its key string and list node,
-// and its value too unless the value its eviction dropped has the same
-// length, an ESET its key string, an NGET exact hit none, and an NGET that
-// consults the index the result slices of its search and lookup. An added
-// allocation on any of these paths would otherwise show only as more
-// collector cycles.
+// collector. A request on a resident key leaves none: a GET, a SET that
+// overwrites (it reads into the value the last overwrite displaced), an
+// ESET, and an NGET, whether it hits, is served a NEAR or misses (its
+// search and lookup fill session scratch); a key longer than the 32 bytes
+// a string conversion finds room for on the stack changes none of that.
+// A SET of a new key leaves its key string and list node, and its value
+// too unless the value its eviction dropped has the same length, and an
+// ESET of a key that is not resident its key string. The daemon runs the
+// runtime's default collector target, so an added allocation on any of
+// these paths would show only as more collector cycles and a larger heap.
 //
 // Under -race, sync.Pool drops a random share of what is put back, so a
 // request that takes hnsw's pooled scratch (a search, or the Delete that
@@ -461,6 +484,8 @@ func TestServeOneAllocs(t *testing.T) {
 	// some of the first (see the rows' residency checks).
 	resident := []string{"k2040", "k2041", "k2042", "k2043", "k2044", "k2045", "k2046", "k2047"}
 	evicted := []string{"k2", "k3", "k4", "k5"}
+	long := "k" + strings.Repeat("x", 63) // 64 bytes, SET by the rows that use it
+	setLong := setFrame(long, value)
 	axis := func(i int) []float32 {
 		emb := make([]float32, 16)
 		emb[i] = 1
@@ -477,7 +502,7 @@ func TestServeOneAllocs(t *testing.T) {
 		return b
 	}
 	// Indexes each resident key on an axis of its own, for the NGET rows.
-	var indexing []byte
+	indexing := bytes.Clone(setLong)
 	for i, k := range resident {
 		indexing = fmt.Appendf(indexing, "ESET %s 16\r\n", k)
 		indexing = append(indexing, embedPayload(axis(i))...)
@@ -494,7 +519,7 @@ func TestServeOneAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		indexed  bool     // the resident keys' embeddings are ESET first
+		setup    []byte   // requests served before the count
 		resident []string // keys the row needs resident
 		evicted  []string // keys the row needs evicted
 		stream   []byte
@@ -507,40 +532,45 @@ func TestServeOneAllocs(t *testing.T) {
 		{name: "SET new key, victim of its length", stream: newKeys, want: 2},
 		{name: "SET new key, victim of another length", stream: newKeysOtherLen, want: 3},
 		{name: "SET overwrite", stream: repeat(setFrame("k1", value)), want: 0},
-		{name: "ESET resident key", resident: resident, stream: esetStream(resident), want: 1},
+		{name: "ESET resident key", resident: resident, stream: esetStream(resident), want: 0},
+		{name: "ESET resident key, 64-byte key", setup: setLong, resident: []string{long},
+			stream: esetStream([]string{long}), want: 0},
 		{name: "ESET evicted key", evicted: evicted, stream: esetStream(evicted), want: 1, pooled: true},
-		{name: "NGET exact hit", indexed: true, stream: repeat(ngetFrame(resident[0], axis(0))), want: 0,
+		{name: "NGET exact hit", setup: indexing, stream: repeat(ngetFrame(resident[0], axis(0))), want: 0,
 			outcome: func(s *Server) int64 { return s.tel.semExact.Value() }},
-		{name: "NGET NEAR", indexed: true, stream: repeat(ngetFrame("absent", nearAxis0)), want: 2, pooled: true,
+		{name: "NGET exact hit, 64-byte key", setup: indexing, resident: []string{long},
+			stream: repeat(ngetFrame(long, axis(0))), want: 0,
+			outcome: func(s *Server) int64 { return s.tel.semExact.Value() }},
+		{name: "NGET NEAR", setup: indexing, stream: repeat(ngetFrame("absent", nearAxis0)), want: 0, pooled: true,
 			outcome: func(s *Server) int64 { return s.tel.semNear.Value() }},
-		{name: "NGET semantic miss", indexed: true, stream: repeat(ngetFrame("absent", axis(15))), want: 2, pooled: true,
+		{name: "NGET semantic miss", setup: indexing, stream: repeat(ngetFrame("absent", axis(15))), want: 0, pooled: true,
 			outcome: func(s *Server) int64 { return s.tel.semMiss.Value() }},
 	} {
 		if tc.pooled && raceBuild() {
 			continue
 		}
 		srv := newServer()
+		sess := newSession(bufio.NewReader(bytes.NewReader(tc.setup)), bufio.NewWriter(io.Discard))
+		for {
+			if err := srv.serveOne(sess); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, k := range tc.resident {
-			if !srv.store.has(k) {
+			if !srv.store.has([]byte(k)) {
 				t.Fatalf("%s: key %s is not resident after the preload", tc.name, k)
 			}
 		}
 		for _, k := range tc.evicted {
-			if srv.store.has(k) {
+			if srv.store.has([]byte(k)) {
 				t.Fatalf("%s: key %s is resident after the preload", tc.name, k)
-			}
-		}
-		if tc.indexed {
-			sess := newSession(bufio.NewReader(bytes.NewReader(indexing)), bufio.NewWriter(io.Discard))
-			for range resident {
-				if err := srv.serveOne(sess); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		// One serveOne call per request, on an in-process session; the
 		// stream holds runs+1 requests, AllocsPerRun's warm-up included.
-		sess := newSession(bufio.NewReaderSize(bytes.NewReader(tc.stream), connBufSize),
+		sess = newSession(bufio.NewReaderSize(bytes.NewReader(tc.stream), connBufSize),
 			bufio.NewWriterSize(io.Discard, connBufSize))
 		got := testing.AllocsPerRun(runs, func() {
 			if err := srv.serveOne(sess); err != nil {

@@ -106,20 +106,20 @@ func (s *Server) doESet(sess *session, args [][]byte) error {
 	start := time.Now()
 	// Copy the key BEFORE the payload read refills the reader's buffer
 	// (args alias it).
-	key := string(args[0])
+	sess.key = append(sess.key[:0], args[0]...)
 	vec, err := sess.readEmbedding(args[1])
 	if err != nil {
 		return err
 	}
-	if err := s.sem.upsert(key, vec); err != nil {
+	if err := s.sem.upsert(sess.key, vec); err != nil {
 		return err
 	}
 	// Eviction is the only other unlink path, and it never fires for a
 	// key that is not resident: without this check such an ESET
 	// would stay indexed for good. An eviction before the probe is caught
 	// here, one after it by the evict hook.
-	if !s.store.has(key) {
-		s.unlinkEmbedding(key)
+	if !s.store.has(sess.key) {
+		s.unlinkEmbedding(string(sess.key))
 	}
 	_, err = sess.w.WriteString("STORED\r\n")
 	s.tel.esetOps.Inc()
@@ -141,24 +141,24 @@ func (s *Server) doNGet(sess *session, args [][]byte) error {
 		return err
 	}
 	start := time.Now()
-	key := string(args[0]) // args alias the reader buffer; see doESet
+	sess.key = append(sess.key[:0], args[0]...) // args alias the reader buffer; see doESet
 	q, err := sess.readEmbedding(args[2])
 	if err != nil {
 		return err
 	}
 	sess.hdr = append(sess.hdr[:0], "VALUE "...)
-	if get(s.store, key, sess.stage) {
+	if get(s.store, sess.key, sess.stage) {
 		err := sess.sendValue(true)
 		s.tel.semExact.Inc()
 		s.tel.ngetLat.Observe(time.Since(start).Seconds())
 		return err
 	}
 	if threshold > 0 {
-		for _, nb := range s.sem.lookup(q) {
+		for _, nb := range s.sem.lookup(sess, q) {
 			if nb.dist > threshold {
 				break // candidates ascend; nothing closer is coming
 			}
-			if nb.key == key {
+			if nb.key == string(sess.key) {
 				// The query key's own (stale) embedding; its value is
 				// gone, so it cannot substitute for itself.
 				continue

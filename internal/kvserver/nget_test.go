@@ -8,8 +8,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"spidercache/internal/telemetry"
 	"spidercache/internal/xrand"
@@ -284,6 +287,130 @@ func TestNGetPayloadIntactUnderChurn(t *testing.T) {
 	wg.Wait()
 }
 
+// TestNearRepliesMatchOracle checks every NGET reply against what the
+// key space says it must be while four clients SET, ESET and NGET at once
+// on a store an eighth of its size, so that NGETs race evictions, index
+// upserts and one another's session scratch. A key's payload and embedding
+// are fixed functions of its id (wireEmbeddings: 64 clusters of 32 keys),
+// so whatever key a reply names, the test knows its bytes and where it
+// sits: a VALUE must carry the queried key's payload, and a NEAR the named
+// key's payload, at most the threshold from the query, with the cosine
+// distance of the two embeddings. A quarter of the NGETs ask for a random
+// direction, whose nearest resident is often beyond the threshold.
+func TestNearRepliesMatchOracle(t *testing.T) {
+	const keys, capacity, clients, threshold = 2048, 256, 4, 0.3
+	const run = time.Second
+	srv := startServer(t, capacity)
+	embs := make([][]float32, keys)
+	for i, v := range wireEmbeddings(keys, 16, 5) {
+		embs[i] = make([]float32, len(v))
+		for j, x := range v {
+			embs[i][j] = float32(x)
+		}
+	}
+	key := func(id int) string { return fmt.Sprintf("o%d", id) }
+	payload := func(id int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("<%d>", id)), 1+id%7) }
+	// cosDist is the cosine distance the server measures between two
+	// embeddings as it receives them: float32s, normalized in float64.
+	cosDist := func(a, b []float32) float64 {
+		var ab, aa, bb float64
+		for i := range a {
+			x, y := float64(a[i]), float64(b[i])
+			ab, aa, bb = ab+x*y, aa+x*x, bb+y*y
+		}
+		return 1 - ab/math.Sqrt(aa*bb)
+	}
+	// check returns what is wrong with the reply r to an NGET of key q
+	// (an id, or -1 for an absent key) at query emb.
+	check := func(q int, emb []float32, r Result) error {
+		switch {
+		case r.Err != nil:
+			return r.Err
+		case !r.Found:
+			return nil
+		case r.Near == nil:
+			if q < 0 || !bytes.Equal(r.Value, payload(q)) {
+				return fmt.Errorf("VALUE for key %d carries %.40q", q, r.Value)
+			}
+			return nil
+		}
+		id, err := strconv.Atoi(strings.TrimPrefix(r.Near.Key, "o"))
+		if err != nil || id < 0 || id >= keys || key(id) != r.Near.Key || id == q {
+			return fmt.Errorf("NEAR for key %d names %q", q, r.Near.Key)
+		}
+		if !bytes.Equal(r.Value, payload(id)) {
+			return fmt.Errorf("NEAR %s for key %d carries %.40q", r.Near.Key, q, r.Value)
+		}
+		if r.Near.Dist > threshold {
+			return fmt.Errorf("NEAR %s for key %d at %v, beyond the threshold %v", r.Near.Key, q, r.Near.Dist, threshold)
+		}
+		if want := cosDist(emb, embs[id]); math.Abs(r.Near.Dist-want) > 1e-5 {
+			return fmt.Errorf("NEAR %s for key %d at %v, want %v", r.Near.Key, q, r.Near.Dist, want)
+		}
+		return nil
+	}
+
+	deadline := time.Now().Add(run)
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for w := 0; w < clients; w++ {
+		c := dial(t, srv)
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := xrand.New(seed)
+			type query struct {
+				id  int // -1: an absent key
+				emb []float32
+				at  int // its reply's index
+			}
+			var queries []query
+			for time.Now().Before(deadline) {
+				p := c.Pipeline()
+				queries = queries[:0]
+				for p.Len() < 16 {
+					id := rng.Intn(keys)
+					switch op := rng.Intn(8); {
+					case op < 2: // a SET and the key's ESET
+						p.Set(key(id), payload(id))
+						p.ESet(key(id), embs[id])
+					case op < 6:
+						queries = append(queries, query{id, embs[id], p.Len()})
+						p.NGet(key(id), embs[id], threshold)
+					default:
+						emb := make([]float32, 16)
+						for j := range emb {
+							emb[j] = float32(rng.NormFloat64())
+						}
+						queries = append(queries, query{-1, emb, p.Len()})
+						p.NGet(fmt.Sprintf("absent%d", id), emb, threshold)
+					}
+				}
+				res, err := p.Exec()
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, q := range queries {
+					if err := check(q.id, q.emb, res[q.at]); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("NGETs: %d exact, %d NEAR, %d missed", srv.tel.semExact.Value(), srv.tel.semNear.Value(), srv.tel.semMiss.Value())
+	if srv.tel.semNear.Value() == 0 || srv.tel.semMiss.Value() == 0 {
+		t.Error("the run served no NEAR reply or no miss: the oracle checked nothing")
+	}
+}
+
 // clusterVecs returns n unit dim-16 embeddings around 8 centroids (vector i
 // in cluster i%8), and the centroids.
 func clusterVecs(n int) (vecs, centroids [][]float32) {
@@ -377,7 +504,7 @@ func TestDelOfPendingRelink(t *testing.T) {
 		if err := c.Set("evictor", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if srv.store.has("k0") {
+		if srv.store.has([]byte("k0")) {
 			t.Fatal("k0 is still resident; it was meant to be evicted")
 		}
 		text, err := metrics(c)

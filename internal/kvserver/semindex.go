@@ -61,14 +61,14 @@ func newSemIndex() *semIndex {
 	return &semIndex{ix: ix, byKey: make(map[string]int), byID: make(map[int]string)}
 }
 
-// upsert indexes vec (already unit-normalized) under key. The first
-// upsert into an empty index fixes the dimensionality until the index
-// is empty again; mismatches are rejected with the stable protocol
-// error and change nothing.
-func (x *semIndex) upsert(key string, vec []float64) error {
+// upsert indexes vec (already unit-normalized) under key, copied into a
+// string for a new key only. The first upsert into an empty index fixes
+// the dimensionality until the index is empty again; mismatches are
+// rejected with the stable protocol error and change nothing.
+func (x *semIndex) upsert(key []byte, vec []float64) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	id, known := x.byKey[key]
+	id, known := x.byKey[string(key)]
 	if !known {
 		id = x.next
 	}
@@ -77,8 +77,9 @@ func (x *semIndex) upsert(key string, vec []float64) error {
 	}
 	if !known {
 		x.next++
-		x.byKey[key] = id
-		x.byID[id] = key
+		k := string(key)
+		x.byKey[k] = id
+		x.byID[id] = k
 	}
 	return nil
 }
@@ -108,29 +109,30 @@ type semNeighbor struct {
 }
 
 // lookup returns up to semSearchK indexed neighbors of q (cosine
-// distance ascending). Callers still must check each candidate for
-// store residency and threshold — the index can run ahead of (or
-// behind) the store by design. A query of another dimensionality than
-// the index's returns nil: at search time it only means "this node has
-// no comparable embeddings", which must read as a miss, not a protocol
-// error.
-func (x *semIndex) lookup(q []float64) []semNeighbor {
+// distance ascending) in sess.near, searching into sess.res, so that a
+// session's lookups allocate nothing. Callers still must check each
+// candidate for store residency and threshold — the index can run ahead
+// of (or behind) the store by design. A query of another dimensionality
+// than the index's finds nothing: at search time it only means "this
+// node has no comparable embeddings", which must read as a miss, not a
+// protocol error.
+func (x *semIndex) lookup(sess *session, q []float64) []semNeighbor {
 	// The search runs outside x.mu; hnsw's own RWMutex orders it against
 	// concurrent upserts and deletes.
-	res := x.ix.SearchKNNEf(q, semSearchK, semSearchEf)
-	out := make([]semNeighbor, 0, len(res))
+	sess.res = x.ix.SearchKNNEf(sess.res, q, semSearchK, semSearchEf)
+	sess.near = sess.near[:0]
 	x.mu.Lock()
-	for _, r := range res {
+	for _, r := range sess.res {
 		key, ok := x.byID[r.ID]
 		if !ok {
 			continue // unlinked between the search and now
 		}
 		// hnsw distances are Euclidean; for unit vectors
 		// ‖a−b‖² = 2(1 − a·b), so cosine distance is d²/2.
-		out = append(out, semNeighbor{key: key, dist: r.Dist * r.Dist / 2})
+		sess.near = append(sess.near, semNeighbor{key: key, dist: r.Dist * r.Dist / 2})
 	}
 	x.mu.Unlock()
-	return out
+	return sess.near
 }
 
 // size returns the index's point counts: live embeddings, and slots

@@ -79,7 +79,7 @@ func TestSemIndexChurnIsBounded(t *testing.T) {
 	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
 	x := newSemIndex()
 	for i := 0; i < live; i++ {
-		if err := x.upsert(key(i), vecs[i]); err != nil {
+		if err := x.upsert([]byte(key(i)), vecs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestSemIndexChurnIsBounded(t *testing.T) {
 			t.Fatalf("pair %d: graph holds %d slots for %d live embeddings", i, n, live-1)
 		}
 		clock("upsert", i, func() {
-			if err := x.upsert(key(live+i), vecs[live+i]); err != nil {
+			if err := x.upsert([]byte(key(live+i)), vecs[live+i]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -117,7 +117,7 @@ func TestSemIndexChurnIsBounded(t *testing.T) {
 		if i%16 != 0 {
 			continue
 		}
-		near := x.lookup(vecs[live+i])
+		near := x.lookup(new(session), vecs[live+i])
 		if len(near) != semSearchK || near[0].key != key(live+i) || near[0].dist > 1e-12 {
 			t.Fatalf("pair %d: the embedding just stored is not its own nearest neighbour: %v", i, near)
 		}
@@ -216,7 +216,7 @@ func TestSemIndexRecallAtWidth(t *testing.T) {
 	isResident := make([]bool, keys)
 	for i := range resident {
 		resident[i], isResident[i] = i, true
-		if err := x.upsert(key(i), vecs[i]); err != nil {
+		if err := x.upsert([]byte(key(i)), vecs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func TestSemIndexRecallAtWidth(t *testing.T) {
 		}
 		isResident[resident[slot]] = false
 		k := absent()
-		if err := x.upsert(key(k), vecs[k]); err != nil {
+		if err := x.upsert([]byte(key(k)), vecs[k]); err != nil {
 			t.Fatal(err)
 		}
 		resident[slot], isResident[k] = k, true
@@ -249,7 +249,7 @@ func TestSemIndexRecallAtWidth(t *testing.T) {
 				best, bestDist = r, d
 			}
 		}
-		got := x.lookup(q)
+		got := x.lookup(new(session), q)
 		if len(got) > 0 && got[0].key == key(best) {
 			exact++
 		}
@@ -280,14 +280,14 @@ func TestSemIndexFailedUpsertChangesNothing(t *testing.T) {
 	x := newSemIndex()
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
 	for i := 0; i < 200; i++ {
-		if err := x.upsert(key(i), vecs[i]); err != nil {
+		if err := x.upsert([]byte(key(i)), vecs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ { // churn: 100 out, 60 in, 40 slots left free
 		x.unlink(key(i))
 		if i < 60 {
-			if err := x.upsert(key(200+i), vecs[200+i]); err != nil {
+			if err := x.upsert([]byte(key(200+i)), vecs[200+i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -301,7 +301,7 @@ func TestSemIndexFailedUpsertChangesNothing(t *testing.T) {
 	}
 	snapshot := func() state {
 		s := state{byKey: map[string]int{}, byID: map[int]string{}, next: x.next,
-			live: x.ix.Len(), free: x.ix.Free(), nearest: x.lookup(vecs[150])}
+			live: x.ix.Len(), free: x.ix.Free(), nearest: x.lookup(new(session), vecs[150])}
 		for k, v := range x.byKey {
 			s.byKey[k] = v
 		}
@@ -320,7 +320,7 @@ func TestSemIndexFailedUpsertChangesNothing(t *testing.T) {
 		{"unlinked key", key(80)},
 	} {
 		for _, dim := range []int{15, 17, 1} {
-			if err := x.upsert(tc.key, make([]float64, dim)); err != errBadEmbedDim {
+			if err := x.upsert([]byte(tc.key), make([]float64, dim)); err != errBadEmbedDim {
 				t.Fatalf("%s, dim %d: err = %v, want %v", tc.name, dim, err, errBadEmbedDim)
 			}
 			if after := snapshot(); !reflect.DeepEqual(before, after) {
@@ -329,7 +329,7 @@ func TestSemIndexFailedUpsertChangesNothing(t *testing.T) {
 		}
 	}
 	// And the next accepted one takes a free slot and the next id.
-	if err := x.upsert("never-seen", vecs[299]); err != nil {
+	if err := x.upsert([]byte("never-seen"), vecs[299]); err != nil {
 		t.Fatal(err)
 	}
 	if x.byKey["never-seen"] != before.next || x.ix.Free() != 39 {
@@ -406,7 +406,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			set[k], pushed[k] = true, false
 		case r < 8:
 			k := key()
-			if !srv.store.has(k) && set[k] {
+			if !srv.store.has([]byte(k)) && set[k] {
 				if pushed[k] {
 					esetPushed++
 				} else {
@@ -416,7 +416,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 			err = eset(c, k, emb())
 		case r < 9:
 			k := key()
-			if !srv.store.has(k) {
+			if !srv.store.has([]byte(k)) {
 				break
 			}
 			for _, other := range residentKeys(srv) {
@@ -453,7 +453,7 @@ func TestSemIndexNeverOutgrowsStore(t *testing.T) {
 		}
 		srv.sem.mu.Unlock()
 		for _, k := range indexed {
-			if !srv.store.has(k) {
+			if !srv.store.has([]byte(k)) {
 				t.Fatalf("op %d: %s is indexed but not resident", op, k)
 			}
 		}

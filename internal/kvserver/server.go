@@ -84,6 +84,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spidercache/internal/hnsw"
 	"spidercache/internal/telemetry"
 )
 
@@ -318,13 +319,15 @@ const connBufSize = 16 << 10
 type session struct {
 	r      *bufio.Reader
 	w      *bufio.Writer
-	fields [][]byte  // field-split scratch, aliases the reader's buffer
-	num    []byte    // integer formatting scratch
-	key    []byte    // a SET's key, copied out of the reader's buffer
-	hdr    []byte    // the header of a reply carrying a stored value
-	val    []byte    // a stored value copied out for a reply (stage)
-	emb    []byte    // embedding payload scratch (NGET/ESET)
-	vec    []float64 // decoded embedding scratch (NGET/ESET)
+	fields [][]byte      // field-split scratch, aliases the reader's buffer
+	num    []byte        // integer formatting scratch
+	key    []byte        // a SET's, NGET's or ESET's key, copied out of the reader's buffer
+	hdr    []byte        // the header of a reply carrying a stored value
+	val    []byte        // a stored value copied out for a reply (stage)
+	emb    []byte        // embedding payload scratch (NGET/ESET)
+	vec    []float64     // decoded embedding scratch (NGET/ESET)
+	res    []hnsw.Result // an NGET's index search results (semIndex.lookup)
+	near   []semNeighbor // an NGET's candidates, mapped to keys (semIndex.lookup)
 }
 
 func newSession(r *bufio.Reader, w *bufio.Writer) *session {

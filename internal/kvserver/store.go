@@ -179,11 +179,11 @@ func get[K string | []byte](s *store, key K, use func(value []byte)) bool {
 // has reports whether key is resident, without bumping LRU recency or the
 // hit/miss counters, so a residency probe (an ESET's) neither distorts
 // eviction order nor pollutes the serving hit ratio.
-func (s *store) has(key string) bool {
+func (s *store) has(key []byte) bool {
 	_, sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
+	_, ok := sh.entries[string(key)]
 	return ok
 }
 

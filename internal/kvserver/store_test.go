@@ -201,7 +201,7 @@ func TestStoreRaceStress(t *testing.T) {
 					v[0], v[1] = byte(g), byte(i)
 					st.set([]byte(key), v)
 				case 3:
-					st.has(key)
+					st.has([]byte(key))
 				}
 			}
 		}(g)

@@ -4,8 +4,8 @@
 # full test suite (every allocation pin included), the bench module's vet
 # and short tests, the race-sensitive subset under -race, and the
 # kill-a-node schedule, the join read check, the opposite-owner-order Sets,
-# the ESET-beside-eviction lock order and the torn-reply check five times
-# under -race. It parses no benchmark output: benchmarks measure, tests pin.
+# the ESET-beside-eviction lock order, the torn-reply check and the NEAR
+# oracle five times under -race. It parses no benchmark output: benchmarks measure, tests pin.
 # Everything CI (and a careful human) runs before trusting a tree, in
 # dependency order — cheap, syntactic gates first, so failures surface fast.
 #
@@ -43,9 +43,9 @@ echo "== spiderlint"
 go run ./cmd/spiderlint ./...
 
 # go test includes every allocation pin: the store's GET
-# (TestStoreGetZeroAlloc), each request's (TestServeOneAllocs),
-# Ring.OwnersKey's, and the hnsw hot path's (TestHotPathAllocs,
-# TestSettleAllocs).
+# (TestStoreGetZeroAlloc), each request's (TestServeOneAllocs: none on a
+# resident key, so the daemon needs no collector target), Ring.OwnersKey's,
+# and the hnsw hot path's (TestHotPathAllocs, TestSettleAllocs).
 echo "== go test"
 go test ./...
 
@@ -85,11 +85,14 @@ fi
 # while taking the other. Beside them, the torn-reply gate: SETs that
 # recycle a displaced value's buffer beside GETs and NGETs of the same
 # keys, where a reply that copied its value after the shard mutex would
-# carry another SET's bytes. One pass can get lucky with timing, so run
-# them five times under the race detector.
-echo "== kill-a-node, join, lock orders and torn replies (-race -count=5)"
+# carry another SET's bytes; and the NEAR oracle, four clients' NGETs
+# beside SETs and ESETs that evict, each reply checked against the key
+# space (payload, threshold, distance), which also races the sessions'
+# lookup scratch. One pass can get lucky with timing, so run them five
+# times under the race detector.
+echo "== kill-a-node, join, lock orders, torn replies and NEAR oracle (-race -count=5)"
 go test -race -count=5 \
-    -run '^(TestKillNodeMidRun|TestPoolNodeRestart|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder|TestRepliesNeverTorn)' \
+    -run '^(TestKillNodeMidRun|TestPoolNodeRestart|TestJoinKeepsEveryKeyReadable|TestSetOppositeOwnerOrders|TestESetBesideEvictingSetsLockOrder|TestRepliesNeverTorn|TestNearRepliesMatchOracle)' \
     ./internal/cluster/ ./internal/kvserver/
 
 echo "check.sh: all gates passed"
