@@ -157,7 +157,7 @@ func (m *Manager) Observe(epoch int, scoreStd, accuracy float64) float64 {
 	if total < 1 {
 		total = 1
 	}
-	return RatioAt(m.cfg.RStart, m.cfg.REnd, t/total, u, true)
+	return RatioAt(m.cfg.RStart, m.cfg.REnd, t/total, u)
 }
 
 // penalty is the Accuracy Monitor: u = Δ/(γ+Δ) from the SG-smoothed
@@ -219,14 +219,12 @@ func Slope(ys []float64) float64 {
 	return (n*sxy - sx*sy) / denom
 }
 
-// RatioAt evaluates Eq. 8, imp_ratio = r_start − β(r_start−r_end)(t/T)^(1+u),
-// with frac = t/T clamped to [0, 1] and the result never below rEnd. It is
-// the one implementation of Eq. 8: Observe calls it, and so does the Fig 11
-// analytic sweep.
-func RatioAt(rStart, rEnd, frac, u float64, beta bool) float64 {
-	if !beta {
-		return rStart
-	}
+// RatioAt evaluates Eq. 8 once β has latched, imp_ratio =
+// r_start − (r_start−r_end)(t/T)^(1+u), with frac = t/T clamped to [0, 1]
+// and the result never below rEnd (before β latches, Observe returns
+// r_start itself). It is the one implementation of Eq. 8: Observe calls
+// it, and so does the Fig 11 analytic sweep.
+func RatioAt(rStart, rEnd, frac, u float64) float64 {
 	if frac < 0 {
 		frac = 0
 	}

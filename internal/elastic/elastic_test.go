@@ -145,7 +145,7 @@ func TestObserveIsEq8(t *testing.T) {
 			t.Fatalf("epoch %d: u = %g outside [0,1)", e, u)
 		}
 		frac := float64(e-m.activatedAt+1) / float64(40-m.activatedAt)
-		if want := RatioAt(0.9, 0.5, frac, u, true); r != want {
+		if want := RatioAt(0.9, 0.5, frac, u); r != want {
 			t.Fatalf("epoch %d: Observe %v, RatioAt %v", e, r, want)
 		}
 	}
@@ -170,20 +170,17 @@ func TestEqualRangeIsStatic(t *testing.T) {
 
 func TestRatioAtFormula(t *testing.T) {
 	// Eq. 8 spot checks.
-	if got := RatioAt(0.9, 0.8, 0, 0, true); got != 0.9 {
+	if got := RatioAt(0.9, 0.8, 0, 0); got != 0.9 {
 		t.Fatalf("t=0: %g", got)
 	}
-	if got := RatioAt(0.9, 0.8, 1, 0, true); math.Abs(got-0.8) > 1e-12 {
+	if got := RatioAt(0.9, 0.8, 1, 0); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("t=T,u=0: %g", got)
 	}
-	if got := RatioAt(0.9, 0.8, 0.5, 0, true); math.Abs(got-0.85) > 1e-12 {
+	if got := RatioAt(0.9, 0.8, 0.5, 0); math.Abs(got-0.85) > 1e-12 {
 		t.Fatalf("t=T/2,u=0: %g (linear when u=0)", got)
 	}
-	if got := RatioAt(0.9, 0.8, 0.5, 1, true); math.Abs(got-(0.9-0.1*0.25)) > 1e-12 {
+	if got := RatioAt(0.9, 0.8, 0.5, 1); math.Abs(got-(0.9-0.1*0.25)) > 1e-12 {
 		t.Fatalf("t=T/2,u=1: %g (quadratic when u=1)", got)
-	}
-	if got := RatioAt(0.9, 0.8, 0.7, 0.3, false); got != 0.9 {
-		t.Fatalf("β=0: %g", got)
 	}
 }
 
@@ -192,11 +189,11 @@ func TestRatioAtProperties(t *testing.T) {
 	check := func(fracRaw, uRaw uint8) bool {
 		frac := float64(fracRaw) / 255
 		u := float64(uRaw) / 255
-		r := RatioAt(0.9, 0.8, frac, u, true)
+		r := RatioAt(0.9, 0.8, frac, u)
 		if r < 0.8-1e-12 || r > 0.9+1e-12 {
 			return false
 		}
-		r2 := RatioAt(0.9, 0.8, frac+0.1, u, true)
+		r2 := RatioAt(0.9, 0.8, frac+0.1, u)
 		return r2 <= r+1e-12
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {

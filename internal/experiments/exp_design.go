@@ -22,7 +22,7 @@ func Fig11(opt Options) (*Report, error) {
 	for i, u := range us {
 		pts := make([]float64, steps+1)
 		for s := 0; s <= steps; s++ {
-			pts[s] = elastic.RatioAt(0.90, 0.80, float64(s)/steps, u, true)
+			pts[s] = elastic.RatioAt(0.90, 0.80, float64(s)/steps, u)
 		}
 		series[i] = table.Series{Name: fmt.Sprintf("u=%.2f", u), Points: pts}
 	}

@@ -189,7 +189,7 @@ func (p *Pipeline) recv(results []Result) error {
 			err = p.c.readStored(verbs[kind])
 		}
 		if err != nil {
-			if isTransportErr(err) {
+			if !errors.Is(err, errRefused) {
 				return err
 			}
 			r.Err = err
@@ -204,21 +204,14 @@ func (p *Pipeline) recv(results []Result) error {
 // be read against the wrong op.
 var errOutOfStep = errors.New("kvserver: reply stream out of step")
 
-// isTransportErr distinguishes failures after which the reply stream is
-// unusable — a dial, read or write that failed, or a reply that could not
-// be framed (errOutOfStep) — which abort the Recv, from the other errors
-// the client raises itself with a "kvserver:" prefix: unexpected reply
-// lines, which consume exactly one reply (safe to report per-op and keep
-// reading), rejected requests, ErrPoolClosed and ErrNodeDown. A SERVER_ERROR
-// reply also closes the server side, so the next read aborts as a
-// transport error anyway.
-func isTransportErr(err error) bool {
-	if errors.Is(err, errOutOfStep) {
-		return true
-	}
-	s := err.Error()
-	return !(len(s) >= 9 && s[:9] == "kvserver:")
-}
+// errRefused tags the server's refusal of one op, "kvserver: <VERB>
+// failed: <line>": a reply line that is neither the op's answer nor
+// misframed. It consumes exactly that one reply, so recv reports it
+// against its op and reads on; every other error it meets (a read that
+// failed, errOutOfStep) leaves the stream unusable and aborts the Recv. A
+// SERVER_ERROR reply also closes the server side, so the next read aborts
+// anyway.
+var errRefused = errors.New("kvserver:")
 
 // The frame writers: one per verb, each validating its arguments before it
 // writes a byte, so an invalid request never reaches the buffer.
@@ -335,7 +328,7 @@ func (c *Client) readValue(verb string) (value []byte, near *Near, found bool, e
 		}
 		return value, &Near{Key: fields[1], Dist: dist}, true, nil
 	default:
-		return nil, nil, false, fmt.Errorf("kvserver: %s failed: %s", verb, line)
+		return nil, nil, false, fmt.Errorf("%w %s failed: %s", errRefused, verb, line)
 	}
 }
 
@@ -346,7 +339,7 @@ func (c *Client) readStored(verb string) error {
 		return err
 	}
 	if line != "STORED" {
-		return fmt.Errorf("kvserver: %s failed: %s", verb, line)
+		return fmt.Errorf("%w %s failed: %s", errRefused, verb, line)
 	}
 	return nil
 }

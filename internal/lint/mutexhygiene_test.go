@@ -145,10 +145,11 @@ func (s *S) Spawns() {
 	wantNone(t, runNamed(t, m, DefaultConfig(), "mutexhygiene"))
 }
 
-// TestMutexHygieneCFGOnly covers shapes the old syntax-level walker could
-// not see: leaks along goto edges, blocking calls after the deferred
-// release is installed, and non-blocking selects (default clause) that the
-// heuristic used to flag.
+// TestMutexHygieneCFGOnly covers shapes a syntax-level check without path
+// facts gets wrong: blocking calls after the deferred release is
+// installed, and non-blocking selects (default clause) that a heuristic
+// would flag. A goto is the one jump the walker does not follow: it
+// reports the label and the goto instead of tracing the function.
 func TestMutexHygieneCFGOnly(t *testing.T) {
 	m := fixture(t, map[string]map[string]string{
 		"app": {"app.go": `package app
@@ -166,7 +167,7 @@ type S struct {
 }
 
 // The goto jumps over the only release: the return at out: executes with
-// the lock held, which only a CFG edge can prove.
+// the lock held. The walker does not follow the jump, so it says so.
 func (s *S) GotoLeak(cond bool) int {
 	s.mu.Lock()
 	if cond {
@@ -201,10 +202,77 @@ func (s *S) NonBlockingKick() {
 `},
 	})
 	diags := runNamed(t, m, DefaultConfig(), "mutexhygiene")
-	wantDiag(t, diags, "mutexhygiene", "return while s.mu is held", 1)
+	wantDiag(t, diags, "mutexhygiene", "mutexhygiene does not follow labels or goto", 2)
+	wantDiag(t, diags, "mutexhygiene", "return while s.mu is held", 0)
 	wantDiag(t, diags, "mutexhygiene", "time.Sleep while s.rw is write-locked", 1)
 	wantDiag(t, diags, "mutexhygiene", "select", 0)
 	wantDiag(t, diags, "mutexhygiene", "channel send", 0)
+}
+
+// TestMutexHygieneLoopsAndClauses pins where break, continue and the
+// loop's fixed point carry the facts: a break leaves the innermost loop,
+// switch or select, and a loop's head holds what every pass brings back.
+func TestMutexHygieneLoopsAndClauses(t *testing.T) {
+	m := fixture(t, map[string]map[string]string{
+		"app": {"app.go": `package app
+
+import "sync"
+
+type S struct {
+	mu sync.Mutex
+	rw sync.RWMutex
+	ch chan int
+	n  int
+}
+
+// The loop is left only by the break, taken with the lock held.
+func (s *S) BreakHeld() {
+	for {
+		s.mu.Lock()
+		if s.n > 0 {
+			break
+		}
+		s.mu.Unlock()
+	}
+	return
+}
+
+// The break leaves the select, not the loop: the loop is never left, so
+// the return after it is unreachable.
+func (s *S) SelectBreak() int {
+	s.mu.Lock()
+	for {
+		select {
+		case v := <-s.ch:
+			if v > 0 {
+				s.mu.Unlock()
+				return v
+			}
+			break
+		}
+	}
+	return 0
+}
+
+// Every pass unlocks and relocks, so the loop ends write-locked.
+func (s *S) Relock(work []int) {
+	s.rw.Lock()
+	for range work {
+		s.rw.Unlock()
+		s.n++
+		s.rw.Lock()
+	}
+	s.ch <- s.n
+	s.rw.Unlock()
+}
+`},
+	})
+	diags := runNamed(t, m, DefaultConfig(), "mutexhygiene")
+	wantDiag(t, diags, "mutexhygiene", "return while s.mu is held", 1)
+	wantDiag(t, diags, "mutexhygiene", "channel send while s.rw is write-locked", 1)
+	if len(diags) != 2 {
+		t.Errorf("got %d diagnostics, want 2: %v", len(diags), diags)
+	}
 }
 
 func TestMutexHygieneSuppression(t *testing.T) {

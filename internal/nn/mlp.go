@@ -75,7 +75,7 @@ func newLinear(in, out int, rng *xrand.Rand) *linear {
 
 // forward computes x*w + b.
 func (l *linear) forward(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.MatMul(nil, x, l.w)
+	out := tensor.MatMul(x, l.w)
 	out.AddRowVec(l.b.Row(0))
 	return out
 }
@@ -83,7 +83,7 @@ func (l *linear) forward(x *tensor.Matrix) *tensor.Matrix {
 // update applies the SGD+momentum step for dOut (batch x out) on input x
 // with learning rate lr and weight decay wd.
 func (l *linear) update(x, dOut *tensor.Matrix, lr, mom, wd float64) {
-	dW := tensor.MatMulATB(nil, x, dOut)
+	dW := tensor.MatMulATB(x, dOut)
 	dB := dOut.ColSums()
 
 	for i, g := range dW.Data {
@@ -190,10 +190,10 @@ func (m *MLP) Backward(weights []float64) {
 	// moves w. The first layer's would have nowhere to go, so it is not
 	// computed.
 	lr, mom, wd := m.cfg.LR, m.cfg.Momentum, m.cfg.WeightDec
-	dEmb := tensor.MatMulABT(nil, dLogits, m.l3.w)
+	dEmb := tensor.MatMulABT(dLogits, m.l3.w)
 	m.l3.update(m.emb, dLogits, lr, mom, wd)
 	tensor.ReLUBackward(dEmb, m.emb)
-	dH1 := tensor.MatMulABT(nil, dEmb, m.l2.w)
+	dH1 := tensor.MatMulABT(dEmb, m.l2.w)
 	m.l2.update(m.h1, dEmb, lr, mom, wd)
 	tensor.ReLUBackward(dH1, m.h1)
 	m.l1.update(m.x, dH1, lr, mom, wd)

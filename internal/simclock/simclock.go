@@ -40,14 +40,10 @@ func (c *Clock) Start() Span { return Span{c: c, start: c.now} }
 // Elapsed reports the simulated time accumulated since the span started.
 func (s Span) Elapsed() time.Duration { return s.c.now - s.start }
 
-// Overlap2 returns the critical-path duration of two stages that may run
-// concurrently: stage a runs in the foreground while budget b of background
-// capacity is available to hide stage hidden. It models the paper's Fig 12
-// pipelines: the visible cost is a plus any part of hidden that exceeds b.
-func Overlap2(a, hidden, b time.Duration) time.Duration {
-	residual := hidden - b
-	if residual < 0 {
-		residual = 0
-	}
-	return a + residual
+// Overlap2 returns the visible cost of a stage that runs concurrently
+// with the foreground while budget b of background capacity is available
+// to hide it. It models the paper's Fig 12 pipelines: the visible cost is
+// the part of hidden that exceeds b.
+func Overlap2(hidden, b time.Duration) time.Duration {
+	return max(hidden-b, 0)
 }

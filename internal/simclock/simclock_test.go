@@ -38,17 +38,17 @@ func TestSpan(t *testing.T) {
 
 func TestOverlap2(t *testing.T) {
 	cases := []struct {
-		a, hidden, budget, want time.Duration
+		hidden, budget, want time.Duration
 	}{
-		{10, 5, 8, 10},  // hidden fully absorbed
-		{10, 8, 8, 10},  // exactly absorbed
-		{10, 12, 8, 14}, // 4 residual
-		{10, 12, 0, 22}, // no overlap budget
-		{0, 7, 3, 4},
+		{5, 8, 0},   // hidden fully absorbed
+		{8, 8, 0},   // exactly absorbed
+		{12, 8, 4},  // 4 residual
+		{12, 0, 12}, // no overlap budget
+		{7, 3, 4},
 	}
 	for _, c := range cases {
-		if got := Overlap2(c.a, c.hidden, c.budget); got != c.want {
-			t.Errorf("Overlap2(%v,%v,%v) = %v, want %v", c.a, c.hidden, c.budget, got, c.want)
+		if got := Overlap2(c.hidden, c.budget); got != c.want {
+			t.Errorf("Overlap2(%v,%v) = %v, want %v", c.hidden, c.budget, got, c.want)
 		}
 	}
 }

@@ -49,33 +49,18 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Zero resets every element to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 func (m *Matrix) sameShape(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 
-// MatMul computes dst = a * b, allocating dst when nil. Shapes: (m x k) *
-// (k x n) -> (m x n). It returns dst.
-func MatMul(dst, a, b *Matrix) *Matrix {
+// MatMul returns a * b. Shapes: (m x k) * (k x n) -> (m x n).
+func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul inner dims %d vs %d", a.Cols, b.Rows))
 	}
-	if dst == nil {
-		dst = New(a.Rows, b.Cols)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Cols {
-			panic("tensor: matmul dst shape mismatch")
-		}
-		dst.Zero()
-	}
+	dst := New(a.Rows, b.Cols)
 	if w := planWorkers(a.Rows, a.Rows*a.Cols*b.Cols); w > 1 {
 		parallelKernels.Add(1)
 		par.For(w, a.Rows, func(r0, r1 int) { matMulRows(dst, a, b, r0, r1) })
@@ -104,19 +89,12 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
-// MatMulATB computes dst = aᵀ * b. Shapes: (k x m)ᵀ * (k x n) -> (m x n).
-func MatMulATB(dst, a, b *Matrix) *Matrix {
+// MatMulATB returns aᵀ * b. Shapes: (k x m)ᵀ * (k x n) -> (m x n).
+func MatMulATB(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulATB outer dims %d vs %d", a.Rows, b.Rows))
 	}
-	if dst == nil {
-		dst = New(a.Cols, b.Cols)
-	} else {
-		if dst.Rows != a.Cols || dst.Cols != b.Cols {
-			panic("tensor: matmulATB dst shape mismatch")
-		}
-		dst.Zero()
-	}
+	dst := New(a.Cols, b.Cols)
 	if w := planWorkers(a.Cols, a.Rows*a.Cols*b.Cols); w > 1 {
 		parallelKernels.Add(1)
 		par.For(w, a.Cols, func(i0, i1 int) { matMulATBRows(dst, a, b, i0, i1) })
@@ -148,18 +126,12 @@ func matMulATBRows(dst, a, b *Matrix, i0, i1 int) {
 	}
 }
 
-// MatMulABT computes dst = a * bᵀ. Shapes: (m x k) * (n x k)ᵀ -> (m x n).
-func MatMulABT(dst, a, b *Matrix) *Matrix {
+// MatMulABT returns a * bᵀ. Shapes: (m x k) * (n x k)ᵀ -> (m x n).
+func MatMulABT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulABT inner dims %d vs %d", a.Cols, b.Cols))
 	}
-	if dst == nil {
-		dst = New(a.Rows, b.Rows)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Rows {
-			panic("tensor: matmulABT dst shape mismatch")
-		}
-	}
+	dst := New(a.Rows, b.Rows)
 	if w := planWorkers(a.Rows, a.Rows*a.Cols*b.Rows); w > 1 {
 		parallelKernels.Add(1)
 		par.For(w, a.Rows, func(r0, r1 int) { matMulABTRows(dst, a, b, r0, r1) })

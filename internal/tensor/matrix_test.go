@@ -60,7 +60,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		m, k, n := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
 		a := randomMatrix(m, k, rng)
 		b := randomMatrix(k, n, rng)
-		matricesEqual(t, MatMul(nil, a, b), naiveMatMul(a, b))
+		matricesEqual(t, MatMul(a, b), naiveMatMul(a, b))
 	}
 }
 
@@ -76,7 +76,7 @@ func TestMatMulATB(t *testing.T) {
 				at.Data[j*at.Cols+i] = a.At(i, j)
 			}
 		}
-		matricesEqual(t, MatMulATB(nil, a, b), naiveMatMul(at, b))
+		matricesEqual(t, MatMulATB(a, b), naiveMatMul(at, b))
 	}
 }
 
@@ -92,7 +92,7 @@ func TestMatMulABT(t *testing.T) {
 				bt.Data[j*bt.Cols+i] = b.At(i, j)
 			}
 		}
-		matricesEqual(t, MatMulABT(nil, a, b), naiveMatMul(a, bt))
+		matricesEqual(t, MatMulABT(a, b), naiveMatMul(a, bt))
 	}
 }
 
@@ -102,7 +102,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("mismatched matmul did not panic")
 		}
 	}()
-	MatMul(nil, New(2, 3), New(4, 2))
+	MatMul(New(2, 3), New(4, 2))
 }
 
 func TestFromSliceValidates(t *testing.T) {
@@ -194,7 +194,7 @@ func TestMatMulTransposeConsistency(t *testing.T) {
 		m, k, n := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
 		a := randomMatrix(m, k, rng)
 		b := randomMatrix(k, n, rng)
-		ab := MatMul(nil, a, b)
+		ab := MatMul(a, b)
 		// MatMulABT(a, bt) where bt has rows=b.Cols: build bᵀ then multiply.
 		bt := New(n, k)
 		for i := 0; i < k; i++ {
@@ -202,7 +202,7 @@ func TestMatMulTransposeConsistency(t *testing.T) {
 				bt.Data[j*bt.Cols+i] = b.At(i, j)
 			}
 		}
-		alt := MatMulABT(nil, a, bt)
+		alt := MatMulABT(a, bt)
 		for i := range ab.Data {
 			if !almostEqual(ab.Data[i], alt.Data[i]) {
 				return false
@@ -215,46 +215,13 @@ func TestMatMulTransposeConsistency(t *testing.T) {
 	}
 }
 
-func TestMatMulDstReuse(t *testing.T) {
-	rng := xrand.New(11)
-	a := randomMatrix(3, 4, rng)
-	b := randomMatrix(4, 2, rng)
-	dst := New(3, 2)
-	for i := range dst.Data {
-		dst.Data[i] = 99 // must be cleared by MatMul
-	}
-	got := MatMul(dst, a, b)
-	if got != dst {
-		t.Fatal("dst not reused")
-	}
-	matricesEqual(t, got, naiveMatMul(a, b))
-
-	// ATB and ABT with preallocated dst.
-	at := randomMatrix(4, 3, rng)
-	dst2 := New(3, 2)
-	dst2.Data[0] = 42
-	MatMulATB(dst2, at, b)
-	bt := randomMatrix(5, 4, rng)
-	dst3 := New(3, 5)
-	MatMulABT(dst3, a, bt)
-}
-
-func TestMatMulDstShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong dst shape accepted")
-		}
-	}()
-	MatMul(New(2, 2), New(2, 3), New(3, 4))
-}
-
 func TestMatMulATBShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched ATB accepted")
 		}
 	}()
-	MatMulATB(nil, New(3, 2), New(4, 5))
+	MatMulATB(New(3, 2), New(4, 5))
 }
 
 func TestMatMulABTShapePanics(t *testing.T) {
@@ -263,7 +230,7 @@ func TestMatMulABTShapePanics(t *testing.T) {
 			t.Fatal("mismatched ABT accepted")
 		}
 	}()
-	MatMulABT(nil, New(3, 2), New(4, 5))
+	MatMulABT(New(3, 2), New(4, 5))
 }
 
 func TestReLUBackwardShapePanics(t *testing.T) {
@@ -291,14 +258,4 @@ func TestNewNegativePanics(t *testing.T) {
 		}
 	}()
 	New(-1, 2)
-}
-
-func TestZero(t *testing.T) {
-	m := FromSlice(1, 3, []float64{1, 2, 3})
-	m.Zero()
-	for _, v := range m.Data {
-		if v != 0 {
-			t.Fatal("Zero left residue")
-		}
-	}
 }

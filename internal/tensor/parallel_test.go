@@ -45,16 +45,16 @@ func TestParallelKernelsBitwiseIdenticalToSerial(t *testing.T) {
 
 		var serMM, serATB, serABT *Matrix
 		withProcs(1, func() {
-			serMM = MatMul(nil, a, b)
-			serATB = MatMulATB(nil, at, b)
-			serABT = MatMulABT(nil, a, bt)
+			serMM = MatMul(a, b)
+			serATB = MatMulATB(at, b)
+			serABT = MatMulABT(a, bt)
 		})
 		for _, w := range []int{2, 3, 8} {
 			withProcs(w, func() {
 				for name, pair := range map[string][2]*Matrix{
-					"MatMul":    {MatMul(nil, a, b), serMM},
-					"MatMulATB": {MatMulATB(nil, at, b), serATB},
-					"MatMulABT": {MatMulABT(nil, a, bt), serABT},
+					"MatMul":    {MatMul(a, b), serMM},
+					"MatMulATB": {MatMulATB(at, b), serATB},
+					"MatMulABT": {MatMulABT(a, bt), serABT},
 				} {
 					got, want := pair[0], pair[1]
 					if got.Rows != want.Rows || got.Cols != want.Cols {
@@ -87,7 +87,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 		j.a, j.b = sparseMatrix(128+8*i, 64, rng), sparseMatrix(64, 96, rng)
 		j.at, j.bt = sparseMatrix(64, 128+8*i, rng), sparseMatrix(96, 64, rng)
 		withProcs(1, func() {
-			j.mm, j.atb, j.abt = MatMul(nil, j.a, j.b), MatMulATB(nil, j.at, j.b), MatMulABT(nil, j.a, j.bt)
+			j.mm, j.atb, j.abt = MatMul(j.a, j.b), MatMulATB(j.at, j.b), MatMulABT(j.a, j.bt)
 		})
 	}
 	same := func(got, want *Matrix) bool {
@@ -108,7 +108,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 			go func(j job) {
 				defer wg.Done()
 				for it := 0; it < 20; it++ {
-					if !same(MatMul(nil, j.a, j.b), j.mm) || !same(MatMulATB(nil, j.at, j.b), j.atb) || !same(MatMulABT(nil, j.a, j.bt), j.abt) {
+					if !same(MatMul(j.a, j.b), j.mm) || !same(MatMulATB(j.at, j.b), j.atb) || !same(MatMulABT(j.a, j.bt), j.abt) {
 						t.Errorf("concurrent caller %d, iteration %d: result differs from serial", i, it)
 						return
 					}
@@ -142,9 +142,9 @@ func TestKernelStatsAdvance(t *testing.T) {
 	b := sparseMatrix(128, 128, rng)
 	withProcs(4, func() {
 		p0, s0 := KernelStats()
-		MatMul(nil, a, b) // 2M ops: parallel
+		MatMul(a, b) // 2M ops: parallel
 		small := sparseMatrix(8, 8, rng)
-		MatMul(nil, small, small) // serial fallback
+		MatMul(small, small) // serial fallback
 		p1, s1 := KernelStats()
 		if p1 <= p0 {
 			t.Fatalf("parallel dispatch count did not advance: %d -> %d", p0, p1)
@@ -159,11 +159,10 @@ func benchMatMul(b *testing.B, size, procs int) {
 	rng := xrand.New(42)
 	x := sparseMatrix(size, size, rng)
 	y := sparseMatrix(size, size, rng)
-	dst := New(size, size)
 	withProcs(procs, func() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			MatMul(dst, x, y)
+			MatMul(x, y)
 		}
 	})
 	b.SetBytes(int64(size * size * 8))

@@ -393,7 +393,7 @@ func runEpoch(cfg Config, pol policy.Policy, store *storage.Store, mlp *nn.MLP, 
 					// batch's Stage 1 (approximated by this batch's).
 					budget += load + cfg.Model.ForwardCost
 				}
-				visibleIS = simclock.Overlap2(0, cfg.Model.ISCost, budget)
+				visibleIS = simclock.Overlap2(cfg.Model.ISCost, budget)
 			}
 		}
 

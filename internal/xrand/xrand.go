@@ -9,7 +9,10 @@
 // be.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator. It is NOT safe for
 // concurrent use; derive per-goroutine generators with Split.
@@ -39,19 +42,17 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xa5a5a5a5deadbeef)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
+	result := bits.RotateLeft64(s[1]*5, 7) * 9
 	t := s[1] << 17
 	s[2] ^= s[0]
 	s[3] ^= s[1]
 	s[1] ^= s[2]
 	s[0] ^= s[3]
 	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
 }
 
@@ -63,29 +64,15 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := -bound % bound
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

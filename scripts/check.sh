@@ -9,10 +9,7 @@
 # Everything CI (and a careful human) runs before trusting a tree, in
 # dependency order — cheap, syntactic gates first, so failures surface fast.
 #
-#   scripts/check.sh          # full gate
-#   SKIP_RACE=1 scripts/check.sh  # skip the -race subset (slowest stage)
-#   RACE_FULL=1 scripts/check.sh  # run the ENTIRE suite under -race, not
-#                                 # just the concurrency-sensitive subset
+#   scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -56,22 +53,13 @@ go test ./...
 echo "== bench module (go vet, go test -short)"
 (cd bench && go vet ./... && go test -short ./...)
 
-if [ "${RACE_FULL:-0}" = "1" ]; then
-    # Opt-in: every package under the race detector, not just the curated
-    # subset. Slow (it adds the root package's end-to-end training runs and
-    # internal/experiments' tables under the detector), so it is a
-    # deliberate pre-release gate rather than the default.
-    echo "== go test -race ./... (RACE_FULL)"
-    go test -race ./...
-elif [ "${SKIP_RACE:-0}" != "1" ]; then
-    echo "== go test -race (concurrency-sensitive subset)"
-    go test -race \
-        ./internal/telemetry/... ./internal/kvserver/... ./internal/cache/... \
-        ./internal/hnsw/... ./internal/semgraph/... ./internal/trainer/... \
-        ./internal/tensor/... ./internal/nn/... \
-        ./internal/par/... ./internal/leakcheck/... \
-        ./internal/faultnet/... ./internal/cluster/...
-fi
+echo "== go test -race (concurrency-sensitive subset)"
+go test -race \
+    ./internal/telemetry/... ./internal/kvserver/... ./internal/cache/... \
+    ./internal/hnsw/... ./internal/semgraph/... ./internal/trainer/... \
+    ./internal/tensor/... ./internal/nn/... \
+    ./internal/par/... ./internal/leakcheck/... \
+    ./internal/faultnet/... ./internal/cluster/...
 
 # The failure path's behavioural gates: a daemon killed under load,
 # through the static-seed client the benchmarks build, and a node closed
